@@ -16,8 +16,13 @@ import (
 // re-asserts membership while preserving the payload the element had, even
 // if a concurrent remove deleted it — removed payloads are kept in a
 // graveyard until the stability horizon passes the remove.
+//
+// An element keeps at most one live add event per origin: a newer add or
+// touch from the same origin supersedes the older ones when it applies
+// (see supersede), so a long-lived element that is touched on every
+// call holds #origins tags, not one per touch.
 type AWSet struct {
-	tags      map[string]eventSet // live add-events per element
+	tags      map[string]eventSet // live add-events per element, ≤ 1 per origin
 	payload   map[string]string   // payload of live elements
 	graveyard map[string]graveEntry
 }
@@ -105,7 +110,7 @@ func (s *AWSet) Apply(op Op) {
 			ts = eventSet{}
 			s.tags[o.Elem] = ts
 		}
-		ts.add(o.Tag)
+		ts.supersede(o.Tag)
 		if o.Touch {
 			if _, have := s.payload[o.Elem]; !have {
 				if g, ok := s.graveyard[o.Elem]; ok {
@@ -180,23 +185,6 @@ func (s *AWSet) ElemsWhere(pred Predicate) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// MinTag returns the smallest live add event of elem, used by the
-// Compensation Set to pick victims deterministically.
-func (s *AWSet) MinTag(elem string) (clock.EventID, bool) {
-	ts, ok := s.tags[elem]
-	if !ok || len(ts) == 0 {
-		return clock.EventID{}, false
-	}
-	var min clock.EventID
-	first := true
-	for t := range ts {
-		if first || t.Less(min) {
-			min, first = t, false
-		}
-	}
-	return min, true
 }
 
 // MetadataSize reports the number of metadata entries held: live add

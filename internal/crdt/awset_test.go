@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -143,21 +144,181 @@ func TestAWSetCompactDropsStableGraveyard(t *testing.T) {
 	}
 }
 
-func TestAWSetMinMaxTag(t *testing.T) {
+func TestAWSetMaxTag(t *testing.T) {
 	g := newTagger()
 	s := NewAWSet()
 	t1 := g.tag("a")
 	t2 := g.tag("b")
 	s.Apply(AWAddOp{Elem: "x", Tag: t2})
 	s.Apply(AWAddOp{Elem: "x", Tag: t1})
-	if min, ok := s.MinTag("x"); !ok || min != t1 {
-		t.Fatalf("MinTag = %v, %v", min, ok)
-	}
 	if max, ok := s.MaxTag("x"); !ok || max != t2 {
 		t.Fatalf("MaxTag = %v, %v", max, ok)
 	}
-	if _, ok := s.MinTag("absent"); ok {
-		t.Fatal("MinTag on absent element")
+	if _, ok := s.MaxTag("absent"); ok {
+		t.Fatal("MaxTag on absent element")
+	}
+}
+
+// A live element keeps one add event per origin however often it is
+// touched: the serving path touches tournament(t)/player(p) on every
+// enroll, and an unbounded tag set was 150 B of heap per call served.
+func TestAWSetTagsBounded(t *testing.T) {
+	g := newTagger()
+	s := NewAWSet()
+	origins := []clock.ReplicaID{"a", "b", "c"}
+	s.Apply(s.PrepareAdd("x", "profile", g.tag("a")))
+	for i := 0; i < 100_000; i++ {
+		s.Apply(s.PrepareTouch("x", g.tag(origins[i%len(origins)])))
+	}
+	if n := s.MetadataSize(); n > len(origins) {
+		t.Fatalf("%d live tags after 100k touches from %d origins", n, len(origins))
+	}
+	if pay, ok := s.Payload("x"); !ok || pay != "profile" {
+		t.Fatalf("payload = %q, %v", pay, ok)
+	}
+	// A remove observing the collapsed tags still empties the element.
+	s.Apply(s.PrepareRemove("x", g.tag("a")))
+	if s.Contains("x") {
+		t.Fatal("remove of every observed tag left the element alive")
+	}
+}
+
+// fullTagSet is the add-wins set as it was before tags collapsed per
+// origin: every add event of a live element is kept and observed. The
+// property test below holds the collapsed AWSet to it.
+type fullTagSet struct {
+	tags      map[string]eventSet
+	payload   map[string]string
+	graveyard map[string]string
+}
+
+func newFullTagSet() *fullTagSet {
+	return &fullTagSet{tags: map[string]eventSet{}, payload: map[string]string{}, graveyard: map[string]string{}}
+}
+
+func (s *fullTagSet) prepareRemove(match func(string) bool, op AWRemoveOp) AWRemoveOp {
+	op.Observed = map[string][]clock.EventID{}
+	for elem, ts := range s.tags {
+		if match(elem) {
+			op.Observed[elem] = ts.list()
+		}
+	}
+	return op
+}
+
+func (s *fullTagSet) apply(op Op) {
+	switch o := op.(type) {
+	case AWAddOp:
+		if s.tags[o.Elem] == nil {
+			s.tags[o.Elem] = eventSet{}
+		}
+		s.tags[o.Elem].add(o.Tag)
+		if _, have := s.payload[o.Elem]; o.Touch && have {
+			return
+		}
+		s.payload[o.Elem] = o.Pay
+		if o.Touch {
+			s.payload[o.Elem] = s.graveyard[o.Elem]
+			delete(s.graveyard, o.Elem)
+		}
+	case AWRemoveOp:
+		for elem, observed := range o.Observed {
+			ts := s.tags[elem]
+			for _, t := range observed {
+				delete(ts, t)
+			}
+			if ts != nil && len(ts) == 0 {
+				delete(s.tags, elem)
+				s.graveyard[elem] = s.payload[elem]
+				delete(s.payload, elem)
+			}
+		}
+	}
+}
+
+// Random add/touch/remove/remove-where histories at three replicas,
+// delivered in random causal (and per-origin FIFO) order: the collapsed
+// set and the full-tag reference agree on membership and payload at
+// every replica after every local update and every delivery.
+func TestAWSetCollapseMatchesFullTags(t *testing.T) {
+	type msg struct {
+		tag       clock.EventID
+		deps      clock.Vector
+		got, want Op // the op as each system prepared it
+	}
+	sites := []clock.ReplicaID{"a", "b", "c"}
+	elems := []string{JoinTuple("p1", "t1"), JoinTuple("p2", "t1"), JoinTuple("p1", "t2")}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want, vc := map[clock.ReplicaID]*AWSet{}, map[clock.ReplicaID]*fullTagSet{}, map[clock.ReplicaID]clock.Vector{}
+		inbox := map[clock.ReplicaID][]msg{}
+		for _, r := range sites {
+			got[r], want[r], vc[r] = NewAWSet(), newFullTagSet(), clock.New()
+		}
+		compare := func(step int, r clock.ReplicaID) {
+			t.Helper()
+			g, w := got[r], want[r]
+			if g.Size() != len(w.tags) {
+				t.Fatalf("seed %d step %d at %s: members %v, full-tag reference has %d", seed, step, r, g.Elems(), len(w.tags))
+			}
+			for _, e := range g.Elems() {
+				pay, _ := g.Payload(e)
+				if _, live := w.tags[e]; !live || pay != w.payload[e] {
+					t.Fatalf("seed %d step %d at %s: %q live with payload %q, reference live=%v payload %q",
+						seed, step, r, e, pay, live, w.payload[e])
+				}
+			}
+		}
+		deliverable := func(r clock.ReplicaID, m msg) bool {
+			if vc[r].Get(m.tag.Replica) != m.tag.Seq-1 {
+				return false
+			}
+			return m.deps.LEq(vc[r])
+		}
+		for step := 0; step < 120; step++ {
+			r := sites[rng.Intn(len(sites))]
+			if rng.Intn(2) == 0 {
+				// Deliver one pending message at r, if causality allows any.
+				for i, m := range inbox[r] {
+					if deliverable(r, m) {
+						got[r].Apply(m.got)
+						want[r].apply(m.want)
+						vc[r].Set(m.tag.Replica, m.tag.Seq)
+						inbox[r] = append(inbox[r][:i:i], inbox[r][i+1:]...)
+						compare(step, r)
+						break
+					}
+				}
+				continue
+			}
+			deps := vc[r].Clone()
+			tag := vc[r].Tick(r)
+			e := elems[rng.Intn(len(elems))]
+			m := msg{tag: tag, deps: deps}
+			switch rng.Intn(4) {
+			case 0:
+				op := got[r].PrepareAdd(e, fmt.Sprintf("pay%d", step), tag)
+				m.got, m.want = op, op
+			case 1:
+				op := got[r].PrepareTouch(e, tag)
+				m.got, m.want = op, op
+			case 2:
+				op := got[r].PrepareRemove(e, tag)
+				m.got, m.want = op, want[r].prepareRemove(func(x string) bool { return x == e }, op)
+			case 3:
+				pat := MatchPattern("", "t1")
+				op := got[r].PrepareRemoveWhere(pat, tag)
+				m.got, m.want = op, want[r].prepareRemove(pat.Matches, op)
+			}
+			got[r].Apply(m.got)
+			want[r].apply(m.want)
+			compare(step, r)
+			for _, o := range sites {
+				if o != r {
+					inbox[o] = append(inbox[o], m)
+				}
+			}
+		}
 	}
 }
 

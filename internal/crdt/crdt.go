@@ -146,6 +146,25 @@ type eventSet map[clock.EventID]struct{}
 
 func (s eventSet) add(e clock.EventID)      { s[e] = struct{}{} }
 func (s eventSet) has(e clock.EventID) bool { _, ok := s[e]; return ok }
+
+// supersede adds e and drops the older events of e's origin. Sound for
+// the live add events of an add-wins element under per-origin FIFO and
+// causal delivery: a remove that observed e either observed the older
+// same-origin events too or causally follows the remove that cancelled
+// them, so they are dead wherever e dies; a remove that observed only an
+// older one leaves e, and the add still wins. Membership, payloads and
+// the largest live event are those of the full event set.
+func (s eventSet) supersede(e clock.EventID) {
+	for old := range s {
+		if old.Replica == e.Replica {
+			if old.Seq >= e.Seq {
+				return // e is a duplicate or arrived behind its successor
+			}
+			delete(s, old)
+		}
+	}
+	s[e] = struct{}{}
+}
 func (s eventSet) addAll(es []clock.EventID) {
 	for _, e := range es {
 		s[e] = struct{}{}

@@ -34,12 +34,11 @@ type action struct {
 }
 
 // plan simulates the operation's patched execution against the
-// extracted pre-state: it grounds every effect, evaluates cascade
-// conditions against the visible state, builds the local post-state,
-// and checks the explicit preconditions. It returns the concrete update
-// list, the simulated post-state, and the truth/value changes relative
-// to the pre-state (the compiled guard's trigger input), or
-// ErrPrecondition.
+// pre-state: it grounds every effect, evaluates cascade conditions
+// against the visible state, builds the local post-state, and checks the
+// explicit preconditions. It returns the concrete update list, the
+// simulated post-state, and the truth/value changes relative to the
+// pre-state (the compiled guard's trigger input), or ErrPrecondition.
 func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]action, *state, []change, error) {
 	// post is the guard's view of the operation's outcome: the base
 	// effects, the cascades, and the analysis-injected retractions — but
@@ -48,7 +47,7 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 	// them satisfy the guard would have every operation conjure up its own
 	// preconditions (an enroll creating the missing tournament) instead of
 	// refusing like the hand-coded guards do.
-	post := pre.clone()
+	post := pre.fork()
 	for _, p := range co.op.Params {
 		post.addDomain(p.Sort, binding[p.Name])
 	}
@@ -56,31 +55,10 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 	var changes []change
 	planned := map[string]bool{} // dedupe positive assertions by atom
 
-	ground := func(args []logic.Term) ([]string, bool, error) {
-		out := make([]string, len(args))
-		wild := false
-		for i, t := range args {
-			switch t.Kind {
-			case logic.TermVar:
-				v, ok := binding[t.Name]
-				if !ok {
-					return nil, false, fmt.Errorf("engine: unbound parameter %q", t.Name)
-				}
-				out[i] = v
-			case logic.TermConst:
-				out[i] = t.Name
-			case logic.TermWildcard:
-				out[i] = ""
-				wild = true
-			}
-		}
-		return out, wild, nil
-	}
 	// GroundAtom is the one key scheme extraction, planning, checking,
 	// and repair all share (0-ary atoms key under the bare name).
-	atomKey := func(pred string, args []string) string { return logic.GroundAtom(pred, args...) }
 	assert := func(pred string, args []string, touch bool) {
-		key := atomKey(pred, args)
+		key := logic.GroundAtom(pred, args...)
 		if planned[key] {
 			return
 		}
@@ -91,7 +69,7 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 		}
 		acts = append(acts, action{kind: kind, pred: pred, args: args})
 		if !touch {
-			if !pre.in.Truth[key] {
+			if !pre.truth(key, pred, args) {
 				changes = append(changes, change{pred: pred, args: args, dir: 1})
 			}
 			post.in.Truth[key] = true
@@ -99,21 +77,28 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 	}
 	retractGround := func(pred string, args []string) {
 		acts = append(acts, action{kind: actRemove, pred: pred, args: args})
-		key := atomKey(pred, args)
-		if pre.in.Truth[key] {
+		key := logic.GroundAtom(pred, args...)
+		if pre.truth(key, pred, args) {
 			changes = append(changes, change{pred: pred, args: args, dir: -1})
 		}
 		post.in.Truth[key] = false
 	}
 	wipe := func(pred string, pattern []string, emit bool) {
-		matches := pre.trueMatches(pred, pattern)
+		matches := pre.trueTuples(a.preds[pred], pattern, nil)
 		if emit || len(matches) > 0 {
 			acts = append(acts, action{kind: actWipe, pred: pred, pattern: pattern})
 		}
 		for _, m := range matches {
 			changes = append(changes, change{pred: pred, args: m, dir: -1})
-			post.in.Truth[atomKey(pred, m)] = false
+			post.in.Truth[logic.GroundAtom(pred, m...)] = false
 		}
+	}
+	ground := func(terms []logic.Term) ([]string, bool, error) {
+		args, wild, missing := groundTerms(terms, binding)
+		if missing != "" {
+			return nil, false, fmt.Errorf("engine: unbound parameter %q", missing)
+		}
+		return args, wild, nil
 	}
 
 	apply := func(effects []spec.Effect, touch bool) error {
@@ -125,7 +110,8 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 			switch {
 			case e.Kind == spec.NumDelta:
 				acts = append(acts, action{kind: actDelta, pred: e.Pred, args: args, delta: e.Delta})
-				post.in.Nums[atomKey(e.Pred, args)] += e.Delta
+				key := logic.GroundAtom(e.Pred, args...)
+				post.in.Nums[key] = post.num(key, e.Pred, args) + e.Delta
 				if e.Delta != 0 {
 					d := int8(1)
 					if e.Delta < 0 {
@@ -166,7 +152,7 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 		// Cascades are ground and conditional: retract only what the
 		// origin sees (a remove the origin has no grounds for would
 		// needlessly defeat concurrent re-assertions).
-		if pre.in.Truth[atomKey(c.pred, args)] {
+		if pre.truth(logic.GroundAtom(c.pred, args...), c.pred, args) {
 			retractGround(c.pred, args)
 		}
 	}
@@ -174,7 +160,7 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 	// Explicit preconditions, against the visible pre-state. Eval never
 	// mutates its env, so the call binding is passed as-is.
 	for i, p := range co.op.Pre {
-		ok, err := pre.in.Eval(p, binding)
+		ok, err := pre.evalAt(p, co.preOccs[i], binding)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("engine: %s: requires %s: %w", co.op.Name, p, err)
 		}
@@ -252,24 +238,30 @@ func (a *App) Call(r runtime.Replica, opName string, args ...string) error {
 			tx.Commit()
 		}
 	}()
-	var fp *footprint
-	if !a.useReference(co) {
-		fp = co.plan.fp
-	}
-	pre := a.extract(tx, fp)
-	if fp != nil {
-		if err := a.readMembers(tx, pre, co.plan.members, binding); err != nil {
-			return err
+	var pre *state
+	if a.useReference(co) {
+		a.fallbackCalls.Add(1)
+		pre = a.extract(tx, nil)
+	} else {
+		// Bind every set the call can touch before reading any: the reads
+		// below are then one snapshot, and the writes after them find
+		// their shards already held.
+		for _, pi := range co.plan.binds {
+			a.set(tx, pi)
 		}
+		pre = a.extract(tx, co.plan.fp)
 	}
 	acts, post, changes, err := a.plan(co, pre, binding)
 	if err != nil {
 		return err
 	}
-	if a.useReference(co) {
-		err = a.guardFull(co, pre, post)
-	} else {
+	if pre.lazy {
 		err = a.guardCompiled(co, pre, post, changes)
+		if post.enumerated {
+			a.domainEnumCalls.Add(1)
+		}
+	} else {
+		err = a.guardFull(co, pre, post)
 	}
 	if err != nil {
 		return err
@@ -309,22 +301,7 @@ func (a *App) execute(tx *store.Txn, act action) {
 		a.executeDelta(tx, act)
 		return
 	}
-	pi := a.preds[act.pred]
-	if pi.remWins {
-		ref := store.RWSetAt(tx, pi.key)
-		switch act.kind {
-		case actAdd:
-			ref.Add(elem(act.args), "")
-		case actTouch:
-			ref.Touch(elem(act.args))
-		case actRemove:
-			ref.Remove(elem(act.args))
-		case actWipe:
-			ref.RemoveWhere(crdt.MatchPattern(act.pattern...))
-		}
-		return
-	}
-	ref := store.AWSetAt(tx, pi.key)
+	ref := a.set(tx, a.preds[act.pred])
 	switch act.kind {
 	case actAdd:
 		ref.Add(elem(act.args), "")

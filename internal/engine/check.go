@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"ipa/internal/logic"
@@ -26,16 +27,35 @@ func (a *App) CheckQuiescent(r runtime.Replica) []string {
 	})
 }
 
+// check evaluates the wanted clauses by join, like a guard with nothing
+// bound: only the bindings at which a clause's generators hold can
+// violate it, so the cost follows the generators' extensions, not the
+// product of the domains. What a join cannot reach (counts, ungenerated
+// variables) is extracted whole; an irregular clause — and every clause
+// of an application mounted WithInterpreter, the differential oracle —
+// is evaluated as written, quantifier and all, on the whole state.
 func (a *App) check(r runtime.Replica, want func(*Clause) bool) []string {
 	tx := r.Begin()
 	defer tx.Commit()
-	st := a.extract(tx, nil)
+	asWritten := func(cl *Clause) bool { return a.interpreted || cl.irregular != "" }
+	whole, w := false, newWholeReads()
+	for _, cl := range a.clauses {
+		if want(cl) {
+			whole = whole || asWritten(cl)
+			cl.wholeReadsOf(nil, w)
+		}
+	}
+	var fp *footprint
+	if !whole {
+		fp = a.footprintOf(w)
+	}
+	st := a.extract(tx, fp)
 	var out []string
 	for _, cl := range a.clauses {
 		if !want(cl) {
 			continue
 		}
-		ok, err := st.in.Eval(cl.Formula, nil)
+		ok, err := st.holds(cl, asWritten(cl))
 		if err != nil {
 			out = append(out, fmt.Sprintf("cannot evaluate %s: %v", cl.Formula, err))
 			continue
@@ -46,6 +66,28 @@ func (a *App) check(r runtime.Replica, want func(*Clause) bool) []string {
 	}
 	return out
 }
+
+// holds reports whether the clause holds in the state: evaluated as
+// written, or by join up to the first violating binding.
+func (s *state) holds(cl *Clause, asWritten bool) (bool, error) {
+	if asWritten {
+		return s.in.Eval(cl.Formula, nil)
+	}
+	err := s.join(cl, map[string]string{}, nil, func(env map[string]string) error {
+		ok, err := s.evalAt(cl.body, cl.occs, env)
+		if err == nil && !ok {
+			err = errViolated
+		}
+		return err
+	})
+	if err == errViolated {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// errViolated stops a join at the first violating binding.
+var errViolated = errors.New("violated")
 
 // Digest summarizes the replica's visible specification-level state. At
 // quiescence every replica of a converged cluster digests identically,
@@ -164,7 +206,7 @@ func (a *App) trimExcess(tx *store.Txn, st *state, cl *Clause, pred string, args
 		if skip {
 			continue
 		}
-		matches := st.trueMatches(pred, pattern) // sorted
+		matches := st.trueTuples(pi, pattern, nil) // sorted
 		excess := len(matches) - limit
 		for i := 0; i < excess; i++ {
 			tuple := matches[i]

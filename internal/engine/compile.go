@@ -2,75 +2,110 @@
 //
 // The reference executor re-extracts the whole specification-level state
 // on every call and delta-checks every guard clause over the full
-// binding cross-product. Almost all of that work is invariant across
-// calls of the same operation, so Mount precomputes, per operation:
+// binding cross-product. An operation can only falsify the clause
+// instances its own changes touch, so Mount precomputes, per operation:
 //
-//   - the footprint: the predicate sets and numeric counters the call
-//     can read or write — its effects, patches, ensures, cascades, the
-//     `requires` clauses, and the guard clauses it can actually trip —
-//     closed over the sorts any guard enumeration needs, so the
-//     extracted domains for those sorts are exactly the reference
-//     executor's;
 //   - the trigger set: for each guard clause, the occurrences of the
 //     clause's predicates whose polarity lets a change the operation
 //     makes lower the clause (a positive occurrence going false, a
 //     negative one going true, any change under a count or field read).
 //     Clauses with no compatible (change, occurrence) pair can never be
 //     newly violated by the operation and are compiled out entirely;
+//   - per clause, a generator for each quantified variable: an atom that
+//     must be true for the clause body to be false (the antecedent of an
+//     implication, the conjuncts under a negation). The variables a
+//     change does not bind are bound by matching their generator against
+//     the state by pattern — a join — instead of enumerating their sort;
+//   - the footprint: the little a plan must still extract whole — a
+//     predicate under a count or a requires-quantifier, and, for a
+//     variable no generator covers, every predicate and field over its
+//     sort, so the enumerated domain is exactly the reference
+//     executor's. Everything else is read on demand: wipes and
+//     generators by pattern, clause atoms at a produced binding by
+//     memoised point reads (see state);
 //   - a fallback flag for degenerate clause shapes (nested quantifiers,
-//     stray wildcards, free variables, constant effect arguments) whose
-//     evaluation errors and binding universes only the whole-state
-//     interpreter reproduces exactly.
+//     stray wildcards, free or mis-sorted variables, constant effect
+//     arguments) whose evaluation errors and binding universes only the
+//     whole-state interpreter reproduces exactly.
 //
-// At call time the executor grounds each concrete truth change against
-// the compatible occurrences, yielding partial bindings of the clause
-// variables; only the residual variables enumerate their domains. The
-// guard then evaluates the same clause bodies, on the same pre/post
-// interpretations, as the reference executor — restricted extraction and
-// restricted enumeration are the only differences, which is what the
-// differential suite pins.
+// Every binding the join produces is one the reference executor's
+// cross-product contains (its values come from call parameters and true
+// atoms, all recorded in the domains), and every binding whose clause
+// instance held before but fails after is produced (a flip needs a
+// downward-compatible change grounding at it, and its generators true).
+// The guard then evaluates the same clause bodies on the same pre/post
+// truth as the reference executor, which is what the differential suite
+// pins.
 package engine
 
 import (
 	"fmt"
 	"sort"
 
+	"ipa/internal/crdt"
 	"ipa/internal/logic"
 	"ipa/internal/spec"
 )
 
-// footprint names the predicate sets and numeric counters one operation
-// must extract in full. nil means "everything" (the reference executor's
-// whole-state extraction).
+// footprint lists the predicate sets and numeric fields extracted whole,
+// in sorted name order.
 type footprint struct {
-	preds map[string]bool
-	nums  map[string]bool
+	preds []*predInfo
+	nums  []*numInfo
 }
 
-// memberRead is one ground key the operation reads instead of scanning
-// a whole set: the predicate or field applied to argument templates
-// over the call parameters (and constants), resolved per call. Most
-// operations' precondition checks are exactly such point reads — the
-// hand-coded applications' `Contains` checks, recovered from the spec.
-type memberRead struct {
-	pred    string
-	args    []logic.Term
-	numeric bool
+// wholeReads accumulates what a plan cannot read by point or pattern:
+// the predicates and fields it scans, and the sorts whose domains it
+// enumerates.
+type wholeReads struct {
+	names map[string]bool
+	sorts map[logic.Sort]bool
 }
 
-// guardPlan is one guard clause with its precomputed trigger
-// occurrences and variable sorts.
+func newWholeReads() wholeReads {
+	return wholeReads{names: map[string]bool{}, sorts: map[logic.Sort]bool{}}
+}
+
+// footprintOf closes the whole reads over their sorts — an enumerated
+// sort must carry exactly the domain whole-state extraction would
+// build, so every predicate or field with a position of that sort is
+// extracted too — and lists the result.
+func (a *App) footprintOf(w wholeReads) *footprint {
+	fp := &footprint{}
+	overSort := func(sorts []logic.Sort) bool {
+		for _, srt := range sorts {
+			if w.sorts[srt] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, name := range a.predList {
+		if pi := a.preds[name]; w.names[name] || overSort(pi.sorts) {
+			fp.preds = append(fp.preds, pi)
+		}
+	}
+	for _, name := range a.numList {
+		if ni := a.nums[name]; w.names[name] || overSort(ni.sorts) {
+			fp.nums = append(fp.nums, ni)
+		}
+	}
+	return fp
+}
+
+// guardPlan is one guard clause the operation can trip, with its
+// mount-time refusal error (the same instance guardFull returns).
 type guardPlan struct {
 	cl      *Clause
-	occs    []logic.Occurrence
-	sortOf  map[string]logic.Sort
-	violErr error // mount-time refusal error (same instance guardFull returns)
+	violErr error
 }
 
 // opPlan is the compiled execution plan of one operation.
 type opPlan struct {
-	fp       *footprint
-	members  []memberRead
+	fp *footprint
+	// binds are the sets the call can read or write, bound (their shard
+	// locks taken) before the first read.
+	binds    []*predInfo
 	guards   []*guardPlan // triggered clauses, in deriveGuards order
 	fallback bool
 	reason   string
@@ -87,22 +122,100 @@ type change struct {
 
 // changeShape is the static form of a change: known predicate, known
 // direction, argument templates whose values arrive at call time.
-// paramArgs means every template term is a call parameter (or constant)
-// — wipe matches instead carry values read from extracted state.
 type changeShape struct {
-	pred      string
-	args      []logic.Term
-	dir       int8
-	numeric   bool
-	paramArgs bool
+	pred    string
+	args    []logic.Term
+	dir     int8
+	numeric bool
 }
 
-// compilePlans computes the execution plan of every operation. Runs
-// after deriveRemWins so the guard and effect sets are final.
+// compilePlans plans every clause's join and every operation's
+// execution. Runs after deriveRemWins so the guard and effect sets are
+// final.
 func (a *App) compilePlans() {
+	a.whole = &footprint{}
+	for _, name := range a.predList {
+		a.whole.preds = append(a.whole.preds, a.preds[name])
+	}
+	for _, name := range a.numList {
+		a.whole.nums = append(a.whole.nums, a.nums[name])
+	}
+	for _, cl := range a.clauses {
+		a.planClause(cl)
+	}
 	for _, name := range a.opNames {
 		co := a.ops[name]
 		co.plan = a.compilePlan(co)
+	}
+}
+
+// planClause derives the clause's occurrences, its irregularity, and the
+// generator of each quantified variable.
+func (a *App) planClause(cl *Clause) {
+	cl.occs = logic.Occurrences(cl.body)
+	cl.irregular = a.irregularClause(cl)
+	if cl.irregular != "" {
+		return
+	}
+	cl.gen = map[string]*logic.Atom{}
+	for _, g := range requiredTrue(cl.body, false, nil) {
+		if a.preds[g.Pred] == nil {
+			continue
+		}
+		for _, t := range g.Args {
+			if t.Kind == logic.TermVar && cl.gen[t.Name] == nil {
+				cl.gen[t.Name] = g
+			}
+		}
+	}
+}
+
+// requiredTrue appends the atoms that must be true for f to evaluate to
+// want — the literals every such assignment shares. Only forced
+// conjuncts contribute: a disjunction that must hold, a conjunction
+// that must fail, and a comparison force nothing.
+func requiredTrue(f logic.Formula, want bool, out []*logic.Atom) []*logic.Atom {
+	switch g := f.(type) {
+	case *logic.Atom:
+		if want {
+			out = append(out, g)
+		}
+	case *logic.Not:
+		out = requiredTrue(g.F, !want, out)
+	case *logic.And:
+		if want {
+			for _, c := range g.L {
+				out = requiredTrue(c, true, out)
+			}
+		}
+	case *logic.Or:
+		if !want {
+			for _, c := range g.L {
+				out = requiredTrue(c, false, out)
+			}
+		}
+	case *logic.Implies:
+		if !want {
+			out = requiredTrue(g.A, true, out)
+			out = requiredTrue(g.B, false, out)
+		}
+	}
+	return out
+}
+
+// wholeReadsOf records what evaluating cl by join reads whole when the
+// variables in bound are already fixed: counted predicates, and the sort
+// of every other variable no generator covers.
+func (cl *Clause) wholeReadsOf(bound map[string]bool, w wholeReads) {
+	for _, occ := range cl.occs {
+		if occ.Count {
+			w.names[occ.Pred] = true
+		}
+	}
+	for _, v := range cl.vars {
+		if !bound[v.Name] && cl.gen[v.Name] == nil {
+			w.sorts[v.Sort] = true
+		}
 	}
 }
 
@@ -113,141 +226,94 @@ func (a *App) compilePlan(co *compiledOp) *opPlan {
 	// free-variable case, their binding universe) depend on the exact
 	// whole-state enumeration.
 	for _, cl := range co.guards {
-		if reason := irregularClause(cl); reason != "" {
-			p.fallback, p.reason = true, fmt.Sprintf("guard %s: %s", cl.Formula, reason)
+		if cl.irregular != "" {
+			p.fallback, p.reason = true, fmt.Sprintf("guard %s: %s", cl.Formula, cl.irregular)
 			return p
 		}
 	}
 	// Constant effect arguments produce change values that may be absent
-	// from the interpreter's extracted domains, so the restricted
-	// enumeration could check bindings the reference executor never
-	// enumerates.
+	// from the interpreter's extracted domains, so the join could check
+	// bindings the reference executor never enumerates.
 	if pred, ok := a.constEffectArg(co); ok {
 		p.fallback, p.reason = true, fmt.Sprintf("constant argument in effect on %s", pred)
 		return p
 	}
 
-	needPred := map[string]bool{}
-	needNum := map[string]bool{}
-	needSort := map[logic.Sort]bool{}
-	var members []memberRead
-	memberSeen := map[string]bool{}
-	addFull := func(n string) {
-		if a.preds[n] != nil {
-			needPred[n] = true
-		}
-		if a.nums[n] != nil {
-			needNum[n] = true
-		}
+	// Effects, patches, ensures and cascades read at most their own ground
+	// atom (change detection, cascade conditions) or a wipe pattern, and
+	// numeric deltas write blind: nothing whole. Explicit preconditions
+	// scan what a quantifier or a count ranges over.
+	w := newWholeReads()
+	touched := map[string]bool{}
+	for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
+		touched[e.Pred] = true
 	}
-	addMember := func(name string, args []logic.Term) {
-		m := memberRead{pred: name, args: args, numeric: a.nums[name] != nil}
-		if !m.numeric && a.preds[name] == nil {
-			return
-		}
-		key := termsKey(name, args)
-		if memberSeen[key] {
-			return
-		}
-		memberSeen[key] = true
-		members = append(members, m)
+	for _, t := range co.ensures {
+		touched[t.pred] = true
 	}
-
-	// Effect planning reads the visible pre-state at the effect's own
-	// ground atom (change detection, cascade conditions); wildcard wipes
-	// scan the whole set for matches. Ensures are touches and read
-	// nothing; numeric deltas write blind.
-	effectReads := func(effects []spec.Effect) {
-		for _, e := range effects {
-			switch {
-			case e.Kind == spec.NumDelta:
-			case hasWildcard(e.Args):
-				addFull(e.Pred)
-			default:
-				addMember(e.Pred, e.Args)
-			}
-		}
-	}
-	effectReads(co.base)
-	effectReads(co.patches)
 	for _, c := range co.cascades {
-		addMember(c.pred, c.terms)
+		touched[c.pred] = true
 	}
-	// Explicit preconditions: point reads at parameter-bound atoms,
-	// whole-set reads under quantifiers and counts.
-	for _, f := range co.op.Pre {
-		a.requireAccesses(f, map[string]bool{}, addFull, addMember, needSort)
+	for i, f := range co.op.Pre {
+		requireReads(f, map[string]bool{}, w)
+		for _, occ := range co.preOccs[i] {
+			touched[occ.Pred] = true
+		}
 	}
 
-	shapes := a.changeShapes(co)
+	shapes := changeShapes(co)
 	for i, cl := range co.guards {
-		occs := logic.Occurrences(cl.body)
-		if !canTrigger(shapes, occs) {
+		if !canTrigger(shapes, cl.occs) {
 			// No change this operation makes can lower the clause (touches
 			// don't change truth; matching polarities all point upward):
 			// the guard can never refuse, in either executor.
 			continue
 		}
-		gp := &guardPlan{cl: cl, occs: occs, sortOf: map[string]logic.Sort{}, violErr: co.violErrs[i]}
-		for _, v := range cl.vars {
-			gp.sortOf[v.Name] = v.Sort
+		p.guards = append(p.guards, &guardPlan{cl: cl, violErr: co.violErrs[i]})
+		for n := range cl.preds {
+			touched[n] = true
 		}
-		p.guards = append(p.guards, gp)
-		a.guardAccesses(co, cl, shapes, occs, addFull, addMember, needSort)
-	}
-
-	// Sort closure: a sort the guard (or a requires-quantifier)
-	// enumerates must carry exactly the domain the whole-state extraction
-	// would build, so every predicate or field with a position of that
-	// sort joins the full footprint.
-	for _, name := range sortedKeys(a.preds) {
-		for _, srt := range a.preds[name].sorts {
-			if needSort[srt] {
-				needPred[name] = true
+		for _, occ := range cl.occs {
+			if !occCompatible(shapes, occ) {
+				continue
 			}
-		}
-	}
-	for _, name := range sortedKeys(a.nums) {
-		for _, srt := range a.nums[name].sorts {
-			if needSort[srt] {
-				needNum[name] = true
+			bound := map[string]bool{}
+			for _, t := range occ.Args {
+				if t.Kind == logic.TermVar {
+					bound[t.Name] = true
+				}
 			}
+			cl.wholeReadsOf(bound, w)
 		}
 	}
-	// Point reads of a fully extracted set are redundant.
-	for _, m := range members {
-		if (m.numeric && !needNum[m.pred]) || (!m.numeric && !needPred[m.pred]) {
-			p.members = append(p.members, m)
+	p.fp = a.footprintOf(w)
+	for _, name := range a.predList {
+		if touched[name] {
+			p.binds = append(p.binds, a.preds[name])
 		}
 	}
-	p.fp = &footprint{preds: needPred, nums: needNum}
 	return p
 }
 
-// requireAccesses classifies the reads of one requires-formula: atoms
-// and fields applied only to parameters (or constants) are point reads;
-// anything touched by a quantified variable, a wildcard, or a count
-// needs the whole set, and quantified sorts need their full domains.
-func (a *App) requireAccesses(f logic.Formula, enum map[string]bool, addFull func(string), addMember func(string, []logic.Term), needSort map[logic.Sort]bool) {
-	pointArgs := func(args []logic.Term) bool {
+// requireReads classifies the reads of one requires-formula: anything
+// touched by a quantified variable, a wildcard, or a count needs the
+// whole set, and quantified sorts need their full domains. Atoms and
+// fields applied only to parameters (or constants) are point reads.
+func requireReads(f logic.Formula, enum map[string]bool, w wholeReads) {
+	scan := func(name string, args []logic.Term) {
 		for _, t := range args {
 			if t.Kind == logic.TermWildcard || (t.Kind == logic.TermVar && enum[t.Name]) {
-				return false
+				w.names[name] = true
 			}
 		}
-		return true
 	}
 	var walkNum func(t logic.NumTerm)
 	walkNum = func(t logic.NumTerm) {
 		switch u := t.(type) {
 		case *logic.Count:
-			addFull(u.Pred)
+			w.names[u.Pred] = true
 		case *logic.FnApp:
-			if pointArgs(u.Args) {
-				addMember(u.Fn, u.Args)
-			} else {
-				addFull(u.Fn)
-			}
+			scan(u.Fn, u.Args)
 		case *logic.NumBin:
 			walkNum(u.L)
 			walkNum(u.R)
@@ -255,24 +321,20 @@ func (a *App) requireAccesses(f logic.Formula, enum map[string]bool, addFull fun
 	}
 	switch g := f.(type) {
 	case *logic.Atom:
-		if pointArgs(g.Args) {
-			addMember(g.Pred, g.Args)
-		} else {
-			addFull(g.Pred)
-		}
+		scan(g.Pred, g.Args)
 	case *logic.Not:
-		a.requireAccesses(g.F, enum, addFull, addMember, needSort)
+		requireReads(g.F, enum, w)
 	case *logic.And:
 		for _, c := range g.L {
-			a.requireAccesses(c, enum, addFull, addMember, needSort)
+			requireReads(c, enum, w)
 		}
 	case *logic.Or:
 		for _, c := range g.L {
-			a.requireAccesses(c, enum, addFull, addMember, needSort)
+			requireReads(c, enum, w)
 		}
 	case *logic.Implies:
-		a.requireAccesses(g.A, enum, addFull, addMember, needSort)
-		a.requireAccesses(g.B, enum, addFull, addMember, needSort)
+		requireReads(g.A, enum, w)
+		requireReads(g.B, enum, w)
 	case *logic.Forall:
 		inner := make(map[string]bool, len(enum)+len(g.Vars))
 		for k := range enum {
@@ -280,116 +342,43 @@ func (a *App) requireAccesses(f logic.Formula, enum map[string]bool, addFull fun
 		}
 		for _, v := range g.Vars {
 			inner[v.Name] = true
-			needSort[v.Sort] = true
+			w.sorts[v.Sort] = true
 		}
-		a.requireAccesses(g.Body, inner, addFull, addMember, needSort)
+		requireReads(g.Body, inner, w)
 	case *logic.Cmp:
 		walkNum(g.L)
 		walkNum(g.R)
 	}
 }
 
-// guardAccesses classifies the reads of one triggered guard clause.
-// When every downward-compatible (change, occurrence) pair comes from a
-// parameter-argument change and binds every clause variable, every
-// binding the compiled guard can evaluate is parameter-determined: the
-// clause body's atoms become point reads at the statically substituted
-// templates. Otherwise (wipe-sourced changes whose values come from
-// extracted state, or residual variables enumerating domains) the
-// clause's predicates are extracted in full and the residual sorts need
-// their complete domains.
-func (a *App) guardAccesses(co *compiledOp, cl *Clause, shapes []changeShape, occs []logic.Occurrence, addFull func(string), addMember func(string, []logic.Term), needSort map[logic.Sort]bool) {
-	type pairBinding = map[string]logic.Term
-	var bindings []pairBinding
-	full := false
-	for _, occ := range occs {
-		for _, s := range shapes {
-			if !shapeCompatible(s, occ) {
-				continue
-			}
-			// Variables this occurrence leaves unbound enumerate their
-			// domains at call time; the sort closure makes those domains
-			// the reference executor's. Bound values need no closure:
-			// parameters are registered by planning, wipe-matched values
-			// come from atoms of the wiped predicate, which is extracted in
-			// full (and so recorded into the domains) in both executors.
-			bound := map[string]bool{}
-			for _, t := range occ.Args {
-				if t.Kind == logic.TermVar {
-					bound[t.Name] = true
-				}
-			}
-			residual := false
-			for _, v := range cl.vars {
-				if !bound[v.Name] {
-					residual = true
-					needSort[v.Sort] = true
-				}
-			}
-			if !s.paramArgs || residual {
-				// The bindings this pair yields are not statically known
-				// (state-sourced values or domain enumeration): the clause
-				// body reads its predicates in full.
-				full = true
-				continue
-			}
-			b := pairBinding{}
-			for i, t := range occ.Args {
-				if t.Kind != logic.TermVar {
-					continue
-				}
-				// A repeated variable meeting two different templates only
-				// unifies at call time when their values coincide; either
-				// template then grounds to the same value, so keeping the
-				// first is enough.
-				if _, dup := b[t.Name]; !dup {
-					b[t.Name] = s.args[i]
-				}
-			}
-			bindings = append(bindings, b)
-		}
-	}
-	if full {
-		for n := range cl.preds {
-			addFull(n)
-		}
-		return
-	}
-	for _, b := range bindings {
-		for _, occ := range occs {
-			if occ.Count {
-				addFull(occ.Pred)
-				continue
-			}
-			tmpl := make([]logic.Term, len(occ.Args))
-			for i, t := range occ.Args {
-				if t.Kind == logic.TermVar {
-					tmpl[i] = b[t.Name]
-				} else {
-					tmpl[i] = t
-				}
-			}
-			addMember(occ.Pred, tmpl)
-		}
-	}
-}
-
-// irregularClause reports why a guard clause needs the reference
-// executor, or "" when the compiled guard handles it.
-func irregularClause(cl *Clause) string {
+// irregularClause reports why a clause needs the reference executor, or
+// "" when the join handles it.
+func (a *App) irregularClause(cl *Clause) string {
 	if logic.HasForall(cl.body) {
 		return "nested quantifier"
 	}
 	if logic.HasBareWildcard(cl.body) {
 		return "wildcard argument outside count"
 	}
-	bound := map[string]bool{}
+	sortOf := map[string]logic.Sort{}
 	for _, v := range cl.vars {
-		bound[v.Name] = true
+		sortOf[v.Name] = v.Sort
 	}
 	for _, v := range logic.FreeVars(cl.body) {
-		if !bound[v] {
+		if _, ok := sortOf[v]; !ok {
 			return fmt.Sprintf("free variable %q", v)
+		}
+	}
+	// The join binds a variable to values of the positions it occupies,
+	// the reference executor to its sort's domain: they agree only when
+	// the position's sort (the first use in the invariant fixes it) is the
+	// variable's.
+	for _, occ := range cl.occs {
+		sorts := a.sig[occ.Pred]
+		for i, t := range occ.Args {
+			if t.Kind == logic.TermVar && i < len(sorts) && sorts[i] != sortOf[t.Name] {
+				return fmt.Sprintf("variable %q of sort %s at a %s position of %s", t.Name, sortOf[t.Name], sorts[i], occ.Pred)
+			}
 		}
 	}
 	return ""
@@ -427,12 +416,10 @@ func (a *App) constEffectArg(co *compiledOp) (string, bool) {
 // changeShapes lists the static change forms the operation's planned
 // execution can produce. Touches (patch re-assertions, ensures) change
 // no truth and produce no shape.
-func (a *App) changeShapes(co *compiledOp) []changeShape {
+func changeShapes(co *compiledOp) []changeShape {
 	var out []changeShape
-	add := func(s changeShape) { out = append(out, s) }
 	effectShapes := func(effects []spec.Effect, touch bool) {
 		for _, e := range effects {
-			params := !hasWildcard(e.Args)
 			switch {
 			case e.Kind == spec.NumDelta:
 				if e.Delta != 0 {
@@ -440,23 +427,23 @@ func (a *App) changeShapes(co *compiledOp) []changeShape {
 					if e.Delta < 0 {
 						d = -1
 					}
-					add(changeShape{pred: e.Pred, args: e.Args, dir: d, numeric: true, paramArgs: params})
+					out = append(out, changeShape{pred: e.Pred, args: e.Args, dir: d, numeric: true})
 				}
 			case e.Val:
 				if !touch {
-					add(changeShape{pred: e.Pred, args: e.Args, dir: 1, paramArgs: params})
+					out = append(out, changeShape{pred: e.Pred, args: e.Args, dir: 1})
 				}
 			default:
 				// Ground retraction or wildcard wipe: either way the only
 				// concrete changes are retractions of visible atoms.
-				add(changeShape{pred: e.Pred, args: e.Args, dir: -1, paramArgs: params})
+				out = append(out, changeShape{pred: e.Pred, args: e.Args, dir: -1})
 			}
 		}
 	}
 	effectShapes(co.base, false)
 	effectShapes(co.patches, true)
 	for _, c := range co.cascades {
-		add(changeShape{pred: c.pred, args: c.terms, dir: -1, paramArgs: !hasWildcard(c.terms)})
+		out = append(out, changeShape{pred: c.pred, args: c.terms, dir: -1})
 	}
 	return out
 }
@@ -473,18 +460,17 @@ func downward(pol logic.Polarity, dir int8) bool {
 	return true
 }
 
-// shapeCompatible reports whether one change shape is
-// downward-compatible with the occurrence.
-func shapeCompatible(s changeShape, o logic.Occurrence) bool {
-	return o.Pred == s.pred && len(o.Args) == len(s.args) &&
-		o.Numeric == s.numeric && downward(o.Pol, s.dir)
+// lowers reports whether a change of the given predicate, arity, kind
+// and direction is downward-compatible with the occurrence.
+func lowers(o logic.Occurrence, pred string, arity int, numeric bool, dir int8) bool {
+	return o.Pred == pred && len(o.Args) == arity && o.Numeric == numeric && downward(o.Pol, dir)
 }
 
 // occCompatible reports whether any change shape is downward-compatible
 // with the occurrence.
 func occCompatible(shapes []changeShape, o logic.Occurrence) bool {
 	for _, s := range shapes {
-		if shapeCompatible(s, o) {
+		if lowers(o, s.pred, len(s.args), s.numeric, s.dir) {
 			return true
 		}
 	}
@@ -503,149 +489,181 @@ func canTrigger(shapes []changeShape, occs []logic.Occurrence) bool {
 	return false
 }
 
-// unifyGround matches a concrete change tuple against an occurrence's
-// argument templates, binding clause variables. Constants must match
-// exactly; wildcards (count positions) constrain nothing; a repeated
-// variable must bind consistently.
-func unifyGround(tmpl []logic.Term, vals []string) (map[string]string, bool) {
-	var m map[string]string
+// groundTerms resolves argument templates under env: variables to their
+// values, constants to their names. Wildcards and variables env lacks
+// become "" — the pattern wildcard — and are reported through wild and
+// missing (the first such variable's name).
+func groundTerms(ts []logic.Term, env map[string]string) (out []string, wild bool, missing string) {
+	out = make([]string, len(ts))
+	for i, t := range ts {
+		switch t.Kind {
+		case logic.TermVar:
+			v, ok := env[t.Name]
+			if !ok && missing == "" {
+				missing = t.Name
+			}
+			out[i] = v
+		case logic.TermConst:
+			out[i] = t.Name
+		case logic.TermWildcard:
+			wild = true
+		}
+	}
+	return out, wild, missing
+}
+
+// bindTuple matches a concrete tuple against argument templates,
+// extending env: constants must match exactly, wildcards constrain
+// nothing, a variable env already holds (or the template repeats) must
+// agree. It returns the names it bound, for the caller to unbind; on a
+// mismatch it binds nothing.
+func bindTuple(tmpl []logic.Term, vals []string, env map[string]string) (bound []string, ok bool) {
 	for i, t := range tmpl {
 		switch t.Kind {
 		case logic.TermVar:
-			if prev, ok := m[t.Name]; ok {
-				if prev != vals[i] {
-					return nil, false
-				}
-				continue
-			}
-			if m == nil {
-				m = map[string]string{}
-			}
-			m[t.Name] = vals[i]
-		case logic.TermConst:
-			if t.Name != vals[i] {
+			if prev, have := env[t.Name]; !have {
+				env[t.Name] = vals[i]
+				bound = append(bound, t.Name)
+			} else if prev != vals[i] {
+				unbind(env, bound)
 				return nil, false
 			}
-		case logic.TermWildcard:
+		case logic.TermConst:
+			if t.Name != vals[i] {
+				unbind(env, bound)
+				return nil, false
+			}
 		}
 	}
-	return m, true
+	return bound, true
 }
 
-// forTriggerEnvs enumerates the clause bindings the changes can have
-// lowered and calls fn on each, deduplicated, in deterministic order:
-// each change grounds the compatible occurrences into a partial binding
-// whose residual variables then enumerate the post-state domains. Every
-// produced binding is one the reference executor's full cross-product
-// also contains (bound values come from call parameters or extracted
-// state, both in the domains), and every binding whose clause instance
-// held before but fails after is produced — a true-to-false flip needs
-// at least one downward-compatible change grounding at that binding.
-// The env map passed to fn is reused across invocations; fn must not
-// retain it. A non-nil error from fn stops the enumeration.
-func forTriggerEnvs(gp *guardPlan, changes []change, post *state, fn func(env map[string]string) error) error {
-	var seen map[string]bool
-	vars := gp.cl.vars
-	for _, ch := range changes {
-		for _, occ := range gp.occs {
-			if occ.Pred != ch.pred || len(occ.Args) != len(ch.args) ||
-				occ.Numeric != ch.numeric || !downward(occ.Pol, ch.dir) {
+func unbind(env map[string]string, names []string) {
+	for _, n := range names {
+		delete(env, n)
+	}
+}
+
+// truth reads one ground atom: memoised, through the overlay's base, or
+// by a point read. A whole state holds every true atom already.
+func (s *state) truth(key, pred string, args []string) bool {
+	if v, ok := s.in.Truth[key]; ok || !s.lazy {
+		return v
+	}
+	var v bool
+	if s.base != nil {
+		v = s.base.truth(key, pred, args)
+	} else if pi := s.a.preds[pred]; pi != nil {
+		v = s.a.readAtom(s.tx, pi, args)
+	}
+	s.in.Truth[key] = v
+	return v
+}
+
+// num reads one ground field like truth reads an atom.
+func (s *state) num(key, fn string, args []string) int {
+	if v, ok := s.in.Nums[key]; ok || !s.lazy {
+		return v
+	}
+	var v int
+	if s.base != nil {
+		v = s.base.num(key, fn, args)
+	} else if ni := s.a.nums[fn]; ni != nil {
+		v = s.a.readField(s.tx, ni, args)
+	}
+	s.in.Nums[key] = v
+	return v
+}
+
+// evalAt evaluates f under env, first reading the ground atoms and
+// fields f applies there. Occurrences env does not ground (a nested
+// quantifier's variable, a count's wildcard) are skipped: planning
+// extracted those predicates whole.
+func (s *state) evalAt(f logic.Formula, occs []logic.Occurrence, env map[string]string) (bool, error) {
+	if s.lazy {
+		for _, o := range occs {
+			if o.Count {
 				continue
 			}
-			partial, ok := unifyGround(occ.Args, ch.args)
-			if !ok {
+			args, wild, missing := groundTerms(o.Args, env)
+			if wild || missing != "" {
 				continue
 			}
-			// The interpreter only enumerates domain members: a bound value
-			// outside its sort's domain is a binding it would never check.
-			ok = true
-			for v, val := range partial {
-				if !inDomain(post, gp.sortOf[v], val) {
-					ok = false
-					break
-				}
+			if key := logic.GroundAtom(o.Pred, args...); o.Numeric {
+				s.num(key, o.Pred, args)
+			} else {
+				s.truth(key, o.Pred, args)
 			}
-			if !ok {
-				continue
-			}
-			if partial == nil {
-				partial = map[string]string{}
-			}
-			if seen == nil {
-				seen = map[string]bool{}
-			}
-			if err := expandResidual(vars, 0, partial, post, seen, fn); err != nil {
+		}
+	}
+	return s.in.Eval(f, env)
+}
+
+// trueTuples lists the argument tuples of pred's atoms that match the
+// pattern ("" = wildcard) and are true in this state: the set's members
+// read by pattern, sorted, then the atoms a planned call asserts — less
+// whatever the state's overlay retracts.
+func (s *state) trueTuples(pi *predInfo, pattern []string, asserted []change) [][]string {
+	var out [][]string
+	keep := func(args []string) {
+		if v, ok := s.in.Truth[logic.GroundAtom(pi.name, args...)]; ok && !v {
+			return
+		}
+		out = append(out, args)
+	}
+	for _, el := range s.a.setWhere(s.tx, pi, pattern) {
+		keep(crdt.SplitTuple(el))
+	}
+	match := crdt.MatchPattern(pattern...)
+	for _, ch := range asserted {
+		if ch.dir > 0 && !ch.numeric && ch.pred == pi.name && match.Matches(elem(ch.args)) {
+			keep(ch.args)
+		}
+	}
+	return out
+}
+
+// join enumerates, in deterministic order, the complete bindings of
+// cl's variables at which cl's body can be false in this state, and
+// calls fn on each. env fixes the variables already bound; each
+// remaining one is bound by matching its generator — an atom that must
+// be true for the body to be false — against the state with the bound
+// positions fixed, which binds the generator's other variables too. A
+// variable no generator covers enumerates its sort's domain, the
+// generator of last resort (planning extracted that domain whole). env
+// is extended and restored in place: fn must not retain it. A non-nil
+// error from fn stops the enumeration.
+func (s *state) join(cl *Clause, env map[string]string, asserted []change, fn func(env map[string]string) error) error {
+	var v *logic.Var
+	for i := range cl.vars {
+		if _, ok := env[cl.vars[i].Name]; !ok {
+			v = &cl.vars[i]
+			break
+		}
+	}
+	if v == nil {
+		return fn(env)
+	}
+	g := cl.gen[v.Name]
+	if g == nil {
+		s.enumerated = true
+		defer delete(env, v.Name)
+		for _, el := range s.in.Domain[v.Sort] {
+			env[v.Name] = el
+			if err := s.join(cl, env, asserted, fn); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	return nil
-}
-
-func inDomain(st *state, srt logic.Sort, val string) bool {
-	for _, el := range st.in.Domain[srt] {
-		if el == val {
-			return true
+	pattern, _, _ := groundTerms(g.Args, env)
+	for _, tuple := range s.trueTuples(s.a.preds[g.Pred], pattern, asserted) {
+		bound, ok := bindTuple(g.Args, tuple, env)
+		if !ok {
+			continue // a repeated variable met two different values
 		}
-	}
-	return false
-}
-
-// expandResidual enumerates the unbound clause variables over the
-// post-state domains, calling fn on each complete, unseen binding. The
-// binding map is extended and un-extended in place.
-func expandResidual(vars []logic.Var, i int, partial map[string]string, post *state, seen map[string]bool, fn func(env map[string]string) error) error {
-	if i == len(vars) {
-		key := envKey(vars, partial)
-		if seen[key] {
-			return nil
-		}
-		seen[key] = true
-		return fn(partial)
-	}
-	v := vars[i]
-	if _, ok := partial[v.Name]; ok {
-		return expandResidual(vars, i+1, partial, post, seen, fn)
-	}
-	for _, el := range post.in.Domain[v.Sort] {
-		partial[v.Name] = el
-		if err := expandResidual(vars, i+1, partial, post, seen, fn); err != nil {
-			return err
-		}
-	}
-	delete(partial, v.Name)
-	return nil
-}
-
-func envKey(vars []logic.Var, env map[string]string) string {
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		parts[i] = env[v.Name]
-	}
-	return logic.GroundAtom("", parts...)
-}
-
-// guardCompiled is the compiled form of the no-new-violation guard: the
-// same clause bodies, evaluated on the same pre/post interpretations, at
-// only the bindings the operation's changes can have lowered. Clause
-// order matches the reference executor's, so the first refusing clause
-// (and its error) is identical.
-func (a *App) guardCompiled(co *compiledOp, pre, post *state, changes []change) error {
-	for _, gp := range co.plan.guards {
-		err := forTriggerEnvs(gp, changes, post, func(env map[string]string) error {
-			okPost, err := post.in.Eval(gp.cl.body, env)
-			if err != nil {
-				return fmt.Errorf("engine: %s: guard %s: %w", co.op.Name, gp.cl.Formula, err)
-			}
-			if okPost {
-				return nil
-			}
-			okPre, err := pre.in.Eval(gp.cl.body, env)
-			if err != nil || !okPre {
-				return nil // already violated (or not evaluable) before
-			}
-			return gp.violErr
-		})
+		err := s.join(cl, env, asserted, fn)
+		unbind(env, bound)
 		if err != nil {
 			return err
 		}
@@ -653,9 +671,73 @@ func (a *App) guardCompiled(co *compiledOp, pre, post *state, changes []change) 
 	return nil
 }
 
+// guardCompiled is the compiled form of the no-new-violation guard: the
+// same clause bodies, evaluated on the same pre/post truth, at only the
+// bindings the operation's changes can have lowered — each change
+// grounds the downward-compatible occurrences into a partial binding,
+// which join completes against the post-state. Clause order matches the
+// reference executor's, so the first refusing clause (and its error) is
+// identical.
+func (a *App) guardCompiled(co *compiledOp, pre, post *state, changes []change) error {
+	env := map[string]string{}
+	for _, gp := range co.plan.guards {
+		cl := gp.cl
+		refuse := func(env map[string]string) error {
+			okPost, err := post.evalAt(cl.body, cl.occs, env)
+			if err != nil {
+				return fmt.Errorf("engine: %s: guard %s: %w", co.op.Name, cl.Formula, err)
+			}
+			if okPost {
+				return nil
+			}
+			if okPre, err := pre.evalAt(cl.body, cl.occs, env); err != nil || !okPre {
+				return nil // already violated (or not evaluable) before
+			}
+			return gp.violErr
+		}
+		for _, ch := range changes {
+			for _, occ := range cl.occs {
+				if !lowers(occ, ch.pred, len(ch.args), ch.numeric, ch.dir) {
+					continue
+				}
+				bound, ok := bindTuple(occ.Args, ch.args, env)
+				if !ok {
+					continue
+				}
+				err := post.join(cl, env, changes, refuse)
+				unbind(env, bound)
+				if err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Stats are the engine's slow-path counters since mount.
+type Stats struct {
+	// FallbackCalls counts calls served by the whole-state reference
+	// executor: every call of an application mounted WithInterpreter, and
+	// calls of operations whose plan fell back (see Compiled).
+	FallbackCalls uint64
+	// DomainEnumCalls counts compiled calls whose guard had to enumerate
+	// a sort's domain because no generator covers some clause variable.
+	DomainEnumCalls uint64
+}
+
+// Stats returns the slow-path counters.
+func (a *App) Stats() Stats {
+	return Stats{FallbackCalls: a.fallbackCalls.Load(), DomainEnumCalls: a.domainEnumCalls.Load()}
+}
+
 // Compiled reports whether the operation executes on the compiled plan
 // (false when mounted WithInterpreter or when the plan fell back), and
-// the fallback reason if any — exposed for tests and tooling.
+// the fallback reason if any — exposed for tests and tooling. A
+// compiled operation reads only what it touches: the ground atoms of its
+// effects and of its guard clauses at the bindings its changes reach,
+// and, by pattern, the matches of its wipes and of its guards'
+// generators — plus whatever Footprint lists, whole.
 func (a *App) Compiled(opName string) (bool, string) {
 	co, ok := a.ops[opName]
 	if !ok || co.plan == nil {
@@ -671,22 +753,22 @@ func (a *App) Compiled(opName string) (bool, string) {
 }
 
 // Footprint returns the sorted predicate/field names the operation's
-// compiled plan extracts, or nil when it extracts everything.
+// compiled plan extracts whole on every call — those under a count or a
+// requires-quantifier, and those over the sort of a guard variable no
+// generator covers — or nil when it extracts everything (reference
+// executor). An empty, non-nil footprint means every read of the
+// operation is a point or pattern read.
 func (a *App) Footprint(opName string) []string {
 	co, ok := a.ops[opName]
-	if !ok || co.plan == nil || co.plan.fp == nil || a.interpreted || co.plan.fallback {
+	if !ok || a.useReference(co) {
 		return nil
 	}
-	var out []string
-	for n := range co.plan.fp.preds {
-		if co.plan.fp.preds[n] {
-			out = append(out, n)
-		}
+	out := []string{}
+	for _, pi := range co.plan.fp.preds {
+		out = append(out, pi.name)
 	}
-	for n := range co.plan.fp.nums {
-		if co.plan.fp.nums[n] {
-			out = append(out, n)
-		}
+	for _, ni := range co.plan.fp.nums {
+		out = append(out, ni.name)
 	}
 	sort.Strings(out)
 	return out

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ipa/internal/analysis"
 	"ipa/internal/logic"
@@ -91,6 +92,13 @@ type Clause struct {
 	vars []logic.Var
 	// body is the clause with the outer quantifier stripped.
 	body logic.Formula
+	// occs are the body's predicate and field occurrences; irregular says
+	// why only whole-state evaluation reproduces the clause exactly (""
+	// when the join does); gen maps each quantified variable to its
+	// generator atom, absent when none covers it (see compile.go).
+	occs      []logic.Occurrence
+	irregular string
+	gen       map[string]*logic.Atom
 }
 
 // predInfo is the materialization of one boolean predicate.
@@ -164,6 +172,9 @@ type compiledOp struct {
 	// serving path, not an exceptional one.
 	preErrs  []error // aligned with op.Pre
 	violErrs []error // aligned with guards
+	// preOccs are the occurrences of each requires clause: a lazy state
+	// point-reads them at the call binding before evaluating the clause.
+	preOccs [][]logic.Occurrence
 }
 
 // App is a mounted, executable application: the spec-execution engine
@@ -188,6 +199,13 @@ type App struct {
 	sortList []logic.Sort
 	predList []string
 	numList  []string
+	whole    *footprint // every predicate and field: whole-state extraction
+
+	fallbackCalls, domainEnumCalls atomic.Uint64 // see Stats
+	// tuplesRead counts the tuples the read helpers returned (a point
+	// read counts one): the scaling test's proof that a call's reads
+	// follow what it touches, not the size of the state.
+	tuplesRead atomic.Uint64
 
 	// interpreted forces the reference executor: whole-state extraction
 	// and full cross-product guard enumeration on every call.
@@ -868,6 +886,7 @@ func (a *App) deriveGuards(co *compiledOp) {
 	for _, p := range co.op.Pre {
 		co.preErrs = append(co.preErrs,
 			fmt.Errorf("%w: %s: requires %s", ErrPrecondition, co.op.Name, p))
+		co.preOccs = append(co.preOccs, logic.Occurrences(p))
 	}
 }
 

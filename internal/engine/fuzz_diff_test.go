@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"ipa/internal/analysis"
@@ -19,9 +20,11 @@ import (
 // call sequence. Identical means call-by-call equal outcomes (success or
 // failure, ErrPrecondition-ness, and the error message, since refusal
 // errors are deterministic) and equal digests on every replica after the
-// sequence settles. This is the executable form of the compilation
-// pass's correctness argument; a mismatch here is a compiler bug even
-// when every invariant still holds.
+// sequence settles — and equal CHECK verdicts there, the compiled mount
+// checking by join and the interpreter by evaluating each clause as
+// written. This is the executable form of the compilation pass's
+// correctness argument; a mismatch here is a compiler bug even when
+// every invariant still holds.
 func FuzzCompiledVsInterpreted(f *testing.F) {
 	f.Add(escrowSpec, []byte{0, 1, 2, 3, 250, 7, 9})
 	f.Add(`
@@ -45,6 +48,14 @@ operation rm(A: x) {
 	f.Add("spec s\nconst K = 2\ninvariant forall (A: x) :- #p(*) <= K\noperation f(A: x) {\n p(x) := true\n}",
 		[]byte{0, 1, 2, 3, 4, 5})
 	f.Add("spec s\noperation f(A: x) {\n n(x) += 3\n n(x) -= 1\n}", []byte{0, 0, 1})
+	// Join shapes (see joinShapes): every variable of a guard clause the
+	// change leaves unbound is bound by a generator or, failing one, by
+	// its sort's domain.
+	for _, shape := range joinShapes {
+		if shape.seq != nil {
+			f.Add(shape.src, shape.seq)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, src string, seq []byte) {
 		s, err := spec.Parse(src)
@@ -117,6 +128,10 @@ operation rm(A: x) {
 			cd, id := compiled.Digest(creps[i]), interp.Digest(ireps[i])
 			if cd != id {
 				t.Fatalf("replica %d digests diverged after settle:\ncompiled:    %s\ninterpreted: %s", i, cd, id)
+			}
+			cc, ic := compiled.CheckQuiescent(creps[i]), interp.CheckQuiescent(ireps[i])
+			if !reflect.DeepEqual(cc, ic) {
+				t.Fatalf("replica %d checks diverged after settle:\nby join:       %q\nby evaluation: %q", i, cc, ic)
 			}
 		}
 	})

@@ -12,49 +12,64 @@ import (
 )
 
 // state is the logical view of one replica's materialized spec state,
-// extracted inside a single transaction (one consistent multi-key
-// snapshot: every key is bound before any is read).
+// read inside a single transaction (one consistent multi-key snapshot:
+// every set is bound before any is read, and nothing is written until
+// the reads are done).
+//
+// A whole state (extract with a nil footprint) holds every true atom and
+// every field value in `in` — what checking by evaluation, repair,
+// digests and the reference executor work on. A lazy state (a compiled
+// plan's) holds only what its footprint extracted whole plus the atoms
+// read so far: truth and num point-read anything absent through tx and
+// memoise it, and a planned call's post-state reads through to its
+// pre-state (base), so neither ever materialises a predicate the
+// operation does not scan.
 type state struct {
-	in logic.Interp
+	in   logic.Interp
+	a    *App
+	tx   *store.Txn
+	lazy bool
+	base *state
+	// enumerated records that a join fell back to enumerating a sort's
+	// domain (see join) — surfaced as App.Stats().DomainEnumCalls.
+	enumerated bool
 }
 
 // extract reads the app's predicate sets and numeric counters through
 // tx and rebuilds the specification-level interpretation — the generic
 // form of the hand-written per-app state extraction the analysis
-// reasons over. A non-nil footprint restricts the read to the named
-// predicates and fields (the compiled per-operation plans); nil reads
-// everything (checking, repair, digests, and the reference executor).
+// reasons over. A nil footprint reads everything; a compiled plan's
+// footprint names only what it needs whole, and the state reads the
+// rest on demand.
 func (a *App) extract(tx *store.Txn, fp *footprint) *state {
-	st := &state{in: logic.Interp{
+	st := &state{a: a, tx: tx, lazy: fp != nil, in: logic.Interp{
 		Domain: map[logic.Sort][]string{},
 		Truth:  map[string]bool{},
 		Nums:   map[string]int{},
 		Consts: a.consts, // read-only: shared, never copied per call
 	}}
+	if fp == nil {
+		fp = a.whole
+	}
 	// Every sort is present even when empty: quantifiers over an empty
 	// domain are vacuously true, not an evaluation error.
 	for _, srt := range a.sortList {
 		st.in.Domain[srt] = []string{}
 	}
-	// Domains hold the handful of entities visible to one call, so the
-	// dedup is a linear scan — cheaper than per-call hash sets for sets
-	// this size, and allocation-free.
-	addDomain := func(srt logic.Sort, el string) {
-		if srt == "" {
-			return
-		}
-		have := st.in.Domain[srt]
-		for _, h := range have {
-			if h == el {
-				return
-			}
-		}
-		st.in.Domain[srt] = append(have, el)
+	type member struct {
+		srt logic.Sort
+		el  string
 	}
+	seen := map[member]struct{}{}
 	record := func(sorts []logic.Sort, parts []string) {
 		for i, p := range parts {
-			if i < len(sorts) {
-				addDomain(sorts[i], p)
+			if i >= len(sorts) || sorts[i] == "" {
+				continue
+			}
+			m := member{sorts[i], p}
+			if _, dup := seen[m]; !dup {
+				seen[m] = struct{}{}
+				st.in.Domain[m.srt] = append(st.in.Domain[m.srt], p)
 			}
 		}
 	}
@@ -62,15 +77,10 @@ func (a *App) extract(tx *store.Txn, fp *footprint) *state {
 	// elements in sorted order (the sets' Elems are already sorted):
 	// extraction feeds planning, and the emitted CRDT operations must be
 	// a deterministic function of the state for seed replay.
-	for _, name := range a.predList {
-		if fp != nil && !fp.preds[name] {
-			continue
-		}
-		pi := a.preds[name]
+	for _, pi := range fp.preds {
 		if len(pi.sorts) == 0 {
-			// 0-ary predicate: membership of the unit element is its truth.
-			if len(a.setElems(tx, pi)) > 0 {
-				st.in.Truth[name] = true
+			if a.readAtom(tx, pi, nil) {
+				st.in.Truth[pi.name] = true
 			}
 			continue
 		}
@@ -79,29 +89,19 @@ func (a *App) extract(tx *store.Txn, fp *footprint) *state {
 			if len(parts) != len(pi.sorts) {
 				continue // foreign tuple shape: ignore rather than misparse
 			}
-			st.in.Truth[logic.GroundAtom(name, parts...)] = true
+			st.in.Truth[logic.GroundAtom(pi.name, parts...)] = true
 			record(pi.sorts, parts)
 		}
 	}
-	for _, name := range a.numList {
-		if fp != nil && !fp.nums[name] {
-			continue
-		}
-		ni := a.nums[name]
+	for _, ni := range fp.nums {
+		name := ni.name
 		for _, tuple := range store.AWSetAt(tx, ni.idxKey).Elems() {
-			var val int64
-			if ni.bounded {
-				// A bounded field's effective value is the raw escrow
-				// counter plus its replenish ledger (see numInfo.ledgerPfx).
-				val = store.BoundedAt(tx, ni.key(tuple)).Value() + ledgerSum(tx, ni.ledger(tuple))
-			} else {
-				val = store.CounterAt(tx, ni.key(tuple)).Value()
-			}
+			val := a.fieldValue(tx, ni, tuple)
 			// 0-ary fields index the unit tuple but evaluate under the bare
 			// field name — the same key planning and formula evaluation use.
 			if len(ni.sorts) == 0 {
 				if tuple == unitElem {
-					st.in.Nums[name] = int(val)
+					st.in.Nums[name] = val
 				}
 				continue
 			}
@@ -109,72 +109,64 @@ func (a *App) extract(tx *store.Txn, fp *footprint) *state {
 			if len(parts) != len(ni.sorts) {
 				continue // foreign tuple shape: ignore rather than misparse
 			}
-			st.in.Nums[logic.GroundAtom(name, parts...)] = int(val)
+			st.in.Nums[logic.GroundAtom(name, parts...)] = val
 			record(ni.sorts, parts)
 		}
 	}
 	return st
 }
 
-// readMembers resolves the plan's member-read templates against the
-// call binding and point-reads each ground key into the extracted
-// state: set membership via Contains, numeric values via their counters
-// — but only for tuples the field's index set knows, exactly like the
-// full scan. Member values are call parameters or constants, so the
-// interpretation's domains are unaffected (plan registers parameters).
-func (a *App) readMembers(tx *store.Txn, st *state, members []memberRead, binding map[string]string) error {
-	for _, m := range members {
-		args := make([]string, len(m.args))
-		for i, t := range m.args {
-			switch t.Kind {
-			case logic.TermVar:
-				v, ok := binding[t.Name]
-				if !ok {
-					return fmt.Errorf("engine: unbound parameter %q", t.Name)
-				}
-				args[i] = v
-			case logic.TermConst:
-				args[i] = t.Name
-			default:
-				return fmt.Errorf("engine: wildcard in member read of %s", m.pred)
-			}
-		}
-		tuple := elem(args)
-		if m.numeric {
-			ni := a.nums[m.pred]
-			if !store.AWSetAt(tx, ni.idxKey).Contains(tuple) {
-				continue
-			}
-			var val int64
-			if ni.bounded {
-				val = store.BoundedAt(tx, ni.key(tuple)).Value() + ledgerSum(tx, ni.ledger(tuple))
-			} else {
-				val = store.CounterAt(tx, ni.key(tuple)).Value()
-			}
-			st.in.Nums[logic.GroundAtom(m.pred, args...)] = int(val)
-			continue
-		}
-		pi := a.preds[m.pred]
-		if len(pi.sorts) == 0 {
-			// 0-ary predicate: any member makes it true (mirrors extract).
-			if len(a.setElems(tx, pi)) > 0 {
-				st.in.Truth[m.pred] = true
-			}
-			continue
-		}
-		if a.setContains(tx, pi, tuple) {
-			st.in.Truth[logic.GroundAtom(m.pred, args...)] = true
-		}
-	}
-	return nil
+// setRef is what the engine uses of a predicate's set, add-wins or
+// remove-wins alike.
+type setRef interface {
+	Add(elem, payload string)
+	Touch(elem string)
+	Remove(elem string)
+	RemoveWhere(pred crdt.Predicate)
+	Contains(elem string) bool
+	Size() int
+	Elems() []string
+	ElemsWhere(pred crdt.Predicate) []string
 }
 
-// setContains point-reads a predicate's membership.
-func (a *App) setContains(tx *store.Txn, pi *predInfo, elem string) bool {
+// set binds the predicate's set in tx, taking its shard lock.
+func (a *App) set(tx *store.Txn, pi *predInfo) setRef {
 	if pi.remWins {
-		return store.RWSetAt(tx, pi.key).Contains(elem)
+		return store.RWSetAt(tx, pi.key)
 	}
-	return store.AWSetAt(tx, pi.key).Contains(elem)
+	return store.AWSetAt(tx, pi.key)
+}
+
+// readAtom point-reads one ground atom: set membership of its tuple —
+// for a 0-ary predicate, any member makes it true.
+func (a *App) readAtom(tx *store.Txn, pi *predInfo, args []string) bool {
+	a.tuplesRead.Add(1)
+	if len(pi.sorts) == 0 {
+		return a.set(tx, pi).Size() > 0
+	}
+	return a.set(tx, pi).Contains(elem(args))
+}
+
+// readField point-reads one ground field: its counter's value, but only
+// for a tuple the field's index set knows — exactly what extraction
+// finds; any other reads as zero.
+func (a *App) readField(tx *store.Txn, ni *numInfo, args []string) int {
+	a.tuplesRead.Add(1)
+	tuple := elem(args)
+	if !store.AWSetAt(tx, ni.idxKey).Contains(tuple) {
+		return 0
+	}
+	return a.fieldValue(tx, ni, tuple)
+}
+
+// fieldValue reads an indexed tuple's value. A bounded field's effective
+// value is the raw escrow counter plus its replenish ledger (see
+// numInfo.ledgerPfx).
+func (a *App) fieldValue(tx *store.Txn, ni *numInfo, tuple string) int {
+	if ni.bounded {
+		return int(store.BoundedAt(tx, ni.key(tuple)).Value() + ledgerSum(tx, ni.ledger(tuple)))
+	}
+	return int(store.CounterAt(tx, ni.key(tuple)).Value())
 }
 
 // ledgerSum totals a replenish ledger's "r<epoch>:<amount>" entries.
@@ -190,20 +182,31 @@ func ledgerSum(tx *store.Txn, key string) int64 {
 	return sum
 }
 
-// setElems reads a predicate's member tuples.
+// setElems reads a predicate's member tuples, sorted.
 func (a *App) setElems(tx *store.Txn, pi *predInfo) []string {
-	if pi.remWins {
-		return store.RWSetAt(tx, pi.key).Elems()
-	}
-	return store.AWSetAt(tx, pi.key).Elems()
+	out := a.set(tx, pi).Elems()
+	a.tuplesRead.Add(uint64(len(out)))
+	return out
 }
 
-// clone copies the state for post-state simulation. Truth and Nums are
-// deep-copied (planning mutates them); the domain slices are shared —
-// addDomain only ever appends, which either reallocates or writes past
-// the original's length, so the source state never observes the change.
-func (s *state) clone() *state {
-	c := &state{in: logic.Interp{
+// setWhere reads the member tuples matching a pattern ("" = wildcard),
+// sorted — emitted operations must be a deterministic function of the
+// state for seed replay.
+func (a *App) setWhere(tx *store.Txn, pi *predInfo, pattern []string) []string {
+	out := a.set(tx, pi).ElemsWhere(crdt.MatchPattern(pattern...))
+	a.tuplesRead.Add(uint64(len(out)))
+	return out
+}
+
+// fork copies the state for post-state simulation. Truth and Nums are
+// deep-copied (planning mutates them) — the whole state for the
+// reference executor, only the whole-extracted and already-read atoms
+// for a lazy one, whose copy reads anything else through to s. The
+// domain slices are shared: addDomain only ever appends, which either
+// reallocates or writes past the original's length, so s never observes
+// the change.
+func (s *state) fork() *state {
+	c := &state{a: s.a, tx: s.tx, lazy: s.lazy, base: s, in: logic.Interp{
 		Domain: make(map[logic.Sort][]string, len(s.in.Domain)),
 		Truth:  make(map[string]bool, len(s.in.Truth)),
 		Nums:   make(map[string]int, len(s.in.Nums)),
@@ -232,37 +235,6 @@ func (s *state) addDomain(srt logic.Sort, el string) {
 		}
 	}
 	s.in.Domain[srt] = append(s.in.Domain[srt], el)
-}
-
-// trueMatches lists the true atoms of pred whose arguments match the
-// pattern ("" = wildcard), as argument tuples, sorted.
-func (s *state) trueMatches(pred string, pattern []string) [][]string {
-	var out [][]string
-	prefix := pred + "("
-	keys := make([]string, 0)
-	for key, v := range s.in.Truth {
-		if v && strings.HasPrefix(key, prefix) && strings.HasSuffix(key, ")") {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		args := strings.Split(key[len(prefix):len(key)-1], ",")
-		if len(args) != len(pattern) {
-			continue
-		}
-		ok := true
-		for i, p := range pattern {
-			if p != "" && p != args[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, args)
-		}
-	}
-	return out
 }
 
 // enumBindings enumerates all assignments of the clause variables over
@@ -296,12 +268,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedElems(elems []string) []string {
-	out := append([]string(nil), elems...)
 	sort.Strings(out)
 	return out
 }

@@ -80,6 +80,11 @@ func executeSim(s *Schedule) (string, *Violation, error) {
 	if err != nil {
 		return "", nil, err
 	}
+	return runSim(s, app)
+}
+
+// runSim runs one schedule against an already built adapter.
+func runSim(s *Schedule, app App) (string, *Violation, error) {
 	ctx := newCtx(s)
 
 	// Seed state and let it replicate everywhere before chaos starts.

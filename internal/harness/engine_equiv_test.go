@@ -127,6 +127,49 @@ func TestCompiledMatchesInterpreterUnderChaos(t *testing.T) {
 	}
 }
 
+// TestCompiledMatchesInterpreterOnWidePool repeats the differential on
+// the tournament with 128 more seeded players than the generator ever
+// names: the op stream is the narrow one, but every sort domain the
+// reference executor enumerates is 131 wide, which is where binding a
+// guard's variables by join differs most from the cross-product.
+func TestCompiledMatchesInterpreterOnWidePool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the reference executor enumerates 131² bindings per guard")
+	}
+	t.Parallel()
+	run := func(variant string, seed uint64) string {
+		cfg := Defaults("tournament-spec")
+		cfg.Variant = variant
+		s, err := Generate(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := newTournamentSpecChaos(s.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow := app.setup
+		app.setup = func(a *specChaos, ctx *Ctx) {
+			narrow(a, ctx)
+			for i := 0; i < 128; i++ {
+				specSeed(a, ctx.Replica(0), "add_player", fmt.Sprintf("w%d", i))
+			}
+		}
+		digest, v, err := runSim(s, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != nil {
+			t.Fatalf("seed %#x: %s executor violated: %s", seed, variant, v)
+		}
+		return digest
+	}
+	seed := ScheduleSeed(0x71DE, 0)
+	if dC, dI := run("ipa", seed), run("interp", seed); dC == "" || dC != dI {
+		t.Fatalf("seed %#x: executors diverge:\n  compiled:    %s\n  interpreted: %s", seed, dC, dI)
+	}
+}
+
 // equivCluster is one executor's backend in a hand-vs-engine run (the
 // two executors get separate clusters of the same shape).
 type equivCluster struct {

@@ -551,6 +551,20 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 			"backend:%s\r\nsites:%s\r\napps:%s\r\nconns_accepted:%d\r\nconns_active:%d\r\ncommands:%d\r\ncalls:%d\r\nrefusals:%d\r\nload_sessions:%d\r\n",
 			s.cluster.Backend(), joinSites(s.sites), strings.Join(s.AppNames(), ","),
 			st.ConnsAccepted, st.ConnsActive, st.Commands, st.Calls, st.Refusals, st.LoadSessions)
+		// The engine's slow paths, summed over the mounted apps: calls an
+		// operation's plan handed to the whole-state reference executor,
+		// and compiled calls whose guard enumerated a sort's domain for
+		// want of a generator. Both stay 0 on a fully join-planned spec.
+		var slow engine.Stats
+		for _, name := range s.AppNames() {
+			if app, ok := s.App(name); ok {
+				as := app.Stats()
+				slow.FallbackCalls += as.FallbackCalls
+				slow.DomainEnumCalls += as.DomainEnumCalls
+			}
+		}
+		info += fmt.Sprintf("engine_fallback_calls:%d\r\nengine_domain_enum_calls:%d\r\n",
+			slow.FallbackCalls, slow.DomainEnumCalls)
 		// On the netrepl backend, surface the replication transport's
 		// health counters — repl_txns_dropped in particular: a dropped
 		// transaction opens a permanent causal gap that stalls receivers

@@ -508,6 +508,59 @@ func TestInfoReplicationCounters(t *testing.T) {
 	}
 }
 
+// TestInfoEngineSlowPaths pins the engine's slow-path counters: every
+// tournament operation is join-planned, so a mix of all of them leaves
+// both at 0; a spec whose guard has a variable no generator covers
+// (nothing must be true for a disjunction to be false) shows up in
+// engine_domain_enum_calls the first time that guard runs.
+func TestInfoEngineSlowPaths(t *testing.T) {
+	_, addr := startServer(t, runtime.BackendSim)
+	c := dialT(t, addr)
+	info := func() map[string]string {
+		t.Helper()
+		rp, err := c.Do("INFO")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, line := range strings.Split(rp.Str, "\r\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	for _, call := range [][]string{
+		{"add_player", "p0"}, {"add_player", "p1"}, {"add_tourn", "t0"},
+		{"enroll", "p0", "t0"}, {"enroll", "p1", "t0"}, {"begin_tourn", "t0"},
+		{"do_match", "p0", "p1", "t0"}, {"finish_tourn", "t0"}, {"begin_tourn", "t0"},
+		{"disenroll", "p0", "t0"}, {"rem_tourn", "t0"}, {"disenroll", "p1", "t0"}, {"rem_tourn", "t0"},
+	} {
+		callOK(t, c, append([]string{"CALL", "tournament"}, call...)...)
+	}
+	if got := info(); got["engine_fallback_calls"] != "0" || got["engine_domain_enum_calls"] != "0" {
+		t.Fatalf("tournament mix took a slow path: fallback=%q domain_enum=%q",
+			got["engine_fallback_calls"], got["engine_domain_enum_calls"])
+	}
+	rp, err := c.Do("MOUNT", `spec nogen
+invariant forall (A: x, B: y) :- p(x) or q(y)
+operation mkq(B: y) {
+ q(y) := true
+}
+operation rmq(B: y) {
+ q(y) := false
+}`)
+	if err != nil || rp.Err() != nil {
+		t.Fatalf("MOUNT: %v %v", err, rp.Err())
+	}
+	callOK(t, c, "CALL", "nogen", "mkq", "y0")
+	callOK(t, c, "CALL", "nogen", "rmq", "y0")
+	if got := info(); got["engine_fallback_calls"] != "0" || got["engine_domain_enum_calls"] != "1" {
+		t.Fatalf("after one generator-less guard: fallback=%q domain_enum=%q, want 0 and 1",
+			got["engine_fallback_calls"], got["engine_domain_enum_calls"])
+	}
+}
+
 func TestClientNameAndLoadSessions(t *testing.T) {
 	srv, addr := startServer(t, runtime.BackendSim)
 	c := dialT(t, addr)
