@@ -1,22 +1,11 @@
 // Command benchgate compares a freshly measured benchmark artifact
-// against its committed baseline and exits non-zero on regression. It
-// gates ratios, not raw ops/sec, so the committed baselines stay
-// meaningful across hardware: both sides of each ratio run on the same
-// runner, and the variance cancels. Five experiments are gated,
-// selected by the artifact's ID:
+// against its committed baseline and exits non-zero on regression. Two
+// experiments are gated, selected by the artifact's ID:
 //
 //   - engine (BENCH_engine.json): the spec engine's compiled/interpreted
-//     speed-up per application spec;
-//   - serve_remote (BENCH_serve_remote.json): the wire-protocol server's
-//     remote/in-process throughput ratio (with an absolute 50% floor);
-//   - wire (BENCH_wire.json): the replication frame codec's v2/gob
-//     throughput ratios (absolute 2x floor per direction), its combined
-//     allocation improvement (absolute 5x floor), and v2 bytes/txn
-//     non-growth;
-//   - recovery (BENCH_recovery.json): the durable/in-memory serving
-//     throughput ratio — the WAL's fsync-before-ack overhead (with a
-//     low absolute floor: the closed loop is the group commit's worst
-//     case);
+//     speed-up per application spec. A ratio, not raw ops/sec, so the
+//     committed baseline stays meaningful across hardware: both
+//     executors run on the same runner, and the variance cancels;
 //   - loadgen (BENCH_loadgen.json): the coordinated sustained-load run —
 //     steady-state throughput against the baseline, steady p99 under a
 //     fixed headroom, and an absolute 1% error-rate ceiling. This gate
@@ -24,12 +13,14 @@
 //     current and baseline artifacts were measured on different hosts
 //     (every BENCH_*.json records its host metadata).
 //
+// The serving benchmark (benchmark/) carries its own bounds in
+// BENCHMARK.json and is not gated here.
+//
 // Usage:
 //
 //	benchgate -current artifacts/BENCH_engine.json \
 //	          -baseline internal/bench/testdata/BENCH_engine_baseline.json
-//	benchgate -current artifacts/BENCH_serve_remote.json \
-//	          -baseline internal/bench/testdata/BENCH_serve_remote_baseline.json
+//	benchgate -current artifacts/BENCH_loadgen.json -tolerance 0.60
 //
 // Refresh a baseline after a deliberate change, e.g.:
 //

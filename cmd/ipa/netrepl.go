@@ -15,15 +15,14 @@ import (
 )
 
 // runNetrepl runs the smoke ring and prints a per-node metrics table.
-func runNetrepl(nodes, txns int, legacy bool) error {
+func runNetrepl(nodes, txns int) error {
 	if nodes < 2 {
 		return fmt.Errorf("-netrepl needs at least 2 nodes, got %d", nodes)
 	}
-	cfg := netrepl.Config{Legacy: legacy}
 	ring := make([]*netrepl.Node, nodes)
 	for i := range ring {
 		id := clock.ReplicaID(fmt.Sprintf("node%d", i))
-		n, err := netrepl.NewNodeWithConfig(id, "127.0.0.1:0", cfg)
+		n, err := netrepl.NewNode(id, "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
@@ -38,11 +37,7 @@ func runNetrepl(nodes, txns int, legacy bool) error {
 		}
 	}
 
-	mode := "streaming"
-	if legacy {
-		mode = "legacy (one connection per txn)"
-	}
-	fmt.Printf("netrepl smoke ring: %d nodes, %d txns each, %s transport\n\n", nodes, txns, mode)
+	fmt.Printf("netrepl smoke ring: %d nodes, %d txns each\n\n", nodes, txns)
 
 	start := time.Now()
 	done := make(chan struct{})

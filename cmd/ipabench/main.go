@@ -1,7 +1,6 @@
 // Command ipabench regenerates the tables and figures of the paper's
 // evaluation (§5) on the simulated geo-replicated deployment, and runs
-// the repository's own wall-clock benchmarks on either replication
-// backend.
+// the repository's own wall-clock benchmarks of its infrastructure.
 //
 // Usage:
 //
@@ -9,36 +8,21 @@
 //	ipabench -experiment fig4           # one figure
 //	ipabench -experiment table1
 //	ipabench -experiment fig7 -quick    # reduced parameters
-//	ipabench -experiment serve          # serving benchmark (all four apps)
-//	ipabench -backend netrepl           # the same apps on real TCP sockets
-//	ipabench -experiment serve -json artifacts   # write BENCH_serve.json
-//	ipabench serve -remote 127.0.0.1:6390        # drive a live `ipa serve` over the wire
-//	ipabench serve -conns 4 -pipeline 8          # self-hosted remote benchmark
+//	ipabench -experiment engine -json artifacts   # write BENCH_engine.json
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, fig8a, fig8b, fig9, the
 // ablations beyond the paper: ablation-numeric, ablation-touch,
-// ablation-stability, ablation-scope, and five wall-clock benchmarks of
-// the repository's own infrastructure: `transport` — the real-socket
-// netrepl throughput comparison (streaming vs legacy) — `chaos` — the
-// chaos harness's schedules-per-second rate on 3- and 5-replica sims —
-// `engine` — the spec engine's compiled plans vs the reference
-// interpreter on every application spec (cmd/benchgate gates the
-// compiled/interpreted ratio against a committed baseline) — `wire` —
-// the replication frame codec, v2 binary vs gob (cmd/benchgate gates
-// the throughput and allocation ratios) — `recovery` — durable vs
-// in-memory serving on netrepl plus kill -9 cold-start recovery times,
-// wal-only vs snapshot+tail (cmd/benchgate gates the durable/memory
-// ratio) — and `serve` — closed-loop serving of all four applications
-// over the backend-agnostic runtime (sim or netrepl), with invariant
-// checks.
+// ablation-stability, ablation-scope, and three wall-clock benchmarks of
+// the repository's own infrastructure: `chaos` — the chaos harness's
+// schedules-per-second rate on 3- and 5-replica sims — `engine` — the
+// spec engine's compiled plans vs the reference interpreter on every
+// application spec (cmd/benchgate gates the compiled/interpreted ratio
+// against a committed baseline) — and `recovery` — kill -9 cold-start
+// recovery times of a durable node, wal-only vs snapshot+tail.
 //
-// The `serve` subcommand (distinct from `-experiment serve`) benchmarks
-// the wire path: it drives an `ipa serve` server — a live one via
-// -remote, or a self-hosted netrepl-backed one — with pipelined
-// connections pinned to sites, measures end-to-end ops/sec and latency
-// percentiles, runs the same workload through the in-process loop for
-// comparison, and writes BENCH_serve_remote.json (cmd/benchgate gates
-// the remote/in-process ratio).
+// Serving is measured elsewhere: the benchmark/ package (bash
+// benchmark/run.sh) drives the real `ipa serve` binary over loopback and
+// reports end-to-end and per-layer numbers.
 //
 // The `loadgen` subcommand coordinates the distributed load generator
 // (internal/loadgen): N workers — in-process by default, or `ipabench
@@ -57,15 +41,12 @@
 // exit discipline), -save <file> refreshes a committed baseline, and
 // -threshold sets the allowed regression in percent.
 //
-// The paper figures model latency inside the simulation, so they are
-// sim-only; with -backend netrepl the default experiment set is `serve`.
 // -json writes each experiment as BENCH_<name>.json (ops/sec, p50/p99
 // where measured) for CI to upload.
 //
-// Both the experiment runner and the `serve` subcommand take
-// -cpuprofile and -memprofile, writing pprof profiles of the measured
-// run (the heap profile is taken after a final GC, so it shows live
-// retention, not transient garbage).
+// The experiment runner takes -cpuprofile and -memprofile, writing pprof
+// profiles of the measured run (the heap profile is taken after a final
+// GC, so it shows live retention, not transient garbage).
 package main
 
 import (
@@ -77,14 +58,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"ipa/internal/analysis"
 	"ipa/internal/bench"
 	"ipa/internal/loadgen"
-	ipartime "ipa/internal/runtime"
 )
 
 // errReported signals a failure already printed (flag usage): main exits
@@ -146,8 +125,6 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 func run(args []string) (err error) {
 	if len(args) > 0 {
 		switch args[0] {
-		case "serve":
-			return runServeRemote(args[1:])
 		case "worker":
 			return runWorker(args[1:])
 		case "loadgen":
@@ -157,13 +134,10 @@ func run(args []string) (err error) {
 
 	fs := flag.NewFlagSet("ipabench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "", "which experiment to run (comma separated; default all on sim, serve on netrepl)")
-		backend    = fs.String("backend", ipartime.BackendSim, "replication backend for the serve benchmark: sim or netrepl")
+		experiment = fs.String("experiment", "", "which experiment to run (comma separated; default all)")
 		quick      = fs.Bool("quick", false, "reduced parameters (faster, noisier)")
 		seed       = fs.Int64("seed", 42, "simulation seed")
 		jsonDir    = fs.String("json", "", "also write each experiment as BENCH_<name>.json into this directory")
-		workersCSV = fs.String("workers", "", "serve: comma-separated client worker counts for a concurrency sweep, e.g. 1,2,4,8 (netrepl only)")
-		wireVer    = fs.Int("wireversion", 0, "serve: force the replication frame encoding on netrepl (1 = legacy gob, 2 = binary; 0 = transport default)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this file")
 	)
@@ -181,71 +155,22 @@ func run(args []string) (err error) {
 		}
 	}()
 
-	var workers []int
-	if *workersCSV != "" {
-		for _, s := range strings.Split(*workersCSV, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || w < 1 {
-				return fmt.Errorf("bad -workers entry %q (want positive integers, e.g. 1,2,4,8)", s)
-			}
-			workers = append(workers, w)
-		}
-		if *backend != ipartime.BackendNet {
-			return fmt.Errorf("-workers needs -backend netrepl (the simulator is single-threaded)")
-		}
-	}
-
 	opts := bench.DefaultExpOptions()
 	if *quick {
 		opts = bench.QuickExpOptions()
 	}
 	opts.Seed = *seed
 
-	// The paper figures model latency inside the simulation; transport and
-	// chaos are fixed benchmarks of their own substrates. Only serve takes
-	// -backend.
-	simFigures := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9",
-		"ablation-numeric", "ablation-touch", "ablation-stability", "ablation-scope"}
-	fixed := []string{"transport", "chaos", "engine", "wire", "recovery"}
-	all := append(append(append([]string(nil), simFigures...), fixed...), "serve")
-
-	var wanted []string
-	switch {
-	case *experiment != "" && *experiment != "all":
+	all := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9",
+		"ablation-numeric", "ablation-touch", "ablation-stability", "ablation-scope",
+		"chaos", "engine", "recovery"}
+	wanted := all
+	if *experiment != "" && *experiment != "all" {
 		wanted = strings.Split(*experiment, ",")
-	case *backend == ipartime.BackendNet:
-		if *experiment == "all" {
-			return fmt.Errorf("-experiment all is sim-only (the figures model latency in the simulation); with -backend netrepl name the experiments, e.g. -experiment serve")
-		}
-		// No experiment named: the meaningful default on the real-socket
-		// backend is the serving benchmark over all four applications.
-		wanted = []string{"serve"}
-	default:
-		wanted = all
-	}
-
-	serveOps := 0
-	if *quick {
-		serveOps = 300
-		if len(workers) > 0 {
-			serveOps = 1500 // the sweep needs steady state to dominate startup
-		}
 	}
 
 	for _, name := range wanted {
 		name = strings.TrimSpace(name)
-		if *backend != ipartime.BackendSim {
-			for _, s := range simFigures {
-				if name == s {
-					return fmt.Errorf("experiment %q models latency in the simulation and is sim-only (drop -backend, or run -experiment serve)", name)
-				}
-			}
-			for _, s := range fixed {
-				if name == s {
-					return fmt.Errorf("experiment %q already benchmarks a fixed substrate and does not take -backend (drop -backend, or run -experiment serve)", name)
-				}
-			}
-		}
 		var (
 			e   *bench.Experiment
 			err error
@@ -275,23 +200,16 @@ func run(args []string) (err error) {
 			e = bench.AblationStability(opts)
 		case "ablation-scope":
 			e = bench.AblationScope(opts)
-		case "transport":
-			e, err = bench.Transport(opts)
 		case "chaos":
 			e, err = bench.Chaos(opts)
 		case "engine":
 			e, err = bench.EngineExecutors(opts)
-		case "wire":
-			e, err = bench.Wire(opts)
 		case "recovery":
-			recOpts := bench.RecoveryOptions{Seed: *seed}
+			var recOpts bench.RecoveryOptions
 			if *quick {
-				recOpts.Ops = 500
 				recOpts.Ladder = []int{200, 1000}
 			}
 			e, err = bench.Recovery(recOpts)
-		case "serve":
-			e, err = bench.Serve(bench.ServeOptions{Backend: *backend, Ops: serveOps, Seed: *seed, Workers: workers, WireVersion: *wireVer})
 		default:
 			return fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(all, ", "))
 		}
@@ -370,55 +288,6 @@ func writeExperimentTo(e *bench.Experiment, path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// runServeRemote is the `ipabench serve` subcommand: the remote serving
-// benchmark over the wire protocol.
-func runServeRemote(args []string) (err error) {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	var (
-		remote     = fs.String("remote", "", "address of a live `ipa serve` server (empty: self-host a netrepl-backed server on loopback)")
-		app        = fs.String("app", "tournament", "mounted application to call")
-		conns      = fs.Int("conns", 2, "client connections")
-		pipeline   = fs.Int("pipeline", 8, "closed-loop pipeline depth per connection")
-		ops        = fs.Int("ops", 8000, "total measured CALLs across connections")
-		rate       = fs.Int("rate", 0, "open-loop CALLs/sec per connection (0: closed loop)")
-		seed       = fs.Int64("seed", 42, "workload seed")
-		noInproc   = fs.Bool("no-inproc", false, "skip the in-process baseline run")
-		jsonDir    = fs.String("json", "", "also write BENCH_serve_remote.json into this directory")
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this file")
-	)
-	gates := gateFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return errReported
-	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
-	e, err := bench.ServeRemote(bench.ServeRemoteOptions{
-		Addr:       *remote,
-		App:        *app,
-		Conns:      *conns,
-		Pipeline:   *pipeline,
-		Ops:        *ops,
-		RatePerSec: *rate,
-		Seed:       *seed,
-		SkipInproc: *noInproc,
-	})
-	if err != nil {
-		return err
-	}
-	if err := emit(e, *jsonDir); err != nil {
-		return err
-	}
-	return gates.apply(e)
 }
 
 // runWorker is the `ipabench worker` subcommand: a load-generation

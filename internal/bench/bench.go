@@ -81,9 +81,8 @@ func (c Config) String() string {
 }
 
 // Recorder accumulates latency samples per label. It is backed by the
-// load generator's mergeable log-bucketed histograms instead of raw
-// sample slices: memory stays constant however long a run is, merging
-// per-worker recorders is bucket-wise addition, and percentiles carry a
+// load generator's log-bucketed histograms instead of raw sample slices:
+// memory stays constant however long a run is, and percentiles carry a
 // bounded ~0.8% relative error (p0/p100 stay exact via tracked
 // extremes). Means and standard deviations come from exact running
 // sums, not the buckets.
@@ -124,19 +123,6 @@ func (r *Recorder) Add(label string, d wan.Time) {
 
 // Labels returns the labels in first-seen order.
 func (r *Recorder) Labels() []string { return r.order }
-
-// Merge folds another recorder's samples into this one — used to combine
-// per-worker recorders after a concurrent benchmark loop (each worker
-// records into its own Recorder; Recorder itself is not goroutine-safe).
-func (r *Recorder) Merge(o *Recorder) {
-	for _, l := range o.order {
-		os := o.byLabel[l]
-		s := r.stats(l)
-		s.hist.Merge(&os.hist)
-		s.sumMs += os.sumMs
-		s.sumSq += os.sumSq
-	}
-}
 
 // Count returns the number of samples for the label ("" for all).
 func (r *Recorder) Count(label string) int {
@@ -205,13 +191,6 @@ func (r *Recorder) Percentile(label string, p float64) float64 {
 	return float64(s.hist.Quantile(p)) / 1000
 }
 
-// Hist exposes the label's histogram ("" for the aggregate) for callers
-// that need mergeable wire form rather than summary numbers.
-func (r *Recorder) Hist(label string) *loadgen.Hist {
-	s := r.all(label)
-	return &s.hist
-}
-
 // Point is one data point of a series.
 type Point struct {
 	X float64
@@ -227,7 +206,7 @@ type Series struct {
 }
 
 // Perf is a wall-clock performance summary attached to experiments that
-// measure real execution (serve, transport, chaos) — the numbers CI
+// measure real execution (engine, chaos, loadgen) — the numbers CI
 // tracks across commits via the BENCH_<id>.json artifacts.
 type Perf struct {
 	OpsPerSec float64 `json:"ops_per_sec"`

@@ -85,10 +85,18 @@ func engineGen(app *engine.App) func(rng *rand.Rand) (string, []string) {
 	}
 }
 
+// stabilizeEvery is the measured loops' stability cadence, in operations:
+// like a deployed stability service, the loop runs the stability protocol
+// periodically so remove-wins tombstones and dead add records are
+// compacted while traffic flows. Without it metadata grows with run
+// length and every membership check slows down — the loop would time
+// metadata accumulation, not execution.
+const stabilizeEvery = 64
+
 // engineRun measures one executor on one spec: a closed loop over a
 // fresh 3-site simulated deployment, round-robining the sites, draining
-// replication after each op and stabilizing periodically like the
-// serving benchmark. Refused preconditions count as served operations —
+// replication after each op and stabilizing every stabilizeEvery
+// operations. Refused preconditions count as served operations —
 // both executors evaluate the same guards on the same states, so
 // refusals load the comparison equally.
 func engineRun(sp *spec.Spec, res *analysis.Result, interpreted bool, ops int, seed int64) (*Recorder, float64, error) {

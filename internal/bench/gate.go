@@ -53,302 +53,8 @@ func EngineSpeedups(e *Experiment) (map[string]float64, error) {
 	return out, nil
 }
 
-// ServeRemoteRatios extracts the per-app remote/in-process throughput
-// ratios from a serve_remote experiment's Perf map — the fraction of
-// in-process serving throughput the wire protocol retains.
-func ServeRemoteRatios(e *Experiment) (map[string]float64, error) {
-	out := map[string]float64{}
-	for key, p := range e.Perf {
-		name, ok := strings.CutSuffix(key, "/remote")
-		if !ok {
-			continue
-		}
-		i, ok := e.Perf[name+"/inproc"]
-		if !ok || i.OpsPerSec <= 0 || p.OpsPerSec <= 0 {
-			return nil, fmt.Errorf("bench: experiment %q has no usable remote/inproc pair for %q", e.ID, name)
-		}
-		out[name] = p.OpsPerSec / i.OpsPerSec
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: experiment %q carries no <app>/remote Perf entries", e.ID)
-	}
-	return out, nil
-}
-
-// serveRemoteFloor is the absolute acceptance floor, independent of the
-// committed baseline: remote serving must retain at least half of the
-// in-process throughput at the benchmark's default pipeline depth.
-const serveRemoteFloor = 0.50
-
-// CheckServeRemoteBaseline compares current against baseline
-// remote/in-process ratios, failing any app whose ratio regressed by
-// more than tolerance below its baseline or under the absolute 50%
-// floor. Same shape as CheckEngineBaseline: ratio-based so hardware
-// variance cancels, missing measurements fail, new apps pass.
-func CheckServeRemoteBaseline(current, baseline *Experiment, tolerance float64) error {
-	cur, err := ServeRemoteRatios(current)
-	if err != nil {
-		return err
-	}
-	base, err := ServeRemoteRatios(baseline)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		c, ok := cur[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: missing from current run (baseline %.0f%%)", name, 100*base[name]))
-			continue
-		}
-		floor := base[name] * (1 - tolerance)
-		switch {
-		case c < floor:
-			failures = append(failures,
-				fmt.Sprintf("%s: remote/in-process %.0f%%, below %.0f%% (baseline %.0f%% - %.0f%%)",
-					name, 100*c, 100*floor, 100*base[name], tolerance*100))
-		case c < serveRemoteFloor:
-			failures = append(failures,
-				fmt.Sprintf("%s: remote serving under the absolute floor (%.0f%% < %.0f%% of in-process)",
-					name, 100*c, 100*serveRemoteFloor))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("remote serving ratio regressed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// DurableServeRatios extracts the per-app durable/memory throughput
-// ratios from a recovery experiment's Perf map — the fraction of
-// in-memory serving throughput that survives turning on the WAL's
-// fsync-before-ack group commit.
-func DurableServeRatios(e *Experiment) (map[string]float64, error) {
-	out := map[string]float64{}
-	for key, p := range e.Perf {
-		name, ok := strings.CutSuffix(key, "/durable")
-		if !ok {
-			continue
-		}
-		m, ok := e.Perf[name+"/memory"]
-		if !ok || m.OpsPerSec <= 0 || p.OpsPerSec <= 0 {
-			return nil, fmt.Errorf("bench: experiment %q has no usable durable/memory pair for %q", e.ID, name)
-		}
-		out[name] = p.OpsPerSec / m.OpsPerSec
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: experiment %q carries no <app>/durable Perf entries", e.ID)
-	}
-	return out, nil
-}
-
-// durableServeFloor is the absolute acceptance floor for durable
-// serving, independent of the committed baseline. It is deliberately
-// low: the serving loop is a single closed-loop client, so every commit
-// pays a full group-commit round (one fsync, nobody to share it with)
-// against an in-memory commit measured in microseconds — the WAL's
-// worst case, with measured ratios in the single-digit percents on
-// ordinary disks. The floor catches collapse (a lost batching path, an
-// accidental double fsync), not erosion; erosion is the baseline
-// check's job, run with a generous tolerance because fsync latency is
-// the one term that does NOT cancel between the legs.
-const durableServeFloor = 0.005
-
-// CheckRecoveryBaseline compares current against baseline durable/memory
-// serving ratios, failing any app whose ratio regressed by more than
-// tolerance below its baseline or under the absolute floor. Same shape
-// as CheckServeRemoteBaseline: ratio-based so hardware variance cancels,
-// missing measurements fail, new apps pass.
-func CheckRecoveryBaseline(current, baseline *Experiment, tolerance float64) error {
-	cur, err := DurableServeRatios(current)
-	if err != nil {
-		return err
-	}
-	base, err := DurableServeRatios(baseline)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		c, ok := cur[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: missing from current run (baseline %.0f%%)", name, 100*base[name]))
-			continue
-		}
-		floor := base[name] * (1 - tolerance)
-		switch {
-		case c < floor:
-			failures = append(failures,
-				fmt.Sprintf("%s: durable/memory %.0f%%, below %.0f%% (baseline %.0f%% - %.0f%%)",
-					name, 100*c, 100*floor, 100*base[name], tolerance*100))
-		case c < durableServeFloor:
-			failures = append(failures,
-				fmt.Sprintf("%s: durable serving under the absolute floor (%.0f%% < %.0f%% of in-memory)",
-					name, 100*c, 100*durableServeFloor))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("durable serving ratio regressed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// WireSpeedups extracts the per-direction v2/gob throughput ratios from
-// a wire experiment's Perf map — how much faster the binary codec moves
-// frames than gob on each of encode and decode.
-func WireSpeedups(e *Experiment) (map[string]float64, error) {
-	out := map[string]float64{}
-	for key, p := range e.Perf {
-		name, ok := strings.CutSuffix(key, "/v2")
-		if !ok || strings.HasSuffix(name, "_allocs") || name == "bytes_per_txn" {
-			continue
-		}
-		g, ok := e.Perf[name+"/gob"]
-		if !ok || g.OpsPerSec <= 0 || p.OpsPerSec <= 0 {
-			return nil, fmt.Errorf("bench: experiment %q has no usable gob/v2 pair for %q", e.ID, name)
-		}
-		out[name] = p.OpsPerSec / g.OpsPerSec
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: experiment %q carries no <direction>/v2 Perf entries", e.ID)
-	}
-	return out, nil
-}
-
-// WireAllocImprovement extracts the combined encode+decode allocation
-// improvement — total gob allocations per frame divided by total v2
-// allocations per frame. The sides are summed before dividing so a
-// zero-allocation encode path (the steady state) cannot blow the ratio
-// up to infinity: the decode side keeps the denominator finite.
-func WireAllocImprovement(e *Experiment) (float64, error) {
-	var gob, v2 float64
-	for _, dir := range []string{"encode", "decode"} {
-		g, okG := e.Perf[dir+"_allocs/gob"]
-		v, okV := e.Perf[dir+"_allocs/v2"]
-		if !okG || !okV {
-			return 0, fmt.Errorf("bench: experiment %q is missing %s_allocs entries", e.ID, dir)
-		}
-		gob += g.OpsPerSec
-		v2 += v.OpsPerSec
-	}
-	if v2 < 1 {
-		v2 = 1 // fully allocation-free v2 would divide by zero
-	}
-	if gob <= 0 {
-		return 0, fmt.Errorf("bench: experiment %q reports no gob allocations — the measurement is broken", e.ID)
-	}
-	return gob / v2, nil
-}
-
-// Absolute acceptance floors for the wire codec, independent of the
-// committed baseline: v2 must move frames at least twice as fast as gob
-// in each direction and allocate at least five times less overall. These
-// are the repository's published claims for the codec; a baseline
-// refresh must not be able to ratchet them away.
-const (
-	wireSpeedupFloor = 2.0
-	wireAllocFloor   = 5.0
-)
-
-// CheckWireBaseline compares current against baseline wire ratios. It
-// fails when a direction's v2/gob throughput ratio regressed by more
-// than tolerance below its baseline or under the absolute 2x floor, when
-// the combined allocation improvement fell likewise (absolute floor 5x),
-// or when v2 frames grew beyond tolerance past the baseline bytes/txn —
-// the compactness half of the codec's contract.
-func CheckWireBaseline(current, baseline *Experiment, tolerance float64) error {
-	cur, err := WireSpeedups(current)
-	if err != nil {
-		return err
-	}
-	base, err := WireSpeedups(baseline)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		c, ok := cur[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: missing from current run (baseline %.2fx)", name, base[name]))
-			continue
-		}
-		floor := base[name] * (1 - tolerance)
-		switch {
-		case c < floor:
-			failures = append(failures,
-				fmt.Sprintf("%s: v2/gob %.2fx, below %.2fx (baseline %.2fx - %.0f%%)",
-					name, c, floor, base[name], tolerance*100))
-		case c < wireSpeedupFloor:
-			failures = append(failures,
-				fmt.Sprintf("%s: v2 under the absolute floor (%.2fx < %.1fx gob throughput)", name, c, wireSpeedupFloor))
-		}
-	}
-
-	curAlloc, err := WireAllocImprovement(current)
-	if err != nil {
-		failures = append(failures, err.Error())
-	} else if baseAlloc, err := WireAllocImprovement(baseline); err != nil {
-		failures = append(failures, fmt.Sprintf("baseline: %v", err))
-	} else {
-		floor := baseAlloc * (1 - tolerance)
-		switch {
-		case curAlloc < floor:
-			failures = append(failures,
-				fmt.Sprintf("allocs: gob/v2 improvement %.1fx, below %.1fx (baseline %.1fx - %.0f%%)",
-					curAlloc, floor, baseAlloc, tolerance*100))
-		case curAlloc < wireAllocFloor:
-			failures = append(failures,
-				fmt.Sprintf("allocs: improvement under the absolute floor (%.1fx < %.1fx fewer than gob)", curAlloc, wireAllocFloor))
-		}
-	}
-
-	// Bytes/txn is deterministic (no hardware variance), so the check is
-	// direct: current v2 frames may not outgrow the baseline by more than
-	// tolerance, and must stay under gob-sized frames outright.
-	curB, okC := current.Perf["bytes_per_txn/v2"]
-	baseB, okB := baseline.Perf["bytes_per_txn/v2"]
-	curG, okG := current.Perf["bytes_per_txn/gob"]
-	switch {
-	case !okC || !okG:
-		failures = append(failures, "bytes_per_txn entries missing from current run")
-	case !okB:
-		failures = append(failures, "bytes_per_txn/v2 missing from baseline")
-	default:
-		if curB.OpsPerSec > baseB.OpsPerSec*(1+tolerance) {
-			failures = append(failures,
-				fmt.Sprintf("bytes/txn: v2 frames grew to %.0f B/txn, over baseline %.0f + %.0f%%",
-					curB.OpsPerSec, baseB.OpsPerSec, tolerance*100))
-		}
-		if curB.OpsPerSec >= curG.OpsPerSec {
-			failures = append(failures,
-				fmt.Sprintf("bytes/txn: v2 frames (%.0f B/txn) no smaller than gob (%.0f B/txn)",
-					curB.OpsPerSec, curG.OpsPerSec))
-		}
-	}
-
-	if len(failures) > 0 {
-		return fmt.Errorf("wire codec regressed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// Loadgen gate parameters. Unlike the ratio gates, the loadgen gate
-// compares raw steady-state throughput across runs, so it only means
+// Loadgen gate parameters. Unlike the engine's ratio gate, the loadgen
+// gate compares raw steady-state throughput across runs, so it only means
 // something when current and baseline ran on comparable hardware —
 // HostWarnings flags the comparison when they did not, and CI runs it
 // with a generous tolerance.
@@ -418,9 +124,10 @@ func CheckLoadgenBaseline(current, baseline *Experiment, tolerance float64) erro
 }
 
 // HostWarnings compares the hosts two experiments ran on and returns a
-// human-readable warning per mismatched dimension. Ratio gates cancel
-// hardware variance, but the loadgen gate compares raw throughput, so a
-// cross-host comparison deserves a loud flag even when it passes.
+// human-readable warning per mismatched dimension. The engine's ratio
+// gate cancels hardware variance, but the loadgen gate compares raw
+// throughput, so a cross-host comparison deserves a loud flag even when
+// it passes.
 func HostWarnings(current, baseline *Experiment) []string {
 	if current.Host == nil || baseline.Host == nil {
 		return nil // pre-metadata artifacts: nothing to compare
@@ -444,7 +151,7 @@ func HostWarnings(current, baseline *Experiment) []string {
 // experiment ID, relative to the repository root.
 func DefaultBaseline(id string) (string, error) {
 	switch id {
-	case "engine", "serve_remote", "wire", "recovery", "loadgen":
+	case "engine", "loadgen":
 		return "internal/bench/testdata/BENCH_" + id + "_baseline.json", nil
 	}
 	return "", fmt.Errorf("no default baseline for experiment %q", id)
@@ -473,34 +180,6 @@ func Gate(current, baseline *Experiment, tolerance float64, w io.Writer) error {
 			}
 		}
 		return CheckEngineBaseline(current, baseline, tolerance)
-	case "serve_remote":
-		if ratios, err := ServeRemoteRatios(current); err == nil {
-			baseRatios, _ := ServeRemoteRatios(baseline)
-			for _, n := range sortedRatioKeys(ratios) {
-				fmt.Fprintf(w, "%-12s remote/in-process %.0f%% (baseline %.0f%%)\n", n, 100*ratios[n], 100*baseRatios[n])
-			}
-		}
-		return CheckServeRemoteBaseline(current, baseline, tolerance)
-	case "wire":
-		if ratios, err := WireSpeedups(current); err == nil {
-			baseRatios, _ := WireSpeedups(baseline)
-			for _, n := range sortedRatioKeys(ratios) {
-				fmt.Fprintf(w, "%-12s v2/gob %.2fx (baseline %.2fx)\n", n, ratios[n], baseRatios[n])
-			}
-		}
-		if alloc, err := WireAllocImprovement(current); err == nil {
-			baseAlloc, _ := WireAllocImprovement(baseline)
-			fmt.Fprintf(w, "%-12s gob/v2 %.1fx fewer (baseline %.1fx)\n", "allocs", alloc, baseAlloc)
-		}
-		return CheckWireBaseline(current, baseline, tolerance)
-	case "recovery":
-		if ratios, err := DurableServeRatios(current); err == nil {
-			baseRatios, _ := DurableServeRatios(baseline)
-			for _, n := range sortedRatioKeys(ratios) {
-				fmt.Fprintf(w, "%-12s durable/memory %.0f%% (baseline %.0f%%)\n", n, 100*ratios[n], 100*baseRatios[n])
-			}
-		}
-		return CheckRecoveryBaseline(current, baseline, tolerance)
 	case "loadgen":
 		if cur, err := LoadgenSteady(current); err == nil {
 			if base, err := LoadgenSteady(baseline); err == nil {
@@ -511,7 +190,7 @@ func Gate(current, baseline *Experiment, tolerance float64, w io.Writer) error {
 		}
 		return CheckLoadgenBaseline(current, baseline, tolerance)
 	}
-	return fmt.Errorf("experiment %q has no gate (want engine, serve_remote, wire, recovery or loadgen)", current.ID)
+	return fmt.Errorf("experiment %q has no gate (want engine or loadgen)", current.ID)
 }
 
 // sortedRatioKeys orders a gate's measure names for stable output.

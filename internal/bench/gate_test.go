@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ipa/internal/harness"
 	"ipa/internal/loadgen"
 )
 
@@ -99,190 +98,6 @@ func TestEngineBaselineFile(t *testing.T) {
 		if r <= 1 {
 			t.Errorf("baseline records no compiled advantage for %s (%.2fx)", s.name, r)
 		}
-	}
-}
-
-// wireExp builds a wire experiment with the given per-direction rates
-// and allocation counts (gob vs v2) plus bytes/txn.
-func wireExp(encGob, encV2, decGob, decV2, allocGob, allocV2, bytesGob, bytesV2 float64) *Experiment {
-	return &Experiment{ID: "wire", Perf: map[string]Perf{
-		"encode/gob":        {OpsPerSec: encGob},
-		"encode/v2":         {OpsPerSec: encV2},
-		"decode/gob":        {OpsPerSec: decGob},
-		"decode/v2":         {OpsPerSec: decV2},
-		"encode_allocs/gob": {OpsPerSec: allocGob},
-		"encode_allocs/v2":  {OpsPerSec: 0},
-		"decode_allocs/gob": {OpsPerSec: allocGob},
-		"decode_allocs/v2":  {OpsPerSec: allocV2},
-		"bytes_per_txn/gob": {OpsPerSec: bytesGob},
-		"bytes_per_txn/v2":  {OpsPerSec: bytesV2},
-	}}
-}
-
-func TestWireSpeedups(t *testing.T) {
-	e := wireExp(100, 1000, 100, 500, 300, 100, 230, 90)
-	r, err := WireSpeedups(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r["encode"] != 10.0 || r["decode"] != 5.0 {
-		t.Fatalf("speedups = %v, want encode 10x decode 5x", r)
-	}
-	// The allocs and bytes keys must not be mistaken for throughput pairs.
-	if len(r) != 2 {
-		t.Fatalf("unexpected ratio keys: %v", r)
-	}
-	a, err := WireAllocImprovement(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != 6.0 { // (300+300)/(0+100)
-		t.Fatalf("alloc improvement = %v, want 6.0", a)
-	}
-	if _, err := WireSpeedups(&Experiment{ID: "wire", Perf: map[string]Perf{"encode/v2": {OpsPerSec: 1}}}); err == nil {
-		t.Fatal("missing gob entry not detected")
-	}
-}
-
-func TestCheckWireBaseline(t *testing.T) {
-	base := wireExp(100, 1000, 100, 500, 300, 100, 230, 90) // 10x/5x, 6x allocs
-
-	// Identical run passes.
-	if err := CheckWireBaseline(wireExp(100, 1000, 100, 500, 300, 100, 230, 90), base, 0.20); err != nil {
-		t.Fatalf("identical run failed the gate: %v", err)
-	}
-	// Decode throughput regressed below tolerance: 3.5x vs baseline 5x at 20%.
-	err := CheckWireBaseline(wireExp(100, 1000, 100, 350, 300, 100, 230, 90), base, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "decode") {
-		t.Fatalf("decode regression not caught: %v", err)
-	}
-	// Absolute floor: 1.9x encode fails even against a permissive baseline.
-	lowBase := wireExp(100, 210, 100, 500, 300, 100, 230, 90)
-	err = CheckWireBaseline(wireExp(100, 190, 100, 500, 300, 100, 230, 90), lowBase, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "absolute floor") {
-		t.Fatalf("sub-2x encode not caught: %v", err)
-	}
-	// Allocation improvement collapsed: v2 allocating like gob fails.
-	err = CheckWireBaseline(wireExp(100, 1000, 100, 500, 300, 290, 230, 90), base, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "allocs") {
-		t.Fatalf("alloc regression not caught: %v", err)
-	}
-	// Frame growth: v2 bytes/txn past baseline + tolerance fails.
-	err = CheckWireBaseline(wireExp(100, 1000, 100, 500, 300, 100, 230, 120), base, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "bytes/txn") {
-		t.Fatalf("frame growth not caught: %v", err)
-	}
-	// v2 frames at least as large as gob fail outright.
-	err = CheckWireBaseline(wireExp(100, 1000, 100, 500, 300, 100, 230, 230), base, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "no smaller than gob") {
-		t.Fatalf("v2-not-compact not caught: %v", err)
-	}
-}
-
-// TestWireBaselineFile pins the committed baseline artifact: it must
-// parse and already clear the absolute floors the gate enforces, so CI
-// compares against real, current data.
-func TestWireBaselineFile(t *testing.T) {
-	e, err := ReadExperimentJSON(filepath.Join("testdata", "BENCH_wire_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios, err := WireSpeedups(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []string{"encode", "decode"} {
-		if ratios[dir] < wireSpeedupFloor {
-			t.Errorf("baseline %s ratio %.2fx under the %.1fx floor — refresh it (see cmd/benchgate)", dir, ratios[dir], wireSpeedupFloor)
-		}
-	}
-	if a, err := WireAllocImprovement(e); err != nil {
-		t.Error(err)
-	} else if a < wireAllocFloor {
-		t.Errorf("baseline alloc improvement %.1fx under the %.1fx floor", a, wireAllocFloor)
-	}
-	if err := CheckWireBaseline(e, e, 0.20); err != nil {
-		t.Errorf("baseline does not pass its own gate: %v", err)
-	}
-}
-
-// recoveryExp builds a recovery experiment with one durable/memory pair.
-func recoveryExp(durable, memory float64) *Experiment {
-	return &Experiment{ID: "recovery", Perf: map[string]Perf{
-		"app/durable": {OpsPerSec: durable},
-		"app/memory":  {OpsPerSec: memory},
-	}}
-}
-
-func TestDurableServeRatios(t *testing.T) {
-	r, err := DurableServeRatios(recoveryExp(50, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r["app"] != 0.05 {
-		t.Fatalf("ratio = %v, want 0.05", r["app"])
-	}
-	if _, err := DurableServeRatios(&Experiment{ID: "recovery", Perf: map[string]Perf{"app/durable": {OpsPerSec: 50}}}); err == nil {
-		t.Fatal("missing memory entry not detected")
-	}
-	if _, err := DurableServeRatios(&Experiment{ID: "recovery", Perf: map[string]Perf{"serve": {OpsPerSec: 1}}}); err == nil {
-		t.Fatal("experiment without durable pairs not detected")
-	}
-}
-
-func TestCheckRecoveryBaseline(t *testing.T) {
-	base := recoveryExp(50, 1000) // 5% baseline
-
-	// Within tolerance: 4.5% against 5% at 20% (floor 4%) passes.
-	if err := CheckRecoveryBaseline(recoveryExp(45, 1000), base, 0.20); err != nil {
-		t.Fatalf("within-tolerance run failed the gate: %v", err)
-	}
-	// Regressed: 3% is below the 4% floor.
-	err := CheckRecoveryBaseline(recoveryExp(30, 1000), base, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "app") {
-		t.Fatalf("regression not caught: %v", err)
-	}
-	// Absolute floor: a collapse below durableServeFloor fails even
-	// against a baseline low enough for the relative check to pass.
-	lowBase := recoveryExp(5.5, 1000) // 0.55%, relative floor 0.44%
-	err = CheckRecoveryBaseline(recoveryExp(4.5, 1000), lowBase, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "absolute floor") {
-		t.Fatalf("collapse under the absolute floor not caught: %v", err)
-	}
-	// An app missing from the current run must fail, not silently pass.
-	err = CheckRecoveryBaseline(recoveryExp(50, 1000), &Experiment{ID: "recovery", Perf: map[string]Perf{
-		"app/durable": {OpsPerSec: 50}, "app/memory": {OpsPerSec: 1000},
-		"gone/durable": {OpsPerSec: 50}, "gone/memory": {OpsPerSec: 1000},
-	}}, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "gone") {
-		t.Fatalf("missing app not caught: %v", err)
-	}
-}
-
-// TestRecoveryBaselineFile pins the committed baseline artifact: it must
-// parse, carry a durable/memory pair for every portable app, and pass
-// its own gate, so CI compares against real, current data.
-func TestRecoveryBaselineFile(t *testing.T) {
-	e, err := ReadExperimentJSON(filepath.Join("testdata", "BENCH_recovery_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios, err := DurableServeRatios(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range harness.PortableApps() {
-		r, ok := ratios[app]
-		if !ok {
-			t.Errorf("baseline has no durable/memory pair for %s — refresh it (see cmd/benchgate)", app)
-			continue
-		}
-		if r < durableServeFloor {
-			t.Errorf("baseline ratio for %s (%.1f%%) under the absolute floor", app, 100*r)
-		}
-	}
-	if err := CheckRecoveryBaseline(e, e, 0.20); err != nil {
-		t.Errorf("baseline does not pass its own gate: %v", err)
 	}
 }
 

@@ -10,6 +10,7 @@ package bench
 import (
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"ipa/internal/apps/tournament"
@@ -103,12 +104,14 @@ func Loadgen(opts LoadgenOptions) (*Experiment, error) {
 	targets := opts.Targets
 	if len(targets) == 0 {
 		// Self-host: a 3-site netrepl cluster behind one server — the
-		// same substrate `ipa serve -backend netrepl` runs.
+		// same substrate `ipa serve -backend netrepl` runs, with the
+		// shipped transport defaults and only the settle timeout raised
+		// for the post-run verification of a long storm.
 		ids := make([]clock.ReplicaID, 0, 3)
 		for _, s := range wan.Sites() {
 			ids = append(ids, clock.ReplicaID(s))
 		}
-		cluster, err := runtime.NewNetCluster(ids, serveNetConfig())
+		cluster, err := runtime.NewNetCluster(ids, runtime.NetConfig{SettleTimeout: 60 * time.Second})
 		if err != nil {
 			return nil, err
 		}
@@ -179,6 +182,63 @@ func Loadgen(opts LoadgenOptions) (*Experiment, error) {
 	}
 
 	return loadgenExperiment(opts, rep), nil
+}
+
+// VerifyOverWire runs the harness's quiescence protocol against a live
+// server: settle, two rounds of repair-reads + settle (a repair's own
+// writes must replicate before the next read), a stability pass, then
+// invariant checks and cross-replica digest convergence. Every loadgen
+// run ends with it.
+func VerifyOverWire(ctl *server.Client, app string) error {
+	if err := ctl.DoOK("SETTLE"); err != nil {
+		return err
+	}
+	for round := 0; round < 2; round++ {
+		if err := ctl.DoOK("REPAIR", app); err != nil {
+			return err
+		}
+		if err := ctl.DoOK("SETTLE"); err != nil {
+			return err
+		}
+	}
+	if err := ctl.DoOK("STABILIZE"); err != nil {
+		return err
+	}
+	rp, err := ctl.Do("CHECK", app)
+	if err != nil {
+		return err
+	}
+	if err := rp.Err(); err != nil {
+		return err
+	}
+	if v := rp.Strings(); len(v) > 0 {
+		return fmt.Errorf("invariant violations after run: %s", strings.Join(v, "; "))
+	}
+	rp, err = ctl.Do("DIGEST", app)
+	if err != nil {
+		return err
+	}
+	if err := rp.Err(); err != nil {
+		return err
+	}
+	if ds := rp.Strings(); len(ds) > 1 {
+		base := digestBody(ds[0])
+		for _, d := range ds[1:] {
+			if digestBody(d) != base {
+				return fmt.Errorf("replicas diverged after run:\n  %s", strings.Join(ds, "\n  "))
+			}
+		}
+	}
+	return nil
+}
+
+// digestBody strips the "<site> " prefix off a DIGEST reply line so
+// replica digests compare on content.
+func digestBody(line string) string {
+	if _, rest, ok := strings.Cut(line, " "); ok {
+		return rest
+	}
+	return line
 }
 
 // loadgenExperiment renders a merged report as the Experiment artifact.

@@ -1,18 +1,13 @@
 package bench
 
 // The recovery benchmark behind BENCH_recovery.json: what durability
-// costs while serving, and what it buys back at restart.
-//
-// Leg one serves every portable application through the usual closed
-// loop on the netrepl backend twice — once in-memory, once with a WAL —
-// so the durable/memory throughput ratio isolates the fsync-before-ack
-// overhead of the group-commit log (cmd/benchgate gates this ratio
-// against a committed baseline). Leg two measures cold-start recovery
-// directly on a durable node: commit a ladder of transaction counts,
-// kill -9, and time the reopen — once with snapshots disabled (full log
-// replay) and once with the snapshot cycle running (snapshot + log
-// tail), which is the shipped configuration's claim that recovery time
-// is bounded by SnapshotEvery, not by history length.
+// buys back at restart. It measures cold-start recovery directly on a
+// durable node: commit a ladder of transaction counts, kill -9, and time
+// the reopen — once with snapshots disabled (full log replay) and once
+// with the snapshot cycle running (snapshot + log tail), which is the
+// shipped configuration's claim that recovery time is bounded by
+// SnapshotEvery, not by history length. What durability costs while
+// serving is the benchmark/ workload serve-durable against serve-steady.
 
 import (
 	"fmt"
@@ -20,94 +15,36 @@ import (
 	"time"
 
 	"ipa/internal/clock"
-	"ipa/internal/harness"
 	"ipa/internal/netrepl"
-	"ipa/internal/runtime"
 	"ipa/internal/store"
 )
 
 // RecoveryOptions shapes the durability benchmark.
 type RecoveryOptions struct {
-	// Apps lists the applications for the serve legs. Default: every
-	// portable app.
-	Apps []string
-	// Ops is the number of serve operations per leg. Default 4000 —
-	// smaller than the plain serve benchmark because each leg runs
-	// twice and the durable leg pays a group commit per op.
-	Ops int
-	// Seed drives the workload generators.
-	Seed int64
 	// Ladder is the committed-transaction counts for the recovery-time
 	// series. Default 500, 2000, 8000.
 	Ladder []int
 }
 
 func (o RecoveryOptions) withDefaults() RecoveryOptions {
-	if len(o.Apps) == 0 {
-		o.Apps = harness.PortableApps()
-	}
-	if o.Ops == 0 {
-		o.Ops = 4000
-	}
 	if len(o.Ladder) == 0 {
 		o.Ladder = []int{500, 2000, 8000}
 	}
 	return o
 }
 
-// Recovery runs both legs and returns the experiment.
+// Recovery runs the recovery ladder and returns the experiment.
 func Recovery(opts RecoveryOptions) (*Experiment, error) {
 	opts = opts.withDefaults()
 	e := &Experiment{
 		ID:     "recovery",
-		Title:  "Durability: serve overhead (WAL group commit) and cold-start recovery time",
+		Title:  "Durability: cold-start recovery time after kill -9",
 		XLabel: "committed transactions before kill -9",
 		YLabel: "recovery ms",
-		Perf:   map[string]Perf{},
 	}
 
-	// Leg one: the serve loop with and without a WAL underneath. Same
-	// netrepl cluster construction, same workload, same invariant-checked
-	// quiescence; only the durability differs, so the ratio is the cost
-	// of fsync-before-ack at this op mix.
-	for _, app := range opts.Apps {
-		serveOpts := ServeOptions{
-			Backend: runtime.BackendNet,
-			Apps:    []string{app},
-			Ops:     opts.Ops,
-			Seed:    opts.Seed,
-		}.withDefaults()
-		rec, opsPerSec, err := serveApp(app, serveOpts)
-		if err != nil {
-			return nil, fmt.Errorf("bench: recovery serve %s (memory): %w", app, err)
-		}
-		e.Perf[app+"/memory"] = Perf{
-			OpsPerSec: opsPerSec,
-			P50Ms:     rec.Percentile("", 50),
-			P95Ms:     rec.Percentile("", 95),
-			P99Ms:     rec.Percentile("", 99),
-		}
-
-		dir, err := os.MkdirTemp("", "ipa-recovery-*")
-		if err != nil {
-			return nil, err
-		}
-		serveOpts.DataDir = dir
-		rec, opsPerSec, err = serveApp(app, serveOpts)
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, fmt.Errorf("bench: recovery serve %s (durable): %w", app, err)
-		}
-		e.Perf[app+"/durable"] = Perf{
-			OpsPerSec: opsPerSec,
-			P50Ms:     rec.Percentile("", 50),
-			P95Ms:     rec.Percentile("", 95),
-			P99Ms:     rec.Percentile("", 99),
-		}
-	}
-
-	// Leg two: cold-start recovery time against replay length, with and
-	// without the snapshot cycle.
+	// Cold-start recovery time against replay length, with and without
+	// the snapshot cycle.
 	for _, n := range opts.Ladder {
 		e.XTicks = append(e.XTicks, fmt.Sprintf("%d", n))
 	}
@@ -135,12 +72,10 @@ func Recovery(opts RecoveryOptions) (*Experiment, error) {
 	}
 
 	e.Notes = append(e.Notes,
-		"serve legs: the closed serving loop on netrepl, in-memory vs durable (per-site WAL,",
-		"fsync before ack) — <app>/durable over <app>/memory is the group-commit overhead,",
-		"gated by cmd/benchgate; recovery series: one durable node commits N transactions,",
-		"dies by kill -9 (unsynced tail abandoned), and the reopen is timed — wal-only",
-		"replays the whole log, snapshot+tail loads the newest snapshot and replays past it,",
-		"so its recovery time tracks SnapshotEvery instead of history length.")
+		"one durable node commits N transactions, dies by kill -9 (unsynced tail abandoned),",
+		"and the reopen is timed — wal-only replays the whole log, snapshot+tail loads the",
+		"newest snapshot and replays past it, so its recovery time tracks SnapshotEvery",
+		"instead of history length.")
 	return e, nil
 }
 

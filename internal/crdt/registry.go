@@ -1,7 +1,6 @@
 package crdt
 
 import (
-	"encoding/gob"
 	"fmt"
 	"reflect"
 )
@@ -11,10 +10,10 @@ import (
 // replicated operation. Every replication backend shares it: the
 // simulator-backed store instantiates remotely created objects through
 // NewForOp, the TCP transport decodes the same operations from the wire
-// (the gob registrations below), and the typed transaction helpers of
-// package store create local objects through Ctor. Before the registry the
-// same kind→constructor mapping was duplicated in store.newForOp, the
-// store wire setup, and per-application mk closures.
+// (each op type's wire codec, checked below), and the typed transaction
+// helpers of package store create local objects through Ctor. Before the
+// registry the same kind→constructor mapping was duplicated in
+// store.newForOp, the store wire setup, and per-application mk closures.
 
 // Kind names. Each equals the Type() string of the corresponding CRDT.
 const (
@@ -37,17 +36,15 @@ var (
 	opKinds = map[reflect.Type]string{}
 )
 
-// register installs the constructor for one kind and associates (and
-// gob-registers, for wire transports) the operation types that create
-// objects of that kind when they arrive at a replica that has no object
-// under the key yet.
+// register installs the constructor for one kind and associates the
+// operation types that create objects of that kind when they arrive at a
+// replica that has no object under the key yet.
 func register(kind string, ctor func() CRDT, ops ...Op) {
 	if _, dup := ctors[kind]; dup {
 		panic("crdt: duplicate kind " + kind)
 	}
 	ctors[kind] = ctor
 	for _, op := range ops {
-		gob.Register(op)
 		t := reflect.TypeOf(op)
 		if k, dup := opKinds[t]; dup {
 			panic(fmt.Sprintf("crdt: op %v registered for both %s and %s", t, k, kind))
@@ -74,10 +71,6 @@ func init() {
 		LWWSetOp{})
 	register(KindMVRegister, func() CRDT { return NewMVRegister() },
 		MVSetOp{})
-	// Predicates travel inside wildcard remove ops.
-	gob.Register(Match{})
-	gob.Register(MatchAll{})
-	gob.Register(MatchFields{})
 }
 
 // Ctor returns the constructor for a kind, for lazily creating an object

@@ -2,18 +2,17 @@ package crdt
 
 // The replication wire codec: every registered operation (and predicate)
 // type serialises itself with a hand-written MarshalWire/UnmarshalWire
-// pair, dispatched through a stable one-byte wire ID. This replaces
-// encoding/gob on the hot replication path (store/netrepl batch frames):
-// gob re-transmits type definitions on every frame, walks structs by
-// reflection, and allocates an encoder per frame; the wire codec appends
-// into a caller-owned buffer and decodes with a cursor over the received
-// frame, allocating only the strings, slices, and maps the decoded op
-// itself owns.
+// pair, dispatched through a stable one-byte wire ID. It is the only op
+// encoding on the replication path (store/netrepl batch frames, the WAL):
+// the codec appends into a caller-owned buffer and decodes with a cursor
+// over the received frame, allocating only the strings, slices, and maps
+// the decoded op itself owns, with no reflection and no per-frame type
+// definitions.
 //
-// Wire IDs are part of the persistent protocol: they may never be
-// renumbered or reused, only appended. TestWireIDPinning pins the full
-// ID↔type table so an accidental re-registration breaks a test, not a
-// mixed-version mesh.
+// Wire IDs are part of the persistent protocol (frames on the wire and
+// records in every write-ahead log): they may never be renumbered or
+// reused, only appended. TestWireIDPinning pins the full ID↔type table so
+// an accidental re-registration breaks a test, not a recovering log.
 
 import (
 	"bytes"
@@ -260,9 +259,9 @@ func AppendPredicateWire(b []byte, p Predicate) ([]byte, error) {
 		var buf bytes.Buffer
 		// The interface wrapper makes gob record the concrete type, so
 		// the receiver can decode without knowing it statically (the
-		// same registration contract the v1 frames relied on). The
-		// branch-local copy keeps &pred from forcing the parameter to
-		// the heap on the built-in (allocation-free) paths above.
+		// defining package gob-registers it). The branch-local copy
+		// keeps &pred from forcing the parameter to the heap on the
+		// built-in (allocation-free) paths above.
 		pred := p
 		if err := gob.NewEncoder(&buf).Encode(&pred); err != nil {
 			return nil, fmt.Errorf("crdt: predicate %T has no wire codec and is not gob-encodable: %w", p, err)

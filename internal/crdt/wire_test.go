@@ -15,8 +15,9 @@ func eid(rep string, seq uint64) clock.EventID {
 
 // TestWireIDPinning pins the assigned wire-ID↔type table byte for byte.
 // Wire IDs are the persistent replication protocol: if this test fails
-// you renumbered or reused an ID, which silently corrupts mixed-version
-// meshes. New op types must APPEND a new ID; existing rows never change.
+// you renumbered or reused an ID, which silently corrupts every frame and
+// write-ahead log written before the change. New op types must APPEND a
+// new ID; existing rows never change.
 func TestWireIDPinning(t *testing.T) {
 	want := []string{
 		"1=crdt.AWAddOp",

@@ -99,11 +99,6 @@ func PortableApps() []string {
 		"twitter", "twitter-spec", "tpcw"}
 }
 
-// NewChaosApp builds the chaos adapter for cfg. Exported for callers that
-// drive App adapters outside the engine, such as the bench serving
-// benchmark.
-func NewChaosApp(cfg Config) (App, error) { return newApp(cfg) }
-
 // Ctx is the execution context of one schedule: the backend cluster and
 // the live fault state. On the sim backend Sim and Lat expose the
 // discrete-event machinery; on the netrepl backend both are nil and the
@@ -129,8 +124,7 @@ type Ctx struct {
 }
 
 // NewCtx builds an execution context over an existing backend cluster,
-// with no live faults. Exported for callers outside the engine (the bench
-// serving benchmark) that drive App adapters directly.
+// with no live faults.
 func NewCtx(cfg Config, cluster runtime.Cluster, sites []clock.ReplicaID) *Ctx {
 	return &Ctx{
 		Cfg:     cfg,

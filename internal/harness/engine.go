@@ -158,14 +158,13 @@ func runSim(s *Schedule, app App) (string, *Violation, error) {
 }
 
 // Quiesce drives a run's end-of-schedule protocol, shared by both
-// backend executors, the cross-backend equivalence runner, and the bench
-// serving benchmark: heal every live fault, drain replication (the sim
-// runs its event loop dry, netrepl waits for convergence), run the
-// applications' compensating reads everywhere (twice — the first round's
-// repairs replicate and may feed the second), take a stability pass,
-// then assert the application's invariants and cross-replica digest
-// convergence at every site. It returns the first violation, or nil for
-// a clean quiescent state.
+// backend executors and the cross-backend equivalence runner: heal every
+// live fault, drain replication (the sim runs its event loop dry, netrepl
+// waits for convergence), run the applications' compensating reads
+// everywhere (twice — the first round's repairs replicate and may feed
+// the second), take a stability pass, then assert the application's
+// invariants and cross-replica digest convergence at every site. It
+// returns the first violation, or nil for a clean quiescent state.
 func Quiesce(ctx *Ctx, app App) (*Violation, error) {
 	ctx.healAll()
 	// A failed Recover or Join is a harness/backend bug, not an

@@ -53,9 +53,8 @@ func (g *CallGen) Next() []string {
 }
 
 // TournamentWorkload returns the default workload spec fragment: the
-// tournament app's weighted mix and seed calls, mirroring the remote
-// serving benchmark's generator (enrolling pool within the spec's
-// Capacity of 8, so the guarded paths are exercised without living
+// tournament app's weighted mix and seed calls (enrolling pool within the
+// spec's Capacity of 8, so the guarded paths are exercised without living
 // permanently over capacity).
 func TournamentWorkload() (mix []MixEntry, seedCalls [][]string) {
 	var players, tourns, widePlayers, wideTourns []string

@@ -42,13 +42,12 @@
 // Delivery is at-least-once — a sender that loses its connection (or an
 // ack) mid-frame retries the whole batch — and the apply path
 // deduplicates by origin sequence number, so effects apply exactly once.
-// Batches may arrive reordered, duplicated, or interleaved with legacy
-// single-transaction frames and the replica state still converges.
+// Batches may arrive reordered or duplicated and the replica state still
+// converges.
 //
-// The original connection-per-transaction demo transport is kept behind
-// Config.Legacy for benchmarking (internal/bench measures streaming vs
-// legacy throughput) and as a wire-compatibility check: v0 frames decode
-// through the same versioned entry point new receivers use.
+// Every frame is a v2 batch frame (store.DecodeFrame): a frame in any
+// other format is malformed, and the receiver drops its connection
+// without an ack.
 package netrepl
 
 import (
@@ -120,29 +119,18 @@ type Config struct {
 	// the sender (and Close) forever. Default 10s.
 	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
-	// (with jitter). Defaults 5ms and 1s.
+	// (with jitter). Defaults 5ms and 1s; a BackoffMax below BackoffMin
+	// is raised to BackoffMin, so the backoff never shrinks.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 	// DrainTimeout is how long Close lets senders flush outstanding
 	// queues before abandoning them. Default 2s.
 	DrainTimeout time.Duration
-	// Legacy selects the original demo transport: one short-lived
-	// connection per transaction per peer, sent synchronously from
-	// Commit. Kept for benchmarking against the streaming path.
-	Legacy bool
-	// WireVersion selects the batch frame encoding this node SENDS:
-	// store.WireVersionV2 (the compact binary codec, the default) or
-	// store.WireVersionGob (the v1 gob frame) for meshes that still
-	// contain pre-v2 receivers. Receiving is always version-agnostic —
-	// every node decodes v0, v1, and v2 frames.
-	WireVersion int
 	// DataDir, when non-empty, makes the node durable: committed and
 	// received transactions append to a write-ahead log under it before
 	// they are acknowledged (group commit — see internal/store's WAL),
 	// and periodic snapshots bound replay. A node restarted with the
-	// same DataDir recovers its replica from snapshot + log. Requires
-	// the streaming transport (incompatible with Legacy: the legacy
-	// path has no ack to anchor the durability contract to).
+	// same DataDir recovers its replica from snapshot + log.
 	DataDir string
 	// MaxFrame caps the size of one frame, sent or accepted. A single
 	// transaction that encodes above it is undeliverable (see
@@ -179,7 +167,6 @@ func DefaultConfig() Config {
 		BackoffMin:    5 * time.Millisecond,
 		BackoffMax:    time.Second,
 		DrainTimeout:  2 * time.Second,
-		WireVersion:   store.WireVersionV2,
 		MaxFrame:      defaultMaxFrame,
 		SnapshotEvery: 4 << 20,
 		StallWarn:     10 * time.Second,
@@ -206,14 +193,14 @@ func (c Config) withDefaults() Config {
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = d.BackoffMin
 	}
-	if c.BackoffMax < c.BackoffMin {
+	if c.BackoffMax <= 0 {
 		c.BackoffMax = d.BackoffMax
+	}
+	if c.BackoffMax < c.BackoffMin {
+		c.BackoffMax = c.BackoffMin
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = d.DrainTimeout
-	}
-	if c.WireVersion != store.WireVersionGob {
-		c.WireVersion = store.WireVersionV2
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = d.MaxFrame
@@ -391,9 +378,6 @@ func NewNode(id clock.ReplicaID, addr string) (*Node, error) {
 // crashed between fsync and broadcast) still converges.
 func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Legacy && cfg.DataDir != "" {
-		return nil, fmt.Errorf("netrepl: DataDir requires the streaming transport: the legacy path acknowledges nothing, so there is no ack to anchor the fsync-before-ack contract to")
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netrepl: listen: %w", err)
@@ -535,9 +519,6 @@ func (n *Node) AddPeer(id clock.ReplicaID, addr string) {
 	p := newPeerConn(n, id, addr)
 	n.peers[id] = p
 	n.peersMu.Unlock()
-	if n.cfg.Legacy {
-		return
-	}
 	n.wg.Add(1)
 	go p.run()
 	// After run starts: a re-offer backlog larger than the queue needs
@@ -558,7 +539,7 @@ func (n *Node) RemovePeer(id clock.ReplicaID) {
 		delete(n.peers, id)
 	}
 	n.peersMu.Unlock()
-	if ok && !n.cfg.Legacy {
+	if ok {
 		close(p.quit)
 	}
 }
@@ -769,8 +750,8 @@ func (n *Node) Replica() *store.Replica {
 
 // broadcast ships one committed transaction to every peer. Called from
 // Commit under the committing transaction's tag window, so per-peer
-// enqueue order matches the origin's sequence order. In streaming mode it
-// enqueues and returns; in legacy mode it dials and sends synchronously.
+// enqueue order matches the origin's sequence order. It enqueues and
+// returns; each peer's sender goroutine does the network work.
 //
 // On a durable node it first appends the transaction to the write-ahead
 // log (the tag window serialises walEnc) and returns a wait function
@@ -784,10 +765,6 @@ func (n *Node) Replica() *store.Replica {
 // origin could forget, or the origin's recovery would reuse its
 // sequence numbers for different operations.
 func (n *Node) broadcast(w store.WireTxn) func() {
-	if n.cfg.Legacy {
-		n.legacyBroadcast(w)
-		return nil
-	}
 	var seq uint64
 	if n.wal != nil {
 		frame, err := n.walEnc.Encode([]store.WireTxn{w})
@@ -824,34 +801,6 @@ func (n *Node) walFailed(err error) {
 	n.walFailOnce.Do(func() {
 		log.Printf("netrepl: node %s: WAL failure, durability lost: %v", n.id, err)
 	})
-}
-
-// legacyBroadcast is the original demo transport: one short-lived
-// connection per transaction per peer, no retries.
-func (n *Node) legacyBroadcast(w store.WireTxn) {
-	data, err := store.EncodeTxn(w)
-	if err != nil {
-		atomic.AddUint64(&n.m.sendErrors, 1)
-		return
-	}
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	for _, p := range n.peers {
-		conn, err := net.DialTimeout("tcp", p.addr, n.cfg.DialTimeout)
-		if err != nil {
-			atomic.AddUint64(&n.m.sendErrors, 1)
-			continue
-		}
-		atomic.AddUint64(&n.m.dials, 1)
-		if err := writeFrame(conn, data); err != nil {
-			atomic.AddUint64(&n.m.sendErrors, 1)
-		} else {
-			atomic.AddUint64(&n.m.framesSent, 1)
-			atomic.AddUint64(&n.m.txnsSent, 1)
-			atomic.AddUint64(&n.m.bytesSent, uint64(len(data)+4))
-		}
-		conn.Close()
-	}
 }
 
 func (n *Node) acceptLoop() {
@@ -960,9 +909,7 @@ func (n *Node) handle(conn net.Conn) {
 		// the sender may now forget it. Applying happens asynchronously —
 		// the pipeline is never torn down before the node itself, and on
 		// a durable node the batch is already fsynced above, so the ack
-		// is safe against this node's crash too. Legacy senders never
-		// read acks; the write then fails or lands in a buffer nobody
-		// drains, both harmless.
+		// is safe against this node's crash too.
 		if err := writeAck(conn); err != nil {
 			return
 		}
@@ -1175,9 +1122,9 @@ func (n *Node) enqueueApply(w store.WireTxn) bool {
 // applyLoop drains one origin's apply queue — per-origin FIFO is what
 // store.Replica.ApplyExternal requires of its callers. The streaming
 // sender delivers in order, but separate connections (reconnect retries,
-// legacy senders, hand-crafted test frames) may interleave out of
-// sequence, so a local reorder buffer holds transactions ahead of the
-// origin's FIFO gap instead of blocking the queue on them.
+// hand-crafted test frames) may interleave out of sequence, so a local
+// reorder buffer holds transactions ahead of the origin's FIFO gap
+// instead of blocking the queue on them.
 //
 // Cross-origin causal order is ApplyExternal's dependency wait; the
 // blocked applier holds no locks while waiting, and the dependencies it

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ipa/internal/clock"
+	"ipa/internal/crdt"
 	"ipa/internal/store"
 )
 
@@ -151,6 +152,16 @@ func TestWireRoundTrip(t *testing.T) {
 		store.RWSetAt(tx, "rw").Remove("y")
 		store.CounterAt(tx, "c").Add(-7)
 		store.RegisterAt(tx, "reg").Set("v")
+		store.BoundedAt(tx, "bc").Grant(5)
+		tx.Apply("mv", crdt.MVSetOp{Value: "m", Tag: tx.NewTag()}, crdt.Ctor(crdt.KindMVRegister))
+		tx.Commit()
+		tx = r.Begin()
+		store.RWSetAt(tx, "rw").Add(crdt.JoinTuple("p", "q"), "")
+		store.RWSetAt(tx, "rw").Add(crdt.JoinTuple("p", "r"), "")
+		store.BoundedAt(tx, "bc").Consume(2)
+		tx.Commit()
+		tx = r.Begin()
+		store.RWSetAt(tx, "rw").RemoveWhere(crdt.Match{Index: 1, Value: "q"})
 		tx.Commit()
 	})
 	waitConverged(t, nodes)
@@ -159,7 +170,8 @@ func TestWireRoundTrip(t *testing.T) {
 		if store.AWSetAt(tx, "aw").Contains("x") {
 			t.Error("aw state wrong after wire round trip")
 		}
-		if store.RWSetAt(tx, "rw").Contains("y") {
+		rw := store.RWSetAt(tx, "rw")
+		if rw.Contains("y") || rw.Contains(crdt.JoinTuple("p", "q")) || !rw.Contains(crdt.JoinTuple("p", "r")) {
 			t.Error("rw state wrong after wire round trip")
 		}
 		if store.CounterAt(tx, "c").Value() != -7 {
@@ -168,8 +180,14 @@ func TestWireRoundTrip(t *testing.T) {
 		if v, _ := store.RegisterAt(tx, "reg").Value(); v != "v" {
 			t.Error("register state wrong after wire round trip")
 		}
+		if v := store.BoundedAt(tx, "bc").Value(); v != 3 {
+			t.Errorf("bounded counter = %d after wire round trip, want 3", v)
+		}
 		tx.Commit()
 	})
+	if mv, ok := nodes[2].Lookup("mv"); !ok || fmt.Sprint(mv.(*crdt.MVRegister).Values()) != "[m]" {
+		t.Error("mv register state wrong after wire round trip")
+	}
 	if nodes[2].Stats().TxnsRecv == 0 {
 		t.Fatal("no frames delivered")
 	}
@@ -182,18 +200,42 @@ func TestEncodeDecodeDirect(t *testing.T) {
 		FirstSeq: 3,
 		LastSeq:  5,
 	}
-	data, err := store.EncodeTxn(w)
+	data, err := store.EncodeBatchV2([]store.WireTxn{w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := store.DecodeTxn(data)
+	back, err := store.DecodeFrame(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Origin != "n1" || back.LastSeq != 5 || !back.Deps.Equal(w.Deps) {
+	if len(back) != 1 || back[0].Origin != "n1" || back[0].LastSeq != 5 || !back[0].Deps.Equal(w.Deps) {
 		t.Fatalf("round trip = %+v", back)
 	}
-	if _, err := store.DecodeTxn([]byte("garbage")); err == nil {
+	if _, err := store.DecodeFrame([]byte("garbage")); err == nil {
 		t.Fatal("garbage must not decode")
+	}
+}
+
+// TestConfigBackoffDefaults pins withDefaults' backoff bounds: a zero
+// BackoffMax takes the default, and one still below BackoffMin is raised
+// to it — the backoff may never shrink between retries.
+func TestConfigBackoffDefaults(t *testing.T) {
+	d := DefaultConfig()
+	for _, tc := range []struct {
+		name             string
+		in               Config
+		wantMin, wantMax time.Duration
+	}{
+		{"zero", Config{}, d.BackoffMin, d.BackoffMax},
+		{"default", DefaultConfig(), d.BackoffMin, d.BackoffMax},
+		{"min only", Config{BackoffMin: 2 * time.Second}, 2 * time.Second, 2 * time.Second},
+		{"max only", Config{BackoffMax: 50 * time.Millisecond}, d.BackoffMin, 50 * time.Millisecond},
+		{"inverted", Config{BackoffMin: 100 * time.Millisecond, BackoffMax: 10 * time.Millisecond}, 100 * time.Millisecond, 100 * time.Millisecond},
+		{"both set", Config{BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond}, time.Millisecond, 20 * time.Millisecond},
+	} {
+		got := tc.in.withDefaults()
+		if got.BackoffMin != tc.wantMin || got.BackoffMax != tc.wantMax {
+			t.Errorf("%s: backoff %v..%v, want %v..%v", tc.name, got.BackoffMin, got.BackoffMax, tc.wantMin, tc.wantMax)
+		}
 	}
 }

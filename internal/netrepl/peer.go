@@ -56,7 +56,7 @@ func newPeerConn(n *Node, id clock.ReplicaID, addr string) *peerConn {
 		ch:   make(chan store.WireTxn, n.cfg.QueueCap),
 		quit: make(chan struct{}),
 		rng:  rand.New(rand.NewSource(int64(h.Sum64()))),
-		enc:  store.NewFrameEncoder(n.cfg.WireVersion),
+		enc:  store.NewFrameEncoder(store.WireVersionV2),
 	}
 }
 
@@ -207,11 +207,10 @@ func (p *peerConn) deliver(batch []store.WireTxn) bool {
 			return p.deliver(batch[:half]) && p.deliver(batch[half:])
 		}
 		// A single transaction too large for any frame can never be
-		// delivered (the legacy transport lost these silently — here it
-		// is counted, and announced once per peer). Every receiver will
-		// stall on the causal gap this opens: the origin's later
-		// transactions queue in reorder buffers forever — until the
-		// receiver's stall detector fires (Config.StallWarn) and the
+		// delivered (it is counted, and announced once per peer). Every
+		// receiver will stall on the causal gap this opens: the origin's
+		// later transactions queue in reorder buffers forever — until
+		// the receiver's stall detector fires (Config.StallWarn) and the
 		// site is recovered by state transfer. See DESIGN.md
 		// ("Oversized transactions").
 		if !p.oversizedLogged {

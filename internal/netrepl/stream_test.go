@@ -1,7 +1,9 @@
 package netrepl
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"io"
 	"net"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"ipa/internal/clock"
+	"ipa/internal/crdt"
 	"ipa/internal/store"
 )
 
@@ -246,7 +249,7 @@ func rawSend(t *testing.T, addr string, frames ...[]byte) {
 
 func encodeBatch(t *testing.T, txns ...store.WireTxn) []byte {
 	t.Helper()
-	data, err := store.EncodeBatch(txns)
+	data, err := store.EncodeBatchV2(txns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,9 +308,10 @@ func TestBatchesOutOfCausalOrder(t *testing.T) {
 	}
 }
 
-// TestCorruptFrameDropsConnectionOnly sends garbage then valid frames on
-// a fresh connection: the receiver must drop the bad stream and keep
-// serving new ones.
+// TestCorruptFrameDropsConnectionOnly sends garbage, then a frame of the
+// retired v1 gob format, then a valid frame on a fresh connection: the
+// receiver must drop each bad stream without acknowledging it, apply
+// nothing from it, and keep serving new ones.
 func TestCorruptFrameDropsConnectionOnly(t *testing.T) {
 	n, err := NewNode("n", "127.0.0.1:0")
 	if err != nil {
@@ -317,8 +321,33 @@ func TestCorruptFrameDropsConnectionOnly(t *testing.T) {
 
 	rawSend(t, n.Addr(), []byte("this is not a frame"))
 	txns := captureTxns("x", "c", 1)
+
+	// A v1 frame, as a pre-v2 sender wrote it: "IPAB\x01" + a gob batch.
+	gob.Register(crdt.CounterOp{})
+	var v1 bytes.Buffer
+	v1.WriteString("IPAB\x01")
+	if err := gob.NewEncoder(&v1).Encode(struct{ Txns []store.WireTxn }{txns}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, v1.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var reply [4]byte
+	if got, err := io.ReadFull(conn, reply[:]); err == nil || got > 0 {
+		t.Fatalf("v1 frame answered with %d bytes (%q, err %v); want the connection dropped without an ack", got, reply[:got], err)
+	}
+	if got := n.Clock().Get("x"); got != 0 {
+		t.Fatalf("v1 frame applied: clock[x] = %d", got)
+	}
+
 	rawSend(t, n.Addr(), encodeBatch(t, txns[0]))
-	waitUntil(t, "valid frame after corrupt stream", func() bool {
+	waitUntil(t, "valid frame after corrupt streams", func() bool {
 		return n.Clock().Get("x") == 1
 	})
 }
@@ -434,34 +463,6 @@ func TestBackpressureBlocksThenCloseReleases(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not release the blocked committer")
-	}
-}
-
-// TestLegacyTransportStillConverges runs the original per-connection
-// transport end to end: a mixed cluster (one legacy sender, streaming
-// receivers) must converge, proving v0 frames decode through the
-// versioned entry point.
-func TestLegacyTransportStillConverges(t *testing.T) {
-	legacy, err := NewNodeWithConfig("old", "127.0.0.1:0", Config{Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	modern, err := NewNode("new", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer modern.Close()
-	legacy.AddPeer("new", modern.Addr())
-	modern.AddPeer("old", legacy.Addr())
-
-	commitN(legacy, "c", 10)
-	commitN(modern, "c", 10)
-	waitUntil(t, "mixed-transport convergence", func() bool {
-		return counterValue(legacy, "c") == 20 && counterValue(modern, "c") == 20
-	})
-	if s := legacy.Stats(); s.FramesSent != 10 || s.Dials != 10 {
-		t.Fatalf("legacy transport stats: %+v", s)
 	}
 }
 

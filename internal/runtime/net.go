@@ -23,12 +23,6 @@ type NetConfig struct {
 	SettleTimeout time.Duration
 	// SettlePoll is the convergence polling interval. Default 500µs.
 	SettlePoll time.Duration
-	// WireVersion, when nonzero, overrides Transport.WireVersion on every
-	// node — the convenience knob for forcing the v1 gob frame encoding
-	// (store.WireVersionGob) cluster-wide when a mesh still contains
-	// pre-v2 receivers. Zero keeps Transport's setting (default: the
-	// compact v2 binary codec).
-	WireVersion int
 	// DataDir, when non-empty, makes every node durable: node id gives
 	// the per-site subdirectory (DataDir/<id>), each holding a
 	// write-ahead log and snapshots. Durability is what makes the
@@ -44,9 +38,6 @@ func (c NetConfig) withDefaults() NetConfig {
 	}
 	if c.SettlePoll <= 0 {
 		c.SettlePoll = 500 * time.Microsecond
-	}
-	if c.WireVersion != 0 {
-		c.Transport.WireVersion = c.WireVersion
 	}
 	return c
 }

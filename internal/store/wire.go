@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -15,7 +13,7 @@ import (
 // WireTxn is the serialisable form of a committed transaction — the
 // replication unit exchanged between replicas. Inside the simulator the
 // equivalent message is passed by value; a networked transport (package
-// netrepl) encodes WireTxn with encoding/gob.
+// netrepl) ships WireTxn batches as frames (FrameEncoder, DecodeFrame).
 type WireTxn struct {
 	Origin   clock.ReplicaID
 	Deps     clock.Vector
@@ -31,7 +29,7 @@ type WireTxn struct {
 }
 
 // SetWALSeq stamps the transaction with its WAL append sequence; WALSeq
-// reads it back. The field rides along in memory only (neither codec
+// reads it back. The field rides along in memory only (the codec never
 // encodes it) so a sender goroutine can gate the socket write on
 // WaitSynced without a side table.
 func (w *WireTxn) SetWALSeq(seq uint64) { w.walSeq = seq }
@@ -39,100 +37,15 @@ func (w *WireTxn) SetWALSeq(seq uint64) { w.walSeq = seq }
 // WALSeq returns the stamp set by SetWALSeq (zero when never stamped).
 func (w *WireTxn) WALSeq() uint64 { return w.walSeq }
 
-// The concrete operation (and predicate) types carried inside the crdt.Op
-// interface are gob-registered by the crdt constructor registry — the one
-// place that enumerates them for every backend.
-
-// EncodeTxn serialises a transaction for the wire (the legacy v0 frame:
-// a bare gob-encoded WireTxn with no header).
-func EncodeTxn(w WireTxn) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeTxn deserialises a single transaction from a legacy v0 frame.
-func DecodeTxn(data []byte) (WireTxn, error) {
-	var w WireTxn
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w)
-	return w, err
-}
-
-// Batch frame format (v1). A batch frame carries any number of
-// transactions under a versioned header so future encodings can evolve
-// without breaking old receivers:
+// Batch frame format. A frame carries any number of transactions under a
+// versioned header:
 //
 //	offset 0..3  magic "IPAB"
-//	offset 4     version byte (currently batchVersion)
-//	offset 5..   gob-encoded wireBatch
+//	offset 4     version byte (WireVersionV2)
+//	offset 5..   body
 //
-// The magic cannot collide with a legacy v0 frame: a gob stream always
-// begins with a type-definition record whose first byte is a small
-// unsigned length, never 'I' (0x49), so DecodeFrame can distinguish the
-// two formats from the first byte alone.
-const (
-	batchMagic   = "IPAB"
-	batchVersion = 1
-
-	// WireVersionGob selects the v1 gob batch frame — kept encodable for
-	// mixed-version meshes (netrepl.Config.WireVersion forces it).
-	WireVersionGob = 1
-	// WireVersionV2 selects the compact binary frame: hand-encoded txn
-	// records and reflection-free op payloads (crdt wire codec). The
-	// default for new senders.
-	WireVersionV2 = 2
-)
-
-type wireBatch struct {
-	Txns []WireTxn
-}
-
-// EncodeBatch serialises a group of transactions as one v1 batch frame.
-// Transactions must appear in the order the origin committed them; the
-// receiver's causal delivery queue tolerates any inter-batch reordering
-// but per-origin order inside a frame keeps delivery single-pass.
-func EncodeBatch(txns []WireTxn) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(batchMagic)
-	buf.WriteByte(batchVersion)
-	if err := gob.NewEncoder(&buf).Encode(wireBatch{Txns: txns}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFrame deserialises any frame format a peer may send: a v2 binary
-// batch frame, a v1 gob batch frame (both under the magic header), or a
-// legacy v0 single-transaction frame (bare gob). Receivers use this so
-// senders of any version interoperate. It never panics on any input.
-func DecodeFrame(data []byte) ([]WireTxn, error) {
-	if len(data) >= len(batchMagic)+1 && string(data[:len(batchMagic)]) == batchMagic {
-		body := data[len(batchMagic)+1:]
-		switch v := data[len(batchMagic)]; v {
-		case batchVersion:
-			var b wireBatch
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&b); err != nil {
-				return nil, err
-			}
-			return b.Txns, nil
-		case WireVersionV2:
-			return decodeBatchV2(body)
-		default:
-			return nil, fmt.Errorf("store: unsupported batch frame version %d", v)
-		}
-	}
-	w, err := DecodeTxn(data)
-	if err != nil {
-		return nil, err
-	}
-	return []WireTxn{w}, nil
-}
-
-// Batch frame format (v2) — the compact binary encoding. Same magic +
-// version header as v1; the body replaces gob with hand-written encoding
-// (varints, length-prefixed strings, crdt wire-ID op payloads):
+// The body is a compact binary encoding (varints, length-prefixed
+// strings, crdt wire-ID op payloads):
 //
 //	uvarint txn count
 //	per txn:
@@ -145,37 +58,53 @@ func DecodeFrame(data []byte) ([]WireTxn, error) {
 //
 // Strings are uvarint length + raw bytes; ops are one wire-ID byte + the
 // type's MarshalWire payload (see internal/crdt/wire.go).
+//
+// Version 2 is the only format. DecodeFrame rejects every other version
+// byte — including the retired gob formats v0 (a bare gob WireTxn) and v1
+// (a gob batch) — as malformed input. An incompatible future format takes
+// a new version byte and a new DecodeFrame case.
+const (
+	batchMagic = "IPAB"
+	// WireVersionV2 is the version byte of the binary frame.
+	WireVersionV2 = 2
+)
+
+// DecodeFrame deserialises one batch frame. Anything but the magic, the
+// version byte WireVersionV2 and a well-formed body is an error wrapping
+// crdt.ErrMalformedWire. It never panics on any input.
+func DecodeFrame(data []byte) ([]WireTxn, error) {
+	if len(data) < len(batchMagic)+1 || string(data[:len(batchMagic)]) != batchMagic {
+		return nil, fmt.Errorf("%w: no batch frame header", crdt.ErrMalformedWire)
+	}
+	if v := data[len(batchMagic)]; v != WireVersionV2 {
+		return nil, fmt.Errorf("%w: unsupported batch frame version %d", crdt.ErrMalformedWire, v)
+	}
+	return decodeBatchV2(data[len(batchMagic)+1:])
+}
 
 // FrameEncoder builds batch frames into a reusable buffer, so a steady
 // replication stream encodes with zero per-frame allocations. Not safe
 // for concurrent use; netrepl gives each peer sender its own.
 type FrameEncoder struct {
-	version int
-	buf     []byte
-	deps    []clock.ReplicaID // scratch for sorting dep vectors
+	buf  []byte
+	deps []clock.ReplicaID // scratch for sorting dep vectors
 }
 
-// NewFrameEncoder returns an encoder producing frames of the given wire
-// version (0 defaults to WireVersionV2; WireVersionGob selects the v1 gob
-// frame for mixed-version meshes — that path allocates like gob always
-// did).
+// NewFrameEncoder returns an encoder producing WireVersionV2 frames.
+// version must be 0 (the default) or WireVersionV2: any other value
+// panics, a programming error like encoding an op type the crdt wire
+// codec does not know.
 func NewFrameEncoder(version int) *FrameEncoder {
-	if version == 0 {
-		version = WireVersionV2
+	if version != 0 && version != WireVersionV2 {
+		panic(fmt.Sprintf("store: no encoder for frame version %d (only %d)", version, WireVersionV2))
 	}
-	return &FrameEncoder{version: version}
+	return &FrameEncoder{}
 }
-
-// Version reports the wire version this encoder emits.
-func (e *FrameEncoder) Version() int { return e.version }
 
 // Encode serialises txns as one batch frame. The returned slice aliases
 // the encoder's internal buffer and is valid only until the next Encode
 // call — callers must finish writing it to the socket (or copy it) first.
 func (e *FrameEncoder) Encode(txns []WireTxn) ([]byte, error) {
-	if e.version == WireVersionGob {
-		return EncodeBatch(txns)
-	}
 	b := append(e.buf[:0], batchMagic...)
 	b = append(b, WireVersionV2)
 	b = binary.AppendUvarint(b, uint64(len(txns)))

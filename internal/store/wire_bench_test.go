@@ -31,49 +31,25 @@ func benchTxns(n int) []WireTxn {
 
 func BenchmarkEncodeBatch(b *testing.B) {
 	txns := benchTxns(32)
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := EncodeBatch(txns); err != nil {
-				b.Fatal(err)
-			}
+	enc := NewFrameEncoder(WireVersionV2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.Encode(txns); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("v2", func(b *testing.B) {
-		enc := NewFrameEncoder(WireVersionV2)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := enc.Encode(txns); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkDecodeBatch(b *testing.B) {
-	txns := benchTxns(32)
-	gobFrame, err := EncodeBatch(txns)
+	frame, err := EncodeBatchV2(benchTxns(32))
 	if err != nil {
 		b.Fatal(err)
 	}
-	v2Frame, err := EncodeBatchV2(txns)
-	if err != nil {
-		b.Fatal(err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeFrame(frame); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeFrame(gobFrame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v2", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeFrame(v2Frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -8,26 +8,25 @@ import (
 // FuzzWireRoundTrip hammers the frame decoder with arbitrary bytes. The
 // invariants:
 //
-//   - DecodeFrame never panics, whatever the input (v0 gob, v1 gob, v2
-//     binary, truncated, malformed, hostile counts);
-//   - any input that decodes successfully as a v2 frame re-encodes to a
-//     decodable frame carrying the same transactions (encode→decode
-//     identity, checked bytewise through the deterministic encoder).
+//   - DecodeFrame never panics, whatever the input (v2 binary, truncated,
+//     malformed, hostile counts);
+//   - every input that is not a v2 frame errors — in particular every
+//     frame of the retired gob formats v0 and v1, seeded below;
+//   - any input that decodes successfully re-encodes to a decodable
+//     frame carrying the same transactions (encode→decode identity,
+//     checked bytewise through the deterministic encoder).
 //
-// The seed corpus covers all three frame versions plus edge frames, so
-// the fuzzer starts from deep inside the format rather than fumbling at
-// the magic bytes.
+// The seed corpus covers v2 and the two retired formats plus edge
+// frames, so the fuzzer starts from deep inside the format rather than
+// fumbling at the magic bytes.
 func FuzzWireRoundTrip(f *testing.F) {
 	rich := richTxns()
 	if v2, err := EncodeBatchV2(rich); err == nil {
 		f.Add(v2)
 	}
-	if v1, err := EncodeBatch(rich); err == nil {
-		f.Add(v1)
-	}
-	if v0, err := EncodeTxn(sampleTxn("legacy", 2, 3)); err == nil {
-		f.Add(v0)
-	}
+	v0, v1 := retiredFrames(f)
+	f.Add(v1)
+	f.Add(v0)
 	if empty, err := EncodeBatchV2(nil); err == nil {
 		f.Add(empty)
 	}
@@ -54,6 +53,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		txns, err := DecodeFrame(data)
 		if err != nil {
 			return // malformed input must error, and it did — done
+		}
+		if !bytes.HasPrefix(data, []byte("IPAB\x02")) {
+			t.Fatalf("decoded %d txns from a frame without the v2 header", len(txns))
 		}
 		// Whatever decoded must survive a v2 round trip unchanged.
 		v2, err := EncodeBatchV2(txns)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -22,77 +24,60 @@ func sampleTxn(origin clock.ReplicaID, first, last uint64) WireTxn {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	txns := []WireTxn{sampleTxn("a", 0, 1), sampleTxn("a", 1, 2), sampleTxn("b", 0, 1)}
-	data, err := EncodeBatch(txns)
-	if err != nil {
+// retiredFrames builds one frame of each retired gob format, byte for
+// byte as pre-v2 senders wrote them: v0 is a bare gob-encoded WireTxn,
+// v1 is "IPAB\x01" followed by a gob-encoded batch. Nothing in the
+// package encodes either any more; they exist to prove DecodeFrame
+// rejects them.
+func retiredFrames(t testing.TB) (v0, v1 []byte) {
+	t.Helper()
+	gob.Register(crdt.AWAddOp{}) // the op type inside sampleTxn's interface
+	txns := []WireTxn{sampleTxn("a", 0, 1), sampleTxn("a", 1, 2)}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(txns[0]); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeFrame(data)
-	if err != nil {
+	v0 = append([]byte(nil), buf.Bytes()...)
+	type gobBatch struct{ Txns []WireTxn }
+	buf.Reset()
+	buf.WriteString("IPAB\x01")
+	if err := gob.NewEncoder(&buf).Encode(gobBatch{Txns: txns}); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 3 {
-		t.Fatalf("decoded %d txns, want 3", len(back))
-	}
-	for i := range txns {
-		if back[i].Origin != txns[i].Origin || back[i].LastSeq != txns[i].LastSeq {
-			t.Fatalf("txn %d: got %+v want %+v", i, back[i], txns[i])
-		}
-		if len(back[i].Updates) != 1 {
-			t.Fatalf("txn %d: lost updates", i)
-		}
-	}
+	return v0, buf.Bytes()
 }
 
-func TestBatchEmpty(t *testing.T) {
-	data, err := EncodeBatch(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 0 {
-		t.Fatalf("decoded %d txns from empty batch", len(back))
-	}
-}
-
-func TestDecodeFrameLegacyCompat(t *testing.T) {
-	// A v0 single-transaction frame (bare gob, no header) must still
-	// decode through the versioned entry point.
-	w := sampleTxn("old", 2, 3)
-	data, err := EncodeTxn(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] == 'I' {
-		t.Fatal("legacy frame collides with batch magic")
-	}
-	back, err := DecodeFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0].Origin != "old" || back[0].LastSeq != 3 {
-		t.Fatalf("legacy decode = %+v", back)
+// TestDecodeFrameRejectsRetiredFormats pins that the gob formats v0 and
+// v1 are rejected as malformed input, not decoded.
+func TestDecodeFrameRejectsRetiredFormats(t *testing.T) {
+	v0, v1 := retiredFrames(t)
+	for name, frame := range map[string][]byte{"v0": v0, "v1": v1} {
+		txns, err := DecodeFrame(frame)
+		if !errors.Is(err, crdt.ErrMalformedWire) {
+			t.Errorf("%s frame: DecodeFrame = %d txns, err %v; want an error wrapping ErrMalformedWire", name, len(txns), err)
+		}
 	}
 }
 
 func TestDecodeFrameRejectsGarbageAndBadVersion(t *testing.T) {
-	if _, err := DecodeFrame([]byte("garbage-not-gob")); err == nil {
-		t.Fatal("garbage must not decode")
-	}
-	bad, err := EncodeBatch([]WireTxn{sampleTxn("a", 0, 1)})
+	bad, err := EncodeBatchV2([]WireTxn{sampleTxn("a", 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad[4] = 99 // unsupported version byte
-	if _, err := DecodeFrame(bad); err == nil {
-		t.Fatal("unsupported version must not decode")
-	}
-	if _, err := DecodeFrame(append([]byte("IPAB\x01"), "junk"...)); err == nil {
-		t.Fatal("corrupt batch body must not decode")
+	for name, frame := range map[string][]byte{
+		"garbage":      []byte("garbage-not-a-frame"),
+		"empty":        nil,
+		"magic only":   []byte("IPAB"),
+		"bad version":  bad,
+		"v1 junk body": append([]byte("IPAB\x01"), "junk"...),
+		"v2 junk body": append([]byte("IPAB\x02"), "junk"...),
+		"version zero": []byte("IPAB\x00"),
+		"wrong magic":  []byte("IPAX\x02\x00"),
+	} {
+		if _, err := DecodeFrame(frame); !errors.Is(err, crdt.ErrMalformedWire) {
+			t.Errorf("%s: err = %v, want an error wrapping ErrMalformedWire", name, err)
+		}
 	}
 }
 
@@ -140,6 +125,45 @@ func richTxns() []WireTxn {
 	}
 }
 
+// TestBatchRoundTrip round-trips a small batch through the FrameEncoder,
+// the path senders use to build batch frames.
+func TestBatchRoundTrip(t *testing.T) {
+	txns := []WireTxn{sampleTxn("a", 0, 1), sampleTxn("a", 1, 2), sampleTxn("b", 0, 1)}
+	data, err := NewFrameEncoder(0).Encode(txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 3 {
+		t.Fatalf("decoded %d txns, want 3", len(back))
+	}
+	for i := range txns {
+		if back[i].Origin != txns[i].Origin || back[i].LastSeq != txns[i].LastSeq {
+			t.Fatalf("txn %d: got %+v want %+v", i, back[i], txns[i])
+		}
+		if len(back[i].Updates) != 1 {
+			t.Fatalf("txn %d: lost updates", i)
+		}
+	}
+}
+
+func TestBatchEmpty(t *testing.T) {
+	data, err := NewFrameEncoder(0).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 0 {
+		t.Fatalf("decoded %d txns from empty batch", len(back))
+	}
+}
+
 func TestBatchV2RoundTrip(t *testing.T) {
 	txns := richTxns()
 	data, err := EncodeBatchV2(txns)
@@ -178,42 +202,10 @@ func TestBatchV2Empty(t *testing.T) {
 	}
 }
 
-// TestGobV2CrossDecode pins that the v1 gob and v2 binary encodings of
-// the same batch decode to the same transactions — the invariant that
-// lets mixed-version meshes converge.
-func TestGobV2CrossDecode(t *testing.T) {
-	txns := richTxns()
-	gobFrame, err := EncodeBatch(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := DecodeFrame(gobFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare through v2 re-encoding: gob decodes absent collections to
-	// nil just like v2 does, but byte comparison is immune to any such
-	// representational drift.
-	a, err := EncodeBatchV2(fromGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EncodeBatchV2(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("v1-decoded batch is not v2-equivalent to the original")
-	}
-}
-
 // TestFrameEncoderReuse pins the buffer-reuse contract: back-to-back
 // encodes return correct frames, and the steady state allocates nothing.
 func TestFrameEncoderReuse(t *testing.T) {
 	enc := NewFrameEncoder(0)
-	if enc.Version() != WireVersionV2 {
-		t.Fatalf("default version = %d, want %d", enc.Version(), WireVersionV2)
-	}
 	txns := richTxns()
 	want, err := EncodeBatchV2(txns)
 	if err != nil {
@@ -241,22 +233,29 @@ func TestFrameEncoderReuse(t *testing.T) {
 	}
 }
 
+// TestFrameEncoderGobVersion pins the encoder's contract now that the
+// gob frame (version 1) is retired: 0 and WireVersionV2 build v2 frames,
+// and version 1 — like any other value — is a programming error and
+// panics.
 func TestFrameEncoderGobVersion(t *testing.T) {
-	enc := NewFrameEncoder(WireVersionGob)
-	txns := []WireTxn{sampleTxn("a", 0, 1)}
-	data, err := enc.Encode(txns)
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []int{0, WireVersionV2} {
+		data, err := NewFrameEncoder(v).Encode([]WireTxn{sampleTxn("a", 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[4] != WireVersionV2 {
+			t.Fatalf("NewFrameEncoder(%d): version byte = %d, want %d", v, data[4], WireVersionV2)
+		}
 	}
-	if data[4] != batchVersion {
-		t.Fatalf("version byte = %d, want v1 gob frame", data[4])
-	}
-	back, err := DecodeFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0].Origin != "a" {
-		t.Fatalf("gob-version frame decode = %+v", back)
+	for _, v := range []int{1, 3, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewFrameEncoder(%d) did not panic", v)
+				}
+			}()
+			NewFrameEncoder(v)
+		}()
 	}
 }
 
