@@ -240,7 +240,7 @@ func AblationStability(opts ExpOptions) *Experiment {
 	e.Series = append(e.Series, s)
 	e.Notes = append(e.Notes,
 		"expected: with periodic stability compaction the metadata stays near the live-element",
-		"count; without it, tombstones and observation sets grow with the operation count.")
+		"count; without it, add records and tombstones grow with the operation count.")
 	return e
 }
 

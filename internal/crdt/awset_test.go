@@ -212,7 +212,7 @@ func (s *fullTagSet) apply(op Op) {
 		if s.tags[o.Elem] == nil {
 			s.tags[o.Elem] = eventSet{}
 		}
-		s.tags[o.Elem].add(o.Tag)
+		s.tags[o.Elem][o.Tag] = struct{}{}
 		if _, have := s.payload[o.Elem]; o.Touch && have {
 			return
 		}

@@ -189,32 +189,6 @@ func TestLWWRegister(t *testing.T) {
 	}
 }
 
-func TestMVRegister(t *testing.T) {
-	g := newTagger()
-	a, b := NewMVRegister(), NewMVRegister()
-	seed := a.PrepareSet("v0", g.tag("a"))
-	a.Apply(seed)
-	b.Apply(seed)
-	// Concurrent writes: both kept.
-	wa := a.PrepareSet("fromA", g.tag("a"))
-	wb := b.PrepareSet("fromB", g.tag("b"))
-	a.Apply(wa)
-	b.Apply(wb)
-	a.Apply(wb)
-	b.Apply(wa)
-	va, vb := a.Values(), b.Values()
-	if len(va) != 2 || len(vb) != 2 || va[0] != vb[0] || va[1] != vb[1] {
-		t.Fatalf("MV register diverged: %v vs %v", va, vb)
-	}
-	// A later write subsumes both.
-	w := a.PrepareSet("final", g.tag("a"))
-	a.Apply(w)
-	b.Apply(w)
-	if got := a.Values(); len(got) != 1 || got[0] != "final" {
-		t.Fatalf("values = %v", got)
-	}
-}
-
 func TestCountersIgnoreForeignOps(t *testing.T) {
 	g := newTagger()
 	c := NewPNCounter()

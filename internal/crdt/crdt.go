@@ -1,9 +1,9 @@
 // Package crdt implements the operation-based conflict-free replicated
 // data types the IPA runtime relies on (paper §4.2): add-wins and
 // remove-wins sets extended with touch operations, predicate (wildcard)
-// removes and payload preservation; PN- and bounded (escrow) counters;
-// last-writer-wins and multi-value registers; and the Compensation Set,
-// which enforces an aggregation constraint lazily on every read.
+// removes and payload preservation; PN- and bounded (escrow) counters; a
+// last-writer-wins register; and the Compensation Set, which enforces an
+// aggregation constraint lazily on every read.
 //
 // All types assume the replication layer (package store) delivers each
 // operation exactly once per replica, in causal order. Under that contract
@@ -143,9 +143,6 @@ type Predicate interface {
 
 // eventSet is a small set of event IDs.
 type eventSet map[clock.EventID]struct{}
-
-func (s eventSet) add(e clock.EventID)      { s[e] = struct{}{} }
-func (s eventSet) has(e clock.EventID) bool { _, ok := s[e]; return ok }
 
 // supersede adds e and drops the older events of e's origin. Sound for
 // the live add events of an add-wins element under per-origin FIFO and

@@ -95,7 +95,6 @@ func TestCRDTTypeNames(t *testing.T) {
 		"pn-counter":      NewPNCounter(),
 		"bounded-counter": NewBoundedCounter(nil),
 		"lww-register":    NewLWWRegister(),
-		"mv-register":     NewMVRegister(),
 		"comp-set":        NewCompSet(1),
 	}
 	for want, c := range cases {

@@ -1,10 +1,6 @@
 package crdt
 
-import (
-	"sort"
-
-	"ipa/internal/clock"
-)
+import "ipa/internal/clock"
 
 // LWWRegister is a last-writer-wins register. Writes are ordered by a
 // logical timestamp (the store's per-transaction sequence) with the
@@ -55,60 +51,3 @@ func (r *LWWRegister) Compact(clock.Vector) {}
 
 // Value returns the current value and whether the register was ever set.
 func (r *LWWRegister) Value() (string, bool) { return r.value, r.set }
-
-// MVRegister is a multi-value register: concurrent writes are all kept and
-// exposed to the application, which resolves them (or overwrites, which
-// subsumes every value it observed).
-type MVRegister struct {
-	values map[clock.EventID]string
-}
-
-// NewMVRegister returns an unset register.
-func NewMVRegister() *MVRegister { return &MVRegister{values: map[clock.EventID]string{}} }
-
-// Type implements CRDT.
-func (r *MVRegister) Type() string { return "mv-register" }
-
-// MVSetOp writes Value, superseding the writes observed at origin.
-type MVSetOp struct {
-	Value    string
-	Tag      clock.EventID
-	Observed []clock.EventID
-}
-
-// ID implements Op.
-func (o MVSetOp) ID() clock.EventID { return o.Tag }
-
-// PrepareSet builds a write observing the current values.
-func (r *MVRegister) PrepareSet(value string, tag clock.EventID) MVSetOp {
-	op := MVSetOp{Value: value, Tag: tag}
-	for id := range r.values {
-		op.Observed = append(op.Observed, id)
-	}
-	return op
-}
-
-// Apply implements CRDT.
-func (r *MVRegister) Apply(op Op) {
-	o, ok := op.(MVSetOp)
-	if !ok {
-		return
-	}
-	for _, id := range o.Observed {
-		delete(r.values, id)
-	}
-	r.values[o.Tag] = o.Value
-}
-
-// Compact implements CRDT.
-func (r *MVRegister) Compact(clock.Vector) {}
-
-// Values returns the concurrent values, sorted for determinism.
-func (r *MVRegister) Values() []string {
-	out := make([]string, 0, len(r.values))
-	for _, v := range r.values {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -22,7 +22,6 @@ const (
 	KindPNCounter      = "pn-counter"
 	KindBoundedCounter = "bounded-counter"
 	KindLWWRegister    = "lww-register"
-	KindMVRegister     = "mv-register"
 	// KindCompSet is registered for op routing only: a Compensation Set
 	// carries its bound in the object, so it cannot be constructed empty
 	// from a remote operation — it must be seeded at every replica (see
@@ -69,8 +68,6 @@ func init() {
 		BCConsumeOp{}, BCGrantOp{}, BCTransferOp{})
 	register(KindLWWRegister, func() CRDT { return NewLWWRegister() },
 		LWWSetOp{})
-	register(KindMVRegister, func() CRDT { return NewMVRegister() },
-		MVSetOp{})
 }
 
 // Ctor returns the constructor for a kind, for lazily creating an object

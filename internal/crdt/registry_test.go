@@ -20,7 +20,6 @@ func TestRegistryNewForOp(t *testing.T) {
 		{NewRWSet().PrepareRemoveWhere(MatchAll{}, tag(5)), KindRWSet},
 		{NewPNCounter().PrepareAdd(1, tag(6)), KindPNCounter},
 		{NewLWWRegister().PrepareSet("v", 1, tag(7)), KindLWWRegister},
-		{NewMVRegister().PrepareSet("v", tag(8)), KindMVRegister},
 	}
 	for _, c := range cases {
 		kind, ok := KindForOp(c.op)
@@ -49,7 +48,7 @@ func TestRegistryCompSetOpsRouteToAWSet(t *testing.T) {
 }
 
 func TestRegistryCtor(t *testing.T) {
-	for _, kind := range []string{KindAWSet, KindRWSet, KindPNCounter, KindBoundedCounter, KindLWWRegister, KindMVRegister} {
+	for _, kind := range []string{KindAWSet, KindRWSet, KindPNCounter, KindBoundedCounter, KindLWWRegister} {
 		obj := Ctor(kind)()
 		if obj.Type() != kind {
 			t.Errorf("Ctor(%q)().Type() = %q", kind, obj.Type())

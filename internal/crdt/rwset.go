@@ -14,9 +14,9 @@ import (
 // purging a removed tournament's enrolments (paper Fig. 2c) or a removed
 // user's timeline entries.
 type RWSet struct {
-	adds    map[string]map[clock.EventID]addRecord // element -> add event -> observations
-	removes map[string]map[clock.EventID]*rwTomb   // element -> exact remove tombstones
-	wild    map[clock.EventID]*wildRemove          // wildcard tombstones
+	adds    map[string]map[clock.EventID]clock.Vector // element -> add event -> its causal cut
+	removes map[string]map[clock.EventID]*rwTomb      // element -> exact remove tombstones
+	wild    map[clock.EventID]*wildRemove             // wildcard tombstones
 	payload map[string]string
 
 	// present memoizes Contains verdicts. Presence is a pure function of
@@ -28,9 +28,14 @@ type RWSet struct {
 	present map[string]bool
 }
 
-type addRecord struct {
-	observedRemoves eventSet // exact removes of this element seen at origin
-	observedWild    eventSet // wildcard tombstones seen at origin
+// observes reports whether the add tagged tag, whose causal cut is cut,
+// observed event e: either e precedes the add at the add's own origin
+// (per-origin FIFO: the origin applied it first, including earlier
+// operations of the same transaction) or the cut covers e. An add survives
+// exactly the tombstones it observed — remove-wins only favours removes
+// concurrent with the add.
+func observes(tag clock.EventID, cut clock.Vector, e clock.EventID) bool {
+	return e.Replica == tag.Replica && e.Seq < tag.Seq || cut.Contains(e)
 }
 
 // rwTomb is one remove tombstone with its discard fence. A remove-wins
@@ -55,7 +60,7 @@ type wildRemove struct {
 // NewRWSet returns an empty remove-wins set.
 func NewRWSet() *RWSet {
 	return &RWSet{
-		adds:    map[string]map[clock.EventID]addRecord{},
+		adds:    map[string]map[clock.EventID]clock.Vector{},
 		removes: map[string]map[clock.EventID]*rwTomb{},
 		wild:    map[clock.EventID]*wildRemove{},
 		payload: map[string]string{},
@@ -66,25 +71,22 @@ func NewRWSet() *RWSet {
 // Type implements CRDT.
 func (s *RWSet) Type() string { return "rw-set" }
 
-// RWAddOp (re-)adds an element, recording the removes observed at origin.
+// RWAddOp (re-)adds an element. What the add observed is its causal cut,
+// Deps (see observes); the op carries no list of tombstones.
 type RWAddOp struct {
-	Elem            string
-	Pay             string
-	Touch           bool
-	Tag             clock.EventID
-	ObservedRemoves []clock.EventID
-	ObservedWild    []clock.EventID
+	Elem  string
+	Pay   string
+	Touch bool
+	Tag   clock.EventID
 
-	// Deps is the add's transaction dependency cut, stamped by the
-	// applying replica (not encoded on the wire — the enclosing
-	// transaction already carries it). The observed lists above enumerate
-	// the tombstones present at the origin when the add was prepared —
-	// but a tombstone the origin had already discarded (stable, fence
-	// passed) cannot be named there, while a crash-recovered replica may
-	// still hold it: recovery replays remove records the rest of the mesh
-	// has compacted away. Deps restores the causal truth the enumeration
-	// loses: any tombstone covered by the cut happened before the add and
-	// cannot defeat it (remove-wins only favours *concurrent* removes).
+	// Deps is the add's causal cut, stamped by the applying replica and
+	// not encoded on the wire (the enclosing transaction already carries
+	// it): at the origin, the replica's delivered cut read while the set
+	// is locked; everywhere else, the transaction's dependency vector. A
+	// tombstone the cut covers happened before the add and cannot defeat
+	// it — including one a crash-recovered replica replays after the rest
+	// of the mesh compacted it away. The set keeps the vector as the add's
+	// record, so it must not change after Apply.
 	Deps clock.Vector
 }
 
@@ -111,16 +113,10 @@ type RWRemoveWhereOp struct {
 // ID implements Op.
 func (o RWRemoveWhereOp) ID() clock.EventID { return o.Tag }
 
-// PrepareAdd builds an add observing the current removes of elem.
+// PrepareAdd builds an add of elem. It reads no set state: the replica
+// applying the op stamps what it observed (RWAddOp.Deps).
 func (s *RWSet) PrepareAdd(elem, payload string, tag clock.EventID) RWAddOp {
-	op := RWAddOp{Elem: elem, Pay: payload, Tag: tag}
-	for r := range s.removes[elem] {
-		op.ObservedRemoves = append(op.ObservedRemoves, r)
-	}
-	for wid := range s.wild {
-		op.ObservedWild = append(op.ObservedWild, wid)
-	}
-	return op
+	return RWAddOp{Elem: elem, Pay: payload, Tag: tag}
 }
 
 // PrepareTouch is PrepareAdd preserving the existing payload.
@@ -147,30 +143,10 @@ func (s *RWSet) Apply(op Op) {
 		delete(s.present, o.Elem)
 		recs, ok := s.adds[o.Elem]
 		if !ok {
-			recs = map[clock.EventID]addRecord{}
+			recs = map[clock.EventID]clock.Vector{}
 			s.adds[o.Elem] = recs
 		}
-		rec := addRecord{observedRemoves: eventSet{}, observedWild: eventSet{}}
-		rec.observedRemoves.addAll(o.ObservedRemoves)
-		rec.observedWild.addAll(o.ObservedWild)
-		if o.Deps != nil {
-			// Causal completion: a tombstone inside the add's dependency
-			// cut happened before the add, so the add survives it even
-			// when the origin could no longer name it (see RWAddOp.Deps).
-			// Causal delivery guarantees every such tombstone is already
-			// applied here, so this apply-time sweep is complete.
-			for r := range s.removes[o.Elem] {
-				if o.Deps.Contains(r) {
-					rec.observedRemoves.add(r)
-				}
-			}
-			for wid := range s.wild {
-				if o.Deps.Contains(wid) {
-					rec.observedWild.add(wid)
-				}
-			}
-		}
-		recs[o.Tag] = rec
+		recs[o.Tag] = o.Deps
 		if o.Touch {
 			if _, have := s.payload[o.Elem]; !have {
 				s.payload[o.Elem] = ""
@@ -215,26 +191,26 @@ func (s *RWSet) Contains(elem string) bool {
 	return v
 }
 
-func (s *RWSet) containsSlow(elem string, recs map[clock.EventID]addRecord) bool {
-	removes := s.removes[elem]
-	for _, rec := range recs {
-		alive := true
-		for r := range removes {
-			if !rec.observedRemoves.has(r) {
-				alive = false
-				break
-			}
+func (s *RWSet) containsSlow(elem string, recs map[clock.EventID]clock.Vector) bool {
+	for tag, cut := range recs {
+		if !s.defeated(elem, tag, cut, nil) {
+			return true
 		}
-		if !alive {
-			continue
+	}
+	return false
+}
+
+// defeated reports whether a tombstone affecting elem that the add (tag,
+// cut) did not observe exists — counting only tombstones at or below
+// horizon when it is non-nil.
+func (s *RWSet) defeated(elem string, tag clock.EventID, cut, horizon clock.Vector) bool {
+	for r := range s.removes[elem] {
+		if (horizon == nil || horizon.Contains(r)) && !observes(tag, cut, r) {
+			return true
 		}
-		for wid, w := range s.wild {
-			if w.pred.Matches(elem) && !rec.observedWild.has(wid) {
-				alive = false
-				break
-			}
-		}
-		if alive {
+	}
+	for wid, w := range s.wild {
+		if (horizon == nil || horizon.Contains(wid)) && !observes(tag, cut, wid) && w.pred.Matches(elem) {
 			return true
 		}
 	}
@@ -284,15 +260,13 @@ func (s *RWSet) ElemsWhere(pred Predicate) []string {
 	return out
 }
 
-// MetadataSize reports the number of metadata entries held: add records
-// (with their observation sets), remove tombstones and wildcard
-// tombstones. Used by the stability-GC ablation.
+// MetadataSize reports the number of metadata entries held: add records,
+// remove tombstones and wildcard tombstones. Used by the stability-GC
+// ablation.
 func (s *RWSet) MetadataSize() int {
 	n := len(s.wild)
 	for _, recs := range s.adds {
-		for _, rec := range recs {
-			n += 1 + len(rec.observedRemoves) + len(rec.observedWild)
-		}
+		n += len(recs)
 	}
 	for _, rs := range s.removes {
 		n += len(rs)
@@ -322,37 +296,13 @@ func (s *RWSet) Compact(horizon clock.Vector) {
 // bound on everything concurrent with any newly stable event). The
 // tombstone is therefore fenced with the frontier when it first turns
 // stable and discarded once a later horizon dominates the fence; at that
-// point every add it could ever defeat has been delivered and judged, and
-// surviving adds can also forget they observed it.
+// point every add it could ever defeat has been delivered and judged.
 func (s *RWSet) CompactWithFrontier(horizon, frontier clock.Vector) {
 	clear(s.present)
-	// Identify stable wildcard tombstones.
-	stableWild := map[clock.EventID]*wildRemove{}
-	for wid, w := range s.wild {
-		if horizon.Contains(wid) {
-			stableWild[wid] = w
-		}
-	}
 	// Drop adds defeated by a stable tombstone: their death is final.
 	for elem, recs := range s.adds {
-		removes := s.removes[elem]
-		for tag, rec := range recs {
-			dead := false
-			for r := range removes {
-				if horizon.Contains(r) && !rec.observedRemoves.has(r) {
-					dead = true
-					break
-				}
-			}
-			if !dead {
-				for wid, w := range stableWild {
-					if w.pred.Matches(elem) && !rec.observedWild.has(wid) {
-						dead = true
-						break
-					}
-				}
-			}
-			if dead {
+		for tag, cut := range recs {
+			if s.defeated(elem, tag, cut, horizon) {
 				delete(recs, tag)
 			}
 		}
@@ -363,7 +313,10 @@ func (s *RWSet) CompactWithFrontier(horizon, frontier clock.Vector) {
 	}
 	// Fence newly stable tombstones; discard the ones whose fence the
 	// horizon has passed (no concurrent add can still arrive anywhere).
-	for wid, w := range stableWild {
+	for wid, w := range s.wild {
+		if !horizon.Contains(wid) {
+			continue
+		}
 		if w.fence == nil {
 			w.fence = frontier.Clone()
 		}
@@ -387,28 +340,4 @@ func (s *RWSet) CompactWithFrontier(horizon, frontier clock.Vector) {
 			delete(s.removes, elem)
 		}
 	}
-	// Surviving adds can forget observations of tombstones that are
-	// stable and gone (discarded above or in an earlier round — a stable
-	// tombstone that were merely still in flight would be present, since
-	// the horizon says it reached every replica). Late causally-after
-	// adds may also arrive carrying references to discarded tombstones.
-	for elem, recs := range s.adds {
-		for _, rec := range recs {
-			for r := range rec.observedRemoves {
-				if horizon.Contains(r) && !s.hasRemove(elem, r) {
-					delete(rec.observedRemoves, r)
-				}
-			}
-			for wid := range rec.observedWild {
-				if _, live := s.wild[wid]; horizon.Contains(wid) && !live {
-					delete(rec.observedWild, wid)
-				}
-			}
-		}
-	}
-}
-
-func (s *RWSet) hasRemove(elem string, r clock.EventID) bool {
-	_, ok := s.removes[elem][r]
-	return ok
 }

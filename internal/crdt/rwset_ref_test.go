@@ -1,0 +1,305 @@
+package crdt
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ipa/internal/clock"
+)
+
+// listRWSet is the remove-wins set as it was before an add's record became
+// its causal cut: the origin copies the id of every tombstone present
+// into the add it prepares, a receiver completes those lists with the
+// tombstones the transaction's dependency cut covers, and compaction makes
+// surviving adds forget tombstones it discards. The property test below
+// holds RWSet to it.
+type listRWSet struct {
+	adds    map[string]map[clock.EventID]listRecord
+	removes map[string]map[clock.EventID]*rwTomb
+	wild    map[clock.EventID]*wildRemove
+}
+
+type listRecord struct{ removes, wild eventSet }
+
+// listAdd is an add as the enumerating origin prepared it.
+type listAdd struct {
+	op            RWAddOp
+	removes, wild []clock.EventID
+}
+
+func newListRWSet() *listRWSet {
+	return &listRWSet{
+		adds:    map[string]map[clock.EventID]listRecord{},
+		removes: map[string]map[clock.EventID]*rwTomb{},
+		wild:    map[clock.EventID]*wildRemove{},
+	}
+}
+
+func (s *listRWSet) prepareAdd(op RWAddOp) listAdd {
+	a := listAdd{op: op}
+	for r := range s.removes[op.Elem] {
+		a.removes = append(a.removes, r)
+	}
+	for wid := range s.wild {
+		a.wild = append(a.wild, wid)
+	}
+	return a
+}
+
+// apply integrates one op; deps is the transaction's dependency cut at a
+// receiver and nil at the origin.
+func (s *listRWSet) apply(op any, deps clock.Vector) {
+	switch o := op.(type) {
+	case listAdd:
+		rec := listRecord{removes: eventSet{}, wild: eventSet{}}
+		rec.removes.addAll(o.removes)
+		rec.wild.addAll(o.wild)
+		for r := range s.removes[o.op.Elem] {
+			if deps.Contains(r) {
+				rec.removes[r] = struct{}{}
+			}
+		}
+		for wid := range s.wild {
+			if deps.Contains(wid) {
+				rec.wild[wid] = struct{}{}
+			}
+		}
+		if s.adds[o.op.Elem] == nil {
+			s.adds[o.op.Elem] = map[clock.EventID]listRecord{}
+		}
+		s.adds[o.op.Elem][o.op.Tag] = rec
+	case RWRemoveOp:
+		if s.removes[o.Elem] == nil {
+			s.removes[o.Elem] = map[clock.EventID]*rwTomb{}
+		}
+		s.removes[o.Elem][o.Tag] = &rwTomb{}
+	case RWRemoveWhereOp:
+		s.wild[o.Tag] = &wildRemove{pred: o.Pred}
+	}
+}
+
+// killedBy reports whether rec is defeated by a tombstone of elem that
+// counts (all of them, or the stable ones when horizon is non-nil).
+func (s *listRWSet) killedBy(elem string, rec listRecord, horizon clock.Vector) bool {
+	for r := range s.removes[elem] {
+		if _, seen := rec.removes[r]; !seen && (horizon == nil || horizon.Contains(r)) {
+			return true
+		}
+	}
+	for wid, w := range s.wild {
+		if _, seen := rec.wild[wid]; !seen && (horizon == nil || horizon.Contains(wid)) && w.pred.Matches(elem) {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *listRWSet) contains(elem string) bool {
+	for _, rec := range s.adds[elem] {
+		if !s.killedBy(elem, rec, nil) {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *listRWSet) compactWithFrontier(horizon, frontier clock.Vector) {
+	for elem, recs := range s.adds {
+		for tag, rec := range recs {
+			if s.killedBy(elem, rec, horizon) {
+				delete(recs, tag)
+			}
+		}
+		if len(recs) == 0 {
+			delete(s.adds, elem)
+		}
+	}
+	for wid, w := range s.wild {
+		if horizon.Contains(wid) {
+			if w.fence == nil {
+				w.fence = frontier.Clone()
+			}
+			if w.fence.LEq(horizon) {
+				delete(s.wild, wid)
+			}
+		}
+	}
+	for _, rs := range s.removes {
+		for r, tomb := range rs {
+			if horizon.Contains(r) {
+				if tomb.fence == nil {
+					tomb.fence = frontier.Clone()
+				}
+				if tomb.fence.LEq(horizon) {
+					delete(rs, r)
+				}
+			}
+		}
+	}
+	for elem, recs := range s.adds {
+		for _, rec := range recs {
+			for r := range rec.removes {
+				if _, live := s.removes[elem][r]; horizon.Contains(r) && !live {
+					delete(rec.removes, r)
+				}
+			}
+			for wid := range rec.wild {
+				if _, live := s.wild[wid]; horizon.Contains(wid) && !live {
+					delete(rec.wild, wid)
+				}
+			}
+		}
+	}
+}
+
+// Random histories of multi-op transactions (add, touch, remove,
+// remove-where) at three replicas, delivered in random causal and
+// per-origin FIFO order, with stability rounds in between: the cut-based
+// set and the enumerating reference agree on every element's membership
+// at every replica after every local transaction, every delivery and
+// every compaction.
+func TestRWSetCutMatchesEnumeratedObservations(t *testing.T) {
+	type txn struct {
+		origin      clock.ReplicaID
+		deps        clock.Vector
+		first, last uint64
+		got         []Op  // as the cut-based origin built them
+		want        []any // as the enumerating origin built them
+	}
+	sites := []clock.ReplicaID{"a", "b", "c"}
+	elems := []string{
+		JoinTuple("p1", "t1"), JoinTuple("p2", "t1"),
+		JoinTuple("p1", "t2"), JoinTuple("p2", "t2"),
+	}
+	preds := []Predicate{MatchPattern("", "t1"), MatchPattern("p1", ""), Match{Index: 1, Value: "t2"}}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want, vc := map[clock.ReplicaID]*RWSet{}, map[clock.ReplicaID]*listRWSet{}, map[clock.ReplicaID]clock.Vector{}
+		inbox := map[clock.ReplicaID][]txn{}
+		for _, r := range sites {
+			got[r], want[r], vc[r] = NewRWSet(), newListRWSet(), clock.New()
+		}
+		compare := func(step int, what string, r clock.ReplicaID) {
+			t.Helper()
+			for _, e := range elems {
+				if g, w := got[r].Contains(e), want[r].contains(e); g != w {
+					t.Fatalf("seed %d step %d (%s) at %s: %q present=%v, enumerating reference says %v",
+						seed, step, what, r, e, g, w)
+				}
+			}
+		}
+		for step := 0; step < 150; step++ {
+			r := sites[rng.Intn(len(sites))]
+			switch k := rng.Intn(10); {
+			case k < 4:
+				// Deliver one pending transaction at r, if causality allows.
+				for i, m := range inbox[r] {
+					if vc[r].Get(m.origin) != m.first || !m.deps.LEq(vc[r]) {
+						continue
+					}
+					for j := range m.got {
+						op := m.got[j]
+						if a, ok := op.(RWAddOp); ok {
+							a.Deps = m.deps
+							op = a
+						}
+						got[r].Apply(op)
+						want[r].apply(m.want[j], m.deps)
+					}
+					vc[r].Set(m.origin, m.last)
+					inbox[r] = append(inbox[r][:i:i], inbox[r][i+1:]...)
+					compare(step, "delivery", r)
+					break
+				}
+			case k < 5:
+				// A stability round: the horizon every replica has
+				// delivered, fenced by each origin's commit count.
+				horizon := clock.GLB(vc["a"], vc["b"], vc["c"])
+				frontier := clock.New()
+				for _, o := range sites {
+					frontier.Set(o, vc[o].Get(o))
+				}
+				for _, o := range sites {
+					got[o].CompactWithFrontier(horizon, frontier)
+					want[o].compactWithFrontier(horizon, frontier)
+					compare(step, "compaction", o)
+				}
+			default:
+				// A local transaction of one to three operations.
+				m := txn{origin: r, deps: vc[r].Clone(), first: vc[r].Get(r)}
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					tag := clock.EventID{Replica: r, Seq: vc[r].Get(r) + 1}
+					e := elems[rng.Intn(len(elems))]
+					var g Op
+					var w any
+					switch rng.Intn(4) {
+					case 0:
+						op := got[r].PrepareAdd(e, fmt.Sprintf("pay%d", step), tag)
+						g, w = op, want[r].prepareAdd(op)
+					case 1:
+						op := got[r].PrepareTouch(e, tag)
+						g, w = op, want[r].prepareAdd(op)
+					case 2:
+						op := got[r].PrepareRemove(e, tag)
+						g, w = op, op
+					case 3:
+						op := got[r].PrepareRemoveWhere(preds[rng.Intn(len(preds))], tag)
+						g, w = op, op
+					}
+					// The origin applies each op as it is built, its add
+					// stamped with the delivered cut (the own-origin entry
+					// still excludes this transaction).
+					local := g
+					if a, ok := g.(RWAddOp); ok {
+						a.Deps = m.deps.Clone()
+						local = a
+					}
+					got[r].Apply(local)
+					want[r].apply(w, nil)
+					m.got, m.want = append(m.got, g), append(m.want, w)
+					vc[r].Set(r, tag.Seq)
+				}
+				// Commit-time deps: the origin's cut before this
+				// transaction's own entry advanced.
+				m.last = vc[r].Get(r)
+				compare(step, "local transaction", r)
+				for _, o := range sites {
+					if o != r {
+						inbox[o] = append(inbox[o], m)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The recovery-replay case the dependency cut exists for: a tombstone the
+// mesh compacted away is re-applied (a crash-recovered replica replays it
+// from its log). An add whose cut covers the tombstone happened after it
+// and must survive it.
+func TestRWSetReappliedTombstoneAfterCompaction(t *testing.T) {
+	elem := JoinTuple("p1", "t1")
+	rm := RWRemoveOp{Elem: elem, Tag: eid("b", 1)}
+	wipe := RWRemoveWhereOp{Pred: MatchPattern("", "t1"), Tag: eid("b", 2)}
+	add := RWAddOp{Elem: elem, Tag: eid("a", 1), Deps: clock.Vector{"b": 2}}
+	s := NewRWSet()
+	s.Apply(rm)
+	s.Apply(wipe)
+	s.Apply(add)
+	all := clock.Vector{"a": 1, "b": 2}
+	s.CompactWithFrontier(all, all) // fences and, the fence passed, discards both tombstones
+	if n := s.MetadataSize(); n != 1 {
+		t.Fatalf("metadata = %d after compaction, want the one add record", n)
+	}
+	s.Apply(rm)
+	s.Apply(wipe)
+	if !s.Contains(elem) {
+		t.Fatal("a replayed tombstone inside the add's cut defeated the add")
+	}
+	// A tombstone outside the cut is concurrent with the add and still wins.
+	s.Apply(RWRemoveWhereOp{Pred: MatchPattern("p1", ""), Tag: eid("c", 1)})
+	if s.Contains(elem) {
+		t.Fatal("a concurrent wildcard remove lost to the add")
+	}
+}

@@ -21,15 +21,18 @@ import (
 	"ipa/internal/clock"
 )
 
-// Stable state kinds. Append-only; never renumber.
+// Stable state kinds. Append-only; never renumber. A retired kind
+// decodes as ErrMalformedWire and is never assigned again:
+//
+//	2  remove-wins set with per-add observation sets (now 8)
+//	6  multi-value register (deleted)
 const (
 	stateKindAWSet   byte = 1
-	stateKindRWSet   byte = 2
 	stateKindPN      byte = 3
 	stateKindBounded byte = 4
 	stateKindLWW     byte = 5
-	stateKindMV      byte = 6
 	stateKindCompSet byte = 7
+	stateKindRWSet   byte = 8
 )
 
 // --- Vector / event-set helpers ------------------------------------------
@@ -137,8 +140,6 @@ func AppendCRDTState(b []byte, c CRDT) ([]byte, error) {
 		return o.appendState(append(b, stateKindBounded)), nil
 	case *LWWRegister:
 		return o.appendState(append(b, stateKindLWW)), nil
-	case *MVRegister:
-		return o.appendState(append(b, stateKindMV)), nil
 	case *CompSet:
 		return o.appendState(append(b, stateKindCompSet)), nil
 	default:
@@ -164,8 +165,6 @@ func DecodeCRDTState(r *WireReader) (CRDT, error) {
 		return decodeBoundedState(r)
 	case stateKindLWW:
 		return decodeLWWState(r)
-	case stateKindMV:
-		return decodeMVState(r)
 	case stateKindCompSet:
 		return decodeCompSetState(r)
 	default:
@@ -250,10 +249,8 @@ func (s *RWSet) appendState(b []byte) ([]byte, error) {
 		sort.Slice(events, func(i, j int) bool { return events[i].Less(events[j]) })
 		b = binary.AppendUvarint(b, uint64(len(events)))
 		for _, e := range events {
-			rec := recs[e]
 			b = AppendEventID(b, e)
-			b = appendEventSet(b, rec.observedRemoves)
-			b = appendEventSet(b, rec.observedWild)
+			b = AppendVectorWire(b, recs[e])
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.removes)))
@@ -308,21 +305,15 @@ func decodeRWSetState(r *WireReader) (*RWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		recs := make(map[clock.EventID]addRecord, m)
+		recs := make(map[clock.EventID]clock.Vector, m)
 		for j := 0; j < m; j++ {
 			e, err := r.ReadEventID()
 			if err != nil {
 				return nil, err
 			}
-			removes, err := r.readEventSet()
-			if err != nil {
+			if recs[e], err = DecodeVectorWire(r); err != nil {
 				return nil, err
 			}
-			wild, err := r.readEventSet()
-			if err != nil {
-				return nil, err
-			}
-			recs[e] = addRecord{observedRemoves: removes, observedWild: wild}
 		}
 		s.adds[elem] = recs
 		s.payload[elem] = pay
@@ -468,40 +459,6 @@ func decodeLWWState(r *WireReader) (*LWWRegister, error) {
 	g.by = clock.ReplicaID(by)
 	if g.set, err = r.readBool(); err != nil {
 		return nil, err
-	}
-	return g, nil
-}
-
-func (g *MVRegister) appendState(b []byte) []byte {
-	events := make([]clock.EventID, 0, len(g.values))
-	for e := range g.values {
-		events = append(events, e)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Less(events[j]) })
-	b = binary.AppendUvarint(b, uint64(len(events)))
-	for _, e := range events {
-		b = AppendEventID(b, e)
-		b = AppendWireString(b, g.values[e])
-	}
-	return b
-}
-
-func decodeMVState(r *WireReader) (*MVRegister, error) {
-	g := NewMVRegister()
-	n, err := r.ReadCount()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		e, err := r.ReadEventID()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		g.values[e] = v
 	}
 	return g, nil
 }

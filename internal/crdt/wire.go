@@ -26,11 +26,14 @@ import (
 	"ipa/internal/clock"
 )
 
-// Stable operation wire IDs. Append-only; never renumber.
+// Stable operation wire IDs. Append-only; never renumber. A retired ID
+// decodes as ErrMalformedWire and is never assigned again:
+//
+//	3   remove-wins add with enumerated observation lists (now 12)
+//	11  multi-value register write (the register was deleted)
 const (
 	wireIDAWAdd         byte = 1
 	wireIDAWRemove      byte = 2
-	wireIDRWAdd         byte = 3
 	wireIDRWRemove      byte = 4
 	wireIDRWRemoveWhere byte = 5
 	wireIDCounter       byte = 6
@@ -38,7 +41,7 @@ const (
 	wireIDBCGrant       byte = 8
 	wireIDBCTransfer    byte = 9
 	wireIDLWWSet        byte = 10
-	wireIDMVSet         byte = 11
+	wireIDRWAdd         byte = 12
 )
 
 // Stable predicate wire IDs (predicates travel inside wildcard removes).
@@ -355,8 +358,6 @@ func AppendOpWire(b []byte, op Op) ([]byte, error) {
 		return o.MarshalWire(append(b, wireIDBCTransfer)), nil
 	case LWWSetOp:
 		return o.MarshalWire(append(b, wireIDLWWSet)), nil
-	case MVSetOp:
-		return o.MarshalWire(append(b, wireIDMVSet)), nil
 	default:
 		return nil, fmt.Errorf("crdt: op %T has no wire codec", op)
 	}
@@ -388,7 +389,6 @@ func registerWireOp(id byte, name string, dec opDecoder) {
 var _ = func() bool {
 	registerWireOp(wireIDAWAdd, "crdt.AWAddOp", decodeAWAdd)
 	registerWireOp(wireIDAWRemove, "crdt.AWRemoveOp", decodeAWRemove)
-	registerWireOp(wireIDRWAdd, "crdt.RWAddOp", decodeRWAdd)
 	registerWireOp(wireIDRWRemove, "crdt.RWRemoveOp", decodeRWRemove)
 	registerWireOp(wireIDRWRemoveWhere, "crdt.RWRemoveWhereOp", decodeRWRemoveWhere)
 	registerWireOp(wireIDCounter, "crdt.CounterOp", decodeCounter)
@@ -396,7 +396,7 @@ var _ = func() bool {
 	registerWireOp(wireIDBCGrant, "crdt.BCGrantOp", decodeBCGrant)
 	registerWireOp(wireIDBCTransfer, "crdt.BCTransferOp", decodeBCTransfer)
 	registerWireOp(wireIDLWWSet, "crdt.LWWSetOp", decodeLWWSet)
-	registerWireOp(wireIDMVSet, "crdt.MVSetOp", decodeMVSet)
+	registerWireOp(wireIDRWAdd, "crdt.RWAddOp", decodeRWAdd)
 	return true
 }()
 
@@ -536,14 +536,13 @@ func decodeAWRemove(r *WireReader) (Op, error) {
 	return o, nil
 }
 
-// MarshalWire appends the op payload.
+// MarshalWire appends the op payload. Deps is not encoded: the enclosing
+// transaction carries it.
 func (o RWAddOp) MarshalWire(b []byte) []byte {
 	b = AppendEventID(b, o.Tag)
 	b = AppendWireString(b, o.Elem)
 	b = AppendWireString(b, o.Pay)
-	b = appendBool(b, o.Touch)
-	b = appendEventIDs(b, o.ObservedRemoves)
-	return appendEventIDs(b, o.ObservedWild)
+	return appendBool(b, o.Touch)
 }
 
 func decodeRWAdd(r *WireReader) (Op, error) {
@@ -559,12 +558,6 @@ func decodeRWAdd(r *WireReader) (Op, error) {
 		return nil, err
 	}
 	if o.Touch, err = r.readBool(); err != nil {
-		return nil, err
-	}
-	if o.ObservedRemoves, err = r.readEventIDs(); err != nil {
-		return nil, err
-	}
-	if o.ObservedWild, err = r.readEventIDs(); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -718,28 +711,6 @@ func decodeLWWSet(r *WireReader) (Op, error) {
 		return nil, err
 	}
 	if o.Value, err = r.ReadString(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// MarshalWire appends the op payload.
-func (o MVSetOp) MarshalWire(b []byte) []byte {
-	b = AppendEventID(b, o.Tag)
-	b = AppendWireString(b, o.Value)
-	return appendEventIDs(b, o.Observed)
-}
-
-func decodeMVSet(r *WireReader) (Op, error) {
-	var o MVSetOp
-	var err error
-	if o.Tag, err = r.ReadEventID(); err != nil {
-		return nil, err
-	}
-	if o.Value, err = r.ReadString(); err != nil {
-		return nil, err
-	}
-	if o.Observed, err = r.readEventIDs(); err != nil {
 		return nil, err
 	}
 	return o, nil

@@ -17,12 +17,11 @@ func eid(rep string, seq uint64) clock.EventID {
 // Wire IDs are the persistent replication protocol: if this test fails
 // you renumbered or reused an ID, which silently corrupts every frame and
 // write-ahead log written before the change. New op types must APPEND a
-// new ID; existing rows never change.
+// new ID; existing rows never change, and retired IDs are never reused.
 func TestWireIDPinning(t *testing.T) {
 	want := []string{
 		"1=crdt.AWAddOp",
 		"2=crdt.AWRemoveOp",
-		"3=crdt.RWAddOp",
 		"4=crdt.RWRemoveOp",
 		"5=crdt.RWRemoveWhereOp",
 		"6=crdt.CounterOp",
@@ -30,11 +29,24 @@ func TestWireIDPinning(t *testing.T) {
 		"8=crdt.BCGrantOp",
 		"9=crdt.BCTransferOp",
 		"10=crdt.LWWSetOp",
-		"11=crdt.MVSetOp",
+		"12=crdt.RWAddOp",
 	}
 	got := WireIDTable()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("wire ID table changed — IDs are append-only, never renumber.\n got: %v\nwant: %v", got, want)
+	}
+	// Retired: 3 (remove-wins add with observation lists) and 11 (the
+	// multi-value register's write). Each is fed with the payload it used
+	// to carry and must not decode.
+	rwAdd := AppendWireString(AppendWireString(AppendEventID([]byte{3}, eid("r1", 2)), "e"), "p")
+	rwAdd = appendEventIDs(appendEventIDs(append(rwAdd, 0), nil), []clock.EventID{eid("r2", 1)})
+	mvSet := appendEventIDs(AppendWireString(AppendEventID([]byte{11}, eid("r1", 2)), "v"), []clock.EventID{eid("r1", 1)})
+	retired := map[byte][]byte{3: rwAdd, 11: mvSet}
+	for id, frame := range retired {
+		r := NewWireReader(frame)
+		if op, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
+			t.Errorf("retired wire ID %d decoded as %#v (err %v); want ErrMalformedWire", id, op, err)
+		}
 	}
 }
 
@@ -55,9 +67,7 @@ func wireSampleOps() []Op {
 		}},
 		AWRemoveOp{Pred: MatchAll{}, Tag: eid("r1", 2)},
 		AWRemoveOp{Pred: MatchFields{Arity: 3, Fields: []string{"x", "", "z"}}, Tag: eid("r1", 3)},
-		RWAddOp{Elem: "u" + TupleSep + "v", Pay: "p", Touch: true, Tag: eid("r9", 12),
-			ObservedRemoves: []clock.EventID{eid("r1", 4)},
-			ObservedWild:    []clock.EventID{eid("r2", 5), eid("r3", 6)}},
+		RWAddOp{Elem: "u" + TupleSep + "v", Pay: "p", Touch: true, Tag: eid("r9", 12)},
 		RWAddOp{Tag: eid("r1", 1)},
 		RWRemoveOp{Elem: "gone", Tag: eid("r4", 44)},
 		RWRemoveWhereOp{Pred: Match{Index: 0, Value: "k"}, Tag: eid("r5", 55)},
@@ -68,8 +78,6 @@ func wireSampleOps() []Op {
 		BCGrantOp{Replica: "siteB", N: 1 << 40, Tag: eid("r7", 78)},
 		BCTransferOp{From: "siteA", To: "siteB", N: -9, Tag: eid("r7", 79)},
 		LWWSetOp{Value: "v", TS: 1 << 50, Tag: eid("r8", 88)},
-		MVSetOp{Value: "mv", Tag: eid("r9", 99), Observed: []clock.EventID{eid("r1", 1)}},
-		MVSetOp{Tag: eid("r9", 100)},
 	}
 }
 
@@ -147,10 +155,12 @@ func TestOpWireUnknownID(t *testing.T) {
 // TestOpWireHostileCounts pins the count-vs-remaining guard: a frame
 // claiming a giant collection must error before allocating for it.
 func TestOpWireHostileCounts(t *testing.T) {
-	// MVSetOp with a claimed 2^40 observed entries and no data behind it.
-	b := []byte{11} // wireIDMVSet
+	// AWRemoveOp with a claimed 2^42 observed elements and no data behind
+	// it.
+	b := []byte{wireIDAWRemove}
 	b = AppendEventID(b, eid("r1", 1))
-	b = AppendWireString(b, "v")
+	b = AppendWireString(b, "e")
+	b = append(b, wirePredNil)
 	b = append(b, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // uvarint 2^42
 	r := NewWireReader(b)
 	if _, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {

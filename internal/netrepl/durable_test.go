@@ -120,6 +120,50 @@ func TestKillMidGroupCommitNoAckedLoss(t *testing.T) {
 	}
 }
 
+// A snapshot that exists but fails validation must fail recovery loudly:
+// the log below it is already truncated, so replaying the log alone would
+// bring the node back without transactions it acknowledged.
+func TestRecoverRefusesCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	cfg.SnapshotEvery = 1
+	cfg.SegmentSize = 1 // one sealed segment per record, so truncation has units
+	n, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		n.Do(func(r *store.Replica) {
+			tx := r.Begin()
+			store.AWSetAt(tx, "s").Add(fmt.Sprint(i), "")
+			tx.Commit()
+		})
+	}
+	cut := n.Clock()
+	n.CompactAll(cut, cut) // snapshot, then truncate the log below the cut
+	if st := n.Stats(); st.Snapshots == 0 || st.WALSegments >= 5 {
+		t.Fatalf("want a snapshot and a truncated log, got %d snapshots and %d segments", st.Snapshots, st.WALSegments)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, store.SnapshotFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
+	if err == nil {
+		rec.Close()
+		t.Fatal("recovery accepted a corrupt snapshot over a truncated log")
+	}
+}
+
 // tearWALTail appends a partial record to the node's newest WAL segment.
 func tearWALTail(t *testing.T, dataDir string) {
 	t.Helper()

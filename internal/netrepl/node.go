@@ -431,7 +431,14 @@ func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, erro
 func (n *Node) recover() ([]store.WireTxn, error) {
 	n.dataDir = n.cfg.DataDir
 	n.walEnc = store.NewFrameEncoder(store.WireVersionV2)
-	if snap, ok := store.ReadSnapshotFile(n.dataDir); ok && snap.Replica == n.id {
+	snap, err := store.ReadSnapshotFile(n.dataDir)
+	if err != nil {
+		return nil, fmt.Errorf("netrepl: recover %s: %w", n.id, err)
+	}
+	if snap != nil {
+		if snap.Replica != n.id {
+			return nil, fmt.Errorf("netrepl: recover %s: snapshot in %s belongs to replica %s", n.id, n.dataDir, snap.Replica)
+		}
 		n.replica.RestoreSnapshot(snap)
 	}
 	var replayed []store.WireTxn

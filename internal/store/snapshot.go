@@ -11,13 +11,16 @@ package store
 // shard ascending, clock lock), so the image is a consistent cut: it
 // contains exactly the transactions counted by its vector. Files are
 // written to a temp name, fsynced, and renamed — a crash mid-write leaves
-// the previous snapshot intact, and the loader ignores anything whose
-// checksum does not match.
+// the previous snapshot intact. A committed snapshot that fails
+// validation is an error, never "no snapshot": the log may already be
+// truncated below it.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,7 +88,7 @@ func (r *Replica) CaptureSnapshot() ([]byte, clock.Vector, error) {
 }
 
 // DecodeSnapshot parses a snapshot image. Corruption of any kind is an
-// error; the caller falls back to an empty state plus full WAL replay.
+// error.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < 9 || string(data[:4]) != snapshotMagic {
 		return nil, fmt.Errorf("snapshot: bad magic")
@@ -178,17 +181,22 @@ func WriteSnapshotFile(dir string, data []byte) error {
 	return nil
 }
 
-// ReadSnapshotFile loads and decodes the snapshot in dir; ok is false
-// when none exists or the file fails validation (recovery then replays
-// the full WAL).
-func ReadSnapshotFile(dir string) (*Snapshot, bool) {
-	data, err := os.ReadFile(filepath.Join(dir, SnapshotFile))
+// ReadSnapshotFile loads and decodes the snapshot in dir. It returns nil
+// and no error when none exists, and an error when the file cannot be
+// read or fails validation: recovery must not fall back to the log,
+// which TruncateBelow may already have cut below the snapshot.
+func ReadSnapshotFile(dir string) (*Snapshot, error) {
+	path := filepath.Join(dir, SnapshotFile)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, false
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	s, err := DecodeSnapshot(data)
 	if err != nil {
-		return nil, false
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return s, true
+	return s, nil
 }

@@ -106,9 +106,9 @@ func TestSnapshotFileAtomicityAndFallback(t *testing.T) {
 	if err := WriteSnapshotFile(dir, data); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := ReadSnapshotFile(dir)
-	if !ok {
-		t.Fatal("snapshot file did not read back")
+	snap, err := ReadSnapshotFile(dir)
+	if err != nil || snap == nil {
+		t.Fatalf("snapshot file did not read back: %v", err)
 	}
 	if !snap.VC.LEq(vc) || !vc.LEq(snap.VC) {
 		t.Fatalf("read-back vector %s, want %s", snap.VC, vc)
@@ -117,11 +117,12 @@ func TestSnapshotFileAtomicityAndFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, SnapshotFile+".tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ReadSnapshotFile(dir); !ok {
-		t.Fatal("temp-file junk broke the committed snapshot")
+	if snap, err := ReadSnapshotFile(dir); err != nil || snap == nil {
+		t.Fatalf("temp-file junk broke the committed snapshot: %v", err)
 	}
-	// In-place corruption: the loader refuses, recovery falls back to
-	// full WAL replay.
+	// In-place corruption is an error, not "no snapshot": the log may
+	// already be truncated below it, so recovery has nothing to fall back
+	// to.
 	raw, err := os.ReadFile(filepath.Join(dir, SnapshotFile))
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +131,12 @@ func TestSnapshotFileAtomicityAndFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ReadSnapshotFile(dir); ok {
-		t.Fatal("corrupt snapshot file accepted")
+	if snap, err := ReadSnapshotFile(dir); err == nil || snap != nil {
+		t.Fatalf("corrupt snapshot file: got %v, %v; want an error", snap, err)
 	}
-	// Missing directory is simply "no snapshot".
-	if _, ok := ReadSnapshotFile(filepath.Join(dir, "nope")); ok {
-		t.Fatal("missing dir produced a snapshot")
+	// A missing directory is simply "no snapshot".
+	if snap, err := ReadSnapshotFile(filepath.Join(dir, "nope")); err != nil || snap != nil {
+		t.Fatalf("missing dir: got %v, %v; want no snapshot and no error", snap, err)
 	}
 }
 

@@ -464,10 +464,11 @@ func (r *Replica) applyRemote(origin clock.ReplicaID, lastSeq uint64, updates []
 		}
 		op := u.Op
 		if a, ok := op.(crdt.RWAddOp); ok {
-			// Stamp the transaction's dependency cut onto remove-wins adds:
-			// it re-establishes observations of tombstones the origin had
-			// already compacted away but this replica still holds (e.g.
-			// resurrected by crash-recovery WAL replay). See RWAddOp.Deps.
+			// A remove-wins add observed the transaction's dependency cut
+			// (crdt.RWAddOp.Deps). It covers the origin's cut when the add
+			// applied there; the events it adds touch no set the
+			// transaction held, so the verdicts agree (DESIGN.md, "Bounded
+			// set metadata").
 			a.Deps = deps
 			op = a
 		}

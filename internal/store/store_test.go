@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 
 	"ipa/internal/clock"
@@ -236,6 +237,80 @@ func TestStabilizeCompacts(t *testing.T) {
 		t.Fatal("x should stay removed after compaction")
 	}
 	tx3.Commit()
+}
+
+// Within one transaction, a touch after a wildcard remove observed it
+// (per-origin order) and survives, while a touch before one did not and
+// dies — at the origin, which stamps its delivered cut, and at the
+// receivers, which stamp the transaction's deps, alike.
+func TestRWSetOrderWithinTransaction(t *testing.T) {
+	sim, c := newTestCluster(9)
+	east := c.Replica(wan.USEast)
+	kept, lost := crdt.JoinTuple("p1", "t1"), crdt.JoinTuple("p1", "t2")
+	tx := east.Begin()
+	RWSetAt(tx, "rw").Add(kept, "")
+	RWSetAt(tx, "rw").Add(lost, "")
+	tx.Commit()
+	sim.Run()
+
+	tx = east.Begin()
+	rw := RWSetAt(tx, "rw")
+	rw.RemoveWhere(crdt.MatchPattern("", "t1"))
+	rw.Touch(kept)
+	rw.Touch(lost)
+	rw.RemoveWhere(crdt.MatchPattern("", "t2"))
+	tx.Commit()
+	digest := func(r *Replica) string {
+		tx := r.Begin()
+		defer tx.Commit()
+		return fmt.Sprint(RWSetAt(tx, "rw").Elems())
+	}
+	want := fmt.Sprint([]string{kept})
+	if got := digest(east); got != want {
+		t.Fatalf("origin holds %s, want %s", got, want)
+	}
+	sim.Run()
+	for _, id := range c.Replicas() {
+		if got := digest(c.Replica(id)); got != want {
+			t.Fatalf("%s holds %s, want %s as at the origin", id, got, want)
+		}
+	}
+}
+
+// An add's cost does not depend on how many tombstones its set holds: it
+// replicates the same bytes as an add to a set without any, and it adds
+// one record to the set and nothing else.
+func TestRWAddCostIndependentOfTombstones(t *testing.T) {
+	const tombstones = 1000
+	addFrame := func(wipedKey string) (frame []byte, before, after int) {
+		c := NewSocketCluster("a")
+		var last WireTxn
+		c.SetOnCommit(func(w WireTxn) { last = w })
+		r := c.Replica("a")
+		for i := 0; i < tombstones; i++ {
+			tx := r.Begin()
+			RWSetAt(tx, wipedKey).RemoveWhere(crdt.MatchPattern("", fmt.Sprint("t", i)))
+			tx.Commit()
+		}
+		set := r.Object("rw", crdt.Ctor(crdt.KindRWSet)).(*crdt.RWSet)
+		before = set.MetadataSize()
+		tx := r.Begin()
+		RWSetAt(tx, "rw").Add(crdt.JoinTuple("p1", "t0"), "")
+		tx.Commit()
+		frame, err := EncodeBatchV2([]WireTxn{last})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame, before, set.MetadataSize()
+	}
+	wiped, before, after := addFrame("rw")
+	clean, _, _ := addFrame("other")
+	if len(wiped) != len(clean) {
+		t.Fatalf("add to a set with %d wildcard tombstones encodes to %d bytes, to a set with none %d", tombstones, len(wiped), len(clean))
+	}
+	if before != tombstones || after != before+1 {
+		t.Fatalf("set metadata %d → %d across one add, want %d → %d", before, after, tombstones, tombstones+1)
+	}
 }
 
 func TestLWWRegisterThroughStore(t *testing.T) {

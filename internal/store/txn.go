@@ -160,7 +160,17 @@ func (t *Txn) Apply(key string, op crdt.Op, mk func() crdt.CRDT) {
 	if !ok {
 		panic(fmt.Sprintf("store: update to unknown object %q", key))
 	}
-	obj.Apply(op)
+	if a, ok := op.(crdt.RWAddOp); ok {
+		// A remove-wins add observed the replica's delivered cut, read now
+		// that the set's shard is held: every remote tombstone on the set
+		// is inside it, and the add's own earlier events are covered by
+		// per-origin order (crdt.RWAddOp.Deps). Only the local apply carries
+		// it; receivers stamp the transaction's deps.
+		a.Deps = t.r.Clock()
+		obj.Apply(a)
+	} else {
+		obj.Apply(op)
+	}
 	t.updates = append(t.updates, Update{Key: key, Op: op})
 }
 

@@ -20,11 +20,15 @@ package store
 //     record, below the snapshot recovery does not need it.
 //
 // A crash can tear the tail of the active segment mid-record. Recovery
-// treats the first unreadable record (short header, bad CRC, frame that
-// fails DecodeFrame) as the end of the log: everything before it is
+// treats the first torn record (short header, a length past the end of
+// the file, bad CRC) as the end of the log: everything before it is
 // replayed, the file is truncated there, and the torn bytes are ignored.
 // Nothing past a torn record was ever acknowledged — WaitSynced had not
-// returned for it — so dropping it loses nothing the node promised.
+// returned for it — so dropping it loses nothing the node promised. A
+// record whose CRC matches was written whole, so one that DecodeFrame
+// rejects is not torn: it may have been acknowledged, and OpenWAL refuses
+// the log (an error wrapping crdt.ErrMalformedWire) without changing any
+// file.
 
 import (
 	"encoding/binary"
@@ -100,10 +104,11 @@ type WALStats struct {
 }
 
 // OpenWAL opens (creating if absent) the log in dir and replays every
-// intact record, oldest first, through replay before returning. A torn or
-// corrupt record ends the replay: the log is truncated at the last intact
-// record and any later segments are discarded. The returned WAL is open
-// for appending.
+// intact record, oldest first, through replay before returning. A torn
+// record ends the replay: the log is truncated at the last intact record
+// and any later segments are discarded. An intact record that does not
+// decode fails the open and leaves every file as it was. The returned WAL
+// is open for appending.
 func OpenWAL(dir string, replay func(frame []byte, txns []WireTxn) error) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -169,8 +174,8 @@ func walSegmentIndexes(dir string) ([]int, error) {
 }
 
 // scanSegment replays one segment's records. It reports false when it hit
-// a torn record (after truncating the file there); an I/O error is
-// returned as-is.
+// a torn record (after truncating the file there); an I/O error or an
+// undecodable intact record is returned as an error.
 func (w *WAL) scanSegment(seg *walSegment, replay func([]byte, []WireTxn) error) (bool, error) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
@@ -196,7 +201,7 @@ func (w *WAL) scanSegment(seg *walSegment, replay func([]byte, []WireTxn) error)
 		}
 		txns, err := DecodeFrame(payload)
 		if err != nil {
-			break
+			return false, fmt.Errorf("wal: %s: record at byte %d: %w", seg.path, off, err)
 		}
 		if replay != nil {
 			if err := replay(payload, txns); err != nil {

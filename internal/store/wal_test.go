@@ -2,12 +2,15 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"ipa/internal/clock"
+	"ipa/internal/crdt"
 )
 
 // walFrame encodes txns as one v2 replication frame — the WAL's record
@@ -251,6 +254,61 @@ func TestWALTornMiddleSegmentDiscardsLaterOnes(t *testing.T) {
 	if len(got2) != 2 {
 		t.Fatalf("after discard+append: replayed %d records, want 2", len(got2))
 	}
+}
+
+// An intact record (its CRC matches) that this binary cannot decode — a
+// retired op wire ID — was acknowledged when it was written. It is not a
+// torn tail: opening the log must fail and leave every file as it was,
+// rather than truncate the acked record and everything after it.
+func TestWALRefusesUndecodableIntactRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	w, err := OpenWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSynced(t, w, sampleTxn("a", 0, 1))
+	seq, err := w.Append(retiredOpFrames()["op ID 3"], []WireTxn{sampleTxn("a", 1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WaitSynced(seq); err != nil {
+		t.Fatal(err)
+	}
+	appendSynced(t, w, sampleTxn("a", 2, 3))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, dir)
+
+	replayed := 0
+	_, err = OpenWAL(dir, func(_ []byte, txns []WireTxn) error {
+		replayed += len(txns)
+		return nil
+	})
+	if !errors.Is(err, crdt.ErrMalformedWire) {
+		t.Fatalf("OpenWAL = %v after replaying %d records; want an error wrapping ErrMalformedWire", err, replayed)
+	}
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused open changed the log: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// readDir returns every file in dir by name, with its bytes.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
 }
 
 func TestWALTruncateBelow(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 //   - DecodeFrame never panics, whatever the input (v2 binary, truncated,
 //     malformed, hostile counts);
 //   - every input that is not a v2 frame errors — in particular every
-//     frame of the retired gob formats v0 and v1, seeded below;
+//     frame of the retired gob formats v0 and v1, seeded below, and the
+//     seeded v2 frames carrying the retired op wire IDs 3 and 11;
 //   - any input that decodes successfully re-encodes to a decodable
 //     frame carrying the same transactions (encode→decode identity,
 //     checked bytewise through the deterministic encoder).
@@ -27,6 +28,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	v0, v1 := retiredFrames(f)
 	f.Add(v1)
 	f.Add(v0)
+	for _, frame := range retiredOpFrames() {
+		f.Add(frame)
+	}
 	if empty, err := EncodeBatchV2(nil); err == nil {
 		f.Add(empty)
 	}

@@ -47,11 +47,46 @@ func retiredFrames(t testing.TB) (v0, v1 []byte) {
 	return v0, buf.Bytes()
 }
 
+// retiredOpFrames builds v2 frames whose one update carries a retired op
+// wire ID, with the payload senders wrote before it was retired: 3 is the
+// remove-wins add with its observation lists (one exact remove, one
+// wildcard), 11 the multi-value register write with its observed list.
+func retiredOpFrames() map[string][]byte {
+	frame := func(id byte, payload func([]byte) []byte) []byte {
+		b := append([]byte("IPAB\x02"), 1) // one txn
+		b = crdt.AppendWireString(b, "a")
+		b = append(b, 0, 0, 1, 1) // no deps, seq (0, 1], one update
+		b = crdt.AppendWireString(b, "k")
+		return payload(append(b, id))
+	}
+	tag := clock.EventID{Replica: "a", Seq: 1}
+	return map[string][]byte{
+		"op ID 3": frame(3, func(b []byte) []byte {
+			b = crdt.AppendEventID(b, tag)
+			b = crdt.AppendWireString(b, "e")
+			b = crdt.AppendWireString(b, "p")
+			b = append(b, 0, 1) // touch false, one observed remove
+			b = crdt.AppendEventID(b, clock.EventID{Replica: "b", Seq: 4})
+			b = append(b, 1) // one observed wildcard
+			return crdt.AppendEventID(b, clock.EventID{Replica: "c", Seq: 2})
+		}),
+		"op ID 11": frame(11, func(b []byte) []byte {
+			b = crdt.AppendEventID(b, tag)
+			b = crdt.AppendWireString(b, "v")
+			b = append(b, 1) // one observed write
+			return crdt.AppendEventID(b, clock.EventID{Replica: "b", Seq: 1})
+		}),
+	}
+}
+
 // TestDecodeFrameRejectsRetiredFormats pins that the gob formats v0 and
-// v1 are rejected as malformed input, not decoded.
+// v1, and v2 frames carrying a retired op wire ID, are rejected as
+// malformed input, not decoded.
 func TestDecodeFrameRejectsRetiredFormats(t *testing.T) {
 	v0, v1 := retiredFrames(t)
-	for name, frame := range map[string][]byte{"v0": v0, "v1": v1} {
+	frames := retiredOpFrames()
+	frames["v0"], frames["v1"] = v0, v1
+	for name, frame := range frames {
 		txns, err := DecodeFrame(frame)
 		if !errors.Is(err, crdt.ErrMalformedWire) {
 			t.Errorf("%s frame: DecodeFrame = %d txns, err %v; want an error wrapping ErrMalformedWire", name, len(txns), err)
@@ -103,7 +138,8 @@ func richTxns() []WireTxn {
 			Origin:   "b",
 			FirstSeq: 0, LastSeq: 1, // no deps: the first txn of a fresh origin
 			Updates: []Update{
-				{Key: "rw", Op: crdt.RWAddOp{Elem: "y", Pay: "q", Tag: e("b", 1), ObservedRemoves: []clock.EventID{e("a", 1)}, ObservedWild: []clock.EventID{e("c", 2)}}},
+				{Key: "rw", Op: crdt.RWAddOp{Elem: "y", Pay: "q", Tag: e("b", 1)}},
+				{Key: "rw", Op: crdt.RWAddOp{Elem: "y", Touch: true, Tag: e("b", 1)}},
 				{Key: "rw", Op: crdt.RWRemoveOp{Elem: "y", Tag: e("b", 1)}},
 				{Key: "rw", Op: crdt.RWRemoveWhereOp{Pred: crdt.MatchAll{}, Tag: e("b", 1)}},
 				{Key: "rw", Op: crdt.RWRemoveWhereOp{Pred: crdt.MatchFields{Arity: 2, Fields: []string{"f", "g"}}, Tag: e("b", 1)}},
@@ -118,7 +154,6 @@ func richTxns() []WireTxn {
 				{Key: "bc", Op: crdt.BCGrantOp{Replica: "a", N: 10, Tag: e("c", 2)}},
 				{Key: "bc", Op: crdt.BCTransferOp{From: "c", To: "a", N: 1, Tag: e("c", 2)}},
 				{Key: "lww", Op: crdt.LWWSetOp{Value: "v", TS: 99, Tag: e("c", 2)}},
-				{Key: "mv", Op: crdt.MVSetOp{Value: "m", Tag: e("c", 2), Observed: []clock.EventID{e("a", 1)}}},
 			},
 		},
 		{Origin: "d", FirstSeq: 0, LastSeq: 0}, // empty txn record
