@@ -1,28 +1,21 @@
-// Command benchgate compares a freshly measured benchmark artifact
-// against its committed baseline and exits non-zero on regression. Two
-// experiments are gated, selected by the artifact's ID:
-//
-//   - engine (BENCH_engine.json): the spec engine's compiled/interpreted
-//     speed-up per application spec. A ratio, not raw ops/sec, so the
-//     committed baseline stays meaningful across hardware: both
-//     executors run on the same runner, and the variance cancels;
-//   - loadgen (BENCH_loadgen.json): the coordinated sustained-load run —
-//     steady-state throughput against the baseline, steady p99 under a
-//     fixed headroom, and an absolute 1% error-rate ceiling. This gate
-//     compares raw ops/sec, so benchgate prints a warning when the
-//     current and baseline artifacts were measured on different hosts
-//     (every BENCH_*.json records its host metadata).
+// Command benchgate compares a freshly measured engine artifact
+// (BENCH_engine.json) against its committed baseline and exits non-zero
+// on regression. What it gates is the spec engine's compiled/interpreted
+// speed-up per application spec: a ratio, not raw ops/sec, so the
+// committed baseline stays meaningful across hardware — both executors
+// run on the same runner, and the variance cancels. A spec fails below
+// 80% of its baseline ratio, or below 1x outright.
 //
 // The serving benchmark (benchmark/) carries its own bounds in
 // BENCHMARK.json and is not gated here.
 //
 // Usage:
 //
-//	benchgate -current artifacts/BENCH_engine.json \
-//	          -baseline internal/bench/testdata/BENCH_engine_baseline.json
-//	benchgate -current artifacts/BENCH_loadgen.json -tolerance 0.60
+//	go run ./cmd/ipabench -experiment engine -quick -json artifacts
+//	benchgate -current artifacts/BENCH_engine.json
 //
-// Refresh a baseline after a deliberate change, e.g.:
+// -baseline overrides the committed baseline path. Refresh the baseline
+// after a deliberate change, e.g.:
 //
 //	go run ./cmd/ipabench -experiment engine -quick -json internal/bench/testdata
 //	mv internal/bench/testdata/BENCH_engine.json internal/bench/testdata/BENCH_engine_baseline.json
@@ -32,13 +25,23 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"ipa/internal/bench"
 )
 
+// defaultBaseline is the committed engine baseline, relative to the
+// repository root.
+const defaultBaseline = "internal/bench/testdata/BENCH_engine_baseline.json"
+
+// tolerance is the allowed ratio erosion: fail below 80% of baseline.
+const tolerance = 0.20
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		code := 1
 		var ue usageError
 		if errors.As(err, &ue) {
@@ -57,12 +60,13 @@ type usageError struct{ err error }
 func (u usageError) Error() string { return u.err.Error() }
 func (u usageError) Unwrap() error { return u.err }
 
-func run(args []string) error {
+// run gates one artifact, printing a compiled/interpreted ratio line per
+// spec to w before the verdict.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	var (
-		current   = fs.String("current", "", "freshly measured BENCH_<id>.json")
-		baseline  = fs.String("baseline", "", "committed baseline (default per experiment ID)")
-		tolerance = fs.Float64("tolerance", 0.20, "allowed ratio erosion (0.20 = fail below 80% of baseline)")
+		current  = fs.String("current", "", "freshly measured BENCH_engine.json")
+		baseline = fs.String("baseline", defaultBaseline, "committed baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -74,19 +78,19 @@ func run(args []string) error {
 	if err != nil {
 		return usageError{err}
 	}
-
-	basePath := *baseline
-	if basePath == "" {
-		var derr error
-		basePath, derr = bench.DefaultBaseline(cur.ID)
-		if derr != nil {
-			return usageError{fmt.Errorf("%w; pass -baseline", derr)}
-		}
+	if cur.ID != "engine" {
+		return usageError{fmt.Errorf("%s is a %q artifact; only engine is gated", *current, cur.ID)}
 	}
-	base, err := bench.ReadExperimentJSON(basePath)
+	base, err := bench.ReadExperimentJSON(*baseline)
 	if err != nil {
 		return usageError{err}
 	}
 
-	return bench.Gate(cur, base, *tolerance, os.Stdout)
+	if ratios, err := bench.EngineSpeedups(cur); err == nil {
+		baseRatios, _ := bench.EngineSpeedups(base)
+		for _, n := range slices.Sorted(maps.Keys(ratios)) {
+			fmt.Fprintf(w, "%-12s compiled/interpreted %.2fx (baseline %.2fx)\n", n, ratios[n], baseRatios[n])
+		}
+	}
+	return bench.CheckEngineBaseline(cur, base, tolerance)
 }

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 
-	"ipa/internal/loadgen"
 	"ipa/internal/wan"
 )
 
@@ -80,8 +79,8 @@ func (c Config) String() string {
 	return "?"
 }
 
-// Recorder accumulates latency samples per label. It is backed by the
-// load generator's log-bucketed histograms instead of raw sample slices:
+// Recorder accumulates latency samples per label. It is backed by
+// mergeable log-bucketed histograms (Hist) instead of raw sample slices:
 // memory stays constant however long a run is, and percentiles carry a
 // bounded ~0.8% relative error (p0/p100 stay exact via tracked
 // extremes). Means and standard deviations come from exact running
@@ -94,7 +93,7 @@ type Recorder struct {
 // labelStats is one label's accumulation: the histogram in microseconds
 // (the repo's wan.Time unit) plus exact moment sums in milliseconds.
 type labelStats struct {
-	hist  loadgen.Hist
+	hist  Hist
 	sumMs float64
 	sumSq float64
 }
@@ -206,14 +205,13 @@ type Series struct {
 }
 
 // Perf is a wall-clock performance summary attached to experiments that
-// measure real execution (engine, chaos, loadgen) — the numbers CI
+// measure real execution (engine, chaos) — the numbers CI
 // tracks across commits via the BENCH_<id>.json artifacts.
 type Perf struct {
 	OpsPerSec float64 `json:"ops_per_sec"`
 	P50Ms     float64 `json:"p50_ms,omitempty"`
 	P95Ms     float64 `json:"p95_ms,omitempty"`
 	P99Ms     float64 `json:"p99_ms,omitempty"`
-	P999Ms    float64 `json:"p999_ms,omitempty"`
 }
 
 // Experiment is a reproduced table or figure.
@@ -231,14 +229,6 @@ type Experiment struct {
 	// Perf carries wall-clock summaries keyed by app/series name, set by
 	// the experiments that measure real execution.
 	Perf map[string]Perf `json:",omitempty"`
-	// Host records the machine the experiment ran on. WriteJSON stamps
-	// it, so every committed or uploaded BENCH_*.json is self-describing
-	// and benchgate can warn before comparing numbers across hosts.
-	Host *loadgen.HostMeta `json:",omitempty"`
-	// Load carries the full distributed-load report for the loadgen
-	// experiment (phase windows, merged histograms, per-worker
-	// breakdown); nil for every other experiment.
-	Load *loadgen.Report `json:",omitempty"`
 }
 
 // WriteJSON serialises the experiment as BENCH_<ID>.json inside dir
@@ -247,10 +237,6 @@ type Experiment struct {
 func (e *Experiment) WriteJSON(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
-	}
-	if e.Host == nil {
-		h := loadgen.Host()
-		e.Host = &h
 	}
 	data, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {

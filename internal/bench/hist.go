@@ -1,21 +1,6 @@
-// Package loadgen is the distributed load-generation subsystem: a
-// coordinator drives N worker processes over a small length-prefixed
-// control protocol; workers drive `ipa serve` targets through the wire
-// protocol on a synchronized ramp-up → steady-state → ramp-down
-// schedule and stream back counters plus mergeable latency histograms.
-// Only steady-window samples make the headline numbers; the ramp
-// windows absorb cold connections and drain effects, the shape sibench
-// uses for storage benchmarks. The `ipabench loadgen` subcommand
-// self-hosts workers in-process when no worker addresses are given, so
-// the same code path runs single-host in CI and genuinely distributed
-// across machines.
-package loadgen
+package bench
 
-import (
-	"encoding/json"
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Histogram bucket layout: values are non-negative integers
 // (microseconds throughout this repository). Values below 2^subBits
@@ -24,9 +9,8 @@ import (
 // its lower bound / 2^subBits — recording at the bucket midpoint keeps
 // the relative error of any quantile under 1/2^(subBits+1) (~0.8%).
 // The layout is value-indexed and fixed, which is what makes two
-// histograms mergeable by plain bucket-wise addition: shard them
-// across workers, add them up, and the merged histogram is exactly the
-// histogram of the union of the samples.
+// histograms mergeable by plain bucket-wise addition: the merged
+// histogram is exactly the histogram of the union of the samples.
 const (
 	subBits    = 6
 	subBuckets = 1 << subBits                    // 64
@@ -39,7 +23,6 @@ const (
 type Hist struct {
 	counts []int64
 	count  int64
-	sum    int64
 	min    int64
 	max    int64
 }
@@ -79,31 +62,10 @@ func (h *Hist) Record(v int64) {
 		h.max = v
 	}
 	h.count++
-	h.sum += v
 }
 
 // Count returns the number of recorded samples.
 func (h *Hist) Count() int64 { return h.count }
-
-// Sum returns the sum of all recorded samples.
-func (h *Hist) Sum() int64 { return h.sum }
-
-// Min and Max return the exact extremes (0 on an empty histogram).
-func (h *Hist) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-func (h *Hist) Max() int64 { return h.max }
-
-// Mean returns the exact mean (sums are tracked outside the buckets).
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
 
 // Merge folds another histogram into this one. Because the bucket
 // layout is fixed, merge-then-quantile equals quantile-over-the-union:
@@ -125,7 +87,6 @@ func (h *Hist) Merge(o *Hist) {
 		h.max = o.max
 	}
 	h.count += o.count
-	h.sum += o.sum
 }
 
 // Quantile returns the p-th percentile (0..100) as a value in the
@@ -160,52 +121,4 @@ func (h *Hist) Quantile(p float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// histJSON is the wire form: sparse [index, count] pairs, so an
-// idle-phase histogram costs a few bytes, not numBuckets zeros.
-type histJSON struct {
-	Count   int64      `json:"count"`
-	Sum     int64      `json:"sum"`
-	Min     int64      `json:"min"`
-	Max     int64      `json:"max"`
-	Buckets [][2]int64 `json:"buckets,omitempty"`
-}
-
-// MarshalJSON serialises the histogram in sparse form.
-func (h *Hist) MarshalJSON() ([]byte, error) {
-	j := histJSON{Count: h.count, Sum: h.sum, Min: h.Min(), Max: h.max}
-	for i, c := range h.counts {
-		if c != 0 {
-			j.Buckets = append(j.Buckets, [2]int64{int64(i), c})
-		}
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON restores a histogram from its sparse form, rejecting
-// out-of-range bucket indexes and inconsistent totals (a malformed
-// report must error, not corrupt a merge).
-func (h *Hist) UnmarshalJSON(data []byte) error {
-	var j histJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*h = Hist{count: j.Count, sum: j.Sum, min: j.Min, max: j.Max}
-	if len(j.Buckets) > 0 {
-		h.counts = make([]int64, numBuckets)
-	}
-	var total int64
-	for _, b := range j.Buckets {
-		idx, c := b[0], b[1]
-		if idx < 0 || idx >= numBuckets || c < 0 {
-			return fmt.Errorf("loadgen: histogram bucket [%d, %d] out of range", idx, c)
-		}
-		h.counts[idx] += c
-		total += c
-	}
-	if total != j.Count {
-		return fmt.Errorf("loadgen: histogram bucket total %d != count %d", total, j.Count)
-	}
-	return nil
 }

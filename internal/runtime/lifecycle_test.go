@@ -19,8 +19,7 @@ func newDurableNetCluster(t *testing.T, n int) *NetCluster {
 			BackoffMin:    time.Millisecond,
 			BackoffMax:    10 * time.Millisecond,
 		},
-		SettleTimeout: 30 * time.Second,
-		DataDir:       t.TempDir(),
+		DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +113,7 @@ func TestNetClusterRecoverFromSnapshotAndTail(t *testing.T) {
 			BackoffMax:    10 * time.Millisecond,
 			SnapshotEvery: 1, // snapshot on every stability round
 		},
-		SettleTimeout: 30 * time.Second,
-		DataDir:       t.TempDir(),
+		DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,17 +12,13 @@ import (
 	"ipa/internal/store"
 )
 
-// NetConfig tunes a NetCluster. The zero value selects the defaults noted
-// on each field.
+// NetConfig tunes a NetCluster. The zero value is an in-memory cluster on
+// netrepl's transport defaults.
 type NetConfig struct {
 	// Transport configures every node's streaming transport. The zero
 	// value takes netrepl's defaults; harness-style callers lower the
 	// backoff ceiling so healed partitions resume quickly.
 	Transport netrepl.Config
-	// SettleTimeout bounds one Settle call. Default 30s.
-	SettleTimeout time.Duration
-	// SettlePoll is the convergence polling interval. Default 500µs.
-	SettlePoll time.Duration
 	// DataDir, when non-empty, makes every node durable: node id gives
 	// the per-site subdirectory (DataDir/<id>), each holding a
 	// write-ahead log and snapshots. Durability is what makes the
@@ -32,15 +28,12 @@ type NetConfig struct {
 	DataDir string
 }
 
-func (c NetConfig) withDefaults() NetConfig {
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 30 * time.Second
-	}
-	if c.SettlePoll <= 0 {
-		c.SettlePoll = 500 * time.Microsecond
-	}
-	return c
-}
+const (
+	// settleTimeout bounds one Settle call.
+	settleTimeout = 30 * time.Second
+	// settlePoll is Settle's convergence polling interval.
+	settlePoll = 500 * time.Microsecond
+)
 
 // transportFor returns the per-node transport configuration.
 func (c *NetCluster) transportFor(id clock.ReplicaID) netrepl.Config {
@@ -98,7 +91,7 @@ type NetCluster struct {
 // cluster restarted over the same directory resumes where it crashed).
 func NewNetCluster(ids []clock.ReplicaID, cfg NetConfig) (*NetCluster, error) {
 	c := &NetCluster{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		order:  append([]clock.ReplicaID(nil), ids...),
 		nodes:  make(map[clock.ReplicaID]*netrepl.Node, len(ids)),
 		addrs:  make(map[clock.ReplicaID]string, len(ids)),
@@ -209,12 +202,12 @@ func (c *NetCluster) stabilizeLocked() clock.Vector {
 // delivered every commit issued so far — all causal clocks equal, no
 // queued outbound transactions, no pending causal deliveries — and the
 // picture holds for a few consecutive polls. It errors if the cluster
-// does not converge within SettleTimeout (which usually means a
+// does not converge within settleTimeout (which usually means a
 // partition is still injected, a replica is still paused, or a site is
 // still crashed — senders hold queued transactions for a crashed site,
 // so Recover it first).
 func (c *NetCluster) Settle() error {
-	deadline := time.Now().Add(c.cfg.SettleTimeout)
+	deadline := time.Now().Add(settleTimeout)
 	stable := 0
 	for {
 		if c.quiet() {
@@ -226,9 +219,9 @@ func (c *NetCluster) Settle() error {
 			stable = 0
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("runtime: net cluster did not settle within %v", c.cfg.SettleTimeout)
+			return fmt.Errorf("runtime: net cluster did not settle within %v", settleTimeout)
 		}
-		time.Sleep(c.cfg.SettlePoll)
+		time.Sleep(settlePoll)
 	}
 }
 

@@ -27,7 +27,6 @@ func newTestNetCluster(t *testing.T, n int) *NetCluster {
 			BackoffMin:    time.Millisecond,
 			BackoffMax:    10 * time.Millisecond,
 		},
-		SettleTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,11 +54,6 @@ type Stats struct {
 	// Commands counts every executed command; Calls the CALL subset;
 	// Refusals the CALLs that returned ErrPrecondition (guarded no-ops).
 	Commands, Calls, Refusals int64
-	// LoadSessions counts connected sessions that named themselves with
-	// a "loadgen" prefix via CLIENT SETNAME — an operator checking INFO
-	// during a load run sees how much of the connection count is the
-	// load generator versus real clients.
-	LoadSessions int64
 }
 
 // Server exposes a runtime.Cluster (either backend) over TCP with the
@@ -90,7 +85,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 
 	accepted, active, commands, calls, refusals atomic.Int64
-	loadSessions                                atomic.Int64
 }
 
 // New creates a server over an open cluster. The caller keeps ownership
@@ -194,7 +188,6 @@ func (s *Server) Stats() Stats {
 		Commands:      s.commands.Load(),
 		Calls:         s.calls.Load(),
 		Refusals:      s.refusals.Load(),
-		LoadSessions:  s.loadSessions.Load(),
 	}
 }
 
@@ -294,14 +287,7 @@ var replyBufPool = sync.Pool{
 type session struct {
 	site clock.ReplicaID
 	name string
-	// counted marks a session tallied in loadSessions, so the decrement
-	// on disconnect (or rename) is exact.
-	counted bool
 }
-
-// loadSessionPrefix is the CLIENT SETNAME prefix that counts a session
-// as load-generator traffic in Stats and INFO.
-const loadSessionPrefix = "loadgen"
 
 // defaultSite consistent-hashes the client's host across the replicas.
 func (s *Server) defaultSite(remote string) clock.ReplicaID {
@@ -336,11 +322,6 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 	sess := &session{site: s.defaultSite(conn.RemoteAddr().String())}
-	defer func() {
-		if sess.counted {
-			s.loadSessions.Add(-1)
-		}
-	}()
 
 	flush := func() bool {
 		if len(out) == 0 {
@@ -416,15 +397,7 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 			return appendBulk(out, sess.name), false
 		}
 		if len(args) == 3 && strings.EqualFold(args[1], "SETNAME") {
-			if sess.counted {
-				s.loadSessions.Add(-1)
-				sess.counted = false
-			}
 			sess.name = args[2]
-			if strings.HasPrefix(sess.name, loadSessionPrefix) {
-				s.loadSessions.Add(1)
-				sess.counted = true
-			}
 			return appendSimple(out, "OK"), false
 		}
 		return appendError(out, "ERR usage: CLIENT SETNAME <name> | CLIENT GETNAME"), false
@@ -548,9 +521,9 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 	case "INFO":
 		st := s.Stats()
 		info := fmt.Sprintf(
-			"backend:%s\r\nsites:%s\r\napps:%s\r\nconns_accepted:%d\r\nconns_active:%d\r\ncommands:%d\r\ncalls:%d\r\nrefusals:%d\r\nload_sessions:%d\r\n",
+			"backend:%s\r\nsites:%s\r\napps:%s\r\nconns_accepted:%d\r\nconns_active:%d\r\ncommands:%d\r\ncalls:%d\r\nrefusals:%d\r\n",
 			s.cluster.Backend(), joinSites(s.sites), strings.Join(s.AppNames(), ","),
-			st.ConnsAccepted, st.ConnsActive, st.Commands, st.Calls, st.Refusals, st.LoadSessions)
+			st.ConnsAccepted, st.ConnsActive, st.Commands, st.Calls, st.Refusals)
 		// The engine's slow paths, summed over the mounted apps: calls an
 		// operation's plan handed to the whole-state reference executor,
 		// and compiled calls whose guard enumerated a sort's domain for
