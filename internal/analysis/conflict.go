@@ -169,16 +169,12 @@ func boolClausesOnly(f logic.Formula) bool { return !logic.HasCount(f) }
 
 // IsConflicting checks one operation pair under every parameter binding
 // and returns the first conflict found, or nil (paper isConflicting). The
-// filter restricts which clauses count as violations (nil = all).
+// filter restricts which clauses count as violations (nil = all). The
+// bindings are decided on one session; the reported conflict's witness
+// is re-solved on a fresh encoder.
 func IsConflicting(s *spec.Spec, op1, op2 *spec.Operation, opts Options, filter clauseFilter) (*Conflict, error) {
 	opts = opts.withDefaults()
-	dom := domainFor(s, opts.Scope)
-	sig, err := s.Signature()
-	if err != nil {
-		return nil, err
-	}
-	inv := s.Invariant()
-	clauses := logic.Clauses(inv)
+	clauses := logic.Clauses(s.Invariant())
 	var checked []logic.Formula
 	for _, cl := range clauses {
 		if filter == nil || filter(cl) {
@@ -188,21 +184,23 @@ func IsConflicting(s *spec.Spec, op1, op2 *spec.Operation, opts Options, filter 
 	if len(checked) == 0 {
 		return nil, nil
 	}
-
-	b1s := enumBindings(op1.Params, dom, true)
-	b2s := enumBindings(op2.Params, dom, false)
-	for _, b1 := range b1s {
-		for _, b2 := range b2s {
-			c, err := checkBinding(s, dom, sig, clauses, checked, op1, op2, b1, b2)
-			if err != nil {
-				return nil, err
-			}
-			if c != nil {
-				return c, nil
-			}
-		}
+	ss, err := newSession(s, opts)
+	if err != nil {
+		return nil, err
 	}
-	return nil, nil
+	b1, b2, found, err := ss.firstConflict(op1, op2, filter)
+	if err != nil || !found {
+		return nil, err
+	}
+	c, err := checkBinding(s, ss.enc.Dom, ss.enc.Sig, clauses, checked, op1, op2, b1, b2)
+	if err != nil {
+		return nil, err
+	}
+	if c == nil {
+		return nil, fmt.Errorf("analysis: %s(%s) ∥ %s(%s) conflicts on the session but not on a fresh solve",
+			op1.Name, bindingString(b1, op1), op2.Name, bindingString(b2, op2))
+	}
+	return c, nil
 }
 
 // checkBinding runs one four-state satisfiability query.
@@ -286,10 +284,8 @@ func extractExample(enc *smt.Encoder, pre, post1, post2, merged *smt.State) *Cou
 			ce.MergedFns[k] = v
 		}
 	}
-	for _, name := range []string{"Capacity", "Limit", "Max", "Bound"} {
-		if v, ok := enc.ConstValue(name); ok {
-			ce.Consts[name] = v
-		}
+	for _, name := range enc.Consts() {
+		ce.Consts[name], _ = enc.ConstValue(name)
 	}
 	return ce
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ipa/internal/logic"
-	"ipa/internal/smt"
 	"ipa/internal/spec"
 )
 
@@ -81,12 +80,17 @@ func RepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
 		return nil, err
 	}
 
+	origExec, err := executableBindings(s, c, opts)
+	if err != nil {
+		return nil, err
+	}
+
 	var solutions []Repair
 	// Rule-only resolutions first: when the two operations write opposing
 	// values to the same predicate, installing a convergence rule alone
 	// may already decide the winner (the paper's Fig. 3 uses exactly this
 	// for begin/finish: a rem-wins active set, no extra effects).
-	ruleOnly, err := ruleOnlyRepairs(s, c, opts)
+	ruleOnly, err := ruleOnlyRepairs(s, c, origExec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +130,7 @@ func RepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
 					continue
 				}
 				rep.Rules = rules
-				solved, err := repairSolves(s, c, rep, opts)
+				solved, err := repairSolves(s, c, rep, origExec, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -192,7 +196,7 @@ func predicatePool(s *spec.Spec, c *Conflict) ([]logic.PredRef, error) {
 // predicate the two operations write with opposing values, a convergence
 // rule alone decides the winner. The repair is attributed to the
 // operation whose write the rule favours.
-func ruleOnlyRepairs(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
+func ruleOnlyRepairs(s *spec.Spec, c *Conflict, origExec []bindingPair, opts Options) ([]Repair, error) {
 	if opts.DisableRuleSuggestion {
 		return nil, nil
 	}
@@ -220,7 +224,7 @@ func ruleOnlyRepairs(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) 
 					target = c.Op2.Name
 				}
 				rep := Repair{Target: target, Rules: map[string]spec.Policy{e1.Pred: pol}}
-				solved, err := repairSolves(s, c, rep, opts)
+				solved, err := repairSolves(s, c, rep, origExec, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -427,86 +431,58 @@ func requiredRules(s *spec.Spec, target, counterpart *spec.Operation, extra []sp
 // re-runs conflict detection for the pair against the boolean clauses.
 // A repair is only accepted if it preserves executability: for every
 // parameter binding under which the original pair could execute
-// concurrently, the repaired pair must still be able to (otherwise a
-// repair could "solve" the conflict by making an operation's precondition
-// unsatisfiable, which changes the application semantics — the paper
-// requires the original semantics to be preserved when no conflict
-// occurs).
-func repairSolves(s *spec.Spec, c *Conflict, rep Repair, opts Options) (bool, error) {
+// concurrently (origExec, from executableBindings), the repaired pair must
+// still be able to (otherwise a repair could "solve" the conflict by
+// making an operation's precondition unsatisfiable, which changes the
+// application semantics — the paper requires the original semantics to be
+// preserved when no conflict occurs). Both checks share one session.
+func repairSolves(s *spec.Spec, c *Conflict, rep Repair, origExec []bindingPair, opts Options) (bool, error) {
 	scratch := s.Clone()
 	applyRepair(scratch, rep)
 	op1, _ := scratch.Operation(c.Op1.Name)
 	op2, _ := scratch.Operation(c.Op2.Name)
-	conflict, err := IsConflicting(scratch, op1, op2, opts, boolClausesOnly)
+	ss, err := newSession(scratch, opts)
 	if err != nil {
 		return false, err
 	}
-	if conflict != nil {
-		return false, nil
+	if _, _, found, err := ss.firstConflict(op1, op2, boolClausesOnly); err != nil || found {
+		return false, err
 	}
-	return executabilityPreserved(s, scratch, c.Op1.Name, c.Op2.Name, opts)
-}
-
-// executabilityPreserved checks, binding by binding, that patching did not
-// turn a concurrently executable scenario into an impossible one.
-func executabilityPreserved(orig, patched *spec.Spec, op1Name, op2Name string, opts Options) (bool, error) {
-	opts = opts.withDefaults()
-	dom := domainFor(orig, opts.Scope)
-	o1, _ := orig.Operation(op1Name)
-	o2, _ := orig.Operation(op2Name)
-	p1, _ := patched.Operation(op1Name)
-	p2, _ := patched.Operation(op2Name)
-	b1s := enumBindings(o1.Params, dom, true)
-	b2s := enumBindings(o2.Params, dom, false)
-	for _, b1 := range b1s {
-		for _, b2 := range b2s {
-			origOK, err := pairExecutable(orig, o1, o2, b1, b2, opts)
-			if err != nil {
-				return false, err
-			}
-			if !origOK {
-				continue
-			}
-			patchedOK, err := pairExecutable(patched, p1, p2, b1, b2, opts)
-			if err != nil {
-				return false, err
-			}
-			if !patchedOK {
-				return false, nil
-			}
+	for _, b := range origExec {
+		if ok, err := ss.executable(op1, op2, b.b1, b.b2); err != nil || !ok {
+			return false, err
 		}
 	}
 	return true, nil
 }
 
-// pairExecutable reports whether some I-valid state admits both operations
-// concurrently under the given bindings: SAT(I(S) ∧ I(o1(S)) ∧ I(o2(S))).
-func pairExecutable(s *spec.Spec, op1, op2 *spec.Operation, b1, b2 map[string]string, opts Options) (bool, error) {
-	opts = opts.withDefaults()
-	dom := domainFor(s, opts.Scope)
-	sig, err := s.Signature()
+// bindingPair is one parameter instantiation of an operation pair.
+type bindingPair struct{ b1, b2 map[string]string }
+
+// executableBindings lists the bindings under which the conflict's pair,
+// unrepaired, can execute concurrently from some I-valid state. Every
+// candidate repair of the conflict must keep them executable.
+func executableBindings(s *spec.Spec, c *Conflict, opts Options) ([]bindingPair, error) {
+	op1, _ := s.Operation(c.Op1.Name)
+	op2, _ := s.Operation(c.Op2.Name)
+	ss, err := newSession(s, opts)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	ge1, err := op1.Ground(b1)
-	if err != nil {
-		return false, err
-	}
-	ge2, err := op2.Ground(b2)
-	if err != nil {
-		return false, err
-	}
-	enc := smt.NewEncoder(dom, sig)
-	pre := enc.NewState("pre")
-	post1 := enc.Apply(pre, ge1, "post1")
-	post2 := enc.Apply(pre, ge2, "post2")
-	inv := s.Invariant()
-	for _, st := range []*smt.State{pre, post1, post2} {
-		if err := enc.Assert(inv, st); err != nil {
-			return false, err
+	var out []bindingPair
+	b2s := enumBindings(op2.Params, ss.enc.Dom, false)
+	for _, b1 := range enumBindings(op1.Params, ss.enc.Dom, true) {
+		for _, b2 := range b2s {
+			ok, err := ss.executable(op1, op2, b1, b2)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, bindingPair{b1, b2})
+			}
 		}
 	}
-	return enc.Solve(), nil
+	return out, nil
 }
 
 // applyRepair mutates the spec: appends the extra effects to the target

@@ -1,0 +1,223 @@
+package analysis
+
+import (
+	"strings"
+
+	"ipa/internal/logic"
+	"ipa/internal/sat"
+	"ipa/internal/smt"
+	"ipa/internal/spec"
+)
+
+// session decides the verification conditions of one query site — every
+// binding of one operation pair, or one candidate repair's conflict and
+// executability checks — on a single solver. The invariant is grounded in
+// the pre-state and asserted once; each clause is grounded at most once per
+// distinct state; and each binding is asked as one Tseitin literal passed
+// to Solve as an assumption, so an UNSAT binding leaves the solver usable
+// for the next. Every definition the session adds is Tseitin, so the only
+// constraints a query sees are I(pre) and its own assumption.
+//
+// A session gives verdicts only. Its model is shared by every query, so a
+// reported conflict's witness comes from a fresh checkBinding.
+type session struct {
+	enc     *smt.Encoder
+	resolve smt.ResolveFunc
+	clauses []logic.Formula
+	reads   []map[string]bool // predicates and fields each clause mentions
+	pre     *smt.State
+	posts   map[string]*derived       // post-states by their ground effects
+	lits    map[clauseAt]*sat.Formula // each clause's literal per state
+}
+
+// derived is a post- or merged state with the names its effects write;
+// a post-state also keeps the literal of the invariant holding in it.
+type derived struct {
+	st     *smt.State
+	writes map[string]bool
+	holds  *sat.Formula
+}
+
+type clauseAt struct {
+	st *smt.State
+	i  int
+}
+
+func newSession(s *spec.Spec, opts Options) (*session, error) {
+	sig, err := s.Signature()
+	if err != nil {
+		return nil, err
+	}
+	enc := smt.NewEncoder(domainFor(s, opts.Scope), sig)
+	ss := &session{enc: enc, resolve: s.Resolver(), clauses: logic.Clauses(s.Invariant()),
+		pre: enc.NewState("pre"), posts: map[string]*derived{}, lits: map[clauseAt]*sat.Formula{}}
+	for _, cl := range ss.clauses {
+		reads := map[string]bool{}
+		for _, ref := range logic.Predicates(cl) {
+			reads[ref.Name] = true
+		}
+		ss.reads = append(ss.reads, reads)
+	}
+	for i := range ss.clauses {
+		l, err := ss.clause(&derived{st: ss.pre}, i)
+		if err != nil {
+			return nil, err
+		}
+		enc.S.Assert(l)
+	}
+	return ss, nil
+}
+
+// clause returns the literal of invariant clause i in state d. A state that
+// writes none of the clause's predicates shares the pre-state's literal.
+func (ss *session) clause(d *derived, i int) (*sat.Formula, error) {
+	st := d.st
+	if !writesAny(d.writes, ss.reads[i]) {
+		st = ss.pre
+	}
+	if l, ok := ss.lits[clauseAt{st, i}]; ok {
+		return l, nil
+	}
+	f, err := ss.enc.Formula(ss.clauses[i], st, smt.Binding{})
+	if err != nil {
+		return nil, err
+	}
+	l := sat.Literal(ss.enc.S.Lit(f))
+	ss.lits[clauseAt{st, i}] = l
+	return l, nil
+}
+
+func writesAny(writes, reads map[string]bool) bool {
+	for name := range writes {
+		if reads[name] {
+			return true
+		}
+	}
+	return false
+}
+
+func effectWrites(effs ...smt.GroundEffects) map[string]bool {
+	w := map[string]bool{}
+	for _, ge := range effs {
+		for _, be := range ge.Bools {
+			w[be.Pred] = true
+		}
+		for _, ne := range ge.Nums {
+			w[ne.Fn] = true
+		}
+	}
+	return w
+}
+
+// post returns the state after op runs on the pre-state under b, with
+// the invariant grounded in it, shared by every binding that grounds to
+// the same effects.
+func (ss *session) post(op *spec.Operation, b map[string]string) (*derived, smt.GroundEffects, error) {
+	ge, err := op.Ground(b)
+	if err != nil {
+		return nil, ge, err
+	}
+	var key strings.Builder
+	for _, be := range ge.Bools {
+		key.WriteString(be.String())
+		key.WriteByte(';')
+	}
+	for _, ne := range ge.Nums {
+		key.WriteString(ne.String())
+		key.WriteByte(';')
+	}
+	d, ok := ss.posts[key.String()]
+	if !ok {
+		d = &derived{st: ss.enc.Apply(ss.pre, ge, "post"), writes: effectWrites(ge)}
+		if d.holds, err = ss.invariantHolds(d); err != nil {
+			return nil, ge, err
+		}
+		ss.posts[key.String()] = d
+	}
+	return d, ge, nil
+}
+
+// invariantHolds returns the conjunction of every clause's literal in d.
+func (ss *session) invariantHolds(d *derived) (*sat.Formula, error) {
+	parts := make([]*sat.Formula, len(ss.clauses))
+	for i := range ss.clauses {
+		l, err := ss.clause(d, i)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = l
+	}
+	return sat.And(parts...), nil
+}
+
+// solve decides the session's I(pre) under query's literal as the one
+// assumption.
+func (ss *session) solve(query *sat.Formula) bool {
+	return ss.enc.S.Solve(ss.enc.S.Lit(query))
+}
+
+// checked lists the indices of the clauses the filter selects (nil = all).
+func (ss *session) checked(filter clauseFilter) []int {
+	var out []int
+	for i, cl := range ss.clauses {
+		if filter == nil || filter(cl) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// conflicting decides whether, under bindings b1 and b2, some I-valid
+// pre-state admits both operations and their merge violates one of the
+// checked clauses (indices into ss.clauses): checkBinding's verdict.
+func (ss *session) conflicting(op1, op2 *spec.Operation, b1, b2 map[string]string, checked []int) (bool, error) {
+	post1, ge1, err := ss.post(op1, b1)
+	if err != nil {
+		return false, err
+	}
+	post2, ge2, err := ss.post(op2, b2)
+	if err != nil {
+		return false, err
+	}
+	merged := &derived{st: ss.enc.Merge(ss.pre, ge1, ge2, ss.resolve, "merged"), writes: effectWrites(ge1, ge2)}
+	kept := make([]*sat.Formula, len(checked))
+	for k, i := range checked {
+		if kept[k], err = ss.clause(merged, i); err != nil {
+			return false, err
+		}
+	}
+	return ss.solve(sat.And(post1.holds, post2.holds, sat.Not(sat.And(kept...)))), nil
+}
+
+// firstConflict returns the first bindings, in enumeration order, under
+// which the pair violates a clause the filter selects (nil = all).
+func (ss *session) firstConflict(op1, op2 *spec.Operation, filter clauseFilter) (b1, b2 map[string]string, found bool, err error) {
+	checked := ss.checked(filter)
+	if len(checked) == 0 {
+		return nil, nil, false, nil
+	}
+	b2s := enumBindings(op2.Params, ss.enc.Dom, false)
+	for _, b1 := range enumBindings(op1.Params, ss.enc.Dom, true) {
+		for _, b2 := range b2s {
+			found, err := ss.conflicting(op1, op2, b1, b2, checked)
+			if err != nil || found {
+				return b1, b2, found, err
+			}
+		}
+	}
+	return nil, nil, false, nil
+}
+
+// executable reports whether some I-valid state admits both operations
+// concurrently under the given bindings: SAT(I(S) ∧ I(o1(S)) ∧ I(o2(S))).
+func (ss *session) executable(op1, op2 *spec.Operation, b1, b2 map[string]string) (bool, error) {
+	post1, _, err := ss.post(op1, b1)
+	if err != nil {
+		return false, err
+	}
+	post2, _, err := ss.post(op2, b2)
+	if err != nil {
+		return false, err
+	}
+	return ss.solve(sat.And(post1.holds, post2.holds)), nil
+}

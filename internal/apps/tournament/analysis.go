@@ -9,16 +9,16 @@ import (
 )
 
 // Analysis runs the full IPA loop on the tournament specification with
-// the paper's Fig. 3 repair choices and caches the result (the loop
-// costs seconds; the output is immutable). The analysis proposes several
-// valid resolutions per conflict and the paper's pickResolution hook is
-// the programmer — this function records the programmer decision the
-// hand-coded IPA variant implements: for disenroll ∥ do_match the
-// *disenroll wins* repair (wipe the player's matches in the tournament
-// with rem-wins semantics, Fig. 3's ensureDisenroll) rather than the
-// default smallest repair (do_match wins by re-asserting the
-// enrolments). Every other conflict takes the default minimal repair,
-// which already matches Fig. 3.
+// the paper's Fig. 3 repair choices and caches the result (the output is
+// immutable, and every mount would otherwise pay the loop again, about a
+// second). The analysis proposes several valid resolutions per conflict
+// and the paper's pickResolution hook is the programmer — this function
+// records the programmer decision the hand-coded IPA variant implements:
+// for disenroll ∥ do_match the *disenroll wins* repair (wipe the player's
+// matches in the tournament with rem-wins semantics, Fig. 3's
+// ensureDisenroll) rather than the default smallest repair (do_match wins
+// by re-asserting the enrolments). Every other conflict takes the default
+// minimal repair, which already matches Fig. 3.
 func Analysis() *analysis.Result {
 	analysisOnce.Do(func() {
 		res, err := analysis.Run(Spec(), analysis.Options{Chooser: fig3Chooser})

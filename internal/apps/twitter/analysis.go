@@ -9,16 +9,17 @@ import (
 )
 
 // Analysis runs the full IPA loop on the Twitter specification with the
-// paper's Fig. 6 rem-wins repair choices and caches the result (the loop
-// costs seconds; the output is immutable). The analysis proposes several
-// valid resolutions per conflict and the paper's pickResolution hook is
-// the programmer — this function records the programmer decision the
-// hand-coded RemWins variant implements: deletions win. rem_user purges
-// the removed user's timeline and follow edges; del_tweet purges the
-// deleted tweet's timeline entries everywhere — both as rem-wins
-// wildcard removals that also defeat concurrent inserts. The alternative
-// (add-wins: writers re-assert what removals took, the default minimal
-// repair) is what the hand-coded AddWins variant implements.
+// paper's Fig. 6 rem-wins repair choices and caches the result (the
+// output is immutable, and every mount would otherwise pay the loop
+// again). The analysis proposes several valid resolutions per conflict
+// and the paper's pickResolution hook is the programmer — this function
+// records the programmer decision the hand-coded RemWins variant
+// implements: deletions win. rem_user purges the removed user's timeline
+// and follow edges; del_tweet purges the deleted tweet's timeline entries
+// everywhere — both as rem-wins wildcard removals that also defeat
+// concurrent inserts. The alternative (add-wins: writers re-assert what
+// removals took, the default minimal repair) is what the hand-coded
+// AddWins variant implements.
 func Analysis() *analysis.Result {
 	analysisOnce.Do(func() {
 		res, err := analysis.Run(Spec(), analysis.Options{Chooser: remWinsChooser})

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -164,50 +165,77 @@ func (s *Solver) Assert(f *Formula) bool {
 		}
 		return true
 	}
-	l := s.encode(f)
-	return s.AddClause(l)
+	return s.AddClause(s.Lit(f))
 }
 
-// encode returns a literal equivalent to f, adding defining clauses.
-func (s *Solver) encode(f *Formula) int {
+// Lit returns a literal equivalent to f, adding Tseitin defining clauses
+// for its internal nodes. Definitions are hash-consed: an And or Or over
+// child literals already defined on this solver reuses its variable, and
+// the constants share one variable forced true, so encoding the same
+// structure again adds no variables and no clauses. The literal can be
+// asserted (AddClause) or passed to Solve as an assumption.
+func (s *Solver) Lit(f *Formula) int {
 	switch f.kind {
 	case fTrue:
-		// A fresh variable forced true.
-		v := s.NewVar()
-		s.AddClause(v)
-		return v
+		return s.trueLit()
 	case fFalse:
-		v := s.NewVar()
-		s.AddClause(-v)
-		return v
+		return -s.trueLit()
 	case fVar:
 		return f.v
 	case fNot:
-		return -s.encode(f.args[0])
-	case fAnd:
-		d := s.NewVar()
-		all := make([]int, 0, len(f.args)+1)
-		for _, a := range f.args {
-			la := s.encode(a)
-			s.AddClause(-d, la) // d → a
-			all = append(all, -la)
+		return -s.Lit(f.args[0])
+	case fAnd, fOr:
+		lits := make([]int, len(f.args))
+		for i, a := range f.args {
+			lits[i] = s.Lit(a)
 		}
-		all = append(all, d) // (∧a) → d
-		s.AddClause(all...)
-		return d
-	case fOr:
-		d := s.NewVar()
-		all := make([]int, 0, len(f.args)+1)
-		for _, a := range f.args {
-			la := s.encode(a)
-			s.AddClause(d, -la) // a → d
-			all = append(all, la)
+		key := s.defKey[:0]
+		key = append(key, byte(f.kind))
+		for _, l := range lits {
+			key = binary.AppendVarint(key, int64(l))
 		}
-		all = append(all, -d) // d → (∨a)
+		s.defKey = key
+		if d, ok := s.defs[string(key)]; ok {
+			return d
+		}
+		d := s.NewVar()
+		s.defs[string(key)] = d
+		all := make([]int, 0, len(lits)+1)
+		if f.kind == fAnd {
+			for _, la := range lits {
+				s.AddClause(-d, la) // d → a
+				all = append(all, -la)
+			}
+			all = append(all, d) // (∧a) → d
+		} else {
+			for _, la := range lits {
+				s.AddClause(d, -la) // a → d
+				all = append(all, la)
+			}
+			all = append(all, -d) // d → (∨a)
+		}
 		s.AddClause(all...)
 		return d
 	}
 	panic("sat: unknown formula kind")
+}
+
+// trueLit returns the variable shared by every constant, forced true on
+// first use.
+func (s *Solver) trueLit() int {
+	if s.trueVar == 0 {
+		s.trueVar = s.NewVar()
+		s.AddClause(s.trueVar)
+	}
+	return s.trueVar
+}
+
+// Literal lifts a literal (as returned by Solver.Lit) into a formula.
+func Literal(l int) *Formula {
+	if l < 0 {
+		return Not(Var(-l))
+	}
+	return Var(l)
 }
 
 // Eval evaluates f under the assignment given by model (indexed by

@@ -134,3 +134,25 @@ func TestFormulaString(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
+
+// Encoding a structure already defined on the solver — rebuilt from fresh
+// Formula values — adds no variables and no clauses, and returns the same
+// literal; every constant shares one variable.
+func TestLitHashConsed(t *testing.T) {
+	s := New()
+	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	build := func() *Formula {
+		x := Or(And(Var(a), Not(Var(b))), And(Not(Var(a)), Var(b)))
+		return And(Or(x, Var(c)), Implies(Var(c), Not(x)), Or(Not(x), Var(a)))
+	}
+	l1 := s.Lit(build())
+	vars, clauses, units := s.NumVars(), len(s.clauses), len(s.trail)
+	l2 := s.Lit(build())
+	if l1 != l2 || s.NumVars() != vars || len(s.clauses) != clauses || len(s.trail) != units {
+		t.Fatalf("re-encoding: literal %d -> %d, vars %d -> %d, clauses %d -> %d, units %d -> %d",
+			l1, l2, vars, s.NumVars(), clauses, len(s.clauses), units, len(s.trail))
+	}
+	if s.Lit(TrueF()) != -s.Lit(FalseF()) || s.NumVars() != vars+1 {
+		t.Fatalf("constants must share one variable: %d vars after encoding both, had %d", s.NumVars(), vars)
+	}
+}

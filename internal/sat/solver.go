@@ -75,6 +75,13 @@ type Solver struct {
 
 	seen  []bool // scratch for analyze
 	Stats Stats
+
+	// Tseitin state (formula.go): the definition variable of each And/Or
+	// node by kind and child literals, the shared constant variable, and
+	// scratch for building keys.
+	defs    map[string]int
+	trueVar int
+	defKey  []byte
 }
 
 // Stats reports solver effort, useful in benchmarks and tests.
@@ -92,7 +99,7 @@ type clause struct {
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{varInc: 1.0}
+	s := &Solver{varInc: 1.0, defs: map[string]int{}}
 	// index 0 unused so vars are 1-based
 	s.assigns = append(s.assigns, unassigned)
 	s.level = append(s.level, 0)
@@ -374,12 +381,22 @@ func (s *Solver) pickBranchVar() int {
 	return best
 }
 
-// Solve decides satisfiability of the added clauses. After a true result,
-// Value reports the satisfying assignment. Solve may be called again after
-// adding more clauses (incremental use); learned clauses are retained.
-func (s *Solver) Solve() bool {
+// Solve decides satisfiability of the added clauses under the given
+// assumption literals, MiniSat-style: the assumptions are decided first,
+// one decision level each, and a conflict that refutes them returns false
+// without making the solver UNSAT, so a later Solve (with other
+// assumptions, or none) starts from the same clauses plus everything
+// learnt. After a true result, Value reports a satisfying assignment in
+// which every assumption holds. Solve may be called again after adding
+// more clauses (incremental use); learned clauses are retained.
+func (s *Solver) Solve(assumptions ...int) bool {
 	if s.unsat {
 		return false
+	}
+	for _, a := range assumptions {
+		if a == 0 || a > s.nVars || -a > s.nVars {
+			panic(fmt.Sprintf("sat: assumption %d references unallocated variable", a))
+		}
 	}
 	s.cancelUntil(0)
 	if s.propagate() != nil {
@@ -408,15 +425,42 @@ func (s *Solver) Solve() bool {
 			s.varInc /= 0.95 // decay by bumping the increment
 			continue
 		}
-		v := s.pickBranchVar()
-		if v == 0 {
-			return true // complete assignment
+		next, ok := s.nextAssumption(assumptions)
+		if !ok {
+			s.cancelUntil(0)
+			return false // the clauses refute the assumptions
+		}
+		if next == 0 {
+			v := s.pickBranchVar()
+			if v == 0 {
+				return true // complete assignment
+			}
+			// Phase heuristic: try false first (predicates default to absent).
+			next = toLit(-v)
 		}
 		s.Stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		// Phase heuristic: try false first (predicates default to absent).
-		s.enqueue(toLit(-v), nil)
+		s.enqueue(next, nil)
 	}
+}
+
+// nextAssumption returns the first assumption not yet decided, opening an
+// empty decision level for each one that already holds so that level i+1
+// always belongs to assumption i. It returns 0 once every assumption
+// holds, and ok=false when one is false.
+func (s *Solver) nextAssumption(assumptions []int) (next lit, ok bool) {
+	for s.decisionLevel() < len(assumptions) {
+		p := toLit(assumptions[s.decisionLevel()])
+		switch s.litValue(p) {
+		case vTrue:
+			s.trailLim = append(s.trailLim, len(s.trail))
+		case vFalse:
+			return 0, false
+		default:
+			return p, true
+		}
+	}
+	return 0, true
 }
 
 // Value returns the model value of variable v after a successful Solve.

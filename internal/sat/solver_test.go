@@ -284,3 +284,140 @@ func TestStatsPopulated(t *testing.T) {
 		t.Fatalf("expected nontrivial search stats, got %+v", s.Stats)
 	}
 }
+
+// checkAssumptions decides cnf over nVars under the assumptions and
+// checks the solver against bruteForce with the assumptions as units:
+// the verdict, that a model satisfies the clauses and the assumptions,
+// and that a refuted assumption set leaves a plain Solve, and a repeat
+// of the same query, deciding as before.
+func checkAssumptions(t *testing.T, nVars int, cnf [][]int, assumptions []int) {
+	t.Helper()
+	s := New()
+	for v := 0; v < nVars; v++ {
+		s.NewVar()
+	}
+	ok := true
+	for _, cl := range cnf {
+		if !s.AddClause(cl...) {
+			ok = false
+			break
+		}
+	}
+	withUnits := append([][]int(nil), cnf...)
+	for _, a := range assumptions {
+		withUnits = append(withUnits, []int{a})
+	}
+	want := bruteForce(nVars, withUnits)
+	got := ok && s.Solve(assumptions...)
+	if got != want {
+		t.Fatalf("Solve(%v) = %v, brute force %v; cnf=%v", assumptions, got, want, cnf)
+	}
+	if got {
+		for _, cl := range withUnits {
+			sat := false
+			for _, l := range cl {
+				v := l
+				if v < 0 {
+					v = -v
+				}
+				if (l > 0) == s.Value(v) {
+					sat = true
+					break
+				}
+			}
+			if !sat {
+				t.Fatalf("model violates %v (assumptions %v, cnf %v)", cl, assumptions, cnf)
+			}
+		}
+	}
+	if plain, want := ok && s.Solve(), bruteForce(nVars, cnf); plain != want {
+		t.Fatalf("Solve() after Solve(%v) = %v, brute force %v; cnf=%v", assumptions, plain, want, cnf)
+	}
+	if again := ok && s.Solve(assumptions...); again != got {
+		t.Fatalf("repeated Solve(%v) = %v, first %v; cnf=%v", assumptions, again, got, cnf)
+	}
+}
+
+func TestSolveAssumptionsAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		nVars := 2 + rng.Intn(7)
+		cnf := make([][]int, 1+rng.Intn(4*nVars))
+		for i := range cnf {
+			cl := make([]int, 1+rng.Intn(3))
+			for j := range cl {
+				cl[j] = (1 + rng.Intn(nVars)) * (1 - 2*rng.Intn(2))
+			}
+			cnf[i] = cl
+		}
+		assumptions := make([]int, rng.Intn(4))
+		for i := range assumptions {
+			assumptions[i] = (1 + rng.Intn(nVars)) * (1 - 2*rng.Intn(2))
+		}
+		checkAssumptions(t, nVars, cnf, assumptions)
+	}
+}
+
+// A refuted assumption is not a refuted formula: the solver stays usable.
+func TestAssumptionConflictKeepsSolverSAT(t *testing.T) {
+	s := New()
+	a, b := s.NewVar(), s.NewVar()
+	s.AddClause(-a, b)
+	s.AddClause(-a, -b)
+	if s.Solve(a) {
+		t.Fatal("a forces b and -b: UNSAT under assumption a")
+	}
+	if !s.Solve() || s.Value(a) {
+		t.Fatal("without the assumption the clauses are SAT with a false")
+	}
+	if !s.Solve(-a, b) || !s.Value(b) || s.Value(a) {
+		t.Fatal("assumptions -a, b must hold in the model")
+	}
+}
+
+// FuzzSolveAssumptions decodes a small CNF and an assumption set from the
+// input and checks the solver against brute force (checkAssumptions).
+// Byte 0 picks the variable count (1..8), byte 1 the assumption count
+// (0..3); the next bytes are the assumptions, then clauses, each a length
+// byte (1..3 literals) followed by its literals. A literal byte b names
+// variable 1+(b>>1)%n, negated when b is odd.
+func FuzzSolveAssumptions(f *testing.F) {
+	f.Add([]byte{2, 1, 0, 1, 0, 1, 2})
+	f.Add([]byte{3, 2, 0, 3, 2, 1, 2, 1, 3, 0, 2, 5})
+	f.Add([]byte{7, 3, 1, 2, 5, 2, 0, 3, 2, 4, 7, 0, 9, 11, 1, 13})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		nVars := 1 + int(data[0]%8)
+		nAssume := int(data[1] % 4)
+		data = data[2:]
+		lit := func(b byte) int {
+			v := 1 + int(b>>1)%nVars
+			if b&1 == 1 {
+				return -v
+			}
+			return v
+		}
+		var assumptions []int
+		for ; nAssume > 0 && len(data) > 0; nAssume-- {
+			assumptions = append(assumptions, lit(data[0]))
+			data = data[1:]
+		}
+		var cnf [][]int
+		for len(data) > 1 && len(cnf) < 64 {
+			n := 1 + int(data[0]%3)
+			data = data[1:]
+			if n > len(data) {
+				n = len(data)
+			}
+			cl := make([]int, n)
+			for i := range cl {
+				cl[i] = lit(data[i])
+			}
+			cnf = append(cnf, cl)
+			data = data[n:]
+		}
+		checkAssumptions(t, nVars, cnf, assumptions)
+	})
+}

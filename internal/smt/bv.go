@@ -37,15 +37,13 @@ func constBV(n int) bv {
 	return out
 }
 
-// define allocates a fresh variable equivalent to f and returns it as a
-// formula, keeping downstream circuitry flat. Constants pass through.
+// define returns f's Tseitin literal as a formula, keeping downstream
+// circuitry flat. Constants and literals pass through.
 func (e *Encoder) define(f *sat.Formula) *sat.Formula {
 	if c, _ := f.IsConst(); c || f.IsLiteral() {
 		return f
 	}
-	v := e.S.NewVar()
-	e.S.Assert(sat.Iff(sat.Var(v), f))
-	return sat.Var(v)
+	return sat.Literal(e.S.Lit(f))
 }
 
 func xor(a, b *sat.Formula) *sat.Formula {

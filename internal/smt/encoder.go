@@ -93,6 +93,7 @@ type Encoder struct {
 	Dom    Domain
 	Sig    Signature
 	consts map[string]bv
+	key    []byte // scratch for State.Atom/Fn cache lookups
 }
 
 // NewEncoder returns an encoder over the given domain and signature.
@@ -116,6 +117,17 @@ func (e *Encoder) constVec(name string) bv {
 	e.S.Assert(sat.Not(v[constWidth-1])) // sign bit clear: value >= 0
 	e.consts[name] = v
 	return v
+}
+
+// Consts lists, sorted, the symbolic constants the encoded formulas
+// mention.
+func (e *Encoder) Consts() []string {
+	out := make([]string, 0, len(e.consts))
+	for name := range e.consts {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // ConstValue reports the model value of a named constant after a
@@ -189,10 +201,32 @@ func (e *Encoder) Merge(base *State, e1, e2 GroundEffects, resolve ResolveFunc, 
 
 // atomKey builds the canonical ground-atom name.
 func atomKey(pred string, args []string) string {
+	return string(appendAtomKey(nil, pred, args))
+}
+
+// appendAtomKey appends the canonical ground-atom name to dst.
+func appendAtomKey(dst []byte, pred string, args []string) []byte {
+	dst = append(dst, pred...)
 	if len(args) == 0 {
-		return pred
+		return dst
 	}
-	return pred + "(" + strings.Join(args, ",") + ")"
+	for i, a := range args {
+		if i == 0 {
+			dst = append(dst, '(')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, a...)
+	}
+	return append(dst, ')')
+}
+
+// lookupKey builds pred(args) in the encoder's scratch buffer, so a cache
+// hit costs no allocation; the caller converts it to a string only to
+// insert.
+func (e *Encoder) lookupKey(pred string, args []string) []byte {
+	e.key = appendAtomKey(e.key[:0], pred, args)
+	return e.key
 }
 
 // matches reports whether the effect pattern covers the ground args.
@@ -210,10 +244,11 @@ func patternMatches(pat, args []string) bool {
 
 // Atom returns the formula for ground atom pred(args) in this state.
 func (s *State) Atom(pred string, args []string) *sat.Formula {
-	key := atomKey(pred, args)
-	if f, ok := s.atoms[key]; ok {
+	buf := s.enc.lookupKey(pred, args)
+	if f, ok := s.atoms[string(buf)]; ok {
 		return f
 	}
+	key := string(buf)
 	f := s.computeAtom(pred, args, key)
 	s.atoms[key] = f
 	return f
@@ -265,10 +300,11 @@ func (s *State) computeAtom(pred string, args []string, key string) *sat.Formula
 
 // Fn returns the bit-vector for ground numeric field fn(args) in s.
 func (s *State) Fn(fn string, args []string) bv {
-	key := atomKey(fn, args)
-	if v, ok := s.fns[key]; ok {
+	buf := s.enc.lookupKey(fn, args)
+	if v, ok := s.fns[string(buf)]; ok {
 		return v
 	}
+	key := string(buf)
 	var v bv
 	if s.base == nil {
 		v = make(bv, constWidth)

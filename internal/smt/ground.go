@@ -99,12 +99,17 @@ func (e *Encoder) Formula(f logic.Formula, st *State, env Binding) (*sat.Formula
 }
 
 func (e *Encoder) expandForall(g *logic.Forall, st *State, env Binding) (*sat.Formula, error) {
-	// Expand variables one tuple at a time (depth-first product).
+	// Expand variables one tuple at a time (depth-first product), rebinding
+	// them in one private copy of env: grounding the body retains no env.
+	inner := make(Binding, len(env)+len(g.Vars))
+	for k, x := range env {
+		inner[k] = x
+	}
 	var parts []*sat.Formula
-	var rec func(i int, env Binding) error
-	rec = func(i int, env Binding) error {
+	var rec func(i int) error
+	rec = func(i int) error {
 		if i == len(g.Vars) {
-			p, err := e.Formula(g.Body, st, env)
+			p, err := e.Formula(g.Body, st, inner)
 			if err != nil {
 				return err
 			}
@@ -117,18 +122,14 @@ func (e *Encoder) expandForall(g *logic.Forall, st *State, env Binding) (*sat.Fo
 			return fmt.Errorf("smt: sort %q not in domain", v.Sort)
 		}
 		for _, el := range elems {
-			inner := make(Binding, len(env)+1)
-			for k, x := range env {
-				inner[k] = x
-			}
 			inner[v.Name] = el
-			if err := rec(i+1, inner); err != nil {
+			if err := rec(i + 1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := rec(0, env); err != nil {
+	if err := rec(0); err != nil {
 		return nil, err
 	}
 	return sat.And(parts...), nil
