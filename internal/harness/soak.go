@@ -192,18 +192,7 @@ func Soak(opts SoakOptions) (*SoakResult, error) {
 	}
 
 	for _, n := range nodes {
-		s := n.Stats()
-		res.Metrics.Dials += s.Dials
-		res.Metrics.Reconnects += s.Reconnects
-		res.Metrics.SendErrors += s.SendErrors
-		res.Metrics.FramesSent += s.FramesSent
-		res.Metrics.TxnsSent += s.TxnsSent
-		res.Metrics.BytesSent += s.BytesSent
-		res.Metrics.FramesRecv += s.FramesRecv
-		res.Metrics.TxnsRecv += s.TxnsRecv
-		res.Metrics.BytesRecv += s.BytesRecv
-		res.Metrics.BackpressureWaits += s.BackpressureWaits
-		res.Metrics.TxnsDropped += s.TxnsDropped
+		res.Metrics = res.Metrics.Add(n.Stats())
 	}
 	return res, nil
 }

@@ -120,6 +120,58 @@ func TestKillMidGroupCommitNoAckedLoss(t *testing.T) {
 	}
 }
 
+// TestSnapshotSyncsDeferredDurableCommits pins the snapshot-after-sync
+// rule: a commit whose durability wait is deferred (appended to the log,
+// not yet fsynced) is inside the snapshot image, so the snapshot must not
+// reach the disk before the record does. Otherwise a crash keeps the
+// commit in the snapshot but loses it from the log; the recovered origin
+// cannot re-offer it, no peer ever received it (broadcast waits for the
+// fsync), and every later commit from the origin stalls at every peer on
+// the missing sequence number. The origin has no peers while it commits,
+// so no sender's fsync makes the record durable behind the test's back.
+func TestSnapshotSyncsDeferredDurableCommits(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewNodeWithConfig("a", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var waits []func()
+	a.Do(func(r *store.Replica) {
+		tx := r.Begin()
+		tx.DeferDurability(&waits)
+		store.CounterAt(tx, "c").Add(1)
+		tx.Commit()
+	})
+	if len(waits) != 1 {
+		t.Fatalf("durable commit deferred %d waits, want 1", len(waits))
+	}
+	if err := a.ForceSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Kill(); err != nil { // the deferred wait never ran
+		t.Fatal(err)
+	}
+
+	b, err := NewNodeWithConfig("b", "127.0.0.1:0", durableCfg(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rec, err := NewNodeWithConfig("a", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer rec.Close()
+	if v := counterValue(rec, "c"); v != 1 {
+		t.Fatalf("recovered counter = %d, want the snapshot's 1", v)
+	}
+	rec.AddPeer("b", b.Addr())
+	commitN(rec, "c", 1)
+	waitUntil(t, "the peer converges on both of the origin's commits", func() bool {
+		return counterValue(b, "c") == 2
+	})
+}
+
 // A snapshot that exists but fails validation must fail recovery loudly:
 // the log below it is already truncated, so replaying the log alone would
 // bring the node back without transactions it acknowledged.

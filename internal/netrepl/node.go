@@ -255,6 +255,31 @@ type Metrics struct {
 	StalledOrigins int
 }
 
+// Add returns the field-by-field sum of m and o — the aggregate over a
+// set of nodes.
+func (m Metrics) Add(o Metrics) Metrics {
+	m.Dials += o.Dials
+	m.Reconnects += o.Reconnects
+	m.SendErrors += o.SendErrors
+	m.FramesSent += o.FramesSent
+	m.TxnsSent += o.TxnsSent
+	m.BytesSent += o.BytesSent
+	m.FramesRecv += o.FramesRecv
+	m.TxnsRecv += o.TxnsRecv
+	m.BytesRecv += o.BytesRecv
+	m.BackpressureWaits += o.BackpressureWaits
+	m.TxnsDropped += o.TxnsDropped
+	m.QueueDepth += o.QueueDepth
+	m.ApplyDepth += o.ApplyDepth
+	m.WALAppends += o.WALAppends
+	m.WALSyncs += o.WALSyncs
+	m.WALBytes += o.WALBytes
+	m.WALSegments += o.WALSegments
+	m.Snapshots += o.Snapshots
+	m.StalledOrigins += o.StalledOrigins
+	return m
+}
+
 func (m Metrics) String() string {
 	batch := 0.0
 	if m.FramesSent > 0 {
@@ -452,8 +477,8 @@ func (n *Node) recover() ([]store.WireTxn, error) {
 	wal.SetSegmentSize(n.cfg.SegmentSize)
 	n.wal = wal
 	// The log holds own-origin commits past the snapshot's cut (commits
-	// fsync before Commit returns, snapshots are periodic); new commits
-	// must not reuse their sequence numbers.
+	// fsync before they are acknowledged, snapshots are periodic); new
+	// commits must not reuse their sequence numbers.
 	var maxOwn uint64
 	for i := range replayed {
 		if replayed[i].Origin == n.id {
@@ -626,9 +651,20 @@ func (n *Node) CompactAll(horizon, frontier clock.Vector) {
 }
 
 // snapshotLocked captures and persists a snapshot; snapMu held.
+//
+// The image may hold own-origin commits whose log records are appended
+// but not yet fsynced (a committer's durability wait runs after its locks
+// release, or later still when deferred to a connection's reply flush).
+// The log is synced before the image is written: a snapshot that outlived
+// a crash while the log lost those records would recover transactions no
+// peer ever received (broadcast waits for the fsync) and that recovery
+// cannot re-offer — every peer would stall on the origin's gap forever.
 func (n *Node) snapshotLocked() error {
 	data, _, err := n.replica.CaptureSnapshot()
 	if err != nil {
+		return err
+	}
+	if err := n.wal.Sync(); err != nil {
 		return err
 	}
 	if err := store.WriteSnapshotFile(n.dataDir, data); err != nil {
@@ -762,9 +798,10 @@ func (n *Node) Replica() *store.Replica {
 //
 // On a durable node it first appends the transaction to the write-ahead
 // log (the tag window serialises walEnc) and returns a wait function
-// that Commit runs after releasing the transaction's locks: Commit does
-// not return before the record is fsynced — so nothing a client was
-// ever told succeeded can be lost to a crash — but the fsync itself
+// that Commit runs after releasing the transaction's locks, or hands to
+// the caller's acknowledgement point (store.Txn.DeferDurability): no
+// client is told a commit succeeded before its record is fsynced — so
+// nothing acknowledged can be lost to a crash — but the fsync itself
 // never happens under a lock, and concurrent committers share one group
 // commit. The transaction is stamped with its log sequence so each
 // peer's sender can hold the frame back until the record is durable

@@ -18,6 +18,7 @@ import (
 	"ipa/internal/netrepl"
 	"ipa/internal/runtime"
 	"ipa/internal/spec"
+	"ipa/internal/store"
 	"ipa/internal/wan"
 )
 
@@ -90,8 +91,10 @@ type Server struct {
 // New creates a server over an open cluster. The caller keeps ownership
 // of the cluster: Shutdown drains the server's connections but does not
 // close the cluster (the serve command settles replication and closes it
-// after the drain — that ordering is what makes every acked CALL
-// durable).
+// after the drain, so every acked CALL also reaches every site). On a
+// durable cluster a CALL's reply is its acknowledgement: the connection
+// fsyncs the CALL's log record at its origin before the flush that
+// carries the reply, and all the CALLs of one flush share that fsync.
 func New(cluster runtime.Cluster, cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg.withDefaults(),
@@ -284,9 +287,49 @@ var replyBufPool = sync.Pool{
 // site, so one client keeps hitting the same replica (session
 // guarantees) while a client population spreads across sites. The SITE
 // command pins it explicitly.
+//
+// waits holds the durability waits of the CALLs whose replies sit in the
+// connection's unflushed reply buffer; the flush runs them all before it
+// writes (see handle). rep is the replica view CALL hands the engine.
 type session struct {
-	site clock.ReplicaID
-	name string
+	site  clock.ReplicaID
+	name  string
+	waits []func()
+	rep   deferringReplica
+}
+
+// deferringReplica is a replica whose transactions hand their
+// durability wait to the owning session instead of blocking in Commit.
+type deferringReplica struct {
+	runtime.Replica
+	waits *[]func()
+}
+
+// Begin implements runtime.Replica.
+func (d *deferringReplica) Begin() *store.Txn {
+	tx := d.Replica.Begin()
+	tx.DeferDurability(d.waits)
+	return tx
+}
+
+// replica returns the session's site with durability deferred to the
+// session. The site is resolved per call: a recovered site is a new
+// replica instance.
+func (sess *session) replica(c runtime.Cluster) runtime.Replica {
+	sess.rep = deferringReplica{Replica: c.Replica(sess.site), waits: &sess.waits}
+	return &sess.rep
+}
+
+// awaitDurable runs every pending durability wait: after it returns,
+// every CALL this connection has executed is on disk at its origin.
+// Waits on one log are group-committed, so the first pays the fsync and
+// the rest find their record already synced.
+func (sess *session) awaitDurable() {
+	for _, wait := range sess.waits {
+		wait()
+	}
+	clear(sess.waits)
+	sess.waits = sess.waits[:0]
 }
 
 // defaultSite consistent-hashes the client's host across the replicas.
@@ -323,7 +366,11 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	sess := &session{site: s.defaultSite(conn.RemoteAddr().String())}
 
+	// flush is the acknowledgement point: the CALLs whose replies are in
+	// out become durable first, so a whole pipelined batch shares one
+	// group commit and no reply leaves before its record is on disk.
 	flush := func() bool {
+		sess.awaitDurable()
 		if len(out) == 0 {
 			return true
 		}
@@ -435,7 +482,7 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 		}
 		s.calls.Add(1)
 		err := s.exec(func() error {
-			return app.Call(s.cluster.Replica(sess.site), args[2], args[3:]...)
+			return app.Call(sess.replica(s.cluster), args[2], args[3:]...)
 		})
 		switch {
 		case err == nil:
@@ -546,23 +593,7 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 		if nc, ok := s.cluster.(*runtime.NetCluster); ok {
 			var agg netrepl.Metrics
 			for _, id := range s.sites {
-				m := nc.Node(id).Stats()
-				agg.FramesSent += m.FramesSent
-				agg.TxnsSent += m.TxnsSent
-				agg.BytesSent += m.BytesSent
-				agg.FramesRecv += m.FramesRecv
-				agg.TxnsRecv += m.TxnsRecv
-				agg.BytesRecv += m.BytesRecv
-				agg.SendErrors += m.SendErrors
-				agg.TxnsDropped += m.TxnsDropped
-				agg.BackpressureWaits += m.BackpressureWaits
-				agg.Reconnects += m.Reconnects
-				agg.WALAppends += m.WALAppends
-				agg.WALSyncs += m.WALSyncs
-				agg.WALBytes += m.WALBytes
-				agg.WALSegments += m.WALSegments
-				agg.Snapshots += m.Snapshots
-				agg.StalledOrigins += m.StalledOrigins
+				agg = agg.Add(nc.Node(id).Stats())
 			}
 			info += fmt.Sprintf(
 				"repl_frames_sent:%d\r\nrepl_txns_sent:%d\r\nrepl_bytes_sent:%d\r\nrepl_frames_recv:%d\r\nrepl_txns_recv:%d\r\nrepl_bytes_recv:%d\r\nrepl_send_errors:%d\r\nrepl_txns_dropped:%d\r\nrepl_backpressure_waits:%d\r\nrepl_reconnects:%d\r\n",

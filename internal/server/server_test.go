@@ -11,6 +11,7 @@ import (
 
 	"ipa/internal/apps/tournament"
 	"ipa/internal/clock"
+	"ipa/internal/netrepl"
 	"ipa/internal/runtime"
 	"ipa/internal/store"
 	"ipa/internal/wan"
@@ -449,6 +450,99 @@ func TestServeBackpressure(t *testing.T) {
 			t.Fatalf("reply %d = %q: replies out of order", i, rp.Str)
 		}
 	}
+}
+
+// TestServeDurablePipelinedCallsShareOneFsync is the acked ⇒ durable
+// check through the server: one connection writes 64 pipelined CALLs in a
+// single write, and the flush that carries their replies is their
+// acknowledgement point. The site's log must show the batch sharing
+// fsyncs (at least four appends per sync), and a kill -9 of the site the
+// moment the replies are read must lose none of them. The transport's
+// flush interval is raised so peer senders, which also fsync before they
+// ship, do not sync mid-batch: the fsyncs counted are the connection's.
+func TestServeDurablePipelinedCallsShareOneFsync(t *testing.T) {
+	nc, err := runtime.NewNetCluster(siteIDs(), runtime.NetConfig{
+		Transport: netrepl.Config{FlushInterval: 200 * time.Millisecond},
+		DataDir:   t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	srv := New(nc, Config{})
+	if _, err := srv.MountAnalyzed(tournament.Spec(), tournament.Analysis()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown() })
+	c := dialT(t, srv.Addr())
+	site := siteIDs()[0]
+	if err := c.DoOK("SITE", string(site)); err != nil {
+		t.Fatal(err)
+	}
+
+	before := nc.Node(site).Stats()
+	const n = 64
+	for i := 0; i < n; i++ {
+		c.Send("CALL", "tournament", "add_player", fmt.Sprintf("p%02d", i))
+	}
+	c.Send("DIGEST", "tournament")
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		rp, err := c.Recv()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if err := rp.Err(); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+	}
+	rp, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := siteDigest(t, rp.Strings(), site)
+	after := nc.Node(site).Stats()
+	appends, syncs := after.WALAppends-before.WALAppends, after.WALSyncs-before.WALSyncs
+	if appends != n {
+		t.Fatalf("batch appended %d log records, want %d", appends, n)
+	}
+	if syncs == 0 || appends < 4*syncs {
+		t.Fatalf("batch: %d appends in %d syncs, want ≥ 4 appends per sync (one group commit per flush)", appends, syncs)
+	}
+	t.Logf("batch: %d appends in %d syncs", appends, syncs)
+
+	// Every reply is on the wire: kill -9 the site, then recover it from
+	// its log alone. All 64 acked calls must be there.
+	if err := nc.Crash(site); err != nil {
+		t.Fatal(err)
+	}
+	if err := nc.Recover(site); err != nil {
+		t.Fatal(err)
+	}
+	rp, err = c.Do("DIGEST", "tournament")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := siteDigest(t, rp.Strings(), site); got != acked {
+		t.Fatalf("site %s after kill -9 and recovery: digest %s, want the acked %s", site, got, acked)
+	}
+}
+
+// siteDigest picks one site's digest out of a DIGEST reply.
+func siteDigest(t *testing.T, lines []string, site clock.ReplicaID) string {
+	t.Helper()
+	for _, l := range lines {
+		if id, d, ok := strings.Cut(l, " "); ok && id == string(site) {
+			return d
+		}
+	}
+	t.Fatalf("DIGEST %v has no line for site %s", lines, site)
+	return ""
 }
 
 // TestDefaultSiteDeterministic pins the consistent-hash site choice:

@@ -45,6 +45,7 @@ type Txn struct {
 	tagging  bool  // commitMu held (tag window open)
 	held     []int // ascending shard indexes whose locks this txn holds
 	finish   []func()
+	waits    *[]func() // DeferDurability's sink; nil: Commit waits itself
 }
 
 // Replica returns the origin replica.
@@ -184,6 +185,21 @@ func (t *Txn) OnFinish(fn func()) {
 	t.finish = append(t.finish, fn)
 }
 
+// DeferDurability makes Commit append the transaction's durability wait
+// (a durable transport's fsync) to *sink instead of running it, so a
+// caller that acknowledges many transactions at once — a connection
+// flushing a pipelined batch of replies — pays one group commit for all
+// of them. The caller must run every function in *sink before it tells
+// anyone the transaction succeeded. Transactions with nothing to wait
+// for (the simulator, a memory-only transport, read-only work) append
+// nothing.
+func (t *Txn) DeferDurability(sink *[]func()) {
+	if t.done {
+		panic("store: transaction already committed")
+	}
+	t.waits = sink
+}
+
 func (t *Txn) runFinish() {
 	for i := len(t.finish) - 1; i >= 0; i-- {
 		t.finish[i]()
@@ -192,7 +208,9 @@ func (t *Txn) runFinish() {
 
 // Commit finalises the transaction, releases its shard locks (and tag
 // window), and replicates its updates atomically to the other replicas.
-// An empty (read-only) transaction sends nothing.
+// An empty (read-only) transaction sends nothing. On a durable transport
+// Commit returns only once the transaction's log record is fsynced,
+// unless DeferDurability handed that wait to the caller.
 func (t *Txn) Commit() {
 	if t.done {
 		panic("store: transaction already committed")
@@ -259,7 +277,8 @@ func (t *Txn) commitUpdates() {
 	// transport queue blocks here — backpressure holds the window and the
 	// shard locks, by design (see DESIGN.md on queue sizing). A durable
 	// transport returns a wait (fsync) function, which runs only after
-	// release so the disk never stalls the tag window.
+	// release so the disk never stalls the tag window: here, or at the
+	// caller's acknowledgement point when DeferDurability gave a sink.
 	var wait func()
 	if c.onCommit != nil {
 		wait = c.onCommit(WireTxn{
@@ -271,7 +290,11 @@ func (t *Txn) commitUpdates() {
 		})
 	}
 	t.release()
-	if wait != nil {
+	switch {
+	case wait == nil:
+	case t.waits != nil:
+		*t.waits = append(*t.waits, wait)
+	default:
 		wait()
 	}
 }

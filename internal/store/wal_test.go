@@ -349,6 +349,92 @@ func TestWALTruncateBelow(t *testing.T) {
 	}
 }
 
+// TestWALRotatesUnderDeferredWaits pins segment rotation and truncation
+// when appends overlap flushes: Append rotates only while no flush is in
+// flight and the buffer is empty, and a committer that defers its
+// durability waits (Txn.DeferDurability, one fsync per batch) keeps the
+// buffer non-empty between its batch flushes, while a second committer
+// waiting per commit keeps flushes in flight. The log must still seal
+// segments as it grows, and truncation must still delete them.
+func TestWALRotatesUnderDeferredWaits(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	w, err := OpenWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.SetSegmentSize(512)
+
+	c := NewSocketCluster("a")
+	enc := NewFrameEncoder(WireVersionV2)
+	c.SetOnCommitSync(func(txn WireTxn) func() {
+		// Runs under the tag window, which serialises enc.
+		frame, err := enc.Encode([]WireTxn{txn})
+		if err != nil {
+			panic(err)
+		}
+		seq, err := w.Append(frame, []WireTxn{txn})
+		if err != nil {
+			panic(err)
+		}
+		return func() {
+			if err := w.WaitSynced(seq); err != nil {
+				panic(err)
+			}
+		}
+	})
+	r := c.Replica("a")
+	commit := func(key string, sink *[]func()) {
+		tx := r.Begin()
+		if sink != nil {
+			tx.DeferDurability(sink)
+		}
+		CounterAt(tx, key).Add(1)
+		tx.Commit()
+	}
+
+	const batches, batchSize, perCommit = 100, 8, 400
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the per-commit waiter: flushes overlap the batches
+		defer wg.Done()
+		for i := 0; i < perCommit; i++ {
+			commit("solo", nil)
+		}
+	}()
+	var waits []func()
+	for b := 0; b < batches; b++ {
+		for i := 0; i < batchSize; i++ {
+			commit("batched", &waits)
+		}
+		if len(waits) != batchSize {
+			t.Fatalf("batch %d deferred %d waits, want %d", b, len(waits), batchSize)
+		}
+		for _, wait := range waits { // the batch's acknowledgement point
+			wait()
+		}
+		waits = waits[:0]
+	}
+	wg.Wait()
+
+	st := w.Stats()
+	if want := uint64(batches*batchSize + perCommit); st.Appends != want {
+		t.Fatalf("appends = %d, want %d", st.Appends, want)
+	}
+	if st.Segments < 10 {
+		t.Fatalf("segments = %d after %d bytes in 512-byte segments: rotation starved by overlapping appends", st.Segments, st.Bytes)
+	}
+	if err := w.TruncateBelow(r.Clock()); err != nil {
+		t.Fatal(err)
+	}
+	after := w.Stats()
+	if after.Truncated == 0 || after.Segments != 1 {
+		t.Fatalf("truncation below the full cut left %d of %d segments (%d deleted), want only the active one",
+			after.Segments, st.Segments, after.Truncated)
+	}
+	t.Logf("%d appends in %d syncs, %d segments sealed and truncated", st.Appends, st.Syncs, after.Truncated)
+}
+
 func TestWALRecordsAboveFiltersPerOrigin(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	w, err := OpenWAL(dir, nil)

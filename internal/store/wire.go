@@ -265,7 +265,8 @@ func (c *Cluster) SetOnCommit(fn func(WireTxn)) {
 // durability: the hook runs under the tag window like SetOnCommit's, and
 // the wait function it returns (nil for none) runs after the transaction
 // has released its locks, blocking Commit — but nothing else — until the
-// transport reports the transaction durable.
+// transport reports the transaction durable. A transaction given a sink by
+// Txn.DeferDurability appends the wait there instead.
 func (c *Cluster) SetOnCommitSync(fn func(WireTxn) func()) { c.onCommit = fn }
 
 // Deliver injects a transaction received from an external transport into
