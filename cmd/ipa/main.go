@@ -13,7 +13,6 @@
 //	ipa -app tournament -interactive    # choose repairs by hand
 //	ipa -app ticket -classify           # Table-1 style classification
 //	ipa -list                           # list bundled applications
-//	ipa -netrepl 3                      # TCP replication smoke ring + metrics
 //	ipa serve -app tournament           # serve over TCP (see serve.go)
 //	ipa chaos -app tournament           # deterministic chaos campaign (see chaos.go)
 //	ipa chaos -app spec:app.spec        # mount and fuzz any specification file
@@ -85,16 +84,9 @@ func run(args []string) error {
 		interactive = fs.Bool("interactive", false, "choose repairs interactively")
 		scope       = fs.Int("scope", 0, "domain elements per sort (default 2)")
 		maxPreds    = fs.Int("max-preds", 0, "max extra effects per repair (default 2)")
-
-		netreplN    = fs.Int("netrepl", 0, "run a TCP replication smoke ring with this many nodes and print transport metrics")
-		netreplTxns = fs.Int("netrepl-txns", 1000, "transactions per node in the smoke ring")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errReported // the flag package already printed usage
-	}
-
-	if *netreplN > 0 {
-		return runNetrepl(*netreplN, *netreplTxns)
 	}
 
 	if *list {

@@ -18,7 +18,6 @@
 package tournament
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"ipa/internal/crdt"
@@ -194,29 +193,14 @@ func (a *App) Disenroll(r runtime.Replica, p, t string) *store.Txn {
 	store.AWSetAt(tx, KeyEnrolled).Remove(crdt.JoinTuple(p, t))
 	if a.variant == IPA {
 		// A concurrent do_match must lose: matches of (p, t) are wiped
-		// with rem-wins semantics (the analysis' inMatch rem-wins rule).
-		store.RWSetAt(tx, KeyMatches).RemoveWhere(matchOf(p, t))
+		// with rem-wins semantics (the analysis' inMatch rem-wins rule),
+		// one wipe per side p can play on.
+		matches := store.RWSetAt(tx, KeyMatches)
+		matches.RemoveWhere(crdt.MatchPattern(p, "", t))
+		matches.RemoveWhere(crdt.MatchPattern("", p, t))
 	}
 	tx.Commit()
 	return tx
-}
-
-// matchPred matches inMatch triples that involve player P in tournament
-// T. It travels inside wildcard remove ops, so its fields are exported
-// and the type is gob-registered — wire transports must be able to encode
-// every predicate an application ships.
-type matchPred struct{ P, T string }
-
-func matchOf(p, t string) crdt.Predicate { return matchPred{P: p, T: t} }
-
-func init() { gob.Register(matchPred{}) }
-
-func (m matchPred) Matches(elem string) bool {
-	parts := crdt.SplitTuple(elem)
-	if len(parts) != 3 || parts[2] != m.T {
-		return false
-	}
-	return parts[0] == m.P || parts[1] == m.P
 }
 
 // Begin starts a tournament (paper Fig. 3 ensureBegin). Preconditions:

@@ -16,11 +16,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -204,16 +201,6 @@ type Series struct {
 	Points []Point
 }
 
-// Perf is a wall-clock performance summary attached to experiments that
-// measure real execution (engine, chaos) — the numbers CI
-// tracks across commits via the BENCH_<id>.json artifacts.
-type Perf struct {
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Ms     float64 `json:"p50_ms,omitempty"`
-	P95Ms     float64 `json:"p95_ms,omitempty"`
-	P99Ms     float64 `json:"p99_ms,omitempty"`
-}
-
 // Experiment is a reproduced table or figure.
 type Experiment struct {
 	ID     string // e.g. "fig4"
@@ -226,24 +213,6 @@ type Experiment struct {
 	Notes  []string
 	// Text carries pre-rendered content for table-style experiments.
 	Text string
-	// Perf carries wall-clock summaries keyed by app/series name, set by
-	// the experiments that measure real execution.
-	Perf map[string]Perf `json:",omitempty"`
-}
-
-// WriteJSON serialises the experiment as BENCH_<ID>.json inside dir
-// (created if missing) and returns the file path — the machine-readable
-// artifact CI uploads so the performance trajectory is tracked.
-func (e *Experiment) WriteJSON(dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+e.ID+".json")
-	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Render prints the experiment as aligned text, one block per series.

@@ -15,13 +15,10 @@ package crdt
 // an accidental re-registration breaks a test, not a recovering log.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"ipa/internal/clock"
 )
@@ -45,18 +42,17 @@ const (
 )
 
 // Stable predicate wire IDs (predicates travel inside wildcard removes).
+// Only the package's own predicate types travel; an application
+// expresses its wipes with them. Append-only; a retired ID decodes as
+// ErrMalformedWire and is never assigned again:
+//
+//	4   any other predicate type as a gob payload (a peer could make the
+//	    receiver decode an arbitrary registered type)
 const (
 	wirePredNil         byte = 0
 	wirePredMatch       byte = 1
 	wirePredMatchAll    byte = 2
 	wirePredMatchFields byte = 3
-	// wirePredGob carries any other predicate type as a length-prefixed
-	// gob payload — the escape hatch for application-defined predicates
-	// (for example tournament.matchPred), which are gob-registered by
-	// the defining package but unknown to this table. A remove-where on
-	// a custom predicate pays gob's cost for that one field; everything
-	// else in the frame stays binary.
-	wirePredGob byte = 4
 )
 
 // ErrMalformedWire tags every decode failure of the binary codec: a
@@ -239,7 +235,8 @@ func (r *WireReader) readBool() (bool, error) {
 
 // --- Predicates ---------------------------------------------------------
 
-// AppendPredicateWire appends one predicate (nil allowed).
+// AppendPredicateWire appends one predicate (nil allowed). A predicate
+// type outside this package's set is an error, like an unknown op.
 func AppendPredicateWire(b []byte, p Predicate) ([]byte, error) {
 	switch q := p.(type) {
 	case nil:
@@ -259,18 +256,7 @@ func AppendPredicateWire(b []byte, p Predicate) ([]byte, error) {
 		}
 		return b, nil
 	default:
-		var buf bytes.Buffer
-		// The interface wrapper makes gob record the concrete type, so
-		// the receiver can decode without knowing it statically (the
-		// defining package gob-registers it). The branch-local copy
-		// keeps &pred from forcing the parameter to the heap on the
-		// built-in (allocation-free) paths above.
-		pred := p
-		if err := gob.NewEncoder(&buf).Encode(&pred); err != nil {
-			return nil, fmt.Errorf("crdt: predicate %T has no wire codec and is not gob-encodable: %w", p, err)
-		}
-		b = append(b, wirePredGob)
-		return AppendWireString(b, buf.String()), nil
+		return nil, fmt.Errorf("crdt: predicate %T has no wire codec", p)
 	}
 }
 
@@ -314,16 +300,6 @@ func DecodePredicateWire(r *WireReader) (Predicate, error) {
 			}
 		}
 		return m, nil
-	case wirePredGob:
-		payload, err := r.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		var p Predicate
-		if err := gob.NewDecoder(strings.NewReader(payload)).Decode(&p); err != nil {
-			return nil, wireErrf("bad gob predicate payload: %v", err)
-		}
-		return p, nil
 	default:
 		return nil, wireErrf("unknown predicate wire ID %d", id)
 	}
@@ -368,7 +344,7 @@ type opDecoder func(r *WireReader) (Op, error)
 
 // wireDecoders is the ID-indexed decode table, filled by init below. The
 // registry checks at init time that every registered op type encodes —
-// see register — so the table and the gob registrations cannot drift.
+// see register — so the table and the registry cannot drift.
 var wireDecoders [256]opDecoder
 
 // wireOpTypeNames names each assigned ID for the pinning test.

@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"reflect"
@@ -194,47 +195,42 @@ func TestPredicateWireRoundTrip(t *testing.T) {
 }
 
 // testPred is an application-style custom predicate: a type this
-// package's wire table has never heard of, carried via the gob escape
-// hatch (wirePredGob).
+// package's wire table has never heard of.
 type testPred struct{ A, B string }
 
 func (p testPred) Matches(elem string) bool { return elem == p.A || elem == p.B }
 
-func init() { gob.Register(testPred{}) }
-
-func TestPredicateWireGobFallback(t *testing.T) {
+// TestPredicateWireRejectsCustomTypes pins that only the package's own
+// predicate types travel: encoding any other type errors (so the sender
+// fails its batch instead of shipping it), and predicate ID 4 — the
+// retired gob escape hatch that let a peer make the receiver decode an
+// arbitrary registered type — is malformed input, fed here byte for byte
+// as the old encoder wrote it.
+func TestPredicateWireRejectsCustomTypes(t *testing.T) {
 	ops := []Op{
 		AWRemoveOp{Elem: "e", Tag: clock.EventID{Replica: "r", Seq: 1}, Pred: testPred{A: "x", B: "y"}},
 		RWRemoveWhereOp{Pred: testPred{A: "p", B: "q"}, Tag: clock.EventID{Replica: "r", Seq: 2}},
 	}
 	for _, op := range ops {
-		b, err := AppendOpWire(nil, op)
-		if err != nil {
-			t.Fatalf("%T: %v", op, err)
-		}
-		r := NewWireReader(b)
-		got, err := DecodeOpWire(&r)
-		if err != nil {
-			t.Fatalf("%T: decode: %v", op, err)
-		}
-		if !reflect.DeepEqual(got, op) {
-			t.Fatalf("round trip %T:\n got %#v\nwant %#v", op, got, op)
-		}
-		if r.Len() != 0 {
-			t.Fatalf("%T: %d trailing bytes", op, r.Len())
+		if b, err := AppendOpWire(nil, op); err == nil {
+			t.Errorf("%T with a custom predicate encoded to %d bytes; want an error", op, len(b))
 		}
 	}
-	// A corrupted gob payload must error, never panic: truncating the
-	// predicate mid-payload starves either the payload length prefix or
-	// the gob stream itself.
-	pb, err := AppendPredicateWire(nil, testPred{A: "p", B: "q"})
-	if err != nil {
+
+	gob.Register(testPred{})
+	var payload bytes.Buffer
+	var pred Predicate = testPred{A: "p", B: "q"}
+	if err := gob.NewEncoder(&payload).Encode(&pred); err != nil {
 		t.Fatal(err)
 	}
-	for cut := 1; cut < len(pb); cut++ {
-		cr := NewWireReader(pb[:cut])
-		if _, err := DecodePredicateWire(&cr); err == nil {
-			t.Fatalf("decode of %d/%d-byte predicate prefix succeeded", cut, len(pb))
-		}
+	retired := AppendWireString([]byte{4}, payload.String())
+	r := NewWireReader(retired)
+	if p, err := DecodePredicateWire(&r); !errors.Is(err, ErrMalformedWire) {
+		t.Errorf("retired predicate ID 4 decoded as %#v (err %v); want ErrMalformedWire", p, err)
+	}
+	op := append(AppendEventID([]byte{wireIDRWRemoveWhere}, eid("r", 2)), retired...)
+	r = NewWireReader(op)
+	if got, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
+		t.Errorf("remove-where carrying predicate ID 4 decoded as %#v (err %v); want ErrMalformedWire", got, err)
 	}
 }

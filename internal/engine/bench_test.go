@@ -1,12 +1,21 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
+	"ipa/internal/analysis"
+	"ipa/internal/apps/ticket"
 	"ipa/internal/apps/tournament"
+	"ipa/internal/apps/tpcw"
+	"ipa/internal/apps/twitter"
 	"ipa/internal/clock"
 	"ipa/internal/runtime"
+	"ipa/internal/spec"
 	"ipa/internal/store"
 	"ipa/internal/wan"
 )
@@ -83,8 +92,7 @@ func runLifecycle(tb testing.TB, app *App, r runtime.Replica, around func(op str
 // and a wide player pool (the in-package twin of the serving benchmark's
 // engine.<op>_ns, engine.wide_ns_per_call and engine.allocs_per_call
 // ledger rows): each iteration runs one lifecycle and times only the
-// named operation's calls. compiled/interpreted compare the executors on
-// an idempotent enroll.
+// named operation's calls.
 func BenchmarkEngineCall(b *testing.B) {
 	for _, pool := range []struct {
 		name    string
@@ -115,21 +123,6 @@ func BenchmarkEngineCall(b *testing.B) {
 				}
 			})
 		}
-	}
-	for _, exec := range []struct {
-		name string
-		opts []MountOption
-	}{{"compiled", nil}, {"interpreted", []MountOption{WithInterpreter()}}} {
-		b.Run(exec.name, func(b *testing.B) {
-			app, r := seededApp(b, 16, exec.opts...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := app.Call(r, "enroll", "p3", "t2"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -207,5 +200,181 @@ func TestCallCostIndependentOfUntouchedState(t *testing.T) {
 				t.Errorf("%s read %d tuples on 512 players, %d on 8: reads grow with state the call does not touch", op, w.tuples[op], n)
 			}
 		}
+	}
+}
+
+// bundledSpec is one of the four application specifications with its
+// analysis. The same analysis feeds both executors, so comparing them
+// isolates plan execution.
+type bundledSpec struct {
+	name string
+	spec *spec.Spec
+	res  *analysis.Result
+}
+
+// bundledSpecs analyzes ticket and tpcw once per test binary (tournament
+// and twitter ship their analyses).
+var bundledSpecs = sync.OnceValues(func() ([]bundledSpec, error) {
+	ticketRes, err := analysis.Run(ticket.Spec(), analysis.Options{})
+	if err != nil {
+		return nil, err
+	}
+	tpcwRes, err := analysis.Run(tpcw.Spec(), analysis.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return []bundledSpec{
+		{"tournament", tournament.Spec(), tournament.Analysis()},
+		{"ticket", ticket.Spec(), ticketRes},
+		{"twitter", twitter.Spec(), twitter.Analysis()},
+		{"tpcw", tpcw.Spec(), tpcwRes},
+	}, nil
+})
+
+// executors are the two ways to mount a spec: the compiled
+// per-operation plans and the whole-state reference interpreter.
+var executors = []struct {
+	name string
+	opts []MountOption
+}{{"compiled", nil}, {"interpreted", []MountOption{WithInterpreter()}}}
+
+// stabilizeEvery is genericLoop's stability cadence, in calls: like a
+// deployed stability service it compacts remove-wins tombstones and dead
+// add records while traffic flows, or metadata grows with run length and
+// the loop times that growth instead of execution.
+const stabilizeEvery = 64
+
+// genericLoop serves the chaos harness's generic workload on one mount:
+// operations drawn uniformly, arguments from three-element pools per
+// sort, so footprints keep colliding and calls exercise guards and
+// repairs rather than empty-state fast paths. It runs on a fresh 3-site
+// sim, round-robins the sites, drains replication after every call and
+// stabilizes every stabilizeEvery calls. The draws do not depend on
+// outcomes, so two loops with one seed issue the same calls. Refused
+// preconditions count as served calls: both executors evaluate the same
+// guards on the same states.
+type genericLoop struct {
+	app     *App
+	sim     *wan.Sim
+	cluster *runtime.SimCluster
+	sites   []runtime.Replica
+	ops     []string
+	pools   map[string][][]string // per operation, one pool per parameter
+	rng     *rand.Rand
+	calls   int
+}
+
+func newGenericLoop(tb testing.TB, s bundledSpec, seed int64, opts ...MountOption) *genericLoop {
+	tb.Helper()
+	sim := wan.NewSim(seed)
+	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(),
+		[]clock.ReplicaID{wan.USEast, wan.USWest, wan.EUWest}))
+	app, err := Mount(s.spec, s.res, cluster, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l := &genericLoop{app: app, sim: sim, cluster: cluster, ops: app.Operations(),
+		pools: map[string][][]string{}, rng: rand.New(rand.NewSource(seed))}
+	for _, id := range cluster.Replicas() {
+		l.sites = append(l.sites, cluster.Replica(id))
+	}
+	for _, name := range l.ops {
+		op, _ := app.Spec().Operation(name)
+		for _, p := range op.Params {
+			base := strings.ToLower(string(p.Sort))
+			l.pools[name] = append(l.pools[name], []string{base + "0", base + "1", base + "2"})
+		}
+	}
+	return l
+}
+
+// call issues the next call of the sequence.
+func (l *genericLoop) call(tb testing.TB) {
+	name := l.ops[l.rng.Intn(len(l.ops))]
+	args := make([]string, len(l.pools[name]))
+	for i, pool := range l.pools[name] {
+		args[i] = pool[l.rng.Intn(len(pool))]
+	}
+	if err := l.app.Call(l.sites[l.calls%len(l.sites)], name, args...); err != nil && !errors.Is(err, ErrPrecondition) {
+		tb.Fatalf("%s%v: %v", name, args, err)
+	}
+	l.sim.Run()
+	l.calls++
+	if l.calls%stabilizeEvery == 0 {
+		l.cluster.Stabilize()
+	}
+}
+
+// BenchmarkEngineExecutors compares the executors on every bundled spec
+// under the generic workload; ns/op and allocs/op are per call,
+// replication and the periodic stabilization included. The ratio of the
+// two executors is what EXPERIMENTS.md records; its deterministic form
+// is TestCompiledAllocatesLessThanInterpreter.
+func BenchmarkEngineExecutors(b *testing.B) {
+	specs, err := bundledSpecs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range specs {
+		for _, ex := range executors {
+			b.Run(s.name+"/"+ex.name, func(b *testing.B) {
+				l := newGenericLoop(b, s, 1, ex.opts...)
+				// Warm-up populates the tiny domains (early calls mostly
+				// refuse into an empty state) and takes the one-time
+				// mount and caching costs out of the measurement.
+				for range 500 {
+					l.call(b)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					l.call(b)
+				}
+			})
+		}
+	}
+}
+
+// TestCompiledAllocatesLessThanInterpreter is the compiled executor's
+// gate, in deterministic form: on every bundled spec, the same seeded
+// call sequence on identical sims runs entirely on compiled plans — no
+// fallback, no domain enumeration — and allocates per call at most
+// 1/minAllocRatio of what the reference interpreter allocates. A
+// compilation pass that stops paying for itself (plans falling back, or
+// compiled calls routed through whole-state evaluation) fails here, not
+// in a noisy wall-clock ratio.
+func TestCompiledAllocatesLessThanInterpreter(t *testing.T) {
+	const minAllocRatio = 1.5
+	specs, err := bundledSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range specs {
+		t.Run(s.name, func(t *testing.T) {
+			var allocs [2]float64
+			for i, ex := range executors {
+				l := newGenericLoop(t, s, 1, ex.opts...)
+				for range 500 {
+					l.call(t)
+				}
+				allocs[i] = testing.AllocsPerRun(2000, func() { l.call(t) })
+				if ex.name != "compiled" {
+					continue
+				}
+				for _, op := range l.ops {
+					if ok, why := l.app.Compiled(op); !ok {
+						t.Errorf("%s not compiled: %s", op, why)
+					}
+				}
+				if st := l.app.Stats(); st != (Stats{}) {
+					t.Errorf("compiled mount took the slow path: %+v", st)
+				}
+			}
+			ratio := allocs[1] / allocs[0]
+			t.Logf("allocs per call: compiled %.1f, interpreted %.1f (%.2fx)", allocs[0], allocs[1], ratio)
+			if ratio < minAllocRatio {
+				t.Errorf("interpreter allocates %.2fx what the compiled executor does per call, want at least %.1fx", ratio, minAllocRatio)
+			}
+		})
 	}
 }

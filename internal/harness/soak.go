@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"ipa/internal/clock"
@@ -56,8 +57,10 @@ type SoakResult struct {
 	Elapsed time.Duration
 	// ConnsKilled is how many live connections the chaos loop closed.
 	ConnsKilled int
-	// Metrics aggregates all nodes' transport counters.
+	// Metrics aggregates all nodes' transport counters; PerNode holds
+	// each node's own, in ring order (soak0, soak1, ...).
 	Metrics netrepl.Metrics
+	PerNode []netrepl.Metrics
 	// Divergence describes the failure when Converged is false.
 	Divergence string
 }
@@ -67,9 +70,14 @@ func (r *SoakResult) String() string {
 	if !r.Converged {
 		status = "DIVERGED: " + r.Divergence
 	}
-	return fmt.Sprintf("soak %d nodes x %d txns, %d conns killed: %s in %v\n  %s",
+	var b strings.Builder
+	fmt.Fprintf(&b, "soak %d nodes x %d txns, %d conns killed: %s in %v\n  %s",
 		r.Opts.Nodes, r.Opts.TxnsPerNode, r.ConnsKilled, status,
 		r.Elapsed.Round(time.Millisecond), r.Metrics)
+	for i, m := range r.PerNode {
+		fmt.Fprintf(&b, "\n  soak%d: %s", i, m)
+	}
+	return b.String()
 }
 
 // Soak drives the streaming netrepl transport under kill/reconnect churn:
@@ -192,7 +200,9 @@ func Soak(opts SoakOptions) (*SoakResult, error) {
 	}
 
 	for _, n := range nodes {
-		res.Metrics = res.Metrics.Add(n.Stats())
+		m := n.Stats()
+		res.PerNode = append(res.PerNode, m)
+		res.Metrics = res.Metrics.Add(m)
 	}
 	return res, nil
 }

@@ -32,4 +32,12 @@ func TestSoakChurn(t *testing.T) {
 	if res.Metrics.TxnsDropped != 0 {
 		t.Fatalf("streaming transport dropped %d txns during churn", res.Metrics.TxnsDropped)
 	}
+	if len(res.PerNode) != 3 {
+		t.Fatalf("per-node metrics for %d nodes, want 3", len(res.PerNode))
+	}
+	for i, m := range res.PerNode {
+		if m.TxnsSent == 0 {
+			t.Errorf("soak%d sent no transactions: %s", i, m)
+		}
+	}
 }

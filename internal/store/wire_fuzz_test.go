@@ -12,7 +12,8 @@ import (
 //     malformed, hostile counts);
 //   - every input that is not a v2 frame errors — in particular every
 //     frame of the retired gob formats v0 and v1, seeded below, and the
-//     seeded v2 frames carrying the retired op wire IDs 3 and 11;
+//     seeded v2 frames carrying the retired op wire IDs 3 and 11 and
+//     the retired predicate wire ID 4;
 //   - any input that decodes successfully re-encodes to a decodable
 //     frame carrying the same transactions (encode→decode identity,
 //     checked bytewise through the deterministic encoder).

@@ -48,9 +48,10 @@ func retiredFrames(t testing.TB) (v0, v1 []byte) {
 }
 
 // retiredOpFrames builds v2 frames whose one update carries a retired op
-// wire ID, with the payload senders wrote before it was retired: 3 is the
-// remove-wins add with its observation lists (one exact remove, one
-// wildcard), 11 the multi-value register write with its observed list.
+// or predicate wire ID, with the payload senders wrote before it was
+// retired: op 3 is the remove-wins add with its observation lists (one
+// exact remove, one wildcard), op 11 the multi-value register write with
+// its observed list, predicate 4 a gob-encoded custom predicate.
 func retiredOpFrames() map[string][]byte {
 	frame := func(id byte, payload func([]byte) []byte) []byte {
 		b := append([]byte("IPAB\x02"), 1) // one txn
@@ -76,11 +77,18 @@ func retiredOpFrames() map[string][]byte {
 			b = append(b, 1) // one observed write
 			return crdt.AppendEventID(b, clock.EventID{Replica: "b", Seq: 1})
 		}),
+		// A remove-where (op ID 5, still live) whose predicate is the
+		// retired ID 4: a length-prefixed gob payload of any registered
+		// type. The decoder refuses the ID before reading the payload.
+		"predicate ID 4": frame(5, func(b []byte) []byte {
+			b = crdt.AppendEventID(b, tag)
+			return crdt.AppendWireString(append(b, 4), "\x0e\xff\x81\x03\x01\x01\x08testPred")
+		}),
 	}
 }
 
 // TestDecodeFrameRejectsRetiredFormats pins that the gob formats v0 and
-// v1, and v2 frames carrying a retired op wire ID, are rejected as
+// v1, and v2 frames carrying a retired op or predicate wire ID, are rejected as
 // malformed input, not decoded.
 func TestDecodeFrameRejectsRetiredFormats(t *testing.T) {
 	v0, v1 := retiredFrames(t)
