@@ -172,6 +172,46 @@ func TestSnapshotSyncsDeferredDurableCommits(t *testing.T) {
 	})
 }
 
+// TestRecoverBuffersRecordsMissingDeps covers a logged transaction whose
+// dependency never reached the disk: the node received y and logged it,
+// but crashed before x arrived. Recovery must keep y buffered rather than
+// apply it or lose it, and apply both once x arrives live (x's origin
+// never saw an ack for it, so it resends).
+func TestRecoverBuffersRecordsMissingDeps(t *testing.T) {
+	dir := t.TempDir()
+	n, err := NewNodeWithConfig("n", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := captureTxns("x", "cx", 1)
+	ys := captureTxns("y", "cy", 1)
+	ys[0].Deps.Set("x", xs[0].LastSeq)
+	rawSend(t, n.Addr(), encodeBatch(t, ys[0]))
+	waitUntil(t, "y logged and waiting on x", func() bool { return n.Pending() == 1 })
+	if err := n.Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := NewNodeWithConfig("n", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer rec.Close()
+	if got := rec.Pending(); got != 1 {
+		t.Fatalf("pending = %d after recovery, want 1 (y waits on x)", got)
+	}
+	if got := rec.Clock().Get("y"); got != 0 {
+		t.Fatalf("recovery applied y ahead of its dependency: clock[y] = %d", got)
+	}
+	rawSend(t, rec.Addr(), encodeBatch(t, xs[0]))
+	waitUntil(t, "both apply once x arrives", func() bool {
+		return rec.Clock().Get("x") == xs[0].LastSeq && rec.Clock().Get("y") == ys[0].LastSeq && rec.Pending() == 0
+	})
+	if cx, cy := counterValue(rec, "cx"), counterValue(rec, "cy"); cx != 1 || cy != 1 {
+		t.Fatalf("cx = %d, cy = %d after recovery, want 1 and 1", cx, cy)
+	}
+}
+
 // A snapshot that exists but fails validation must fail recovery loudly:
 // the log below it is already truncated, so replaying the log alone would
 // bring the node back without transactions it acknowledged.

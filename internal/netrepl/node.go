@@ -19,31 +19,29 @@
 //   - backpressure instead of unbounded memory: when a peer's queue is
 //     full the committing transaction blocks until the sender drains
 //     (counted in Metrics.BackpressureWaits), never dropping a frame —
-//     a causal gap would stall the receiver's dependency queue forever;
+//     a causal gap would stall the receiver's delivery buffer forever;
 //   - acknowledged delivery: the receiver confirms each batch frame after
-//     accepting it into its apply pipeline, and the sender counts a frame
-//     sent only on ack. A write that succeeds into a socket the peer
-//     kills before reading would otherwise be silent loss — the chaos
-//     soak (internal/harness) surfaces exactly this under churn;
+//     handing its transactions to the replica, and the sender counts a
+//     frame sent only on ack. A write that succeeds into a socket the
+//     peer kills before reading would otherwise be silent loss — the
+//     chaos soak (internal/harness) surfaces exactly this under churn;
 //   - graceful shutdown: Close stops accepting work and gives every
 //     sender Config.DrainTimeout to flush its queue before abandoning
 //     the remainder (counted in Metrics.TxnsDropped).
 //
-// The receive path is a pipelined applier over the sharded replica core.
-// There is no per-node lock: decoded transactions route into one bounded
-// apply queue per origin, each drained by its own applier goroutine. The
-// single applier per origin preserves the origin's commit (FIFO) order;
-// appliers for different origins run concurrently and serialise only on
-// the store's per-shard locks, with cross-origin causality enforced by
-// store.Replica.ApplyExternal's dependency wait. Local transactions (Do,
-// Begin) run concurrently with the appliers and with each other under the
-// store's own two-phase shard locking.
+// The receive path has no queue of its own. Each connection handler logs
+// a frame, hands its transactions to store.Replica.Deliver — the causal
+// delivery buffer the simulator uses too, which applies whatever is next
+// in its origin's order with its dependencies delivered — and then acks.
+// The handler withholds the ack while its origin is over the receive-side
+// bound (Config.QueueCap). Local transactions (Do, Begin) run
+// concurrently with delivery and with each other under the store's
+// two-phase shard locking.
 //
 // Delivery is at-least-once — a sender that loses its connection (or an
-// ack) mid-frame retries the whole batch — and the apply path
-// deduplicates by origin sequence number, so effects apply exactly once.
-// Batches may arrive reordered or duplicated and the replica state still
-// converges.
+// ack) mid-frame retries the whole batch — and the buffer deduplicates by
+// origin sequence number, so effects apply exactly once. Batches may
+// arrive reordered or duplicated and the replica state still converges.
 //
 // Every frame is a v2 batch frame (store.DecodeFrame): a frame in any
 // other format is malformed, and the receiver drops its connection
@@ -102,15 +100,16 @@ type Config struct {
 	FlushInterval time.Duration
 	// MaxBatchTxns caps the transactions per batch frame. Default 256.
 	MaxBatchTxns int
-	// QueueCap bounds each peer's outbound queue and each origin's
-	// inbound apply queue, in transactions. Default 8192. A full
-	// outbound queue applies backpressure to committers; a full apply
-	// queue withholds the frame ack until it drains. One exemption: a
-	// transaction ahead of its origin's FIFO gap moves from the apply
-	// queue into the applier's reorder buffer, which — like the
-	// simulator's causal delivery queue — is unbounded (bounding it
-	// could wedge delivery, since the gap-filling transaction arrives
-	// on the same stream). Reordered backlogs still count in Pending.
+	// QueueCap bounds each peer's outbound queue and, on the receive
+	// side, each origin's backlog in the replica's delivery buffer, in
+	// transactions. Default 8192. A full outbound queue applies
+	// backpressure to committers. On receipt, a connection handler
+	// withholds the frame ack while its origin has QueueCap or more
+	// transactions buffered and the origin's next transaction is one of
+	// them — it waits on another origin. A backlog behind a gap in the
+	// origin's own sequence is not bounded: the gap-filler arrives on the
+	// same stream, and withholding the ack could keep it out forever.
+	// Every buffered transaction counts in Pending.
 	QueueCap int
 	// DialTimeout bounds one connection attempt. Default 2s.
 	DialTimeout time.Duration
@@ -146,9 +145,9 @@ type Config struct {
 	// smaller segments bound recovery replay more tightly at the cost
 	// of more files. Zero takes the log's default.
 	SegmentSize int64
-	// StallWarn is how long a received transaction may wait for a
-	// causal dependency before its origin is declared stalled: logged
-	// once per origin and counted in Metrics.StalledOrigins. A stall
+	// StallWarn is how long an origin may have transactions buffered
+	// while its delivered entry does not move before it is declared
+	// stalled: logged once and counted in Metrics.StalledOrigins. A stall
 	// that never clears means the dependency will never arrive — an
 	// oversized transaction was dropped at the sender, or its origin's
 	// WAL is gone — and the unstick path is state transfer
@@ -231,13 +230,15 @@ type Metrics struct {
 	// BackpressureWaits counts commits that blocked on a full peer queue.
 	BackpressureWaits uint64
 	// TxnsDropped counts transactions abandoned because Close's drain
-	// timeout expired before a peer became reachable.
+	// timeout expired before a peer became reachable, or because they were
+	// still in the delivery buffer when the node closed.
 	TxnsDropped uint64
 	// QueueDepth is the current total of queued outbound transactions
 	// across peers.
 	QueueDepth int
-	// ApplyDepth is the current total of received transactions queued in
-	// the per-origin apply pipeline (accepted but not yet applied).
+	// ApplyDepth is the current number of received transactions held in
+	// the replica's delivery buffer (received but not yet applied:
+	// waiting on a FIFO gap, a causal dependency or a pause).
 	ApplyDepth int
 	// WALAppends/WALSyncs/WALBytes cover the write-ahead log (all zero
 	// on a memory-only node). WALSyncs under WALAppends is the group
@@ -287,7 +288,7 @@ func (m Metrics) String() string {
 	}
 	s := fmt.Sprintf(
 		"sent %d txns in %d frames (%.1f txns/frame, %d bytes), recv %d txns in %d frames, "+
-			"dials %d (reconnects %d), send errors %d, backpressure waits %d, dropped %d, queue %d, apply queue %d",
+			"dials %d (reconnects %d), send errors %d, backpressure waits %d, dropped %d, queue %d, buffered %d",
 		m.TxnsSent, m.FramesSent, batch, m.BytesSent, m.TxnsRecv, m.FramesRecv,
 		m.Dials, m.Reconnects, m.SendErrors, m.BackpressureWaits, m.TxnsDropped, m.QueueDepth, m.ApplyDepth)
 	if m.WALAppends > 0 || m.Snapshots > 0 {
@@ -311,8 +312,8 @@ type counters struct {
 
 // Node hosts one replica of the database and replicates over TCP. It has
 // no global lock: local transactions synchronise through the store's
-// sharded two-phase locking, and the receive path applies through
-// per-origin applier goroutines (see the package comment).
+// sharded two-phase locking, and the receive path applies through the
+// replica's delivery buffer (see the package comment).
 type Node struct {
 	id      clock.ReplicaID
 	cfg     Config
@@ -331,23 +332,6 @@ type Node struct {
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // accepted (inbound) connections
-
-	// applyMu guards appliers: one bounded queue + goroutine per origin,
-	// created on the first frame from that origin. applyPending counts
-	// transactions accepted into the pipeline and not yet applied (or
-	// dropped as duplicates) — the receive-side analogue of the
-	// simulator's causal delivery queue length.
-	applyMu      sync.Mutex
-	appliers     map[clock.ReplicaID]chan store.WireTxn
-	applyClosed  bool // set by Close under applyMu: no new appliers
-	applyPending atomic.Int64
-
-	// pauseMu/pauseCond gate the appliers — the crash/recovery fault
-	// hook. While paused, frames are still received, acknowledged, and
-	// queued; nothing applies.
-	pauseMu   sync.Mutex
-	pauseCond *sync.Cond
-	paused    bool
 
 	// blockMu guards blocked: origins whose frames the receive path
 	// refuses (the partition fault hook — see BlockOrigin).
@@ -374,11 +358,9 @@ type Node struct {
 	// itself is sticky (no further appends succeed).
 	walFailOnce sync.Once
 
-	// stallMu guards stalled: origins whose apply queue has waited on a
-	// causal dependency for longer than Config.StallWarn (satellite of
-	// the oversized-transaction drop: the gap may never close).
-	stallMu sync.Mutex
-	stalled map[clock.ReplicaID]bool
+	// stalledOrigins is how many origins the stall ticker last found
+	// stalled (Metrics.StalledOrigins; see Config.StallWarn).
+	stalledOrigins atomic.Int64
 
 	m counters
 }
@@ -395,8 +377,8 @@ func NewNode(id clock.ReplicaID, addr string) (*Node, error) {
 //
 // With Config.DataDir set the node is durable, and a restart with the
 // same directory RECOVERS the site: the latest snapshot restores the
-// bulk of the state, then every write-ahead-log record re-applies
-// through the same causal delivery path live replication uses (the
+// bulk of the state, then every write-ahead-log record is delivered
+// through the same causal delivery buffer live replication uses (the
 // snapshot's cut deduplicates the overlap). Own-origin records found in
 // the log are also kept for re-offer: AddPeer replays them to each peer
 // ahead of new commits, so a peer that was never sent them (the origin
@@ -408,24 +390,18 @@ func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, erro
 		return nil, fmt.Errorf("netrepl: listen: %w", err)
 	}
 	n := &Node{
-		id:       id,
-		cfg:      cfg,
-		cluster:  store.NewSocketCluster(id),
-		peers:    map[clock.ReplicaID]*peerConn{},
-		ln:       ln,
-		closed:   make(chan struct{}),
-		conns:    map[net.Conn]struct{}{},
-		appliers: map[clock.ReplicaID]chan store.WireTxn{},
-		blocked:  map[clock.ReplicaID]bool{},
-		stalled:  map[clock.ReplicaID]bool{},
+		id:      id,
+		cfg:     cfg,
+		cluster: store.NewSocketCluster(id),
+		peers:   map[clock.ReplicaID]*peerConn{},
+		ln:      ln,
+		closed:  make(chan struct{}),
+		conns:   map[net.Conn]struct{}{},
+		blocked: map[clock.ReplicaID]bool{},
 	}
 	n.replica = n.cluster.Replica(id)
-	n.pauseCond = sync.NewCond(&n.pauseMu)
-	var leftovers []store.WireTxn
 	if cfg.DataDir != "" {
-		var err error
-		leftovers, err = n.recover()
-		if err != nil {
+		if err := n.recover(); err != nil {
 			ln.Close()
 			return nil, err
 		}
@@ -437,93 +413,56 @@ func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, erro
 		n.wg.Add(1)
 		go n.stallTicker()
 	}
-	// Logged records whose causal dependencies never reached the disk
-	// (the crash hit between receiving a transaction and receiving what
-	// it depends on) re-enter the live apply pipeline and wait there;
-	// the dependency's origin never saw our ack, so it retries.
-	for _, w := range leftovers {
-		n.accept(w)
-	}
 	return n, nil
 }
 
-// recover restores the replica from the data directory: snapshot first,
-// then a synchronous causal replay of the write-ahead log. It returns
-// the records it could not apply (dependencies missing from disk); the
-// caller routes those through the live apply pipeline. Must run before
-// the node accepts commits or frames: replay of own-origin records and
-// the event-tag counter bump both race local commits.
-func (n *Node) recover() ([]store.WireTxn, error) {
+// recover restores the replica from the data directory: the snapshot
+// first, then every write-ahead-log record delivered in append order.
+// Append order is not causal order (a record is logged before it is
+// applied, so it can precede its dependencies on disk); the delivery
+// buffer applies each record once what it depends on is delivered. A
+// record whose dependencies never reached the disk (the crash hit
+// between receiving a transaction and receiving what it depends on) stays
+// buffered: its dependency's origin never saw our ack, so it resends.
+// Own-origin records always apply — anything they depend on was applied
+// (hence logged) before they were, and fsync loss is a suffix of append
+// order. Must run before the node accepts commits or frames: replay of
+// own-origin records and the event-tag counter bump both race local
+// commits.
+func (n *Node) recover() error {
 	n.dataDir = n.cfg.DataDir
 	n.walEnc = store.NewFrameEncoder(store.WireVersionV2)
 	snap, err := store.ReadSnapshotFile(n.dataDir)
 	if err != nil {
-		return nil, fmt.Errorf("netrepl: recover %s: %w", n.id, err)
+		return fmt.Errorf("netrepl: recover %s: %w", n.id, err)
 	}
 	if snap != nil {
 		if snap.Replica != n.id {
-			return nil, fmt.Errorf("netrepl: recover %s: snapshot in %s belongs to replica %s", n.id, n.dataDir, snap.Replica)
+			return fmt.Errorf("netrepl: recover %s: snapshot in %s belongs to replica %s", n.id, n.dataDir, snap.Replica)
 		}
 		n.replica.RestoreSnapshot(snap)
 	}
-	var replayed []store.WireTxn
-	wal, err := store.OpenWAL(filepath.Join(n.dataDir, "wal"), func(frame []byte, txns []store.WireTxn) error {
-		replayed = append(replayed, txns...)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("netrepl: recover %s: %w", n.id, err)
-	}
-	wal.SetSegmentSize(n.cfg.SegmentSize)
-	n.wal = wal
 	// The log holds own-origin commits past the snapshot's cut (commits
 	// fsync before they are acknowledged, snapshots are periodic); new
 	// commits must not reuse their sequence numbers.
 	var maxOwn uint64
-	for i := range replayed {
-		if replayed[i].Origin == n.id {
-			n.reoffer = append(n.reoffer, replayed[i])
-			if replayed[i].LastSeq > maxOwn {
-				maxOwn = replayed[i].LastSeq
+	wal, err := store.OpenWAL(filepath.Join(n.dataDir, "wal"), func(frame []byte, txns []store.WireTxn) error {
+		for _, w := range txns {
+			if w.Origin == n.id {
+				n.reoffer = append(n.reoffer, w)
+				maxOwn = max(maxOwn, w.LastSeq)
 			}
+			n.replica.Deliver(w)
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("netrepl: recover %s: %w", n.id, err)
 	}
+	wal.SetSegmentSize(n.cfg.SegmentSize)
+	n.wal = wal
 	n.replica.EnsureSeq(maxOwn)
-	// Causal replay: the log is in append order, which is NOT causal
-	// order (a record is logged before it is applied, so it can precede
-	// its dependencies on disk). Sweep until a pass applies nothing:
-	// each pass applies every record whose origin-FIFO position and
-	// dependencies the previous passes satisfied. Own-origin records
-	// always drain — anything they depend on was applied (hence logged)
-	// before they were, and fsync loss is a suffix of append order.
-	tryOnly := func() bool { return true }
-	pending := replayed
-	for len(pending) > 0 {
-		next := pending[:0]
-		for _, w := range pending {
-			if !n.replica.ApplyExternal(w, tryOnly) &&
-				n.replica.Clock().Get(w.Origin) < w.LastSeq {
-				next = append(next, w)
-			}
-		}
-		if len(next) == len(pending) {
-			return next, nil // no progress: dependencies not on disk
-		}
-		pending = next
-	}
-	return nil, nil
-}
-
-// accept routes one transaction into the apply pipeline with the same
-// accounting as the receive path. It returns false when the node is
-// closing.
-func (n *Node) accept(w store.WireTxn) bool {
-	n.applyPending.Add(1)
-	if !n.enqueueApply(w) {
-		n.applyPending.Add(-1)
-		return false
-	}
-	return true
+	return nil
 }
 
 // Addr returns the node's listening address.
@@ -686,46 +625,12 @@ func (n *Node) ForceSnapshot() error {
 	return n.snapshotLocked()
 }
 
-// SetPaused freezes (or thaws) the node's apply pipeline — the
-// crash/recovery fault hook, matching the simulator's: remote frames are
-// still received, acknowledged, and queued per origin, but nothing
-// applies. Unpausing lets the appliers drain in causal order. Local
-// commits are unaffected.
+// SetPaused freezes (or thaws) the replica's delivery buffer — the
+// crash/recovery fault hook, shared with the simulator: remote frames are
+// still received, logged and buffered, but nothing applies. Unpausing
+// drains the buffer in causal order. Local commits are unaffected.
 func (n *Node) SetPaused(paused bool) {
-	n.pauseMu.Lock()
-	n.paused = paused
-	n.pauseCond.Broadcast()
-	n.pauseMu.Unlock()
-	if paused {
-		// Kick appliers parked inside a dependency wait so they re-poll
-		// their gate, abandon the wait, and park on the pause gate —
-		// otherwise a dependency arriving mid-pause would let them apply
-		// while the node is "crashed".
-		n.replica.WakeExternal()
-	}
-}
-
-// isPaused reports the pause flag.
-func (n *Node) isPaused() bool {
-	n.pauseMu.Lock()
-	defer n.pauseMu.Unlock()
-	return n.paused
-}
-
-// pauseWait blocks while the node is paused. It returns false when the
-// node closed instead.
-func (n *Node) pauseWait() bool {
-	n.pauseMu.Lock()
-	defer n.pauseMu.Unlock()
-	for n.paused {
-		select {
-		case <-n.closed:
-			return false
-		default:
-		}
-		n.pauseCond.Wait()
-	}
-	return true
+	n.replica.SetPaused(paused)
 }
 
 // BlockOrigin makes the receive path refuse frames whose transactions
@@ -765,9 +670,9 @@ func (n *Node) Stats() Metrics {
 		BytesRecv:         atomic.LoadUint64(&n.m.bytesRecv),
 		BackpressureWaits: atomic.LoadUint64(&n.m.backpressureWaits),
 		TxnsDropped:       atomic.LoadUint64(&n.m.txnsDropped),
-		ApplyDepth:        int(n.applyPending.Load()),
+		ApplyDepth:        n.replica.Buffered(),
 		Snapshots:         n.snapshots.Load(),
-		StalledOrigins:    n.stallCount(),
+		StalledOrigins:    int(n.stalledOrigins.Load()),
 	}
 	if n.wal != nil {
 		ws := n.wal.Stats()
@@ -939,21 +844,19 @@ func (n *Node) handle(conn net.Conn) {
 		}
 		atomic.AddUint64(&n.m.framesRecv, 1)
 		atomic.AddUint64(&n.m.bytesRecv, uint64(len(data)+4))
-		// Route each transaction into its origin's apply queue. A full
-		// queue blocks here — and thereby withholds the ack, pushing
-		// backpressure onto the sender, which will retry the batch (the
-		// apply path deduplicates).
 		for _, w := range txns {
-			if !n.accept(w) {
-				return // node closing
-			}
+			n.replica.Deliver(w)
 		}
 		atomic.AddUint64(&n.m.txnsRecv, uint64(len(txns)))
-		// Acknowledge once the batch is accepted into the apply pipeline:
-		// the sender may now forget it. Applying happens asynchronously —
-		// the pipeline is never torn down before the node itself, and on
-		// a durable node the batch is already fsynced above, so the ack
-		// is safe against this node's crash too.
+		// Acknowledge once the batch is delivered: the sender may now
+		// forget it. Whatever the buffer holds dies only with the node,
+		// and on a durable node the batch is already fsynced above, so
+		// the ack is safe against this node's crash too. Over the
+		// receive-side bound the ack waits, pushing backpressure onto
+		// the sender.
+		if len(txns) > 0 && !n.awaitBacklog(txns[0].Origin) {
+			return // node closing
+		}
 		if err := writeAck(conn); err != nil {
 			return
 		}
@@ -1054,9 +957,9 @@ func (n *Node) fetchSnapshot(addr string) error {
 }
 
 // fetchTail pulls all records above this node's delivered cut from the
-// peer at addr, logging each frame before handing its transactions to
-// the apply pipeline (the same log-before-apply order as live receive;
-// no ack is involved, so no fsync wait either).
+// peer at addr, logging each frame before delivering its transactions
+// (the same log-before-apply order as live receive; no ack is involved,
+// so no fsync wait either).
 func (n *Node) fetchTail(addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
@@ -1089,9 +992,7 @@ func (n *Node) fetchTail(addr string) error {
 			}
 		}
 		for _, w := range txns {
-			if !n.accept(w) {
-				return nil
-			}
+			n.replica.Deliver(w)
 		}
 	}
 }
@@ -1136,255 +1037,44 @@ func (n *Node) Bootstrap(donorAddr string, peerAddrs []string, mesh func()) erro
 	return firstErr
 }
 
-// enqueueApply hands one received transaction to its origin's applier,
-// creating queue and goroutine on first contact. It returns false when
-// the node is closing.
-func (n *Node) enqueueApply(w store.WireTxn) bool {
-	n.applyMu.Lock()
-	ch, ok := n.appliers[w.Origin]
-	if !ok {
-		// applyClosed is set by Close under this mutex before it waits on
-		// n.wg, so the Add below cannot race the Wait.
-		if n.applyClosed {
-			n.applyMu.Unlock()
-			return false
-		}
-		ch = make(chan store.WireTxn, n.cfg.QueueCap)
-		n.appliers[w.Origin] = ch
-		n.wg.Add(1)
-		go n.applyLoop(w.Origin, ch)
-	}
-	n.applyMu.Unlock()
-	select {
-	case ch <- w:
-		return true
-	case <-n.closed:
-		return false
-	}
-}
+// backlogPoll is how often a handler over the receive-side bound
+// re-checks its origin's backlog.
+const backlogPoll = time.Millisecond
 
-// applyLoop drains one origin's apply queue — per-origin FIFO is what
-// store.Replica.ApplyExternal requires of its callers. The streaming
-// sender delivers in order, but separate connections (reconnect retries,
-// hand-crafted test frames) may interleave out of sequence, so a local
-// reorder buffer holds transactions ahead of the origin's FIFO gap
-// instead of blocking the queue on them.
-//
-// Cross-origin causal order is ApplyExternal's dependency wait; the
-// blocked applier holds no locks while waiting, and the dependencies it
-// waits for arrive on other origins' queues, so the happens-before order
-// (acyclic by construction) guarantees progress.
-func (n *Node) applyLoop(origin clock.ReplicaID, ch chan store.WireTxn) {
-	defer n.wg.Done()
-	giveUp := func() bool {
+// awaitBacklog is the receive-side bound (Config.QueueCap): it blocks
+// while origin has QueueCap or more transactions buffered and its next
+// transaction is one of them, waiting on another origin. It never waits
+// behind a gap in the origin's own sequence: the gap-filler arrives on
+// this same stream. Waiting cannot deadlock. The transactions origin
+// waits on are ordered before its head by happens-before, which is
+// acyclic, and they arrive on other origins' connections (see DESIGN.md).
+// It returns false when the node closed instead.
+func (n *Node) awaitBacklog(origin clock.ReplicaID) bool {
+	for {
+		buffered, headBuffered := n.replica.Backlog(origin)
+		if buffered < n.cfg.QueueCap || !headBuffered {
+			return true
+		}
 		select {
 		case <-n.closed:
-			return true
-		default:
 			return false
-		}
-	}
-	// next is the origin's delivered high-water mark. This goroutine is
-	// the only writer of the replica's clock entry for origin, so the
-	// local copy stays authoritative.
-	next := n.replica.Clock().Get(origin)
-	buf := map[uint64]store.WireTxn{} // FIFO reorder buffer: FirstSeq → txn
-	// FIFO-gap stall detection. A dependency wait stalls inside
-	// ApplyExternal, where applyOne's gate notices it — but a gap in the
-	// origin's own sequence keeps its transactions in buf without ever
-	// reaching that gate, and an oversized-transaction drop at the
-	// sender is exactly such a gap, permanent. Watch the buffer from a
-	// ticker: no progress past a non-empty buffer for StallWarn means
-	// the prefix is not coming.
-	var (
-		gapSince  time.Time // non-zero while buf holds work and nothing advances
-		warnedGap bool
-		tick      <-chan time.Time
-	)
-	if n.cfg.StallWarn > 0 {
-		period := n.cfg.StallWarn / 4
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
-		}
-		tk := time.NewTicker(period)
-		defer tk.Stop()
-		tick = tk.C
-	}
-	// gapCheck re-arms the stall watch after handling one transaction:
-	// progress (an apply, or the buffer draining) restarts the clock,
-	// and a drained buffer clears a warned stall — the gap closed.
-	gapCheck := func(progressed bool) {
-		switch {
-		case len(buf) == 0:
-			gapSince = time.Time{}
-			if warnedGap {
-				warnedGap = false
-				n.clearStall(origin)
-			}
-		case progressed || gapSince.IsZero():
-			gapSince = time.Now()
-		}
-	}
-	// Transactions still held in the reorder buffer when the node closes
-	// die with it; they were acknowledged, so account for them (Close
-	// drains the dead channels the same way once the appliers exited).
-	defer func() {
-		if dropped := uint64(len(buf)); dropped > 0 {
-			atomic.AddUint64(&n.m.txnsDropped, dropped)
-			n.applyPending.Add(-int64(dropped))
-		}
-	}()
-	for {
-		select {
-		case w := <-ch:
-			if w.FirstSeq > next {
-				// FIFO gap: hold the transaction until the origin's prefix
-				// arrives on a later frame.
-				if _, dup := buf[w.FirstSeq]; dup {
-					n.replica.NoteDuplicate()
-					n.applyPending.Add(-1)
-				} else {
-					buf[w.FirstSeq] = w
-				}
-				gapCheck(false)
-				continue
-			}
-			if !n.applyOne(w, giveUp) {
-				return // node closed before the transaction was processed
-			}
-			if w.LastSeq > next {
-				next = w.LastSeq
-			}
-			// The gap may have closed for buffered successors.
-			for {
-				w2, ok := buf[next]
-				if !ok {
-					break
-				}
-				delete(buf, next)
-				if !n.applyOne(w2, giveUp) {
-					return
-				}
-				next = w2.LastSeq
-			}
-			gapCheck(true)
-		case <-tick:
-			if !warnedGap && !gapSince.IsZero() && time.Since(gapSince) > n.cfg.StallWarn {
-				warnedGap = true
-				// The oldest buffered transaction names the missing
-				// prefix: everything in (next, oldest.FirstSeq] is
-				// absent and, after this long, presumed unreachable.
-				oldest := store.WireTxn{FirstSeq: ^uint64(0)}
-				for _, b := range buf {
-					if b.FirstSeq < oldest.FirstSeq {
-						oldest = b
-					}
-				}
-				n.noteStall(oldest)
-			}
-		case <-n.closed:
-			return
+		case <-time.After(backlogPoll):
 		}
 	}
 }
 
-// applyOne applies one in-FIFO-order transaction (or drops it as a
-// duplicate), honouring the pause gate, and settles its applyPending
-// slot. A pause engaging while the transaction waits for a causal
-// dependency aborts the wait and re-parks on the pause gate, so nothing
-// applies mid-pause even when the dependency arrives during it. It
-// returns false only when the node closed before the transaction was
-// processed — that transaction is then counted dropped.
-func (n *Node) applyOne(w store.WireTxn, giveUp func() bool) bool {
-	// Stall detection (see Config.StallWarn): the gate is re-polled on
-	// every clock change and on the stall ticker, so a dependency wait
-	// that outlives the threshold is noticed even when nothing else
-	// moves. The elapsed time deliberately spans pauses and retries —
-	// what matters to a reader of the metric is how long the origin's
-	// queue has been stuck, not why.
-	start := time.Now()
-	warned := false
-	gate := func() bool {
-		if !warned && n.cfg.StallWarn > 0 && time.Since(start) > n.cfg.StallWarn {
-			warned = true
-			n.noteStall(w)
-		}
-		return giveUp() || n.isPaused()
-	}
-	for {
-		if !n.pauseWait() {
-			break // closed while paused
-		}
-		if n.replica.ApplyExternal(w, gate) {
-			n.settleApply(w.Origin, warned)
-			return true
-		}
-		if giveUp() {
-			break
-		}
-		// ApplyExternal declined without a close: either a duplicate
-		// (the delivered cut already covers it — processed) or a pause
-		// aborted the dependency wait (retry after the pause lifts).
-		if n.replica.Clock().Get(w.Origin) >= w.LastSeq {
-			n.settleApply(w.Origin, warned)
-			return true
-		}
-	}
-	n.applyPending.Add(-1)
-	atomic.AddUint64(&n.m.txnsDropped, 1)
-	return false
-}
-
-// settleApply releases a processed transaction's applyPending slot and
-// clears its origin's stall flag: the queue moved, so the gap closed.
-func (n *Node) settleApply(origin clock.ReplicaID, warned bool) {
-	n.applyPending.Add(-1)
-	if warned {
-		n.clearStall(origin)
-	}
-}
-
-// clearStall retracts a stall mark: the origin's queue moved again.
-func (n *Node) clearStall(origin clock.ReplicaID) {
-	n.stallMu.Lock()
-	delete(n.stalled, origin)
-	n.stallMu.Unlock()
-}
-
-// noteStall marks a transaction's origin as stalled on a causal gap,
-// logging the first occurrence per origin. Deliberately loud: a stall
-// that never clears is silent divergence otherwise — the origin's later
-// transactions pile up in the reorder buffer while reads serve an ever
-// staler prefix. DESIGN.md ("Oversized transactions") describes the
-// state-transfer unstick path.
+// stallTicker is stall detection (Config.StallWarn): an origin is stalled
+// when it has buffered transactions and its delivered entry has not moved
+// for StallWarn. A FIFO gap, a missing dependency and a pause all look the
+// same from here — what matters to a reader of the metric is how long the
+// origin has been stuck, not why. The first tick past the threshold logs,
+// naming the origin's lowest buffered transaction; the mark clears when
+// the entry moves or the buffer drains.
 //
-// Called from the dependency-wait gate, which runs UNDER the replica's
-// clock lock — nothing here may read the replica's clock (or take any
-// lock ordered after it).
-func (n *Node) noteStall(w store.WireTxn) {
-	n.stallMu.Lock()
-	first := !n.stalled[w.Origin]
-	n.stalled[w.Origin] = true
-	n.stallMu.Unlock()
-	if first {
-		log.Printf("netrepl: node %s: apply queue for origin %s stalled for over %v waiting to apply seq %d..%d (deps %s); "+
-			"the dependency may have been dropped as oversized — if the stall persists, recover the site by state transfer",
-			n.id, w.Origin, n.cfg.StallWarn, w.FirstSeq, w.LastSeq, w.Deps)
-	}
-}
-
-// stallCount reports how many origins are currently stalled.
-func (n *Node) stallCount() int {
-	n.stallMu.Lock()
-	defer n.stallMu.Unlock()
-	return len(n.stalled)
-}
-
-// stallTicker periodically wakes dependency waiters whenever the apply
-// pipeline holds work, so their gates get polled even when no clock
-// movement does it — in a total stall (the dependency will never
-// arrive) nothing else ever broadcasts the condition variable, and the
-// stall would otherwise go undetected.
+// Deliberately loud: a stall that never clears is silent divergence
+// otherwise — the origin's later transactions pile up in the buffer while
+// reads serve an ever staler prefix. DESIGN.md ("Oversized transactions")
+// describes the state-transfer unstick path.
 func (n *Node) stallTicker() {
 	defer n.wg.Done()
 	period := n.cfg.StallWarn / 4
@@ -1393,14 +1083,39 @@ func (n *Node) stallTicker() {
 	}
 	t := time.NewTicker(period)
 	defer t.Stop()
+	type watch struct {
+		entry  uint64
+		since  time.Time
+		warned bool
+	}
+	var watched map[clock.ReplicaID]watch
 	for {
 		select {
 		case <-n.closed:
 			return
-		case <-t.C:
-			if n.applyPending.Load() > 0 {
-				n.replica.WakeExternal()
+		case now := <-t.C:
+			heads := n.replica.BufferHeads()
+			vc := n.replica.Clock()
+			next := make(map[clock.ReplicaID]watch, len(heads))
+			stalled := 0
+			for _, h := range heads {
+				entry := vc.Get(h.Origin)
+				w, ok := watched[h.Origin]
+				if !ok || w.entry != entry {
+					w = watch{entry: entry, since: now}
+				} else if !w.warned && now.Sub(w.since) > n.cfg.StallWarn {
+					w.warned = true
+					log.Printf("netrepl: node %s: delivery of origin %s stalled for over %v, lowest buffered seq %d..%d (deps %s); "+
+						"the dependency may have been dropped as oversized — if the stall persists, recover the site by state transfer",
+						n.id, h.Origin, n.cfg.StallWarn, h.FirstSeq, h.LastSeq, h.Deps)
+				}
+				if w.warned {
+					stalled++
+				}
+				next[h.Origin] = w
 			}
+			watched = next
+			n.stalledOrigins.Store(int64(stalled))
 		}
 	}
 }
@@ -1456,10 +1171,10 @@ func (n *Node) DropConnections() int {
 }
 
 // Pending reports the number of received transactions waiting in the
-// apply pipeline (for their causal dependencies, a pause to lift, or an
-// applier slot).
+// replica's delivery buffer (for a FIFO gap to close, their causal
+// dependencies, or a pause to lift).
 func (n *Node) Pending() int {
-	return int(n.applyPending.Load())
+	return n.replica.Buffered()
 }
 
 // Clock returns the replica's delivered causal cut.
@@ -1468,11 +1183,11 @@ func (n *Node) Clock() clock.Vector {
 }
 
 // Close drains the outbound queues (for up to Config.DrainTimeout), stops
-// the listener, senders, and appliers, and waits for in-flight handlers.
-// On a durable node the log is flushed and fsynced. Transactions still
-// queued in the apply pipeline are dropped with the node (on a durable
-// node they are in the log, so a restart re-applies them). Safe to call
-// more than once.
+// the listener and senders, and waits for in-flight handlers. On a
+// durable node the log is flushed and fsynced. Transactions still in the
+// delivery buffer are dropped with the node and counted in TxnsDropped
+// (on a durable node they are in the log, so a restart delivers them
+// again). Safe to call more than once.
 func (n *Node) Close() error { return n.shutdown(true) }
 
 // Kill is Close with kill -9 semantics — the crash fault hook. No
@@ -1502,34 +1217,10 @@ func (n *Node) shutdown(graceful bool) error {
 			c.Close()
 		}
 		n.connMu.Unlock()
-		// Stop applier creation (see enqueueApply), then wake appliers
-		// parked on the pause gate or on a causal dependency so they
-		// observe the close.
-		n.applyMu.Lock()
-		n.applyClosed = true
-		n.applyMu.Unlock()
-		n.pauseMu.Lock()
-		n.pauseCond.Broadcast()
-		n.pauseMu.Unlock()
-		n.replica.WakeExternal()
 		n.wg.Wait()
-		// Handlers and appliers are gone; transactions still sitting in
-		// the dead apply queues were acknowledged and are now lost with
-		// the node — account for them so the metrics settle.
-		n.applyMu.Lock()
-		for _, ch := range n.appliers {
-			for {
-				select {
-				case <-ch:
-					atomic.AddUint64(&n.m.txnsDropped, 1)
-					n.applyPending.Add(-1)
-					continue
-				default:
-				}
-				break
-			}
-		}
-		n.applyMu.Unlock()
+		// Handlers are gone; transactions still in the delivery buffer
+		// were acknowledged and are now lost with the node.
+		atomic.AddUint64(&n.m.txnsDropped, uint64(n.replica.Buffered()))
 		// Tear down the log last: handlers that were appending are gone.
 		if n.wal != nil {
 			var err error

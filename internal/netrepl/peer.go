@@ -209,7 +209,7 @@ func (p *peerConn) deliver(batch []store.WireTxn) bool {
 		// A single transaction too large for any frame can never be
 		// delivered (it is counted, and announced once per peer). Every
 		// receiver will stall on the causal gap this opens: the origin's
-		// later transactions queue in reorder buffers forever — until
+		// later transactions wait in delivery buffers forever — until
 		// the receiver's stall detector fires (Config.StallWarn) and the
 		// site is recovered by state transfer. See DESIGN.md
 		// ("Oversized transactions").

@@ -550,3 +550,105 @@ func TestUnackedFrameRetries(t *testing.T) {
 		t.Fatalf("swallowed=%d acked=%d, want exactly 1 swallowed and >=1 acked", framesSwallowed, framesAcked)
 	}
 }
+
+// TestReceiveBoundWithholdsAck pins the receive-side bound. A stream
+// whose head waits on another origin's transaction may hold only about
+// Config.QueueCap transactions at the receiver: past that, the receiver
+// withholds the ack, so the sender stops sending until the dependency
+// arrives. Transactions behind a FIFO gap in their own origin's order are
+// exempt, because the gap-filler comes on the same stream and withholding
+// the ack could keep it out forever.
+func TestReceiveBoundWithholdsAck(t *testing.T) {
+	const queueCap = 2
+	dial := func(t *testing.T, n *Node) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	send := func(t *testing.T, conn net.Conn, w store.WireTxn) {
+		t.Helper()
+		if err := writeFrame(conn, encodeBatch(t, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("dependency", func(t *testing.T) {
+		n, err := NewNodeWithConfig("n", "127.0.0.1:0", Config{QueueCap: queueCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		xs := captureTxns("x", "cx", 1)
+		ys := captureTxns("y", "cy", queueCap+2)
+		ys[0].Deps.Set("x", xs[0].LastSeq)
+
+		conn := dial(t, n)
+		unacked := -1
+		for i, y := range ys {
+			send(t, conn, y)
+			err := readAck(conn, time.Now().Add(100*time.Millisecond))
+			if err == nil {
+				continue
+			}
+			if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			unacked = i
+			break
+		}
+		if unacked < 0 {
+			t.Fatalf("all %d frames acked while their head waited on x", len(ys))
+		}
+		if got := n.Clock().Get("y"); got != 0 {
+			t.Fatalf("applied ahead of the dependency: clock[y] = %d", got)
+		}
+
+		rawSend(t, n.Addr(), encodeBatch(t, xs[0]))
+		if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
+			t.Fatalf("withheld ack of frame %d never came after x arrived: %v", unacked, err)
+		}
+		for i := unacked + 1; i < len(ys); i++ {
+			send(t, conn, ys[i])
+			if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		waitUntil(t, "everything applies", func() bool {
+			return n.Clock().Get("y") == ys[len(ys)-1].LastSeq && n.Pending() == 0
+		})
+		if v := counterValue(n, "cy"); v != int64(len(ys)) {
+			t.Fatalf("cy = %d, want %d", v, len(ys))
+		}
+	})
+
+	t.Run("gap", func(t *testing.T) {
+		n, err := NewNodeWithConfig("n", "127.0.0.1:0", Config{QueueCap: queueCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		ys := captureTxns("y", "cy", queueCap+3)
+
+		conn := dial(t, n)
+		for i, y := range ys[1:] {
+			send(t, conn, y)
+			if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
+				t.Fatalf("frame %d behind a FIFO gap was not acked: %v", i+1, err)
+			}
+		}
+		if got := n.Pending(); got != len(ys)-1 {
+			t.Fatalf("pending = %d behind the gap, want %d", got, len(ys)-1)
+		}
+		send(t, conn, ys[0])
+		if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "everything applies", func() bool {
+			return n.Clock().Get("y") == ys[len(ys)-1].LastSeq && n.Pending() == 0
+		})
+	})
+}

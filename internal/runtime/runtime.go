@@ -37,9 +37,10 @@ func Backends() []string { return []string{BackendSim, BackendNet} }
 //
 // Begin starts a highly available transaction. Replicas are safe for
 // concurrent use: many goroutines may hold open transactions on one
-// replica at once, each two-phase-locking the key shards it touches, and
-// the replication receive path applies remote effect groups concurrently
-// (serialised per shard). Always commit every transaction exactly once.
+// replica at once, each two-phase-locking the key shards it touches,
+// while remote effect groups arrive through the replica's causal delivery
+// buffer (store.Replica.Deliver), which applies them one at a time, each
+// atomically. Always commit every transaction exactly once.
 // Multi-key reads that need one consistent view must happen inside a
 // single transaction, binding every key before reading any (see
 // store.Txn's visibility contract — a writer's contended out-of-order
@@ -101,7 +102,7 @@ type Faults interface {
 	// flushes on heal; netrepl senders retry with backoff until the
 	// receiver accepts their frames again.
 	SetPartitioned(a, b clock.ReplicaID, partitioned bool)
-	// SetPaused freezes (or thaws) a replica's delivery pipeline — remote
+	// SetPaused freezes (or thaws) a replica's delivery buffer — remote
 	// transactions buffer without applying; local commits are unaffected.
 	// Unpausing drains the buffer in causal order.
 	SetPaused(id clock.ReplicaID, paused bool)

@@ -211,35 +211,54 @@ func TestPartitionedWritesSurviveHeal(t *testing.T) {
 //
 // The tests below exercise the replica core the way a real transport
 // does: many client goroutines committing local transactions while
-// remote transactions stream in through ApplyExternal on concurrent
-// applier goroutines. Run them under -race; they are the property suite
-// for the sharded locking discipline (two-phase shard acquisition, tag
-// window, per-origin FIFO apply).
+// remote transactions stream in through Replica.Deliver from concurrent
+// goroutines, out of order and duplicated. Run them under -race; they
+// are the property suite for the sharded locking discipline (two-phase
+// shard acquisition, tag window, the causal delivery buffer).
 
 // pipeReplicas wires two socket-cluster replicas together: every commit
-// at one side is applied at the other by a dedicated applier goroutine,
-// preserving per-origin FIFO exactly as netrepl's per-peer apply queues
-// do. Call the returned drain function after all writers joined to wait
-// for full delivery.
+// at one side is delivered at the other by two goroutines, each of which
+// gets every transaction and delivers what it has queued in shuffled
+// batches — so each stream arrives concurrently, out of order and
+// duplicated, as from an at-least-once transport that reconnects. Call
+// the returned drain function after all writers joined to wait for full
+// delivery.
 func pipeReplicas(t *testing.T, a, b *Replica) (drain func()) {
 	t.Helper()
-	wire := func(src, dst *Replica) chan WireTxn {
-		ch := make(chan WireTxn, 1<<16)
-		src.cluster.SetOnCommit(func(w WireTxn) { ch <- w })
-		go func() {
-			for w := range ch {
-				dst.ApplyExternal(w, nil)
-			}
-		}()
-		return ch
+	var chans []chan WireTxn
+	wire := func(src, dst *Replica, seed int64) {
+		pair := [2]chan WireTxn{make(chan WireTxn, 1<<16), make(chan WireTxn, 1<<16)}
+		chans = append(chans, pair[:]...)
+		src.cluster.SetOnCommit(func(w WireTxn) {
+			pair[0] <- w
+			pair[1] <- w
+		})
+		for i, ch := range pair {
+			rng := rand.New(rand.NewSource(seed + int64(i)))
+			go func(ch chan WireTxn) {
+				for w := range ch {
+					batch := []WireTxn{w}
+					for len(batch) < 16 && len(ch) > 0 {
+						batch = append(batch, <-ch)
+					}
+					rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+					for _, w := range batch {
+						dst.Deliver(w)
+					}
+				}
+			}(ch)
+		}
 	}
-	ab := wire(a, b)
-	ba := wire(b, a)
+	wire(a, b, 1)
+	wire(b, a, 3)
 	return func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			ac, bc := a.Clock(), b.Clock()
-			if len(ab) == 0 && len(ba) == 0 && ac.Equal(bc) {
+			queued := 0
+			for _, ch := range chans {
+				queued += len(ch)
+			}
+			if queued == 0 && a.Buffered() == 0 && b.Buffered() == 0 && a.Clock().Equal(b.Clock()) {
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -493,8 +512,9 @@ func TestCommitDepsCoverMidTransactionReads(t *testing.T) {
 	a.cluster.SetOnCommit(func(w WireTxn) { fromA = append(fromA, w) })
 
 	tx := a.Begin() // snapshot taken before b's transaction arrives
-	if !a.ApplyExternal(fromB[0], nil) {
-		t.Fatal("external apply refused")
+	a.Deliver(fromB[0])
+	if got := a.Clock().Get("b"); got != fromB[0].LastSeq {
+		t.Fatalf("delivery not applied: clock[b] = %d, want %d", got, fromB[0].LastSeq)
 	}
 	// The open transaction reads b's effect (live objects), then writes.
 	if v := CounterAt(tx, "k").Value(); v != 5 {

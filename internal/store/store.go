@@ -18,18 +18,21 @@
 //     single-threaded and deterministic — replication messages are
 //     simulator events;
 //   - under a real transport (package netrepl), one replica serves many
-//     client goroutines while remote transactions apply concurrently
-//     through ApplyExternal. The replica is sharded for this: object
-//     state is split into key-hashed shards with per-shard locks, local
-//     transactions take fine-grained two-phase shard locks, and remote
-//     transactions from different origins apply in parallel as long as
-//     they touch different shards.
+//     client goroutines while remote transactions arrive on many
+//     connections at once. The replica is sharded for this: object state
+//     is split into key-hashed shards with per-shard locks, local
+//     transactions take fine-grained two-phase shard locks, and a remote
+//     transaction's effect group locks only the shards it touches.
+//
+// Both regimes deliver remote transactions through one causal delivery
+// buffer, Replica.Deliver, which applies them one at a time in causal
+// order (see Deliver).
 //
 // Replica locking discipline (the order below is the global acquisition
 // order; taking locks in this order only is what makes the core
 // deadlock-free — see DESIGN.md for the full argument):
 //
-//		commitMu  ≺  shard[0] … shard[numShards-1] (ascending)  ≺  clockMu
+//		commitMu, deliverMu  ≺  shard[0] … shard[numShards-1] (ascending)  ≺  clockMu
 //
 //	  - commitMu (per replica) is the tag window: it serialises local
 //	    update transactions from their first NewTag to commit, so every
@@ -38,13 +41,17 @@
 //	    FIFO delivery and the stability horizon both interpret a vector
 //	    entry n as "all events ≤ n", which interleaved tag blocks would
 //	    break. Read-only transactions never touch commitMu.
+//	  - deliverMu (per replica) guards the causal delivery buffer and is
+//	    held while the buffer applies a remote effect group, so remote
+//	    transactions apply one at a time. No path holds commitMu and
+//	    deliverMu together.
 //	  - shard locks are taken in ascending index order. A transaction that
 //	    needs a lower-indexed shard than one it holds first tries a
-//	    non-blocking TryLock (safe in any order) and otherwise releases
-//	    everything and reacquires the enlarged set in sorted order.
+//	    non-blocking TryLock (safe in any order); otherwise it releases only
+//	    the shards ranked above the needed one, then takes the needed shard
+//	    and reacquires the released ones in order.
 //	  - clockMu guards the delivered cut (vc) and is never held while
-//	    waiting for any other lock; clockCond broadcasts every advance so
-//	    ApplyExternal callers can wait for causal dependencies.
+//	    waiting for any other lock.
 package store
 
 import (
@@ -68,7 +75,7 @@ type Cluster struct {
 
 	// partitioned links: messages are buffered and flushed on heal.
 	partitioned map[[2]clock.ReplicaID]bool
-	blocked     map[[2]clock.ReplicaID][]txnMsg
+	blocked     map[[2]clock.ReplicaID][]WireTxn
 
 	// onCommit, when set, receives the wire form of every committed
 	// update transaction (see SetOnCommit). It may return a wait
@@ -95,15 +102,15 @@ func NewCluster(sim *wan.Sim, latency *wan.Latency, ids []clock.ReplicaID) *Clus
 		order:       append([]clock.ReplicaID(nil), ids...),
 		stab:        clock.NewStability(ids),
 		partitioned: map[[2]clock.ReplicaID]bool{},
-		blocked:     map[[2]clock.ReplicaID][]txnMsg{},
+		blocked:     map[[2]clock.ReplicaID][]WireTxn{},
 	}
 	for _, id := range ids {
 		r := &Replica{
-			id:      id,
-			cluster: c,
-			vc:      clock.New(),
+			id:       id,
+			cluster:  c,
+			vc:       clock.New(),
+			byOrigin: map[clock.ReplicaID]map[uint64]WireTxn{},
 		}
-		r.clockCond = sync.NewCond(&r.clockMu)
 		for i := range r.shards {
 			r.shards[i].objects = map[string]crdt.CRDT{}
 		}
@@ -145,40 +152,21 @@ func (c *Cluster) SetPartitioned(a, b clock.ReplicaID, partitioned bool) {
 	}
 }
 
-// SetPaused freezes (or thaws) a replica's delivery pipeline — the
-// crash/recovery fault hook. While paused, remote transactions still
-// arrive but queue in the delivery buffer without applying, exactly as if
-// the replica's application process had stalled; local commits are
-// unaffected (they do not pass through the delivery queue). Unpausing
-// drains the buffer in causal order.
+// SetPaused freezes (or thaws) a replica's delivery buffer — the
+// crash/recovery fault hook (see Replica.SetPaused).
 func (c *Cluster) SetPaused(id clock.ReplicaID, paused bool) {
-	r := c.Replica(id)
-	r.pendMu.Lock()
-	r.paused = paused
-	r.pendMu.Unlock()
-	if !paused {
-		r.drain()
-	}
+	c.Replica(id).SetPaused(paused)
 }
 
-// txnMsg is a committed transaction in flight between replicas.
-type txnMsg struct {
-	origin  clock.ReplicaID
-	deps    clock.Vector // causal dependencies (origin's cut before commit)
-	firstSq uint64       // origin sequence before this txn's updates
-	lastSeq uint64       // origin sequence after this txn's updates
-	updates []Update
-}
-
-func (c *Cluster) send(from, to clock.ReplicaID, m txnMsg) {
+func (c *Cluster) send(from, to clock.ReplicaID, w WireTxn) {
 	if c.partitioned[[2]clock.ReplicaID{from, to}] {
-		c.blocked[[2]clock.ReplicaID{from, to}] = append(c.blocked[[2]clock.ReplicaID{from, to}], m)
+		c.blocked[[2]clock.ReplicaID{from, to}] = append(c.blocked[[2]clock.ReplicaID{from, to}], w)
 		return
 	}
 	atomic.AddUint64(&c.MessagesSent, 1)
 	d := c.latency.OneWay(string(from), string(to), c.sim.Rand())
 	dst := c.replicas[to]
-	c.sim.After(d, func() { dst.receive(m) })
+	c.sim.After(d, func() { dst.Deliver(w) })
 }
 
 // Stabilize computes the stability horizon (the causal cut every replica
@@ -225,7 +213,7 @@ type shard struct {
 // Replica is one data center's copy of the database. Inside the
 // simulation a replica executes serially (the sim is single-threaded);
 // under a real transport the same replica serves concurrent local
-// transactions and concurrent remote appliers, synchronised by the
+// transactions and concurrent Deliver callers, synchronised by the
 // sharded locking discipline described in the package comment.
 type Replica struct {
 	id      clock.ReplicaID
@@ -237,17 +225,19 @@ type Replica struct {
 	commitMu sync.Mutex
 	seq      uint64
 
-	// clockMu guards vc; clockCond broadcasts every advance.
-	clockMu   sync.Mutex
-	clockCond *sync.Cond
-	vc        clock.Vector // delivered cut; vc[id] == local commit sequence
+	// clockMu guards vc.
+	clockMu sync.Mutex
+	vc      clock.Vector // delivered cut; vc[id] == local commit sequence
 
-	// pendMu guards the simulator-path causal delivery queue and the
-	// pause flag. External transports do their own queueing and never
-	// touch these (their pausing lives in the transport).
-	pendMu  sync.Mutex
-	pending []txnMsg
-	paused  bool
+	// deliverMu guards the causal delivery buffer (see Deliver): the
+	// buffered transactions by origin and FirstSeq, every origin ever
+	// buffered in sorted order (the deterministic drain order), their
+	// total count, and the pause flag.
+	deliverMu sync.Mutex
+	byOrigin  map[clock.ReplicaID]map[uint64]WireTxn
+	origins   []clock.ReplicaID
+	buffered  int
+	paused    bool
 
 	// invalid marks a replica instance that no longer represents its
 	// site: the process crashed and a *different* Replica now carries
@@ -258,8 +248,9 @@ type Replica struct {
 	invalid atomic.Bool
 
 	// Stats. TxnsExecuted is updated atomically (read-only transactions
-	// commit outside every lock); the delivery counters are guarded by
-	// clockMu. Read them from a quiescent replica.
+	// commit outside every lock); TxnsDelivered and TxnsDuplicate are
+	// guarded by clockMu, QueuedMax (the buffer's high-water mark) by
+	// deliverMu. Read them from a quiescent replica.
 	TxnsExecuted  uint64
 	TxnsDelivered uint64
 	TxnsDuplicate uint64
@@ -351,92 +342,20 @@ func (r *Replica) Begin() *Txn {
 	return &Txn{r: r, deps: deps}
 }
 
-// receive integrates a remote transaction on the simulator path,
-// enforcing causal delivery: the transaction applies only when its
-// dependencies are satisfied and the origin's updates are contiguous
-// (per-origin FIFO).
-func (r *Replica) receive(m txnMsg) {
-	r.pendMu.Lock()
-	r.pending = append(r.pending, m)
-	if len(r.pending) > r.QueuedMax {
-		r.QueuedMax = len(r.pending)
-	}
-	r.pendMu.Unlock()
-	r.drain()
-}
-
-func (r *Replica) drain() {
-	r.pendMu.Lock()
-	defer r.pendMu.Unlock()
-	if r.paused {
-		return
-	}
-	progress := true
-	for progress {
-		progress = false
-		for i, m := range r.pending {
-			switch r.classify(m) {
-			case msgDuplicate:
-				// A duplicate whose first copy has since been applied
-				// (at-least-once transports retry batches); it can never
-				// become deliverable, so discard it. classify counted it.
-				r.pending = append(r.pending[:i], r.pending[i+1:]...)
-				progress = true
-			case msgDeliverable:
-				r.apply(m)
-				r.pending = append(r.pending[:i], r.pending[i+1:]...)
-				progress = true
-			default:
-				continue
-			}
-			break
-		}
-	}
-}
-
-// Message delivery states (see classify).
-const (
-	msgWaiting     = iota // FIFO gap or unmet dependency
-	msgDeliverable        // next in FIFO order, dependencies satisfied
-	msgDuplicate          // already applied; classify counted it
-)
-
-// classify checks one message against the delivered cut in a single
-// clockMu section (the sim delivery loop re-scans its queue often, so
-// this stays allocation-free). A duplicate is counted here.
-func (r *Replica) classify(m txnMsg) int {
-	r.clockMu.Lock()
-	defer r.clockMu.Unlock()
-	have := r.vc.Get(m.origin)
-	switch {
-	case m.lastSeq <= have:
-		r.TxnsDuplicate++
-		return msgDuplicate
-	case m.firstSq == have && m.deps.LEq(r.vc):
-		return msgDeliverable
-	default:
-		return msgWaiting
-	}
-}
-
-// apply installs one remote transaction's effect group.
-func (r *Replica) apply(m txnMsg) {
-	r.applyRemote(m.origin, m.lastSeq, m.updates, m.deps)
-}
-
 // applyRemote applies one effect group atomically with respect to local
-// transactions and other appliers: every shard the group touches is
-// locked (in ascending order) before the first update applies, and —
+// transactions. Its only caller is applyReady, under deliverMu, so groups
+// apply one at a time. Every shard the group touches is locked (in
+// ascending order) before the first update applies, and —
 // crucially — the delivered cut advances while those locks are still
 // held. A local transaction that reads any of the group's effects can
 // therefore only do so after the clock includes the group, so the
 // delivered cut it merges at commit covers everything it read (the local
 // commit path holds its shard locks across its own clock write for the
 // same reason).
-func (r *Replica) applyRemote(origin clock.ReplicaID, lastSeq uint64, updates []Update, deps clock.Vector) {
+func (r *Replica) applyRemote(w WireTxn) {
 	var idxBuf [8]int
 	idxs := idxBuf[:0]
-	for _, u := range updates {
+	for _, u := range w.Updates {
 		idx := shardIndex(u.Key)
 		seen := false
 		for _, j := range idxs {
@@ -453,7 +372,7 @@ func (r *Replica) applyRemote(origin clock.ReplicaID, lastSeq uint64, updates []
 	for _, i := range idxs {
 		r.shards[i].mu.Lock()
 	}
-	for _, u := range updates {
+	for _, u := range w.Updates {
 		sh := &r.shards[shardIndex(u.Key)]
 		obj, ok := sh.objects[u.Key]
 		if !ok {
@@ -469,100 +388,34 @@ func (r *Replica) applyRemote(origin clock.ReplicaID, lastSeq uint64, updates []
 			// applied there; the events it adds touch no set the
 			// transaction held, so the verdicts agree (DESIGN.md, "Bounded
 			// set metadata").
-			a.Deps = deps
+			a.Deps = w.Deps
 			op = a
 		}
 		obj.Apply(op)
 	}
 	r.clockMu.Lock()
-	r.vc.Set(origin, lastSeq)
+	r.vc.Set(w.Origin, w.LastSeq)
 	r.TxnsDelivered++
-	r.clockCond.Broadcast()
 	r.clockMu.Unlock()
 	for i := len(idxs) - 1; i >= 0; i-- {
 		r.shards[idxs[i]].mu.Unlock()
 	}
 }
 
-// ApplyExternal applies one transaction received from an external
-// transport, blocking until its causal dependencies (and the per-origin
-// FIFO predecessor) have been delivered. It returns true when the
-// transaction applied, false for a duplicate or when giveUp reported
-// true (giveUp is polled whenever the wait is woken — see WakeExternal).
-//
-// Callers must preserve per-origin FIFO: at most one goroutine may apply
-// a given origin's transactions, in sequence order (package netrepl runs
-// one applier goroutine per origin). Appliers for different origins run
-// concurrently; their effect groups serialise per shard. Waiting cannot
-// deadlock: a transaction's dependencies are ordered by happens-before,
-// which is acyclic, and each origin's dependencies arrive on other
-// origins' queues (see DESIGN.md).
-func (r *Replica) ApplyExternal(w WireTxn, giveUp func() bool) bool {
-	r.clockMu.Lock()
-	for {
-		have := r.vc.Get(w.Origin)
-		if w.LastSeq <= have {
-			r.TxnsDuplicate++
-			r.clockMu.Unlock()
-			return false
-		}
-		if have == w.FirstSeq && w.Deps.LEq(r.vc) {
-			break
-		}
-		if giveUp != nil && giveUp() {
-			r.clockMu.Unlock()
-			return false
-		}
-		r.clockCond.Wait()
-	}
-	r.clockMu.Unlock()
-	r.applyRemote(w.Origin, w.LastSeq, w.Updates, w.Deps)
-	return true
-}
-
 // DeliveryStats returns a synchronized snapshot of the delivery counters
 // (TxnsDelivered, TxnsDuplicate) — the race-free way to read them while
-// appliers are live.
+// transports deliver.
 func (r *Replica) DeliveryStats() (delivered, duplicate uint64) {
 	r.clockMu.Lock()
 	defer r.clockMu.Unlock()
 	return r.TxnsDelivered, r.TxnsDuplicate
 }
 
-// NoteDuplicate records a duplicate delivery detected by an external
-// transport before it reached the replica (e.g. in a reorder buffer).
-func (r *Replica) NoteDuplicate() {
-	r.clockMu.Lock()
-	r.TxnsDuplicate++
-	r.clockMu.Unlock()
-}
-
-// dropIfDuplicate counts and reports a message already covered by the
-// delivered cut, in one clockMu section.
-func (r *Replica) dropIfDuplicate(origin clock.ReplicaID, lastSeq uint64) bool {
-	r.clockMu.Lock()
-	defer r.clockMu.Unlock()
-	if lastSeq <= r.vc.Get(origin) {
-		r.TxnsDuplicate++
-		return true
-	}
-	return false
-}
-
-// WakeExternal wakes every ApplyExternal caller blocked on a causal
-// dependency so it re-polls its giveUp hook — the shutdown path of an
-// external transport.
-func (r *Replica) WakeExternal() {
-	r.clockMu.Lock()
-	r.clockCond.Broadcast()
-	r.clockMu.Unlock()
-}
-
 // CompactAll lets every CRDT at this replica discard metadata made
 // redundant by the stability horizon; frontier carries the per-origin
 // commit counts of the stability round (see Cluster.Stabilize). Each
 // shard compacts under its own lock, so compaction is safe concurrent
-// with live transactions and appliers. Exposed so replication backends
+// with live transactions and deliveries. Exposed so replication backends
 // without a shared Cluster — one store per node, as in netrepl — can run
 // the same compaction from a gathered global view.
 func (r *Replica) CompactAll(horizon, frontier clock.Vector) {
@@ -578,12 +431,4 @@ func (r *Replica) CompactAll(horizon, frontier clock.Vector) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// PendingCount reports the size of the simulator-path causal delivery
-// queue.
-func (r *Replica) PendingCount() int {
-	r.pendMu.Lock()
-	defer r.pendMu.Unlock()
-	return len(r.pending)
 }

@@ -133,7 +133,7 @@ func TestCausalQueueHoldsDependentTxn(t *testing.T) {
 		t.Fatal("B delivered before its dependency A")
 	}
 	etx.Commit()
-	if eu.PendingCount() == 0 {
+	if eu.Buffered() == 0 {
 		t.Fatal("B should be queued at eu")
 	}
 
@@ -145,7 +145,7 @@ func TestCausalQueueHoldsDependentTxn(t *testing.T) {
 		t.Fatal("updates lost after heal")
 	}
 	ftx.Commit()
-	if eu.PendingCount() != 0 {
+	if eu.Buffered() != 0 {
 		t.Fatal("queue should be drained")
 	}
 }
@@ -442,7 +442,7 @@ func TestPausedReplicaBuffersDeliveries(t *testing.T) {
 		t.Fatal("paused replica applied a delivery")
 	}
 	wtx.Commit()
-	if west.PendingCount() == 0 {
+	if west.Buffered() == 0 {
 		t.Fatal("paused replica did not buffer the delivery")
 	}
 	etx := c.Replica(wan.EUWest).Begin()
@@ -464,7 +464,7 @@ func TestPausedReplicaBuffersDeliveries(t *testing.T) {
 		t.Fatal("unpause did not drain buffered deliveries")
 	}
 	wtx3.Commit()
-	if west.PendingCount() != 0 {
-		t.Fatalf("pending = %d after unpause", west.PendingCount())
+	if west.Buffered() != 0 {
+		t.Fatalf("pending = %d after unpause", west.Buffered())
 	}
 }

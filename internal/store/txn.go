@@ -258,18 +258,17 @@ func (t *Txn) commitUpdates() {
 	// assumes; on the single-threaded simulator it is a no-op.
 	t.deps.Merge(t.r.vc)
 	t.r.vc.Set(t.r.id, last)
-	t.r.clockCond.Broadcast()
 	t.r.clockMu.Unlock()
-	m := txnMsg{
-		origin:  t.r.id,
-		deps:    t.deps,
-		firstSq: t.firstSeq,
-		lastSeq: last,
-		updates: t.updates,
+	w := WireTxn{
+		Origin:   t.r.id,
+		Deps:     t.deps,
+		FirstSeq: t.firstSeq,
+		LastSeq:  last,
+		Updates:  t.updates,
 	}
 	for _, id := range c.order {
 		if id != t.r.id {
-			c.send(t.r.id, id, m)
+			c.send(t.r.id, id, w)
 		}
 	}
 	// The onCommit hook (an external transport's broadcast) runs under the
@@ -281,13 +280,8 @@ func (t *Txn) commitUpdates() {
 	// caller's acknowledgement point when DeferDurability gave a sink.
 	var wait func()
 	if c.onCommit != nil {
-		wait = c.onCommit(WireTxn{
-			Origin:   m.origin,
-			Deps:     m.deps.Clone(),
-			FirstSeq: m.firstSq,
-			LastSeq:  m.lastSeq,
-			Updates:  m.updates,
-		})
+		w.Deps = w.Deps.Clone()
+		wait = c.onCommit(w)
 	}
 	t.release()
 	switch {

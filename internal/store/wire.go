@@ -11,9 +11,10 @@ import (
 )
 
 // WireTxn is the serialisable form of a committed transaction — the
-// replication unit exchanged between replicas. Inside the simulator the
-// equivalent message is passed by value; a networked transport (package
-// netrepl) ships WireTxn batches as frames (FrameEncoder, DecodeFrame).
+// replication unit exchanged between replicas and handed to
+// Replica.Deliver. Inside the simulator it is passed by value; a
+// networked transport (package netrepl) ships WireTxn batches as frames
+// (FrameEncoder, DecodeFrame).
 type WireTxn struct {
 	Origin   clock.ReplicaID
 	Deps     clock.Vector
@@ -249,7 +250,7 @@ func decodeTxnV2(r *crdt.WireReader, w *WireTxn) error {
 // NewSocketCluster creates the single-member cluster an external
 // transport (package netrepl) wraps around one replica: the simulator
 // inside never carries messages, it only provides the clock the store API
-// needs; all replication flows through SetOnCommit and Deliver.
+// needs; all replication flows through SetOnCommit and Replica.Deliver.
 func NewSocketCluster(id clock.ReplicaID) *Cluster {
 	return NewCluster(wan.NewSim(0), wan.NewLatency(0), []clock.ReplicaID{id})
 }
@@ -268,25 +269,3 @@ func (c *Cluster) SetOnCommit(fn func(WireTxn)) {
 // transport reports the transaction durable. A transaction given a sink by
 // Txn.DeferDurability appends the wait there instead.
 func (c *Cluster) SetOnCommitSync(fn func(WireTxn) func()) { c.onCommit = fn }
-
-// Deliver injects a transaction received from an external transport into
-// the replica with the given id, going through the same causal delivery
-// queue as simulator-internal messages. Unknown origins are fine: the
-// vector clocks accommodate any replica identifier. Duplicates — which
-// at-least-once transports produce when they retry a batch after a
-// partial failure — are detected by the origin sequence and dropped.
-// Deliver buffers without bound and is meant for single-threaded
-// callers; concurrent transports use Replica.ApplyExternal instead.
-func (c *Cluster) Deliver(to clock.ReplicaID, w WireTxn) {
-	r := c.Replica(to)
-	if r.dropIfDuplicate(w.Origin, w.LastSeq) {
-		return
-	}
-	r.receive(txnMsg{
-		origin:  w.Origin,
-		deps:    w.Deps,
-		firstSq: w.FirstSeq,
-		lastSeq: w.LastSeq,
-		updates: w.Updates,
-	})
-}

@@ -327,42 +327,57 @@ func TestDecodeFrameV2Malformed(t *testing.T) {
 
 func TestDeliverDropsDuplicates(t *testing.T) {
 	c := NewCluster(wan.NewSim(1), wan.NewLatency(0), []clock.ReplicaID{"r"})
-	w := sampleTxn("remote", 0, 1)
-	c.Deliver("r", w)
-	c.Deliver("r", w) // duplicate after apply: dropped at the door
 	r := c.Replica("r")
+	w := sampleTxn("remote", 0, 1)
+	r.Deliver(w)
+	r.Deliver(w) // duplicate after apply: dropped at the door
 	if r.TxnsDelivered != 1 {
 		t.Fatalf("TxnsDelivered = %d, want 1", r.TxnsDelivered)
 	}
 	if r.TxnsDuplicate != 1 {
 		t.Fatalf("TxnsDuplicate = %d, want 1", r.TxnsDuplicate)
 	}
-	if r.PendingCount() != 0 {
-		t.Fatalf("pending = %d, want 0", r.PendingCount())
+	if r.Buffered() != 0 {
+		t.Fatalf("buffered = %d, want 0", r.Buffered())
+	}
+	// A paused replica still drops duplicates at the door: only new
+	// transactions buffer, and unpausing applies each exactly once.
+	r.SetPaused(true)
+	next := sampleTxn("remote", 1, 2)
+	r.Deliver(w)
+	r.Deliver(next)
+	r.Deliver(next)
+	if r.Buffered() != 1 || r.TxnsDuplicate != 3 {
+		t.Fatalf("paused: buffered = %d, TxnsDuplicate = %d, want 1 and 3", r.Buffered(), r.TxnsDuplicate)
+	}
+	r.SetPaused(false)
+	if r.TxnsDelivered != 2 || r.Buffered() != 0 {
+		t.Fatalf("unpaused: TxnsDelivered = %d, buffered = %d, want 2 and 0", r.TxnsDelivered, r.Buffered())
 	}
 }
 
 func TestDrainDiscardsStaleDuplicateInQueue(t *testing.T) {
 	c := NewCluster(wan.NewSim(1), wan.NewLatency(0), []clock.ReplicaID{"r"})
+	r := c.Replica("r")
 	first := sampleTxn("remote", 0, 1)
 	second := sampleTxn("remote", 1, 2)
 	// Two copies of `second` arrive before `first` (reordered batches from
-	// a retrying sender). Both queue; once `first` lands, one copy applies
-	// and the other must be discarded, not stuck forever.
-	c.Deliver("r", second)
-	c.Deliver("r", second)
-	r := c.Replica("r")
-	if r.PendingCount() != 2 {
-		t.Fatalf("pending = %d, want 2", r.PendingCount())
+	// a retrying sender). The buffer already holds a transaction with the
+	// same FirstSeq, so the second copy is dropped at the door; once
+	// `first` lands, the buffered copy applies and nothing stays stuck.
+	r.Deliver(second)
+	r.Deliver(second)
+	if r.Buffered() != 1 {
+		t.Fatalf("buffered = %d, want 1", r.Buffered())
 	}
-	c.Deliver("r", first)
+	r.Deliver(first)
 	if r.TxnsDelivered != 2 {
 		t.Fatalf("TxnsDelivered = %d, want 2", r.TxnsDelivered)
 	}
 	if r.TxnsDuplicate != 1 {
 		t.Fatalf("TxnsDuplicate = %d, want 1", r.TxnsDuplicate)
 	}
-	if r.PendingCount() != 0 {
-		t.Fatalf("pending = %d, want 0", r.PendingCount())
+	if r.Buffered() != 0 {
+		t.Fatalf("buffered = %d, want 0", r.Buffered())
 	}
 }

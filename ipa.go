@@ -186,20 +186,6 @@ func NewNetCluster(sites []ReplicaID) (Cluster, error) {
 	return runtime.NewNetCluster(sites, runtime.NetConfig{})
 }
 
-// Deprecated backend aliases, kept for source compatibility: Cluster and
-// Replica themselves are now the backend-agnostic interfaces, and
-// NewCluster/NewPaperCluster already return them (the former
-// NewSimBackend wrapper is gone — there is nothing left to wrap).
-type (
-	// BackendCluster is the substrate-agnostic cluster surface.
-	BackendCluster = runtime.Cluster
-	// BackendReplica is one site through the substrate-agnostic surface.
-	BackendReplica = runtime.Replica
-)
-
-// NewNetBackend is NewNetCluster under its historical name.
-func NewNetBackend(sites []ReplicaID) (BackendCluster, error) { return NewNetCluster(sites) }
-
 // --- The client API: Open → Mount → Session.Call ---------------------
 
 // ClusterOptions configures Open. The zero value opens the paper's
