@@ -240,7 +240,8 @@ func AblationStability(opts ExpOptions) *Experiment {
 	e.Series = append(e.Series, s)
 	e.Notes = append(e.Notes,
 		"expected: with periodic stability compaction the metadata stays near the live-element",
-		"count; without it, add records and tombstones grow with the operation count.")
+		"count; without it, records are bounded by elements × origins (each origin keeps its",
+		"newest add and tombstone per element), not by the operation count.")
 	return e
 }
 

@@ -97,8 +97,10 @@ func MatchPattern(fields ...string) MatchFields {
 }
 
 // Matches reports whether the element satisfies the pattern. It walks
-// the element in place — this runs once per wildcard tombstone on every
-// remove-wins membership check, so it must not allocate.
+// the element in place without allocating: add-wins wildcard removes,
+// unindexed pattern reads and the engine's planned-change filter call it
+// once per candidate element. (Remove-wins sets match their wildcard
+// tombstones through a pattern index instead; see RWSet.)
 func (m MatchFields) Matches(elem string) bool {
 	if len(m.Fields) != m.Arity {
 		return false
@@ -136,7 +138,10 @@ type MatchAll struct{}
 // Matches always reports true.
 func (MatchAll) Matches(string) bool { return true }
 
-// Predicate is either a Match, MatchAll, or nil (matches nothing extra).
+// Predicate selects set elements. Only the package's own predicates —
+// Match, MatchFields and MatchAll — travel on the replication wire. An
+// add-wins remove may carry nil (it removes only its Elem); a remove-wins
+// wildcard remove must not.
 type Predicate interface {
 	Matches(elem string) bool
 }

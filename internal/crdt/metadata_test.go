@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"math/rand"
 	"testing"
 
 	"ipa/internal/clock"
@@ -28,20 +29,41 @@ func TestAWSetMetadataSize(t *testing.T) {
 	}
 }
 
-func TestRWSetMetadataGrowsAndCompacts(t *testing.T) {
+// Churn does not grow a remove-wins set's metadata: each origin keeps one
+// add record and one exact tombstone per element and one tombstone per
+// wildcard pattern, whatever the history, before any compaction.
+func TestRWSetMetadataBoundedByOrigins(t *testing.T) {
 	g := newTagger()
 	s := NewRWSet()
-	for i := 0; i < 10; i++ {
-		s.Apply(s.PrepareAdd("x", "", g.tag("a")))
-		s.Apply(s.PrepareRemove("x", g.tag("a")))
+	elem := JoinTuple("p1", "p2", "t1")
+	patterns := []Predicate{
+		MatchPattern("p1", "", "t1"), MatchPattern("", "p2", "t1"),
+		Match{Index: 2, Value: "t1"}, MatchAll{},
+	}
+	origins := []clock.ReplicaID{"a", "b", "c"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		r := origins[rng.Intn(len(origins))]
+		switch rng.Intn(3) {
+		case 0:
+			s.Apply(s.PrepareAdd(elem, "", g.tag(r)))
+		case 1:
+			s.Apply(s.PrepareRemove(elem, g.tag(r)))
+		default:
+			s.Apply(s.PrepareRemoveWhere(patterns[rng.Intn(len(patterns))], g.tag(r)))
+		}
 	}
 	grown := s.MetadataSize()
-	if grown < 20 {
-		t.Fatalf("churn should grow metadata, got %d", grown)
+	if bound := len(origins) * (1 + 1 + len(patterns)); grown > bound {
+		t.Fatalf("metadata = %d after churn, want at most %d (origins × (add + remove + patterns))", grown, bound)
 	}
-	s.Apply(s.PrepareAdd("x", "", g.tag("a"))) // final state: present
-	s.Compact(clock.Vector{"a": 99})
-	if !s.Contains("x") {
+	// A final add that observed everything: present, and compaction keeps
+	// only its record.
+	final := s.PrepareAdd(elem, "", g.tag("a"))
+	final.Deps = g.vc.Clone()
+	s.Apply(final)
+	s.Compact(g.vc.Clone())
+	if !s.Contains(elem) {
 		t.Fatal("compaction lost the element")
 	}
 	if got := s.MetadataSize(); got >= grown || got > 2 {

@@ -2,6 +2,7 @@ package crdt
 
 import (
 	"sort"
+	"strings"
 
 	"ipa/internal/clock"
 )
@@ -13,19 +14,32 @@ import (
 // resolution IPA uses when the effects of a removal must prevail, e.g.
 // purging a removed tournament's enrolments (paper Fig. 2c) or a removed
 // user's timeline entries.
+//
+// Metadata is collapsed per origin: an element keeps at most one add
+// record and one exact tombstone per origin, and a wildcard pattern at
+// most one tombstone per origin — the newest, which decides for all the
+// older ones (see observes). Wildcard tombstones are indexed by pattern,
+// so a membership check costs O(origins × pattern shapes in use), plus a
+// scan of the few predicates no shape describes, whatever the history. All access happens under the owning
+// store's exclusive object lock, reads included (ElemsWhere builds its
+// index lazily).
 type RWSet struct {
-	adds    map[string]map[clock.EventID]clock.Vector // element -> add event -> its causal cut
-	removes map[string]map[clock.EventID]*rwTomb      // element -> exact remove tombstones
-	wild    map[clock.EventID]*wildRemove             // wildcard tombstones
+	adds    map[string][]rwAdd            // element -> newest add per origin
+	removes map[string][]rwTomb           // element -> newest exact remove per origin
+	wild    map[clock.EventID]*wildRemove // every wildcard tombstone (the record snapshots encode)
 	payload map[string]string
 
-	// present memoizes Contains verdicts. Presence is a pure function of
-	// the element's add records, its tombstones, and the wildcard
-	// tombstones, so the cache only needs invalidating when one of those
-	// changes (Apply); compaction preserves every verdict by contract but
-	// clears the cache anyway out of caution. All access happens under
-	// the owning store's exclusive object lock, like every other field.
-	present map[string]bool
+	// Indexes over wild: the tuple shapes in use, each mapping a
+	// pattern's bound values to its newest tombstone per origin, and the
+	// predicates no shape describes (Match, MatchAll, malformed patterns),
+	// scanned linearly.
+	shapes []*shapeIndex
+	other  []*wildRemove
+
+	// reads indexes the elements by read shape and bound values for
+	// ElemsWhere. It is built on a shape's first read, extended when an
+	// element appears, and dropped when compaction deletes one.
+	reads map[tupleShape]map[string][]string
 }
 
 // observes reports whether the add tagged tag, whose causal cut is cut,
@@ -34,8 +48,21 @@ type RWSet struct {
 // operations of the same transaction) or the cut covers e. An add survives
 // exactly the tombstones it observed — remove-wins only favours removes
 // concurrent with the add.
+//
+// Observation is monotone per origin on both sides, which is what lets
+// the set keep only the newest record of each origin. An origin's cuts
+// grow with its sequence numbers (commits are serialised), so a later add
+// of an origin observes everything an earlier one did; and an add that
+// observed (r, n) observed every (r, m < n), so the newest tombstone of an
+// origin defeats every add an older one of the same target does.
 func observes(tag clock.EventID, cut clock.Vector, e clock.EventID) bool {
 	return e.Replica == tag.Replica && e.Seq < tag.Seq || cut.Contains(e)
+}
+
+// rwAdd is an add record: the add's tag and its causal cut.
+type rwAdd struct {
+	tag clock.EventID
+	cut clock.Vector
 }
 
 // rwTomb is one remove tombstone with its discard fence. A remove-wins
@@ -49,22 +76,111 @@ func observes(tag clock.EventID, cut clock.Vector, e clock.EventID) bool {
 // dominates the fence, all such adds are delivered everywhere (and were
 // judged against the tombstone), so it is finally redundant.
 type rwTomb struct {
+	tag   clock.EventID
 	fence clock.Vector // nil until first seen below the horizon
 }
 
 type wildRemove struct {
+	tag   clock.EventID
 	pred  Predicate
 	fence clock.Vector // as rwTomb.fence
+
+	at  *shapeIndex // the index holding it; nil when it is in other
+	key string      // its bound values under at.shape
+}
+
+// tagged is a record that carries the tag of the op it records.
+type tagged interface{ id() clock.EventID }
+
+func (a rwAdd) id() clock.EventID       { return a.tag }
+func (t rwTomb) id() clock.EventID      { return t.tag }
+func (w *wildRemove) id() clock.EventID { return w.tag }
+
+// originSlot finds the entry of tag's origin in a list holding at most
+// one entry per origin: its index (-1 when the origin has none), and
+// whether an op tagged tag is newer than it. An op that is not — a
+// duplicate, or an older op arriving behind its successor as in log
+// replay — changes nothing.
+func originSlot[T tagged](list []T, tag clock.EventID) (int, bool) {
+	for i, x := range list {
+		if e := x.id(); e.Replica == tag.Replica {
+			return i, e.Seq < tag.Seq
+		}
+	}
+	return -1, true
+}
+
+// tupleShape is the shape of a MatchFields pattern: its arity and the
+// positions it binds (bit i set: position i is bound).
+type tupleShape struct {
+	arity int
+	bound uint64
+}
+
+// appendKey appends elem's components at the shape's bound positions,
+// TupleSep-separated, and reports whether elem has the shape's arity. An
+// element matches a pattern of the shape iff this key equals the
+// pattern's (patternShape).
+func (sh tupleShape) appendKey(buf []byte, elem string) ([]byte, bool) {
+	first := true
+	for pos := 0; pos < sh.arity; pos++ {
+		c, rest, more := strings.Cut(elem, TupleSep)
+		if more == (pos == sh.arity-1) {
+			return buf, false // more or fewer components than the arity
+		}
+		if sh.bound&(1<<pos) != 0 {
+			if !first {
+				buf = append(buf, TupleSep...)
+			}
+			buf = append(buf, c...)
+			first = false
+		}
+		elem = rest
+	}
+	return buf, true
+}
+
+// patternShape returns the shape and key of a well-formed MatchFields
+// pattern. Anything else — other predicate types, malformed patterns, an
+// arity beyond the mask, a bound value containing TupleSep (which matches
+// nothing) — reports false.
+func patternShape(p Predicate) (tupleShape, string, bool) {
+	m, ok := p.(MatchFields)
+	if !ok || m.Arity < 1 || m.Arity > 64 || len(m.Fields) != m.Arity {
+		return tupleShape{}, "", false
+	}
+	sh := tupleShape{arity: m.Arity}
+	var key []byte
+	for i, f := range m.Fields {
+		if strings.Contains(f, TupleSep) {
+			return tupleShape{}, "", false
+		}
+		if f == "" {
+			continue
+		}
+		if sh.bound != 0 {
+			key = append(key, TupleSep...)
+		}
+		key = append(key, f...)
+		sh.bound |= 1 << i
+	}
+	return sh, string(key), true
+}
+
+// shapeIndex holds the wildcard tombstones of one tuple shape, by bound
+// values, newest per origin.
+type shapeIndex struct {
+	shape tupleShape
+	tombs map[string][]*wildRemove
 }
 
 // NewRWSet returns an empty remove-wins set.
 func NewRWSet() *RWSet {
 	return &RWSet{
-		adds:    map[string]map[clock.EventID]clock.Vector{},
-		removes: map[string]map[clock.EventID]*rwTomb{},
+		adds:    map[string][]rwAdd{},
+		removes: map[string][]rwTomb{},
 		wild:    map[clock.EventID]*wildRemove{},
 		payload: map[string]string{},
-		present: map[string]bool{},
 	}
 }
 
@@ -140,13 +256,9 @@ func (s *RWSet) PrepareRemoveWhere(pred Predicate, tag clock.EventID) RWRemoveWh
 func (s *RWSet) Apply(op Op) {
 	switch o := op.(type) {
 	case RWAddOp:
-		delete(s.present, o.Elem)
-		recs, ok := s.adds[o.Elem]
-		if !ok {
-			recs = map[clock.EventID]clock.Vector{}
-			s.adds[o.Elem] = recs
+		if !s.insertAdd(o.Elem, rwAdd{tag: o.Tag, cut: o.Deps}) {
+			return
 		}
-		recs[o.Tag] = o.Deps
 		if o.Touch {
 			if _, have := s.payload[o.Elem]; !have {
 				s.payload[o.Elem] = ""
@@ -155,62 +267,173 @@ func (s *RWSet) Apply(op Op) {
 			s.payload[o.Elem] = o.Pay
 		}
 	case RWRemoveOp:
-		delete(s.present, o.Elem)
-		rs, ok := s.removes[o.Elem]
-		if !ok {
-			rs = map[clock.EventID]*rwTomb{}
-			s.removes[o.Elem] = rs
-		}
-		rs[o.Tag] = &rwTomb{}
+		s.insertRemove(o.Elem, rwTomb{tag: o.Tag})
 	case RWRemoveWhereOp:
-		// A wildcard only changes the verdicts of matching elements.
-		for e := range s.present {
-			if o.Pred.Matches(e) {
-				delete(s.present, e)
+		s.insertWild(&wildRemove{tag: o.Tag, pred: o.Pred})
+	}
+}
+
+// insertAdd records an add as its origin's newest for elem, reporting
+// false when the origin already has one as new.
+func (s *RWSet) insertAdd(elem string, a rwAdd) bool {
+	recs := s.adds[elem]
+	i, newer := originSlot(recs, a.tag)
+	switch {
+	case !newer:
+		return false
+	case i >= 0:
+		recs[i] = a
+	default:
+		s.adds[elem] = append(recs, a)
+		if len(recs) == 0 {
+			s.indexRead(elem)
+		}
+	}
+	return true
+}
+
+// insertRemove records an exact tombstone as its origin's newest for elem.
+func (s *RWSet) insertRemove(elem string, t rwTomb) {
+	rs := s.removes[elem]
+	i, newer := originSlot(rs, t.tag)
+	switch {
+	case !newer:
+	case i >= 0:
+		rs[i] = t
+	default:
+		s.removes[elem] = append(rs, t)
+	}
+}
+
+// insertWild records a wildcard tombstone as its origin's newest for its
+// pattern, replacing (and forgetting) an older one.
+func (s *RWSet) insertWild(w *wildRemove) {
+	if _, dup := s.wild[w.tag]; dup {
+		return
+	}
+	if sh, key, ok := patternShape(w.pred); ok {
+		ix := s.shapeIndex(sh)
+		list := ix.tombs[key]
+		i, newer := originSlot(list, w.tag)
+		if !newer {
+			return
+		}
+		w.at, w.key = ix, key
+		if i >= 0 {
+			delete(s.wild, list[i].tag)
+			list[i] = w
+		} else {
+			ix.tombs[key] = append(list, w)
+		}
+	} else {
+		i := s.otherSlot(w)
+		switch {
+		case i < 0:
+			s.other = append(s.other, w)
+		case s.other[i].tag.Seq >= w.tag.Seq:
+			return
+		default:
+			delete(s.wild, s.other[i].tag)
+			s.other[i] = w
+		}
+	}
+	s.wild[w.tag] = w
+}
+
+// otherSlot finds the unindexed tombstone of w's origin and predicate,
+// or -1. Only the comparable predicates collapse.
+func (s *RWSet) otherSlot(w *wildRemove) int {
+	switch w.pred.(type) {
+	case Match, MatchAll:
+		for i, x := range s.other {
+			if x.tag.Replica == w.tag.Replica && x.pred == w.pred {
+				return i
 			}
 		}
-		s.wild[o.Tag] = &wildRemove{pred: o.Pred}
 	}
+	return -1
+}
+
+func (s *RWSet) shapeIndex(sh tupleShape) *shapeIndex {
+	for _, ix := range s.shapes {
+		if ix.shape == sh {
+			return ix
+		}
+	}
+	ix := &shapeIndex{shape: sh, tombs: map[string][]*wildRemove{}}
+	s.shapes = append(s.shapes, ix)
+	return ix
+}
+
+// dropWild discards a wildcard tombstone and its index entry.
+func (s *RWSet) dropWild(w *wildRemove) {
+	delete(s.wild, w.tag)
+	if w.at == nil {
+		s.other = deleteEntry(s.other, w)
+		return
+	}
+	ix := w.at
+	if list := deleteEntry(ix.tombs[w.key], w); len(list) > 0 {
+		ix.tombs[w.key] = list
+		return
+	}
+	delete(ix.tombs, w.key)
+	if len(ix.tombs) == 0 {
+		s.shapes = deleteEntry(s.shapes, ix)
+	}
+}
+
+// deleteEntry removes x from list, not keeping order.
+func deleteEntry[T comparable](list []T, x T) []T {
+	for i, y := range list {
+		if y == x {
+			last := len(list) - 1
+			list[i] = list[last]
+			var zero T
+			list[last] = zero
+			return list[:last]
+		}
+	}
+	return list
 }
 
 // Contains reports membership: some add observed every remove that affects
 // the element.
 func (s *RWSet) Contains(elem string) bool {
-	recs, ok := s.adds[elem]
-	if !ok {
-		return false
-	}
-	if v, ok := s.present[elem]; ok {
-		return v
-	}
-	v := s.containsSlow(elem, recs)
-	if s.present == nil {
-		s.present = map[string]bool{}
-	}
-	s.present[elem] = v
-	return v
-}
-
-func (s *RWSet) containsSlow(elem string, recs map[clock.EventID]clock.Vector) bool {
-	for tag, cut := range recs {
-		if !s.defeated(elem, tag, cut, nil) {
+	for _, a := range s.adds[elem] {
+		if !s.defeated(elem, a, nil) {
 			return true
 		}
 	}
 	return false
 }
 
-// defeated reports whether a tombstone affecting elem that the add (tag,
-// cut) did not observe exists — counting only tombstones at or below
-// horizon when it is non-nil.
-func (s *RWSet) defeated(elem string, tag clock.EventID, cut, horizon clock.Vector) bool {
-	for r := range s.removes[elem] {
-		if (horizon == nil || horizon.Contains(r)) && !observes(tag, cut, r) {
+// defeated reports whether a tombstone affecting elem that the add a did
+// not observe exists — counting only tombstones at or below horizon when
+// it is non-nil.
+func (s *RWSet) defeated(elem string, a rwAdd, horizon clock.Vector) bool {
+	beats := func(t clock.EventID) bool {
+		return (horizon == nil || horizon.Contains(t)) && !observes(a.tag, a.cut, t)
+	}
+	for _, t := range s.removes[elem] {
+		if beats(t.tag) {
 			return true
 		}
 	}
-	for wid, w := range s.wild {
-		if (horizon == nil || horizon.Contains(wid)) && !observes(tag, cut, wid) && w.pred.Matches(elem) {
+	var buf [64]byte
+	for _, ix := range s.shapes {
+		key, ok := ix.shape.appendKey(buf[:0], elem)
+		if !ok {
+			continue
+		}
+		for _, w := range ix.tombs[string(key)] {
+			if beats(w.tag) {
+				return true
+			}
+		}
+	}
+	for _, w := range s.other {
+		if beats(w.tag) && w.pred.Matches(elem) {
 			return true
 		}
 	}
@@ -248,16 +471,54 @@ func (s *RWSet) Elems() []string {
 	return out
 }
 
-// ElemsWhere returns the present elements matching pred, sorted.
+// ElemsWhere returns the present elements matching pred, sorted. A
+// pattern that binds a position reads only the elements with its bound
+// values; any other predicate scans the set.
 func (s *RWSet) ElemsWhere(pred Predicate) []string {
+	sh, key, ok := patternShape(pred)
+	if !ok || sh.bound == 0 {
+		var out []string
+		for e := range s.adds {
+			if pred.Matches(e) && s.Contains(e) {
+				out = append(out, e)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	byKey, built := s.reads[sh]
+	if !built {
+		byKey = map[string][]string{}
+		for e := range s.adds {
+			addRead(byKey, sh, e)
+		}
+		if s.reads == nil {
+			s.reads = map[tupleShape]map[string][]string{}
+		}
+		s.reads[sh] = byKey
+	}
 	var out []string
-	for e := range s.adds {
-		if pred.Matches(e) && s.Contains(e) {
+	for _, e := range byKey[key] {
+		if s.Contains(e) {
 			out = append(out, e)
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// indexRead adds a new element to every built read index.
+func (s *RWSet) indexRead(elem string) {
+	for sh, byKey := range s.reads {
+		addRead(byKey, sh, elem)
+	}
+}
+
+func addRead(byKey map[string][]string, sh tupleShape, elem string) {
+	var buf [64]byte
+	if key, ok := sh.appendKey(buf[:0], elem); ok {
+		byKey[string(key)] = append(byKey[string(key)], elem)
+	}
 }
 
 // MetadataSize reports the number of metadata entries held: add records,
@@ -297,46 +558,58 @@ func (s *RWSet) Compact(horizon clock.Vector) {
 // tombstone is therefore fenced with the frontier when it first turns
 // stable and discarded once a later horizon dominates the fence; at that
 // point every add it could ever defeat has been delivered and judged.
+//
+// An add whose origin's newest tombstone is not yet stable waits for it,
+// even if an older (replaced) one would already have condemned it: the
+// verdict is the same, the record just goes a round later.
 func (s *RWSet) CompactWithFrontier(horizon, frontier clock.Vector) {
-	clear(s.present)
 	// Drop adds defeated by a stable tombstone: their death is final.
 	for elem, recs := range s.adds {
-		for tag, cut := range recs {
-			if s.defeated(elem, tag, cut, horizon) {
-				delete(recs, tag)
+		live := recs[:0]
+		for _, a := range recs {
+			if !s.defeated(elem, a, horizon) {
+				live = append(live, a)
 			}
 		}
-		if len(recs) == 0 {
-			delete(s.adds, elem)
-			delete(s.payload, elem)
+		clear(recs[len(live):])
+		if len(live) > 0 {
+			s.adds[elem] = live
+			continue
 		}
+		delete(s.adds, elem)
+		delete(s.payload, elem)
+		s.reads = nil
 	}
 	// Fence newly stable tombstones; discard the ones whose fence the
 	// horizon has passed (no concurrent add can still arrive anywhere).
-	for wid, w := range s.wild {
-		if !horizon.Contains(wid) {
+	for _, w := range s.wild {
+		if !horizon.Contains(w.tag) {
 			continue
 		}
 		if w.fence == nil {
 			w.fence = frontier.Clone()
 		}
 		if w.fence.LEq(horizon) {
-			delete(s.wild, wid)
+			s.dropWild(w)
 		}
 	}
 	for elem, rs := range s.removes {
-		for r, tomb := range rs {
-			if !horizon.Contains(r) {
-				continue
+		kept := rs[:0]
+		for _, t := range rs {
+			if horizon.Contains(t.tag) {
+				if t.fence == nil {
+					t.fence = frontier.Clone()
+				}
+				if t.fence.LEq(horizon) {
+					continue
+				}
 			}
-			if tomb.fence == nil {
-				tomb.fence = frontier.Clone()
-			}
-			if tomb.fence.LEq(horizon) {
-				delete(rs, r)
-			}
+			kept = append(kept, t)
 		}
-		if len(rs) == 0 {
+		clear(rs[len(kept):])
+		if len(kept) > 0 {
+			s.removes[elem] = kept
+		} else {
 			delete(s.removes, elem)
 		}
 	}

@@ -153,13 +153,19 @@ func (s *listRWSet) compactWithFrontier(horizon, frontier clock.Vector) {
 	}
 }
 
-// Random histories of multi-op transactions (add, touch, remove,
-// remove-where) at three replicas, delivered in random causal and
-// per-origin FIFO order, with stability rounds in between: the cut-based
-// set and the enumerating reference agree on every element's membership
-// at every replica after every local transaction, every delivery and
-// every compaction.
-func TestRWSetCutMatchesEnumeratedObservations(t *testing.T) {
+// checkRWSetScript plays a history of multi-op transactions (add, touch,
+// remove, remove-where) at three replicas, delivered in causal and
+// per-origin FIFO order, with stability rounds in between; choose makes
+// every choice, and steps bounds its length. The cut-based set and the
+// enumerating reference must agree on every element's membership at
+// every replica after every local transaction, every delivery and every
+// compaction, and every pattern read (ElemsWhere) must equal the members
+// filtered by the pattern. Elements of arity 2 and 3 meet exact
+// patterns, the tournament's wipe shapes, Match and MatchAll. A replayed
+// op older than one its origin already applied to the same target changes
+// nothing, byte for byte.
+func checkRWSetScript(t *testing.T, label string, steps int, choose func(n int) int) {
+	t.Helper()
 	type txn struct {
 		origin      clock.ReplicaID
 		deps        clock.Vector
@@ -171,107 +177,194 @@ func TestRWSetCutMatchesEnumeratedObservations(t *testing.T) {
 	elems := []string{
 		JoinTuple("p1", "t1"), JoinTuple("p2", "t1"),
 		JoinTuple("p1", "t2"), JoinTuple("p2", "t2"),
+		JoinTuple("p1", "p2", "t1"), JoinTuple("p2", "p1", "t1"),
+		JoinTuple("p1", "p2", "t2"),
 	}
-	preds := []Predicate{MatchPattern("", "t1"), MatchPattern("p1", ""), Match{Index: 1, Value: "t2"}}
+	preds := []Predicate{
+		MatchPattern("", "t1"), MatchPattern("p1", ""), Match{Index: 1, Value: "t2"},
+		MatchPattern("p1", "", "t1"), MatchPattern("", "p1", "t1"), MatchAll{},
+	}
+	// target names what an op acts on, for finding same-origin successors.
+	target := func(op Op) string {
+		switch o := op.(type) {
+		case RWAddOp:
+			return "add " + o.Elem
+		case RWRemoveOp:
+			return "remove " + o.Elem
+		case RWRemoveWhereOp:
+			return fmt.Sprint("wild ", o.Pred)
+		}
+		return ""
+	}
+	got, want, vc := map[clock.ReplicaID]*RWSet{}, map[clock.ReplicaID]*listRWSet{}, map[clock.ReplicaID]clock.Vector{}
+	inbox := map[clock.ReplicaID][]txn{}
+	// applied lists the ops each replica applied since it last
+	// compacted, as applied (adds with their cuts).
+	applied := map[clock.ReplicaID][]Op{}
+	for _, r := range sites {
+		got[r], want[r], vc[r] = NewRWSet(), newListRWSet(), clock.New()
+	}
+	compare := func(step int, what string, r clock.ReplicaID) {
+		t.Helper()
+		for _, e := range elems {
+			if g, w := got[r].Contains(e), want[r].contains(e); g != w {
+				t.Fatalf("%s step %d (%s) at %s: %q present=%v, enumerating reference says %v",
+					label, step, what, r, e, g, w)
+			}
+		}
+		members := got[r].Elems()
+		for _, p := range preds {
+			var filtered []string
+			for _, e := range members {
+				if p.Matches(e) {
+					filtered = append(filtered, e)
+				}
+			}
+			if g := got[r].ElemsWhere(p); fmt.Sprint(g) != fmt.Sprint(filtered) {
+				t.Fatalf("%s step %d (%s) at %s: ElemsWhere(%v) = %q, members matching it are %q",
+					label, step, what, r, p, g, filtered)
+			}
+		}
+	}
+	for step := 0; step < steps; step++ {
+		r := sites[choose(len(sites))]
+		switch k := choose(11); {
+		case k == 10:
+			// Replay an op older than one its origin has since applied
+			// to the same target (as log replay does): it changes
+			// nothing.
+			var stale []Op
+			later := map[string]bool{}
+			for i := len(applied[r]) - 1; i >= 0; i-- {
+				op := applied[r][i]
+				key := string(op.ID().Replica) + " " + target(op)
+				if later[key] {
+					stale = append(stale, op)
+				}
+				later[key] = true
+			}
+			if len(stale) == 0 {
+				continue
+			}
+			before, _ := AppendCRDTState(nil, got[r])
+			got[r].Apply(stale[choose(len(stale))])
+			if after, _ := AppendCRDTState(nil, got[r]); string(after) != string(before) {
+				t.Fatalf("%s step %d at %s: replaying a superseded op changed the set", label, step, r)
+			}
+			compare(step, "replay", r)
+		case k < 4:
+			// Deliver one pending transaction at r, if causality allows.
+			for i, m := range inbox[r] {
+				if vc[r].Get(m.origin) != m.first || !m.deps.LEq(vc[r]) {
+					continue
+				}
+				for j := range m.got {
+					op := m.got[j]
+					if a, ok := op.(RWAddOp); ok {
+						a.Deps = m.deps
+						op = a
+					}
+					got[r].Apply(op)
+					want[r].apply(m.want[j], m.deps)
+					applied[r] = append(applied[r], op)
+				}
+				vc[r].Set(m.origin, m.last)
+				inbox[r] = append(inbox[r][:i:i], inbox[r][i+1:]...)
+				compare(step, "delivery", r)
+				break
+			}
+		case k < 5:
+			// A stability round: the horizon every replica has
+			// delivered, fenced by each origin's commit count.
+			horizon := clock.GLB(vc["a"], vc["b"], vc["c"])
+			frontier := clock.New()
+			for _, o := range sites {
+				frontier.Set(o, vc[o].Get(o))
+			}
+			for _, o := range sites {
+				got[o].CompactWithFrontier(horizon, frontier)
+				want[o].compactWithFrontier(horizon, frontier)
+				applied[o] = nil
+				compare(step, "compaction", o)
+			}
+		default:
+			// A local transaction of one to three operations.
+			m := txn{origin: r, deps: vc[r].Clone(), first: vc[r].Get(r)}
+			for n := 1 + choose(3); n > 0; n-- {
+				tag := clock.EventID{Replica: r, Seq: vc[r].Get(r) + 1}
+				e := elems[choose(len(elems))]
+				var g Op
+				var w any
+				switch choose(4) {
+				case 0:
+					op := got[r].PrepareAdd(e, fmt.Sprintf("pay%d", step), tag)
+					g, w = op, want[r].prepareAdd(op)
+				case 1:
+					op := got[r].PrepareTouch(e, tag)
+					g, w = op, want[r].prepareAdd(op)
+				case 2:
+					op := got[r].PrepareRemove(e, tag)
+					g, w = op, op
+				case 3:
+					op := got[r].PrepareRemoveWhere(preds[choose(len(preds))], tag)
+					g, w = op, op
+				}
+				// The origin applies each op as it is built, its add
+				// stamped with the delivered cut (the own-origin entry
+				// still excludes this transaction).
+				local := g
+				if a, ok := g.(RWAddOp); ok {
+					a.Deps = m.deps.Clone()
+					local = a
+				}
+				got[r].Apply(local)
+				want[r].apply(w, nil)
+				applied[r] = append(applied[r], local)
+				m.got, m.want = append(m.got, g), append(m.want, w)
+				vc[r].Set(r, tag.Seq)
+			}
+			// Commit-time deps: the origin's cut before this
+			// transaction's own entry advanced.
+			m.last = vc[r].Get(r)
+			compare(step, "local transaction", r)
+			for _, o := range sites {
+				if o != r {
+					inbox[o] = append(inbox[o], m)
+				}
+			}
+		}
+	}
+}
+
+func TestRWSetCutMatchesEnumeratedObservations(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, want, vc := map[clock.ReplicaID]*RWSet{}, map[clock.ReplicaID]*listRWSet{}, map[clock.ReplicaID]clock.Vector{}
-		inbox := map[clock.ReplicaID][]txn{}
-		for _, r := range sites {
-			got[r], want[r], vc[r] = NewRWSet(), newListRWSet(), clock.New()
-		}
-		compare := func(step int, what string, r clock.ReplicaID) {
-			t.Helper()
-			for _, e := range elems {
-				if g, w := got[r].Contains(e), want[r].contains(e); g != w {
-					t.Fatalf("seed %d step %d (%s) at %s: %q present=%v, enumerating reference says %v",
-						seed, step, what, r, e, g, w)
-				}
-			}
-		}
-		for step := 0; step < 150; step++ {
-			r := sites[rng.Intn(len(sites))]
-			switch k := rng.Intn(10); {
-			case k < 4:
-				// Deliver one pending transaction at r, if causality allows.
-				for i, m := range inbox[r] {
-					if vc[r].Get(m.origin) != m.first || !m.deps.LEq(vc[r]) {
-						continue
-					}
-					for j := range m.got {
-						op := m.got[j]
-						if a, ok := op.(RWAddOp); ok {
-							a.Deps = m.deps
-							op = a
-						}
-						got[r].Apply(op)
-						want[r].apply(m.want[j], m.deps)
-					}
-					vc[r].Set(m.origin, m.last)
-					inbox[r] = append(inbox[r][:i:i], inbox[r][i+1:]...)
-					compare(step, "delivery", r)
-					break
-				}
-			case k < 5:
-				// A stability round: the horizon every replica has
-				// delivered, fenced by each origin's commit count.
-				horizon := clock.GLB(vc["a"], vc["b"], vc["c"])
-				frontier := clock.New()
-				for _, o := range sites {
-					frontier.Set(o, vc[o].Get(o))
-				}
-				for _, o := range sites {
-					got[o].CompactWithFrontier(horizon, frontier)
-					want[o].compactWithFrontier(horizon, frontier)
-					compare(step, "compaction", o)
-				}
-			default:
-				// A local transaction of one to three operations.
-				m := txn{origin: r, deps: vc[r].Clone(), first: vc[r].Get(r)}
-				for n := 1 + rng.Intn(3); n > 0; n-- {
-					tag := clock.EventID{Replica: r, Seq: vc[r].Get(r) + 1}
-					e := elems[rng.Intn(len(elems))]
-					var g Op
-					var w any
-					switch rng.Intn(4) {
-					case 0:
-						op := got[r].PrepareAdd(e, fmt.Sprintf("pay%d", step), tag)
-						g, w = op, want[r].prepareAdd(op)
-					case 1:
-						op := got[r].PrepareTouch(e, tag)
-						g, w = op, want[r].prepareAdd(op)
-					case 2:
-						op := got[r].PrepareRemove(e, tag)
-						g, w = op, op
-					case 3:
-						op := got[r].PrepareRemoveWhere(preds[rng.Intn(len(preds))], tag)
-						g, w = op, op
-					}
-					// The origin applies each op as it is built, its add
-					// stamped with the delivered cut (the own-origin entry
-					// still excludes this transaction).
-					local := g
-					if a, ok := g.(RWAddOp); ok {
-						a.Deps = m.deps.Clone()
-						local = a
-					}
-					got[r].Apply(local)
-					want[r].apply(w, nil)
-					m.got, m.want = append(m.got, g), append(m.want, w)
-					vc[r].Set(r, tag.Seq)
-				}
-				// Commit-time deps: the origin's cut before this
-				// transaction's own entry advanced.
-				m.last = vc[r].Get(r)
-				compare(step, "local transaction", r)
-				for _, o := range sites {
-					if o != r {
-						inbox[o] = append(inbox[o], m)
-					}
-				}
-			}
-		}
+		checkRWSetScript(t, fmt.Sprintf("seed %d", seed), 150, rng.Intn)
 	}
+}
+
+// FuzzRWSetMatchesReference runs the same check on scripts the fuzzer
+// writes: each byte is one choice (replica, step kind, op, element,
+// pattern) of the history checkRWSetScript plays.
+func FuzzRWSetMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x05\x01\x00\x00\x01\x06\x01\x02\x00\x05\x01\x03\x03\x04\x00\x00\x00\x04"))
+	for seed := int64(0); seed < 4; seed++ {
+		script := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		next := 0
+		choose := func(n int) int {
+			if next >= len(script) {
+				return 0
+			}
+			next++
+			return int(script[next-1]) % n
+		}
+		checkRWSetScript(t, "script", min(len(script), 400), choose)
+	})
 }
 
 // The recovery-replay case the dependency cut exists for: a tombstone the

@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -292,5 +293,33 @@ func TestRWSetExactRemoveFencing(t *testing.T) {
 	q.CompactWithFrontier(final, final)
 	if q.Contains("x") || q.MetadataSize() != 0 {
 		t.Fatalf("final compaction wrong: contains=%v meta=%d", q.Contains("x"), q.MetadataSize())
+	}
+}
+
+// BenchmarkRWSetContains times a membership check of an element that n
+// wildcard tombstones of the element's own shapes do not match (the
+// tournament's (p,*,t) and (*,p,t) wipes of other players): the pattern
+// index looks up only the tombstones that match, so ns/op stays flat as n
+// grows.
+func BenchmarkRWSetContains(b *testing.B) {
+	for _, n := range []int{10, 1000, 10000} {
+		b.Run(fmt.Sprintf("wild=%d", n), func(b *testing.B) {
+			s := NewRWSet()
+			elem := JoinTuple("p1", "p2", "t1")
+			for i := 0; i < n; i++ {
+				p := fmt.Sprintf("q%d", i)
+				pred := MatchPattern(p, "", "t1")
+				if i%2 == 1 {
+					pred = MatchPattern("", p, "t1")
+				}
+				s.Apply(s.PrepareRemoveWhere(pred, clock.EventID{Replica: "b", Seq: uint64(i + 1)}))
+			}
+			s.Apply(RWAddOp{Elem: elem, Tag: clock.EventID{Replica: "a", Seq: 1}, Deps: clock.Vector{}})
+			for b.Loop() {
+				if !s.Contains(elem) {
+					b.Fatal("element lost")
+				}
+			}
+		})
 	}
 }

@@ -8,11 +8,11 @@ package crdt
 // never renumbered, encoding is deterministic (sorted map order), and
 // decoding never panics on any input (ErrMalformedWire on all failures).
 //
-// Caches and local statistics are deliberately not encoded: RWSet.present
-// is rebuilt lazily, CompSet.CompensationsApplied is a per-process
-// counter. Everything else — including remove-wins discard fences, whose
-// nil-vs-set distinction changes compaction behaviour — round-trips
-// exactly.
+// Indexes and local statistics are deliberately not encoded: RWSet's
+// pattern indexes are rebuilt as decoding inserts its records, and
+// CompSet.CompensationsApplied is a per-process counter. Everything else
+// — including remove-wins discard fences, whose nil-vs-set distinction
+// changes compaction behaviour — round-trips exactly.
 
 import (
 	"encoding/binary"
@@ -239,44 +239,32 @@ func decodeAWSetState(r *WireReader) (*AWSet, error) {
 func (s *RWSet) appendState(b []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(s.adds)))
 	for _, elem := range sortedKeys(s.adds) {
-		recs := s.adds[elem]
+		recs := sortedByTag(s.adds[elem])
 		b = AppendWireString(b, elem)
 		b = AppendWireString(b, s.payload[elem])
-		events := make([]clock.EventID, 0, len(recs))
-		for e := range recs {
-			events = append(events, e)
-		}
-		sort.Slice(events, func(i, j int) bool { return events[i].Less(events[j]) })
-		b = binary.AppendUvarint(b, uint64(len(events)))
-		for _, e := range events {
-			b = AppendEventID(b, e)
-			b = AppendVectorWire(b, recs[e])
+		b = binary.AppendUvarint(b, uint64(len(recs)))
+		for _, a := range recs {
+			b = AppendEventID(b, a.tag)
+			b = AppendVectorWire(b, a.cut)
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.removes)))
 	for _, elem := range sortedKeys(s.removes) {
-		tombs := s.removes[elem]
+		tombs := sortedByTag(s.removes[elem])
 		b = AppendWireString(b, elem)
-		events := make([]clock.EventID, 0, len(tombs))
-		for e := range tombs {
-			events = append(events, e)
-		}
-		sort.Slice(events, func(i, j int) bool { return events[i].Less(events[j]) })
-		b = binary.AppendUvarint(b, uint64(len(events)))
-		for _, e := range events {
-			b = AppendEventID(b, e)
-			b = AppendVectorWire(b, tombs[e].fence)
+		b = binary.AppendUvarint(b, uint64(len(tombs)))
+		for _, t := range tombs {
+			b = AppendEventID(b, t.tag)
+			b = AppendVectorWire(b, t.fence)
 		}
 	}
-	wilds := make([]clock.EventID, 0, len(s.wild))
-	for e := range s.wild {
-		wilds = append(wilds, e)
+	wilds := make([]*wildRemove, 0, len(s.wild))
+	for _, w := range s.wild {
+		wilds = append(wilds, w)
 	}
-	sort.Slice(wilds, func(i, j int) bool { return wilds[i].Less(wilds[j]) })
 	b = binary.AppendUvarint(b, uint64(len(wilds)))
-	for _, e := range wilds {
-		w := s.wild[e]
-		b = AppendEventID(b, e)
+	for _, w := range sortedByTag(wilds) {
+		b = AppendEventID(b, w.tag)
 		var err error
 		if b, err = AppendPredicateWire(b, w.pred); err != nil {
 			return nil, err
@@ -286,6 +274,16 @@ func (s *RWSet) appendState(b []byte) ([]byte, error) {
 	return b, nil
 }
 
+// sortedByTag returns a copy of list in event order.
+func sortedByTag[T tagged](list []T) []T {
+	out := append([]T(nil), list...)
+	sort.Slice(out, func(i, j int) bool { return out[i].id().Less(out[j].id()) })
+	return out
+}
+
+// decodeRWSetState inserts every record through the path Apply takes, so
+// a snapshot holding several records of one origin (written before the
+// per-origin collapse) collapses on load.
 func decodeRWSetState(r *WireReader) (*RWSet, error) {
 	s := NewRWSet()
 	n, err := r.ReadCount()
@@ -305,17 +303,17 @@ func decodeRWSetState(r *WireReader) (*RWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		recs := make(map[clock.EventID]clock.Vector, m)
 		for j := 0; j < m; j++ {
 			e, err := r.ReadEventID()
 			if err != nil {
 				return nil, err
 			}
-			if recs[e], err = DecodeVectorWire(r); err != nil {
+			cut, err := DecodeVectorWire(r)
+			if err != nil {
 				return nil, err
 			}
+			s.insertAdd(elem, rwAdd{tag: e, cut: cut})
 		}
-		s.adds[elem] = recs
 		s.payload[elem] = pay
 	}
 	if n, err = r.ReadCount(); err != nil {
@@ -330,7 +328,6 @@ func decodeRWSetState(r *WireReader) (*RWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		tombs := make(map[clock.EventID]*rwTomb, m)
 		for j := 0; j < m; j++ {
 			e, err := r.ReadEventID()
 			if err != nil {
@@ -340,9 +337,8 @@ func decodeRWSetState(r *WireReader) (*RWSet, error) {
 			if err != nil {
 				return nil, err
 			}
-			tombs[e] = &rwTomb{fence: fence}
+			s.insertRemove(elem, rwTomb{tag: e, fence: fence})
 		}
-		s.removes[elem] = tombs
 	}
 	if n, err = r.ReadCount(); err != nil {
 		return nil, err
@@ -352,7 +348,7 @@ func decodeRWSetState(r *WireReader) (*RWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := DecodePredicateWire(r)
+		pred, err := decodeWildcard(r)
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +356,7 @@ func decodeRWSetState(r *WireReader) (*RWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.wild[e] = &wildRemove{pred: pred, fence: fence}
+		s.insertWild(&wildRemove{tag: e, pred: pred, fence: fence})
 	}
 	return s, nil
 }

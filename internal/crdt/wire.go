@@ -415,7 +415,7 @@ func checkWireCodec(op Op) {
 	}
 	r := NewWireReader(b)
 	if _, err := DecodeOpWire(&r); err != nil {
-		panic(fmt.Sprintf("crdt: registered op %T does not round-trip its zero value: %v", op, err))
+		panic(fmt.Sprintf("crdt: registered op %T does not round-trip: %v", op, err))
 	}
 }
 
@@ -569,10 +569,21 @@ func decodeRWRemoveWhere(r *WireReader) (Op, error) {
 	if o.Tag, err = r.ReadEventID(); err != nil {
 		return nil, err
 	}
-	if o.Pred, err = DecodePredicateWire(r); err != nil {
+	if o.Pred, err = decodeWildcard(r); err != nil {
 		return nil, err
 	}
 	return o, nil
+}
+
+// decodeWildcard consumes a wildcard remove's predicate, which must not
+// be nil: a remove-wins set matches every wildcard tombstone against its
+// elements.
+func decodeWildcard(r *WireReader) (Predicate, error) {
+	p, err := DecodePredicateWire(r)
+	if err == nil && p == nil {
+		err = wireErrf("wildcard remove without a predicate")
+	}
+	return p, err
 }
 
 // MarshalWire appends the op payload.

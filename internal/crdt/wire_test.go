@@ -72,7 +72,7 @@ func wireSampleOps() []Op {
 		RWAddOp{Tag: eid("r1", 1)},
 		RWRemoveOp{Elem: "gone", Tag: eid("r4", 44)},
 		RWRemoveWhereOp{Pred: Match{Index: 0, Value: "k"}, Tag: eid("r5", 55)},
-		RWRemoveWhereOp{Tag: eid("r5", 56)}, // nil predicate
+		RWRemoveWhereOp{Pred: MatchFields{Arity: 3, Fields: []string{"p", "", "t"}}, Tag: eid("r5", 56)},
 		CounterOp{Delta: -1234567, Tag: eid("r6", 66)},
 		CounterOp{Delta: 1, Tag: eid("r6", 67)},
 		BCConsumeOp{Replica: "siteA", N: 3, Tag: eid("r7", 77)},
@@ -232,5 +232,34 @@ func TestPredicateWireRejectsCustomTypes(t *testing.T) {
 	r = NewWireReader(op)
 	if got, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
 		t.Errorf("remove-where carrying predicate ID 4 decoded as %#v (err %v); want ErrMalformedWire", got, err)
+	}
+}
+
+// TestRWRemoveWhereRejectsNilPredicate pins that a wildcard remove without
+// a predicate is malformed input, as an op and inside a snapshot: a set
+// that accepted one would crash on its next membership check.
+func TestRWRemoveWhereRejectsNilPredicate(t *testing.T) {
+	b, err := AppendOpWire(nil, RWRemoveWhereOp{Tag: eid("r5", 56)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewWireReader(b)
+	if op, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
+		t.Fatalf("nil-predicate remove-where decoded as %#v (err %v); want ErrMalformedWire", op, err)
+	}
+
+	s := NewRWSet()
+	s.Apply(RWAddOp{Elem: "x", Tag: eid("a", 1)})
+	s.Apply(RWRemoveWhereOp{Pred: MatchAll{}, Tag: eid("b", 1)})
+	state, err := AppendCRDTState(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap the wildcard's predicate (the byte before its nil fence, the
+	// state's last byte) for the nil predicate.
+	state[len(state)-2] = wirePredNil
+	r = NewWireReader(state)
+	if c, err := DecodeCRDTState(&r); !errors.Is(err, ErrMalformedWire) {
+		t.Fatalf("snapshot with a nil wildcard predicate decoded as %#v (err %v); want ErrMalformedWire", c, err)
 	}
 }

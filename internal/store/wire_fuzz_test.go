@@ -12,8 +12,9 @@ import (
 //     malformed, hostile counts);
 //   - every input that is not a v2 frame errors — in particular every
 //     frame of the retired gob formats v0 and v1, seeded below, and the
-//     seeded v2 frames carrying the retired op wire IDs 3 and 11 and
-//     the retired predicate wire ID 4;
+//     seeded v2 frames carrying the retired op wire IDs 3 and 11, the
+//     retired predicate wire ID 4, and a remove-where without a
+//     predicate;
 //   - any input that decodes successfully re-encodes to a decodable
 //     frame carrying the same transactions (encode→decode identity,
 //     checked bytewise through the deterministic encoder).
@@ -32,6 +33,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, frame := range retiredOpFrames() {
 		f.Add(frame)
 	}
+	f.Add(nilWildcardFrame())
 	if empty, err := EncodeBatchV2(nil); err == nil {
 		f.Add(empty)
 	}

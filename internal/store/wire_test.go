@@ -47,19 +47,33 @@ func retiredFrames(t testing.TB) (v0, v1 []byte) {
 	return v0, buf.Bytes()
 }
 
+// oneUpdateFrame builds a v2 frame of one txn whose one update is op wire
+// ID id followed by what payload appends.
+func oneUpdateFrame(id byte, payload func([]byte) []byte) []byte {
+	b := append([]byte("IPAB\x02"), 1) // one txn
+	b = crdt.AppendWireString(b, "a")
+	b = append(b, 0, 0, 1, 1) // no deps, seq (0, 1], one update
+	b = crdt.AppendWireString(b, "k")
+	return payload(append(b, id))
+}
+
+// nilWildcardFrame builds a v2 frame whose one update is a remove-where
+// (op ID 5) with the nil predicate, which a remove-wins set cannot match
+// against its elements.
+func nilWildcardFrame() []byte {
+	return oneUpdateFrame(5, func(b []byte) []byte {
+		b = crdt.AppendEventID(b, clock.EventID{Replica: "a", Seq: 1})
+		return append(b, 0) // predicate ID 0: nil
+	})
+}
+
 // retiredOpFrames builds v2 frames whose one update carries a retired op
 // or predicate wire ID, with the payload senders wrote before it was
 // retired: op 3 is the remove-wins add with its observation lists (one
 // exact remove, one wildcard), op 11 the multi-value register write with
 // its observed list, predicate 4 a gob-encoded custom predicate.
 func retiredOpFrames() map[string][]byte {
-	frame := func(id byte, payload func([]byte) []byte) []byte {
-		b := append([]byte("IPAB\x02"), 1) // one txn
-		b = crdt.AppendWireString(b, "a")
-		b = append(b, 0, 0, 1, 1) // no deps, seq (0, 1], one update
-		b = crdt.AppendWireString(b, "k")
-		return payload(append(b, id))
-	}
+	frame := oneUpdateFrame
 	tag := clock.EventID{Replica: "a", Seq: 1}
 	return map[string][]byte{
 		"op ID 3": frame(3, func(b []byte) []byte {
@@ -88,12 +102,13 @@ func retiredOpFrames() map[string][]byte {
 }
 
 // TestDecodeFrameRejectsRetiredFormats pins that the gob formats v0 and
-// v1, and v2 frames carrying a retired op or predicate wire ID, are rejected as
-// malformed input, not decoded.
+// v1, v2 frames carrying a retired op or predicate wire ID, and a wildcard
+// remove without a predicate are rejected as malformed input, not decoded.
 func TestDecodeFrameRejectsRetiredFormats(t *testing.T) {
 	v0, v1 := retiredFrames(t)
 	frames := retiredOpFrames()
 	frames["v0"], frames["v1"] = v0, v1
+	frames["nil wildcard predicate"] = nilWildcardFrame()
 	for name, frame := range frames {
 		txns, err := DecodeFrame(frame)
 		if !errors.Is(err, crdt.ErrMalformedWire) {
