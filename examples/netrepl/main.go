@@ -38,24 +38,18 @@ func main() {
 
 	// Concurrent conflicting writes: everyone enrolls someone, one node
 	// removes the tournament, another touches it back (the IPA repair).
-	nodes[0].Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "tournaments").Add("cup", "prize: 100")
-		tx.Commit()
-	})
+	tx := nodes[0].Begin()
+	store.AWSetAt(tx, "tournaments").Add("cup", "prize: 100")
+	tx.Commit()
 	time.Sleep(50 * time.Millisecond) // let the seed replicate
 
-	nodes[1].Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "tournaments").Remove("cup")
-		tx.Commit()
-	})
-	nodes[2].Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "enrolled").Add("alice|cup", "")
-		store.AWSetAt(tx, "tournaments").Touch("cup")
-		tx.Commit()
-	})
+	tx = nodes[1].Begin()
+	store.AWSetAt(tx, "tournaments").Remove("cup")
+	tx.Commit()
+	tx = nodes[2].Begin()
+	store.AWSetAt(tx, "enrolled").Add("alice|cup", "")
+	store.AWSetAt(tx, "tournaments").Touch("cup")
+	tx.Commit()
 
 	// Wait for convergence over the sockets.
 	deadline := time.Now().Add(3 * time.Second)
@@ -78,12 +72,10 @@ func main() {
 
 	fmt.Println("\nconverged state over TCP:")
 	for _, n := range nodes {
-		n.Do(func(r *store.Replica) {
-			tx := r.Begin()
-			tourns := ipaView(tx)
-			fmt.Printf("  %-7s tournament=%v enrolment=%v\n", n.ID(), tourns.exists, tourns.enrolled)
-			tx.Commit()
-		})
+		tx := n.Begin()
+		tourns := ipaView(tx)
+		fmt.Printf("  %-7s tournament=%v enrolment=%v\n", n.ID(), tourns.exists, tourns.enrolled)
+		tx.Commit()
 	}
 	fmt.Println("\nthe add-wins touch won over the wire, exactly as in the simulation")
 

@@ -243,12 +243,6 @@ func (a *App) Call(r runtime.Replica, opName string, args ...string) error {
 		a.fallbackCalls.Add(1)
 		pre = a.extract(tx, nil)
 	} else {
-		// Bind every set the call can touch before reading any: the reads
-		// below are then one snapshot, and the writes after them find
-		// their shards already held.
-		for _, pi := range co.plan.binds {
-			a.set(tx, pi)
-		}
 		pre = a.extract(tx, co.plan.fp)
 	}
 	acts, post, changes, err := a.plan(co, pre, binding)

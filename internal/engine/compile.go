@@ -102,10 +102,7 @@ type guardPlan struct {
 
 // opPlan is the compiled execution plan of one operation.
 type opPlan struct {
-	fp *footprint
-	// binds are the sets the call can read or write, bound (their shard
-	// locks taken) before the first read.
-	binds    []*predInfo
+	fp       *footprint
 	guards   []*guardPlan // triggered clauses, in deriveGuards order
 	fallback bool
 	reason   string
@@ -244,21 +241,8 @@ func (a *App) compilePlan(co *compiledOp) *opPlan {
 	// numeric deltas write blind: nothing whole. Explicit preconditions
 	// scan what a quantifier or a count ranges over.
 	w := newWholeReads()
-	touched := map[string]bool{}
-	for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
-		touched[e.Pred] = true
-	}
-	for _, t := range co.ensures {
-		touched[t.pred] = true
-	}
-	for _, c := range co.cascades {
-		touched[c.pred] = true
-	}
-	for i, f := range co.op.Pre {
+	for _, f := range co.op.Pre {
 		requireReads(f, map[string]bool{}, w)
-		for _, occ := range co.preOccs[i] {
-			touched[occ.Pred] = true
-		}
 	}
 
 	shapes := changeShapes(co)
@@ -270,9 +254,6 @@ func (a *App) compilePlan(co *compiledOp) *opPlan {
 			continue
 		}
 		p.guards = append(p.guards, &guardPlan{cl: cl, violErr: co.violErrs[i]})
-		for n := range cl.preds {
-			touched[n] = true
-		}
 		for _, occ := range cl.occs {
 			if !occCompatible(shapes, occ) {
 				continue
@@ -287,11 +268,6 @@ func (a *App) compilePlan(co *compiledOp) *opPlan {
 		}
 	}
 	p.fp = a.footprintOf(w)
-	for _, name := range a.predList {
-		if touched[name] {
-			p.binds = append(p.binds, a.preds[name])
-		}
-	}
 	return p
 }
 

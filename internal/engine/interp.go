@@ -129,7 +129,8 @@ type setRef interface {
 	ElemsWhere(pred crdt.Predicate) []string
 }
 
-// set binds the predicate's set in tx, taking its shard lock.
+// set binds the predicate's set in tx (the first binding takes the
+// replica lock, held to commit).
 func (a *App) set(tx *store.Txn, pi *predInfo) setRef {
 	if pi.remWins {
 		return store.RWSetAt(tx, pi.key)

@@ -53,10 +53,10 @@ type placedOrder struct {
 // check.
 func (a *tpcwChaos) orderAtomic(ctx *Ctx, site int, po placedOrder) (bool, string) {
 	r := ctx.Replica(site)
-	// Bind both keys before reading either: the index entries and the
-	// line set must come from one transaction-consistent snapshot, or a
-	// remote NewOrder group applying between two separate read
-	// transactions would be misreported as a torn order.
+	// Read both keys in one transaction: the index entries and the line
+	// set must come from one transaction-consistent snapshot, or a remote
+	// NewOrder group applying between two separate read transactions
+	// would be misreported as a torn order.
 	tx := r.Begin()
 	ordersRef := store.AWSetAt(tx, tpcw.KeyOrders)
 	linesRef := store.AWSetAt(tx, tpcw.OrderKey(po.id))

@@ -82,10 +82,11 @@ type netEvent struct {
 // With Config.Concurrency > 1 the workload additionally fans out to a
 // pool of client workers: the timeline thread still paces dispatch in
 // schedule order, but Concurrency ops may be mid-Apply at once, racing
-// each other and the receive path on the sharded replica core. Mid-flight
-// checks briefly gate the pool (checkGate) so each check still reads a
-// site snapshot no local client is mutating mid-transaction group; the
-// quiescence protocol is unchanged — workers join before Quiesce runs.
+// each other and the receive path for each replica's lock. Mid-flight
+// checks run alongside them: a check reads in one transaction, which sees
+// every local and remote transaction whole. Crash and join faults
+// quiesce the pool first (lifecycleGate); the quiescence protocol is
+// unchanged — workers join before Quiesce runs.
 func executeNet(s *Schedule) (string, *Violation, error) {
 	app, err := newApp(s.Cfg)
 	if err != nil {
@@ -131,13 +132,13 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 		}
 	}
 
-	// Client worker pool (Concurrency > 1). Workers hold checkGate.RLock
-	// around each op; mid-flight checks take the write lock to quiesce
-	// local mutators for the duration of one check round.
+	// Client worker pool (Concurrency > 1). Workers hold
+	// lifecycleGate.RLock around each op; crash and join faults take the
+	// write lock to quiesce the pool (see below).
 	var (
-		checkGate sync.RWMutex
-		opCh      chan Op
-		workers   sync.WaitGroup
+		lifecycleGate sync.RWMutex
+		opCh          chan Op
+		workers       sync.WaitGroup
 	)
 	conc := s.Cfg.Concurrency
 	if conc > 1 {
@@ -147,9 +148,9 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 			go func() {
 				defer workers.Done()
 				for op := range opCh {
-					checkGate.RLock()
+					lifecycleGate.RLock()
 					app.Apply(ctx, op)
-					checkGate.RUnlock()
+					lifecycleGate.RUnlock()
 				}
 			}()
 		}
@@ -195,8 +196,8 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 		if f.Kind == FaultCrash || f.Kind == FaultJoin {
 			guard = func(fn func()) func() {
 				return func() {
-					checkGate.Lock()
-					defer checkGate.Unlock()
+					lifecycleGate.Lock()
+					defer lifecycleGate.Unlock()
 					fn()
 				}
 			}
@@ -214,11 +215,6 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 			if found != nil {
 				return
 			}
-			// Quiesce the local client pool for the check round: each
-			// site's state then contains only whole local transaction
-			// groups (remote groups always attach whole).
-			checkGate.Lock()
-			defer checkGate.Unlock()
 			if ctx.stalls == 0 {
 				cluster.Stabilize()
 			}

@@ -69,10 +69,10 @@ type Config struct {
 	// Concurrency is the number of parallel client workers executing the
 	// workload (default 1). With more than one worker, operations still
 	// dispatch in schedule order but apply concurrently — exercising the
-	// sharded replica core's local-vs-local and local-vs-receive races.
-	// Requires the netrepl backend: the simulator is single-threaded by
+	// replica lock's local-vs-local and local-vs-receive races. Requires
+	// the netrepl backend: the simulator is single-threaded by
 	// construction. Fault windows and invariant checks run unchanged (the
-	// executor briefly gates the workers around each mid-flight check).
+	// executor quiesces the workers around crash and join faults only).
 	Concurrency int `json:"concurrency,omitempty"`
 }
 

@@ -114,12 +114,10 @@ func Soak(opts SoakOptions) (*SoakResult, error) {
 		n := n
 		go func() {
 			for k := 0; k < opts.TxnsPerNode; k++ {
-				n.Do(func(r *store.Replica) {
-					tx := r.Begin()
-					store.CounterAt(tx, "soak/ops").Add(1)
-					store.AWSetAt(tx, "soak/live").Add(fmt.Sprintf("%s-%d", n.ID(), k), "")
-					tx.Commit()
-				})
+				tx := n.Begin()
+				store.CounterAt(tx, "soak/ops").Add(1)
+				store.AWSetAt(tx, "soak/live").Add(fmt.Sprintf("%s-%d", n.ID(), k), "")
+				tx.Commit()
 				if k%25 == 24 {
 					time.Sleep(time.Millisecond) // let the chaos loop interleave
 				}
@@ -184,18 +182,16 @@ func Soak(opts SoakOptions) (*SoakResult, error) {
 	if res.Converged {
 		total := int64(opts.Nodes * opts.TxnsPerNode)
 		for _, n := range nodes {
-			n.Do(func(r *store.Replica) {
-				tx := r.Begin()
-				defer tx.Commit()
-				if v := store.CounterAt(tx, "soak/ops").Value(); v != total && res.Converged {
-					res.Converged = false
-					res.Divergence = fmt.Sprintf("node %s counter = %d, want %d", n.ID(), v, total)
-				}
-				if sz := store.AWSetAt(tx, "soak/live").Size(); int64(sz) != total && res.Converged {
-					res.Converged = false
-					res.Divergence = fmt.Sprintf("node %s live set = %d, want %d", n.ID(), sz, total)
-				}
-			})
+			tx := n.Begin()
+			if v := store.CounterAt(tx, "soak/ops").Value(); v != total && res.Converged {
+				res.Converged = false
+				res.Divergence = fmt.Sprintf("node %s counter = %d, want %d", n.ID(), v, total)
+			}
+			if sz := store.AWSetAt(tx, "soak/live").Size(); int64(sz) != total && res.Converged {
+				res.Converged = false
+				res.Divergence = fmt.Sprintf("node %s live set = %d, want %d", n.ID(), sz, total)
+			}
+			tx.Commit()
 		}
 	}
 

@@ -61,12 +61,10 @@ func recoverOnce(b *testing.B, count int, snapshotEvery int64) uint64 {
 	// stability round runs, which on a durable node also triggers the
 	// snapshot cycle; a lone node's own clock is the horizon.
 	for i := 0; i < count; i++ {
-		n.Do(func(r *store.Replica) {
-			tx := r.Begin()
-			store.AWSetAt(tx, "items").Add(fmt.Sprintf("item-%d", i%64), "payload-payload-payload")
-			store.CounterAt(tx, "n").Add(1)
-			tx.Commit()
-		})
+		tx := n.Begin()
+		store.AWSetAt(tx, "items").Add(fmt.Sprintf("item-%d", i%64), "payload-payload-payload")
+		store.CounterAt(tx, "n").Add(1)
+		tx.Commit()
 		if (i+1)%64 == 0 {
 			vc := n.Clock()
 			n.CompactAll(vc, vc)

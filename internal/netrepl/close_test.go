@@ -52,11 +52,9 @@ func TestCloseDropConnectionsRace(t *testing.T) {
 					return
 				default:
 				}
-				a.Do(func(r *store.Replica) {
-					tx := r.Begin()
-					store.AWSetAt(tx, "k").Add(fmt.Sprintf("a-%d-%d", round, i), "")
-					tx.Commit()
-				})
+				tx := a.Begin()
+				store.AWSetAt(tx, "k").Add(fmt.Sprintf("a-%d-%d", round, i), "")
+				tx.Commit()
 			}
 		}()
 

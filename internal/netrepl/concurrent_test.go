@@ -9,11 +9,10 @@ import (
 	"ipa/internal/store"
 )
 
-// The tests in this file exercise the lock-free node surface: many client
-// goroutines commit on every node of a live mesh while the per-origin
-// apply pipeline races them. Run under -race; together with the store
-// property suite they are the safety proof of the sharded replica core on
-// real sockets.
+// The tests in this file exercise the node surface under concurrency: many
+// client goroutines commit on every node of a live mesh while the receive
+// path races them. Run under -race; together with the store property
+// suite they are the safety proof of the replica core on real sockets.
 
 // waitQuiet polls until every node's clock matches and no apply or send
 // queue holds work.
@@ -109,10 +108,11 @@ func TestConcurrentClientsAndApplyPathConverge(t *testing.T) {
 }
 
 // TestCrossShardAtomicityOnSockets is the multi-key atomicity property on
-// the live mesh: every transaction increments all K counters, reader
-// transactions on every node continuously assert the K values are equal
-// (remote effect groups must attach whole, under all their shard locks),
-// and the final state must be identical everywhere.
+// the live mesh: every transaction increments all K counters, writing
+// each as it binds it (as applications do), reader transactions on every
+// node continuously assert the K values are equal (local transactions
+// and remote effect groups must become visible whole), and the final
+// state must be identical everywhere.
 func TestCrossShardAtomicityOnSockets(t *testing.T) {
 	nodes := newTrio(t)
 	keys := make([]string, 5)
@@ -159,12 +159,8 @@ func TestCrossShardAtomicityOnSockets(t *testing.T) {
 				defer writers.Done()
 				for i := 0; i < txnsPer; i++ {
 					tx := n.Begin()
-					refs := make([]store.CounterRef, len(keys))
-					for j, k := range keys {
-						refs[j] = store.CounterAt(tx, k)
-					}
-					for _, ref := range refs {
-						ref.Add(1)
+					for _, k := range keys {
+						store.CounterAt(tx, k).Add(1)
 					}
 					tx.Commit()
 				}

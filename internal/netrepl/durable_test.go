@@ -55,11 +55,9 @@ func TestKillMidGroupCommitNoAckedLoss(t *testing.T) {
 					return
 				}
 				elem := fmt.Sprintf("op-%d-%d", g, i)
-				n.Do(func(r *store.Replica) {
-					tx := r.Begin()
-					store.AWSetAt(tx, "acked").Add(elem, "")
-					tx.Commit()
-				})
+				tx := n.Begin()
+				store.AWSetAt(tx, "acked").Add(elem, "")
+				tx.Commit()
 				// Commit returned: the record is fsynced — unless the
 				// kill already started, in which case the "ack" may be
 				// the walFailed path and proves nothing. Only commits
@@ -102,16 +100,14 @@ func TestKillMidGroupCommitNoAckedLoss(t *testing.T) {
 	}
 	defer rec.Close()
 	var missing []string
-	rec.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		set := store.AWSetAt(tx, "acked")
-		for _, elem := range mustSurvive {
-			if !set.Contains(elem) {
-				missing = append(missing, elem)
-			}
+	tx := rec.Begin()
+	set := store.AWSetAt(tx, "acked")
+	for _, elem := range mustSurvive {
+		if !set.Contains(elem) {
+			missing = append(missing, elem)
 		}
-		tx.Commit()
-	})
+	}
+	tx.Commit()
 	if len(missing) > 0 {
 		t.Fatalf("%d acked ops lost across kill+recover (first: %s)", len(missing), missing[0])
 	}
@@ -136,12 +132,10 @@ func TestSnapshotSyncsDeferredDurableCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	var waits []func()
-	a.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		tx.DeferDurability(&waits)
-		store.CounterAt(tx, "c").Add(1)
-		tx.Commit()
-	})
+	tx := a.Begin()
+	tx.DeferDurability(&waits)
+	store.CounterAt(tx, "c").Add(1)
+	tx.Commit()
 	if len(waits) != 1 {
 		t.Fatalf("durable commit deferred %d waits, want 1", len(waits))
 	}
@@ -225,11 +219,9 @@ func TestRecoverRefusesCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		n.Do(func(r *store.Replica) {
-			tx := r.Begin()
-			store.AWSetAt(tx, "s").Add(fmt.Sprint(i), "")
-			tx.Commit()
-		})
+		tx := n.Begin()
+		store.AWSetAt(tx, "s").Add(fmt.Sprint(i), "")
+		tx.Commit()
 	}
 	cut := n.Clock()
 	n.CompactAll(cut, cut) // snapshot, then truncate the log below the cut
@@ -312,16 +304,14 @@ func TestOversizedTxnStallDetection(t *testing.T) {
 	for i := range big {
 		big[i] = 'x'
 	}
-	a.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "s").Add("big", string(big))
+	tx := a.Begin()
+	store.AWSetAt(tx, "s").Add("big", string(big))
+	tx.Commit()
+	for i := 0; i < 5; i++ {
+		tx := a.Begin()
+		store.CounterAt(tx, "after").Add(1)
 		tx.Commit()
-		for i := 0; i < 5; i++ {
-			tx := r.Begin()
-			store.CounterAt(tx, "after").Add(1)
-			tx.Commit()
-		}
-	})
+	}
 
 	// The sender must drop the oversized transaction, once and visibly.
 	waitUntil(t, "oversized txn dropped at sender", func() bool {

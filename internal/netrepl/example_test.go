@@ -25,11 +25,9 @@ func ExampleNewNode() {
 	a.AddPeer(b.ID(), b.Addr())
 	b.AddPeer(a.ID(), a.Addr())
 
-	a.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "accounts").Add("alice", "balance: 10")
-		tx.Commit()
-	})
+	tx := a.Begin()
+	store.AWSetAt(tx, "accounts").Add("alice", "balance: 10")
+	tx.Commit()
 
 	// Replication is asynchronous: poll until b has delivered a's commit.
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
@@ -38,11 +36,9 @@ func ExampleNewNode() {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	b.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		fmt.Println("b sees alice:", store.AWSetAt(tx, "accounts").Contains("alice"))
-		tx.Commit()
-	})
+	tx = b.Begin()
+	fmt.Println("b sees alice:", store.AWSetAt(tx, "accounts").Contains("alice"))
+	tx.Commit()
 	// Output: b sees alice: true
 }
 
@@ -68,13 +64,11 @@ func ExampleNewNodeWithConfig() {
 	src.AddPeer(dst.ID(), dst.Addr())
 
 	// A burst of commits coalesces into far fewer frames than txns.
-	src.Do(func(r *store.Replica) {
-		for i := 0; i < 100; i++ {
-			tx := r.Begin()
-			store.CounterAt(tx, "events").Add(1)
-			tx.Commit()
-		}
-	})
+	for i := 0; i < 100; i++ {
+		tx := src.Begin()
+		store.CounterAt(tx, "events").Add(1)
+		tx.Commit()
+	}
 	src.Close() // drains the queue before returning
 
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
@@ -86,11 +80,9 @@ func ExampleNewNodeWithConfig() {
 	s := src.Stats()
 	fmt.Println("txns sent:", s.TxnsSent)
 	fmt.Println("batched:", s.FramesSent < s.TxnsSent)
-	dst.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		fmt.Println("dst counter:", store.CounterAt(tx, "events").Value())
-		tx.Commit()
-	})
+	tx := dst.Begin()
+	fmt.Println("dst counter:", store.CounterAt(tx, "events").Value())
+	tx.Commit()
 	// Output:
 	// txns sent: 100
 	// batched: true

@@ -34,9 +34,8 @@
 // delivery buffer the simulator uses too, which applies whatever is next
 // in its origin's order with its dependencies delivered — and then acks.
 // The handler withholds the ack while its origin is over the receive-side
-// bound (Config.QueueCap). Local transactions (Do, Begin) run
-// concurrently with delivery and with each other under the store's
-// two-phase shard locking.
+// bound (Config.QueueCap). Local transactions (Begin) and delivery take
+// turns on the store's replica lock.
 //
 // Delivery is at-least-once — a sender that loses its connection (or an
 // ack) mid-frame retries the whole batch — and the buffer deduplicates by
@@ -310,10 +309,10 @@ type counters struct {
 	backpressureWaits, txnsDropped  uint64
 }
 
-// Node hosts one replica of the database and replicates over TCP. It has
-// no global lock: local transactions synchronise through the store's
-// sharded two-phase locking, and the receive path applies through the
-// replica's delivery buffer (see the package comment).
+// Node hosts one replica of the database and replicates over TCP. Local
+// transactions synchronise on the store's replica lock, and the receive
+// path applies through the replica's delivery buffer (see the package
+// comment).
 type Node struct {
 	id      clock.ReplicaID
 	cfg     Config
@@ -340,8 +339,8 @@ type Node struct {
 
 	// Durability (nil/zero on a memory-only node). wal is the node's
 	// write-ahead log; walEnc builds the single-transaction records the
-	// local commit hook appends — the hook runs under the committing
-	// transaction's tag window, which serialises the encoder. reoffer
+	// local commit hook appends — the hook runs under the replica lock,
+	// which serialises the encoder. reoffer
 	// holds own-origin records recovered from the log; AddPeer replays
 	// them into each new peer's queue ahead of live traffic, closing
 	// any gap the crash opened at peers that had not yet received them.
@@ -515,31 +514,21 @@ func (n *Node) RemovePeer(id clock.ReplicaID) {
 	}
 }
 
-// Do runs fn against the node's replica. There is no node lock any more:
-// every replica method fn can call (Begin/Commit transactions, Object,
-// Lookup, Clock, CompactAll) is individually safe against the concurrent
-// receive path, and transactions two-phase-lock their shards. fn itself
-// gets no multi-call atomicity — read related keys inside one
-// transaction when a consistent view matters.
-func (n *Node) Do(fn func(r *store.Replica)) {
-	fn(n.replica)
-}
-
 // Begin starts a highly available transaction at the node's replica —
-// the runtime backend surface (runtime.Replica). Transactions from many
-// goroutines run concurrently with each other and with the receive path:
-// the store's shard locks give each transaction a per-key-group
-// serialised view, and remote effect groups attach atomically. Always
-// commit exactly once. Commit hands the transaction to replication while
-// holding its shard locks, and a full outbound queue blocks the
-// committer (backpressure, by design; size QueueCap above the driver's
-// outstanding load — see DESIGN.md).
+// the runtime backend surface (runtime.Replica). Transactions may begin
+// on many goroutines: each holds the store's replica lock from its first
+// object access to Commit, so it reads one snapshot, and remote effect
+// groups attach atomically between transactions. Always commit exactly
+// once. Commit hands the transaction to replication while holding the
+// replica lock, and a full outbound queue blocks the committer
+// (backpressure, by design; size QueueCap above the driver's outstanding
+// load — see DESIGN.md).
 func (n *Node) Begin() *store.Txn {
 	return n.replica.Begin()
 }
 
 // Object returns the CRDT stored at key, creating it with mk when absent.
-// The lookup is shard-locked; read the returned object through a
+// The lookup holds the replica lock; read the returned object through a
 // transaction when the node is live.
 func (n *Node) Object(key string, mk func() crdt.CRDT) crdt.CRDT {
 	return n.replica.Object(key, mk)
@@ -551,8 +540,8 @@ func (n *Node) Lookup(key string) (crdt.CRDT, bool) {
 }
 
 // CompactAll lets every CRDT at the node's replica compact metadata below
-// the stability horizon, shard by shard — safe while the node serves
-// traffic (see store.Replica.CompactAll).
+// the stability horizon under the replica lock — safe while the node
+// serves traffic (see store.Replica.CompactAll).
 //
 // On a durable node the stability round also drives the snapshot cycle:
 // once Config.SnapshotEvery log bytes have accumulated since the last
@@ -697,12 +686,12 @@ func (n *Node) Replica() *store.Replica {
 }
 
 // broadcast ships one committed transaction to every peer. Called from
-// Commit under the committing transaction's tag window, so per-peer
-// enqueue order matches the origin's sequence order. It enqueues and
+// Commit under the replica lock, so per-peer enqueue order matches the
+// origin's sequence order. It enqueues and
 // returns; each peer's sender goroutine does the network work.
 //
 // On a durable node it first appends the transaction to the write-ahead
-// log (the tag window serialises walEnc) and returns a wait function
+// log (the replica lock serialises walEnc) and returns a wait function
 // that Commit runs after releasing the transaction's locks, or hands to
 // the caller's acknowledgement point (store.Txn.DeferDurability): no
 // client is told a commit succeeded before its record is fsynced — so

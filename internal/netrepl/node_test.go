@@ -64,26 +64,22 @@ func TestTCPReplicationConverges(t *testing.T) {
 	// Concurrent writes from all nodes over real sockets.
 	for i, n := range nodes {
 		i := i
-		n.Do(func(r *store.Replica) {
-			for k := 0; k < 10; k++ {
-				tx := r.Begin()
-				store.AWSetAt(tx, "set").Add(fmt.Sprintf("n%d-e%d", i, k), "")
-				store.CounterAt(tx, "cnt").Add(1)
-				tx.Commit()
-			}
-		})
+		for k := 0; k < 10; k++ {
+			tx := n.Begin()
+			store.AWSetAt(tx, "set").Add(fmt.Sprintf("n%d-e%d", i, k), "")
+			store.CounterAt(tx, "cnt").Add(1)
+			tx.Commit()
+		}
 	}
 	waitConverged(t, nodes)
 
 	var sizes []int
 	var counts []int64
 	for _, n := range nodes {
-		n.Do(func(r *store.Replica) {
-			tx := r.Begin()
-			sizes = append(sizes, store.AWSetAt(tx, "set").Size())
-			counts = append(counts, store.CounterAt(tx, "cnt").Value())
-			tx.Commit()
-		})
+		tx := n.Begin()
+		sizes = append(sizes, store.AWSetAt(tx, "set").Size())
+		counts = append(counts, store.CounterAt(tx, "cnt").Value())
+		tx.Commit()
 	}
 	for i := range nodes {
 		if sizes[i] != 30 || counts[i] != 30 {
@@ -97,19 +93,14 @@ func TestTCPCausalDependencyHolds(t *testing.T) {
 	a, b, c := nodes[0], nodes[1], nodes[2]
 
 	// a writes X; wait until b has it; b then writes Y (depends on X).
-	a.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "s").Add("X", "")
-		tx.Commit()
-	})
+	tx := a.Begin()
+	store.AWSetAt(tx, "s").Add("X", "")
+	tx.Commit()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var has bool
-		b.Do(func(r *store.Replica) {
-			tx := r.Begin()
-			has = store.AWSetAt(tx, "s").Contains("X")
-			tx.Commit()
-		})
+		tx = b.Begin()
+		has := store.AWSetAt(tx, "s").Contains("X")
+		tx.Commit()
 		if has {
 			break
 		}
@@ -118,72 +109,64 @@ func TestTCPCausalDependencyHolds(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	b.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "s").Add("Y", "")
-		tx.Commit()
-	})
+	tx = b.Begin()
+	store.AWSetAt(tx, "s").Add("Y", "")
+	tx.Commit()
 	waitConverged(t, nodes)
 
 	// Wherever Y is visible, X must be too (causal order), and c has both.
-	c.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		s := store.AWSetAt(tx, "s")
-		if s.Contains("Y") && !s.Contains("X") {
-			t.Error("causal order violated: Y without X")
-		}
-		if !s.Contains("X") || !s.Contains("Y") {
-			t.Error("c missing updates after convergence")
-		}
-		tx.Commit()
-	})
+	tx = c.Begin()
+	s := store.AWSetAt(tx, "s")
+	if s.Contains("Y") && !s.Contains("X") {
+		t.Error("causal order violated: Y without X")
+	}
+	if !s.Contains("X") || !s.Contains("Y") {
+		t.Error("c missing updates after convergence")
+	}
+	tx.Commit()
 }
 
 func TestWireRoundTrip(t *testing.T) {
 	// Every op kind survives encode/decode.
 	nodes := newTrio(t)
 	n := nodes[0]
-	n.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		store.AWSetAt(tx, "aw").Add("x", "payload")
-		store.AWSetAt(tx, "aw").Touch("x")
-		store.AWSetAt(tx, "aw").Remove("x")
-		store.RWSetAt(tx, "rw").Add("y", "")
-		store.RWSetAt(tx, "rw").Remove("y")
-		store.CounterAt(tx, "c").Add(-7)
-		store.RegisterAt(tx, "reg").Set("v")
-		store.BoundedAt(tx, "bc").Grant(5)
-		tx.Commit()
-		tx = r.Begin()
-		store.RWSetAt(tx, "rw").Add(crdt.JoinTuple("p", "q"), "")
-		store.RWSetAt(tx, "rw").Add(crdt.JoinTuple("p", "r"), "")
-		store.BoundedAt(tx, "bc").Consume(2)
-		tx.Commit()
-		tx = r.Begin()
-		store.RWSetAt(tx, "rw").RemoveWhere(crdt.Match{Index: 1, Value: "q"})
-		tx.Commit()
-	})
+	tx := n.Begin()
+	store.AWSetAt(tx, "aw").Add("x", "payload")
+	store.AWSetAt(tx, "aw").Touch("x")
+	store.AWSetAt(tx, "aw").Remove("x")
+	store.RWSetAt(tx, "rw").Add("y", "")
+	store.RWSetAt(tx, "rw").Remove("y")
+	store.CounterAt(tx, "c").Add(-7)
+	store.RegisterAt(tx, "reg").Set("v")
+	store.BoundedAt(tx, "bc").Grant(5)
+	tx.Commit()
+	tx = n.Begin()
+	store.RWSetAt(tx, "rw").Add(crdt.JoinTuple("p", "q"), "")
+	store.RWSetAt(tx, "rw").Add(crdt.JoinTuple("p", "r"), "")
+	store.BoundedAt(tx, "bc").Consume(2)
+	tx.Commit()
+	tx = n.Begin()
+	store.RWSetAt(tx, "rw").RemoveWhere(crdt.Match{Index: 1, Value: "q"})
+	tx.Commit()
 	waitConverged(t, nodes)
-	nodes[2].Do(func(r *store.Replica) {
-		tx := r.Begin()
-		if store.AWSetAt(tx, "aw").Contains("x") {
-			t.Error("aw state wrong after wire round trip")
-		}
-		rw := store.RWSetAt(tx, "rw")
-		if rw.Contains("y") || rw.Contains(crdt.JoinTuple("p", "q")) || !rw.Contains(crdt.JoinTuple("p", "r")) {
-			t.Error("rw state wrong after wire round trip")
-		}
-		if store.CounterAt(tx, "c").Value() != -7 {
-			t.Error("counter state wrong after wire round trip")
-		}
-		if v, _ := store.RegisterAt(tx, "reg").Value(); v != "v" {
-			t.Error("register state wrong after wire round trip")
-		}
-		if v := store.BoundedAt(tx, "bc").Value(); v != 3 {
-			t.Errorf("bounded counter = %d after wire round trip, want 3", v)
-		}
-		tx.Commit()
-	})
+	tx = nodes[2].Begin()
+	if store.AWSetAt(tx, "aw").Contains("x") {
+		t.Error("aw state wrong after wire round trip")
+	}
+	rw := store.RWSetAt(tx, "rw")
+	if rw.Contains("y") || rw.Contains(crdt.JoinTuple("p", "q")) || !rw.Contains(crdt.JoinTuple("p", "r")) {
+		t.Error("rw state wrong after wire round trip")
+	}
+	if store.CounterAt(tx, "c").Value() != -7 {
+		t.Error("counter state wrong after wire round trip")
+	}
+	if v, _ := store.RegisterAt(tx, "reg").Value(); v != "v" {
+		t.Error("register state wrong after wire round trip")
+	}
+	if v := store.BoundedAt(tx, "bc").Value(); v != 3 {
+		t.Errorf("bounded counter = %d after wire round trip, want 3", v)
+	}
+	tx.Commit()
 	if nodes[2].Stats().TxnsRecv == 0 {
 		t.Fatal("no frames delivered")
 	}

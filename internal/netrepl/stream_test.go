@@ -31,24 +31,18 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // commitN commits n one-update transactions on the node.
 func commitN(n *Node, key string, count int) {
-	n.Do(func(r *store.Replica) {
-		for i := 0; i < count; i++ {
-			tx := r.Begin()
-			store.CounterAt(tx, key).Add(1)
-			tx.Commit()
-		}
-	})
+	for i := 0; i < count; i++ {
+		tx := n.Begin()
+		store.CounterAt(tx, key).Add(1)
+		tx.Commit()
+	}
 }
 
 // counterValue reads the counter at key on the node.
 func counterValue(n *Node, key string) int64 {
-	var v int64
-	n.Do(func(r *store.Replica) {
-		tx := r.Begin()
-		v = store.CounterAt(tx, key).Value()
-		tx.Commit()
-	})
-	return v
+	tx := n.Begin()
+	defer tx.Commit()
+	return store.CounterAt(tx, key).Value()
 }
 
 // TestPeerDownAtSend commits while the peer's address has no listener:
@@ -288,8 +282,7 @@ func TestBatchesOutOfCausalOrder(t *testing.T) {
 	// arrival and drops it without holding it pending.
 	rawSend(t, n.Addr(), encodeBatch(t, txns[1]))
 	waitUntil(t, "duplicate dropped", func() bool {
-		var dups uint64
-		n.Do(func(r *store.Replica) { _, dups = r.DeliveryStats() })
+		_, dups := n.Replica().DeliveryStats()
 		return dups == 1 && n.Pending() == 2
 	})
 
@@ -301,8 +294,7 @@ func TestBatchesOutOfCausalOrder(t *testing.T) {
 	if v := counterValue(n, "c"); v != 3 {
 		t.Fatalf("counter = %d after drain, want 3 (duplicate applied?)", v)
 	}
-	var dups uint64
-	n.Do(func(r *store.Replica) { _, dups = r.DeliveryStats() })
+	_, dups := n.Replica().DeliveryStats()
 	if dups != 1 {
 		t.Fatalf("TxnsDuplicate = %d, want 1", dups)
 	}

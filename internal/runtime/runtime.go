@@ -36,20 +36,18 @@ func Backends() []string { return []string{BackendSim, BackendNet} }
 // sim-backed implementation; *netrepl.Node the socket-backed one.
 //
 // Begin starts a highly available transaction. Replicas are safe for
-// concurrent use: many goroutines may hold open transactions on one
-// replica at once, each two-phase-locking the key shards it touches,
-// while remote effect groups arrive through the replica's causal delivery
-// buffer (store.Replica.Deliver), which applies them one at a time, each
-// atomically. Always commit every transaction exactly once.
-// Multi-key reads that need one consistent view must happen inside a
-// single transaction, binding every key before reading any (see
-// store.Txn's visibility contract — a writer's contended out-of-order
-// shard reacquisition is the one narrow, origin-local exception to group
-// atomicity). Object, Lookup, and Clock are individually safe at any
-// time but give no cross-call atomicity.
+// concurrent use: many goroutines may begin transactions on one replica
+// at once, and each holds the replica's lock from its first object
+// access to Commit, while remote effect groups arrive through the
+// replica's causal delivery buffer (store.Replica.Deliver), which applies
+// them one at a time, each atomically, under the same lock. Always commit
+// every transaction exactly once. A transaction's reads are one
+// consistent view, and every transaction's effects become visible whole
+// (see store.Txn's visibility contract). Object, Lookup, and Clock are
+// individually safe at any time but give no cross-call atomicity.
 //
-// Commit hands the transaction to replication while still holding its
-// shard locks, and a full outbound queue blocks the committer
+// Commit hands the transaction to replication while still holding the
+// replica lock, and a full outbound queue blocks the committer
 // (backpressure, by design — see the netrepl queue-sizing discipline in
 // DESIGN.md). Drivers that commit concurrently on several replicas of one
 // net-backed cluster must keep their outstanding load below the transport

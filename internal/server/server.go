@@ -62,7 +62,8 @@ type Stats struct {
 // to drain.
 //
 // Concurrency: on the netrepl backend connections execute commands
-// concurrently — the sharded replica core is built for exactly that. The
+// concurrently; each replica runs their transactions one at a time under
+// its lock, while parsing, replies and replication overlap. The
 // sim backend's discrete-event loop is single-threaded by design, so
 // there the server serialises command execution (and pumps the event
 // loop after each command so replication interleaves); sim serving is

@@ -207,14 +207,14 @@ func TestPartitionedWritesSurviveHeal(t *testing.T) {
 	}
 }
 
-// --- Concurrent sharded-core properties --------------------------------
+// --- Concurrent replica-core properties --------------------------------
 //
 // The tests below exercise the replica core the way a real transport
 // does: many client goroutines committing local transactions while
 // remote transactions stream in through Replica.Deliver from concurrent
 // goroutines, out of order and duplicated. Run them under -race; they
-// are the property suite for the sharded locking discipline (two-phase
-// shard acquisition, tag window, the causal delivery buffer).
+// are the property suite for the locking discipline (the replica lock
+// held to commit, the causal delivery buffer).
 
 // pipeReplicas wires two socket-cluster replicas together: every commit
 // at one side is delivered at the other by two goroutines, each of which
@@ -286,8 +286,8 @@ func TestConcurrentLocalVsExternalApply(t *testing.T) {
 			wg.Add(1)
 			go func(side string, r *Replica, g int) {
 				defer wg.Done()
-				// Keys are spread over many shards; the private counter is
-				// this goroutine's linearizability probe.
+				// The private counter is this goroutine's linearizability
+				// probe.
 				private := fmt.Sprintf("priv/%s/%d", side, g)
 				shared := "shared/set"
 				for i := 0; i < txnsPer; i++ {
@@ -341,11 +341,14 @@ func TestConcurrentLocalVsExternalApply(t *testing.T) {
 
 // TestCrossShardAtomicityConcurrent is the multi-key atomicity property
 // in the concurrent setting: every writer transaction increments all K
-// counters (keys chosen to span many shards), so in any transaction-
-// consistent snapshot all K values are equal. Reader transactions on
-// both the origin and the remote replica assert that continuously while
-// writers and the apply path run; a reader observing a half-attached
-// effect group fails the test.
+// counters, writing each as it binds it (as applications do), so in any
+// transaction-consistent snapshot all K values are equal. Reader
+// transactions on both the origin and the remote replica assert that
+// continuously while writers and the apply path run; a reader observing
+// a half-applied transaction or a half-attached effect group fails the
+// test. (The name predates the single replica lock: under key-hashed
+// lock striping, writers touching keys out of order released written
+// keys early, which this test catches.)
 func TestCrossShardAtomicityConcurrent(t *testing.T) {
 	a := NewSocketCluster("a").Replica("a")
 	b := NewSocketCluster("b").Replica("b")
@@ -353,7 +356,7 @@ func TestCrossShardAtomicityConcurrent(t *testing.T) {
 
 	keys := make([]string, 6)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("atomic/k%02d", i*7) // spread across shards
+		keys[i] = fmt.Sprintf("atomic/k%02d", i*7)
 	}
 
 	const (
@@ -372,8 +375,7 @@ func TestCrossShardAtomicityConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				// Bind every key first (acquiring all shards), then read:
-				// the reads form one transaction-consistent snapshot.
+				// The reads form one transaction-consistent snapshot.
 				tx := r.Begin()
 				refs := make([]CounterRef, len(keys))
 				for i, k := range keys {
@@ -397,8 +399,7 @@ func TestCrossShardAtomicityConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	order := make([][]string, writersPer*2)
 	for i := range order {
-		// Each writer binds the keys in its own random order, exercising
-		// the out-of-order acquisition (escalation) path.
+		// Each writer touches the keys in its own random order.
 		perm := rng.Perm(len(keys))
 		ks := make([]string, len(keys))
 		for j, p := range perm {
@@ -412,12 +413,8 @@ func TestCrossShardAtomicityConcurrent(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < txnsPer; i++ {
 				tx := r.Begin()
-				refs := make([]CounterRef, 0, len(keys))
 				for _, k := range order[w] {
-					refs = append(refs, CounterAt(tx, k))
-				}
-				for _, ref := range refs {
-					ref.Add(1)
+					CounterAt(tx, k).Add(1)
 				}
 				tx.Commit()
 			}
@@ -442,6 +439,80 @@ func TestCrossShardAtomicityConcurrent(t *testing.T) {
 			}
 		}
 		tx.Commit()
+	}
+}
+
+// TestConcurrentRemoteRemoveInsideLocalAdd pins one interleaving of a
+// remote wildcard remove with a local transaction that adds to the same
+// remove-wins set and then, before committing, waits for a key a reader
+// holds. Whatever order the replica lets them run in, the add and the
+// remove must resolve the same way at both replicas. A design that lets
+// the waiting writer release the set early lets the remove apply between
+// the add and its commit: the origin then sees the remove win, while the
+// commit's dependency cut, which by then covers the remove, makes the
+// add win everywhere else.
+func TestConcurrentRemoteRemoveInsideLocalAdd(t *testing.T) {
+	a := NewSocketCluster("a").Replica("a")
+	b := NewSocketCluster("b").Replica("b")
+	var fromA, fromB []WireTxn
+	a.cluster.SetOnCommit(func(w WireTxn) { fromA = append(fromA, w) })
+	b.cluster.SetOnCommit(func(w WireTxn) { fromB = append(fromB, w) })
+
+	tx := b.Begin()
+	RWSetAt(tx, "set").RemoveWhere(crdt.MatchAll{})
+	tx.Commit()
+
+	reading, release, readerDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		tx := a.Begin()
+		CounterAt(tx, "ctr").Value()
+		close(reading)
+		<-release
+		tx.Commit()
+	}()
+	<-reading
+
+	added, writerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		tx := a.Begin()
+		RWSetAt(tx, "set").Add("x", "")
+		close(added)
+		CounterAt(tx, "ctr").Add(1)
+		tx.Commit()
+	}()
+	select {
+	case <-added:
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	delivered := make(chan struct{})
+	go func() {
+		defer close(delivered)
+		for _, w := range fromB {
+			a.Deliver(w)
+		}
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-readerDone
+	<-writerDone
+	<-delivered
+	for _, w := range fromA {
+		b.Deliver(w)
+	}
+
+	contains := func(r *Replica) bool {
+		tx := r.Begin()
+		defer tx.Commit()
+		return RWSetAt(tx, "set").Contains("x")
+	}
+	if inA, inB := contains(a), contains(b); inA != inB {
+		t.Fatalf("replicas diverged: x at a=%v, at b=%v", inA, inB)
 	}
 }
 

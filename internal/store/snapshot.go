@@ -7,9 +7,9 @@ package store
 // sound: segments below min(stability horizon, snapshot vector) are
 // covered twice over.
 //
-// The capture runs under the full locking discipline (commit lock, every
-// shard ascending, clock lock), so the image is a consistent cut: it
-// contains exactly the transactions counted by its vector. Files are
+// The capture holds the replica lock (and reads the delivered cut under
+// the clock lock), so the image is a consistent cut: it contains exactly
+// the transactions counted by its vector. Files are
 // written to a temp name, fsynced, and renamed — a crash mid-write leaves
 // the previous snapshot intact. A committed snapshot that fails
 // validation is an error, never "no snapshot": the log may already be
@@ -45,25 +45,19 @@ type Snapshot struct {
 }
 
 // CaptureSnapshot encodes a consistent image of the replica. It excludes
-// every in-flight transaction by holding the commit lock and all shard
-// locks for the duration, so it pauses the replica — callers amortise it
-// (periodic snapshots, not per-commit).
+// every in-flight transaction by holding the replica lock for the
+// duration, so it pauses the replica — callers amortise it (periodic
+// snapshots, not per-commit).
 func (r *Replica) CaptureSnapshot() ([]byte, clock.Vector, error) {
-	r.commitMu.Lock()
-	defer r.commitMu.Unlock()
-	for i := range r.shards {
-		r.shards[i].mu.Lock()
-		defer r.shards[i].mu.Unlock()
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.clockMu.Lock()
 	vc := r.vc.Clone()
 	r.clockMu.Unlock()
 
-	keys := make([]string, 0, 256)
-	for i := range r.shards {
-		for k := range r.shards[i].objects {
-			keys = append(keys, k)
-		}
+	keys := make([]string, 0, len(r.objects))
+	for k := range r.objects {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 
@@ -71,7 +65,7 @@ func (r *Replica) CaptureSnapshot() ([]byte, clock.Vector, error) {
 	body = crdt.AppendWireString(body, string(r.id))
 	body = binary.AppendUvarint(body, uint64(len(keys)))
 	for _, k := range keys {
-		obj := r.shards[shardIndex(k)].objects[k]
+		obj := r.objects[k]
 		body = crdt.AppendWireString(body, k)
 		var err error
 		if body, err = crdt.AppendCRDTState(body, obj); err != nil {
@@ -138,13 +132,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // version vector, and the local event-tag counter. It must run before the
 // replica serves any traffic.
 func (r *Replica) RestoreSnapshot(s *Snapshot) {
-	r.commitMu.Lock()
-	defer r.commitMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for k, obj := range s.Objects {
-		sh := &r.shards[shardIndex(k)]
-		sh.mu.Lock()
-		sh.objects[k] = obj
-		sh.mu.Unlock()
+		r.objects[k] = obj
 	}
 	r.clockMu.Lock()
 	r.vc.Merge(s.VC)

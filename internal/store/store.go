@@ -19,10 +19,9 @@
 //     simulator events;
 //   - under a real transport (package netrepl), one replica serves many
 //     client goroutines while remote transactions arrive on many
-//     connections at once. The replica is sharded for this: object state
-//     is split into key-hashed shards with per-shard locks, local
-//     transactions take fine-grained two-phase shard locks, and a remote
-//     transaction's effect group locks only the shards it touches.
+//     connections at once. One lock per replica serialises them: a
+//     transaction holds it from its first object access to Commit, and a
+//     remote effect group holds it while it applies.
 //
 // Both regimes deliver remote transactions through one causal delivery
 // buffer, Replica.Deliver, which applies them one at a time in causal
@@ -32,31 +31,26 @@
 // order; taking locks in this order only is what makes the core
 // deadlock-free — see DESIGN.md for the full argument):
 //
-//		commitMu, deliverMu  ≺  shard[0] … shard[numShards-1] (ascending)  ≺  clockMu
+//		deliverMu  ≺  mu  ≺  clockMu
 //
-//	  - commitMu (per replica) is the tag window: it serialises local
-//	    update transactions from their first NewTag to commit, so every
-//	    transaction's event tags form a contiguous block of the origin's
-//	    sequence space in commit order. Contiguity is load-bearing: remote
-//	    FIFO delivery and the stability horizon both interpret a vector
-//	    entry n as "all events ≤ n", which interleaved tag blocks would
-//	    break. Read-only transactions never touch commitMu.
-//	  - deliverMu (per replica) guards the causal delivery buffer and is
-//	    held while the buffer applies a remote effect group, so remote
-//	    transactions apply one at a time. No path holds commitMu and
-//	    deliverMu together.
-//	  - shard locks are taken in ascending index order. A transaction that
-//	    needs a lower-indexed shard than one it holds first tries a
-//	    non-blocking TryLock (safe in any order); otherwise it releases only
-//	    the shards ranked above the needed one, then takes the needed shard
-//	    and reacquires the released ones in order.
+//	  - deliverMu guards the causal delivery buffer and is held while the
+//	    buffer applies a remote effect group, so remote transactions apply
+//	    one at a time.
+//	  - mu guards the object space and the event-tag counter. A local
+//	    transaction takes it on its first object access or first tag and
+//	    holds it to Commit, so its reads are one snapshot, its effects
+//	    become visible together, and its event tags form a contiguous
+//	    block of the origin's sequence space in commit order. Contiguity
+//	    is load-bearing: remote FIFO delivery and the stability horizon
+//	    both interpret a vector entry n as "all events ≤ n", which
+//	    interleaved tag blocks would break. A transaction holding mu never
+//	    takes deliverMu.
 //	  - clockMu guards the delivered cut (vc) and is never held while
 //	    waiting for any other lock.
 package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -79,10 +73,10 @@ type Cluster struct {
 
 	// onCommit, when set, receives the wire form of every committed
 	// update transaction (see SetOnCommit). It may return a wait
-	// function, which the commit path invokes after releasing the tag
-	// window and shard locks — the hook durable transports use to hold
-	// Commit until the transaction is fsynced without stalling other
-	// committers (see SetOnCommitSync).
+	// function, which the commit path invokes after releasing the replica
+	// lock — the hook durable transports use to hold Commit until the
+	// transaction is fsynced without stalling other committers (see
+	// SetOnCommitSync).
 	onCommit func(WireTxn) func()
 
 	// Stats. Updated atomically: on a socket-backed cluster commits run
@@ -105,16 +99,13 @@ func NewCluster(sim *wan.Sim, latency *wan.Latency, ids []clock.ReplicaID) *Clus
 		blocked:     map[[2]clock.ReplicaID][]WireTxn{},
 	}
 	for _, id := range ids {
-		r := &Replica{
+		c.replicas[id] = &Replica{
 			id:       id,
 			cluster:  c,
+			objects:  map[string]crdt.CRDT{},
 			vc:       clock.New(),
 			byOrigin: map[clock.ReplicaID]map[uint64]WireTxn{},
 		}
-		for i := range r.shards {
-			r.shards[i].objects = map[string]crdt.CRDT{}
-		}
-		c.replicas[id] = r
 	}
 	return c
 }
@@ -199,31 +190,20 @@ type Update struct {
 	Op  crdt.Op
 }
 
-// numShards is the number of key-hashed shards each replica's object
-// space is split into. A power of two; 32 comfortably exceeds the core
-// counts this runs on, so independent transactions rarely collide.
-const numShards = 32
-
-// shard is one lock-striped slice of a replica's object space.
-type shard struct {
-	mu      sync.Mutex
-	objects map[string]crdt.CRDT
-}
-
 // Replica is one data center's copy of the database. Inside the
 // simulation a replica executes serially (the sim is single-threaded);
 // under a real transport the same replica serves concurrent local
 // transactions and concurrent Deliver callers, synchronised by the
-// sharded locking discipline described in the package comment.
+// locking discipline described in the package comment.
 type Replica struct {
 	id      clock.ReplicaID
 	cluster *Cluster
-	shards  [numShards]shard
 
-	// commitMu is the tag window (see the package comment). seq, the
-	// event-tag counter, is guarded by it.
-	commitMu sync.Mutex
-	seq      uint64
+	// mu is the replica lock (see the package comment). It guards
+	// objects and seq, the event-tag counter.
+	mu      sync.Mutex
+	objects map[string]crdt.CRDT
+	seq     uint64
 
 	// clockMu guards vc.
 	clockMu sync.Mutex
@@ -247,8 +227,8 @@ type Replica struct {
 	// possibly pre-snapshot state — Session.Begin fails with ErrStale.
 	invalid atomic.Bool
 
-	// Stats. TxnsExecuted is updated atomically (read-only transactions
-	// commit outside every lock); TxnsDelivered and TxnsDuplicate are
+	// Stats. TxnsExecuted is updated atomically (a transaction that
+	// touched nothing commits outside every lock); TxnsDelivered and TxnsDuplicate are
 	// guarded by clockMu, QueuedMax (the buffer's high-water mark) by
 	// deliverMu. Read them from a quiescent replica.
 	TxnsExecuted  uint64
@@ -271,8 +251,8 @@ func (r *Replica) Invalidated() bool { return r.invalid.Load() }
 // their sequence numbers for new commits would make two different
 // transactions share identity across the mesh.
 func (r *Replica) EnsureSeq(seq uint64) {
-	r.commitMu.Lock()
-	defer r.commitMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if seq > r.seq {
 		r.seq = seq
 	}
@@ -295,27 +275,17 @@ func (r *Replica) Covers(v clock.Vector) bool {
 	return v.LEq(r.vc)
 }
 
-// shardIndex maps a key to its shard (FNV-1a).
-func shardIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % numShards)
-}
-
 // Object returns the CRDT stored at key, creating it with mk when absent.
-// The lookup is shard-locked; reads of the returned object are not — read
-// through a transaction when the replica is live, and use Object directly
-// only for seeding before traffic starts.
+// The lookup holds the replica lock; reads of the returned object do
+// not — read through a transaction when the replica is live, and use
+// Object directly only for seeding before traffic starts.
 func (r *Replica) Object(key string, mk func() crdt.CRDT) crdt.CRDT {
-	sh := &r.shards[shardIndex(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	obj, ok := sh.objects[key]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	obj, ok := r.objects[key]
 	if !ok {
 		obj = mk()
-		sh.objects[key] = obj
+		r.objects[key] = obj
 	}
 	return obj
 }
@@ -323,18 +293,16 @@ func (r *Replica) Object(key string, mk func() crdt.CRDT) crdt.CRDT {
 // Lookup returns the CRDT stored at key if it exists. The same read
 // caveat as Object applies.
 func (r *Replica) Lookup(key string) (crdt.CRDT, bool) {
-	sh := &r.shards[shardIndex(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	obj, ok := sh.objects[key]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	obj, ok := r.objects[key]
 	return obj, ok
 }
 
 // Begin starts a highly available transaction at this replica. Concurrent
-// transactions on one replica are allowed: object access takes per-shard
-// locks (held to commit — two-phase locking), and update transactions
-// additionally serialise their tagging window on the replica's commit
-// lock. Always commit exactly once.
+// transactions on one replica are allowed: each holds the replica lock
+// from its first object access or tag to Commit, so they run one after
+// another. Always commit exactly once.
 func (r *Replica) Begin() *Txn {
 	r.clockMu.Lock()
 	deps := r.vc.Clone()
@@ -344,50 +312,29 @@ func (r *Replica) Begin() *Txn {
 
 // applyRemote applies one effect group atomically with respect to local
 // transactions. Its only caller is applyReady, under deliverMu, so groups
-// apply one at a time. Every shard the group touches is locked (in
-// ascending order) before the first update applies, and —
-// crucially — the delivered cut advances while those locks are still
-// held. A local transaction that reads any of the group's effects can
-// therefore only do so after the clock includes the group, so the
-// delivered cut it merges at commit covers everything it read (the local
-// commit path holds its shard locks across its own clock write for the
-// same reason).
+// apply one at a time. The replica lock is held from before the first
+// update until — crucially — after the delivered cut advances. A local
+// transaction that reads any of the group's effects can therefore only do
+// so after the clock includes the group, so the delivered cut it merges
+// at commit covers everything it read (the local commit path holds the
+// lock across its own clock write for the same reason).
 func (r *Replica) applyRemote(w WireTxn) {
-	var idxBuf [8]int
-	idxs := idxBuf[:0]
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, u := range w.Updates {
-		idx := shardIndex(u.Key)
-		seen := false
-		for _, j := range idxs {
-			if j == idx {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		r.shards[i].mu.Lock()
-	}
-	for _, u := range w.Updates {
-		sh := &r.shards[shardIndex(u.Key)]
-		obj, ok := sh.objects[u.Key]
+		obj, ok := r.objects[u.Key]
 		if !ok {
 			// Object type is implied by the op; instantiate lazily through
 			// the shared constructor registry.
 			obj = crdt.NewForOp(u.Op)
-			sh.objects[u.Key] = obj
+			r.objects[u.Key] = obj
 		}
 		op := u.Op
 		if a, ok := op.(crdt.RWAddOp); ok {
 			// A remove-wins add observed the transaction's dependency cut
-			// (crdt.RWAddOp.Deps). It covers the origin's cut when the add
-			// applied there; the events it adds touch no set the
-			// transaction held, so the verdicts agree (DESIGN.md, "Bounded
-			// set metadata").
+			// (crdt.RWAddOp.Deps): the origin's cut when the add applied
+			// there, since no remote group applies while a transaction
+			// holds the replica lock (DESIGN.md, "Bounded set metadata").
 			a.Deps = w.Deps
 			op = a
 		}
@@ -397,9 +344,6 @@ func (r *Replica) applyRemote(w WireTxn) {
 	r.vc.Set(w.Origin, w.LastSeq)
 	r.TxnsDelivered++
 	r.clockMu.Unlock()
-	for i := len(idxs) - 1; i >= 0; i-- {
-		r.shards[idxs[i]].mu.Unlock()
-	}
 }
 
 // DeliveryStats returns a synchronized snapshot of the delivery counters
@@ -413,22 +357,19 @@ func (r *Replica) DeliveryStats() (delivered, duplicate uint64) {
 
 // CompactAll lets every CRDT at this replica discard metadata made
 // redundant by the stability horizon; frontier carries the per-origin
-// commit counts of the stability round (see Cluster.Stabilize). Each
-// shard compacts under its own lock, so compaction is safe concurrent
-// with live transactions and deliveries. Exposed so replication backends
-// without a shared Cluster — one store per node, as in netrepl — can run
-// the same compaction from a gathered global view.
+// commit counts of the stability round (see Cluster.Stabilize). It holds
+// the replica lock, so compaction is safe concurrent with live
+// transactions and deliveries. Exposed so replication backends without a
+// shared Cluster — one store per node, as in netrepl — can run the same
+// compaction from a gathered global view.
 func (r *Replica) CompactAll(horizon, frontier clock.Vector) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, obj := range sh.objects {
-			if fc, ok := obj.(crdt.FrontierCompacter); ok {
-				fc.CompactWithFrontier(horizon, frontier)
-			} else {
-				obj.Compact(horizon)
-			}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, obj := range r.objects {
+		if fc, ok := obj.(crdt.FrontierCompacter); ok {
+			fc.CompactWithFrontier(horizon, frontier)
+		} else {
+			obj.Compact(horizon)
 		}
-		sh.mu.Unlock()
 	}
 }

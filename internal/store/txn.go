@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"ipa/internal/clock"
@@ -14,27 +13,16 @@ import (
 // replication on Commit. Transactions never abort — updates are CRDT
 // operations, so concurrent transactions merge instead of conflicting.
 //
-// Concurrency: a transaction two-phase-locks the shards of every key it
-// touches — the first access to a key acquires its shard lock, and all
-// held locks release together at Commit — so transactions on one replica
-// serialise exactly where their keysets collide. Acquisition follows the
-// package's sorted-order discipline: a transaction that needs a
-// lower-indexed shard than one it holds first tries a non-blocking
-// TryLock and, if contended, releases only the held shards ranked above
-// the needed one before reacquiring ascending.
+// Concurrency: a transaction takes its replica's lock on its first object
+// access or first NewTag and holds it until Commit, so transactions on one
+// replica run one after another and never release a lock early.
 //
-// Visibility contract: remote replicas always observe whole effect
-// groups (the apply path locks every shard of a group before its first
-// update), and single-key reads are always consistent. At the origin, a
-// concurrent multi-key reader can observe a partial group only inside a
-// writer's contended out-of-order reacquisition window above — rare (it
-// needs a TryLock failure) and bounded to the released shards; readers
-// that bind all their keys before a writer's first update are ordered
-// entirely before or after it.
-//
-// The first NewTag opens the replica's tag window (commitMu), held to
-// Commit, which keeps the transaction's event tags one contiguous block
-// of the origin's sequence space; read-only transactions never take it.
+// Visibility contract: a transaction's reads are one snapshot, and every
+// reader — at the origin or at a remote replica, whose apply path holds
+// the same lock for a whole effect group — observes a transaction's
+// effects all together or not at all. Because no other update
+// transaction runs while it holds the lock, a transaction's event tags
+// are one contiguous block of the origin's sequence space.
 type Txn struct {
 	r        *Replica
 	deps     clock.Vector
@@ -42,8 +30,7 @@ type Txn struct {
 	lastSeq  uint64 // set at commit for update transactions
 	updates  []Update
 	done     bool
-	tagging  bool  // commitMu held (tag window open)
-	held     []int // ascending shard indexes whose locks this txn holds
+	locked   bool // the replica lock is held; firstSeq is set
 	finish   []func()
 	waits    *[]func() // DeferDurability's sink; nil: Commit waits itself
 }
@@ -51,99 +38,45 @@ type Txn struct {
 // Replica returns the origin replica.
 func (t *Txn) Replica() *Replica { return t.r }
 
-// ensureTagWindow opens the replica's tag window. commitMu ranks before
-// every shard lock, so the transaction's shards are released first and
-// reacquired (in order) once the window is open; writes cannot have
-// happened yet on the first tag, so nothing half-applied becomes visible.
-func (t *Txn) ensureTagWindow() {
-	if t.tagging {
+// lock takes the replica lock if the transaction does not hold it yet,
+// and records where its block of event tags starts.
+func (t *Txn) lock() {
+	if t.locked {
 		return
 	}
-	for i := len(t.held) - 1; i >= 0; i-- {
-		t.r.shards[t.held[i]].mu.Unlock()
-	}
-	t.r.commitMu.Lock()
-	t.tagging = true
+	t.r.mu.Lock()
+	t.locked = true
 	t.firstSeq = t.r.seq
-	for _, h := range t.held {
-		t.r.shards[h].mu.Lock()
-	}
 }
 
-// acquire takes the shard lock for key if the transaction does not hold
-// it yet, following the sorted-order discipline.
-func (t *Txn) acquire(key string) *shard {
-	idx := shardIndex(key)
-	sh := &t.r.shards[idx]
-	n := len(t.held)
-	pos := sort.SearchInts(t.held, idx)
-	if pos < n && t.held[pos] == idx {
-		return sh // already held
-	}
-	switch {
-	case n == 0 || idx > t.held[n-1]:
-		sh.mu.Lock()
-		t.held = append(t.held, idx)
-	case sh.mu.TryLock():
-		// Out of order but uncontended: taking it without blocking cannot
-		// deadlock.
-		t.held = append(t.held, 0)
-		copy(t.held[pos+1:], t.held[pos:])
-		t.held[pos] = idx
-	default:
-		// Contended out-of-order acquisition: release only the held
-		// shards ranked above idx (keeping everything below preserves
-		// the ascending blocking order), then acquire idx and reacquire
-		// the released suffix in order. Effects already applied to the
-		// released shards are briefly visible to concurrent local
-		// transactions — the one torn-visibility window of the design;
-		// see the type comment.
-		for i := n - 1; i >= pos; i-- {
-			t.r.shards[t.held[i]].mu.Unlock()
-		}
-		t.held = append(t.held, 0)
-		copy(t.held[pos+1:], t.held[pos:])
-		t.held[pos] = idx
-		for _, h := range t.held[pos:] {
-			t.r.shards[h].mu.Lock()
-		}
-	}
-	return sh
-}
-
-// object returns the CRDT at key under the transaction's shard lock,
-// creating it with mk when absent (and mk non-nil).
+// object returns the CRDT at key under the replica lock, creating it with
+// mk when absent (and mk non-nil).
 func (t *Txn) object(key string, mk func() crdt.CRDT) (crdt.CRDT, bool) {
-	sh := t.acquire(key)
-	obj, ok := sh.objects[key]
+	t.lock()
+	obj, ok := t.r.objects[key]
 	if !ok && mk != nil {
 		obj = mk()
-		sh.objects[key] = obj
+		t.r.objects[key] = obj
 		ok = true
 	}
 	return obj, ok
 }
 
-// release drops every lock the transaction holds (shards, then the tag
-// window).
+// release drops the replica lock if the transaction holds it.
 func (t *Txn) release() {
-	for i := len(t.held) - 1; i >= 0; i-- {
-		t.r.shards[t.held[i]].mu.Unlock()
-	}
-	t.held = nil
-	if t.tagging {
-		t.r.commitMu.Unlock()
-		t.tagging = false
+	if t.locked {
+		t.r.mu.Unlock()
+		t.locked = false
 	}
 }
 
 // NewTag allocates a globally unique event ID for an operation of this
-// transaction. The first tag opens the replica's tag window.
+// transaction.
 func (t *Txn) NewTag() clock.EventID {
 	if t.done {
 		panic("store: transaction already committed")
 	}
-	t.ensureTagWindow()
+	t.lock()
 	t.r.seq++
 	return clock.EventID{Replica: t.r.id, Seq: t.r.seq}
 }
@@ -156,14 +89,13 @@ func (t *Txn) Apply(key string, op crdt.Op, mk func() crdt.CRDT) {
 	if t.done {
 		panic("store: transaction already committed")
 	}
-	t.ensureTagWindow()
 	obj, ok := t.object(key, mk)
 	if !ok {
 		panic(fmt.Sprintf("store: update to unknown object %q", key))
 	}
 	if a, ok := op.(crdt.RWAddOp); ok {
 		// A remove-wins add observed the replica's delivered cut, read now
-		// that the set's shard is held: every remote tombstone on the set
+		// that the replica lock is held: every remote tombstone on the set
 		// is inside it, and the add's own earlier events are covered by
 		// per-origin order (crdt.RWAddOp.Deps). Only the local apply carries
 		// it; receivers stamp the transaction's deps.
@@ -176,8 +108,8 @@ func (t *Txn) Apply(key string, op crdt.Op, mk func() crdt.CRDT) {
 }
 
 // OnFinish registers fn to run when the transaction commits, after its
-// effects have applied locally, been handed to replication, and every
-// shard lock has released. Hooks run in reverse registration order.
+// effects have applied locally, been handed to replication, and the
+// replica lock has released. Hooks run in reverse registration order.
 func (t *Txn) OnFinish(fn func()) {
 	if t.done {
 		panic("store: transaction already committed")
@@ -206,8 +138,8 @@ func (t *Txn) runFinish() {
 	}
 }
 
-// Commit finalises the transaction, releases its shard locks (and tag
-// window), and replicates its updates atomically to the other replicas.
+// Commit finalises the transaction, releases the replica lock, and
+// replicates its updates atomically to the other replicas.
 // An empty (read-only) transaction sends nothing. On a durable transport
 // Commit returns only once the transaction's log record is fsynced,
 // unless DeferDurability handed that wait to the caller.
@@ -219,7 +151,7 @@ func (t *Txn) Commit() {
 	defer t.runFinish()
 	atomic.AddUint64(&t.r.TxnsExecuted, 1)
 	if len(t.updates) == 0 {
-		if t.tagging && t.r.seq > t.firstSeq {
+		if t.locked && t.r.seq > t.firstSeq {
 			// Tags were consumed without updates (e.g. a compensation read
 			// that found nothing to repair). The sequence hole must still
 			// replicate or every later transaction from this origin would
@@ -231,7 +163,7 @@ func (t *Txn) Commit() {
 		t.release()
 		return
 	}
-	// Updates imply an open tag window (Apply opens it before appending).
+	// Updates imply the replica lock (Apply takes it before appending).
 	if t.r.seq == t.firstSeq {
 		// Updates whose ops carried no tags (a caller bypassing the
 		// Prepare helpers): give the transaction one clock slot so the
@@ -241,8 +173,8 @@ func (t *Txn) Commit() {
 	t.commitUpdates()
 }
 
-// commitUpdates runs the update-transaction commit path under the held
-// tag window: advance the local cut, fan out the wire message, release.
+// commitUpdates runs the update-transaction commit path under the
+// replica lock: advance the local cut, fan out the wire message, release.
 func (t *Txn) commitUpdates() {
 	c := t.r.cluster
 	atomic.AddUint64(&c.TxnsCommitted, 1)
@@ -251,11 +183,11 @@ func (t *Txn) commitUpdates() {
 	t.r.clockMu.Lock()
 	// The replicated dependency vector must cover everything this
 	// transaction could have read — including remote transactions the
-	// apply path installed after Begin took its snapshot (the replica is
-	// concurrent; reads see the live objects). Folding in the delivered
-	// cut at commit, before our own entry advances, restores the
-	// "origin's cut at commit" semantics the causal-delivery protocol
-	// assumes; on the single-threaded simulator it is a no-op.
+	// apply path installed after Begin took its snapshot but before the
+	// transaction took the replica lock. Folding in the delivered cut at
+	// commit, before our own entry advances, restores the "origin's cut at
+	// commit" semantics the causal-delivery protocol assumes; on the
+	// single-threaded simulator it is a no-op.
 	t.deps.Merge(t.r.vc)
 	t.r.vc.Set(t.r.id, last)
 	t.r.clockMu.Unlock()
@@ -272,12 +204,12 @@ func (t *Txn) commitUpdates() {
 		}
 	}
 	// The onCommit hook (an external transport's broadcast) runs under the
-	// tag window so per-origin enqueue order matches sequence order. A full
-	// transport queue blocks here — backpressure holds the window and the
-	// shard locks, by design (see DESIGN.md on queue sizing). A durable
-	// transport returns a wait (fsync) function, which runs only after
-	// release so the disk never stalls the tag window: here, or at the
-	// caller's acknowledgement point when DeferDurability gave a sink.
+	// replica lock so per-origin enqueue order matches sequence order. A
+	// full transport queue blocks here — backpressure holds the lock, by
+	// design (see DESIGN.md on queue sizing). A durable transport returns a
+	// wait (fsync) function, which runs only after release so the disk
+	// never stalls the replica: here, or at the caller's acknowledgement
+	// point when DeferDurability gave a sink.
 	var wait func()
 	if c.onCommit != nil {
 		w.Deps = w.Deps.Clone()
@@ -313,7 +245,7 @@ func (t *Txn) KeysTouched() int {
 //	enrolled := store.AWSetAt(tx, "enrolled")
 //	enrolled.Add("p1|t1", "")
 //
-// Binding acquires the key's shard lock through the transaction (held to
+// Binding takes the replica lock through the transaction (held to
 // commit), so reads through a ref observe a state no concurrent writer is
 // mid-way through mutating.
 
@@ -589,10 +521,6 @@ func (r CompSetRef) Remove(elem string) {
 // violates the bound, the compensating removals execute and commit with
 // this transaction (paper §4.2.2).
 func (r CompSetRef) Read() []string {
-	// Open the tag window up front: Read allocates tags mid-iteration
-	// over the set's state, and the window's shard release/reacquire must
-	// not happen under its feet.
-	r.tx.ensureTagWindow()
 	elems, comps := r.set.Read(r.tx.NewTag)
 	// Read only prepares the compensating removals; applying them through
 	// the transaction executes them locally and replicates them.

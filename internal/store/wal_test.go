@@ -368,7 +368,7 @@ func TestWALRotatesUnderDeferredWaits(t *testing.T) {
 	c := NewSocketCluster("a")
 	enc := NewFrameEncoder(WireVersionV2)
 	c.SetOnCommitSync(func(txn WireTxn) func() {
-		// Runs under the tag window, which serialises enc.
+		// Runs under the replica lock, which serialises enc.
 		frame, err := enc.Encode([]WireTxn{txn})
 		if err != nil {
 			panic(err)

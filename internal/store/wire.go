@@ -263,9 +263,9 @@ func (c *Cluster) SetOnCommit(fn func(WireTxn)) {
 }
 
 // SetOnCommitSync is SetOnCommit for transports that gate commit on
-// durability: the hook runs under the tag window like SetOnCommit's, and
-// the wait function it returns (nil for none) runs after the transaction
-// has released its locks, blocking Commit — but nothing else — until the
+// durability: the hook runs under the replica lock like SetOnCommit's,
+// and the wait function it returns (nil for none) runs after the
+// transaction has released the lock, blocking Commit — but nothing else — until the
 // transport reports the transaction durable. A transaction given a sink by
 // Txn.DeferDurability appends the wait there instead.
 func (c *Cluster) SetOnCommitSync(fn func(WireTxn) func()) { c.onCommit = fn }
