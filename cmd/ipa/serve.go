@@ -105,14 +105,16 @@ func runServe(args []string) error {
 		mounted = append(mounted, got)
 	}
 
+	// Catch SIGTERM before serving: a client may act on the listening line
+	// and stop the server before this goroutine runs again.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := srv.Start(*addr); err != nil {
 		return err
 	}
 	fmt.Printf("ipa serve: listening on %s (%s backend, %d sites, apps: %s)\n",
 		srv.Addr(), db.Cluster().Backend(), *sites, strings.Join(mounted, ", "))
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	signal.Stop(sig)
 	fmt.Fprintf(os.Stderr, "ipa serve: %s: draining (%v timeout)...\n", got, *drain)

@@ -164,7 +164,7 @@ func Classify(s *spec.Spec, opts Options) ([]ClassifiedClause, error) {
 
 // anyConflict returns the first conflict among all pairs, or nil.
 func anyConflict(s *spec.Spec, opts Options) (*Conflict, error) {
-	return findFirstConflict(s, opts, map[string]bool{}, nil)
+	return findFirstConflict(s, opts, map[string]bool{}, nil, &groundings{})
 }
 
 // ClassSupport aggregates per-clause results into the Table 1 row for one

@@ -173,7 +173,11 @@ func boolClausesOnly(f logic.Formula) bool { return !logic.HasCount(f) }
 // bindings are decided on one session; the reported conflict's witness
 // is re-solved on a fresh encoder.
 func IsConflicting(s *spec.Spec, op1, op2 *spec.Operation, opts Options, filter clauseFilter) (*Conflict, error) {
-	opts = opts.withDefaults()
+	return isConflicting(s, op1, op2, opts.withDefaults(), filter, &groundings{})
+}
+
+// isConflicting is IsConflicting with the run's groundings.
+func isConflicting(s *spec.Spec, op1, op2 *spec.Operation, opts Options, filter clauseFilter, g *groundings) (*Conflict, error) {
 	clauses := logic.Clauses(s.Invariant())
 	var checked []logic.Formula
 	for _, cl := range clauses {
@@ -184,7 +188,7 @@ func IsConflicting(s *spec.Spec, op1, op2 *spec.Operation, opts Options, filter 
 	if len(checked) == 0 {
 		return nil, nil
 	}
-	ss, err := newSession(s, opts)
+	ss, err := g.session(s, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +334,12 @@ func enumBindings(params []logic.Var, dom smt.Domain, canonical bool) []map[stri
 // operation with itself) in deterministic order and returns all conflicts,
 // one per conflicting pair.
 func FindConflicts(s *spec.Spec, opts Options) ([]*Conflict, error) {
+	opts = opts.withDefaults()
+	g := &groundings{}
 	var out []*Conflict
 	for i := 0; i < len(s.Operations); i++ {
 		for j := i; j < len(s.Operations); j++ {
-			c, err := IsConflicting(s, s.Operations[i], s.Operations[j], opts, nil)
+			c, err := isConflicting(s, s.Operations[i], s.Operations[j], opts, nil, g)
 			if err != nil {
 				return nil, err
 			}
@@ -346,13 +352,13 @@ func FindConflicts(s *spec.Spec, opts Options) ([]*Conflict, error) {
 }
 
 // findFirstConflict returns the first conflicting pair not in skip.
-func findFirstConflict(s *spec.Spec, opts Options, skip map[string]bool, filter clauseFilter) (*Conflict, error) {
+func findFirstConflict(s *spec.Spec, opts Options, skip map[string]bool, filter clauseFilter, g *groundings) (*Conflict, error) {
 	for i := 0; i < len(s.Operations); i++ {
 		for j := i; j < len(s.Operations); j++ {
 			if skip[pairKey(s.Operations[i].Name, s.Operations[j].Name)] {
 				continue
 			}
-			c, err := IsConflicting(s, s.Operations[i], s.Operations[j], opts, filter)
+			c, err := isConflicting(s, s.Operations[i], s.Operations[j], opts, filter, g)
 			if err != nil {
 				return nil, err
 			}

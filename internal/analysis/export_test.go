@@ -26,8 +26,14 @@ func PairBindings(s *spec.Spec, op1, op2 *spec.Operation, opts Options) [][2]map
 // Session exposes a session's two verdicts.
 type Session struct{ ss *session }
 
-func NewSession(s *spec.Spec, opts Options) (*Session, error) {
-	ss, err := newSession(s, opts.withDefaults())
+// Groundings are the I(pre) prefixes a run's sessions start from.
+type Groundings struct{ g *groundings }
+
+func NewGroundings() *Groundings { return &Groundings{&groundings{}} }
+
+// Session starts a session from the prefix for s, as the run's queries do.
+func (g *Groundings) Session(s *spec.Spec, opts Options) (*Session, error) {
+	ss, err := g.g.session(s, opts.withDefaults())
 	return &Session{ss}, err
 }
 
@@ -60,4 +66,48 @@ func FreshConflict(s *spec.Spec, op1, op2 *spec.Operation, b1, b2 map[string]str
 		}
 	}
 	return checkBinding(s, domainFor(s, opts.withDefaults().Scope), sig, clauses, checked, op1, op2, b1, b2)
+}
+
+// WorkCount is the work one Run counted (see workCount); Prefixes is how
+// many distinct (invariant, domain, signature) it grounded for.
+type WorkCount struct{ Groundings, Prefixes, RepairConflictQueries int }
+
+// RunCounted is Run, also returning the work it counted.
+func RunCounted(s *spec.Spec, opts Options) (*Result, WorkCount, error) {
+	g := &groundings{}
+	res, err := run(s, opts.withDefaults(), g)
+	return res, WorkCount{g.work.groundings, len(g.prefixes), g.work.repairConflictQueries}, err
+}
+
+// ReferenceRepairConflict is RepairConflict with every session grounding
+// its own I(pre) and each candidate checked for a conflict first and for
+// executability second: the order and grounding the run's shared
+// prefixes and executability-first check must agree with.
+func ReferenceRepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
+	opts = opts.withDefaults()
+	ss, err := newSession(s, opts)
+	if err != nil {
+		return nil, err
+	}
+	op1, _ := s.Operation(c.Op1.Name)
+	op2, _ := s.Operation(c.Op2.Name)
+	origExec, err := ss.executableBindings(op1, op2)
+	if err != nil {
+		return nil, err
+	}
+	return searchRepairs(s, c, opts, func(scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error) {
+		ss, err := newSession(scratch, opts)
+		if err != nil {
+			return false, err
+		}
+		if _, _, found, err := ss.firstConflict(op1, op2, boolClausesOnly); err != nil || found {
+			return false, err
+		}
+		for _, b := range origExec {
+			if ok, err := ss.executable(op1, op2, b.b1, b.b2); err != nil || !ok {
+				return false, err
+			}
+		}
+		return true, nil
+	})
 }

@@ -60,7 +60,11 @@ func (r *Result) Summary() string {
 // synthesis, the paper's §3.4 extension. The input spec is not modified;
 // the patched spec is in Result.Spec.
 func Run(s *spec.Spec, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	return run(s, opts.withDefaults(), &groundings{})
+}
+
+// run is Run on the given groundings, which every query of the run shares.
+func run(s *spec.Spec, opts Options, g *groundings) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -70,14 +74,14 @@ func Run(s *spec.Spec, opts Options) (*Result, error) {
 
 	// Phase 1: repair conflicts on boolean clauses.
 	for res.Iterations = 0; res.Iterations < opts.MaxIters; res.Iterations++ {
-		c, err := findFirstConflict(work, opts, skip, boolClausesOnly)
+		c, err := findFirstConflict(work, opts, skip, boolClausesOnly, g)
 		if err != nil {
 			return nil, err
 		}
 		if c == nil {
 			break
 		}
-		repairs, err := RepairConflict(work, c, opts)
+		repairs, err := repairConflict(work, c, opts, g)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +103,7 @@ func Run(s *spec.Spec, opts Options) (*Result, error) {
 	}
 	// Iteration budget exhausted: flag whatever still conflicts.
 	for {
-		c, err := findFirstConflict(work, opts, skip, boolClausesOnly)
+		c, err := findFirstConflict(work, opts, skip, boolClausesOnly, g)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +119,7 @@ func Run(s *spec.Spec, opts Options) (*Result, error) {
 	compSeen := map[string]int{} // clause+pred -> index in res.Compensations
 	numSkip := map[string]bool{}
 	for {
-		c, err := findFirstConflict(work, opts, numSkip, numericOnly)
+		c, err := findFirstConflict(work, opts, numSkip, numericOnly, g)
 		if err != nil {
 			return nil, err
 		}

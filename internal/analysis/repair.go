@@ -71,16 +71,43 @@ type candidateEffect struct {
 // lexicographically (paper repairConflicts + generate). Only boolean
 // clauses participate; numeric clauses route to compensations.
 func RepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
-	opts = opts.withDefaults()
+	return repairConflict(s, c, opts.withDefaults(), &groundings{})
+}
 
-	// Pool: predicates of the invariant clauses touched by either
-	// operation's effects (paper line 15).
-	pool, err := predicatePool(s, c)
+// repairConflict is RepairConflict with the run's groundings: the
+// unrepaired pair and every candidate start their sessions from them.
+func repairConflict(s *spec.Spec, c *Conflict, opts Options, g *groundings) ([]Repair, error) {
+	ss, err := g.session(s, opts)
 	if err != nil {
 		return nil, err
 	}
+	op1, _ := s.Operation(c.Op1.Name)
+	op2, _ := s.Operation(c.Op2.Name)
+	origExec, err := ss.executableBindings(op1, op2)
+	if err != nil {
+		return nil, err
+	}
+	return searchRepairs(s, c, opts, func(scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error) {
+		ss, err := g.session(scratch, opts)
+		if err != nil {
+			return false, err
+		}
+		solved, err := ss.repairSolves(op1, op2, origExec)
+		g.work.repairConflictQueries += ss.conflictQueries
+		return solved, err
+	})
+}
 
-	origExec, err := executableBindings(s, c, opts)
+// repairCheck decides whether a candidate repair solves the conflict:
+// scratch is the spec with the repair applied, op1 and op2 the pair in it.
+type repairCheck func(scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error)
+
+// searchRepairs generates the candidate repairs for the conflict and
+// returns, sorted, those the check accepts.
+func searchRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck) ([]Repair, error) {
+	// Pool: predicates of the invariant clauses touched by either
+	// operation's effects (paper line 15).
+	pool, err := predicatePool(s, c)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +117,7 @@ func RepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
 	// values to the same predicate, installing a convergence rule alone
 	// may already decide the winner (the paper's Fig. 3 uses exactly this
 	// for begin/finish: a rem-wins active set, no extra effects).
-	ruleOnly, err := ruleOnlyRepairs(s, c, origExec, opts)
+	ruleOnly, err := ruleOnlyRepairs(s, c, opts, check)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +157,7 @@ func RepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
 					continue
 				}
 				rep.Rules = rules
-				solved, err := repairSolves(s, c, rep, origExec, opts)
+				solved, err := solves(s, c, rep, check)
 				if err != nil {
 					return nil, err
 				}
@@ -196,7 +223,7 @@ func predicatePool(s *spec.Spec, c *Conflict) ([]logic.PredRef, error) {
 // predicate the two operations write with opposing values, a convergence
 // rule alone decides the winner. The repair is attributed to the
 // operation whose write the rule favours.
-func ruleOnlyRepairs(s *spec.Spec, c *Conflict, origExec []bindingPair, opts Options) ([]Repair, error) {
+func ruleOnlyRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck) ([]Repair, error) {
 	if opts.DisableRuleSuggestion {
 		return nil, nil
 	}
@@ -224,7 +251,7 @@ func ruleOnlyRepairs(s *spec.Spec, c *Conflict, origExec []bindingPair, opts Opt
 					target = c.Op2.Name
 				}
 				rep := Repair{Target: target, Rules: map[string]spec.Policy{e1.Pred: pol}}
-				solved, err := repairSolves(s, c, rep, origExec, opts)
+				solved, err := solves(s, c, rep, check)
 				if err != nil {
 					return nil, err
 				}
@@ -427,48 +454,47 @@ func requiredRules(s *spec.Spec, target, counterpart *spec.Operation, extra []sp
 	return rules, true
 }
 
-// repairSolves applies the repair on a scratch copy of the spec and
-// re-runs conflict detection for the pair against the boolean clauses.
-// A repair is only accepted if it preserves executability: for every
-// parameter binding under which the original pair could execute
-// concurrently (origExec, from executableBindings), the repaired pair must
-// still be able to (otherwise a repair could "solve" the conflict by
-// making an operation's precondition unsatisfiable, which changes the
-// application semantics — the paper requires the original semantics to be
-// preserved when no conflict occurs). Both checks share one session.
-func repairSolves(s *spec.Spec, c *Conflict, rep Repair, origExec []bindingPair, opts Options) (bool, error) {
+// solves applies the repair on a scratch copy of the spec and asks the
+// check whether the repaired pair is solved.
+func solves(s *spec.Spec, c *Conflict, rep Repair, check repairCheck) (bool, error) {
 	scratch := s.Clone()
 	applyRepair(scratch, rep)
 	op1, _ := scratch.Operation(c.Op1.Name)
 	op2, _ := scratch.Operation(c.Op2.Name)
-	ss, err := newSession(scratch, opts)
-	if err != nil {
-		return false, err
-	}
-	if _, _, found, err := ss.firstConflict(op1, op2, boolClausesOnly); err != nil || found {
-		return false, err
-	}
+	return check(scratch, op1, op2)
+}
+
+// repairSolves decides a repaired pair on its session. A repair is only
+// accepted if it preserves executability: for every parameter binding
+// under which the original pair could execute concurrently (origExec, from
+// executableBindings), the repaired pair must still be able to (otherwise
+// a repair could "solve" the conflict by making an operation's
+// precondition unsatisfiable, which changes the application semantics —
+// the paper requires the original semantics to be preserved when no
+// conflict occurs). It must also leave no conflict on the boolean
+// clauses. The verdict is the conjunction of the two checks, so their
+// order cannot change it. Executability goes first because more than half
+// the candidates fail it, and a candidate that fails it usually has no
+// conflict left, which the conflict enumeration can only establish by
+// asking every binding; an executability check stops at the first binding
+// that fails.
+func (ss *session) repairSolves(op1, op2 *spec.Operation, origExec []bindingPair) (bool, error) {
 	for _, b := range origExec {
 		if ok, err := ss.executable(op1, op2, b.b1, b.b2); err != nil || !ok {
 			return false, err
 		}
 	}
-	return true, nil
+	_, _, found, err := ss.firstConflict(op1, op2, boolClausesOnly)
+	return err == nil && !found, err
 }
 
 // bindingPair is one parameter instantiation of an operation pair.
 type bindingPair struct{ b1, b2 map[string]string }
 
-// executableBindings lists the bindings under which the conflict's pair,
-// unrepaired, can execute concurrently from some I-valid state. Every
-// candidate repair of the conflict must keep them executable.
-func executableBindings(s *spec.Spec, c *Conflict, opts Options) ([]bindingPair, error) {
-	op1, _ := s.Operation(c.Op1.Name)
-	op2, _ := s.Operation(c.Op2.Name)
-	ss, err := newSession(s, opts)
-	if err != nil {
-		return nil, err
-	}
+// executableBindings lists the bindings under which the pair, unrepaired,
+// can execute concurrently from some I-valid state. Every candidate
+// repair of a conflict on the pair must keep them executable.
+func (ss *session) executableBindings(op1, op2 *spec.Operation) ([]bindingPair, error) {
 	var out []bindingPair
 	b2s := enumBindings(op2.Params, ss.enc.Dom, false)
 	for _, b1 := range enumBindings(op1.Params, ss.enc.Dom, true) {

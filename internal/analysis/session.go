@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"maps"
+	"slices"
 	"strings"
 
 	"ipa/internal/logic"
@@ -10,8 +12,8 @@ import (
 )
 
 // session decides the verification conditions of one query site — every
-// binding of one operation pair, or one candidate repair's conflict and
-// executability checks — on a single solver. The invariant is grounded in
+// binding of one operation pair, or one candidate repair's executability
+// and conflict checks — on a single solver. The invariant is grounded in
 // the pre-state and asserted once; each clause is grounded at most once per
 // distinct state; and each binding is asked as one Tseitin literal passed
 // to Solve as an assumption, so an UNSAT binding leaves the solver usable
@@ -21,13 +23,23 @@ import (
 // A session gives verdicts only. Its model is shared by every query, so a
 // reported conflict's witness comes from a fresh checkBinding.
 type session struct {
+	*grounding
 	enc     *smt.Encoder
 	resolve smt.ResolveFunc
-	clauses []logic.Formula
-	reads   []map[string]bool // predicates and fields each clause mentions
 	pre     *smt.State
 	posts   map[string]*derived       // post-states by their ground effects
-	lits    map[clauseAt]*sat.Formula // each clause's literal per state
+	lits    map[clauseAt]*sat.Formula // each clause's literal per derived state
+	// conflictQueries counts the conflict queries the session has asked.
+	conflictQueries int
+}
+
+// grounding is a session's I(pre), read-only once built: the invariant's
+// clauses, the predicates and fields each clause mentions, and each
+// clause's literal in the pre-state.
+type grounding struct {
+	clauses []logic.Formula
+	reads   []map[string]bool
+	preLits []*sat.Formula
 }
 
 // derived is a post- or merged state with the names its effects write;
@@ -43,47 +55,114 @@ type clauseAt struct {
 	i  int
 }
 
+// newSession grounds s's invariant on a solver of its own: what a run's
+// shared prefix is frozen from (groundings.session), and the reference
+// the tests hold prefix-started sessions to.
 func newSession(s *spec.Spec, opts Options) (*session, error) {
 	sig, err := s.Signature()
 	if err != nil {
 		return nil, err
 	}
 	enc := smt.NewEncoder(domainFor(s, opts.Scope), sig)
-	ss := &session{enc: enc, resolve: s.Resolver(), clauses: logic.Clauses(s.Invariant()),
-		pre: enc.NewState("pre"), posts: map[string]*derived{}, lits: map[clauseAt]*sat.Formula{}}
-	for _, cl := range ss.clauses {
+	pre := enc.NewState("pre")
+	g := &grounding{clauses: logic.Clauses(s.Invariant())}
+	for _, cl := range g.clauses {
 		reads := map[string]bool{}
 		for _, ref := range logic.Predicates(cl) {
 			reads[ref.Name] = true
 		}
-		ss.reads = append(ss.reads, reads)
-	}
-	for i := range ss.clauses {
-		l, err := ss.clause(&derived{st: ss.pre}, i)
+		g.reads = append(g.reads, reads)
+		f, err := enc.Formula(cl, pre, smt.Binding{})
 		if err != nil {
 			return nil, err
 		}
+		l := sat.Literal(enc.S.Lit(f))
 		enc.S.Assert(l)
+		g.preLits = append(g.preLits, l)
 	}
-	return ss, nil
+	return startSession(g, enc, pre, s), nil
+}
+
+func startSession(g *grounding, enc *smt.Encoder, pre *smt.State, s *spec.Spec) *session {
+	return &session{grounding: g, enc: enc, resolve: s.Resolver(), pre: pre,
+		posts: map[string]*derived{}, lits: map[clauseAt]*sat.Formula{}}
+}
+
+// groundings is the I(pre) shared by the sessions of one analysis run.
+// Repairs add effects and convergence rules, neither of which I(pre)
+// reads, so every spec a run visits usually grounds the same I(pre). Each
+// distinct (invariant clauses, domain, signature) is grounded from the AST
+// once and frozen; every session starts its own solver from the frozen
+// prefix, with the variable numbering, clauses and Tseitin definitions a
+// self-grounded session would have, so it asks exactly the same CNF.
+type groundings struct {
+	prefixes []*prefix
+	work     workCount
+}
+
+// prefix is one frozen I(pre) with what it was grounded from. Invariants
+// are compared by identity: the specs of one run are clones of its input,
+// which share them.
+type prefix struct {
+	invariants []logic.Formula
+	sorts      []logic.Sort
+	scope      int
+	sig        smt.Signature
+	*grounding
+	enc *smt.Prefix
+}
+
+// workCount counts a run's analysis work, for the tests that pin it.
+type workCount struct {
+	groundings            int // I(pre) grounded from the AST
+	repairConflictQueries int // conflict queries asked by repair checks
+}
+
+// session starts a session for s from the run's prefix for its invariant,
+// domain and signature, grounding that prefix first if the run has none.
+func (g *groundings) session(s *spec.Spec, opts Options) (*session, error) {
+	sig, err := s.Signature()
+	if err != nil {
+		return nil, err
+	}
+	sorts := s.Sorts()
+	var p *prefix
+	for _, q := range g.prefixes {
+		if slices.Equal(q.invariants, s.Invariants) && slices.Equal(q.sorts, sorts) && q.scope == opts.Scope &&
+			maps.EqualFunc(q.sig, sig, slices.Equal) {
+			p = q
+			break
+		}
+	}
+	if p == nil {
+		ss, err := newSession(s, opts)
+		if err != nil {
+			return nil, err
+		}
+		g.work.groundings++
+		p = &prefix{invariants: slices.Clone(s.Invariants), sorts: sorts, scope: opts.Scope, sig: sig,
+			grounding: ss.grounding, enc: ss.enc.Freeze(ss.pre)}
+		g.prefixes = append(g.prefixes, p)
+	}
+	enc, pre := p.enc.Start()
+	return startSession(p.grounding, enc, pre, s), nil
 }
 
 // clause returns the literal of invariant clause i in state d. A state that
 // writes none of the clause's predicates shares the pre-state's literal.
 func (ss *session) clause(d *derived, i int) (*sat.Formula, error) {
-	st := d.st
 	if !writesAny(d.writes, ss.reads[i]) {
-		st = ss.pre
+		return ss.preLits[i], nil
 	}
-	if l, ok := ss.lits[clauseAt{st, i}]; ok {
+	if l, ok := ss.lits[clauseAt{d.st, i}]; ok {
 		return l, nil
 	}
-	f, err := ss.enc.Formula(ss.clauses[i], st, smt.Binding{})
+	f, err := ss.enc.Formula(ss.clauses[i], d.st, smt.Binding{})
 	if err != nil {
 		return nil, err
 	}
 	l := sat.Literal(ss.enc.S.Lit(f))
-	ss.lits[clauseAt{st, i}] = l
+	ss.lits[clauseAt{d.st, i}] = l
 	return l, nil
 }
 
@@ -179,6 +258,7 @@ func (ss *session) conflicting(op1, op2 *spec.Operation, b1, b2 map[string]strin
 	if err != nil {
 		return false, err
 	}
+	ss.conflictQueries++
 	merged := &derived{st: ss.enc.Merge(ss.pre, ge1, ge2, ss.resolve, "merged"), writes: effectWrites(ge1, ge2)}
 	kept := make([]*sat.Formula, len(checked))
 	for k, i := range checked {

@@ -35,9 +35,9 @@ func freshExecutable(s *spec.Spec, op1, op2 *spec.Operation, b1, b2 map[string]s
 	return enc.Solve(), nil
 }
 
-// repairLoopSpecs returns each spec Run's repair loop passes through: the
-// input, then the spec after each applied repair.
-func repairLoopSpecs(t *testing.T, s *spec.Spec) []*spec.Spec {
+// repairLoop runs s and returns the result with each spec its repair loop
+// passed through: the input, then the spec after each applied repair.
+func repairLoop(t *testing.T, s *spec.Spec) (*analysis.Result, []*spec.Spec) {
 	res, err := analysis.Run(s, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -48,14 +48,17 @@ func repairLoopSpecs(t *testing.T, s *spec.Spec) []*spec.Spec {
 		analysis.ApplyRepair(work, a.Repair)
 		out = append(out, work.Clone())
 	}
-	return out
+	return res, out
 }
 
 // TestSessionMatchesFreshSolves is the differential test of the session:
 // for every operation pair and binding of the golden specs, and of every
 // intermediate spec of their repair loops, the session's verdicts (all
 // clauses, boolean clauses only, executability), asked interleaved on one
-// solver per pair, equal those of a fresh solver per query.
+// solver per pair, equal those of a fresh solver per query. Every session
+// of one golden spec starts from the same groundings, as the sessions of a
+// Run do, so the repair-loop steps start from the prefix their input
+// grounded.
 func TestSessionMatchesFreshSolves(t *testing.T) {
 	specs := goldenSpecs(t)
 	names := make([]string, 0, len(specs))
@@ -66,10 +69,12 @@ func TestSessionMatchesFreshSolves(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			queries, sat := 0, 0
-			for step, s := range repairLoopSpecs(t, specs[name]) {
+			g := analysis.NewGroundings()
+			_, steps := repairLoop(t, specs[name])
+			for step, s := range steps {
 				for i, op1 := range s.Operations {
 					for _, op2 := range s.Operations[i:] {
-						ss, err := analysis.NewSession(s, analysis.Options{})
+						ss, err := g.Session(s, analysis.Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -117,5 +122,66 @@ func TestSessionMatchesFreshSolves(t *testing.T) {
 				t.Fatalf("%d of %d queries satisfiable: the comparison is one-sided", sat, queries)
 			}
 		})
+	}
+}
+
+// TestRepairConflictMatchesReference holds RepairConflict — sessions
+// started from shared prefixes, executability checked first — to the
+// reference that grounds every session itself and checks conflicts
+// first: for every conflict a golden spec's repair loop repaired, on the
+// spec of that step, both propose the same repairs in the same order.
+func TestRepairConflictMatchesReference(t *testing.T) {
+	specs := goldenSpecs(t)
+	names := make([]string, 0, len(specs))
+	for name := range specs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	compared, most := 0, 0
+	for _, name := range names {
+		res, steps := repairLoop(t, specs[name])
+		for k, a := range res.Applied {
+			got, err := analysis.RepairConflict(steps[k], a.Conflict, analysis.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := analysis.ReferenceRepairConflict(steps[k], a.Conflict, analysis.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s, %s ∥ %s:\n got  %v\n want %v", name, a.Conflict.Op1.Name, a.Conflict.Op2.Name, got, want)
+			}
+			compared++
+			most = max(most, len(got))
+		}
+	}
+	t.Logf("%d conflicts compared, at most %d repairs each", compared, most)
+	// Orders are only compared where there is more than one repair.
+	if most < 2 {
+		t.Fatalf("no conflict had two repairs: the order went untested")
+	}
+}
+
+// TestRunWorkCount pins, as counts, the work Run does on each golden spec.
+// Every spec a Run visits has the same invariant, domain and signature, so
+// I(pre) is grounded from the AST once and every other session starts from
+// the frozen prefix; and the repair search asks at most the stated number
+// of conflict queries. Checking executability first is what keeps the
+// last low: enumerating conflicts first asked 7,216 on tournament.
+func TestRunWorkCount(t *testing.T) {
+	maxQueries := map[string]int{"quickstart": 23, "ticket": 0, "tournament": 1402, "tpcw": 16, "twitter": 438}
+	for name, s := range goldenSpecs(t) {
+		_, w, err := analysis.RunCounted(s, analysis.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %+v", name, w)
+		if w.Groundings != 1 || w.Prefixes != 1 {
+			t.Errorf("%s: I(pre) grounded %d times for %d distinct (invariant, domain, signature), want once for one", name, w.Groundings, w.Prefixes)
+		}
+		if w.RepairConflictQueries > maxQueries[name] {
+			t.Errorf("%s: the repair search asked %d conflict queries, want at most %d", name, w.RepairConflictQueries, maxQueries[name])
+		}
 	}
 }

@@ -72,7 +72,7 @@ func TestFullTournamentAnalysis(t *testing.T) {
 		t.Fatal("capacity compensation missing")
 	}
 	// Patched spec is conflict-free on boolean clauses.
-	c, err := findFirstConflict(res.Spec, DefaultOptions(), map[string]bool{}, boolClausesOnly)
+	c, err := findFirstConflict(res.Spec, DefaultOptions(), map[string]bool{}, boolClausesOnly, &groundings{})
 	if err != nil {
 		t.Fatal(err)
 	}

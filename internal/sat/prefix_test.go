@@ -1,0 +1,94 @@
+package sat
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestNewFromContinuesAsFrozen freezes random solvers — some fresh from
+// encoding, some after a Solve left learnt clauses and a model — and then
+// drives the original and two solvers started from the prefix through one
+// random script of encodings, clauses and assumption solves. Every step
+// must return the same literal, verdict and model on all three, and leave
+// the same clauses, watch lists, trail and activities: a solver
+// started from a prefix numbers variables and decides exactly as the
+// frozen one, and starting or using one leaves the prefix unchanged.
+func TestNewFromContinuesAsFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		nVars := 3 + rng.Intn(6)
+		orig := New()
+		for i := 0; i < nVars; i++ {
+			orig.NewVar()
+		}
+		for i := rng.Intn(4); i >= 0; i-- {
+			orig.AddClause(orig.Lit(randomFormula(rng, nVars, 3)))
+		}
+		if trial%2 == 1 {
+			orig.Solve(randomAssumptions(rng, nVars)...)
+		}
+		p := orig.Freeze()
+		seed := rng.Int63()
+		want := runScript(orig, nVars, seed)
+		for k := 0; k < 2; k++ {
+			if got := runScript(NewFrom(p), nVars, seed); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, start %d from the prefix:\n got  %v\n want %v", trial, k, got, want)
+			}
+		}
+	}
+}
+
+// runScript applies a random sequence of steps, drawn from seed, and
+// records what each returned and the solver's state after it.
+func runScript(s *Solver, nVars int, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var out []string
+	for step := 0; step < 12; step++ {
+		switch rng.Intn(3) {
+		case 0:
+			out = append(out, fmt.Sprint("lit ", s.Lit(randomFormula(rng, nVars, 3)), " vars ", s.NumVars()))
+		case 1:
+			cl := append(randomAssumptions(rng, nVars), (1+rng.Intn(nVars))*(1-2*rng.Intn(2)))
+			out = append(out, fmt.Sprint("add ", s.AddClause(cl...)))
+		default:
+			ok := s.Solve(randomAssumptions(rng, nVars)...)
+			out = append(out, fmt.Sprint("solve ", ok))
+			if ok {
+				out = append(out, fmt.Sprint(s.Model()))
+			}
+		}
+		out = append(out, fingerprint(s))
+	}
+	return out
+}
+
+// fingerprint renders the solver state that decides what it does next:
+// every clause's literals in their current order, each literal's watch
+// list as clause positions, the trail and the activities.
+func fingerprint(s *Solver) string {
+	pos := make(map[*clause]int, len(s.clauses))
+	for i, c := range s.clauses {
+		pos[c] = i
+	}
+	watches := make([][]int, len(s.watches))
+	for l, ws := range s.watches {
+		for _, c := range ws {
+			watches[l] = append(watches[l], pos[c])
+		}
+	}
+	lits := make([][]lit, len(s.clauses))
+	for i, c := range s.clauses {
+		lits[i] = c.lits
+	}
+	return fmt.Sprint("clauses ", lits, " watches ", watches, " trail ", s.trail, " activity ", s.activity, s.varInc)
+}
+
+func randomAssumptions(rng *rand.Rand, nVars int) []int {
+	out := make([]int, rng.Intn(3))
+	for i := range out {
+		out[i] = (1 + rng.Intn(nVars)) * (1 - 2*rng.Intn(2))
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -99,6 +100,35 @@ type Encoder struct {
 // NewEncoder returns an encoder over the given domain and signature.
 func NewEncoder(dom Domain, sig Signature) *Encoder {
 	return &Encoder{S: sat.New(), Dom: dom, Sig: sig, consts: map[string]bv{}}
+}
+
+// Prefix is an encoder frozen after grounding: its solver, its symbolic
+// constants, and the atom and field tables of one root state. It is
+// immutable; Start begins any number of encoders from it.
+type Prefix struct {
+	dom    Domain
+	sig    Signature
+	solver *sat.Prefix
+	consts map[string]bv
+	root   string
+	atoms  map[string]*sat.Formula
+	fns    map[string]bv
+}
+
+// Freeze returns the encoder, with root — a root state created by e — as
+// a prefix. Nothing e or root do later changes the prefix.
+func (e *Encoder) Freeze(root *State) *Prefix {
+	return &Prefix{dom: e.Dom, sig: e.Sig, solver: e.S.Freeze(), consts: maps.Clone(e.consts),
+		root: root.name, atoms: maps.Clone(root.atoms), fns: maps.Clone(root.fns)}
+}
+
+// Start returns a new encoder that begins where the frozen one stood, and
+// its own copy of the frozen root state. Both number variables exactly as
+// the frozen encoder and root would have from that point on, so whatever
+// is encoded next yields the same clauses over the same variables.
+func (p *Prefix) Start() (*Encoder, *State) {
+	e := &Encoder{S: sat.NewFrom(p.solver), Dom: p.dom, Sig: p.sig, consts: maps.Clone(p.consts)}
+	return e, &State{enc: e, name: p.root, atoms: maps.Clone(p.atoms), fns: maps.Clone(p.fns)}
 }
 
 // constWidth is the bit width of symbolic constants (range 0..2^(w-1)-1).

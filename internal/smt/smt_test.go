@@ -1,6 +1,8 @@
 package smt
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ipa/internal/logic"
@@ -321,5 +323,59 @@ func TestUniformScope(t *testing.T) {
 	sorts := d.Sorts()
 	if len(sorts) != 2 || sorts[0] != "Player" {
 		t.Fatalf("sorts = %v", sorts)
+	}
+}
+
+// TestPrefixStartsWhereFrozen grounds an invariant in a pre-state, freezes
+// the encoder, and then asks the same four-state query on the original
+// and on two encoders started from the prefix: verdict, variable count,
+// model and witness values must agree on all three. The invariant covers
+// atoms, a count, a symbolic constant and a numeric field, so every table
+// the prefix carries is read after Start.
+func TestPrefixStartsWhereFrozen(t *testing.T) {
+	inv := logic.MustParse("forall (Tournament: t) :- #enrolled(*, t) <= Capacity and budget(t) >= 0 and (active(t) => tournament(t))")
+	sig := Signature{"budget": {"Tournament"}}
+	for k, v := range tourSig {
+		sig[k] = v
+	}
+	enroll := func(p string) GroundEffects {
+		return GroundEffects{
+			Bools: []BoolEffect{{Pred: "enrolled", Args: []string{p, "T1"}, Val: true}, {Pred: "active", Args: []string{"T1"}, Val: true}},
+			Nums:  []NumEffect{{Fn: "budget", Args: []string{"T1"}, Delta: -1}},
+		}
+	}
+	query := func(e *Encoder, pre *State) string {
+		merged := e.Merge(pre, enroll("P1"), enroll("P2"), nil, "merged")
+		for _, st := range []*State{e.Apply(pre, enroll("P1"), "post1"), e.Apply(pre, enroll("P2"), "post2")} {
+			if err := e.Assert(inv, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.AssertNot(inv, merged); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Solve() {
+			return fmt.Sprint("unsat, vars ", e.S.NumVars())
+		}
+		capacity, _ := e.ConstValue("Capacity")
+		budget, _ := pre.FnValue("budget", []string{"T1"})
+		enrolled, _ := merged.AtomValue("enrolled", []string{"P2", "T1"})
+		return fmt.Sprint("sat, vars ", e.S.NumVars(), " model ", e.S.Model(), " Capacity ", capacity, " budget ", budget, " enrolled(P2,T1) ", enrolled)
+	}
+	e := NewEncoder(tourDomain(2), sig)
+	pre := e.NewState("pre")
+	if err := e.Assert(inv, pre); err != nil {
+		t.Fatal(err)
+	}
+	p := e.Freeze(pre)
+	want := query(e, pre)
+	if !strings.HasPrefix(want, "sat") {
+		t.Fatalf("the query must be satisfiable to compare witnesses: %s", want)
+	}
+	for k := 0; k < 2; k++ {
+		enc, root := p.Start()
+		if got := query(enc, root); got != want {
+			t.Fatalf("start %d from the prefix:\n got  %s\n want %s", k, got, want)
+		}
 	}
 }
