@@ -69,14 +69,23 @@ func FreshConflict(s *spec.Spec, op1, op2 *spec.Operation, b1, b2 map[string]str
 }
 
 // WorkCount is the work one Run counted (see workCount); Prefixes is how
-// many distinct (invariant, domain, signature) it grounded for.
-type WorkCount struct{ Groundings, Prefixes, RepairConflictQueries int }
+// many distinct (invariant, domain, signature) it grounded for, and
+// Clauses how many invariant clauses those have in all.
+type WorkCount struct {
+	Groundings, Prefixes, Clauses, RepairConflictQueries int
+	ClauseWalks, Instantiations                          int
+}
 
 // RunCounted is Run, also returning the work it counted.
 func RunCounted(s *spec.Spec, opts Options) (*Result, WorkCount, error) {
 	g := &groundings{}
 	res, err := run(s, opts.withDefaults(), g)
-	return res, WorkCount{g.work.groundings, len(g.prefixes), g.work.repairConflictQueries}, err
+	w := WorkCount{Groundings: g.work.groundings, Prefixes: len(g.prefixes), RepairConflictQueries: g.work.repairConflictQueries,
+		ClauseWalks: g.work.smt.Walks, Instantiations: g.work.smt.Instantiations}
+	for _, p := range g.prefixes {
+		w.Clauses += len(p.clauses)
+	}
+	return res, w, err
 }
 
 // ReferenceRepairConflict is RepairConflict with every session grounding
@@ -85,7 +94,7 @@ func RunCounted(s *spec.Spec, opts Options) (*Result, WorkCount, error) {
 // prefixes and executability-first check must agree with.
 func ReferenceRepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
 	opts = opts.withDefaults()
-	ss, err := newSession(s, opts)
+	ss, err := newSession(s, opts, &workCount{})
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +105,7 @@ func ReferenceRepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair,
 		return nil, err
 	}
 	return searchRepairs(s, c, opts, func(scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error) {
-		ss, err := newSession(scratch, opts)
+		ss, err := newSession(scratch, opts, &workCount{})
 		if err != nil {
 			return false, err
 		}

@@ -3,10 +3,8 @@ package analysis
 import (
 	"maps"
 	"slices"
-	"strings"
 
 	"ipa/internal/logic"
-	"ipa/internal/sat"
 	"ipa/internal/smt"
 	"ipa/internal/spec"
 )
@@ -14,11 +12,11 @@ import (
 // session decides the verification conditions of one query site — every
 // binding of one operation pair, or one candidate repair's executability
 // and conflict checks — on a single solver. The invariant is grounded in
-// the pre-state and asserted once; each clause is grounded at most once per
-// distinct state; and each binding is asked as one Tseitin literal passed
-// to Solve as an assumption, so an UNSAT binding leaves the solver usable
-// for the next. Every definition the session adds is Tseitin, so the only
-// constraints a query sees are I(pre) and its own assumption.
+// the pre-state and asserted once; each clause is instantiated at most once
+// per distinct state; and each binding is asked as one Tseitin literal
+// passed to Solve as an assumption, so an UNSAT binding leaves the solver
+// usable for the next. Every definition the session adds is Tseitin, so the
+// only constraints a query sees are I(pre) and its own assumption.
 //
 // A session gives verdicts only. Its model is shared by every query, so a
 // reported conflict's witness comes from a fresh checkBinding.
@@ -27,73 +25,62 @@ type session struct {
 	enc     *smt.Encoder
 	resolve smt.ResolveFunc
 	pre     *smt.State
-	posts   map[string]*derived       // post-states by their ground effects
-	lits    map[clauseAt]*sat.Formula // each clause's literal per derived state
+	posts   map[string]*derived // post-states by their ground effects
+	key     []byte              // scratch for the posts key
 	// conflictQueries counts the conflict queries the session has asked.
 	conflictQueries int
 }
 
 // grounding is a session's I(pre), read-only once built: the invariant's
-// clauses, the predicates and fields each clause mentions, and each
-// clause's literal in the pre-state.
+// clauses, and their circuit instantiated in the pre-state.
 type grounding struct {
 	clauses []logic.Formula
-	reads   []map[string]bool
-	preLits []*sat.Formula
+	inv     *smt.Grounding
 }
 
-// derived is a post- or merged state with the names its effects write;
-// a post-state also keeps the literal of the invariant holding in it.
+// derived is a post-state with the literal of the invariant holding in it.
 type derived struct {
-	st     *smt.State
-	writes map[string]bool
-	holds  *sat.Formula
-}
-
-type clauseAt struct {
-	st *smt.State
-	i  int
+	st    *smt.State
+	holds int
 }
 
 // newSession grounds s's invariant on a solver of its own: what a run's
 // shared prefix is frozen from (groundings.session), and the reference
-// the tests hold prefix-started sessions to.
-func newSession(s *spec.Spec, opts Options) (*session, error) {
+// the tests hold prefix-started sessions to. The invariant's clauses are
+// walked once each, to compile their circuit, which is then instantiated
+// in the pre-state.
+func newSession(s *spec.Spec, opts Options, work *workCount) (*session, error) {
 	sig, err := s.Signature()
 	if err != nil {
 		return nil, err
 	}
-	enc := smt.NewEncoder(domainFor(s, opts.Scope), sig)
-	pre := enc.NewState("pre")
+	dom := domainFor(s, opts.Scope)
 	g := &grounding{clauses: logic.Clauses(s.Invariant())}
-	for _, cl := range g.clauses {
-		reads := map[string]bool{}
-		for _, ref := range logic.Predicates(cl) {
-			reads[ref.Name] = true
-		}
-		g.reads = append(g.reads, reads)
-		f, err := enc.Formula(cl, pre, smt.Binding{})
-		if err != nil {
-			return nil, err
-		}
-		l := sat.Literal(enc.S.Lit(f))
-		enc.S.Assert(l)
-		g.preLits = append(g.preLits, l)
+	c, err := smt.Compile(g.clauses, dom, sig, &work.smt)
+	if err != nil {
+		return nil, err
 	}
-	return startSession(g, enc, pre, s), nil
+	enc := smt.NewEncoder(dom, sig)
+	pre := enc.NewState("pre")
+	g.inv = enc.Ground(c, pre)
+	for i := range g.clauses {
+		enc.S.AddClause(g.inv.Lit(i))
+	}
+	return startSession(g, enc, pre, s, work), nil
 }
 
-func startSession(g *grounding, enc *smt.Encoder, pre *smt.State, s *spec.Spec) *session {
+func startSession(g *grounding, enc *smt.Encoder, pre *smt.State, s *spec.Spec, work *workCount) *session {
+	enc.Work = &work.smt
 	return &session{grounding: g, enc: enc, resolve: s.Resolver(), pre: pre,
-		posts: map[string]*derived{}, lits: map[clauseAt]*sat.Formula{}}
+		posts: map[string]*derived{}}
 }
 
 // groundings is the I(pre) shared by the sessions of one analysis run.
 // Repairs add effects and convergence rules, neither of which I(pre)
 // reads, so every spec a run visits usually grounds the same I(pre). Each
-// distinct (invariant clauses, domain, signature) is grounded from the AST
-// once and frozen; every session starts its own solver from the frozen
-// prefix, with the variable numbering, clauses and Tseitin definitions a
+// distinct (invariant clauses, domain, signature) is grounded once and
+// frozen; every session starts its own solver from the frozen prefix,
+// with the variable numbering, clauses and Tseitin definitions a
 // self-grounded session would have, so it asks exactly the same CNF.
 type groundings struct {
 	prefixes []*prefix
@@ -114,8 +101,9 @@ type prefix struct {
 
 // workCount counts a run's analysis work, for the tests that pin it.
 type workCount struct {
-	groundings            int // I(pre) grounded from the AST
-	repairConflictQueries int // conflict queries asked by repair checks
+	groundings            int      // I(pre) grounded
+	repairConflictQueries int      // conflict queries asked by repair checks
+	smt                   smt.Work // clause ASTs walked, clause literals instantiated
 }
 
 // session starts a session for s from the run's prefix for its invariant,
@@ -135,7 +123,7 @@ func (g *groundings) session(s *spec.Spec, opts Options) (*session, error) {
 		}
 	}
 	if p == nil {
-		ss, err := newSession(s, opts)
+		ss, err := newSession(s, opts, &g.work)
 		if err != nil {
 			return nil, err
 		}
@@ -145,47 +133,13 @@ func (g *groundings) session(s *spec.Spec, opts Options) (*session, error) {
 		g.prefixes = append(g.prefixes, p)
 	}
 	enc, pre := p.enc.Start()
-	return startSession(p.grounding, enc, pre, s), nil
+	return startSession(p.grounding, enc, pre, s, &g.work), nil
 }
 
-// clause returns the literal of invariant clause i in state d. A state that
-// writes none of the clause's predicates shares the pre-state's literal.
-func (ss *session) clause(d *derived, i int) (*sat.Formula, error) {
-	if !writesAny(d.writes, ss.reads[i]) {
-		return ss.preLits[i], nil
-	}
-	if l, ok := ss.lits[clauseAt{d.st, i}]; ok {
-		return l, nil
-	}
-	f, err := ss.enc.Formula(ss.clauses[i], d.st, smt.Binding{})
-	if err != nil {
-		return nil, err
-	}
-	l := sat.Literal(ss.enc.S.Lit(f))
-	ss.lits[clauseAt{d.st, i}] = l
-	return l, nil
-}
-
-func writesAny(writes, reads map[string]bool) bool {
-	for name := range writes {
-		if reads[name] {
-			return true
-		}
-	}
-	return false
-}
-
-func effectWrites(effs ...smt.GroundEffects) map[string]bool {
-	w := map[string]bool{}
-	for _, ge := range effs {
-		for _, be := range ge.Bools {
-			w[be.Pred] = true
-		}
-		for _, ne := range ge.Nums {
-			w[ne.Fn] = true
-		}
-	}
-	return w
+// clause returns the literal of invariant clause i in st, a state derived
+// from the session's pre-state: its circuit instantiated there.
+func (ss *session) clause(st *smt.State, i int) (int, error) {
+	return ss.inv.Clause(ss.enc, st, i)
 }
 
 // post returns the state after op runs on the pre-state under b, with
@@ -196,43 +150,26 @@ func (ss *session) post(op *spec.Operation, b map[string]string) (*derived, smt.
 	if err != nil {
 		return nil, ge, err
 	}
-	var key strings.Builder
-	for _, be := range ge.Bools {
-		key.WriteString(be.String())
-		key.WriteByte(';')
+	ss.key = ge.AppendKey(ss.key[:0])
+	if d, ok := ss.posts[string(ss.key)]; ok {
+		return d, ge, nil
 	}
-	for _, ne := range ge.Nums {
-		key.WriteString(ne.String())
-		key.WriteByte(';')
-	}
-	d, ok := ss.posts[key.String()]
-	if !ok {
-		d = &derived{st: ss.enc.Apply(ss.pre, ge, "post"), writes: effectWrites(ge)}
-		if d.holds, err = ss.invariantHolds(d); err != nil {
+	d := &derived{st: ss.enc.Apply(ss.pre, ge, "post")}
+	lits := make([]int, len(ss.clauses))
+	for i := range ss.clauses {
+		if lits[i], err = ss.clause(d.st, i); err != nil {
 			return nil, ge, err
 		}
-		ss.posts[key.String()] = d
 	}
+	d.holds = ss.enc.S.Gate(false, lits)
+	ss.posts[string(ss.key)] = d
 	return d, ge, nil
 }
 
-// invariantHolds returns the conjunction of every clause's literal in d.
-func (ss *session) invariantHolds(d *derived) (*sat.Formula, error) {
-	parts := make([]*sat.Formula, len(ss.clauses))
-	for i := range ss.clauses {
-		l, err := ss.clause(d, i)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = l
-	}
-	return sat.And(parts...), nil
-}
-
-// solve decides the session's I(pre) under query's literal as the one
-// assumption.
-func (ss *session) solve(query *sat.Formula) bool {
-	return ss.enc.S.Solve(ss.enc.S.Lit(query))
+// solve decides the session's I(pre) under the conjunction of lits as the
+// one assumption.
+func (ss *session) solve(lits ...int) bool {
+	return ss.enc.S.Solve(ss.enc.S.Gate(false, lits))
 }
 
 // checked lists the indices of the clauses the filter selects (nil = all).
@@ -259,14 +196,14 @@ func (ss *session) conflicting(op1, op2 *spec.Operation, b1, b2 map[string]strin
 		return false, err
 	}
 	ss.conflictQueries++
-	merged := &derived{st: ss.enc.Merge(ss.pre, ge1, ge2, ss.resolve, "merged"), writes: effectWrites(ge1, ge2)}
-	kept := make([]*sat.Formula, len(checked))
+	merged := ss.enc.Merge(ss.pre, ge1, ge2, ss.resolve, "merged")
+	kept := make([]int, len(checked))
 	for k, i := range checked {
 		if kept[k], err = ss.clause(merged, i); err != nil {
 			return false, err
 		}
 	}
-	return ss.solve(sat.And(post1.holds, post2.holds, sat.Not(sat.And(kept...)))), nil
+	return ss.solve(post1.holds, post2.holds, -ss.enc.S.Gate(false, kept)), nil
 }
 
 // firstConflict returns the first bindings, in enumeration order, under
@@ -299,5 +236,5 @@ func (ss *session) executable(op1, op2 *spec.Operation, b1, b2 map[string]string
 	if err != nil {
 		return false, err
 	}
-	return ss.solve(sat.And(post1.holds, post2.holds)), nil
+	return ss.solve(post1.holds, post2.holds), nil
 }

@@ -165,12 +165,16 @@ func TestRepairConflictMatchesReference(t *testing.T) {
 
 // TestRunWorkCount pins, as counts, the work Run does on each golden spec.
 // Every spec a Run visits has the same invariant, domain and signature, so
-// I(pre) is grounded from the AST once and every other session starts from
-// the frozen prefix; and the repair search asks at most the stated number
-// of conflict queries. Checking executability first is what keeps the
-// last low: enumerating conflicts first asked 7,216 on tournament.
+// I(pre) is grounded once and every other session starts from the frozen
+// prefix; each invariant clause's AST is walked exactly once per prefix,
+// to compile its circuit, and every post- and merged-state literal is an
+// instantiation of that circuit, at most the stated number per Run; and
+// the repair search asks at most the stated number of conflict queries.
+// Checking executability first is what keeps the last low: enumerating
+// conflicts first asked 7,216 on tournament.
 func TestRunWorkCount(t *testing.T) {
 	maxQueries := map[string]int{"quickstart": 23, "ticket": 0, "tournament": 1402, "tpcw": 16, "twitter": 438}
+	maxInstantiations := map[string]int{"quickstart": 403, "ticket": 227, "tournament": 43984, "tpcw": 351, "twitter": 7891}
 	for name, s := range goldenSpecs(t) {
 		_, w, err := analysis.RunCounted(s, analysis.Options{})
 		if err != nil {
@@ -179,6 +183,12 @@ func TestRunWorkCount(t *testing.T) {
 		t.Logf("%s: %+v", name, w)
 		if w.Groundings != 1 || w.Prefixes != 1 {
 			t.Errorf("%s: I(pre) grounded %d times for %d distinct (invariant, domain, signature), want once for one", name, w.Groundings, w.Prefixes)
+		}
+		if w.ClauseWalks != w.Clauses {
+			t.Errorf("%s: %d clause ASTs walked, want %d: once per clause of each prefix", name, w.ClauseWalks, w.Clauses)
+		}
+		if w.Instantiations > maxInstantiations[name] {
+			t.Errorf("%s: %d clause instantiations, want at most %d", name, w.Instantiations, maxInstantiations[name])
 		}
 		if w.RepairConflictQueries > maxQueries[name] {
 			t.Errorf("%s: the repair search asked %d conflict queries, want at most %d", name, w.RepairConflictQueries, maxQueries[name])

@@ -1,0 +1,22 @@
+package tournament
+
+import (
+	"testing"
+
+	"ipa/internal/analysis"
+)
+
+// BenchmarkAnalysis times what `ipa serve -app tournament` pays before it
+// serves its first call: one uncached analysis.Run with the Fig. 3
+// choices (Analysis caches it; this does not).
+//
+//	go test ./internal/apps/tournament -run '^$' -bench BenchmarkAnalysis -benchtime 3x
+func BenchmarkAnalysis(b *testing.B) {
+	s := Spec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := analysis.Run(s, analysis.Options{Chooser: fig3Chooser}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -189,35 +189,95 @@ func (s *Solver) Lit(f *Formula) int {
 		for i, a := range f.args {
 			lits[i] = s.Lit(a)
 		}
-		key := s.defKey[:0]
-		key = append(key, byte(f.kind))
-		for _, l := range lits {
-			key = binary.AppendVarint(key, int64(l))
-		}
-		s.defKey = key
-		if d, ok := s.defs[string(key)]; ok {
-			return d
-		}
-		d := s.NewVar()
-		s.defs[string(key)] = d
-		all := make([]int, 0, len(lits)+1)
-		if f.kind == fAnd {
-			for _, la := range lits {
-				s.AddClause(-d, la) // d → a
-				all = append(all, -la)
-			}
-			all = append(all, d) // (∧a) → d
-		} else {
-			for _, la := range lits {
-				s.AddClause(d, -la) // a → d
-				all = append(all, la)
-			}
-			all = append(all, -d) // d → (∨a)
-		}
-		s.AddClause(all...)
-		return d
+		return s.gate(f.kind, lits)
 	}
 	panic("sat: unknown formula kind")
+}
+
+// gate returns the definition variable of the And or Or of lits,
+// adding its Tseitin clauses unless the same gate is already defined.
+func (s *Solver) gate(kind formulaKind, lits []int) int {
+	key := s.defKey[:0]
+	key = append(key, byte(kind))
+	for _, l := range lits {
+		key = binary.AppendVarint(key, int64(l))
+	}
+	s.defKey = key
+	if d, ok := s.defs[string(key)]; ok {
+		return d
+	}
+	d := s.NewVar()
+	s.defs[string(key)] = d
+	all := make([]int, 0, len(lits)+1)
+	if kind == fAnd {
+		for _, la := range lits {
+			s.AddClause(-d, la) // d → a
+			all = append(all, -la)
+		}
+		all = append(all, d) // (∧a) → d
+	} else {
+		for _, la := range lits {
+			s.AddClause(d, -la) // a → d
+			all = append(all, la)
+		}
+		all = append(all, -d) // d → (∨a)
+	}
+	s.AddClause(all...)
+	return d
+}
+
+// Gate returns a literal equivalent to the conjunction (or, with or set,
+// the disjunction) of lits: Lit of the same gate over the same child
+// literals, with the constant literal folded away first. It overwrites
+// lits.
+func (s *Solver) Gate(or bool, lits []int) int {
+	unit, kind := s.trueVar, fAnd // the literal And drops; its negation decides
+	if or {
+		unit, kind = -s.trueVar, fOr
+	}
+	n := 0
+	for _, l := range lits {
+		switch {
+		case l != unit && l != -unit: // always, before the constant exists
+			lits[n] = l
+			n++
+		case l == -unit:
+			return -unit
+		}
+	}
+	switch n {
+	case 0:
+		if or {
+			return -s.trueLit()
+		}
+		return s.trueLit()
+	case 1:
+		return lits[0]
+	}
+	return s.gate(kind, lits[:n])
+}
+
+// Definitions lists the And and Or gates Lit and Gate have defined, by
+// their definition variable: the Tseitin circuit the solver was given.
+func (s *Solver) Definitions() map[int]Definition {
+	out := make(map[int]Definition, len(s.defs))
+	for key, d := range s.defs {
+		g := Definition{Or: formulaKind(key[0]) == fOr}
+		for rest := []byte(key[1:]); len(rest) > 0; {
+			l, n := binary.Varint(rest)
+			g.Args = append(g.Args, int(l))
+			rest = rest[n:]
+		}
+		out[d] = g
+	}
+	return out
+}
+
+// Definition is one Tseitin gate: its variable is equivalent to the And
+// (or the Or) of Args.
+type Definition struct {
+	Or   bool
+	Args []int
 }
 
 // trueLit returns the variable shared by every constant, forced true on

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ipa/internal/logic"
@@ -87,14 +88,51 @@ type GroundEffects struct {
 	Nums  []NumEffect
 }
 
+// AppendKey appends to dst a key that two footprints share iff they have
+// the same effects in the same order.
+func (ge GroundEffects) AppendKey(dst []byte) []byte {
+	for _, be := range ge.Bools {
+		dst = append(dst, 'b')
+		dst = append(dst, be.Pred...)
+		for _, a := range be.Args {
+			dst = append(dst, 0)
+			dst = append(dst, a...)
+		}
+		dst = append(dst, 1)
+		dst = strconv.AppendBool(dst, be.Val)
+	}
+	for _, ne := range ge.Nums {
+		dst = append(dst, 'n')
+		dst = append(dst, ne.Fn...)
+		for _, a := range ne.Args {
+			dst = append(dst, 0)
+			dst = append(dst, a...)
+		}
+		dst = append(dst, 1)
+		dst = strconv.AppendInt(dst, int64(ne.Delta), 10)
+	}
+	return dst
+}
+
 // Encoder owns a SAT solver and the shared symbolic constants; states are
 // created against it. Create one Encoder per satisfiability query.
 type Encoder struct {
-	S      *sat.Solver
-	Dom    Domain
-	Sig    Signature
+	S   *sat.Solver
+	Dom Domain
+	Sig Signature
+	// Work, if set, counts the formulas Formula walks and the clause
+	// literals Grounding.Clause rebuilds.
+	Work   *Work
 	consts map[string]bv
 	key    []byte // scratch for State.Atom/Fn cache lookups
+	vals   []int  // scratch for Grounding.Clause: one literal per node
+	args   []int  // scratch for Grounding.Clause: one gate's child literals
+}
+
+// Work counts what encoders ground, for the tests that pin it.
+type Work struct {
+	Walks          int // formula ASTs walked by Formula
+	Instantiations int // clause literals rebuilt in a derived state by Grounding.Clause
 }
 
 // NewEncoder returns an encoder over the given domain and signature.
@@ -118,17 +156,24 @@ type Prefix struct {
 // Freeze returns the encoder, with root — a root state created by e — as
 // a prefix. Nothing e or root do later changes the prefix.
 func (e *Encoder) Freeze(root *State) *Prefix {
+	atoms := make(map[string]*sat.Formula, len(root.frozenAtoms)+len(root.atoms))
+	maps.Copy(atoms, root.frozenAtoms)
+	maps.Copy(atoms, root.atoms)
+	fns := make(map[string]bv, len(root.frozenFns)+len(root.fns))
+	maps.Copy(fns, root.frozenFns)
+	maps.Copy(fns, root.fns)
 	return &Prefix{dom: e.Dom, sig: e.Sig, solver: e.S.Freeze(), consts: maps.Clone(e.consts),
-		root: root.name, atoms: maps.Clone(root.atoms), fns: maps.Clone(root.fns)}
+		root: root.name, atoms: atoms, fns: fns}
 }
 
 // Start returns a new encoder that begins where the frozen one stood, and
-// its own copy of the frozen root state. Both number variables exactly as
-// the frozen encoder and root would have from that point on, so whatever
-// is encoded next yields the same clauses over the same variables.
+// a root state that reads the frozen root's atoms and fields and adds its
+// own. Both number variables exactly as the frozen encoder and root would
+// have from that point on, so whatever is encoded next yields the same
+// clauses over the same variables.
 func (p *Prefix) Start() (*Encoder, *State) {
 	e := &Encoder{S: sat.NewFrom(p.solver), Dom: p.dom, Sig: p.sig, consts: maps.Clone(p.consts)}
-	return e, &State{enc: e, name: p.root, atoms: maps.Clone(p.atoms), fns: maps.Clone(p.fns)}
+	return e, &State{enc: e, name: p.root, frozenAtoms: p.atoms, frozenFns: p.fns}
 }
 
 // constWidth is the bit width of symbolic constants (range 0..2^(w-1)-1).
@@ -189,19 +234,26 @@ type State struct {
 
 	atoms map[string]*sat.Formula // cache: ground atom -> formula
 	fns   map[string]bv           // cache: ground numeric field -> vector
+	// A root state started from a prefix reads the frozen root's tables,
+	// shared and never written, before its own.
+	frozenAtoms map[string]*sat.Formula
+	frozenFns   map[string]bv
+
+	// tmpl, set on Compile's template state, makes each atom and field of
+	// a root state a slot of the circuit being compiled.
+	tmpl *compiling
+	// wrote caches, for Grounding.Clause, the slots a derived state writes.
+	wrote *written
 }
 
 // NewState creates a root (pre-) state with the given diagnostic name.
 func (e *Encoder) NewState(name string) *State {
-	return &State{enc: e, name: name,
-		atoms: map[string]*sat.Formula{}, fns: map[string]bv{}}
+	return &State{enc: e, name: name}
 }
 
 // Apply creates the post-state of executing the given effects on base.
 func (e *Encoder) Apply(base *State, eff GroundEffects, name string) *State {
-	return &State{enc: e, name: name, base: base,
-		bools: eff.Bools, nums: eff.Nums,
-		atoms: map[string]*sat.Formula{}, fns: map[string]bv{}}
+	return &State{enc: e, name: name, base: base, bools: eff.Bools, nums: eff.Nums}
 }
 
 // ResolveFunc decides the merged value of an atom assigned opposing values
@@ -214,9 +266,7 @@ type ResolveFunc func(pred string) (val bool, ok bool)
 // resolving opposing boolean assignments through the convergence rules and
 // summing numeric deltas (paper Fig. 2 and Alg. 1, isConflicting).
 func (e *Encoder) Merge(base *State, e1, e2 GroundEffects, resolve ResolveFunc, name string) *State {
-	st := &State{enc: e, name: name, base: base,
-		unknown: map[string]*sat.Formula{},
-		atoms:   map[string]*sat.Formula{}, fns: map[string]bv{}}
+	st := &State{enc: e, name: name, base: base}
 
 	// Opposing exact assignments on the same atom: apply the convergence
 	// rule; wildcard-vs-exact opposition is resolved the same way per atom
@@ -278,8 +328,14 @@ func (s *State) Atom(pred string, args []string) *sat.Formula {
 	if f, ok := s.atoms[string(buf)]; ok {
 		return f
 	}
+	if f, ok := s.frozenAtoms[string(buf)]; ok {
+		return f
+	}
 	key := string(buf)
 	f := s.computeAtom(pred, args, key)
+	if s.atoms == nil {
+		s.atoms = map[string]*sat.Formula{}
+	}
 	s.atoms[key] = f
 	return f
 }
@@ -287,7 +343,11 @@ func (s *State) Atom(pred string, args []string) *sat.Formula {
 func (s *State) computeAtom(pred string, args []string, key string) *sat.Formula {
 	if s.base == nil {
 		// Root state: fresh unconstrained variable.
-		return sat.Var(s.enc.S.NewVar())
+		v := s.enc.S.NewVar()
+		if s.tmpl != nil {
+			s.tmpl.slot(pred, args, false, []int{v})
+		}
+		return sat.Var(v)
 	}
 	// Collect assignments from the overlay, most specific first.
 	assignedTrue, assignedFalse := false, false
@@ -334,12 +394,24 @@ func (s *State) Fn(fn string, args []string) bv {
 	if v, ok := s.fns[string(buf)]; ok {
 		return v
 	}
+	if v, ok := s.frozenFns[string(buf)]; ok {
+		return v
+	}
 	key := string(buf)
 	var v bv
 	if s.base == nil {
-		v = make(bv, constWidth)
+		width := constWidth
+		if s.tmpl != nil {
+			width = slotWidth
+		}
+		v = make(bv, width)
+		vars := make([]int, width)
 		for i := range v {
-			v[i] = sat.Var(s.enc.S.NewVar())
+			vars[i] = s.enc.S.NewVar()
+			v[i] = sat.Var(vars[i])
+		}
+		if s.tmpl != nil {
+			s.tmpl.slot(fn, args, true, vars)
 		}
 	} else {
 		v = s.base.Fn(fn, args)
@@ -352,6 +424,9 @@ func (s *State) Fn(fn string, args []string) bv {
 		if delta != 0 {
 			v = s.enc.add(v, constBV(delta))
 		}
+	}
+	if s.fns == nil {
+		s.fns = map[string]bv{}
 	}
 	s.fns[key] = v
 	return v

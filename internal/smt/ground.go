@@ -2,6 +2,8 @@ package smt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"ipa/internal/logic"
 	"ipa/internal/sat"
@@ -16,6 +18,13 @@ type Binding map[string]string
 // comparisons are encoded as bit-vector circuits. The formula must have no
 // free variables beyond those bound in env.
 func (e *Encoder) Formula(f logic.Formula, st *State, env Binding) (*sat.Formula, error) {
+	if e.Work != nil {
+		e.Work.Walks++
+	}
+	return e.formula(f, st, env)
+}
+
+func (e *Encoder) formula(f logic.Formula, st *State, env Binding) (*sat.Formula, error) {
 	switch g := f.(type) {
 	case *logic.BoolLit:
 		if g.Val {
@@ -42,7 +51,7 @@ func (e *Encoder) Formula(f logic.Formula, st *State, env Binding) (*sat.Formula
 		return sat.And(parts...), nil
 
 	case *logic.Not:
-		inner, err := e.Formula(g.F, st, env)
+		inner, err := e.formula(g.F, st, env)
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +60,7 @@ func (e *Encoder) Formula(f logic.Formula, st *State, env Binding) (*sat.Formula
 	case *logic.And:
 		parts := make([]*sat.Formula, len(g.L))
 		for i, c := range g.L {
-			p, err := e.Formula(c, st, env)
+			p, err := e.formula(c, st, env)
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +71,7 @@ func (e *Encoder) Formula(f logic.Formula, st *State, env Binding) (*sat.Formula
 	case *logic.Or:
 		parts := make([]*sat.Formula, len(g.L))
 		for i, c := range g.L {
-			p, err := e.Formula(c, st, env)
+			p, err := e.formula(c, st, env)
 			if err != nil {
 				return nil, err
 			}
@@ -71,11 +80,11 @@ func (e *Encoder) Formula(f logic.Formula, st *State, env Binding) (*sat.Formula
 		return sat.Or(parts...), nil
 
 	case *logic.Implies:
-		a, err := e.Formula(g.A, st, env)
+		a, err := e.formula(g.A, st, env)
 		if err != nil {
 			return nil, err
 		}
-		b, err := e.Formula(g.B, st, env)
+		b, err := e.formula(g.B, st, env)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +118,7 @@ func (e *Encoder) expandForall(g *logic.Forall, st *State, env Binding) (*sat.Fo
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(g.Vars) {
-			p, err := e.Formula(g.Body, st, inner)
+			p, err := e.formula(g.Body, st, inner)
 			if err != nil {
 				return err
 			}
@@ -289,37 +298,33 @@ func (e *Encoder) Solve() bool { return e.S.Solve() }
 // satisfiable query (for counterexample printing). The atom must have been
 // mentioned by an encoded formula.
 func (st *State) AtomValue(pred string, args []string) (bool, bool) {
-	f, ok := st.atoms[atomKey(pred, args)]
-	if !ok {
-		return false, false
-	}
-	return f.Eval(st.enc.S.Model()), true
+	return st.AtomValueByKey(atomKey(pred, args))
 }
 
 // FnValue reports the model value of a ground numeric field in st.
 func (st *State) FnValue(fn string, args []string) (int, bool) {
-	v, ok := st.fns[atomKey(fn, args)]
-	if !ok {
-		return 0, false
-	}
-	return st.enc.valueOf(v), true
+	return st.FnValueByKey(atomKey(fn, args))
 }
 
 // Atoms lists the ground atoms this state has materialised (model
 // inspection helper).
 func (st *State) Atoms() []string {
-	out := make([]string, 0, len(st.atoms))
-	for k := range st.atoms {
-		out = append(out, k)
+	out := slices.Collect(maps.Keys(st.atoms))
+	for k := range st.frozenAtoms {
+		if _, ok := st.atoms[k]; !ok {
+			out = append(out, k)
+		}
 	}
 	return out
 }
 
 // Fns lists the ground numeric fields this state has materialised.
 func (st *State) Fns() []string {
-	out := make([]string, 0, len(st.fns))
-	for k := range st.fns {
-		out = append(out, k)
+	out := slices.Collect(maps.Keys(st.fns))
+	for k := range st.frozenFns {
+		if _, ok := st.fns[k]; !ok {
+			out = append(out, k)
+		}
 	}
 	return out
 }
@@ -328,6 +333,9 @@ func (st *State) Fns() []string {
 // its canonical key (as returned by Fns).
 func (st *State) FnValueByKey(key string) (int, bool) {
 	v, ok := st.fns[key]
+	if !ok {
+		v, ok = st.frozenFns[key]
+	}
 	if !ok {
 		return 0, false
 	}
@@ -338,6 +346,9 @@ func (st *State) FnValueByKey(key string) (int, bool) {
 // canonical key (as returned by Atoms).
 func (st *State) AtomValueByKey(key string) (bool, bool) {
 	f, ok := st.atoms[key]
+	if !ok {
+		f, ok = st.frozenAtoms[key]
+	}
 	if !ok {
 		return false, false
 	}
