@@ -73,4 +73,3 @@ func Interp(r runtime.Replica, capacity int) logic.Interp {
 		Consts: map[string]int{"Capacity": capacity},
 	}
 }
-

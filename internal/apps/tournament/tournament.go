@@ -142,7 +142,7 @@ func (a *App) AddTournament(r runtime.Replica, t string) *store.Txn {
 func (a *App) RemTournament(r runtime.Replica, t string) *store.Txn {
 	tx := r.Begin()
 	enrolled := store.AWSetAt(tx, KeyEnrolled)
-	if len(enrolled.ElemsWhere(crdt.Match{Index: 1, Value: t})) == 0 {
+	if len(enrolled.ElemsWhere(crdt.MatchPattern("", t))) == 0 {
 		// Cascade: clear the state flags (setting them false can never
 		// violate an invariant), then drop the tournament.
 		if store.RWSetAt(tx, KeyActive).Contains(t) {
@@ -160,7 +160,7 @@ func (a *App) RemTournament(r runtime.Replica, t string) *store.Txn {
 // RemPlayer deletes a player, provided the player has no enrolments.
 func (a *App) RemPlayer(r runtime.Replica, p string) *store.Txn {
 	tx := r.Begin()
-	if len(store.AWSetAt(tx, KeyEnrolled).ElemsWhere(crdt.Match{Index: 0, Value: p})) == 0 {
+	if len(store.AWSetAt(tx, KeyEnrolled).ElemsWhere(crdt.MatchPattern(p, ""))) == 0 {
 		store.AWSetAt(tx, KeyPlayers).Remove(p)
 	}
 	tx.Commit()
@@ -257,7 +257,7 @@ func (a *App) DoMatch(r runtime.Replica, p, q, t string) *store.Txn {
 func (a *App) Roster(r runtime.Replica, t string) []string {
 	tx := r.Begin()
 	defer tx.Commit()
-	pairs := store.AWSetAt(tx, KeyEnrolled).ElemsWhere(crdt.Match{Index: 1, Value: t})
+	pairs := store.AWSetAt(tx, KeyEnrolled).ElemsWhere(crdt.MatchPattern("", t))
 	out := make([]string, 0, len(pairs))
 	for _, pr := range pairs {
 		out = append(out, crdt.SplitTuple(pr)[0])
@@ -280,7 +280,7 @@ func (a *App) ReadStatus(r runtime.Replica, t string) (Status, *store.Txn) {
 		Exists:   store.AWSetAt(tx, KeyTournaments).Contains(t),
 		Active:   store.RWSetAt(tx, KeyActive).Contains(t),
 		Finished: store.AWSetAt(tx, KeyFinished).Contains(t),
-		Enrolled: store.AWSetAt(tx, KeyEnrolled).ElemsWhere(crdt.Match{Index: 1, Value: t}),
+		Enrolled: store.AWSetAt(tx, KeyEnrolled).ElemsWhere(crdt.MatchPattern("", t)),
 	}
 	tx.Commit()
 	return st, tx

@@ -122,7 +122,7 @@ func (a *App) OrderStatus(r runtime.Replica, order string) string {
 func (a *App) OrderConsistent(r runtime.Replica, order string, wantLines int) (bool, string) {
 	tx := r.Begin()
 	defer tx.Commit()
-	entries := len(store.AWSetAt(tx, KeyOrders).ElemsWhere(crdt.Match{Index: 0, Value: order}))
+	entries := len(store.AWSetAt(tx, KeyOrders).ElemsWhere(crdt.MatchPattern(order, "")))
 	lines := store.AWSetAt(tx, orderKey(order)).Size()
 	status, hasStatus := store.RegisterAt(tx, statusKey(order)).Value()
 	if entries == 0 && lines == 0 && !hasStatus {

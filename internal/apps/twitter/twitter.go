@@ -170,9 +170,9 @@ func (a *App) RemUser(r runtime.Replica, u string) *store.Txn {
 	users := a.usersRef(tx)
 	if a.strategy == RemWins {
 		for _, other := range users.Elems() {
-			store.RWSetAt(tx, TimelineKey(other)).RemoveWhere(crdt.Match{Index: 1, Value: u})
+			store.RWSetAt(tx, TimelineKey(other)).RemoveWhere(crdt.MatchPattern("", u))
 		}
-		store.AWSetAt(tx, KeyTweets).RemoveWhere(crdt.Match{Index: 1, Value: u})
+		store.AWSetAt(tx, KeyTweets).RemoveWhere(crdt.MatchPattern("", u))
 	}
 	users.Remove(u)
 	tx.Commit()
@@ -181,7 +181,7 @@ func (a *App) RemUser(r runtime.Replica, u string) *store.Txn {
 
 // followersOf lists the followers of u in the transaction's view.
 func followersOf(tx *store.Txn, u string) []string {
-	pairs := store.AWSetAt(tx, KeyFollows).ElemsWhere(crdt.Match{Index: 1, Value: u})
+	pairs := store.AWSetAt(tx, KeyFollows).ElemsWhere(crdt.MatchPattern("", u))
 	out := make([]string, 0, len(pairs))
 	for _, p := range pairs {
 		out = append(out, crdt.SplitTuple(p)[0])

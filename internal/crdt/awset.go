@@ -55,10 +55,10 @@ type AWAddOp struct {
 // ID implements Op.
 func (o AWAddOp) ID() clock.EventID { return o.Tag }
 
-// AWRemoveOp removes the observed add events of matching elements.
+// AWRemoveOp removes the observed add events of elements. An exact
+// remove and a wildcard remove differ only in how many elements the
+// origin observed: a receiver cancels exactly the listed tags.
 type AWRemoveOp struct {
-	Elem     string // exact element, when Pred is nil
-	Pred     Predicate
 	Observed map[string][]clock.EventID // element -> observed add tags
 	Tag      clock.EventID
 }
@@ -85,20 +85,20 @@ func (s *AWSet) PrepareRemove(elem string, tag clock.EventID) AWRemoveOp {
 	if ts, ok := s.tags[elem]; ok {
 		obs[elem] = ts.list()
 	}
-	return AWRemoveOp{Elem: elem, Observed: obs, Tag: tag}
+	return AWRemoveOp{Observed: obs, Tag: tag}
 }
 
 // PrepareRemoveWhere builds a wildcard remove: every element matching pred
 // has its observed add events cancelled. Adds concurrent with this op
 // still win (add-wins). For remove-wins wildcard semantics use RWSet.
-func (s *AWSet) PrepareRemoveWhere(pred Predicate, tag clock.EventID) AWRemoveOp {
+func (s *AWSet) PrepareRemoveWhere(pred MatchFields, tag clock.EventID) AWRemoveOp {
 	obs := map[string][]clock.EventID{}
 	for elem, ts := range s.tags {
 		if pred.Matches(elem) {
 			obs[elem] = ts.list()
 		}
 	}
-	return AWRemoveOp{Pred: pred, Observed: obs, Tag: tag}
+	return AWRemoveOp{Observed: obs, Tag: tag}
 }
 
 // Apply implements CRDT.
@@ -176,7 +176,7 @@ func (s *AWSet) Elems() []string {
 }
 
 // ElemsWhere returns the members matching pred, sorted.
-func (s *AWSet) ElemsWhere(pred Predicate) []string {
+func (s *AWSet) ElemsWhere(pred MatchFields) []string {
 	var out []string
 	for e := range s.tags {
 		if pred.Matches(e) {

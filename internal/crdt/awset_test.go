@@ -86,7 +86,7 @@ func TestAWSetWildcardRemove(t *testing.T) {
 	s.Apply(s.PrepareAdd(JoinTuple("p2", "t1"), "", g.tag("a")))
 	s.Apply(s.PrepareAdd(JoinTuple("p1", "t2"), "", g.tag("a")))
 
-	rm := s.PrepareRemoveWhere(Match{Index: 1, Value: "t1"}, g.tag("a"))
+	rm := s.PrepareRemoveWhere(MatchPattern("", "t1"), g.tag("a"))
 	s.Apply(rm)
 	if s.Contains(JoinTuple("p1", "t1")) || s.Contains(JoinTuple("p2", "t1")) {
 		t.Fatal("t1 pairs should be removed")
@@ -94,7 +94,7 @@ func TestAWSetWildcardRemove(t *testing.T) {
 	if !s.Contains(JoinTuple("p1", "t2")) {
 		t.Fatal("t2 pair should survive")
 	}
-	if got := s.ElemsWhere(Match{Index: 0, Value: "p1"}); len(got) != 1 {
+	if got := s.ElemsWhere(MatchPattern("p1", "")); len(got) != 1 {
 		t.Fatalf("ElemsWhere = %v", got)
 	}
 }

@@ -1,9 +1,9 @@
 // Package crdt implements the operation-based conflict-free replicated
 // data types the IPA runtime relies on (paper §4.2): add-wins and
-// remove-wins sets extended with touch operations, predicate (wildcard)
-// removes and payload preservation; PN- and bounded (escrow) counters; a
-// last-writer-wins register; and the Compensation Set, which enforces an
-// aggregation constraint lazily on every read.
+// remove-wins sets extended with touch operations, tuple-pattern
+// (wildcard) removes and payload preservation; PN- and bounded (escrow)
+// counters; a last-writer-wins register; and the Compensation Set, which
+// enforces an aggregation constraint lazily on every read.
 //
 // All types assume the replication layer (package store) delivers each
 // operation exactly once per replica, in causal order. Under that contract
@@ -14,7 +14,6 @@
 package crdt
 
 import (
-	"fmt"
 	"strings"
 
 	"ipa/internal/clock"
@@ -54,15 +53,6 @@ type Op interface {
 	ID() clock.EventID
 }
 
-// Match is a serialisable element predicate used by wildcard updates such
-// as the paper's enrolled(*, t) = false. Set elements that represent
-// predicate tuples are Sep-joined strings (see JoinTuple); Match selects
-// the elements whose Index-th component equals Value.
-type Match struct {
-	Index int
-	Value string
-}
-
 // TupleSep separates tuple components in set elements.
 const TupleSep = "\x1f"
 
@@ -72,28 +62,19 @@ func JoinTuple(parts ...string) string { return strings.Join(parts, TupleSep) }
 // SplitTuple decodes a set element into its tuple components.
 func SplitTuple(elem string) []string { return strings.Split(elem, TupleSep) }
 
-// Matches reports whether the element satisfies the predicate.
-func (m Match) Matches(elem string) bool {
-	parts := SplitTuple(elem)
-	return m.Index < len(parts) && parts[m.Index] == m.Value
-}
-
-func (m Match) String() string { return fmt.Sprintf("[%d]=%s", m.Index, m.Value) }
-
-// MatchFields selects tuple elements whose components equal the given
-// values at every non-wildcard position — the serialisable form of a
-// pattern like inMatch(p, *, t): Fields lists one value per tuple
-// position, with "" standing for a wildcard. Arity guards against
-// accidentally matching tuples of a different length.
+// MatchFields is the one wildcard the sets understand: a tuple pattern
+// such as the paper's inMatch(p, *, t). Fields lists one value per tuple
+// position, with "" standing for a wildcard, so the pattern's arity is
+// len(Fields) and it never matches a tuple of another length. A
+// remove-wins set indexes its wildcard tombstones by pattern (see RWSet),
+// which needs an arity of 1 to 64 and bound values free of TupleSep.
 type MatchFields struct {
-	Arity  int
 	Fields []string
 }
 
-// MatchPattern builds the predicate for a tuple pattern; wildcard
-// positions are "".
+// MatchPattern builds a tuple pattern; wildcard positions are "".
 func MatchPattern(fields ...string) MatchFields {
-	return MatchFields{Arity: len(fields), Fields: fields}
+	return MatchFields{Fields: fields}
 }
 
 // Matches reports whether the element satisfies the pattern. It walks
@@ -102,22 +83,19 @@ func MatchPattern(fields ...string) MatchFields {
 // once per candidate element. (Remove-wins sets match their wildcard
 // tombstones through a pattern index instead; see RWSet.)
 func (m MatchFields) Matches(elem string) bool {
-	if len(m.Fields) != m.Arity {
-		return false
-	}
 	rest := elem
 	for i, f := range m.Fields {
 		j := strings.Index(rest, TupleSep)
 		if j < 0 {
 			// Last component: the element must end here too.
-			return i == m.Arity-1 && (f == "" || rest == f)
+			return i == len(m.Fields)-1 && (f == "" || rest == f)
 		}
 		if f != "" && rest[:j] != f {
 			return false
 		}
 		rest = rest[j+len(TupleSep):]
 	}
-	return false // element has more components than Arity
+	return false // element has more components than the pattern
 }
 
 func (m MatchFields) String() string {
@@ -130,20 +108,6 @@ func (m MatchFields) String() string {
 		}
 	}
 	return "(" + strings.Join(out, ",") + ")"
-}
-
-// MatchAll selects every element (wildcard over the whole set).
-type MatchAll struct{}
-
-// Matches always reports true.
-func (MatchAll) Matches(string) bool { return true }
-
-// Predicate selects set elements. Only the package's own predicates —
-// Match, MatchFields and MatchAll — travel on the replication wire. An
-// add-wins remove may carry nil (it removes only its Elem); a remove-wins
-// wildcard remove must not.
-type Predicate interface {
-	Matches(elem string) bool
 }
 
 // eventSet is a small set of event IDs.

@@ -36,9 +36,9 @@ func TestRWSetMetadataBoundedByOrigins(t *testing.T) {
 	g := newTagger()
 	s := NewRWSet()
 	elem := JoinTuple("p1", "p2", "t1")
-	patterns := []Predicate{
+	patterns := []MatchFields{
 		MatchPattern("p1", "", "t1"), MatchPattern("", "p2", "t1"),
-		Match{Index: 2, Value: "t1"}, MatchAll{},
+		MatchPattern("", "", "t1"), MatchPattern("", "", ""),
 	}
 	origins := []clock.ReplicaID{"a", "b", "c"}
 	rng := rand.New(rand.NewSource(1))
@@ -93,20 +93,23 @@ func TestTupleHelpers(t *testing.T) {
 	if len(parts) != 3 || parts[0] != "p1" || parts[2] != "x" {
 		t.Fatalf("parts = %v", parts)
 	}
-	if !(Match{Index: 1, Value: "t1"}).Matches(e) {
-		t.Fatal("match by index failed")
+	if !MatchPattern("", "t1", "").Matches(e) {
+		t.Fatal("match by position failed")
 	}
-	if (Match{Index: 0, Value: "t1"}).Matches(e) {
-		t.Fatal("wrong index matched")
+	if MatchPattern("t1", "", "").Matches(e) {
+		t.Fatal("wrong position matched")
 	}
-	if (Match{Index: 9, Value: "t1"}).Matches(e) {
-		t.Fatal("out-of-range index matched")
+	if MatchPattern("", "t1").Matches(e) || MatchPattern("", "t1", "", "").Matches(e) {
+		t.Fatal("pattern of another arity matched")
 	}
-	if !(MatchAll{}).Matches(e) {
-		t.Fatal("MatchAll must match")
+	if !MatchPattern("", "", "").Matches(e) {
+		t.Fatal("all-wildcard pattern of the same arity must match")
 	}
-	if (Match{Index: 1, Value: "t1"}).String() == "" {
-		t.Fatal("Match.String empty")
+	if MatchPattern().Matches(e) || MatchPattern().Matches("") {
+		t.Fatal("empty pattern matched")
+	}
+	if got := MatchPattern("", "t1", "").String(); got != "(*,t1,*)" {
+		t.Fatalf("String = %q", got)
 	}
 }
 

@@ -61,7 +61,7 @@ func init() {
 	register(KindAWSet, func() CRDT { return NewAWSet() },
 		AWAddOp{}, AWRemoveOp{})
 	register(KindRWSet, func() CRDT { return NewRWSet() },
-		RWAddOp{}, RWRemoveOp{}, RWRemoveWhereOp{Pred: MatchAll{}}) // a wildcard remove decodes only with a predicate
+		RWAddOp{}, RWRemoveOp{}, RWRemoveWhereOp{Pred: MatchPattern("")}) // a wildcard remove decodes only with an indexable pattern
 	register(KindPNCounter, func() CRDT { return NewPNCounter() },
 		CounterOp{})
 	register(KindBoundedCounter, func() CRDT { return NewBoundedCounter(nil) },

@@ -17,7 +17,7 @@ func TestRegistryNewForOp(t *testing.T) {
 		{NewAWSet().PrepareRemove("x", tag(2)), KindAWSet},
 		{NewRWSet().PrepareAdd("x", "", tag(3)), KindRWSet},
 		{NewRWSet().PrepareRemove("x", tag(4)), KindRWSet},
-		{NewRWSet().PrepareRemoveWhere(MatchAll{}, tag(5)), KindRWSet},
+		{NewRWSet().PrepareRemoveWhere(MatchPattern("", ""), tag(5)), KindRWSet},
 		{NewPNCounter().PrepareAdd(1, tag(6)), KindPNCounter},
 		{NewLWWRegister().PrepareSet("v", 1, tag(7)), KindLWWRegister},
 	}

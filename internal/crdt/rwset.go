@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -10,7 +11,7 @@ import (
 // RWSet is a remove-wins set: a remove cancels every add it is concurrent
 // with, not only the adds it observed. An element is present iff some add
 // has observed (causally follows) every remove affecting the element —
-// including wildcard removes whose predicate matches it. This is the
+// including wildcard removes whose tuple pattern matches it. This is the
 // resolution IPA uses when the effects of a removal must prevail, e.g.
 // purging a removed tournament's enrolments (paper Fig. 2c) or a removed
 // user's timeline entries.
@@ -19,22 +20,19 @@ import (
 // record and one exact tombstone per origin, and a wildcard pattern at
 // most one tombstone per origin — the newest, which decides for all the
 // older ones (see observes). Wildcard tombstones are indexed by pattern,
-// so a membership check costs O(origins × pattern shapes in use), plus a
-// scan of the few predicates no shape describes, whatever the history. All access happens under the owning
-// store's exclusive object lock, reads included (ElemsWhere builds its
-// index lazily).
+// so a membership check costs O(origins × pattern shapes in use),
+// whatever the history. All access happens under the owning store's
+// exclusive object lock, reads included (ElemsWhere builds its index
+// lazily).
 type RWSet struct {
 	adds    map[string][]rwAdd            // element -> newest add per origin
 	removes map[string][]rwTomb           // element -> newest exact remove per origin
 	wild    map[clock.EventID]*wildRemove // every wildcard tombstone (the record snapshots encode)
 	payload map[string]string
 
-	// Indexes over wild: the tuple shapes in use, each mapping a
-	// pattern's bound values to its newest tombstone per origin, and the
-	// predicates no shape describes (Match, MatchAll, malformed patterns),
-	// scanned linearly.
+	// The index over wild: the tuple shapes in use, each mapping a
+	// pattern's bound values to its newest tombstone per origin.
 	shapes []*shapeIndex
-	other  []*wildRemove
 
 	// reads indexes the elements by read shape and bound values for
 	// ElemsWhere. It is built on a shape's first read, extended when an
@@ -82,10 +80,10 @@ type rwTomb struct {
 
 type wildRemove struct {
 	tag   clock.EventID
-	pred  Predicate
+	pred  MatchFields
 	fence clock.Vector // as rwTomb.fence
 
-	at  *shapeIndex // the index holding it; nil when it is in other
+	at  *shapeIndex // the index holding it
 	key string      // its bound values under at.shape
 }
 
@@ -140,21 +138,27 @@ func (sh tupleShape) appendKey(buf []byte, elem string) ([]byte, bool) {
 	return buf, true
 }
 
-// patternShape returns the shape and key of a well-formed MatchFields
-// pattern. Anything else — other predicate types, malformed patterns, an
-// arity beyond the mask, a bound value containing TupleSep (which matches
-// nothing) — reports false.
-func patternShape(p Predicate) (tupleShape, string, bool) {
-	m, ok := p.(MatchFields)
-	if !ok || m.Arity < 1 || m.Arity > 64 || len(m.Fields) != m.Arity {
-		return tupleShape{}, "", false
+// indexable reports whether a tuple shape describes m: an arity of 1 to
+// 64 (the bound mask's width) and no bound value containing TupleSep
+// (which matches nothing). The wire decoders reject any other pattern,
+// and a remove-wins set panics on one (see PrepareRemoveWhere).
+func (m MatchFields) indexable() bool {
+	if len(m.Fields) < 1 || len(m.Fields) > 64 {
+		return false
 	}
-	sh := tupleShape{arity: m.Arity}
+	for _, f := range m.Fields {
+		if strings.Contains(f, TupleSep) {
+			return false
+		}
+	}
+	return true
+}
+
+// patternShape returns the shape and key of an indexable pattern.
+func patternShape(m MatchFields) (tupleShape, string) {
+	sh := tupleShape{arity: len(m.Fields)}
 	var key []byte
 	for i, f := range m.Fields {
-		if strings.Contains(f, TupleSep) {
-			return tupleShape{}, "", false
-		}
 		if f == "" {
 			continue
 		}
@@ -164,7 +168,7 @@ func patternShape(p Predicate) (tupleShape, string, bool) {
 		key = append(key, f...)
 		sh.bound |= 1 << i
 	}
-	return sh, string(key), true
+	return sh, string(key)
 }
 
 // shapeIndex holds the wildcard tombstones of one tuple shape, by bound
@@ -220,9 +224,10 @@ type RWRemoveOp struct {
 func (o RWRemoveOp) ID() clock.EventID { return o.Tag }
 
 // RWRemoveWhereOp is the wildcard remove: it defeats every add of a
-// matching element unless the add causally follows this op.
+// matching element unless the add causally follows this op. Its pattern
+// must be indexable (see PrepareRemoveWhere).
 type RWRemoveWhereOp struct {
-	Pred Predicate
+	Pred MatchFields
 	Tag  clock.EventID
 }
 
@@ -247,9 +252,23 @@ func (s *RWSet) PrepareRemove(elem string, tag clock.EventID) RWRemoveOp {
 	return RWRemoveOp{Elem: elem, Tag: tag}
 }
 
-// PrepareRemoveWhere builds a wildcard remove.
-func (s *RWSet) PrepareRemoveWhere(pred Predicate, tag clock.EventID) RWRemoveWhereOp {
+// PrepareRemoveWhere builds a wildcard remove. A pattern the tombstone
+// index cannot hold (arity 0 or above 64, or a bound value containing
+// TupleSep) is a programming error — the engine rejects reserved
+// characters in call arguments, and refuses at mount a wiped remove-wins
+// predicate of more than 64 arguments — so it panics here, before a
+// transaction applies or records the op, rather than replicate a remove
+// no receiver would decode. Applying a hand-built one panics too.
+func (s *RWSet) PrepareRemoveWhere(pred MatchFields, tag clock.EventID) RWRemoveWhereOp {
+	mustIndex(pred)
 	return RWRemoveWhereOp{Pred: pred, Tag: tag}
+}
+
+// mustIndex panics on a pattern no tuple shape describes.
+func mustIndex(pred MatchFields) {
+	if !pred.indexable() {
+		panic(fmt.Sprintf("crdt: remove-where pattern %v cannot be indexed", pred))
+	}
 }
 
 // Apply implements CRDT.
@@ -311,47 +330,22 @@ func (s *RWSet) insertWild(w *wildRemove) {
 	if _, dup := s.wild[w.tag]; dup {
 		return
 	}
-	if sh, key, ok := patternShape(w.pred); ok {
-		ix := s.shapeIndex(sh)
-		list := ix.tombs[key]
-		i, newer := originSlot(list, w.tag)
-		if !newer {
-			return
-		}
-		w.at, w.key = ix, key
-		if i >= 0 {
-			delete(s.wild, list[i].tag)
-			list[i] = w
-		} else {
-			ix.tombs[key] = append(list, w)
-		}
+	mustIndex(w.pred)
+	sh, key := patternShape(w.pred)
+	ix := s.shapeIndex(sh)
+	list := ix.tombs[key]
+	i, newer := originSlot(list, w.tag)
+	if !newer {
+		return
+	}
+	w.at, w.key = ix, key
+	if i >= 0 {
+		delete(s.wild, list[i].tag)
+		list[i] = w
 	} else {
-		i := s.otherSlot(w)
-		switch {
-		case i < 0:
-			s.other = append(s.other, w)
-		case s.other[i].tag.Seq >= w.tag.Seq:
-			return
-		default:
-			delete(s.wild, s.other[i].tag)
-			s.other[i] = w
-		}
+		ix.tombs[key] = append(list, w)
 	}
 	s.wild[w.tag] = w
-}
-
-// otherSlot finds the unindexed tombstone of w's origin and predicate,
-// or -1. Only the comparable predicates collapse.
-func (s *RWSet) otherSlot(w *wildRemove) int {
-	switch w.pred.(type) {
-	case Match, MatchAll:
-		for i, x := range s.other {
-			if x.tag.Replica == w.tag.Replica && x.pred == w.pred {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 func (s *RWSet) shapeIndex(sh tupleShape) *shapeIndex {
@@ -368,10 +362,6 @@ func (s *RWSet) shapeIndex(sh tupleShape) *shapeIndex {
 // dropWild discards a wildcard tombstone and its index entry.
 func (s *RWSet) dropWild(w *wildRemove) {
 	delete(s.wild, w.tag)
-	if w.at == nil {
-		s.other = deleteEntry(s.other, w)
-		return
-	}
 	ix := w.at
 	if list := deleteEntry(ix.tombs[w.key], w); len(list) > 0 {
 		ix.tombs[w.key] = list
@@ -432,11 +422,6 @@ func (s *RWSet) defeated(elem string, a rwAdd, horizon clock.Vector) bool {
 			}
 		}
 	}
-	for _, w := range s.other {
-		if beats(w.tag) && w.pred.Matches(elem) {
-			return true
-		}
-	}
 	return false
 }
 
@@ -473,10 +458,14 @@ func (s *RWSet) Elems() []string {
 
 // ElemsWhere returns the present elements matching pred, sorted. A
 // pattern that binds a position reads only the elements with its bound
-// values; any other predicate scans the set.
-func (s *RWSet) ElemsWhere(pred Predicate) []string {
-	sh, key, ok := patternShape(pred)
-	if !ok || sh.bound == 0 {
+// values; any other pattern scans the set.
+func (s *RWSet) ElemsWhere(pred MatchFields) []string {
+	var sh tupleShape
+	var key string
+	if pred.indexable() {
+		sh, key = patternShape(pred)
+	}
+	if sh.bound == 0 {
 		var out []string
 		for e := range s.adds {
 			if pred.Matches(e) && s.Contains(e) {

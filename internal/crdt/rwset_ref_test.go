@@ -160,8 +160,9 @@ func (s *listRWSet) compactWithFrontier(horizon, frontier clock.Vector) {
 // enumerating reference must agree on every element's membership at
 // every replica after every local transaction, every delivery and every
 // compaction, and every pattern read (ElemsWhere) must equal the members
-// filtered by the pattern. Elements of arity 2 and 3 meet exact
-// patterns, the tournament's wipe shapes, Match and MatchAll. A replayed
+// filtered by the pattern. Elements of arity 2 and 3 meet patterns that
+// bind one position, the tournament's wipe shapes, a pattern that binds
+// every position and an all-wildcard pattern of each arity. A replayed
 // op older than one its origin already applied to the same target changes
 // nothing, byte for byte.
 func checkRWSetScript(t *testing.T, label string, steps int, choose func(n int) int) {
@@ -180,9 +181,10 @@ func checkRWSetScript(t *testing.T, label string, steps int, choose func(n int) 
 		JoinTuple("p1", "p2", "t1"), JoinTuple("p2", "p1", "t1"),
 		JoinTuple("p1", "p2", "t2"),
 	}
-	preds := []Predicate{
-		MatchPattern("", "t1"), MatchPattern("p1", ""), Match{Index: 1, Value: "t2"},
-		MatchPattern("p1", "", "t1"), MatchPattern("", "p1", "t1"), MatchAll{},
+	preds := []MatchFields{
+		MatchPattern("", "t1"), MatchPattern("p1", ""), MatchPattern("", "t2"), MatchPattern("", ""),
+		MatchPattern("p1", "", "t1"), MatchPattern("", "p1", "t1"), MatchPattern("p1", "p2", "t1"),
+		MatchPattern("", "", ""),
 	}
 	// target names what an op acts on, for finding same-origin successors.
 	target := func(op Op) string {

@@ -62,7 +62,7 @@ func TestRWSetWildcardKillsConcurrentAdds(t *testing.T) {
 	a.Apply(seed)
 	b.Apply(seed)
 
-	wipe := a.PrepareRemoveWhere(Match{Index: 1, Value: "t1"}, g.tag("a"))
+	wipe := a.PrepareRemoveWhere(MatchPattern("", "t1"), g.tag("a"))
 	enroll := b.PrepareAdd(JoinTuple("p2", "t1"), "", g.tag("b"))
 	a.Apply(wipe)
 	b.Apply(enroll)
@@ -82,7 +82,7 @@ func TestRWSetWildcardKillsConcurrentAdds(t *testing.T) {
 func TestRWSetAddAfterWildcardSurvives(t *testing.T) {
 	g := newTagger()
 	s := NewRWSet()
-	s.Apply(s.PrepareRemoveWhere(Match{Index: 1, Value: "t1"}, g.tag("a")))
+	s.Apply(s.PrepareRemoveWhere(MatchPattern("", "t1"), g.tag("a")))
 	// This add observes the wildcard tombstone, so it survives.
 	s.Apply(s.PrepareAdd(JoinTuple("p1", "t1"), "", g.tag("a")))
 	if !s.Contains(JoinTuple("p1", "t1")) {
@@ -160,7 +160,7 @@ func TestRWSetWildcardCompact(t *testing.T) {
 	g := newTagger()
 	s := NewRWSet()
 	s.Apply(s.PrepareAdd(JoinTuple("p1", "t1"), "", g.tag("a")))
-	s.Apply(s.PrepareRemoveWhere(Match{Index: 1, Value: "t1"}, g.tag("a")))
+	s.Apply(s.PrepareRemoveWhere(MatchPattern("", "t1"), g.tag("a")))
 	s.Compact(clock.Vector{"a": 99})
 	if len(s.wild) != 0 {
 		t.Fatal("stable wildcard tombstone should be dropped")
@@ -197,7 +197,7 @@ func TestRWSetConcurrentOpsCommute(t *testing.T) {
 			case 2:
 				ops = append(ops, base.PrepareTouch(e, g.tag(r)))
 			case 3:
-				ops = append(ops, base.PrepareRemoveWhere(Match{Index: 1, Value: "t1"}, g.tag(r)))
+				ops = append(ops, base.PrepareRemoveWhere(MatchPattern("", "t1"), g.tag(r)))
 			}
 		}
 		apply := func(order []int) []string {
@@ -234,7 +234,7 @@ func TestRWSetConcurrentOpsCommute(t *testing.T) {
 // everything that can be concurrent with it.
 func TestRWSetCompactionHoldsTombstoneForInFlightAdd(t *testing.T) {
 	elem := JoinTuple("p1", "t1")
-	wild := NewRWSet().PrepareRemoveWhere(Match{Index: 1, Value: "t1"}, clock.EventID{Replica: "b", Seq: 1})
+	wild := NewRWSet().PrepareRemoveWhere(MatchPattern("", "t1"), clock.EventID{Replica: "b", Seq: 1})
 	// The concurrent add: prepared against a state that has not seen the
 	// wildcard remove (so it observes nothing).
 	add := NewRWSet().PrepareAdd(elem, "", clock.EventID{Replica: "x", Seq: 1})

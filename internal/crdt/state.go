@@ -24,15 +24,17 @@ import (
 // Stable state kinds. Append-only; never renumber. A retired kind
 // decodes as ErrMalformedWire and is never assigned again:
 //
-//	2  remove-wins set with per-add observation sets (now 8)
+//	2  remove-wins set with per-add observation sets (later 8)
 //	6  multi-value register (deleted)
+//	8  remove-wins set whose wildcard records carried a predicate-kind
+//	   byte (now 9)
 const (
 	stateKindAWSet   byte = 1
 	stateKindPN      byte = 3
 	stateKindBounded byte = 4
 	stateKindLWW     byte = 5
 	stateKindCompSet byte = 7
-	stateKindRWSet   byte = 8
+	stateKindRWSet   byte = 9
 )
 
 // --- Vector / event-set helpers ------------------------------------------
@@ -133,7 +135,7 @@ func AppendCRDTState(b []byte, c CRDT) ([]byte, error) {
 	case *AWSet:
 		return o.appendState(append(b, stateKindAWSet)), nil
 	case *RWSet:
-		return o.appendState(append(b, stateKindRWSet))
+		return o.appendState(append(b, stateKindRWSet)), nil
 	case *PNCounter:
 		return o.appendState(append(b, stateKindPN)), nil
 	case *BoundedCounter:
@@ -236,7 +238,7 @@ func decodeAWSetState(r *WireReader) (*AWSet, error) {
 
 // --- RWSet ----------------------------------------------------------------
 
-func (s *RWSet) appendState(b []byte) ([]byte, error) {
+func (s *RWSet) appendState(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s.adds)))
 	for _, elem := range sortedKeys(s.adds) {
 		recs := sortedByTag(s.adds[elem])
@@ -265,13 +267,10 @@ func (s *RWSet) appendState(b []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(wilds)))
 	for _, w := range sortedByTag(wilds) {
 		b = AppendEventID(b, w.tag)
-		var err error
-		if b, err = AppendPredicateWire(b, w.pred); err != nil {
-			return nil, err
-		}
+		b = appendPattern(b, w.pred)
 		b = AppendVectorWire(b, w.fence)
 	}
-	return b, nil
+	return b
 }
 
 // sortedByTag returns a copy of list in event order.
@@ -281,9 +280,9 @@ func sortedByTag[T tagged](list []T) []T {
 	return out
 }
 
-// decodeRWSetState inserts every record through the path Apply takes, so
-// a snapshot holding several records of one origin (written before the
-// per-origin collapse) collapses on load.
+// decodeRWSetState inserts every record through the path Apply takes,
+// which rebuilds the pattern index and collapses any records of one
+// origin the encoder did not.
 func decodeRWSetState(r *WireReader) (*RWSet, error) {
 	s := NewRWSet()
 	n, err := r.ReadCount()
@@ -348,7 +347,7 @@ func decodeRWSetState(r *WireReader) (*RWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := decodeWildcard(r)
+		pred, err := r.readPattern()
 		if err != nil {
 			return nil, err
 		}

@@ -1,9 +1,8 @@
 package crdt
 
-// The replication wire codec: every registered operation (and predicate)
-// type serialises itself with a hand-written MarshalWire/UnmarshalWire
-// pair, dispatched through a stable one-byte wire ID. It is the only op
-// encoding on the replication path (store/netrepl batch frames, the WAL):
+// The replication wire codec: every registered operation type serialises
+// itself with a hand-written MarshalWire/UnmarshalWire pair, dispatched
+// through a stable one-byte wire ID. It is the only op encoding on the replication path (store/netrepl batch frames, the WAL):
 // the codec appends into a caller-owned buffer and decodes with a cursor
 // over the received frame, allocating only the strings, slices, and maps
 // the decoded op itself owns, with no reflection and no per-frame type
@@ -26,33 +25,22 @@ import (
 // Stable operation wire IDs. Append-only; never renumber. A retired ID
 // decodes as ErrMalformedWire and is never assigned again:
 //
+//	2   add-wins remove that also carried an element and a predicate
+//	    (now 13)
 //	3   remove-wins add with enumerated observation lists (now 12)
+//	5   remove-wins remove-where with a predicate-kind byte (now 14)
 //	11  multi-value register write (the register was deleted)
 const (
 	wireIDAWAdd         byte = 1
-	wireIDAWRemove      byte = 2
 	wireIDRWRemove      byte = 4
-	wireIDRWRemoveWhere byte = 5
 	wireIDCounter       byte = 6
 	wireIDBCConsume     byte = 7
 	wireIDBCGrant       byte = 8
 	wireIDBCTransfer    byte = 9
 	wireIDLWWSet        byte = 10
 	wireIDRWAdd         byte = 12
-)
-
-// Stable predicate wire IDs (predicates travel inside wildcard removes).
-// Only the package's own predicate types travel; an application
-// expresses its wipes with them. Append-only; a retired ID decodes as
-// ErrMalformedWire and is never assigned again:
-//
-//	4   any other predicate type as a gob payload (a peer could make the
-//	    receiver decode an arbitrary registered type)
-const (
-	wirePredNil         byte = 0
-	wirePredMatch       byte = 1
-	wirePredMatchAll    byte = 2
-	wirePredMatchFields byte = 3
+	wireIDAWRemove      byte = 13
+	wireIDRWRemoveWhere byte = 14
 )
 
 // ErrMalformedWire tags every decode failure of the binary codec: a
@@ -233,76 +221,36 @@ func (r *WireReader) readBool() (bool, error) {
 	return b != 0, nil
 }
 
-// --- Predicates ---------------------------------------------------------
+// --- Tuple patterns -----------------------------------------------------
 
-// AppendPredicateWire appends one predicate (nil allowed). A predicate
-// type outside this package's set is an error, like an unknown op.
-func AppendPredicateWire(b []byte, p Predicate) ([]byte, error) {
-	switch q := p.(type) {
-	case nil:
-		return append(b, wirePredNil), nil
-	case Match:
-		b = append(b, wirePredMatch)
-		b = binary.AppendUvarint(b, uint64(q.Index))
-		return AppendWireString(b, q.Value), nil
-	case MatchAll:
-		return append(b, wirePredMatchAll), nil
-	case MatchFields:
-		b = append(b, wirePredMatchFields)
-		b = binary.AppendUvarint(b, uint64(q.Arity))
-		b = binary.AppendUvarint(b, uint64(len(q.Fields)))
-		for _, f := range q.Fields {
-			b = AppendWireString(b, f)
-		}
-		return b, nil
-	default:
-		return nil, fmt.Errorf("crdt: predicate %T has no wire codec", p)
+// appendPattern appends a tuple pattern: its arity, then one value per
+// position ("" for a wildcard).
+func appendPattern(b []byte, m MatchFields) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m.Fields)))
+	for _, f := range m.Fields {
+		b = AppendWireString(b, f)
 	}
+	return b
 }
 
-// DecodePredicateWire consumes one predicate.
-func DecodePredicateWire(r *WireReader) (Predicate, error) {
-	id, err := r.ReadByte()
+// readPattern consumes a tuple pattern. A pattern no tuple shape
+// describes is malformed: a remove-wins set indexes every wildcard
+// tombstone it holds.
+func (r *WireReader) readPattern() (MatchFields, error) {
+	n, err := r.ReadCount()
 	if err != nil {
-		return nil, err
+		return MatchFields{}, err
 	}
-	switch id {
-	case wirePredNil:
-		return nil, nil
-	case wirePredMatch:
-		idx, err := r.ReadUvarint()
-		if err != nil {
-			return nil, err
+	m := MatchFields{Fields: make([]string, n)}
+	for i := range m.Fields {
+		if m.Fields[i], err = r.ReadString(); err != nil {
+			return MatchFields{}, err
 		}
-		v, err := r.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		return Match{Index: int(idx), Value: v}, nil
-	case wirePredMatchAll:
-		return MatchAll{}, nil
-	case wirePredMatchFields:
-		arity, err := r.ReadUvarint()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		m := MatchFields{Arity: int(arity)}
-		if n > 0 {
-			m.Fields = make([]string, n)
-			for i := range m.Fields {
-				if m.Fields[i], err = r.ReadString(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	default:
-		return nil, wireErrf("unknown predicate wire ID %d", id)
 	}
+	if !m.indexable() {
+		return MatchFields{}, wireErrf("pattern of arity %d: want 1 to 64 positions and no TupleSep in a value", n)
+	}
+	return m, nil
 }
 
 // --- Operation dispatch -------------------------------------------------
@@ -317,13 +265,13 @@ func AppendOpWire(b []byte, op Op) ([]byte, error) {
 	case AWAddOp:
 		return o.MarshalWire(append(b, wireIDAWAdd)), nil
 	case AWRemoveOp:
-		return o.MarshalWire(append(b, wireIDAWRemove))
+		return o.MarshalWire(append(b, wireIDAWRemove)), nil
 	case RWAddOp:
 		return o.MarshalWire(append(b, wireIDRWAdd)), nil
 	case RWRemoveOp:
 		return o.MarshalWire(append(b, wireIDRWRemove)), nil
 	case RWRemoveWhereOp:
-		return o.MarshalWire(append(b, wireIDRWRemoveWhere))
+		return o.MarshalWire(append(b, wireIDRWRemoveWhere)), nil
 	case CounterOp:
 		return o.MarshalWire(append(b, wireIDCounter)), nil
 	case BCConsumeOp:
@@ -364,15 +312,15 @@ func registerWireOp(id byte, name string, dec opDecoder) {
 // when it validates codecs via checkWireCodec.
 var _ = func() bool {
 	registerWireOp(wireIDAWAdd, "crdt.AWAddOp", decodeAWAdd)
-	registerWireOp(wireIDAWRemove, "crdt.AWRemoveOp", decodeAWRemove)
 	registerWireOp(wireIDRWRemove, "crdt.RWRemoveOp", decodeRWRemove)
-	registerWireOp(wireIDRWRemoveWhere, "crdt.RWRemoveWhereOp", decodeRWRemoveWhere)
 	registerWireOp(wireIDCounter, "crdt.CounterOp", decodeCounter)
 	registerWireOp(wireIDBCConsume, "crdt.BCConsumeOp", decodeBCConsume)
 	registerWireOp(wireIDBCGrant, "crdt.BCGrantOp", decodeBCGrant)
 	registerWireOp(wireIDBCTransfer, "crdt.BCTransferOp", decodeBCTransfer)
 	registerWireOp(wireIDLWWSet, "crdt.LWWSetOp", decodeLWWSet)
 	registerWireOp(wireIDRWAdd, "crdt.RWAddOp", decodeRWAdd)
+	registerWireOp(wireIDAWRemove, "crdt.AWRemoveOp", decodeAWRemove)
+	registerWireOp(wireIDRWRemoveWhere, "crdt.RWRemoveWhereOp", decodeRWRemoveWhere)
 	return true
 }()
 
@@ -450,13 +398,8 @@ func decodeAWAdd(r *WireReader) (Op, error) {
 // MarshalWire appends the op payload. The observed map is written in
 // sorted element order so encoding is deterministic (byte-identical
 // re-encoding is a property the differential tests rely on).
-func (o AWRemoveOp) MarshalWire(b []byte) ([]byte, error) {
+func (o AWRemoveOp) MarshalWire(b []byte) []byte {
 	b = AppendEventID(b, o.Tag)
-	b = AppendWireString(b, o.Elem)
-	b, err := AppendPredicateWire(b, o.Pred)
-	if err != nil {
-		return nil, err
-	}
 	b = binary.AppendUvarint(b, uint64(len(o.Observed)))
 	switch len(o.Observed) {
 	case 0:
@@ -476,19 +419,13 @@ func (o AWRemoveOp) MarshalWire(b []byte) ([]byte, error) {
 			b = appendEventIDs(b, o.Observed[elem])
 		}
 	}
-	return b, nil
+	return b
 }
 
 func decodeAWRemove(r *WireReader) (Op, error) {
 	var o AWRemoveOp
 	var err error
 	if o.Tag, err = r.ReadEventID(); err != nil {
-		return nil, err
-	}
-	if o.Elem, err = r.ReadString(); err != nil {
-		return nil, err
-	}
-	if o.Pred, err = DecodePredicateWire(r); err != nil {
 		return nil, err
 	}
 	n, err := r.ReadCount()
@@ -558,9 +495,9 @@ func decodeRWRemove(r *WireReader) (Op, error) {
 }
 
 // MarshalWire appends the op payload.
-func (o RWRemoveWhereOp) MarshalWire(b []byte) ([]byte, error) {
+func (o RWRemoveWhereOp) MarshalWire(b []byte) []byte {
 	b = AppendEventID(b, o.Tag)
-	return AppendPredicateWire(b, o.Pred)
+	return appendPattern(b, o.Pred)
 }
 
 func decodeRWRemoveWhere(r *WireReader) (Op, error) {
@@ -569,21 +506,10 @@ func decodeRWRemoveWhere(r *WireReader) (Op, error) {
 	if o.Tag, err = r.ReadEventID(); err != nil {
 		return nil, err
 	}
-	if o.Pred, err = decodeWildcard(r); err != nil {
+	if o.Pred, err = r.readPattern(); err != nil {
 		return nil, err
 	}
 	return o, nil
-}
-
-// decodeWildcard consumes a wildcard remove's predicate, which must not
-// be nil: a remove-wins set matches every wildcard tombstone against its
-// elements.
-func decodeWildcard(r *WireReader) (Predicate, error) {
-	p, err := DecodePredicateWire(r)
-	if err == nil && p == nil {
-		err = wireErrf("wildcard remove without a predicate")
-	}
-	return p, err
 }
 
 // MarshalWire appends the op payload.

@@ -2,7 +2,7 @@ package crdt
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -22,27 +22,32 @@ func eid(rep string, seq uint64) clock.EventID {
 func TestWireIDPinning(t *testing.T) {
 	want := []string{
 		"1=crdt.AWAddOp",
-		"2=crdt.AWRemoveOp",
 		"4=crdt.RWRemoveOp",
-		"5=crdt.RWRemoveWhereOp",
 		"6=crdt.CounterOp",
 		"7=crdt.BCConsumeOp",
 		"8=crdt.BCGrantOp",
 		"9=crdt.BCTransferOp",
 		"10=crdt.LWWSetOp",
 		"12=crdt.RWAddOp",
+		"13=crdt.AWRemoveOp",
+		"14=crdt.RWRemoveWhereOp",
 	}
 	got := WireIDTable()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("wire ID table changed — IDs are append-only, never renumber.\n got: %v\nwant: %v", got, want)
 	}
-	// Retired: 3 (remove-wins add with observation lists) and 11 (the
-	// multi-value register's write). Each is fed with the payload it used
-	// to carry and must not decode.
+	// Retired: 2 (add-wins remove with an element and a predicate), 3
+	// (remove-wins add with observation lists), 5 (remove-where with a
+	// predicate-kind byte) and 11 (the multi-value register's write). Each
+	// is fed with the payload it used to carry and must not decode.
 	rwAdd := AppendWireString(AppendWireString(AppendEventID([]byte{3}, eid("r1", 2)), "e"), "p")
 	rwAdd = appendEventIDs(appendEventIDs(append(rwAdd, 0), nil), []clock.EventID{eid("r2", 1)})
 	mvSet := appendEventIDs(AppendWireString(AppendEventID([]byte{11}, eid("r1", 2)), "v"), []clock.EventID{eid("r1", 1)})
-	retired := map[byte][]byte{3: rwAdd, 11: mvSet}
+	awRemove := append(AppendWireString(AppendEventID([]byte{2}, eid("r1", 3)), "e"), 0, 1) // nil predicate, one element
+	awRemove = appendEventIDs(AppendWireString(awRemove, "e"), []clock.EventID{eid("r1", 2)})
+	removeWhere := append(AppendEventID([]byte{5}, eid("r1", 4)), 3, 2, 2) // MatchFields, arity 2, two fields
+	removeWhere = AppendWireString(AppendWireString(removeWhere, ""), "t1")
+	retired := map[byte][]byte{2: awRemove, 3: rwAdd, 5: removeWhere, 11: mvSet}
 	for id, frame := range retired {
 		r := NewWireReader(frame)
 		if op, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
@@ -58,21 +63,22 @@ func wireSampleOps() []Op {
 	return []Op{
 		AWAddOp{Elem: "e1", Tag: eid("r1", 7), Pay: "payload", Touch: true},
 		AWAddOp{Tag: eid("", 0)},
-		AWRemoveOp{Elem: "e1", Tag: eid("r2", 9), Observed: map[string][]clock.EventID{
+		AWRemoveOp{Tag: eid("r2", 9), Observed: map[string][]clock.EventID{
 			"e1": {eid("r1", 7), eid("r3", 2)},
 		}},
-		AWRemoveOp{Pred: Match{Index: 2, Value: "bob"}, Tag: eid("r1", 1), Observed: map[string][]clock.EventID{
+		AWRemoveOp{Tag: eid("r1", 1), Observed: map[string][]clock.EventID{
 			"a": {eid("r1", 1)},
 			"b": {eid("r2", 2)},
 			"c": nil,
 		}},
-		AWRemoveOp{Pred: MatchAll{}, Tag: eid("r1", 2)},
-		AWRemoveOp{Pred: MatchFields{Arity: 3, Fields: []string{"x", "", "z"}}, Tag: eid("r1", 3)},
+		AWRemoveOp{Tag: eid("r1", 2)},
 		RWAddOp{Elem: "u" + TupleSep + "v", Pay: "p", Touch: true, Tag: eid("r9", 12)},
 		RWAddOp{Tag: eid("r1", 1)},
 		RWRemoveOp{Elem: "gone", Tag: eid("r4", 44)},
-		RWRemoveWhereOp{Pred: Match{Index: 0, Value: "k"}, Tag: eid("r5", 55)},
-		RWRemoveWhereOp{Pred: MatchFields{Arity: 3, Fields: []string{"p", "", "t"}}, Tag: eid("r5", 56)},
+		RWRemoveWhereOp{Pred: MatchPattern("k"), Tag: eid("r5", 55)},
+		RWRemoveWhereOp{Pred: MatchPattern("p", "", "t"), Tag: eid("r5", 56)},
+		RWRemoveWhereOp{Pred: MatchPattern("", ""), Tag: eid("r5", 57)},
+		RWRemoveWhereOp{Pred: MatchPattern(make([]string, 64)...), Tag: eid("r5", 58)},
 		CounterOp{Delta: -1234567, Tag: eid("r6", 66)},
 		CounterOp{Delta: 1, Tag: eid("r6", 67)},
 		BCConsumeOp{Replica: "siteA", N: 3, Tag: eid("r7", 77)},
@@ -106,7 +112,7 @@ func TestOpWireRoundTrip(t *testing.T) {
 // value — map-carrying ops must serialise in sorted order so differential
 // tests can compare frames byte for byte.
 func TestOpWireDeterministic(t *testing.T) {
-	op := AWRemoveOp{Pred: MatchAll{}, Tag: eid("r1", 1), Observed: map[string][]clock.EventID{
+	op := AWRemoveOp{Tag: eid("r1", 1), Observed: map[string][]clock.EventID{
 		"zebra": {eid("r3", 3)}, "alpha": {eid("r1", 1)}, "mid": {eid("r2", 2)},
 	}}
 	first, err := AppendOpWire(nil, op)
@@ -160,8 +166,6 @@ func TestOpWireHostileCounts(t *testing.T) {
 	// it.
 	b := []byte{wireIDAWRemove}
 	b = AppendEventID(b, eid("r1", 1))
-	b = AppendWireString(b, "e")
-	b = append(b, wirePredNil)
 	b = append(b, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // uvarint 2^42
 	r := NewWireReader(b)
 	if _, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
@@ -169,97 +173,91 @@ func TestOpWireHostileCounts(t *testing.T) {
 	}
 }
 
-func TestPredicateWireRoundTrip(t *testing.T) {
-	preds := []Predicate{
-		nil,
-		Match{Index: 0, Value: ""},
-		Match{Index: 3, Value: "x" + TupleSep + "y"},
-		MatchAll{},
-		MatchFields{Arity: 2, Fields: []string{"a", "b"}},
-		MatchFields{Arity: 2},
+// TestAWRemoveCarriesOnlyObserved pins the add-wins remove's payload: a
+// receiver cancels exactly the observed tags, so an exact remove and a
+// wildcard remove both encode as the tag and the observed map, nothing
+// else, and round-trip to an equal op.
+func TestAWRemoveCarriesOnlyObserved(t *testing.T) {
+	g := newTagger()
+	s := NewAWSet()
+	s.Apply(s.PrepareAdd(JoinTuple("p1", "t1"), "", g.tag("a")))
+	s.Apply(s.PrepareAdd(JoinTuple("p2", "t1"), "", g.tag("b")))
+	s.Apply(s.PrepareAdd(JoinTuple("p1", "t2"), "", g.tag("a")))
+	ops := map[string]AWRemoveOp{
+		"exact":    s.PrepareRemove(JoinTuple("p1", "t1"), g.tag("c")),
+		"wildcard": s.PrepareRemoveWhere(MatchPattern("", "t1"), g.tag("c")),
 	}
-	for _, p := range preds {
-		b, err := AppendPredicateWire(nil, p)
+	for name, op := range ops {
+		b, err := AppendOpWire(nil, op)
 		if err != nil {
-			t.Fatalf("encode %#v: %v", p, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		r := NewWireReader(b)
-		got, err := DecodePredicateWire(&r)
-		if err != nil {
-			t.Fatalf("decode %#v: %v", p, err)
+		if got, err := DecodeOpWire(&r); err != nil || !reflect.DeepEqual(got, op) {
+			t.Fatalf("%s: round trip = %#v (err %v), want %#v", name, got, err, op)
 		}
-		if !reflect.DeepEqual(got, p) {
-			t.Fatalf("predicate round trip:\n got %#v\nwant %#v", got, p)
+		want := 1 + len(AppendEventID(nil, op.Tag)) + len(binary.AppendUvarint(nil, uint64(len(op.Observed))))
+		for elem, tags := range op.Observed {
+			want += len(AppendWireString(nil, elem)) + len(appendEventIDs(nil, tags))
+		}
+		if len(b) != want {
+			t.Errorf("%s remove encodes to %d bytes; its wire ID, tag and observed map take %d", name, len(b), want)
 		}
 	}
 }
 
-// testPred is an application-style custom predicate: a type this
-// package's wire table has never heard of.
-type testPred struct{ A, B string }
-
-func (p testPred) Matches(elem string) bool { return elem == p.A || elem == p.B }
-
-// TestPredicateWireRejectsCustomTypes pins that only the package's own
-// predicate types travel: encoding any other type errors (so the sender
-// fails its batch instead of shipping it), and predicate ID 4 — the
-// retired gob escape hatch that let a peer make the receiver decode an
-// arbitrary registered type — is malformed input, fed here byte for byte
-// as the old encoder wrote it.
-func TestPredicateWireRejectsCustomTypes(t *testing.T) {
-	ops := []Op{
-		AWRemoveOp{Elem: "e", Tag: clock.EventID{Replica: "r", Seq: 1}, Pred: testPred{A: "x", B: "y"}},
-		RWRemoveWhereOp{Pred: testPred{A: "p", B: "q"}, Tag: clock.EventID{Replica: "r", Seq: 2}},
-	}
-	for _, op := range ops {
-		if b, err := AppendOpWire(nil, op); err == nil {
-			t.Errorf("%T with a custom predicate encoded to %d bytes; want an error", op, len(b))
-		}
-	}
-
-	gob.Register(testPred{})
-	var payload bytes.Buffer
-	var pred Predicate = testPred{A: "p", B: "q"}
-	if err := gob.NewEncoder(&payload).Encode(&pred); err != nil {
-		t.Fatal(err)
-	}
-	retired := AppendWireString([]byte{4}, payload.String())
-	r := NewWireReader(retired)
-	if p, err := DecodePredicateWire(&r); !errors.Is(err, ErrMalformedWire) {
-		t.Errorf("retired predicate ID 4 decoded as %#v (err %v); want ErrMalformedWire", p, err)
-	}
-	op := append(AppendEventID([]byte{wireIDRWRemoveWhere}, eid("r", 2)), retired...)
-	r = NewWireReader(op)
-	if got, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
-		t.Errorf("remove-where carrying predicate ID 4 decoded as %#v (err %v); want ErrMalformedWire", got, err)
-	}
-}
-
-// TestRWRemoveWhereRejectsNilPredicate pins that a wildcard remove without
-// a predicate is malformed input, as an op and inside a snapshot: a set
-// that accepted one would crash on its next membership check.
-func TestRWRemoveWhereRejectsNilPredicate(t *testing.T) {
-	b, err := AppendOpWire(nil, RWRemoveWhereOp{Tag: eid("r5", 56)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewWireReader(b)
-	if op, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
-		t.Fatalf("nil-predicate remove-where decoded as %#v (err %v); want ErrMalformedWire", op, err)
-	}
-
+// snapshotWithPattern encodes a remove-wins set of one add and one
+// wildcard tombstone, the last record of its state, and splices pat in
+// for the tombstone's pattern.
+func snapshotWithPattern(t *testing.T, pat MatchFields) []byte {
+	t.Helper()
 	s := NewRWSet()
 	s.Apply(RWAddOp{Elem: "x", Tag: eid("a", 1)})
-	s.Apply(RWRemoveWhereOp{Pred: MatchAll{}, Tag: eid("b", 1)})
+	s.Apply(RWRemoveWhereOp{Pred: MatchPattern("x"), Tag: eid("b", 1)})
 	state, err := AppendCRDTState(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap the wildcard's predicate (the byte before its nil fence, the
-	// state's last byte) for the nil predicate.
-	state[len(state)-2] = wirePredNil
-	r = NewWireReader(state)
-	if c, err := DecodeCRDTState(&r); !errors.Is(err, ErrMalformedWire) {
-		t.Fatalf("snapshot with a nil wildcard predicate decoded as %#v (err %v); want ErrMalformedWire", c, err)
+	tail := append(appendPattern(nil, MatchPattern("x")), 0) // the pattern, then a nil fence
+	if !bytes.HasSuffix(state, tail) {
+		t.Fatalf("snapshot %q does not end in its wildcard's pattern and fence", state)
+	}
+	return append(appendPattern(state[:len(state)-len(tail):len(state)-len(tail)], pat), 0)
+}
+
+// TestRWRemoveWhereRejectsUnindexablePatterns pins that a wildcard remove
+// whose pattern the tombstone index cannot hold is malformed input, as an
+// op and inside a snapshot, and that building or applying one in-process
+// panics: a set that accepted one could neither match nor encode it.
+func TestRWRemoveWhereRejectsUnindexablePatterns(t *testing.T) {
+	for name, pat := range map[string]MatchFields{
+		"arity 0":             MatchPattern(),
+		"arity 65":            MatchPattern(make([]string, 65)...),
+		"TupleSep in a value": MatchPattern("p"+TupleSep+"q", ""),
+	} {
+		op := appendPattern(AppendEventID([]byte{wireIDRWRemoveWhere}, eid("r5", 56)), pat)
+		r := NewWireReader(op)
+		if got, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
+			t.Errorf("%s: remove-where decoded as %#v (err %v); want ErrMalformedWire", name, got, err)
+		}
+
+		r = NewWireReader(snapshotWithPattern(t, pat))
+		if c, err := DecodeCRDTState(&r); !errors.Is(err, ErrMalformedWire) {
+			t.Errorf("%s: snapshot decoded as %#v (err %v); want ErrMalformedWire", name, c, err)
+		}
+
+		for what, call := range map[string]func(){
+			"PrepareRemoveWhere": func() { NewRWSet().PrepareRemoveWhere(pat, eid("b", 2)) },
+			"Apply":              func() { NewRWSet().Apply(RWRemoveWhereOp{Pred: pat, Tag: eid("b", 2)}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s accepted the pattern; want a panic", name, what)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }

@@ -267,7 +267,9 @@ func Mount(orig *spec.Spec, res *analysis.Result, cluster runtime.Cluster, opts 
 	if err := a.compileOps(orig); err != nil {
 		return nil, err
 	}
-	a.deriveRemWins()
+	if err := a.deriveRemWins(); err != nil {
+		return nil, err
+	}
 	a.sortList = s.Sorts()
 	a.predList = sortedKeys(a.preds)
 	a.numList = sortedKeys(a.nums)
@@ -894,21 +896,31 @@ func (a *App) deriveGuards(co *compiledOp) {
 // wildcard falsification must defeat adds concurrent with it (the
 // paper's rem-wins wildcard removal, §4.2.1), which an add-wins set
 // cannot express. A programmer- or analysis-installed add-wins rule is
-// never overridden — the wipe then only cancels observed elements.
-func (a *App) deriveRemWins() {
+// never overridden — the wipe then only cancels observed elements. A
+// remove-wins set indexes a wildcard remove by the positions it binds,
+// at most 64, so a wider predicate wiped remove-wins does not mount.
+func (a *App) deriveRemWins() error {
 	wipes := func(terms []logic.Term) bool { return hasWildcard(terms) }
+	var wiped []string
 	for _, co := range a.ops {
 		for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
 			if e.Kind == spec.BoolAssign && !e.Val && wipes(e.Args) {
-				a.markRemWins(e.Pred)
+				wiped = append(wiped, e.Pred)
 			}
 		}
 		for _, c := range co.cascades {
 			if wipes(c.terms) {
-				a.markRemWins(c.pred)
+				wiped = append(wiped, c.pred)
 			}
 		}
 	}
+	for _, pred := range wiped {
+		a.markRemWins(pred)
+		if pi := a.preds[pred]; pi != nil && pi.remWins && len(pi.sorts) > 64 {
+			return fmt.Errorf("engine: %s has %d arguments; a remove-wins wildcard remove covers at most 64", pred, len(pi.sorts))
+		}
+	}
+	return nil
 }
 
 func (a *App) markRemWins(pred string) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -214,6 +215,22 @@ func TestCallErrors(t *testing.T) {
 	if _, err := Mount(empty, &analysis.Result{Spec: empty}, nil); err == nil ||
 		!strings.Contains(err.Error(), "no operations") {
 		t.Fatalf("zero-operation spec mounted: %v", err)
+	}
+
+	// A remove-wins set indexes a wildcard remove by the positions it
+	// binds, at most 64: a wider wiped predicate is refused at mount, not
+	// by the first call that wipes it.
+	for _, arity := range []int{64, 65} {
+		args := "x" + strings.Repeat(", x", arity-1)
+		pattern := "x" + strings.Repeat(", *", arity-1)
+		src := fmt.Sprintf("spec wide\ninvariant forall (A: x) :- w(%s) => p(x)\n"+
+			"operation add(A: x) {\n    w(%s) := true\n}\n"+
+			"operation wipe(A: x) {\n    w(%s) := false\n}\n", args, args, pattern)
+		wide := spec.MustParse(src)
+		_, err := Mount(wide, &analysis.Result{Spec: wide}, nil)
+		if refused := err != nil && strings.Contains(err.Error(), "at most 64"); refused != (arity > 64) {
+			t.Fatalf("arity %d wiped remove-wins: Mount err = %v", arity, err)
+		}
 	}
 }
 

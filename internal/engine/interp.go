@@ -122,11 +122,11 @@ type setRef interface {
 	Add(elem, payload string)
 	Touch(elem string)
 	Remove(elem string)
-	RemoveWhere(pred crdt.Predicate)
+	RemoveWhere(pred crdt.MatchFields)
 	Contains(elem string) bool
 	Size() int
 	Elems() []string
-	ElemsWhere(pred crdt.Predicate) []string
+	ElemsWhere(pred crdt.MatchFields) []string
 }
 
 // set binds the predicate's set in tx (the first binding takes the

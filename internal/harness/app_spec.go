@@ -37,9 +37,10 @@ type specChaos struct {
 	aliases map[string]string
 }
 
-// specEntry caches one source's parse + analysis: the IPA loop costs
-// seconds on larger specs and its output is immutable, while the chaos
-// engine builds a fresh adapter per schedule.
+// specEntry caches one source's parse + analysis: the chaos engine
+// builds a fresh adapter per schedule, and the analysis output is
+// immutable, so a campaign runs the IPA loop once instead of once per
+// schedule (a tournament run alone is ≈ 0.6 s).
 type specEntry struct {
 	once sync.Once
 	orig *spec.Spec

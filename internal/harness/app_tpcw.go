@@ -60,7 +60,7 @@ func (a *tpcwChaos) orderAtomic(ctx *Ctx, site int, po placedOrder) (bool, strin
 	tx := r.Begin()
 	ordersRef := store.AWSetAt(tx, tpcw.KeyOrders)
 	linesRef := store.AWSetAt(tx, tpcw.OrderKey(po.id))
-	entries := len(ordersRef.ElemsWhere(crdt.Match{Index: 0, Value: po.id}))
+	entries := len(ordersRef.ElemsWhere(crdt.MatchPattern(po.id, "")))
 	lines := linesRef.Size()
 	tx.Commit()
 	if entries == 0 && lines == 0 {
@@ -171,7 +171,7 @@ func (a *tpcwChaos) Apply(ctx *Ctx, op Op) {
 		// concurrency — which is what the IPA touch repair addresses.
 		item := op.Args[0]
 		tx := r.Begin()
-		referenced := len(store.AWSetAt(tx, tpcw.KeyOrders).ElemsWhere(crdt.Match{Index: 1, Value: item})) > 0
+		referenced := len(store.AWSetAt(tx, tpcw.KeyOrders).ElemsWhere(crdt.MatchPattern("", item))) > 0
 		tx.Commit()
 		if !referenced {
 			app.RemProduct(r, item)

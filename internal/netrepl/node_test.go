@@ -146,7 +146,7 @@ func TestWireRoundTrip(t *testing.T) {
 	store.BoundedAt(tx, "bc").Consume(2)
 	tx.Commit()
 	tx = n.Begin()
-	store.RWSetAt(tx, "rw").RemoveWhere(crdt.Match{Index: 1, Value: "q"})
+	store.RWSetAt(tx, "rw").RemoveWhere(crdt.MatchPattern("", "q"))
 	tx.Commit()
 	waitConverged(t, nodes)
 	tx = nodes[2].Begin()

@@ -131,7 +131,7 @@ func TestCompactionPreservesObservableState(t *testing.T) {
 			case 1:
 				RWSetAt(tx, "rw").Remove(e)
 			case 2:
-				RWSetAt(tx, "rw").RemoveWhere(crdt.Match{Index: 1, Value: "t1"})
+				RWSetAt(tx, "rw").RemoveWhere(crdt.MatchPattern("", "t1"))
 			case 3:
 				AWSetAt(tx, "aw").Add(e, "payload")
 			case 4:
@@ -459,7 +459,7 @@ func TestConcurrentRemoteRemoveInsideLocalAdd(t *testing.T) {
 	b.cluster.SetOnCommit(func(w WireTxn) { fromB = append(fromB, w) })
 
 	tx := b.Begin()
-	RWSetAt(tx, "set").RemoveWhere(crdt.MatchAll{})
+	RWSetAt(tx, "set").RemoveWhere(crdt.MatchPattern(""))
 	tx.Commit()
 
 	reading, release, readerDone := make(chan struct{}), make(chan struct{}), make(chan struct{})

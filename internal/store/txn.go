@@ -285,7 +285,7 @@ func (r AWSetRef) Remove(elem string) {
 }
 
 // RemoveWhere deletes every element matching pred.
-func (r AWSetRef) RemoveWhere(pred crdt.Predicate) {
+func (r AWSetRef) RemoveWhere(pred crdt.MatchFields) {
 	op := r.set.PrepareRemoveWhere(pred, r.tx.NewTag())
 	r.tx.Apply(r.key, op, nil)
 }
@@ -297,7 +297,7 @@ func (r AWSetRef) Contains(elem string) bool { return r.set.Contains(elem) }
 func (r AWSetRef) Elems() []string { return r.set.Elems() }
 
 // ElemsWhere lists the members matching pred.
-func (r AWSetRef) ElemsWhere(pred crdt.Predicate) []string { return r.set.ElemsWhere(pred) }
+func (r AWSetRef) ElemsWhere(pred crdt.MatchFields) []string { return r.set.ElemsWhere(pred) }
 
 // Size returns the member count.
 func (r AWSetRef) Size() int { return r.set.Size() }
@@ -342,7 +342,7 @@ func (r RWSetRef) Remove(elem string) {
 
 // RemoveWhere deletes every matching element, defeating concurrent adds
 // (the paper's enrolled(*, t) = false wildcard).
-func (r RWSetRef) RemoveWhere(pred crdt.Predicate) {
+func (r RWSetRef) RemoveWhere(pred crdt.MatchFields) {
 	op := r.set.PrepareRemoveWhere(pred, r.tx.NewTag())
 	r.tx.Apply(r.key, op, nil)
 }
@@ -354,7 +354,7 @@ func (r RWSetRef) Contains(elem string) bool { return r.set.Contains(elem) }
 func (r RWSetRef) Elems() []string { return r.set.Elems() }
 
 // ElemsWhere lists the members matching pred.
-func (r RWSetRef) ElemsWhere(pred crdt.Predicate) []string { return r.set.ElemsWhere(pred) }
+func (r RWSetRef) ElemsWhere(pred crdt.MatchFields) []string { return r.set.ElemsWhere(pred) }
 
 // Size returns the member count.
 func (r RWSetRef) Size() int { return r.set.Size() }

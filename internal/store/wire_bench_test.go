@@ -22,7 +22,7 @@ func benchTxns(n int) []WireTxn {
 			Updates: []Update{
 				{Key: "t/enrolled", Op: crdt.AWAddOp{Elem: "p\x1fq", Tag: tag, Pay: "payload"}},
 				{Key: "t/budget", Op: crdt.CounterOp{Delta: -1, Tag: tag}},
-				{Key: "t/removed", Op: crdt.AWRemoveOp{Elem: "z", Tag: tag, Observed: map[string][]clock.EventID{"z": {{Replica: "r2", Seq: 4}}}}},
+				{Key: "t/removed", Op: crdt.AWRemoveOp{Tag: tag, Observed: map[string][]clock.EventID{"z": {{Replica: "r2", Seq: 4}}}}},
 			},
 		}
 	}

@@ -12,9 +12,10 @@ import (
 //     malformed, hostile counts);
 //   - every input that is not a v2 frame errors — in particular every
 //     frame of the retired gob formats v0 and v1, seeded below, and the
-//     seeded v2 frames carrying the retired op wire IDs 3 and 11, the
-//     retired predicate wire ID 4, and a remove-where without a
-//     predicate;
+//     seeded v2 frames carrying the retired op wire IDs 2, 3, 5 and 11,
+//     and remove-wheres whose pattern cannot be indexed;
+//   - DecodeSnapshot, which shares the state codecs, never panics either
+//     (seeded with a snapshot of the retired remove-wins state kind 8);
 //   - any input that decodes successfully re-encodes to a decodable
 //     frame carrying the same transactions (encode→decode identity,
 //     checked bytewise through the deterministic encoder).
@@ -33,7 +34,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, frame := range retiredOpFrames() {
 		f.Add(frame)
 	}
-	f.Add(nilWildcardFrame())
+	for _, frame := range unindexableFrames() {
+		f.Add(frame)
+	}
+	f.Add(retiredRWSetSnapshot())
 	if empty, err := EncodeBatchV2(nil); err == nil {
 		f.Add(empty)
 	}
@@ -57,6 +61,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := DecodeSnapshot(data); err == nil && !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+			t.Fatal("decoded a snapshot without the snapshot magic")
+		}
 		txns, err := DecodeFrame(data)
 		if err != nil {
 			return // malformed input must error, and it did — done

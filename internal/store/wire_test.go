@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -57,25 +59,25 @@ func oneUpdateFrame(id byte, payload func([]byte) []byte) []byte {
 	return payload(append(b, id))
 }
 
-// nilWildcardFrame builds a v2 frame whose one update is a remove-where
-// (op ID 5) with the nil predicate, which a remove-wins set cannot match
-// against its elements.
-func nilWildcardFrame() []byte {
-	return oneUpdateFrame(5, func(b []byte) []byte {
-		b = crdt.AppendEventID(b, clock.EventID{Replica: "a", Seq: 1})
-		return append(b, 0) // predicate ID 0: nil
-	})
-}
-
 // retiredOpFrames builds v2 frames whose one update carries a retired op
-// or predicate wire ID, with the payload senders wrote before it was
-// retired: op 3 is the remove-wins add with its observation lists (one
-// exact remove, one wildcard), op 11 the multi-value register write with
-// its observed list, predicate 4 a gob-encoded custom predicate.
+// wire ID, with the payload senders wrote before it was retired: op 2 is
+// the add-wins remove with an element and a (nil) predicate besides its
+// observed tags, op 3 the remove-wins add with its observation lists (one
+// exact remove, one wildcard), op 5 the remove-where with a predicate-kind
+// byte and an arity before its pattern, op 11 the multi-value register
+// write with its observed list.
 func retiredOpFrames() map[string][]byte {
 	frame := oneUpdateFrame
 	tag := clock.EventID{Replica: "a", Seq: 1}
 	return map[string][]byte{
+		"op ID 2": frame(2, func(b []byte) []byte {
+			b = crdt.AppendEventID(b, tag)
+			b = crdt.AppendWireString(b, "e")
+			b = append(b, 0, 1) // nil predicate, one observed element
+			b = crdt.AppendWireString(b, "e")
+			b = append(b, 1) // one observed tag
+			return crdt.AppendEventID(b, clock.EventID{Replica: "b", Seq: 4})
+		}),
 		"op ID 3": frame(3, func(b []byte) []byte {
 			b = crdt.AppendEventID(b, tag)
 			b = crdt.AppendWireString(b, "e")
@@ -85,35 +87,82 @@ func retiredOpFrames() map[string][]byte {
 			b = append(b, 1) // one observed wildcard
 			return crdt.AppendEventID(b, clock.EventID{Replica: "c", Seq: 2})
 		}),
+		"op ID 5": frame(5, func(b []byte) []byte {
+			b = crdt.AppendEventID(b, tag)
+			b = append(b, 3, 2, 2) // pattern predicate, arity 2, two fields
+			return crdt.AppendWireString(crdt.AppendWireString(b, ""), "t1")
+		}),
 		"op ID 11": frame(11, func(b []byte) []byte {
 			b = crdt.AppendEventID(b, tag)
 			b = crdt.AppendWireString(b, "v")
 			b = append(b, 1) // one observed write
 			return crdt.AppendEventID(b, clock.EventID{Replica: "b", Seq: 1})
 		}),
-		// A remove-where (op ID 5, still live) whose predicate is the
-		// retired ID 4: a length-prefixed gob payload of any registered
-		// type. The decoder refuses the ID before reading the payload.
-		"predicate ID 4": frame(5, func(b []byte) []byte {
-			b = crdt.AppendEventID(b, tag)
-			return crdt.AppendWireString(append(b, 4), "\x0e\xff\x81\x03\x01\x01\x08testPred")
-		}),
 	}
 }
 
+// unindexableFrames builds v2 frames whose one update is a remove-where
+// (op ID 14) with a pattern no tuple shape describes: arity 0, arity 65,
+// or a bound value containing TupleSep.
+func unindexableFrames() map[string][]byte {
+	pattern := func(fields ...string) []byte {
+		return oneUpdateFrame(14, func(b []byte) []byte {
+			b = crdt.AppendEventID(b, clock.EventID{Replica: "a", Seq: 1})
+			b = append(b, byte(len(fields)))
+			for _, f := range fields {
+				b = crdt.AppendWireString(b, f)
+			}
+			return b
+		})
+	}
+	return map[string][]byte{
+		"pattern of arity 0":  pattern(),
+		"pattern of arity 65": pattern(make([]string, 65)...),
+		"TupleSep in a value": pattern("p"+crdt.TupleSep+"q", ""),
+	}
+}
+
+// retiredRWSetSnapshot builds a snapshot image holding one remove-wins
+// set in the retired state kind 8, whose wildcard records carried a
+// predicate-kind byte and an arity before their pattern.
+func retiredRWSetSnapshot() []byte {
+	body := crdt.AppendVectorWire(nil, clock.Vector{"a": 2})
+	body = crdt.AppendWireString(body, "a")
+	body = append(body, 1) // one object
+	body = crdt.AppendWireString(body, "rw")
+	body = append(body, 8, 1) // kind 8; one element with adds
+	body = crdt.AppendWireString(crdt.AppendWireString(body, "x"+crdt.TupleSep+"t1"), "")
+	body = append(body, 1) // one add record
+	body = append(crdt.AppendEventID(body, clock.EventID{Replica: "a", Seq: 1}), 0)
+	body = append(body, 0, 1) // no exact tombstones; one wildcard
+	body = crdt.AppendEventID(body, clock.EventID{Replica: "a", Seq: 2})
+	body = append(body, 3, 2, 2) // pattern predicate, arity 2, two fields
+	body = crdt.AppendWireString(crdt.AppendWireString(body, ""), "t1")
+	body = append(body, 0) // no fence
+	out := append([]byte(snapshotMagic), snapshotVersion)
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
 // TestDecodeFrameRejectsRetiredFormats pins that the gob formats v0 and
-// v1, v2 frames carrying a retired op or predicate wire ID, and a wildcard
-// remove without a predicate are rejected as malformed input, not decoded.
+// v1, v2 frames carrying a retired op wire ID, remove-wheres whose
+// pattern cannot be indexed, and a snapshot holding the retired
+// remove-wins state kind 8 are rejected as malformed input, not decoded.
 func TestDecodeFrameRejectsRetiredFormats(t *testing.T) {
 	v0, v1 := retiredFrames(t)
 	frames := retiredOpFrames()
 	frames["v0"], frames["v1"] = v0, v1
-	frames["nil wildcard predicate"] = nilWildcardFrame()
+	for name, frame := range unindexableFrames() {
+		frames[name] = frame
+	}
 	for name, frame := range frames {
 		txns, err := DecodeFrame(frame)
 		if !errors.Is(err, crdt.ErrMalformedWire) {
 			t.Errorf("%s frame: DecodeFrame = %d txns, err %v; want an error wrapping ErrMalformedWire", name, len(txns), err)
 		}
+	}
+	if snap, err := DecodeSnapshot(retiredRWSetSnapshot()); !errors.Is(err, crdt.ErrMalformedWire) {
+		t.Errorf("state kind 8 snapshot decoded as %#v (err %v); want an error wrapping ErrMalformedWire", snap, err)
 	}
 }
 
@@ -139,8 +188,8 @@ func TestDecodeFrameRejectsGarbageAndBadVersion(t *testing.T) {
 	}
 }
 
-// richTxns builds a batch exercising every registered op type, every
-// predicate, multi-replica dep vectors, and empty edge cases — the corpus
+// richTxns builds a batch exercising every registered op type, patterns,
+// multi-replica dep vectors, and empty edge cases — the corpus
 // the v2 codec must carry with full fidelity.
 func richTxns() []WireTxn {
 	e := func(rep string, seq uint64) clock.EventID {
@@ -153,8 +202,8 @@ func richTxns() []WireTxn {
 			FirstSeq: 5, LastSeq: 7,
 			Updates: []Update{
 				{Key: "aw", Op: crdt.AWAddOp{Elem: "x", Tag: e("a", 5), Pay: "p", Touch: true}},
-				{Key: "aw", Op: crdt.AWRemoveOp{Elem: "x", Tag: e("a", 6), Observed: map[string][]clock.EventID{"x": {e("a", 5)}}}},
-				{Key: "aw", Op: crdt.AWRemoveOp{Pred: crdt.Match{Index: 1, Value: "v"}, Tag: e("a", 7)}},
+				{Key: "aw", Op: crdt.AWRemoveOp{Tag: e("a", 6), Observed: map[string][]clock.EventID{"x": {e("a", 5)}}}},
+				{Key: "aw", Op: crdt.AWRemoveOp{Tag: e("a", 7)}},
 			},
 		},
 		{
@@ -164,8 +213,8 @@ func richTxns() []WireTxn {
 				{Key: "rw", Op: crdt.RWAddOp{Elem: "y", Pay: "q", Tag: e("b", 1)}},
 				{Key: "rw", Op: crdt.RWAddOp{Elem: "y", Touch: true, Tag: e("b", 1)}},
 				{Key: "rw", Op: crdt.RWRemoveOp{Elem: "y", Tag: e("b", 1)}},
-				{Key: "rw", Op: crdt.RWRemoveWhereOp{Pred: crdt.MatchAll{}, Tag: e("b", 1)}},
-				{Key: "rw", Op: crdt.RWRemoveWhereOp{Pred: crdt.MatchFields{Arity: 2, Fields: []string{"f", "g"}}, Tag: e("b", 1)}},
+				{Key: "rw", Op: crdt.RWRemoveWhereOp{Pred: crdt.MatchPattern(""), Tag: e("b", 1)}},
+				{Key: "rw", Op: crdt.RWRemoveWhereOp{Pred: crdt.MatchPattern("f", "g"), Tag: e("b", 1)}},
 			},
 		},
 		{
