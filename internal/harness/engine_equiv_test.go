@@ -185,9 +185,9 @@ func newSimEquivCluster(seed int64) equivCluster {
 	return equivCluster{runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), sites)), sites}
 }
 
-func newNetEquivCluster(t *testing.T, ops int) equivCluster {
+func newNetEquivCluster(t *testing.T) equivCluster {
 	sites := siteIDs(3)
-	cluster, err := runtime.NewNetCluster(sites, chaosNetConfig(ops, ""))
+	cluster, err := runtime.NewNetCluster(sites, chaosNetConfig(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestEngineMatchesHandCodedTwitterNet(t *testing.T) {
 		t.Skip("real-socket cluster per executor")
 	}
 	const ops = 50
-	runTwitterHandVsEngine(t, newNetEquivCluster(t, ops), newNetEquivCluster(t, ops), 0x7A11, ops)
+	runTwitterHandVsEngine(t, newNetEquivCluster(t), newNetEquivCluster(t), 0x7A11, ops)
 }
 
 // runTicketHandVsEngine drives the hand-coded IPA FusionTicket (the
@@ -525,7 +525,7 @@ func TestEngineMatchesHandCodedTicketNet(t *testing.T) {
 		t.Skip("real-socket cluster per executor")
 	}
 	const ops = 40
-	runTicketHandVsEngine(t, newNetEquivCluster(t, ops), newNetEquivCluster(t, ops), 0x71CE, ops)
+	runTicketHandVsEngine(t, newNetEquivCluster(t), newNetEquivCluster(t), 0x71CE, ops)
 }
 
 // TestEngineMatchesHandCodedTournamentNet repeats the executor

@@ -45,7 +45,7 @@ func BackendDigest(cfg Config, seed uint64, backend string) (string, error) {
 		cluster = ctx.Cluster
 	case runtime.BackendNet:
 		sites := siteIDs(cfg.Replicas)
-		cluster, err = runtime.NewNetCluster(sites, chaosNetConfig(cfg.Ops, ""))
+		cluster, err = runtime.NewNetCluster(sites, chaosNetConfig(""))
 		if err != nil {
 			return "", err
 		}

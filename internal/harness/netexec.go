@@ -23,26 +23,18 @@ const netPace = 0.02
 // chaosNetConfig tunes the socket cluster for chaos runs: a low backoff
 // ceiling so partitioned senders re-probe quickly after heal, and a tight
 // flush interval so replication lands inside the compressed horizon.
-//
-// The outbound queue is sized to hold the whole schedule: the executor is
-// a single thread, so a commit that hit the backpressure wait during a
-// live partition would block the very loop that runs the heal event — the
-// queue must never fill. A schedule of N ops commits at most a few
-// transactions per op; 4N + slack bounds it with room to spare, and
-// memory stays proportional to the ops actually committed.
 // dataDir, when non-empty, makes every node durable — the schedule has
 // lifecycle faults, so crash/recover and join must round-trip through
 // real write-ahead logs and snapshots. SnapshotEvery is tiny on purpose:
 // chaos traffic is a few kilobytes, and the snapshot/truncation cycle is
 // one of the two subtle recovery paths the fuzzing exists to cover.
-func chaosNetConfig(ops int, dataDir string) runtime.NetConfig {
+func chaosNetConfig(dataDir string) runtime.NetConfig {
 	return runtime.NetConfig{
 		DataDir: dataDir,
 		Transport: netrepl.Config{
 			FlushInterval: 200 * time.Microsecond,
 			BackoffMin:    time.Millisecond,
 			BackoffMax:    25 * time.Millisecond,
-			QueueCap:      4*ops + 1024,
 			// A violation returns with faults still live; keep the
 			// senders' post-Close flush window short so teardown does not
 			// stall against a still-blocked receiver.
@@ -104,7 +96,7 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 		}
 		defer os.RemoveAll(dataDir)
 	}
-	cluster, err := runtime.NewNetCluster(sites, chaosNetConfig(s.Cfg.Ops, dataDir))
+	cluster, err := runtime.NewNetCluster(sites, chaosNetConfig(dataDir))
 	if err != nil {
 		return "", nil, err
 	}

@@ -81,9 +81,6 @@ func TestCloseDropConnectionsRace(t *testing.T) {
 			t.Fatalf("DropConnections after Close killed %d connections, want 0", n)
 		}
 		close(stop)
-		// Close a before joining its committer: with b gone for good, a
-		// committer can legitimately sit in the backpressure wait, and
-		// Close is what unblocks it (the enqueue drops, counted).
 		a.Close()
 		wg.Wait()
 	}

@@ -14,8 +14,8 @@ import (
 // path races them. Run under -race; together with the store property
 // suite they are the safety proof of the replica core on real sockets.
 
-// waitQuiet polls until every node's clock matches and no apply or send
-// queue holds work.
+// waitQuiet polls until every node's clock matches and neither a delivery
+// buffer nor an outbound log holds work.
 func waitQuiet(t *testing.T, nodes []*Node) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ipa/internal/clock"
 	"ipa/internal/store"
 )
 
@@ -328,4 +329,96 @@ func TestOversizedTxnStallDetection(t *testing.T) {
 	if v := counterValue(b, "after"); v != 0 {
 		t.Fatalf("receiver applied %d post-gap txns across a causal gap", v)
 	}
+}
+
+// restartAt recovers a killed durable node from dir at its old address,
+// retrying while the OS releases the port.
+func restartAt(t *testing.T, id, addr, dir string) *Node {
+	t.Helper()
+	var err error
+	for attempt := 0; attempt < 20; attempt++ {
+		var n *Node
+		if n, err = NewNodeWithConfig(clock.ReplicaID(id), addr, durableCfg(dir)); err == nil {
+			return n
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("restart %s at %s: %v", id, addr, err)
+	return nil
+}
+
+// TestRecoveredCommitsReachPeerThroughLog pins the offer of recovered
+// records: a durable origin commits while its peer refuses every frame,
+// so no peer holds any of its acknowledged commits when it is killed.
+// Restarted from its data directory, the origin's outbound log starts
+// with those records, so the peer converges on every one of them, ahead
+// of the commits made after the restart.
+func TestRecoveredCommitsReachPeerThroughLog(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewNodeWithConfig("a", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewNodeWithConfig("b", "127.0.0.1:0", durableCfg(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.BlockOrigin("a", true)
+	a.AddPeer("b", b.Addr())
+	commitN(a, "c", 50) // each Commit returned after its fsync: acknowledged
+	addr := a.Addr()
+	if err := a.Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := restartAt(t, "a", addr, dir)
+	defer rec.Close()
+	rec.AddPeer("b", b.Addr())
+	commitN(rec, "c", 10)
+	b.BlockOrigin("a", false)
+	waitUntil(t, "the peer converges on every acknowledged commit", func() bool {
+		return counterValue(b, "c") == 60 && rec.Stats().QueueDepth == 0
+	})
+}
+
+// TestRecoveredLogWaitsForEveryPeer adds a recovered node's peers one at
+// a time: the first peer catches up on the recovered records before the
+// second is added, and the second must still be offered them. The log
+// keeps recovered records until the node's next commit for this reason;
+// trimming them on the first peer's ack would leave the second stalled on
+// a causal gap forever.
+func TestRecoveredLogWaitsForEveryPeer(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewNodeWithConfig("a", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewNodeWithConfig("b", "127.0.0.1:0", durableCfg(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c, err := NewNodeWithConfig("c", "127.0.0.1:0", durableCfg(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	commitN(a, "c", 20) // no peers: nothing leaves a before the crash
+	addr := a.Addr()
+	if err := a.Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := restartAt(t, "a", addr, dir)
+	defer rec.Close()
+	rec.AddPeer("b", b.Addr())
+	waitUntil(t, "the first peer catches up", func() bool {
+		return counterValue(b, "c") == 20 && rec.Stats().QueueDepth == 0
+	})
+	rec.AddPeer("c", c.Addr())
+	commitN(rec, "c", 1)
+	waitUntil(t, "the second peer converges too", func() bool {
+		return counterValue(c, "c") == 21 && counterValue(b, "c") == 21
+	})
 }

@@ -43,13 +43,12 @@ func ExampleNewNode() {
 }
 
 // ExampleNewNodeWithConfig tunes the streaming transport: a wide
-// coalescing window and large batches for bulk replication, a small
-// queue to bound memory (full queues backpressure committers).
+// coalescing window and large batches for bulk replication, and a
+// patient drain on Close.
 func ExampleNewNodeWithConfig() {
 	cfg := netrepl.Config{
 		FlushInterval: 2 * time.Millisecond, // wait longer, batch more
 		MaxBatchTxns:  512,                  // up to 512 txns per frame
-		QueueCap:      1024,                 // bound outbound memory
 		DrainTimeout:  5 * time.Second,      // flush patiently on Close
 	}
 	src, err := netrepl.NewNodeWithConfig("src", "127.0.0.1:0", cfg)
@@ -69,7 +68,7 @@ func ExampleNewNodeWithConfig() {
 		store.CounterAt(tx, "events").Add(1)
 		tx.Commit()
 	}
-	src.Close() // drains the queue before returning
+	src.Close() // flushes what dst lacks before returning
 
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		if dst.Clock().Get("src") >= 100 {

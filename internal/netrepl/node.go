@@ -12,22 +12,21 @@
 //   - one persistent connection per peer, dialed lazily on the first
 //     send and re-established after failures with exponential backoff
 //     plus jitter;
-//   - a bounded per-peer outbound queue; commits enqueue and return,
-//     a dedicated sender goroutine per peer coalesces queued
-//     transactions into batch frames (Config.FlushInterval and
-//     Config.MaxBatchTxns bound the coalescing window and batch size);
-//   - backpressure instead of unbounded memory: when a peer's queue is
-//     full the committing transaction blocks until the sender drains
-//     (counted in Metrics.BackpressureWaits), never dropping a frame —
-//     a causal gap would stall the receiver's delivery buffer forever;
+//   - one outbound log per node with a cursor per peer: a commit appends
+//     and returns, never waiting on a peer, and a sender goroutine per
+//     peer coalesces the entries past its cursor into batch frames
+//     (Config.FlushInterval and Config.MaxBatchTxns bound the window and
+//     the batch). An entry stays until every peer has acknowledged it, so
+//     an unreachable peer grows the log by one transaction per commit
+//     (Metrics.QueueDepth) — the simulator's partition buffer;
 //   - acknowledged delivery: the receiver confirms each batch frame after
 //     handing its transactions to the replica, and the sender counts a
 //     frame sent only on ack. A write that succeeds into a socket the
 //     peer kills before reading would otherwise be silent loss — the
 //     chaos soak (internal/harness) surfaces exactly this under churn;
 //   - graceful shutdown: Close stops accepting work and gives every
-//     sender Config.DrainTimeout to flush its queue before abandoning
-//     the remainder (counted in Metrics.TxnsDropped).
+//     sender Config.DrainTimeout to flush what its peer lacks before
+//     abandoning the remainder (counted in Metrics.TxnsDropped).
 //
 // The receive path has no queue of its own. Each connection handler logs
 // a frame, hands its transactions to store.Replica.Deliver — the causal
@@ -92,23 +91,21 @@ const ackMagic = 0x41434B31 // "ACK1"
 // Config tunes the streaming transport. The zero value selects the
 // defaults noted on each field; see DefaultConfig.
 type Config struct {
-	// FlushInterval is how long a sender waits after the first queued
+	// FlushInterval is how long a sender waits after the first pending
 	// transaction for more to coalesce into the same batch frame.
 	// Default 500µs: long enough to batch a commit burst, short enough
 	// to keep single-transaction latency in the sub-millisecond range.
 	FlushInterval time.Duration
 	// MaxBatchTxns caps the transactions per batch frame. Default 256.
 	MaxBatchTxns int
-	// QueueCap bounds each peer's outbound queue and, on the receive
-	// side, each origin's backlog in the replica's delivery buffer, in
-	// transactions. Default 8192. A full outbound queue applies
-	// backpressure to committers. On receipt, a connection handler
-	// withholds the frame ack while its origin has QueueCap or more
-	// transactions buffered and the origin's next transaction is one of
-	// them — it waits on another origin. A backlog behind a gap in the
-	// origin's own sequence is not bounded: the gap-filler arrives on the
-	// same stream, and withholding the ack could keep it out forever.
-	// Every buffered transaction counts in Pending.
+	// QueueCap bounds, on the receive side only, each origin's backlog in
+	// the replica's delivery buffer, in transactions (default 8192): a
+	// connection handler withholds the frame ack while its origin has
+	// QueueCap or more transactions buffered and its next transaction is
+	// one of them, that is, while it waits on another origin. A backlog
+	// behind a gap in the origin's own sequence is not bounded: the
+	// gap-filler arrives on the same stream. Every buffered transaction
+	// counts in Pending.
 	QueueCap int
 	// DialTimeout bounds one connection attempt. Default 2s.
 	DialTimeout time.Duration
@@ -121,8 +118,8 @@ type Config struct {
 	// is raised to BackoffMin, so the backoff never shrinks.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// DrainTimeout is how long Close lets senders flush outstanding
-	// queues before abandoning them. Default 2s.
+	// DrainTimeout is how long Close lets senders flush what their peers
+	// lack before abandoning it. Default 2s.
 	DrainTimeout time.Duration
 	// DataDir, when non-empty, makes the node durable: committed and
 	// received transactions append to a write-ahead log under it before
@@ -226,14 +223,12 @@ type Metrics struct {
 	FramesSent, TxnsSent, BytesSent uint64
 	// FramesRecv/TxnsRecv/BytesRecv cover the inbound path.
 	FramesRecv, TxnsRecv, BytesRecv uint64
-	// BackpressureWaits counts commits that blocked on a full peer queue.
-	BackpressureWaits uint64
-	// TxnsDropped counts transactions abandoned because Close's drain
-	// timeout expired before a peer became reachable, or because they were
-	// still in the delivery buffer when the node closed.
+	// TxnsDropped counts transactions abandoned: once per peer that still
+	// lacked them when Close's drain timeout expired (or at Kill), and
+	// once for each still in the delivery buffer when the node closed.
 	TxnsDropped uint64
-	// QueueDepth is the current total of queued outbound transactions
-	// across peers.
+	// QueueDepth is how many transactions the outbound log retains for a
+	// peer that has not acknowledged them (it grows while one is down).
 	QueueDepth int
 	// ApplyDepth is the current number of received transactions held in
 	// the replica's delivery buffer (received but not yet applied:
@@ -267,7 +262,6 @@ func (m Metrics) Add(o Metrics) Metrics {
 	m.FramesRecv += o.FramesRecv
 	m.TxnsRecv += o.TxnsRecv
 	m.BytesRecv += o.BytesRecv
-	m.BackpressureWaits += o.BackpressureWaits
 	m.TxnsDropped += o.TxnsDropped
 	m.QueueDepth += o.QueueDepth
 	m.ApplyDepth += o.ApplyDepth
@@ -287,9 +281,9 @@ func (m Metrics) String() string {
 	}
 	s := fmt.Sprintf(
 		"sent %d txns in %d frames (%.1f txns/frame, %d bytes), recv %d txns in %d frames, "+
-			"dials %d (reconnects %d), send errors %d, backpressure waits %d, dropped %d, queue %d, buffered %d",
+			"dials %d (reconnects %d), send errors %d, dropped %d, retained %d, buffered %d",
 		m.TxnsSent, m.FramesSent, batch, m.BytesSent, m.TxnsRecv, m.FramesRecv,
-		m.Dials, m.Reconnects, m.SendErrors, m.BackpressureWaits, m.TxnsDropped, m.QueueDepth, m.ApplyDepth)
+		m.Dials, m.Reconnects, m.SendErrors, m.TxnsDropped, m.QueueDepth, m.ApplyDepth)
 	if m.WALAppends > 0 || m.Snapshots > 0 {
 		s += fmt.Sprintf(", wal %d appends in %d syncs (%d bytes, %d segments), snapshots %d",
 			m.WALAppends, m.WALSyncs, m.WALBytes, m.WALSegments, m.Snapshots)
@@ -306,7 +300,7 @@ type counters struct {
 	sendErrors                      uint64
 	framesSent, txnsSent, bytesSent uint64
 	framesRecv, txnsRecv, bytesRecv uint64
-	backpressureWaits, txnsDropped  uint64
+	txnsDropped                     uint64
 }
 
 // Node hosts one replica of the database and replicates over TCP. Local
@@ -319,15 +313,17 @@ type Node struct {
 	cluster *store.Cluster
 	replica *store.Replica
 
-	peersMu sync.RWMutex
-	peers   map[clock.ReplicaID]*peerConn
+	// out is the outbound log; it also holds the peer set.
+	out outLog
 
 	ln        net.Listener
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-	drainDL   atomic.Value // time.Time: deadline for post-Close flushing
+	// drainBy is the post-Close flush deadline: written before closed is
+	// closed, read only after, so the channel orders the two.
+	drainBy time.Time
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // accepted (inbound) connections
@@ -340,14 +336,10 @@ type Node struct {
 	// Durability (nil/zero on a memory-only node). wal is the node's
 	// write-ahead log; walEnc builds the single-transaction records the
 	// local commit hook appends — the hook runs under the replica lock,
-	// which serialises the encoder. reoffer
-	// holds own-origin records recovered from the log; AddPeer replays
-	// them into each new peer's queue ahead of live traffic, closing
-	// any gap the crash opened at peers that had not yet received them.
+	// which serialises the encoder.
 	wal     *store.WAL
 	walEnc  *store.FrameEncoder
 	dataDir string
-	reoffer []store.WireTxn
 	// snapMu serialises snapshot writes; snapBase is the WAL byte count
 	// at the last snapshot (the SnapshotEvery trigger).
 	snapMu    sync.Mutex
@@ -379,9 +371,9 @@ func NewNode(id clock.ReplicaID, addr string) (*Node, error) {
 // bulk of the state, then every write-ahead-log record is delivered
 // through the same causal delivery buffer live replication uses (the
 // snapshot's cut deduplicates the overlap). Own-origin records found in
-// the log are also kept for re-offer: AddPeer replays them to each peer
-// ahead of new commits, so a peer that was never sent them (the origin
-// crashed between fsync and broadcast) still converges.
+// the log also seed the outbound log, so every peer is offered them ahead
+// of new commits: a peer that was never sent them (the origin crashed
+// between fsync and broadcast) still converges.
 func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", addr)
@@ -392,7 +384,7 @@ func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, erro
 		id:      id,
 		cfg:     cfg,
 		cluster: store.NewSocketCluster(id),
-		peers:   map[clock.ReplicaID]*peerConn{},
+		out:     outLog{peers: map[clock.ReplicaID]*peerConn{}},
 		ln:      ln,
 		closed:  make(chan struct{}),
 		conns:   map[net.Conn]struct{}{},
@@ -448,7 +440,7 @@ func (n *Node) recover() error {
 	wal, err := store.OpenWAL(filepath.Join(n.dataDir, "wal"), func(frame []byte, txns []store.WireTxn) error {
 		for _, w := range txns {
 			if w.Origin == n.id {
-				n.reoffer = append(n.reoffer, w)
+				n.out.entries = append(n.out.entries, w)
 				maxOwn = max(maxOwn, w.LastSeq)
 			}
 			n.replica.Deliver(w)
@@ -460,6 +452,7 @@ func (n *Node) recover() error {
 	}
 	wal.SetSegmentSize(n.cfg.SegmentSize)
 	n.wal = wal
+	n.out.hold = len(n.out.entries) > 0
 	n.replica.EnsureSeq(maxOwn)
 	return nil
 }
@@ -470,46 +463,37 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // ID returns the node's replica identifier.
 func (n *Node) ID() clock.ReplicaID { return n.id }
 
-// AddPeer registers a peer to replicate to and starts its sender. Adding
-// the same peer id again is a no-op.
-//
-// On a node that recovered from a data directory, every own-origin
-// record found in the log is re-offered to the new peer ahead of new
-// commits: a crash can hit after a commit is durable but before any
-// peer received it, and without the re-offer that transaction would
-// exist only in the origin's log while its successors replicate — a
-// permanent causal gap at every peer. Peers that already have the
-// records deduplicate them by origin sequence.
+// AddPeer registers a peer to replicate to and starts its sender at the
+// oldest entry the outbound log retains. Adding the same peer id again is
+// a no-op. On a recovered node the log starts with the own-origin records
+// of the write-ahead log: a crash between fsync and send would otherwise
+// leave a permanent causal gap at every peer (peers that have them
+// deduplicate). They stay until the node's next commit, so add every peer
+// before committing.
 func (n *Node) AddPeer(id clock.ReplicaID, addr string) {
-	n.peersMu.Lock()
-	if _, ok := n.peers[id]; ok {
-		n.peersMu.Unlock()
+	n.out.mu.Lock()
+	defer n.out.mu.Unlock()
+	if _, ok := n.out.peers[id]; ok {
 		return
 	}
 	p := newPeerConn(n, id, addr)
-	n.peers[id] = p
-	n.peersMu.Unlock()
+	p.next = n.out.base
+	n.out.peers[id] = p
 	n.wg.Add(1)
 	go p.run()
-	// After run starts: a re-offer backlog larger than the queue needs
-	// the sender draining it.
-	for _, w := range n.reoffer {
-		p.enqueue(w)
-	}
 }
 
 // RemovePeer stops replicating to a peer and releases its sender — the
-// decommission path. The sender flushes what it can of the queue and
-// exits; anything still queued is for a site that no longer exists.
-// Removing an unknown peer is a no-op.
+// decommission path. What the peer had not acknowledged is for a site
+// that no longer exists: the log forgets it uncounted. Removing an
+// unknown peer is a no-op.
 func (n *Node) RemovePeer(id clock.ReplicaID) {
-	n.peersMu.Lock()
-	p, ok := n.peers[id]
-	if ok {
-		delete(n.peers, id)
-	}
-	n.peersMu.Unlock()
-	if ok {
+	n.out.mu.Lock()
+	p := n.out.peers[id]
+	delete(n.out.peers, id)
+	n.out.mu.Unlock()
+	if p != nil {
+		n.out.ack(p, 0) // trims what only this peer lacked
 		close(p.quit)
 	}
 }
@@ -519,10 +503,8 @@ func (n *Node) RemovePeer(id clock.ReplicaID) {
 // on many goroutines: each holds the store's replica lock from its first
 // object access to Commit, so it reads one snapshot, and remote effect
 // groups attach atomically between transactions. Always commit exactly
-// once. Commit hands the transaction to replication while holding the
-// replica lock, and a full outbound queue blocks the committer
-// (backpressure, by design; size QueueCap above the driver's outstanding
-// load — see DESIGN.md).
+// once. Commit appends the transaction to the outbound log and never
+// waits on a peer.
 func (n *Node) Begin() *store.Txn {
 	return n.replica.Begin()
 }
@@ -648,20 +630,19 @@ func (n *Node) originBlocked(origin clock.ReplicaID) bool {
 // Stats returns a snapshot of the node's transport metrics.
 func (n *Node) Stats() Metrics {
 	m := Metrics{
-		Dials:             atomic.LoadUint64(&n.m.dials),
-		Reconnects:        atomic.LoadUint64(&n.m.reconnects),
-		SendErrors:        atomic.LoadUint64(&n.m.sendErrors),
-		FramesSent:        atomic.LoadUint64(&n.m.framesSent),
-		TxnsSent:          atomic.LoadUint64(&n.m.txnsSent),
-		BytesSent:         atomic.LoadUint64(&n.m.bytesSent),
-		FramesRecv:        atomic.LoadUint64(&n.m.framesRecv),
-		TxnsRecv:          atomic.LoadUint64(&n.m.txnsRecv),
-		BytesRecv:         atomic.LoadUint64(&n.m.bytesRecv),
-		BackpressureWaits: atomic.LoadUint64(&n.m.backpressureWaits),
-		TxnsDropped:       atomic.LoadUint64(&n.m.txnsDropped),
-		ApplyDepth:        n.replica.Buffered(),
-		Snapshots:         n.snapshots.Load(),
-		StalledOrigins:    int(n.stalledOrigins.Load()),
+		Dials:          atomic.LoadUint64(&n.m.dials),
+		Reconnects:     atomic.LoadUint64(&n.m.reconnects),
+		SendErrors:     atomic.LoadUint64(&n.m.sendErrors),
+		FramesSent:     atomic.LoadUint64(&n.m.framesSent),
+		TxnsSent:       atomic.LoadUint64(&n.m.txnsSent),
+		BytesSent:      atomic.LoadUint64(&n.m.bytesSent),
+		FramesRecv:     atomic.LoadUint64(&n.m.framesRecv),
+		TxnsRecv:       atomic.LoadUint64(&n.m.txnsRecv),
+		BytesRecv:      atomic.LoadUint64(&n.m.bytesRecv),
+		TxnsDropped:    atomic.LoadUint64(&n.m.txnsDropped),
+		ApplyDepth:     n.replica.Buffered(),
+		Snapshots:      n.snapshots.Load(),
+		StalledOrigins: int(n.stalledOrigins.Load()),
 	}
 	if n.wal != nil {
 		ws := n.wal.Stats()
@@ -670,11 +651,10 @@ func (n *Node) Stats() Metrics {
 		m.WALBytes = ws.Bytes
 		m.WALSegments = ws.Segments
 	}
-	n.peersMu.RLock()
-	for _, p := range n.peers {
-		m.QueueDepth += len(p.ch)
-	}
-	n.peersMu.RUnlock()
+	n.out.mu.Lock()
+	low, end := n.out.bounds()
+	n.out.mu.Unlock()
+	m.QueueDepth = int(end - low)
 	return m
 }
 
@@ -686,9 +666,9 @@ func (n *Node) Replica() *store.Replica {
 }
 
 // broadcast ships one committed transaction to every peer. Called from
-// Commit under the replica lock, so per-peer enqueue order matches the
-// origin's sequence order. It enqueues and
-// returns; each peer's sender goroutine does the network work.
+// Commit under the replica lock, so the outbound log's order matches the
+// origin's sequence order. It appends and returns; each peer's sender
+// goroutine does the network work.
 //
 // On a durable node it first appends the transaction to the write-ahead
 // log (the replica lock serialises walEnc) and returns a wait function
@@ -717,11 +697,7 @@ func (n *Node) broadcast(w store.WireTxn) func() {
 		}
 		w.SetWALSeq(seq)
 	}
-	n.peersMu.RLock()
-	for _, p := range n.peers {
-		p.enqueue(w)
-	}
-	n.peersMu.RUnlock()
+	n.out.append(w)
 	if seq == 0 {
 		return nil
 	}
@@ -1171,16 +1147,16 @@ func (n *Node) Clock() clock.Vector {
 	return n.replica.Clock()
 }
 
-// Close drains the outbound queues (for up to Config.DrainTimeout), stops
-// the listener and senders, and waits for in-flight handlers. On a
-// durable node the log is flushed and fsynced. Transactions still in the
-// delivery buffer are dropped with the node and counted in TxnsDropped
-// (on a durable node they are in the log, so a restart delivers them
-// again). Safe to call more than once.
+// Close lets senders flush what their peers lack (for up to
+// Config.DrainTimeout), stops the listener and senders, and waits for
+// in-flight handlers. On a durable node the log is flushed and fsynced.
+// What a peer still lacks, and what the delivery buffer holds, is counted
+// in TxnsDropped (on a durable node the buffer is in the log, so a restart
+// delivers it again). Safe to call more than once.
 func (n *Node) Close() error { return n.shutdown(true) }
 
 // Kill is Close with kill -9 semantics — the crash fault hook. No
-// drain: outbound queues are abandoned immediately, and the write-ahead
+// drain: what peers lack is abandoned at once, and the write-ahead
 // log is dropped without flushing its append buffer, losing exactly the
 // records whose WaitSynced never returned — i.e. nothing that was ever
 // acknowledged to a client or a peer. The replica is invalidated so
@@ -1192,9 +1168,9 @@ func (n *Node) Kill() error { return n.shutdown(false) }
 func (n *Node) shutdown(graceful bool) error {
 	n.closeOnce.Do(func() {
 		if graceful {
-			n.drainDL.Store(time.Now().Add(n.cfg.DrainTimeout))
+			n.drainBy = time.Now().Add(n.cfg.DrainTimeout)
 		} else {
-			n.drainDL.Store(time.Now())
+			n.drainBy = time.Now()
 			n.replica.Invalidate()
 		}
 		close(n.closed)
@@ -1207,9 +1183,18 @@ func (n *Node) shutdown(graceful bool) error {
 		}
 		n.connMu.Unlock()
 		n.wg.Wait()
-		// Handlers are gone; transactions still in the delivery buffer
-		// were acknowledged and are now lost with the node.
-		atomic.AddUint64(&n.m.txnsDropped, uint64(n.replica.Buffered()))
+		// Senders are gone: what each peer still lacks is lost to it.
+		// Handlers are gone too; transactions still in the delivery
+		// buffer were acknowledged and are now lost with the node.
+		dropped := uint64(n.replica.Buffered())
+		n.out.mu.Lock()
+		_, end := n.out.bounds()
+		for _, p := range n.out.peers {
+			dropped += end - p.next
+		}
+		clear(n.out.peers) // later commits are replicated to no one
+		n.out.mu.Unlock()
+		atomic.AddUint64(&n.m.txnsDropped, dropped)
 		// Tear down the log last: handlers that were appending are gone.
 		if n.wal != nil {
 			var err error
@@ -1224,14 +1209,6 @@ func (n *Node) shutdown(graceful bool) error {
 		}
 	})
 	return n.closeErr
-}
-
-// drainDeadline reports the post-Close flush deadline (zero before Close).
-func (n *Node) drainDeadline() time.Time {
-	if v := n.drainDL.Load(); v != nil {
-		return v.(time.Time)
-	}
-	return time.Time{}
 }
 
 // writeFrame writes one length-prefixed frame.

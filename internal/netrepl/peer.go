@@ -6,6 +6,7 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,27 +14,107 @@ import (
 	"ipa/internal/store"
 )
 
-// peerConn is one peer's outbound replication stream: a bounded queue of
-// committed transactions drained by a dedicated sender goroutine that
+// outLog is the node's outbound log: its own commits in commit order, each
+// kept until every peer has acknowledged it (entries[i] has index base+i).
+// Each peer's sender reads from its own cursor, peerConn.next, so a peer
+// that is down makes the log longer, never a committer wait. Lock order:
+// the replica lock ≺ mu; senders take only mu.
+type outLog struct {
+	mu      sync.Mutex
+	base    uint64
+	entries []store.WireTxn
+	peers   map[clock.ReplicaID]*peerConn
+	// hold keeps recovered records until the node's next commit: AddPeer
+	// adds peers one at a time, and none may miss them.
+	hold bool
+}
+
+// append retains one commit for the node's peers, if any, and wakes them.
+func (l *outLog) append(w store.WireTxn) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.hold = false
+	if len(l.peers) == 0 { // nobody lacks anything, recovered records included
+		l.base, l.entries = l.base+uint64(len(l.entries)), nil
+		return
+	}
+	l.entries = append(l.entries, w)
+	for _, p := range l.peers {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// bounds returns the lowest cursor and the index past the last entry.
+func (l *outLog) bounds() (low, end uint64) {
+	end = l.base + uint64(len(l.entries))
+	low = end
+	for _, p := range l.peers {
+		low = min(low, p.next)
+	}
+	return low, end
+}
+
+// pending is how many entries p lacks (0 once p is removed).
+func (l *outLog) pending(p *peerConn) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.peers[p.id] != p {
+		return 0
+	}
+	_, end := l.bounds()
+	return int(end - p.next)
+}
+
+// read copies up to max entries from p's cursor into buf, so appends and
+// trims cannot race the sender's encode.
+func (l *outLog) read(p *peerConn, buf []store.WireTxn, max int) []store.WireTxn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.peers[p.id] != p {
+		return buf[:0]
+	}
+	from := int(p.next - l.base)
+	return append(buf[:0], l.entries[from:min(len(l.entries), from+max)]...)
+}
+
+// ack advances p's cursor past k delivered entries, then drops what every
+// peer has acknowledged, zeroing the slots so the GC frees their ops.
+func (l *outLog) ack(p *peerConn, k int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	p.next += uint64(k)
+	if !l.hold {
+		low, _ := l.bounds()
+		clear(l.entries[:low-l.base])
+		l.entries = l.entries[low-l.base:]
+		l.base = low
+	}
+}
+
+// peerConn is one peer's outbound replication stream: a dedicated sender
+// goroutine that reads the node's outbound log from its own cursor and
 // owns the (single, persistent) connection to the peer.
 type peerConn struct {
 	n    *Node
 	id   clock.ReplicaID
 	addr string
 
-	// ch is the bounded outbound queue. Commits enqueue (blocking when
-	// full — backpressure), the sender goroutine coalesces into batches.
-	ch chan store.WireTxn
+	next uint64        // first entry the peer has not acknowledged; log mutex
+	wake chan struct{} // capacity 1: the log has grown
 
-	// quit is closed by Node.RemovePeer (decommission): the sender
-	// flushes what it can without retrying and exits. Node close uses
-	// n.closed instead, which allows a drain window.
+	// quit is closed by Node.RemovePeer (decommission): the sender stops
+	// without retrying and exits. Node close uses n.closed instead, which
+	// allows a drain window.
 	quit chan struct{}
 
 	// Sender-goroutine state; no lock needed.
 	conn      net.Conn
 	connected bool       // a dial has succeeded at least once
 	rng       *rand.Rand // backoff jitter; private so no global rand state
+	batch     []store.WireTxn
 
 	// enc builds this peer's batch frames into a buffer reused across
 	// frames — the steady-state send path allocates nothing per frame.
@@ -53,41 +134,17 @@ func newPeerConn(n *Node, id clock.ReplicaID, addr string) *peerConn {
 	h.Write([]byte(id))
 	return &peerConn{
 		n: n, id: id, addr: addr,
-		ch:   make(chan store.WireTxn, n.cfg.QueueCap),
-		quit: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(int64(h.Sum64()))),
-		enc:  store.NewFrameEncoder(store.WireVersionV2),
-	}
-}
-
-// enqueue hands one committed transaction to the sender. When the queue
-// is full it blocks until the sender frees space (counted as a
-// backpressure wait) or the node is closed.
-func (p *peerConn) enqueue(w store.WireTxn) {
-	// Once the node is closing the sender may already have exited;
-	// anything enqueued now would vanish uncounted, so drop it visibly.
-	select {
-	case <-p.n.closed:
-		atomic.AddUint64(&p.n.m.txnsDropped, 1)
-		return
-	default:
-	}
-	select {
-	case p.ch <- w:
-		return
-	default:
-	}
-	atomic.AddUint64(&p.n.m.backpressureWaits, 1)
-	select {
-	case p.ch <- w:
-	case <-p.n.closed:
-		atomic.AddUint64(&p.n.m.txnsDropped, 1)
+		wake:  make(chan struct{}, 1),
+		quit:  make(chan struct{}),
+		rng:   rand.New(rand.NewSource(int64(h.Sum64()))),
+		batch: make([]store.WireTxn, 0, n.cfg.MaxBatchTxns),
+		enc:   store.NewFrameEncoder(store.WireVersionV2),
 	}
 }
 
 // run is the sender loop: collect a batch, deliver it (with reconnects),
-// repeat. On node close it flushes what it can before the drain deadline
-// and exits.
+// advance the cursor, repeat. On node close it flushes what it can before
+// the drain deadline and exits; shutdown counts what is left.
 func (p *peerConn) run() {
 	defer p.n.wg.Done()
 	defer func() {
@@ -97,67 +154,39 @@ func (p *peerConn) run() {
 	}()
 	for {
 		batch := p.collect()
-		if batch == nil {
+		if len(batch) == 0 || !p.deliver(batch) {
 			return
 		}
-		if !p.deliver(batch) {
-			// Drain deadline expired with the peer unreachable: account
-			// for everything we are abandoning and stop.
-			dropped := uint64(len(batch) + len(p.ch))
-			atomic.AddUint64(&p.n.m.txnsDropped, dropped)
-			return
-		}
+		p.n.out.ack(p, len(batch))
 	}
 }
 
-// collect blocks for the next transaction, then keeps the batch open for
-// FlushInterval (or until MaxBatchTxns) so a commit burst coalesces into
-// one frame. After Close it returns whatever is queued without waiting,
-// and nil once the queue is empty.
+// collect waits for the first entry past the cursor, then keeps the batch
+// open for FlushInterval unless MaxBatchTxns are pending, so a commit
+// burst coalesces into one frame. After Close or RemovePeer it returns
+// what is pending at once, and an empty batch once nothing is.
 func (p *peerConn) collect() []store.WireTxn {
-	var first store.WireTxn
-	select {
-	case first = <-p.ch:
-	case <-p.n.closed:
-		select {
-		case first = <-p.ch:
-		default:
-			return nil
+	var flush <-chan time.Time
+	for open := true; open; {
+		pending := p.n.out.pending(p)
+		if pending >= p.n.cfg.MaxBatchTxns {
+			break
 		}
-	case <-p.quit:
-		select {
-		case first = <-p.ch:
-		default:
-			return nil
+		if pending > 0 && flush == nil {
+			flush = time.After(p.n.cfg.FlushInterval)
 		}
-	}
-	batch := append(make([]store.WireTxn, 0, p.n.cfg.MaxBatchTxns), first)
-	timer := time.NewTimer(p.n.cfg.FlushInterval)
-	defer timer.Stop()
-	drain := func() []store.WireTxn {
-		for len(batch) < p.n.cfg.MaxBatchTxns {
-			select {
-			case w := <-p.ch:
-				batch = append(batch, w)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	for len(batch) < p.n.cfg.MaxBatchTxns {
 		select {
-		case w := <-p.ch:
-			batch = append(batch, w)
-		case <-timer.C:
-			return batch
+		case <-p.wake:
+		case <-flush:
+			open = false
 		case <-p.n.closed:
-			return drain()
+			open = false
 		case <-p.quit:
-			return drain()
+			open = false
 		}
 	}
-	return batch
+	p.batch = p.n.out.read(p, p.batch, p.n.cfg.MaxBatchTxns)
+	return p.batch
 }
 
 // deliver writes the batch as one frame, dialing or re-dialing as needed
@@ -281,7 +310,7 @@ func (p *peerConn) dial() bool {
 
 // pause sleeps the current backoff (with jitter) and doubles it up to
 // BackoffMax. It returns false when the node is closed and the drain
-// deadline has passed — the signal to abandon the queue.
+// deadline has passed — the signal to abandon the batch.
 func (p *peerConn) pause(backoff *time.Duration) bool {
 	d := *backoff/2 + time.Duration(p.rng.Int63n(int64(*backoff/2)+1))
 	if *backoff *= 2; *backoff > p.n.cfg.BackoffMax {
@@ -295,7 +324,7 @@ func (p *peerConn) pause(backoff *time.Duration) bool {
 	}
 	select {
 	case <-p.n.closed:
-		remaining := time.Until(p.n.drainDeadline())
+		remaining := time.Until(p.n.drainBy)
 		if remaining <= 0 {
 			return false
 		}
@@ -303,7 +332,7 @@ func (p *peerConn) pause(backoff *time.Duration) bool {
 			d = remaining
 		}
 		time.Sleep(d)
-		return time.Now().Before(p.n.drainDeadline())
+		return time.Now().Before(p.n.drainBy)
 	case <-time.After(d):
 		return true
 	}

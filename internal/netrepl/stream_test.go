@@ -6,7 +6,9 @@ import (
 	"encoding/gob"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,8 +48,8 @@ func counterValue(n *Node, key string) int64 {
 }
 
 // TestPeerDownAtSend commits while the peer's address has no listener:
-// the sender must queue, retry with backoff, and deliver everything once
-// the peer finally comes up.
+// the log must retain the commits and the sender retry with backoff,
+// delivering everything once the peer finally comes up.
 func TestPeerDownAtSend(t *testing.T) {
 	// Reserve an address, then free it so the peer is down.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -344,11 +346,11 @@ func TestCorruptFrameDropsConnectionOnly(t *testing.T) {
 	})
 }
 
-// TestCleanShutdownFlushesQueue closes a node while its outbound queue
-// is still full: Close must drain everything to the live peer before
-// returning, dropping nothing.
+// TestCleanShutdownFlushesQueue closes a node while its outbound log still
+// holds unsent commits: Close must drain everything to the live peer
+// before returning, dropping nothing.
 func TestCleanShutdownFlushesQueue(t *testing.T) {
-	// A huge flush interval guarantees the queue is non-empty at Close:
+	// A huge flush interval guarantees the log is non-empty at Close:
 	// the sender is still sitting in its coalescing window.
 	cfg := Config{FlushInterval: time.Minute, MaxBatchTxns: 4096}
 	a, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
@@ -377,8 +379,8 @@ func TestCleanShutdownFlushesQueue(t *testing.T) {
 }
 
 // TestShutdownAbandonsUnreachablePeer bounds Close when a peer never
-// comes up: the drain deadline must expire, the queue is dropped and
-// accounted, and Close returns promptly.
+// comes up: the drain deadline must expire, what the peer lacks is
+// dropped and counted, and Close returns promptly.
 func TestShutdownAbandonsUnreachablePeer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -411,50 +413,76 @@ func TestShutdownAbandonsUnreachablePeer(t *testing.T) {
 	}
 }
 
-// TestBackpressureBlocksThenCloseReleases fills a tiny queue against a
-// dead peer: the committing goroutine must block (counted), and Close
-// must release it.
-func TestBackpressureBlocksThenCloseReleases(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestCommitsContinueWhilePeerPartitioned pins availability under
+// partition: with the default config and its only peer refusing every
+// frame, a node keeps committing far past QueueCap, a read transaction
+// started mid-run finishes at once, and after the heal the peer converges
+// and the outbound log is empty again. It logs the heap the log retains
+// per commit while the peer is cut off.
+func TestCommitsContinueWhilePeerPartitioned(t *testing.T) {
+	a, err := NewNode("a", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadAddr := ln.Addr().String()
-	ln.Close()
-
-	cfg := Config{
-		QueueCap:     2,
-		MaxBatchTxns: 1, // keep at most one txn in flight: the queue must fill
-		BackoffMin:   time.Millisecond,
-		BackoffMax:   10 * time.Millisecond,
-		DrainTimeout: 20 * time.Millisecond,
-	}
-	a, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
+	b, err := NewNode("b", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.AddPeer("dead", deadAddr)
+	defer b.Close()
+	defer a.Close()
+	b.BlockOrigin("a", true)
+	a.AddPeer("b", b.Addr())
 
+	total := 3 * DefaultConfig().QueueCap
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var committed atomic.Int64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		commitN(a, "c", 20) // queue cap 2: must block long before 20
+		for i := 0; i < total; i++ {
+			commitN(a, "c", 1)
+			committed.Add(1)
+		}
 	}()
-	waitUntil(t, "backpressure engages", func() bool {
-		return a.Stats().BackpressureWaits > 0
-	})
+	deadline := time.Now().Add(10 * time.Second)
+	for committed.Load() < int64(total/2) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d commits within 10 s while the peer refuses frames", committed.Load(), total)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	read := make(chan int64, 1)
+	go func() { read <- counterValue(a, "c") }()
+	select {
+	case <-read:
+	case <-time.After(100 * time.Millisecond):
+		t.Fatalf("a read started after %d commits did not finish within 100 ms", committed.Load())
+	}
 	select {
 	case <-done:
-		t.Fatal("commits finished despite a full queue to a dead peer")
-	default:
+	case <-time.After(time.Until(deadline)):
+		t.Fatalf("%d of %d commits within 10 s while the peer refuses frames", committed.Load(), total)
 	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if depth := a.Stats().QueueDepth; depth != total {
+		t.Fatalf("QueueDepth = %d while partitioned, want %d", depth, total)
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not release the blocked committer")
+	t.Logf("partitioned: %d commits retained, heap %+d B per commit",
+		total, (int64(after.HeapAlloc)-int64(before.HeapAlloc))/int64(total))
+
+	b.BlockOrigin("a", false)
+	deadline = time.Now().Add(30 * time.Second)
+	for counterValue(b, "c") != int64(total) || a.Stats().QueueDepth != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after heal: b counter %d, want %d; a %s", counterValue(b, "c"), total, a.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := counterValue(a, "c"); got != int64(total) {
+		t.Fatalf("a counter = %d, want %d", got, total)
 	}
 }
 

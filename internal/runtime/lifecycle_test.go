@@ -3,6 +3,8 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,6 +100,59 @@ func TestNetClusterCrashRecover(t *testing.T) {
 	}
 	if _, err := store.NewSession().Begin(c.Node(ids[0]).Replica()); err != nil {
 		t.Fatalf("session on recovered replica: %v", err)
+	}
+}
+
+// TestSurvivorsServeWhileSiteDown pins availability with a site down:
+// on the default transport, two survivors of a durable three-site
+// cluster each commit three times QueueCap while the third site is
+// crashed, and neither waits on it. Once it recovers, all three converge.
+func TestSurvivorsServeWhileSiteDown(t *testing.T) {
+	c, err := NewNetCluster(testIDs(3), NetConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ids := c.Replicas()
+	if err := c.Crash(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	per := 3 * netrepl.DefaultConfig().QueueCap
+	start := time.Now()
+	var committed [2]atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, id := range ids[:2] {
+		wg.Add(1)
+		go func(r Replica, n *atomic.Int64) {
+			defer wg.Done()
+			for k := 0; k < per; k++ {
+				tx := r.Begin()
+				store.CounterAt(tx, "ops").Add(1)
+				tx.Commit()
+				n.Add(1)
+			}
+		}(c.Replica(id), &committed[i])
+	}
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("with %s down, %s committed %d and %s %d of %d within 30 s",
+			ids[2], ids[0], committed[0].Load(), ids[1], committed[1].Load(), per)
+	}
+	t.Logf("%d commits at each survivor in %v", per, time.Since(start))
+	if err := c.Recover(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	want := c.Node(ids[0]).Clock()
+	for _, id := range ids[1:] {
+		if got := c.Node(id).Clock(); !got.Equal(want) {
+			t.Errorf("%s clock %s, want %s", id, got, want)
+		}
 	}
 }
 

@@ -200,11 +200,11 @@ func (c *NetCluster) stabilizeLocked() clock.Vector {
 
 // Settle implements Cluster: it waits until every live member has
 // delivered every commit issued so far — all causal clocks equal, no
-// queued outbound transactions, no pending causal deliveries — and the
-// picture holds for a few consecutive polls. It errors if the cluster
+// outbound transactions retained for a peer, no pending causal
+// deliveries — and the picture holds for a few consecutive polls. It errors if the cluster
 // does not converge within settleTimeout (which usually means a
 // partition is still injected, a replica is still paused, or a site is
-// still crashed — senders hold queued transactions for a crashed site,
+// still crashed — outbound logs retain transactions for a crashed site,
 // so Recover it first).
 func (c *NetCluster) Settle() error {
 	deadline := time.Now().Add(settleTimeout)
@@ -225,7 +225,7 @@ func (c *NetCluster) Settle() error {
 	}
 }
 
-// quiet reports one converged snapshot: identical clocks, empty queues.
+// quiet reports one converged snapshot: identical clocks, empty logs.
 func (c *NetCluster) quiet() bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -349,7 +349,7 @@ func (c *NetCluster) Crash(id clock.ReplicaID) error {
 
 // Recover implements Lifecycle: restart a crashed site from its data
 // directory at its original address. The replacement node replays
-// snapshot + log before serving, re-offers own-origin records to every
+// snapshot + log before serving, offers its own-origin records to every
 // peer (peers that never received them converge; peers that did
 // deduplicate), and peer senders that kept retrying the dead address
 // reconnect on their own. Fault state taken while the site was down —
@@ -377,14 +377,11 @@ func (c *NetCluster) Recover(id clock.ReplicaID) error {
 	}
 	c.nodes[id] = n
 	delete(c.down, id)
-	// Peer with every member, including ones currently crashed: a down
-	// member's address is stable (Recover reuses it), so the sender just
-	// retry-dials until that site comes back. Skipping down peers here
-	// loses this node's re-offers and live commits to any site that was
-	// down at the moment we recovered — if it recovers after us, nobody
-	// ever re-establishes our side of the link and the mesh wedges on a
-	// permanent causal gap. (Decommissioned sites leave c.order, so this
-	// never queues for a peer that is gone for good.)
+	// Peer with every member before the node commits (its recovered
+	// records stay in its log until then), including crashed ones: a down
+	// member's address is stable, so the sender retry-dials until it is
+	// back. Skipping it would leave the mesh wedged on a permanent causal
+	// gap. (Decommissioned sites leave c.order.)
 	for _, other := range c.order {
 		if other == id {
 			continue

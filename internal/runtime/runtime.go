@@ -46,13 +46,9 @@ func Backends() []string { return []string{BackendSim, BackendNet} }
 // (see store.Txn's visibility contract). Object, Lookup, and Clock are
 // individually safe at any time but give no cross-call atomicity.
 //
-// Commit hands the transaction to replication while still holding the
-// replica lock, and a full outbound queue blocks the committer
-// (backpressure, by design — see the netrepl queue-sizing discipline in
-// DESIGN.md). Drivers that commit concurrently on several replicas of one
-// net-backed cluster must keep their outstanding load below the transport
-// queue capacity so backpressure cycles cannot form; every driver in this
-// repository sizes QueueCap above the whole workload.
+// Commit never waits on another replica: the sim buffers what a cut link
+// carries, and a net-backed replica's outbound log keeps what an
+// unreachable peer lacks.
 type Replica interface {
 	// ID returns the replica identifier.
 	ID() clock.ReplicaID

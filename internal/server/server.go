@@ -590,17 +590,18 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 		// health counters — repl_txns_dropped in particular: a dropped
 		// transaction opens a permanent causal gap that stalls receivers
 		// (see DESIGN.md), and an operator should see it here rather
-		// than in a node's process log.
+		// than in a node's process log. repl_retained_txns is what outbound
+		// logs keep for a peer that is behind (0 once all caught up).
 		if nc, ok := s.cluster.(*runtime.NetCluster); ok {
 			var agg netrepl.Metrics
 			for _, id := range s.sites {
 				agg = agg.Add(nc.Node(id).Stats())
 			}
 			info += fmt.Sprintf(
-				"repl_frames_sent:%d\r\nrepl_txns_sent:%d\r\nrepl_bytes_sent:%d\r\nrepl_frames_recv:%d\r\nrepl_txns_recv:%d\r\nrepl_bytes_recv:%d\r\nrepl_send_errors:%d\r\nrepl_txns_dropped:%d\r\nrepl_backpressure_waits:%d\r\nrepl_reconnects:%d\r\n",
+				"repl_frames_sent:%d\r\nrepl_txns_sent:%d\r\nrepl_bytes_sent:%d\r\nrepl_frames_recv:%d\r\nrepl_txns_recv:%d\r\nrepl_bytes_recv:%d\r\nrepl_send_errors:%d\r\nrepl_txns_dropped:%d\r\nrepl_retained_txns:%d\r\nrepl_reconnects:%d\r\n",
 				agg.FramesSent, agg.TxnsSent, agg.BytesSent,
 				agg.FramesRecv, agg.TxnsRecv, agg.BytesRecv,
-				agg.SendErrors, agg.TxnsDropped, agg.BackpressureWaits, agg.Reconnects)
+				agg.SendErrors, agg.TxnsDropped, agg.QueueDepth, agg.Reconnects)
 			// Durability counters: repl_stalled_origins is the one to
 			// alert on — a persistent stall means a causal gap that only
 			// crash-recovery (state transfer from the WAL of a peer that

@@ -568,9 +568,10 @@ func TestDefaultSiteDeterministic(t *testing.T) {
 
 // TestInfoReplicationCounters pins the INFO surface for the replication
 // transport on the netrepl backend: after real replicated traffic the
-// aggregate counters must show frames on the wire and no dropped
+// aggregate counters must show frames on the wire, no dropped
 // transactions (a nonzero repl_txns_dropped is an operator alarm — it
-// means a permanent causal gap).
+// means a permanent causal gap) and, once settled, nothing retained for
+// a peer.
 func TestInfoReplicationCounters(t *testing.T) {
 	_, addr := startServer(t, runtime.BackendNet)
 	ctl := dialT(t, addr)
@@ -595,9 +596,9 @@ func TestInfoReplicationCounters(t *testing.T) {
 			t.Fatalf("INFO %s = %q, want nonzero after replicated traffic\nINFO:\n%s", key, info[key], rp.Str)
 		}
 	}
-	for _, key := range []string{"repl_txns_dropped", "repl_send_errors"} {
+	for _, key := range []string{"repl_txns_dropped", "repl_send_errors", "repl_retained_txns"} {
 		if info[key] != "0" {
-			t.Fatalf("INFO %s = %q, want 0 on a healthy mesh\nINFO:\n%s", key, info[key], rp.Str)
+			t.Fatalf("INFO %s = %q, want 0 on a settled healthy mesh\nINFO:\n%s", key, info[key], rp.Str)
 		}
 	}
 }

@@ -47,6 +47,9 @@
 //	    takes deliverMu.
 //	  - clockMu guards the delivered cut (vc) and is never held while
 //	    waiting for any other lock.
+//	  - An external transport's commit hook runs under mu and takes its
+//	    own lock (netrepl's outbound log: mu ≺ log mutex), whose holders
+//	    never wait for a replica lock or a peer.
 package store
 
 import (

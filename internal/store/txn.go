@@ -204,12 +204,11 @@ func (t *Txn) commitUpdates() {
 		}
 	}
 	// The onCommit hook (an external transport's broadcast) runs under the
-	// replica lock so per-origin enqueue order matches sequence order. A
-	// full transport queue blocks here — backpressure holds the lock, by
-	// design (see DESIGN.md on queue sizing). A durable transport returns a
-	// wait (fsync) function, which runs only after release so the disk
-	// never stalls the replica: here, or at the caller's acknowledgement
-	// point when DeferDurability gave a sink.
+	// replica lock so the transport's log order matches sequence order; it
+	// appends and returns, never waiting on a peer. A durable transport
+	// returns a wait (fsync) function, which runs only after release so
+	// the disk never stalls the replica: here, or at the caller's
+	// acknowledgement point when DeferDurability gave a sink.
 	var wait func()
 	if c.onCommit != nil {
 		w.Deps = w.Deps.Clone()
