@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ipa/internal/crdt"
@@ -33,68 +34,132 @@ type action struct {
 	delta   int      // numeric delta
 }
 
+// callScratch is one call's working memory: the maps, states and
+// slices a compiled call fills and drops. A compiled call takes one from
+// its App's pool and puts it back on every exit path; the reference
+// executor (WithInterpreter, per-op fallback) and every whole-state
+// caller (checking, digests, repair) make a fresh one, so the
+// differential oracle never shares memory with what it checks.
+//
+// Lifetime: takeScratch clears everything when a call takes the
+// scratch, not when it puts it back. Nothing pooled may escape the
+// call. Strings may: they are immutable. A slice may not — not the
+// arena's tuples, not a state map, not acts or changes. In particular
+// crdt.MatchPattern keeps its slice inside the RWRemoveWhereOp, which is
+// replicated, WAL-logged and indexed as a tombstone, so a wipe pattern
+// (any slice handed to store or crdt to keep) is copied fresh at that
+// boundary (execute), never arena-backed.
+type callScratch struct {
+	binding   map[string]string   // call parameter → argument
+	env       map[string]string   // the guard's join binding
+	planned   map[string]bool     // atoms already asserted, by key
+	seen      map[member]struct{} // extraction's recorded domain members
+	pre, post state               // the compiled call's states (extractInto, forkInto)
+	acts      []action
+	changes   []change
+	arena     []string // grounded and split tuples (ground, split)
+	undo      []string // bind's undo stack
+	key       []byte   // atom key buffer (keyOf)
+}
+
+func newCallScratch() *callScratch {
+	return &callScratch{
+		binding: map[string]string{},
+		env:     map[string]string{},
+		planned: map[string]bool{},
+		seen:    map[member]struct{}{},
+	}
+}
+
+// takeScratch takes a pooled scratch and clears what its last call left.
+func (a *App) takeScratch() *callScratch {
+	sc, ok := a.scratch.Get().(*callScratch)
+	if !ok {
+		return newCallScratch()
+	}
+	clear(sc.binding)
+	clear(sc.env)
+	clear(sc.planned)
+	clear(sc.seen)
+	sc.acts, sc.changes = sc.acts[:0], sc.changes[:0]
+	sc.arena, sc.undo = sc.arena[:0], sc.undo[:0]
+	return sc
+}
+
+// keyOf builds pred(args)'s GroundAtom key in the scratch buffer, valid
+// until the next keyOf: a lookup m[string(key)] does not allocate.
+func (sc *callScratch) keyOf(pred string, args []string) []byte {
+	sc.key = logic.AppendGroundAtom(sc.key[:0], pred, args...)
+	return sc.key
+}
+
+// atomKey is keyOf as a string, to keep.
+func (sc *callScratch) atomKey(pred string, args []string) string {
+	if len(args) == 0 {
+		return pred
+	}
+	return string(sc.keyOf(pred, args))
+}
+
 // plan simulates the operation's patched execution against the
 // pre-state: it grounds every effect, evaluates cascade conditions
 // against the visible state, builds the local post-state, and checks the
-// explicit preconditions. It returns the concrete update list, the
-// simulated post-state, and the truth/value changes relative to the
-// pre-state (the compiled guard's trigger input), or ErrPrecondition.
-func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]action, *state, []change, error) {
-	// post is the guard's view of the operation's outcome: the base
-	// effects, the cascades, and the analysis-injected retractions — but
-	// NOT the injected re-assertions or the derived ensure touches. Those
-	// only re-assert entities against concurrent remote removals; letting
-	// them satisfy the guard would have every operation conjure up its own
-	// preconditions (an enroll creating the missing tournament) instead of
-	// refusing like the hand-coded guards do.
-	post := pre.fork()
+// explicit preconditions. It fills sc.acts with the concrete update list
+// and sc.changes with the truth/value changes relative to the pre-state
+// (the compiled guard's trigger input), or returns ErrPrecondition.
+//
+// post is the guard's view of the operation's outcome: the base effects,
+// the cascades, and the analysis-injected retractions — but NOT the
+// injected re-assertions or the derived ensure touches. Those only
+// re-assert entities against concurrent remote removals; letting them
+// satisfy the guard would have every operation conjure up its own
+// preconditions (an enroll creating the missing tournament) instead of
+// refusing like the hand-coded guards do.
+func (a *App) plan(co *compiledOp, sc *callScratch, pre, post *state) error {
+	binding := sc.binding
 	for _, p := range co.op.Params {
 		post.addDomain(p.Sort, binding[p.Name])
 	}
-	var acts []action
-	var changes []change
-	planned := map[string]bool{} // dedupe positive assertions by atom
 
 	// GroundAtom is the one key scheme extraction, planning, checking,
 	// and repair all share (0-ary atoms key under the bare name).
 	assert := func(pred string, args []string, touch bool) {
-		key := logic.GroundAtom(pred, args...)
-		if planned[key] {
+		if sc.planned[string(sc.keyOf(pred, args))] {
 			return
 		}
-		planned[key] = true
+		key := sc.atomKey(pred, args)
+		sc.planned[key] = true
 		kind := actAdd
 		if touch {
 			kind = actTouch
 		}
-		acts = append(acts, action{kind: kind, pred: pred, args: args})
+		sc.acts = append(sc.acts, action{kind: kind, pred: pred, args: args})
 		if !touch {
 			if !pre.truth(key, pred, args) {
-				changes = append(changes, change{pred: pred, args: args, dir: 1})
+				sc.changes = append(sc.changes, change{pred: pred, args: args, dir: 1})
 			}
 			post.in.Truth[key] = true
 		}
 	}
-	retractGround := func(pred string, args []string) {
-		acts = append(acts, action{kind: actRemove, pred: pred, args: args})
-		key := logic.GroundAtom(pred, args...)
+	retract := func(key, pred string, args []string) {
+		sc.acts = append(sc.acts, action{kind: actRemove, pred: pred, args: args})
 		if pre.truth(key, pred, args) {
-			changes = append(changes, change{pred: pred, args: args, dir: -1})
+			sc.changes = append(sc.changes, change{pred: pred, args: args, dir: -1})
 		}
 		post.in.Truth[key] = false
 	}
 	wipe := func(pred string, pattern []string, emit bool) {
 		matches := pre.trueTuples(a.preds[pred], pattern, nil)
 		if emit || len(matches) > 0 {
-			acts = append(acts, action{kind: actWipe, pred: pred, pattern: pattern})
+			sc.acts = append(sc.acts, action{kind: actWipe, pred: pred, pattern: pattern})
 		}
 		for _, m := range matches {
-			changes = append(changes, change{pred: pred, args: m, dir: -1})
-			post.in.Truth[logic.GroundAtom(pred, m...)] = false
+			sc.changes = append(sc.changes, change{pred: pred, args: m, dir: -1})
+			post.in.Truth[sc.atomKey(pred, m)] = false
 		}
 	}
 	ground := func(terms []logic.Term) ([]string, bool, error) {
-		args, wild, missing := groundTerms(terms, binding)
+		args, wild, missing := sc.ground(terms, binding)
 		if missing != "" {
 			return nil, false, fmt.Errorf("engine: unbound parameter %q", missing)
 		}
@@ -109,15 +174,15 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 			}
 			switch {
 			case e.Kind == spec.NumDelta:
-				acts = append(acts, action{kind: actDelta, pred: e.Pred, args: args, delta: e.Delta})
-				key := logic.GroundAtom(e.Pred, args...)
+				sc.acts = append(sc.acts, action{kind: actDelta, pred: e.Pred, args: args, delta: e.Delta})
+				key := sc.atomKey(e.Pred, args)
 				post.in.Nums[key] = post.num(key, e.Pred, args) + e.Delta
 				if e.Delta != 0 {
 					d := int8(1)
 					if e.Delta < 0 {
 						d = -1
 					}
-					changes = append(changes, change{pred: e.Pred, args: args, dir: d, numeric: true})
+					sc.changes = append(sc.changes, change{pred: e.Pred, args: args, dir: d, numeric: true})
 				}
 			case e.Val:
 				assert(e.Pred, args, touch)
@@ -126,34 +191,34 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 				// set it must travel to defeat concurrent adds.
 				wipe(e.Pred, args, a.predRemWins(e.Pred))
 			default:
-				retractGround(e.Pred, args)
+				retract(sc.atomKey(e.Pred, args), e.Pred, args)
 			}
 		}
 		return nil
 	}
 	if err := apply(co.base, false); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	if err := apply(co.patches, true); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	for _, t := range co.ensures {
 		args, _, err := ground(t.terms)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		assert(t.pred, args, true)
 	}
 	for _, c := range co.cascades {
 		args, _, err := ground(c.terms)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		// Cascades are ground and conditional: retract only what the
 		// origin sees (a remove the origin has no grounds for would
 		// needlessly defeat concurrent re-assertions).
-		if pre.truth(logic.GroundAtom(c.pred, args...), c.pred, args) {
-			retractGround(c.pred, args)
+		if key := sc.atomKey(c.pred, args); pre.truth(key, c.pred, args) {
+			retract(key, c.pred, args)
 		}
 	}
 
@@ -162,13 +227,13 @@ func (a *App) plan(co *compiledOp, pre *state, binding map[string]string) ([]act
 	for i, p := range co.op.Pre {
 		ok, err := pre.evalAt(p, co.preOccs[i], binding)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("engine: %s: requires %s: %w", co.op.Name, p, err)
+			return fmt.Errorf("engine: %s: requires %s: %w", co.op.Name, p, err)
 		}
 		if !ok {
-			return nil, nil, nil, co.preErrs[i]
+			return co.preErrs[i]
 		}
 	}
-	return acts, post, changes, nil
+	return nil
 }
 
 // guardFull is the reference form of the generic no-new-violation
@@ -219,7 +284,6 @@ func (a *App) Call(r runtime.Replica, opName string, args ...string) error {
 		return fmt.Errorf("engine: %s.%s wants %d argument(s) (%s), got %d",
 			a.name, opName, len(co.op.Params), paramList(co.op), len(args))
 	}
-	binding := map[string]string{}
 	for i, p := range co.op.Params {
 		if args[i] == "" {
 			return fmt.Errorf("engine: %s.%s: empty value for parameter %s", a.name, opName, p.Name)
@@ -228,7 +292,16 @@ func (a *App) Call(r runtime.Replica, opName string, args ...string) error {
 			return fmt.Errorf("engine: %s.%s: parameter %s value %q contains a reserved character",
 				a.name, opName, p.Name, args[i])
 		}
-		binding[p.Name] = args[i]
+	}
+	reference := a.useReference(co)
+	var sc *callScratch
+	if reference {
+		sc = newCallScratch()
+	} else {
+		sc = a.takeScratch()
+	}
+	for i, p := range co.op.Params {
+		sc.binding[p.Name] = args[i]
 	}
 
 	tx := r.Begin()
@@ -237,20 +310,25 @@ func (a *App) Call(r runtime.Replica, opName string, args ...string) error {
 		if !committed {
 			tx.Commit()
 		}
+		if !reference {
+			a.scratch.Put(sc)
+		}
 	}()
-	var pre *state
-	if a.useReference(co) {
+	var pre, post *state
+	if reference {
 		a.fallbackCalls.Add(1)
-		pre = a.extract(tx, nil)
+		pre = a.extractInto(&state{}, sc, tx, nil)
+		post = pre.fork()
 	} else {
-		pre = a.extract(tx, co.plan.fp)
+		pre = a.extractInto(&sc.pre, sc, tx, co.plan.fp)
+		post = pre.forkInto(&sc.post)
 	}
-	acts, post, changes, err := a.plan(co, pre, binding)
-	if err != nil {
+	if err := a.plan(co, sc, pre, post); err != nil {
 		return err
 	}
+	var err error
 	if pre.lazy {
-		err = a.guardCompiled(co, pre, post, changes)
+		err = a.guardCompiled(co, pre, post, sc.changes)
 		if post.enumerated {
 			a.domainEnumCalls.Add(1)
 		}
@@ -260,7 +338,7 @@ func (a *App) Call(r runtime.Replica, opName string, args ...string) error {
 	if err != nil {
 		return err
 	}
-	for _, act := range acts {
+	for _, act := range sc.acts {
 		a.execute(tx, act)
 	}
 	committed = true
@@ -298,13 +376,14 @@ func (a *App) execute(tx *store.Txn, act action) {
 	ref := a.set(tx, a.preds[act.pred])
 	switch act.kind {
 	case actAdd:
-		ref.Add(elem(act.args), "")
+		ref.Add(elem(act.args))
 	case actTouch:
 		ref.Touch(elem(act.args))
 	case actRemove:
 		ref.Remove(elem(act.args))
 	case actWipe:
-		ref.RemoveWhere(crdt.MatchPattern(act.pattern...))
+		// The op keeps the pattern's slice: never the call's arena.
+		ref.RemoveWhere(crdt.MatchPattern(slices.Clone(act.pattern)...))
 	}
 }
 

@@ -41,6 +41,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"ipa/internal/crdt"
 	"ipa/internal/logic"
@@ -465,59 +466,82 @@ func canTrigger(shapes []changeShape, occs []logic.Occurrence) bool {
 	return false
 }
 
-// groundTerms resolves argument templates under env: variables to their
-// values, constants to their names. Wildcards and variables env lacks
-// become "" — the pattern wildcard — and are reported through wild and
-// missing (the first such variable's name).
-func groundTerms(ts []logic.Term, env map[string]string) (out []string, wild bool, missing string) {
-	out = make([]string, len(ts))
-	for i, t := range ts {
+// ground resolves argument templates under env into the arena:
+// variables to their values, constants to their names. Wildcards and
+// variables env lacks become "" — the pattern wildcard — and are
+// reported through wild and missing (the first such variable's name).
+// The tuple lives in the arena and must not outlive the call (see
+// callScratch).
+func (sc *callScratch) ground(ts []logic.Term, env map[string]string) (out []string, wild bool, missing string) {
+	n := len(sc.arena)
+	for _, t := range ts {
+		var v string
 		switch t.Kind {
 		case logic.TermVar:
-			v, ok := env[t.Name]
-			if !ok && missing == "" {
+			var ok bool
+			if v, ok = env[t.Name]; !ok && missing == "" {
 				missing = t.Name
 			}
-			out[i] = v
 		case logic.TermConst:
-			out[i] = t.Name
+			v = t.Name
 		case logic.TermWildcard:
 			wild = true
 		}
+		sc.arena = append(sc.arena, v)
 	}
-	return out, wild, missing
+	return sc.arena[n:len(sc.arena):len(sc.arena)], wild, missing
 }
 
-// bindTuple matches a concrete tuple against argument templates,
-// extending env: constants must match exactly, wildcards constrain
-// nothing, a variable env already holds (or the template repeats) must
-// agree. It returns the names it bound, for the caller to unbind; on a
-// mismatch it binds nothing.
-func bindTuple(tmpl []logic.Term, vals []string, env map[string]string) (bound []string, ok bool) {
+// split decodes a set element into its tuple components in the arena
+// (the components are substrings of elem).
+func (sc *callScratch) split(elem string) []string {
+	n := len(sc.arena)
+	for {
+		i := strings.Index(elem, crdt.TupleSep)
+		if i < 0 {
+			break
+		}
+		sc.arena = append(sc.arena, elem[:i])
+		elem = elem[i+len(crdt.TupleSep):]
+	}
+	sc.arena = append(sc.arena, elem)
+	return sc.arena[n:len(sc.arena):len(sc.arena)]
+}
+
+// bind matches a concrete tuple against argument templates, extending
+// env: constants must match exactly, wildcards constrain nothing, a
+// variable env already holds (or the template repeats) must agree. It
+// pushes the names it binds onto the undo stack and returns the stack's
+// mark, for the caller to unbind back to; on a mismatch it binds
+// nothing.
+func (sc *callScratch) bind(tmpl []logic.Term, vals []string, env map[string]string) (mark int, ok bool) {
+	mark = len(sc.undo)
 	for i, t := range tmpl {
 		switch t.Kind {
 		case logic.TermVar:
 			if prev, have := env[t.Name]; !have {
 				env[t.Name] = vals[i]
-				bound = append(bound, t.Name)
+				sc.undo = append(sc.undo, t.Name)
 			} else if prev != vals[i] {
-				unbind(env, bound)
-				return nil, false
+				sc.unbind(env, mark)
+				return mark, false
 			}
 		case logic.TermConst:
 			if t.Name != vals[i] {
-				unbind(env, bound)
-				return nil, false
+				sc.unbind(env, mark)
+				return mark, false
 			}
 		}
 	}
-	return bound, true
+	return mark, true
 }
 
-func unbind(env map[string]string, names []string) {
-	for _, n := range names {
+// unbind deletes the names bound since mark from env.
+func (sc *callScratch) unbind(env map[string]string, mark int) {
+	for _, n := range sc.undo[mark:] {
 		delete(env, n)
 	}
+	sc.undo = sc.undo[:mark]
 }
 
 // truth reads one ground atom: memoised, through the overlay's base, or
@@ -552,23 +576,27 @@ func (s *state) num(key, fn string, args []string) int {
 }
 
 // evalAt evaluates f under env, first reading the ground atoms and
-// fields f applies there. Occurrences env does not ground (a nested
-// quantifier's variable, a count's wildcard) are skipped: planning
-// extracted those predicates whole.
+// fields f applies there; each key is built in the scratch buffer and
+// made a string only when the atom is read and memoised. Occurrences
+// env does not ground (a nested quantifier's variable, a count's
+// wildcard) are skipped: planning extracted those predicates whole.
 func (s *state) evalAt(f logic.Formula, occs []logic.Occurrence, env map[string]string) (bool, error) {
 	if s.lazy {
 		for _, o := range occs {
 			if o.Count {
 				continue
 			}
-			args, wild, missing := groundTerms(o.Args, env)
+			args, wild, missing := s.sc.ground(o.Args, env)
 			if wild || missing != "" {
 				continue
 			}
-			if key := logic.GroundAtom(o.Pred, args...); o.Numeric {
-				s.num(key, o.Pred, args)
-			} else {
-				s.truth(key, o.Pred, args)
+			key := s.sc.keyOf(o.Pred, args)
+			if o.Numeric {
+				if _, ok := s.in.Nums[string(key)]; !ok {
+					s.num(string(key), o.Pred, args)
+				}
+			} else if _, ok := s.in.Truth[string(key)]; !ok {
+				s.truth(string(key), o.Pred, args)
 			}
 		}
 	}
@@ -582,21 +610,34 @@ func (s *state) evalAt(f logic.Formula, occs []logic.Occurrence, env map[string]
 func (s *state) trueTuples(pi *predInfo, pattern []string, asserted []change) [][]string {
 	var out [][]string
 	keep := func(args []string) {
-		if v, ok := s.in.Truth[logic.GroundAtom(pi.name, args...)]; ok && !v {
+		if v, ok := s.in.Truth[string(s.sc.keyOf(pi.name, args))]; ok && !v {
 			return
 		}
 		out = append(out, args)
 	}
 	for _, el := range s.a.setWhere(s.tx, pi, pattern) {
-		keep(crdt.SplitTuple(el))
+		keep(s.sc.split(el))
 	}
-	match := crdt.MatchPattern(pattern...)
 	for _, ch := range asserted {
-		if ch.dir > 0 && !ch.numeric && ch.pred == pi.name && match.Matches(elem(ch.args)) {
+		if ch.dir > 0 && !ch.numeric && ch.pred == pi.name && matches(pattern, ch.args) {
 			keep(ch.args)
 		}
 	}
 	return out
+}
+
+// matches reports whether a tuple fits a pattern ("" = wildcard) of its
+// arity — crdt.MatchFields.Matches on the unjoined tuple.
+func matches(pattern, args []string) bool {
+	if len(pattern) == 0 || len(pattern) != len(args) {
+		return false
+	}
+	for i, p := range pattern {
+		if p != "" && p != args[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // join enumerates, in deterministic order, the complete bindings of
@@ -632,14 +673,14 @@ func (s *state) join(cl *Clause, env map[string]string, asserted []change, fn fu
 		}
 		return nil
 	}
-	pattern, _, _ := groundTerms(g.Args, env)
+	pattern, _, _ := s.sc.ground(g.Args, env)
 	for _, tuple := range s.trueTuples(s.a.preds[g.Pred], pattern, asserted) {
-		bound, ok := bindTuple(g.Args, tuple, env)
+		mark, ok := s.sc.bind(g.Args, tuple, env)
 		if !ok {
 			continue // a repeated variable met two different values
 		}
 		err := s.join(cl, env, asserted, fn)
-		unbind(env, bound)
+		s.sc.unbind(env, mark)
 		if err != nil {
 			return err
 		}
@@ -655,7 +696,8 @@ func (s *state) join(cl *Clause, env map[string]string, asserted []change, fn fu
 // reference executor's, so the first refusing clause (and its error) is
 // identical.
 func (a *App) guardCompiled(co *compiledOp, pre, post *state, changes []change) error {
-	env := map[string]string{}
+	sc := post.sc
+	env := sc.env
 	for _, gp := range co.plan.guards {
 		cl := gp.cl
 		refuse := func(env map[string]string) error {
@@ -676,12 +718,12 @@ func (a *App) guardCompiled(co *compiledOp, pre, post *state, changes []change) 
 				if !lowers(occ, ch.pred, len(ch.args), ch.numeric, ch.dir) {
 					continue
 				}
-				bound, ok := bindTuple(occ.Args, ch.args, env)
+				mark, ok := sc.bind(occ.Args, ch.args, env)
 				if !ok {
 					continue
 				}
 				err := post.join(cl, env, changes, refuse)
-				unbind(env, bound)
+				sc.unbind(env, mark)
 				if err != nil {
 					return err
 				}

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"ipa/internal/analysis"
@@ -210,6 +211,9 @@ type App struct {
 	// interpreted forces the reference executor: whole-state extraction
 	// and full cross-product guard enumeration on every call.
 	interpreted bool
+
+	// scratch pools compiled calls' working memory (see callScratch).
+	scratch sync.Pool
 }
 
 // MountOption configures a mounted application.

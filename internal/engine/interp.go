@@ -28,6 +28,7 @@ type state struct {
 	in   logic.Interp
 	a    *App
 	tx   *store.Txn
+	sc   *callScratch // working memory of reads and joins (see callScratch)
 	lazy bool
 	base *state
 	// enumerated records that a join fell back to enumerating a sort's
@@ -40,35 +41,55 @@ type state struct {
 // form of the hand-written per-app state extraction the analysis
 // reasons over. A nil footprint reads everything; a compiled plan's
 // footprint names only what it needs whole, and the state reads the
-// rest on demand.
+// rest on demand. The state and its working memory are fresh: whole-state
+// callers (checking, digests, repair, the reference executor) keep what
+// they extract.
 func (a *App) extract(tx *store.Txn, fp *footprint) *state {
-	st := &state{a: a, tx: tx, lazy: fp != nil, in: logic.Interp{
-		Domain: map[logic.Sort][]string{},
-		Truth:  map[string]bool{},
-		Nums:   map[string]int{},
-		Consts: a.consts, // read-only: shared, never copied per call
-	}}
+	return a.extractInto(&state{}, newCallScratch(), tx, fp)
+}
+
+// member is one element extraction has recorded in a sort's domain.
+type member struct {
+	srt logic.Sort
+	el  string
+}
+
+// extractInto is extract into st, reusing st's maps and domain slices
+// when it has them (a compiled call's pooled pre-state), with sc as the
+// state's working memory.
+func (a *App) extractInto(st *state, sc *callScratch, tx *store.Txn, fp *footprint) *state {
+	if st.in.Truth == nil {
+		st.in = logic.Interp{
+			Domain: map[logic.Sort][]string{},
+			Truth:  map[string]bool{},
+			Nums:   map[string]int{},
+		}
+	} else {
+		clear(st.in.Truth)
+		clear(st.in.Nums)
+	}
+	st.in.Consts = a.consts // read-only: shared, never copied per call
+	st.a, st.tx, st.sc, st.lazy, st.base, st.enumerated = a, tx, sc, fp != nil, nil, false
 	if fp == nil {
 		fp = a.whole
 	}
 	// Every sort is present even when empty: quantifiers over an empty
 	// domain are vacuously true, not an evaluation error.
 	for _, srt := range a.sortList {
-		st.in.Domain[srt] = []string{}
+		d := st.in.Domain[srt]
+		if d == nil {
+			d = []string{}
+		}
+		st.in.Domain[srt] = d[:0]
 	}
-	type member struct {
-		srt logic.Sort
-		el  string
-	}
-	seen := map[member]struct{}{}
 	record := func(sorts []logic.Sort, parts []string) {
 		for i, p := range parts {
 			if i >= len(sorts) || sorts[i] == "" {
 				continue
 			}
 			m := member{sorts[i], p}
-			if _, dup := seen[m]; !dup {
-				seen[m] = struct{}{}
+			if _, dup := sc.seen[m]; !dup {
+				sc.seen[m] = struct{}{}
 				st.in.Domain[m.srt] = append(st.in.Domain[m.srt], p)
 			}
 		}
@@ -85,7 +106,7 @@ func (a *App) extract(tx *store.Txn, fp *footprint) *state {
 			continue
 		}
 		for _, elem := range a.setElems(tx, pi) {
-			parts := crdt.SplitTuple(elem)
+			parts := sc.split(elem)
 			if len(parts) != len(pi.sorts) {
 				continue // foreign tuple shape: ignore rather than misparse
 			}
@@ -105,7 +126,7 @@ func (a *App) extract(tx *store.Txn, fp *footprint) *state {
 				}
 				continue
 			}
-			parts := crdt.SplitTuple(tuple)
+			parts := sc.split(tuple)
 			if len(parts) != len(ni.sorts) {
 				continue // foreign tuple shape: ignore rather than misparse
 			}
@@ -116,26 +137,82 @@ func (a *App) extract(tx *store.Txn, fp *footprint) *state {
 	return st
 }
 
-// setRef is what the engine uses of a predicate's set, add-wins or
-// remove-wins alike.
-type setRef interface {
-	Add(elem, payload string)
-	Touch(elem string)
-	Remove(elem string)
-	RemoveWhere(pred crdt.MatchFields)
-	Contains(elem string) bool
-	Size() int
-	Elems() []string
-	ElemsWhere(pred crdt.MatchFields) []string
+// setRef is what the engine uses of a predicate's set: add-wins or
+// remove-wins, as a two-variant value rather than an interface, so
+// binding one per read or action allocates nothing.
+type setRef struct {
+	remWins bool
+	aw      store.AWSetRef
+	rw      store.RWSetRef
 }
 
 // set binds the predicate's set in tx (the first binding takes the
 // replica lock, held to commit).
 func (a *App) set(tx *store.Txn, pi *predInfo) setRef {
 	if pi.remWins {
-		return store.RWSetAt(tx, pi.key)
+		return setRef{remWins: true, rw: store.RWSetAt(tx, pi.key)}
 	}
-	return store.AWSetAt(tx, pi.key)
+	return setRef{aw: store.AWSetAt(tx, pi.key)}
+}
+
+func (r setRef) Add(elem string) {
+	if r.remWins {
+		r.rw.Add(elem, "")
+	} else {
+		r.aw.Add(elem, "")
+	}
+}
+
+func (r setRef) Touch(elem string) {
+	if r.remWins {
+		r.rw.Touch(elem)
+	} else {
+		r.aw.Touch(elem)
+	}
+}
+
+func (r setRef) Remove(elem string) {
+	if r.remWins {
+		r.rw.Remove(elem)
+	} else {
+		r.aw.Remove(elem)
+	}
+}
+
+func (r setRef) RemoveWhere(pred crdt.MatchFields) {
+	if r.remWins {
+		r.rw.RemoveWhere(pred)
+	} else {
+		r.aw.RemoveWhere(pred)
+	}
+}
+
+func (r setRef) Contains(elem string) bool {
+	if r.remWins {
+		return r.rw.Contains(elem)
+	}
+	return r.aw.Contains(elem)
+}
+
+func (r setRef) Size() int {
+	if r.remWins {
+		return r.rw.Size()
+	}
+	return r.aw.Size()
+}
+
+func (r setRef) Elems() []string {
+	if r.remWins {
+		return r.rw.Elems()
+	}
+	return r.aw.Elems()
+}
+
+func (r setRef) ElemsWhere(pred crdt.MatchFields) []string {
+	if r.remWins {
+		return r.rw.ElemsWhere(pred)
+	}
+	return r.aw.ElemsWhere(pred)
 }
 
 // readAtom point-reads one ground atom: set membership of its tuple —
@@ -206,14 +283,31 @@ func (a *App) setWhere(tx *store.Txn, pi *predInfo, pattern []string) []string {
 // domain slices are shared: addDomain only ever appends, which either
 // reallocates or writes past the original's length, so s never observes
 // the change.
-func (s *state) fork() *state {
-	c := &state{a: s.a, tx: s.tx, lazy: s.lazy, base: s, in: logic.Interp{
-		Domain: make(map[logic.Sort][]string, len(s.in.Domain)),
-		Truth:  make(map[string]bool, len(s.in.Truth)),
-		Nums:   make(map[string]int, len(s.in.Nums)),
-		Consts: s.in.Consts,
-	}}
+func (s *state) fork() *state { return s.forkInto(&state{}) }
+
+// forkInto is fork into c, reusing c's maps when it has them (a compiled
+// call's pooled post-state), and then copying the domains into c's own
+// slices.
+func (s *state) forkInto(c *state) *state {
+	pooled := c.in.Truth != nil
+	if !pooled {
+		c.in = logic.Interp{
+			Domain: make(map[logic.Sort][]string, len(s.in.Domain)),
+			Truth:  make(map[string]bool, len(s.in.Truth)),
+			Nums:   make(map[string]int, len(s.in.Nums)),
+		}
+	} else {
+		clear(c.in.Truth)
+		clear(c.in.Nums)
+	}
+	c.in.Consts = s.in.Consts
+	c.a, c.tx, c.sc, c.lazy, c.base, c.enumerated = s.a, s.tx, s.sc, s.lazy, s, false
 	for k, v := range s.in.Domain {
+		if pooled {
+			// Into its own backing array: what addDomain grows stays
+			// with the scratch for the next call.
+			v = append(c.in.Domain[k][:0], v...)
+		}
 		c.in.Domain[k] = v
 	}
 	for k, v := range s.in.Truth {

@@ -22,7 +22,27 @@ func GroundAtom(pred string, args ...string) string {
 	if len(args) == 0 {
 		return pred
 	}
-	return pred + "(" + strings.Join(args, ",") + ")"
+	var buf [64]byte
+	return string(AppendGroundAtom(buf[:0], pred, args...))
+}
+
+// AppendGroundAtom appends GroundAtom's key to buf, for callers that
+// look a key up (m[string(b)] does not allocate) before they must keep
+// it.
+func AppendGroundAtom(buf []byte, pred string, args ...string) []byte {
+	buf = append(buf, pred...)
+	if len(args) == 0 {
+		return buf
+	}
+	for i, a := range args {
+		if i == 0 {
+			buf = append(buf, '(')
+		} else {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, a...)
+	}
+	return append(buf, ')')
 }
 
 // Eval evaluates a formula under the interpretation with the given
@@ -41,11 +61,12 @@ func (in Interp) Eval(f Formula, env map[string]string) (bool, error) {
 	case *BoolLit:
 		return g.Val, nil
 	case *Atom:
-		key, err := in.groundKey(g.Pred, g.Args, env)
+		var buf [64]byte
+		key, err := appendGroundKey(buf[:0], g.Pred, g.Args, env)
 		if err != nil {
 			return false, err
 		}
-		return in.Truth[key], nil
+		return in.Truth[string(key)], nil
 	case *Not:
 		v, err := in.Eval(g.F, env)
 		return !v, err
@@ -140,11 +161,12 @@ func (in Interp) evalNum(t NumTerm, env map[string]string) (int, error) {
 	case *ConstRef:
 		return in.Consts[u.Name], nil
 	case *FnApp:
-		key, err := in.groundKey(u.Fn, u.Args, env)
+		var buf [64]byte
+		key, err := appendGroundKey(buf[:0], u.Fn, u.Args, env)
 		if err != nil {
 			return 0, err
 		}
-		return in.Nums[key], nil
+		return in.Nums[string(key)], nil
 	case *Count:
 		return in.evalCount(u, env)
 	case *NumBin:
@@ -208,34 +230,32 @@ func (in Interp) evalCount(u *Count, env map[string]string) (int, error) {
 	return n, nil
 }
 
-// groundKey builds the Truth/Nums lookup key for an atom under env —
-// the single-Builder equivalent of GroundAtom. This runs once per atom
-// per guard evaluation, so it allocates exactly the key string.
-func (in Interp) groundKey(pred string, args []Term, env map[string]string) (string, error) {
+// appendGroundKey appends the Truth/Nums lookup key for an atom under
+// env — GroundAtom's key — to buf. Eval runs it once per atom per guard
+// evaluation into a stack buffer and looks the key up without
+// converting it, so evaluation allocates no keys.
+func appendGroundKey(buf []byte, pred string, args []Term, env map[string]string) ([]byte, error) {
+	buf = append(buf, pred...)
 	if len(args) == 0 {
-		return pred, nil
+		return buf, nil
 	}
-	var b strings.Builder
-	b.Grow(len(pred) + 2 + 12*len(args))
-	b.WriteString(pred)
-	b.WriteByte('(')
+	buf = append(buf, '(')
 	for i, a := range args {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
 		switch a.Kind {
 		case TermVar:
 			el, ok := env[a.Name]
 			if !ok {
-				return "", fmt.Errorf("logic: unbound variable %q in %s", a.Name, pred)
+				return nil, fmt.Errorf("logic: unbound variable %q in %s", a.Name, pred)
 			}
-			b.WriteString(el)
+			buf = append(buf, el...)
 		case TermConst:
-			b.WriteString(a.Name)
+			buf = append(buf, a.Name...)
 		case TermWildcard:
-			return "", fmt.Errorf("logic: wildcard outside count in %s", pred)
+			return nil, fmt.Errorf("logic: wildcard outside count in %s", pred)
 		}
 	}
-	b.WriteByte(')')
-	return b.String(), nil
+	return append(buf, ')'), nil
 }

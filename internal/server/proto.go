@@ -36,6 +36,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -68,6 +69,10 @@ func protoErrf(format string, args ...any) error {
 // as redis-cli sends); callers skip those. Errors are either io errors
 // (connection gone, or io.ErrUnexpectedEOF for a truncated frame) or wrap
 // ErrProtocol for malformed input. It never panics on any input.
+//
+// A multi-bulk command costs two allocations: its payloads are read into
+// one buffer (on the stack while they fit), which becomes one string
+// that every argument is a slice of, and the argument slice.
 func ParseCommand(r *bufio.Reader) ([]string, error) {
 	first, err := r.ReadByte()
 	if err != nil {
@@ -86,7 +91,9 @@ func ParseCommand(r *bufio.Reader) ([]string, error) {
 	if n < 0 || n > maxArgs {
 		return nil, protoErrf("bad array length %d", n)
 	}
-	args := make([]string, 0, min(n, 64))
+	var bufStack [256]byte
+	var endStack [16]int
+	buf, ends := bufStack[:0], endStack[:0]
 	for i := int64(0); i < n; i++ {
 		b, err := r.ReadByte()
 		if err != nil {
@@ -102,16 +109,39 @@ func ParseCommand(r *bufio.Reader) ([]string, error) {
 		if l < 0 || l > maxBulk {
 			return nil, protoErrf("bad bulk length %d", l)
 		}
-		buf := make([]byte, l+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if buf, err = appendN(buf, r, int(l)+2); err != nil {
 			return nil, unexpectedEOF(err)
 		}
-		if buf[l] != '\r' || buf[l+1] != '\n' {
+		if buf[len(buf)-2] != '\r' || buf[len(buf)-1] != '\n' {
 			return nil, protoErrf("bulk string missing CRLF terminator")
 		}
-		args = append(args, string(buf[:l]))
+		buf = buf[:len(buf)-2]
+		ends = append(ends, len(buf))
+	}
+	payload := string(buf)
+	args := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		args[i] = payload[start:end]
+		start = end
 	}
 	return args, nil
+}
+
+// appendN appends the next n bytes of r to buf. It reads through Peek
+// and Discard and never hands buf to an io.Reader, so a caller's stack
+// buffer stays on the stack.
+func appendN(buf []byte, r *bufio.Reader, n int) ([]byte, error) {
+	for n > 0 {
+		p, err := r.Peek(min(n, r.Size()))
+		buf = append(buf, p...)
+		r.Discard(len(p))
+		n -= len(p)
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // parseInline reads one space-separated command line. No quoting: the
@@ -155,15 +185,35 @@ func readLine(r *bufio.Reader, limit int, what string) (string, error) {
 }
 
 // readInt reads a decimal integer terminated by CRLF (the `*N` / `$N`
-// headers, with the marker byte already consumed).
+// headers, with the marker byte already consumed): readLine's rules and
+// 32-byte cap, read in place from r's buffer.
 func readInt(r *bufio.Reader, what string) (int64, error) {
-	line, err := readLine(r, 32, what)
-	if err != nil {
-		return 0, err
+	const limit = 32
+	var lineStack [limit]byte
+	line, size := lineStack[:0], 0
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if size += len(chunk); size <= limit {
+			line = append(line, chunk...)
+		}
+		if err == nil {
+			break
+		}
+		if err == bufio.ErrBufferFull {
+			if size > limit {
+				return 0, protoErrf("%s exceeds %d bytes", what, limit)
+			}
+			continue
+		}
+		return 0, unexpectedEOFIf(err, size > 0)
 	}
-	n, err := strconv.ParseInt(line, 10, 64)
+	if size > limit {
+		return 0, protoErrf("%s exceeds %d bytes", what, limit)
+	}
+	line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte{'\n'}), []byte{'\r'})
+	n, err := strconv.ParseInt(string(line), 10, 64)
 	if err != nil {
-		return 0, protoErrf("bad %s %q", what, line)
+		return 0, protoErrf("bad %s %q", what, string(line))
 	}
 	return n, nil
 }

@@ -142,6 +142,25 @@ func TestSanitizeLine(t *testing.T) {
 	}
 }
 
+// TestParseCommandAllocs gates the multi-bulk parser at two allocations
+// per command — the payload string every argument slices and the
+// argument slice — for a five-argument CALL.
+func TestParseCommandAllocs(t *testing.T) {
+	cmd := AppendCommand(nil, "CALL", "tournament", "do_match", "p1", "p2", "t1")
+	src := bytes.NewReader(cmd)
+	r := bufio.NewReader(src)
+	got := testing.AllocsPerRun(1000, func() {
+		src.Reset(cmd)
+		r.Reset(src)
+		if args, err := ParseCommand(r); err != nil || len(args) != 6 || args[5] != "t1" {
+			t.Fatalf("ParseCommand = %q, %v", args, err)
+		}
+	})
+	if got > 2 {
+		t.Errorf("ParseCommand allocates %.1f times per command, want at most 2", got)
+	}
+}
+
 // FuzzParseCommand holds the codec to two properties on arbitrary input:
 // it never panics, and whenever a prefix parses as commands, re-encoding
 // those commands with AppendCommand and re-parsing yields the identical

@@ -41,14 +41,14 @@ func (e *ErrStale) Error() string {
 func (s *Session) CanUse(r *Replica) bool { return r.Covers(s.deps) }
 
 // Begin starts a transaction at the replica, provided it covers the
-// session's past. The session advances in two steps: to the
-// transaction's snapshot immediately, and — because on a concurrent
-// backend reads inside the transaction can observe remote effects
-// applied after the snapshot — to the replica's delivered cut when the
-// transaction commits (an OnFinish hook; the post-commit cut is a
-// superset of everything the transaction read or wrote). Sessions are
-// single-client state: commit the transaction on the goroutine that owns
-// the session.
+// session's past. The session advances in two steps: to the replica's
+// delivered cut at Begin immediately (the staleness check's snapshot),
+// and — because on a concurrent backend reads inside the transaction can
+// observe remote effects applied after the snapshot — to the replica's
+// delivered cut when the transaction commits (an OnFinish hook; the
+// post-commit cut is a superset of everything the transaction read or
+// wrote). Sessions are single-client state: commit the transaction on
+// the goroutine that owns the session.
 func (s *Session) Begin(r *Replica) (*Txn, error) {
 	if r.Invalidated() {
 		// The instance no longer represents its site: the process
@@ -60,11 +60,12 @@ func (s *Session) Begin(r *Replica) (*Txn, error) {
 		// re-resolves the site and re-pins.
 		return nil, &ErrStale{Replica: r.id, Need: s.deps.Clone(), Have: r.Clock()}
 	}
-	tx := r.Begin()
-	if !s.deps.LEq(tx.deps) {
-		return nil, &ErrStale{Replica: r.id, Need: s.deps.Clone(), Have: tx.deps.Clone()}
+	have := r.Clock()
+	if !s.deps.LEq(have) {
+		return nil, &ErrStale{Replica: r.id, Need: s.deps.Clone(), Have: have}
 	}
-	s.deps.Merge(tx.deps)
+	s.deps.Merge(have)
+	tx := r.Begin()
 	tx.OnFinish(func() { s.deps.Merge(r.Clock()) })
 	return tx, nil
 }

@@ -305,12 +305,11 @@ func (r *Replica) Lookup(key string) (crdt.CRDT, bool) {
 // Begin starts a highly available transaction at this replica. Concurrent
 // transactions on one replica are allowed: each holds the replica lock
 // from its first object access or tag to Commit, so they run one after
-// another. Always commit exactly once.
+// another. Always commit exactly once. Begin copies no clock: an update
+// transaction takes its dependency vector at commit (commitUpdates), and
+// a read-only or refused one never needs one.
 func (r *Replica) Begin() *Txn {
-	r.clockMu.Lock()
-	deps := r.vc.Clone()
-	r.clockMu.Unlock()
-	return &Txn{r: r, deps: deps}
+	return &Txn{r: r}
 }
 
 // applyRemote applies one effect group atomically with respect to local

@@ -25,7 +25,6 @@ import (
 // are one contiguous block of the origin's sequence space.
 type Txn struct {
 	r        *Replica
-	deps     clock.Vector
 	firstSeq uint64
 	lastSeq  uint64 // set at commit for update transactions
 	updates  []Update
@@ -182,18 +181,18 @@ func (t *Txn) commitUpdates() {
 	t.lastSeq = last
 	t.r.clockMu.Lock()
 	// The replicated dependency vector must cover everything this
-	// transaction could have read — including remote transactions the
-	// apply path installed after Begin took its snapshot but before the
-	// transaction took the replica lock. Folding in the delivered cut at
-	// commit, before our own entry advances, restores the "origin's cut at
-	// commit" semantics the causal-delivery protocol assumes; on the
-	// single-threaded simulator it is a no-op.
-	t.deps.Merge(t.r.vc)
+	// transaction could have read, including remote transactions the
+	// apply path installed after Begin but before the transaction took
+	// the replica lock: it is the delivered cut at commit, before our own
+	// entry advances — the "origin's cut at commit" the causal-delivery
+	// protocol assumes. Every writer of the cut only raises it, so this
+	// one copy covers whatever a snapshot at Begin would have.
+	deps := t.r.vc.Clone()
 	t.r.vc.Set(t.r.id, last)
 	t.r.clockMu.Unlock()
 	w := WireTxn{
 		Origin:   t.r.id,
-		Deps:     t.deps,
+		Deps:     deps,
 		FirstSeq: t.firstSeq,
 		LastSeq:  last,
 		Updates:  t.updates,
@@ -209,9 +208,11 @@ func (t *Txn) commitUpdates() {
 	// returns a wait (fsync) function, which runs only after release so
 	// the disk never stalls the replica: here, or at the caller's
 	// acknowledgement point when DeferDurability gave a sink.
+	// The in-process sends above and the hook share deps: no receiver
+	// writes a WireTxn's Deps (Deliver compares it, remove-wins sets keep
+	// it as an add's read-only cut, the codecs read it).
 	var wait func()
 	if c.onCommit != nil {
-		w.Deps = w.Deps.Clone()
 		wait = c.onCommit(w)
 	}
 	t.release()
