@@ -188,7 +188,7 @@ func isConflicting(s *spec.Spec, op1, op2 *spec.Operation, opts Options, filter 
 	if len(checked) == 0 {
 		return nil, nil
 	}
-	ss, err := g.session(s, opts)
+	ss, err := g.session(s, opts, g.main())
 	if err != nil {
 		return nil, err
 	}

@@ -31,9 +31,11 @@ type Groundings struct{ g *groundings }
 
 func NewGroundings() *Groundings { return &Groundings{&groundings{}} }
 
-// Session starts a session from the prefix for s, as the run's queries do.
+// Session starts a session from the prefix for s on the solver the run's
+// sequential queries reuse, as they do: the previous session started
+// here may not be used again.
 func (g *Groundings) Session(s *spec.Spec, opts Options) (*Session, error) {
-	ss, err := g.g.session(s, opts.withDefaults())
+	ss, err := g.g.session(s, opts.withDefaults(), g.g.main())
 	return &Session{ss}, err
 }
 
@@ -68,9 +70,9 @@ func FreshConflict(s *spec.Spec, op1, op2 *spec.Operation, b1, b2 map[string]str
 	return checkBinding(s, domainFor(s, opts.withDefaults().Scope), sig, clauses, checked, op1, op2, b1, b2)
 }
 
-// WorkCount is the work one Run counted (see workCount); Prefixes is how
-// many distinct (invariant, domain, signature) it grounded for, and
-// Clauses how many invariant clauses those have in all.
+// WorkCount is the work one Run's workers counted (see workCount),
+// summed; Prefixes is how many distinct (invariant, domain, signature) it
+// grounded for, and Clauses how many invariant clauses those have in all.
 type WorkCount struct {
 	Groundings, Prefixes, Clauses, RepairConflictQueries int
 	ClauseWalks, Instantiations                          int
@@ -80,8 +82,13 @@ type WorkCount struct {
 func RunCounted(s *spec.Spec, opts Options) (*Result, WorkCount, error) {
 	g := &groundings{}
 	res, err := run(s, opts.withDefaults(), g)
-	w := WorkCount{Groundings: g.work.groundings, Prefixes: len(g.prefixes), RepairConflictQueries: g.work.repairConflictQueries,
-		ClauseWalks: g.work.smt.Walks, Instantiations: g.work.smt.Instantiations}
+	w := WorkCount{Prefixes: len(g.prefixes)}
+	for _, wk := range g.workers { // each counted the checks it ran
+		w.Groundings += wk.work.groundings
+		w.RepairConflictQueries += wk.work.repairConflictQueries
+		w.ClauseWalks += wk.work.smt.Walks
+		w.Instantiations += wk.work.smt.Instantiations
+	}
 	for _, p := range g.prefixes {
 		w.Clauses += len(p.clauses)
 	}
@@ -104,7 +111,7 @@ func ReferenceRepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair,
 	if err != nil {
 		return nil, err
 	}
-	return searchRepairs(s, c, opts, func(scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error) {
+	return searchRepairs(s, c, opts, &groundings{}, func(_ *worker, scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error) {
 		ss, err := newSession(scratch, opts, &workCount{})
 		if err != nil {
 			return false, err
@@ -119,4 +126,18 @@ func ReferenceRepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair,
 		}
 		return true, nil
 	})
+}
+
+// CandidateEffects lists the effects the repair search combines into
+// candidate repairs of c for target.
+func CandidateEffects(s *spec.Spec, c *Conflict, target *spec.Operation) ([]spec.Effect, error) {
+	pool, err := predicatePool(s, c)
+	if err != nil {
+		return nil, err
+	}
+	var out []spec.Effect
+	for _, ce := range candidatesFor(target, pool) {
+		out = append(out, spec.Effect{Kind: spec.BoolAssign, Pred: ce.pred, Args: ce.args, Val: ce.val})
+	}
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,9 @@ import (
 	"ipa/internal/apps/twitter"
 	"ipa/internal/spec"
 )
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
 
 // goldenSpecs are the specifications whose analysis output is pinned
 // under testdata/golden: the four bundled applications and the
@@ -131,4 +135,81 @@ func TestTicketExampleNamesEventCapacity(t *testing.T) {
 		return
 	}
 	t.Fatal("ticket has no buy ∥ buy conflict")
+}
+
+// TestRunSameOnAnyWorkerCount runs each golden spec with one worker and
+// with four: the repair search checks a level's candidates on as many
+// workers as GOMAXPROCS allows, and the whole Result — the repairs
+// applied with their alternatives, the unsolved conflicts, the
+// compensations and the patched spec — must not depend on how many.
+func TestRunSameOnAnyWorkerCount(t *testing.T) {
+	for name, s := range goldenSpecs(t) {
+		var res [2]*analysis.Result
+		for k, procs := range []int{1, 4} {
+			withProcs(t, procs, func() {
+				var err error
+				if res[k], err = analysis.Run(s, analysis.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: Run differs between GOMAXPROCS 1 and 4:\n--- 1\n%s\n--- 4\n%s", name, res[0].Summary(), res[1].Summary())
+		}
+	}
+}
+
+// TestCandidatesDistinct pins what lets the repair search check a level's
+// candidates together: a solution covers a later candidate of its own
+// level only if their effect sets are equal, and candidatesFor emits
+// pairwise distinct effects, so no two subsets of one level are equal.
+// Checked for both targets of every conflict the golden specs' repair
+// loops met.
+func TestCandidatesDistinct(t *testing.T) {
+	checked := 0
+	for name, s := range goldenSpecs(t) {
+		res, steps := repairLoop(t, s)
+		for k, a := range res.Applied {
+			for _, target := range []*spec.Operation{a.Conflict.Op1, a.Conflict.Op2} {
+				effs, err := analysis.CandidateEffects(steps[k], a.Conflict, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range effs {
+					for j := range i {
+						if effs[i].Equal(effs[j]) {
+							t.Fatalf("%s, %s: candidate effects %d and %d are both %s", name, target.Name, j, i, effs[i])
+						}
+					}
+				}
+				checked += len(effs)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no candidate effects were generated")
+	}
+}
+
+// TestRunAllocs caps what one tournament Run allocates: the repair search
+// starts its 2,000-odd sessions on recycled solvers, whose clauses,
+// literals and watch lists are carved from blocks a reset reuses. The
+// ceiling is 5 % above the 722,900 measured with the blocks in place, at
+// GOMAXPROCS 1 to 8 (3.75 M before them). It is skipped under -race,
+// which allocates on its own.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const ceiling = 760_000
+	s := goldenSpecs(t)["tournament"]
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := analysis.Run(s, analysis.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("tournament Run: %.0f allocations", allocs)
+	if allocs > ceiling {
+		t.Errorf("tournament Run made %.0f allocations, want at most %d", allocs, ceiling)
+	}
 }

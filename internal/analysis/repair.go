@@ -2,8 +2,11 @@ package analysis
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ipa/internal/logic"
 	"ipa/internal/spec"
@@ -77,7 +80,7 @@ func RepairConflict(s *spec.Spec, c *Conflict, opts Options) ([]Repair, error) {
 // repairConflict is RepairConflict with the run's groundings: the
 // unrepaired pair and every candidate start their sessions from them.
 func repairConflict(s *spec.Spec, c *Conflict, opts Options, g *groundings) ([]Repair, error) {
-	ss, err := g.session(s, opts)
+	ss, err := g.session(s, opts, g.main())
 	if err != nil {
 		return nil, err
 	}
@@ -87,24 +90,27 @@ func repairConflict(s *spec.Spec, c *Conflict, opts Options, g *groundings) ([]R
 	if err != nil {
 		return nil, err
 	}
-	return searchRepairs(s, c, opts, func(scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error) {
-		ss, err := g.session(scratch, opts)
+	return searchRepairs(s, c, opts, g, func(w *worker, scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error) {
+		ss, err := g.session(scratch, opts, w)
 		if err != nil {
 			return false, err
 		}
 		solved, err := ss.repairSolves(op1, op2, origExec)
-		g.work.repairConflictQueries += ss.conflictQueries
+		w.work.repairConflictQueries += ss.conflictQueries
 		return solved, err
 	})
 }
 
-// repairCheck decides whether a candidate repair solves the conflict:
-// scratch is the spec with the repair applied, op1 and op2 the pair in it.
-type repairCheck func(scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error)
+// repairCheck decides, on worker w, whether a candidate repair solves the
+// conflict: scratch is the spec with the repair applied, op1 and op2 the
+// pair in it.
+type repairCheck func(w *worker, scratch *spec.Spec, op1, op2 *spec.Operation) (bool, error)
 
 // searchRepairs generates the candidate repairs for the conflict and
-// returns, sorted, those the check accepts.
-func searchRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck) ([]Repair, error) {
+// returns, sorted, those the check accepts. Candidates are generated in
+// levels — the rule-only ones, then one level per (size, target) — and
+// each level's candidates are checked on g's workers at once.
+func searchRepairs(s *spec.Spec, c *Conflict, opts Options, g *groundings, check repairCheck) ([]Repair, error) {
 	// Pool: predicates of the invariant clauses touched by either
 	// operation's effects (paper line 15).
 	pool, err := predicatePool(s, c)
@@ -112,20 +118,24 @@ func searchRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck) (
 		return nil, err
 	}
 
-	var solutions []Repair
 	// Rule-only resolutions first: when the two operations write opposing
 	// values to the same predicate, installing a convergence rule alone
 	// may already decide the winner (the paper's Fig. 3 uses exactly this
 	// for begin/finish: a rem-wins active set, no extra effects).
-	ruleOnly, err := ruleOnlyRepairs(s, c, opts, check)
+	solutions, err := g.checkAll(s, c, ruleOnlyRepairs(s, c, opts), check)
 	if err != nil {
 		return nil, err
 	}
-	solutions = append(solutions, ruleOnly...)
 
 	// Enumerate subsets by increasing size so found repairs are minimal;
 	// a candidate containing a known solution for the same target is
-	// skipped (paper line 18, isPairSubset).
+	// skipped (paper line 18, isPairSubset). Within one level no solution
+	// can cover another candidate: a rule-only or smaller solution covers
+	// a candidate, but one of the same size only an equal effect set, and
+	// candidatesFor emits pairwise distinct effects, so no two subsets are
+	// equal. Filtering a level against the solutions of the levels before
+	// it, and appending its solved candidates in candidate order, is the
+	// paper's one-at-a-time loop.
 	for size := 1; size <= opts.MaxRepairPreds; size++ {
 		for _, target := range []*spec.Operation{c.Op1, c.Op2} {
 			counterpart := c.Op2
@@ -133,8 +143,8 @@ func searchRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck) (
 				counterpart = c.Op1
 			}
 			cands := candidatesFor(target, pool)
-			subsets := subsetsOfSize(len(cands), size)
-			for _, idxs := range subsets {
+			var level []Repair
+			for _, idxs := range subsetsOfSize(len(cands), size) {
 				extra := make([]spec.Effect, 0, size)
 				skip := false
 				for _, i := range idxs {
@@ -151,24 +161,62 @@ func searchRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck) (
 				if coveredBySolution(solutions, target.Name, extra) {
 					continue
 				}
-				rep := Repair{Target: target.Name, Extra: extra}
 				rules, ok := requiredRules(s, target, counterpart, extra, opts)
 				if !ok {
 					continue
 				}
-				rep.Rules = rules
-				solved, err := solves(s, c, rep, check)
-				if err != nil {
-					return nil, err
-				}
-				if solved {
-					solutions = append(solutions, rep)
-				}
+				level = append(level, Repair{Target: target.Name, Extra: extra, Rules: rules})
 			}
+			solved, err := g.checkAll(s, c, level, check)
+			if err != nil {
+				return nil, err
+			}
+			solutions = append(solutions, solved...)
 		}
 	}
 	sortRepairs(solutions)
 	return solutions, nil
+}
+
+// checkAll returns, in candidate order, the candidates the check accepts.
+// It checks them on runtime.GOMAXPROCS(0) of g's workers, the calling
+// goroutine running the first: each takes the next unchecked candidate
+// until none is left. Every check starts its sessions from the run's
+// prefix, so its verdict and the work it counts do not depend on which
+// worker ran it or what that worker ran before.
+func (g *groundings) checkAll(s *spec.Spec, c *Conflict, cands []Repair, check repairCheck) ([]Repair, error) {
+	if len(cands) == 0 {
+		return nil, nil
+	}
+	solved := make([]bool, len(cands))
+	errs := make([]error, len(cands))
+	var next atomic.Int64
+	run := func(w *worker) {
+		for i := int(next.Add(1) - 1); i < len(cands); i = int(next.Add(1) - 1) {
+			solved[i], errs[i] = solves(w, s, c, cands[i], check)
+		}
+	}
+	workers := g.pool(min(runtime.GOMAXPROCS(0), len(cands)))
+	var wg sync.WaitGroup
+	for _, w := range workers[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(workers[0])
+	wg.Wait()
+	var out []Repair
+	for i, rep := range cands {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if solved[i] {
+			out = append(out, rep)
+		}
+	}
+	return out, nil
 }
 
 // predicatePool collects boolean predicates from the invariant clauses
@@ -219,13 +267,13 @@ func predicatePool(s *spec.Spec, c *Conflict) ([]logic.PredRef, error) {
 	return pool, nil
 }
 
-// ruleOnlyRepairs proposes resolutions that add no effects: for every
-// predicate the two operations write with opposing values, a convergence
-// rule alone decides the winner. The repair is attributed to the
-// operation whose write the rule favours.
-func ruleOnlyRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck) ([]Repair, error) {
+// ruleOnlyRepairs proposes the candidate resolutions that add no
+// effects: for every predicate the two operations write with opposing
+// values, a convergence rule alone may decide the winner. Each candidate
+// is attributed to the operation whose write the rule favours.
+func ruleOnlyRepairs(s *spec.Spec, c *Conflict, opts Options) []Repair {
 	if opts.DisableRuleSuggestion {
-		return nil, nil
+		return nil
 	}
 	var out []Repair
 	tried := map[string]bool{}
@@ -250,18 +298,11 @@ func ruleOnlyRepairs(s *spec.Spec, c *Conflict, opts Options, check repairCheck)
 				if !favoursOp1 {
 					target = c.Op2.Name
 				}
-				rep := Repair{Target: target, Rules: map[string]spec.Policy{e1.Pred: pol}}
-				solved, err := solves(s, c, rep, check)
-				if err != nil {
-					return nil, err
-				}
-				if solved {
-					out = append(out, rep)
-				}
+				out = append(out, Repair{Target: target, Rules: map[string]spec.Policy{e1.Pred: pol}})
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // candidatesFor instantiates the pool's predicates with the target
@@ -455,13 +496,13 @@ func requiredRules(s *spec.Spec, target, counterpart *spec.Operation, extra []sp
 }
 
 // solves applies the repair on a scratch copy of the spec and asks the
-// check whether the repaired pair is solved.
-func solves(s *spec.Spec, c *Conflict, rep Repair, check repairCheck) (bool, error) {
+// check, on worker w, whether the repaired pair is solved.
+func solves(w *worker, s *spec.Spec, c *Conflict, rep Repair, check repairCheck) (bool, error) {
 	scratch := s.Clone()
 	applyRepair(scratch, rep)
 	op1, _ := scratch.Operation(c.Op1.Name)
 	op2, _ := scratch.Operation(c.Op2.Name)
-	return check(scratch, op1, op2)
+	return check(w, scratch, op1, op2)
 }
 
 // repairSolves decides a repaired pair on its session. A repair is only

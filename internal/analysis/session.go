@@ -3,8 +3,10 @@ package analysis
 import (
 	"maps"
 	"slices"
+	"sync"
 
 	"ipa/internal/logic"
+	"ipa/internal/sat"
 	"ipa/internal/smt"
 	"ipa/internal/spec"
 )
@@ -75,16 +77,26 @@ func startSession(g *grounding, enc *smt.Encoder, pre *smt.State, s *spec.Spec, 
 		posts: map[string]*derived{}}
 }
 
-// groundings is the I(pre) shared by the sessions of one analysis run.
-// Repairs add effects and convergence rules, neither of which I(pre)
-// reads, so every spec a run visits usually grounds the same I(pre). Each
-// distinct (invariant clauses, domain, signature) is grounded once and
-// frozen; every session starts its own solver from the frozen prefix,
-// with the variable numbering, clauses and Tseitin definitions a
-// self-grounded session would have, so it asks exactly the same CNF.
+// groundings is the I(pre) shared by the sessions of one analysis run,
+// and the run's workers. Repairs add effects and convergence rules,
+// neither of which I(pre) reads, so every spec a run visits usually
+// grounds the same I(pre). Each distinct (invariant clauses, domain,
+// signature) is grounded once and frozen; every session resets its
+// worker's solver to the frozen prefix, with the variable numbering,
+// clauses and Tseitin definitions a self-grounded session would have, so
+// it asks exactly the same CNF.
 type groundings struct {
+	mu       sync.Mutex // guards prefixes: workers start sessions concurrently
 	prefixes []*prefix
-	work     workCount
+	workers  []*worker // workers[0] also runs the run's sequential queries
+}
+
+// worker is what one goroutine of a run owns: the solver each session it
+// starts is reset onto, and the work those sessions count. A session
+// lives until its worker starts the next one.
+type worker struct {
+	solver *sat.Solver
+	work   workCount
 }
 
 // prefix is one frozen I(pre) with what it was grounded from. Invariants
@@ -106,34 +118,54 @@ type workCount struct {
 	smt                   smt.Work // clause ASTs walked, clause literals instantiated
 }
 
-// session starts a session for s from the run's prefix for its invariant,
-// domain and signature, grounding that prefix first if the run has none.
-func (g *groundings) session(s *spec.Spec, opts Options) (*session, error) {
+// pool returns the run's first n workers, making those it lacks.
+func (g *groundings) pool(n int) []*worker {
+	for len(g.workers) < n {
+		g.workers = append(g.workers, &worker{solver: new(sat.Solver)})
+	}
+	return g.workers[:n]
+}
+
+// main is the worker the run's sequential queries use.
+func (g *groundings) main() *worker { return g.pool(1)[0] }
+
+// session starts a session for s on w's solver, from the run's prefix for
+// s's invariant, domain and signature, grounding that prefix first if the
+// run has none.
+func (g *groundings) session(s *spec.Spec, opts Options, w *worker) (*session, error) {
+	p, err := g.prefix(s, opts, &w.work)
+	if err != nil {
+		return nil, err
+	}
+	enc, pre := p.enc.StartOn(w.solver)
+	return startSession(p.grounding, enc, pre, s, &w.work), nil
+}
+
+// prefix returns the run's prefix for s, grounding it, and counting that
+// in work, if the run has none.
+func (g *groundings) prefix(s *spec.Spec, opts Options, work *workCount) (*prefix, error) {
 	sig, err := s.Signature()
 	if err != nil {
 		return nil, err
 	}
 	sorts := s.Sorts()
-	var p *prefix
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, q := range g.prefixes {
 		if slices.Equal(q.invariants, s.Invariants) && slices.Equal(q.sorts, sorts) && q.scope == opts.Scope &&
 			maps.EqualFunc(q.sig, sig, slices.Equal) {
-			p = q
-			break
+			return q, nil
 		}
 	}
-	if p == nil {
-		ss, err := newSession(s, opts, &g.work)
-		if err != nil {
-			return nil, err
-		}
-		g.work.groundings++
-		p = &prefix{invariants: slices.Clone(s.Invariants), sorts: sorts, scope: opts.Scope, sig: sig,
-			grounding: ss.grounding, enc: ss.enc.Freeze(ss.pre)}
-		g.prefixes = append(g.prefixes, p)
+	ss, err := newSession(s, opts, work)
+	if err != nil {
+		return nil, err
 	}
-	enc, pre := p.enc.Start()
-	return startSession(p.grounding, enc, pre, s, &g.work), nil
+	work.groundings++
+	p := &prefix{invariants: slices.Clone(s.Invariants), sorts: sorts, scope: opts.Scope, sig: sig,
+		grounding: ss.grounding, enc: ss.enc.Freeze(ss.pre)}
+	g.prefixes = append(g.prefixes, p)
+	return p, nil
 }
 
 // clause returns the literal of invariant clause i in st, a state derived

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -163,35 +164,43 @@ func TestRepairConflictMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunWorkCount pins, as counts, the work Run does on each golden spec.
-// Every spec a Run visits has the same invariant, domain and signature, so
-// I(pre) is grounded once and every other session starts from the frozen
-// prefix; each invariant clause's AST is walked exactly once per prefix,
-// to compile its circuit, and every post- and merged-state literal is an
-// instantiation of that circuit, at most the stated number per Run; and
-// the repair search asks at most the stated number of conflict queries.
-// Checking executability first is what keeps the last low: enumerating
-// conflicts first asked 7,216 on tournament.
+// TestRunWorkCount pins, as counts, the work Run does on each golden spec,
+// with one worker and with four. Every spec a Run visits has the same
+// invariant, domain and signature, so I(pre) is grounded once and every
+// other session starts from the frozen prefix; each invariant clause's AST
+// is walked exactly once per prefix, to compile its circuit, and every
+// post- and merged-state literal is an instantiation of that circuit. The
+// counts are exact: every session starts from the prefix, so what it
+// counts does not depend on which worker ran it or after what. Checking
+// executability first is what keeps the repair search's conflict queries
+// low: enumerating conflicts first asked 7,216 on tournament.
 func TestRunWorkCount(t *testing.T) {
-	maxQueries := map[string]int{"quickstart": 23, "ticket": 0, "tournament": 1402, "tpcw": 16, "twitter": 438}
-	maxInstantiations := map[string]int{"quickstart": 403, "ticket": 227, "tournament": 43984, "tpcw": 351, "twitter": 7891}
-	for name, s := range goldenSpecs(t) {
-		_, w, err := analysis.RunCounted(s, analysis.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%s: %+v", name, w)
-		if w.Groundings != 1 || w.Prefixes != 1 {
-			t.Errorf("%s: I(pre) grounded %d times for %d distinct (invariant, domain, signature), want once for one", name, w.Groundings, w.Prefixes)
-		}
-		if w.ClauseWalks != w.Clauses {
-			t.Errorf("%s: %d clause ASTs walked, want %d: once per clause of each prefix", name, w.ClauseWalks, w.Clauses)
-		}
-		if w.Instantiations > maxInstantiations[name] {
-			t.Errorf("%s: %d clause instantiations, want at most %d", name, w.Instantiations, maxInstantiations[name])
-		}
-		if w.RepairConflictQueries > maxQueries[name] {
-			t.Errorf("%s: the repair search asked %d conflict queries, want at most %d", name, w.RepairConflictQueries, maxQueries[name])
-		}
+	want := map[string]analysis.WorkCount{
+		"quickstart": {Groundings: 1, Prefixes: 1, Clauses: 1, RepairConflictQueries: 23, ClauseWalks: 1, Instantiations: 403},
+		"ticket":     {Groundings: 1, Prefixes: 1, Clauses: 2, RepairConflictQueries: 0, ClauseWalks: 2, Instantiations: 227},
+		"tournament": {Groundings: 1, Prefixes: 1, Clauses: 7, RepairConflictQueries: 1402, ClauseWalks: 7, Instantiations: 43984},
+		"tpcw":       {Groundings: 1, Prefixes: 1, Clauses: 2, RepairConflictQueries: 16, ClauseWalks: 2, Instantiations: 351},
+		"twitter":    {Groundings: 1, Prefixes: 1, Clauses: 3, RepairConflictQueries: 438, ClauseWalks: 3, Instantiations: 7891},
 	}
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs, func() {
+			for name, s := range goldenSpecs(t) {
+				_, w, err := analysis.RunCounted(s, analysis.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("GOMAXPROCS %d, %s: %+v", procs, name, w)
+				if w != want[name] {
+					t.Errorf("GOMAXPROCS %d, %s: counted %+v, want %+v", procs, name, w, want[name])
+				}
+			}
+		})
+	}
+}
+
+// withProcs runs f with GOMAXPROCS set to procs, restoring it after.
+func withProcs(t *testing.T, procs int, f func()) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
 }

@@ -22,9 +22,15 @@ import (
 // (see supersede), so a long-lived element that is touched on every
 // call holds #origins tags, not one per touch.
 type AWSet struct {
-	tags      map[string]eventSet // live add-events per element, ≤ 1 per origin
-	payload   map[string]string   // payload of live elements
+	elems     map[string]awElem // live elements
 	graveyard map[string]graveEntry
+}
+
+// awElem is a live element: its add events, at most one per origin, and
+// its payload.
+type awElem struct {
+	tags    eventSet
+	payload string
 }
 
 type graveEntry struct {
@@ -34,11 +40,7 @@ type graveEntry struct {
 
 // NewAWSet returns an empty add-wins set.
 func NewAWSet() *AWSet {
-	return &AWSet{
-		tags:      map[string]eventSet{},
-		payload:   map[string]string{},
-		graveyard: map[string]graveEntry{},
-	}
+	return &AWSet{elems: map[string]awElem{}, graveyard: map[string]graveEntry{}}
 }
 
 // Type implements CRDT.
@@ -82,8 +84,8 @@ func (s *AWSet) PrepareTouch(elem string, tag clock.EventID) AWAddOp {
 // observed at this replica.
 func (s *AWSet) PrepareRemove(elem string, tag clock.EventID) AWRemoveOp {
 	obs := map[string][]clock.EventID{}
-	if ts, ok := s.tags[elem]; ok {
-		obs[elem] = ts.list()
+	if e, ok := s.elems[elem]; ok {
+		obs[elem] = e.tags.list()
 	}
 	return AWRemoveOp{Observed: obs, Tag: tag}
 }
@@ -93,9 +95,9 @@ func (s *AWSet) PrepareRemove(elem string, tag clock.EventID) AWRemoveOp {
 // still win (add-wins). For remove-wins wildcard semantics use RWSet.
 func (s *AWSet) PrepareRemoveWhere(pred MatchFields, tag clock.EventID) AWRemoveOp {
 	obs := map[string][]clock.EventID{}
-	for elem, ts := range s.tags {
+	for elem, e := range s.elems {
 		if pred.Matches(elem) {
-			obs[elem] = ts.list()
+			obs[elem] = e.tags.list()
 		}
 	}
 	return AWRemoveOp{Observed: obs, Tag: tag}
@@ -105,40 +107,30 @@ func (s *AWSet) PrepareRemoveWhere(pred MatchFields, tag clock.EventID) AWRemove
 func (s *AWSet) Apply(op Op) {
 	switch o := op.(type) {
 	case AWAddOp:
-		ts, ok := s.tags[o.Elem]
-		if !ok {
-			ts = eventSet{}
-			s.tags[o.Elem] = ts
-		}
-		ts.supersede(o.Tag)
-		if o.Touch {
-			if _, have := s.payload[o.Elem]; !have {
-				if g, ok := s.graveyard[o.Elem]; ok {
-					s.payload[o.Elem] = g.payload
-					delete(s.graveyard, o.Elem)
-				} else {
-					s.payload[o.Elem] = ""
-				}
+		e, have := s.elems[o.Elem]
+		e.tags = e.tags.supersede(o.Tag)
+		switch {
+		case !o.Touch:
+			e.payload = o.Pay
+		case !have:
+			if g, ok := s.graveyard[o.Elem]; ok {
+				e.payload = g.payload
+				delete(s.graveyard, o.Elem)
 			}
-		} else {
-			s.payload[o.Elem] = o.Pay
 		}
+		s.elems[o.Elem] = e
 	case AWRemoveOp:
 		for elem, observed := range o.Observed {
-			ts, ok := s.tags[elem]
+			e, ok := s.elems[elem]
 			if !ok {
 				continue
 			}
-			for _, t := range observed {
-				delete(ts, t)
+			if e.tags = e.tags.without(observed); len(e.tags) > 0 {
+				s.elems[elem] = e
+				continue
 			}
-			if len(ts) == 0 {
-				delete(s.tags, elem)
-				if pay, ok := s.payload[elem]; ok {
-					s.graveyard[elem] = graveEntry{payload: pay, removed: o.Tag}
-					delete(s.payload, elem)
-				}
-			}
+			delete(s.elems, elem)
+			s.graveyard[elem] = graveEntry{payload: e.payload, removed: o.Tag}
 		}
 	}
 }
@@ -154,21 +146,21 @@ func (s *AWSet) Compact(horizon clock.Vector) {
 }
 
 // Contains reports membership.
-func (s *AWSet) Contains(elem string) bool { return len(s.tags[elem]) > 0 }
+func (s *AWSet) Contains(elem string) bool { return len(s.elems[elem].tags) > 0 }
 
 // Payload returns the element's payload ("" when absent).
 func (s *AWSet) Payload(elem string) (string, bool) {
-	p, ok := s.payload[elem]
-	return p, ok && s.Contains(elem)
+	e := s.elems[elem]
+	return e.payload, len(e.tags) > 0
 }
 
 // Size returns the number of elements.
-func (s *AWSet) Size() int { return len(s.tags) }
+func (s *AWSet) Size() int { return len(s.elems) }
 
 // Elems returns the members in sorted order.
 func (s *AWSet) Elems() []string {
-	out := make([]string, 0, len(s.tags))
-	for e := range s.tags {
+	out := make([]string, 0, len(s.elems))
+	for e := range s.elems {
 		out = append(out, e)
 	}
 	sort.Strings(out)
@@ -178,7 +170,7 @@ func (s *AWSet) Elems() []string {
 // ElemsWhere returns the members matching pred, sorted.
 func (s *AWSet) ElemsWhere(pred MatchFields) []string {
 	var out []string
-	for e := range s.tags {
+	for e := range s.elems {
 		if pred.Matches(e) {
 			out = append(out, e)
 		}
@@ -191,23 +183,22 @@ func (s *AWSet) ElemsWhere(pred MatchFields) []string {
 // tags plus graveyard payloads. Used by the stability-GC ablation.
 func (s *AWSet) MetadataSize() int {
 	n := len(s.graveyard)
-	for _, ts := range s.tags {
-		n += len(ts)
+	for _, e := range s.elems {
+		n += len(e.tags)
 	}
 	return n
 }
 
 // MaxTag returns the largest live add event of elem.
 func (s *AWSet) MaxTag(elem string) (clock.EventID, bool) {
-	ts, ok := s.tags[elem]
-	if !ok || len(ts) == 0 {
+	ts := s.elems[elem].tags
+	if len(ts) == 0 {
 		return clock.EventID{}, false
 	}
-	var max clock.EventID
-	first := true
-	for t := range ts {
-		if first || max.Less(t) {
-			max, first = t, false
+	max := ts[0]
+	for _, t := range ts[1:] {
+		if max.Less(t) {
+			max = t
 		}
 	}
 	return max, true

@@ -183,17 +183,35 @@ func TestAWSetTagsBounded(t *testing.T) {
 	}
 }
 
+// tagSet is a set of event IDs, every one kept: the references' record
+// of what an element's adds or a remove-wins add observed.
+type tagSet map[clock.EventID]struct{}
+
+func (s tagSet) addAll(es []clock.EventID) {
+	for _, e := range es {
+		s[e] = struct{}{}
+	}
+}
+
+func (s tagSet) list() []clock.EventID {
+	out := make([]clock.EventID, 0, len(s))
+	for e := range s {
+		out = append(out, e)
+	}
+	return out
+}
+
 // fullTagSet is the add-wins set as it was before tags collapsed per
 // origin: every add event of a live element is kept and observed. The
 // property test below holds the collapsed AWSet to it.
 type fullTagSet struct {
-	tags      map[string]eventSet
+	tags      map[string]tagSet
 	payload   map[string]string
 	graveyard map[string]string
 }
 
 func newFullTagSet() *fullTagSet {
-	return &fullTagSet{tags: map[string]eventSet{}, payload: map[string]string{}, graveyard: map[string]string{}}
+	return &fullTagSet{tags: map[string]tagSet{}, payload: map[string]string{}, graveyard: map[string]string{}}
 }
 
 func (s *fullTagSet) prepareRemove(match func(string) bool, op AWRemoveOp) AWRemoveOp {
@@ -210,7 +228,7 @@ func (s *fullTagSet) apply(op Op) {
 	switch o := op.(type) {
 	case AWAddOp:
 		if s.tags[o.Elem] == nil {
-			s.tags[o.Elem] = eventSet{}
+			s.tags[o.Elem] = tagSet{}
 		}
 		s.tags[o.Elem][o.Tag] = struct{}{}
 		if _, have := s.payload[o.Elem]; o.Touch && have {

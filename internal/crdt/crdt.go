@@ -14,6 +14,7 @@
 package crdt
 
 import (
+	"slices"
 	"strings"
 
 	"ipa/internal/clock"
@@ -110,36 +111,40 @@ func (m MatchFields) String() string {
 	return "(" + strings.Join(out, ",") + ")"
 }
 
-// eventSet is a small set of event IDs.
-type eventSet map[clock.EventID]struct{}
+// eventSet is the live add events of an add-wins element: at most one
+// per origin, the newest (see supersede).
+type eventSet []clock.EventID
 
-// supersede adds e and drops the older events of e's origin. Sound for
-// the live add events of an add-wins element under per-origin FIFO and
-// causal delivery: a remove that observed e either observed the older
-// same-origin events too or causally follows the remove that cancelled
-// them, so they are dead wherever e dies; a remove that observed only an
-// older one leaves e, and the add still wins. Membership, payloads and
-// the largest live event are those of the full event set.
-func (s eventSet) supersede(e clock.EventID) {
-	for old := range s {
+// supersede returns s with e added and the older event of e's origin
+// dropped. Sound for the live add events of an add-wins element under
+// per-origin FIFO and causal delivery: a remove that observed e either
+// observed the older same-origin events too or causally follows the
+// remove that cancelled them, so they are dead wherever e dies; a remove
+// that observed only an older one leaves e, and the add still wins.
+// Membership, payloads and the largest live event are those of the full
+// event set.
+func (s eventSet) supersede(e clock.EventID) eventSet {
+	for i, old := range s {
 		if old.Replica == e.Replica {
-			if old.Seq >= e.Seq {
-				return // e is a duplicate or arrived behind its successor
-			}
-			delete(s, old)
+			if old.Seq < e.Seq {
+				s[i] = e
+			} // else e is a duplicate or arrived behind its successor
+			return s
 		}
 	}
-	s[e] = struct{}{}
+	return append(s, e)
 }
-func (s eventSet) addAll(es []clock.EventID) {
-	for _, e := range es {
-		s[e] = struct{}{}
-	}
-}
-func (s eventSet) list() []clock.EventID {
-	out := make([]clock.EventID, 0, len(s))
-	for e := range s {
-		out = append(out, e)
+
+// without returns s less the events in es, filtered in place.
+func (s eventSet) without(es []clock.EventID) eventSet {
+	out := s[:0]
+	for _, e := range s {
+		if !slices.Contains(es, e) {
+			out = append(out, e)
+		}
 	}
 	return out
 }
+
+// list returns a copy of the events.
+func (s eventSet) list() []clock.EventID { return slices.Clone([]clock.EventID(s)) }

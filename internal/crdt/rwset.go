@@ -38,6 +38,9 @@ type RWSet struct {
 	// ElemsWhere. It is built on a shape's first read, extended when an
 	// element appears, and dropped when compaction deletes one.
 	reads map[tupleShape]map[string][]string
+	// keyBuf is ElemsWhere's scratch for the pattern's key, looked up
+	// without a string of its own.
+	keyBuf []byte
 }
 
 // observes reports whether the add tagged tag, whose causal cut is cut,
@@ -154,10 +157,10 @@ func (m MatchFields) indexable() bool {
 	return true
 }
 
-// patternShape returns the shape and key of an indexable pattern.
-func patternShape(m MatchFields) (tupleShape, string) {
+// patternShape returns the shape of an indexable pattern, and its key
+// appended to key.
+func patternShape(key []byte, m MatchFields) (tupleShape, []byte) {
 	sh := tupleShape{arity: len(m.Fields)}
-	var key []byte
 	for i, f := range m.Fields {
 		if f == "" {
 			continue
@@ -168,7 +171,7 @@ func patternShape(m MatchFields) (tupleShape, string) {
 		key = append(key, f...)
 		sh.bound |= 1 << i
 	}
-	return sh, string(key)
+	return sh, key
 }
 
 // shapeIndex holds the wildcard tombstones of one tuple shape, by bound
@@ -331,7 +334,8 @@ func (s *RWSet) insertWild(w *wildRemove) {
 		return
 	}
 	mustIndex(w.pred)
-	sh, key := patternShape(w.pred)
+	sh, k := patternShape(nil, w.pred)
+	key := string(k) // the tombstone keeps it
 	ix := s.shapeIndex(sh)
 	list := ix.tombs[key]
 	i, newer := originSlot(list, w.tag)
@@ -461,9 +465,8 @@ func (s *RWSet) Elems() []string {
 // values; any other pattern scans the set.
 func (s *RWSet) ElemsWhere(pred MatchFields) []string {
 	var sh tupleShape
-	var key string
 	if pred.indexable() {
-		sh, key = patternShape(pred)
+		sh, s.keyBuf = patternShape(s.keyBuf[:0], pred)
 	}
 	if sh.bound == 0 {
 		var out []string
@@ -487,7 +490,7 @@ func (s *RWSet) ElemsWhere(pred MatchFields) []string {
 		s.reads[sh] = byKey
 	}
 	var out []string
-	for _, e := range byKey[key] {
+	for _, e := range byKey[string(s.keyBuf)] {
 		if s.Contains(e) {
 			out = append(out, e)
 		}

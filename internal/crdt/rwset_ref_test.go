@@ -20,7 +20,7 @@ type listRWSet struct {
 	wild    map[clock.EventID]*wildRemove
 }
 
-type listRecord struct{ removes, wild eventSet }
+type listRecord struct{ removes, wild tagSet }
 
 // listAdd is an add as the enumerating origin prepared it.
 type listAdd struct {
@@ -52,7 +52,7 @@ func (s *listRWSet) prepareAdd(op RWAddOp) listAdd {
 func (s *listRWSet) apply(op any, deps clock.Vector) {
 	switch o := op.(type) {
 	case listAdd:
-		rec := listRecord{removes: eventSet{}, wild: eventSet{}}
+		rec := listRecord{removes: tagSet{}, wild: tagSet{}}
 		rec.removes.addAll(o.removes)
 		rec.wild.addAll(o.wild)
 		for r := range s.removes[o.op.Elem] {

@@ -323,3 +323,24 @@ func BenchmarkRWSetContains(b *testing.B) {
 		})
 	}
 }
+
+// TestRWSetElemsWhereAllocs pins that a read by pattern looks its bound
+// values up without building a key string: once the read index is built,
+// a read allocates only the slice it returns.
+func TestRWSetElemsWhereAllocs(t *testing.T) {
+	g := newTagger()
+	s := NewRWSet()
+	for _, e := range []string{JoinTuple("p1", "t1"), JoinTuple("p2", "t1"), JoinTuple("p1", "t2")} {
+		s.Apply(s.PrepareAdd(e, "", g.tag("a")))
+	}
+	one := MatchFields{Fields: []string{"", "t2"}}
+	none := MatchFields{Fields: []string{"", "t3"}}
+	if got := s.ElemsWhere(one); len(got) != 1 {
+		t.Fatalf("ElemsWhere(%v) = %v, want one element", one, got)
+	}
+	for pat, want := range map[*MatchFields]float64{&one: 1, &none: 0} {
+		if got := testing.AllocsPerRun(100, func() { s.ElemsWhere(*pat) }); got != want {
+			t.Errorf("ElemsWhere(%v) made %.0f allocations, want %.0f", *pat, got, want)
+		}
+	}
+}

@@ -89,23 +89,23 @@ func DecodeVectorWire(r *WireReader) (clock.Vector, error) {
 	return v, nil
 }
 
-func sortedEvents(s eventSet) []clock.EventID {
+func appendEventSet(b []byte, s eventSet) []byte {
 	es := s.list()
 	sort.Slice(es, func(i, j int) bool { return es[i].Less(es[j]) })
-	return es
+	return appendEventIDs(b, es)
 }
 
-func appendEventSet(b []byte, s eventSet) []byte {
-	return appendEventIDs(b, sortedEvents(s))
-}
-
+// readEventSet consumes an event set, keeping the newest event of each
+// origin as the set does.
 func (r *WireReader) readEventSet() (eventSet, error) {
 	es, err := r.readEventIDs()
 	if err != nil {
 		return nil, err
 	}
-	s := make(eventSet, len(es))
-	s.addAll(es)
+	var s eventSet
+	for _, e := range es {
+		s = s.supersede(e)
+	}
 	return s, nil
 }
 
@@ -177,11 +177,12 @@ func DecodeCRDTState(r *WireReader) (CRDT, error) {
 // --- AWSet ----------------------------------------------------------------
 
 func (s *AWSet) appendState(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s.tags)))
-	for _, elem := range sortedKeys(s.tags) {
+	b = binary.AppendUvarint(b, uint64(len(s.elems)))
+	for _, elem := range sortedKeys(s.elems) {
+		e := s.elems[elem]
 		b = AppendWireString(b, elem)
-		b = appendEventSet(b, s.tags[elem])
-		b = AppendWireString(b, s.payload[elem])
+		b = appendEventSet(b, e.tags)
+		b = AppendWireString(b, e.payload)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.graveyard)))
 	for _, elem := range sortedKeys(s.graveyard) {
@@ -212,8 +213,7 @@ func decodeAWSetState(r *WireReader) (*AWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.tags[elem] = tags
-		s.payload[elem] = pay
+		s.elems[elem] = awElem{tags: tags, payload: pay}
 	}
 	if n, err = r.ReadCount(); err != nil {
 		return nil, err

@@ -203,12 +203,15 @@ func (s *Solver) gate(kind formulaKind, lits []int) int {
 		key = binary.AppendVarint(key, int64(l))
 	}
 	s.defKey = key
+	if d, ok := s.frozenDefs[string(key)]; ok {
+		return d
+	}
 	if d, ok := s.defs[string(key)]; ok {
 		return d
 	}
 	d := s.NewVar()
 	s.defs[string(key)] = d
-	all := make([]int, 0, len(lits)+1)
+	all := s.gateBuf[:0]
 	if kind == fAnd {
 		for _, la := range lits {
 			s.AddClause(-d, la) // d → a
@@ -223,6 +226,7 @@ func (s *Solver) gate(kind formulaKind, lits []int) int {
 		all = append(all, -d) // d → (∨a)
 	}
 	s.AddClause(all...)
+	s.gateBuf = all
 	return d
 }
 
@@ -260,15 +264,17 @@ func (s *Solver) Gate(or bool, lits []int) int {
 // Definitions lists the And and Or gates Lit and Gate have defined, by
 // their definition variable: the Tseitin circuit the solver was given.
 func (s *Solver) Definitions() map[int]Definition {
-	out := make(map[int]Definition, len(s.defs))
-	for key, d := range s.defs {
-		g := Definition{Or: formulaKind(key[0]) == fOr}
-		for rest := []byte(key[1:]); len(rest) > 0; {
-			l, n := binary.Varint(rest)
-			g.Args = append(g.Args, int(l))
-			rest = rest[n:]
+	out := make(map[int]Definition, len(s.frozenDefs)+len(s.defs))
+	for _, defs := range []map[string]int{s.frozenDefs, s.defs} {
+		for key, d := range defs {
+			g := Definition{Or: formulaKind(key[0]) == fOr}
+			for rest := []byte(key[1:]); len(rest) > 0; {
+				l, n := binary.Varint(rest)
+				g.Args = append(g.Args, int(l))
+				rest = rest[n:]
+			}
+			out[d] = g
 		}
-		out[d] = g
 	}
 	return out
 }

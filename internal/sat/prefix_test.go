@@ -9,14 +9,18 @@ import (
 
 // TestNewFromContinuesAsFrozen freezes random solvers — some fresh from
 // encoding, some after a Solve left learnt clauses and a model — and then
-// drives the original and two solvers started from the prefix through one
-// random script of encodings, clauses and assumption solves. Every step
-// must return the same literal, verdict and model on all three, and leave
-// the same clauses, watch lists, trail and activities: a solver
+// drives the original, two solvers started from the prefix and one solver
+// recycled from trial to trial through one random script of encodings,
+// clauses and assumption solves. The recycled solver has solved the
+// earlier trials' problems, larger and smaller than this one, and is put
+// back with ResetFrom; right after, it must have NewFrom's fingerprint.
+// Every step must return the same literal, verdict and model on all four,
+// and leave the same clauses, watch lists, trail and activities: a solver
 // started from a prefix numbers variables and decides exactly as the
 // frozen one, and starting or using one leaves the prefix unchanged.
 func TestNewFromContinuesAsFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	recycled := New()
 	for trial := 0; trial < 300; trial++ {
 		nVars := 3 + rng.Intn(6)
 		orig := New()
@@ -36,6 +40,13 @@ func TestNewFromContinuesAsFrozen(t *testing.T) {
 			if got := runScript(NewFrom(p), nVars, seed); !slices.Equal(got, want) {
 				t.Fatalf("trial %d, start %d from the prefix:\n got  %v\n want %v", trial, k, got, want)
 			}
+		}
+		recycled.ResetFrom(p)
+		if got, want := fingerprint(recycled), fingerprint(NewFrom(p)); got != want || recycled.Stats != (Stats{}) {
+			t.Fatalf("trial %d, reset from the prefix:\n got  %v\n want %v", trial, got, want)
+		}
+		if got := runScript(recycled, nVars, seed); !slices.Equal(got, want) {
+			t.Fatalf("trial %d, recycled solver:\n got  %v\n want %v", trial, got, want)
 		}
 	}
 }
@@ -66,7 +77,8 @@ func runScript(s *Solver, nVars int, seed int64) []string {
 
 // fingerprint renders the solver state that decides what it does next:
 // every clause's literals in their current order, each literal's watch
-// list as clause positions, the trail and the activities.
+// list as clause positions, the assignment and its levels, the trail,
+// the propagation head, the activities and the Tseitin definitions.
 func fingerprint(s *Solver) string {
 	pos := make(map[*clause]int, len(s.clauses))
 	for i, c := range s.clauses {
@@ -82,7 +94,15 @@ func fingerprint(s *Solver) string {
 	for i, c := range s.clauses {
 		lits[i] = c.lits
 	}
-	return fmt.Sprint("clauses ", lits, " watches ", watches, " trail ", s.trail, " activity ", s.activity, s.varInc)
+	levels := make([]int, len(s.assigns)) // an unassigned variable's level is never read
+	for v, a := range s.assigns {
+		if a != unassigned {
+			levels[v] = s.level[v]
+		}
+	}
+	return fmt.Sprint("vars ", s.nVars, " clauses ", lits, " watches ", watches, " assigns ", s.assigns,
+		" levels ", levels, " trail ", s.trail, s.trailLim, " head ", s.propHead, " unsat ", s.unsat,
+		" activity ", s.activity, s.varInc, " defs ", s.Definitions(), s.trueVar)
 }
 
 func randomAssumptions(rng *rand.Rand, nVars int) []int {

@@ -56,8 +56,8 @@ func (l lit) variable() int { return int(l >> 1) }
 func (l lit) neg() lit      { return l ^ 1 }
 func (l lit) sign() bool    { return l&1 == 1 } // true when negative
 
-// Solver is a CDCL SAT solver. The zero value is not usable; call New.
-// A Solver is not safe for concurrent use.
+// Solver is a CDCL SAT solver. The zero value is not usable; call New, or
+// ResetFrom a prefix. A Solver is not safe for concurrent use.
 type Solver struct {
 	nVars    int
 	clauses  []*clause // problem + learned clauses
@@ -77,11 +77,23 @@ type Solver struct {
 	Stats Stats
 
 	// Tseitin state (formula.go): the definition variable of each And/Or
-	// node by kind and child literals, the shared constant variable, and
-	// scratch for building keys.
-	defs    map[string]int
-	trueVar int
-	defKey  []byte
+	// node by kind and child literals — those of the prefix the solver
+	// started from, shared and never written, then its own — the shared
+	// constant variable, and scratch for building keys.
+	frozenDefs map[string]int
+	defs       map[string]int
+	trueVar    int
+	defKey     []byte
+
+	// Clauses and their literals are carved from blocks: ResetFrom lays
+	// the prefix's out at their start, and newClause appends after them,
+	// starting a block twice the size when one is full. The watch lists
+	// share one block too (ResetFrom). A reset reuses the last blocks.
+	clauseBlock []clause
+	litBlock    []lit
+	watchBlock  []*clause
+	litBuf      []lit // scratch for AddClause and analyze
+	gateBuf     []int // scratch for gate
 }
 
 // Stats reports solver effort, useful in benchmarks and tests.
@@ -118,7 +130,12 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Empty lists ResetFrom left past the prefix's, with room.
+		s.watches = s.watches[:n+2]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	return s.nVars
 }
 
@@ -147,7 +164,10 @@ func (s *Solver) AddClause(lits ...int) bool {
 	s.cancelUntil(0)
 	// Simplify: sort-free dedup, drop false lits (level 0), detect tautology
 	// and satisfied clauses.
-	out := make([]lit, 0, len(lits))
+	if cap(s.litBuf) < len(lits) {
+		s.litBuf = make([]lit, 0, 2*len(lits))
+	}
+	out := s.litBuf[:0]
 	for _, li := range lits {
 		if li == 0 {
 			panic("sat: literal 0 in clause")
@@ -199,10 +219,24 @@ func (s *Solver) AddClause(lits ...int) bool {
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := s.newClause(out, false)
 	s.attach(c)
 	s.clauses = append(s.clauses, c)
 	return true
+}
+
+// newClause returns a clause over a copy of lits, carved from the blocks.
+func (s *Solver) newClause(lits []lit, learned bool) *clause {
+	if len(lits) > cap(s.litBlock)-len(s.litBlock) {
+		s.litBlock = make([]lit, 0, max(2*cap(s.litBlock), len(lits), 64))
+	}
+	n := len(s.litBlock)
+	s.litBlock = append(s.litBlock, lits...)
+	if len(s.clauseBlock) == cap(s.clauseBlock) {
+		s.clauseBlock = make([]clause, 0, max(2*cap(s.clauseBlock), 16))
+	}
+	s.clauseBlock = append(s.clauseBlock, clause{lits: s.litBlock[n:len(s.litBlock):len(s.litBlock)], learned: learned})
+	return &s.clauseBlock[len(s.clauseBlock)-1]
 }
 
 func (s *Solver) attach(c *clause) {
@@ -234,26 +268,26 @@ func (s *Solver) enqueue(l lit, from *clause) bool {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // propagate runs unit propagation; returns the conflicting clause or nil.
+// Each watch list is filtered in place (MiniSat's i/j): nothing is appended
+// to watches[p] while it is scanned, because a clause's new watch is a
+// literal that is not false, and ¬p is.
 func (s *Solver) propagate() *clause {
 	for s.propHead < len(s.trail) {
 		p := s.trail[s.propHead] // p is true; visit clauses watching ¬p
 		s.propHead++
 		ws := s.watches[p]
-		s.watches[p] = nil
-		var kept []*clause
+		j := 0
 		var conflict *clause
-		for i, c := range ws {
-			if conflict != nil {
-				kept = append(kept, ws[i:]...)
-				break
-			}
+		for i := 0; i < len(ws); i++ {
+			c := ws[i]
 			// Normalise so lits[1] is the false literal (¬p ... p true).
 			if c.lits[0].neg() == p {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
 			}
 			// If first watch is true, clause satisfied.
 			if s.litValue(c.lits[0]) == vTrue {
-				kept = append(kept, c)
+				ws[j] = c
+				j++
 				continue
 			}
 			// Find a new literal to watch.
@@ -270,13 +304,16 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, c)
+			ws[j] = c
+			j++
 			s.Stats.Propagations++
 			if !s.enqueue(c.lits[0], c) {
 				conflict = c
+				j += copy(ws[j:], ws[i+1:])
+				break
 			}
 		}
-		s.watches[p] = append(s.watches[p], kept...)
+		s.watches[p] = ws[:j]
 		if conflict != nil {
 			return conflict
 		}
@@ -295,9 +332,10 @@ func (s *Solver) bumpVar(v int) {
 }
 
 // analyze performs first-UIP conflict analysis. It returns the learned
-// clause (asserting literal first) and the backtrack level.
+// clause (asserting literal first), in scratch that the next analyze or
+// AddClause overwrites, and the backtrack level.
 func (s *Solver) analyze(confl *clause) ([]lit, int) {
-	learnt := []lit{0} // slot for the asserting literal
+	learnt := append(s.litBuf[:0], 0) // slot for the asserting literal
 	counter := 0
 	var p lit
 	havep := false
@@ -353,6 +391,7 @@ func (s *Solver) analyze(confl *clause) ([]lit, int) {
 	for i := 1; i < len(learnt); i++ {
 		s.seen[learnt[i].variable()] = false
 	}
+	s.litBuf = learnt
 	return learnt, btLevel
 }
 
@@ -416,7 +455,7 @@ func (s *Solver) Solve(assumptions ...int) bool {
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], nil)
 			} else {
-				c := &clause{lits: learnt, learned: true}
+				c := s.newClause(learnt, true)
 				s.clauses = append(s.clauses, c)
 				s.attach(c)
 				s.Stats.Learned++

@@ -171,8 +171,14 @@ func (e *Encoder) Freeze(root *State) *Prefix {
 // own. Both number variables exactly as the frozen encoder and root would
 // have from that point on, so whatever is encoded next yields the same
 // clauses over the same variables.
-func (p *Prefix) Start() (*Encoder, *State) {
-	e := &Encoder{S: sat.NewFrom(p.solver), Dom: p.dom, Sig: p.sig, consts: maps.Clone(p.consts)}
+func (p *Prefix) Start() (*Encoder, *State) { return p.StartOn(new(sat.Solver)) }
+
+// StartOn is Start on a given solver, which it resets to the frozen one
+// (sat.Solver.ResetFrom) and so reuses the buffers of: the solver is the
+// new encoder's, and nothing earlier encoded on it may be used again.
+func (p *Prefix) StartOn(s *sat.Solver) (*Encoder, *State) {
+	s.ResetFrom(p.solver)
+	e := &Encoder{S: s, Dom: p.dom, Sig: p.sig, consts: maps.Clone(p.consts)}
 	return e, &State{enc: e, name: p.root, frozenAtoms: p.atoms, frozenFns: p.fns}
 }
 

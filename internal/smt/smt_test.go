@@ -327,9 +327,10 @@ func TestUniformScope(t *testing.T) {
 }
 
 // TestPrefixStartsWhereFrozen grounds an invariant in a pre-state, freezes
-// the encoder, and then asks the same four-state query on the original
-// and on two encoders started from the prefix: verdict, variable count,
-// model and witness values must agree on all three. The invariant covers
+// the encoder, and then asks the same four-state query on the original,
+// on two encoders started from the prefix and on two started on one
+// recycled solver: verdict, variable count, model and witness values must
+// agree on all five. The invariant covers
 // atoms, a count, a symbolic constant and a numeric field, so every table
 // the prefix carries is read after Start.
 func TestPrefixStartsWhereFrozen(t *testing.T) {
@@ -372,8 +373,12 @@ func TestPrefixStartsWhereFrozen(t *testing.T) {
 	if !strings.HasPrefix(want, "sat") {
 		t.Fatalf("the query must be satisfiable to compare witnesses: %s", want)
 	}
-	for k := 0; k < 2; k++ {
+	recycled := sat.New()
+	for k := 0; k < 4; k++ {
 		enc, root := p.Start()
+		if k >= 2 { // the second time on a solver the first query left behind
+			enc, root = p.StartOn(recycled)
+		}
 		if got := query(enc, root); got != want {
 			t.Fatalf("start %d from the prefix:\n got  %s\n want %s", k, got, want)
 		}
