@@ -71,7 +71,7 @@ func FreshConflict(s *spec.Spec, op1, op2 *spec.Operation, b1, b2 map[string]str
 }
 
 // WorkCount is the work one Run's workers counted (see workCount),
-// summed; Prefixes is how many distinct (invariant, domain, signature) it
+// summed; Prefixes is how many distinct (invariant, scope) it
 // grounded for, and Clauses how many invariant clauses those have in all.
 type WorkCount struct {
 	Groundings, Prefixes, Clauses, RepairConflictQueries int

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"maps"
 	"slices"
 	"sync"
 
@@ -79,12 +78,19 @@ func startSession(g *grounding, enc *smt.Encoder, pre *smt.State, s *spec.Spec, 
 
 // groundings is the I(pre) shared by the sessions of one analysis run,
 // and the run's workers. Repairs add effects and convergence rules,
-// neither of which I(pre) reads, so every spec a run visits usually
-// grounds the same I(pre). Each distinct (invariant clauses, domain,
-// signature) is grounded once and frozen; every session resets its
-// worker's solver to the frozen prefix, with the variable numbering,
-// clauses and Tseitin definitions a self-grounded session would have, so
-// it asks exactly the same CNF.
+// neither of which I(pre) reads, so every spec a run visits grounds the
+// same I(pre). Each distinct (invariant clauses, scope) is grounded once
+// and frozen; every session resets its worker's solver to the frozen
+// prefix, with the variable numbering, clauses and Tseitin definitions a
+// self-grounded session would have, so it asks exactly the same CNF.
+//
+// I(pre) also reads the domain (the spec's sorts) and the signature, but
+// neither can differ between the specs of one run: the sorts come from
+// the invariant and the operations' parameters, which repairs leave
+// alone, and the signature from the invariant and the effects, where a
+// repair only adds effects on the invariant's predicates whose variable
+// arguments have the signature's sorts (candidatesFor). So the lookup
+// needs neither, and one groundings serves one run only.
 type groundings struct {
 	mu       sync.Mutex // guards prefixes: workers start sessions concurrently
 	prefixes []*prefix
@@ -104,9 +110,7 @@ type worker struct {
 // which share them.
 type prefix struct {
 	invariants []logic.Formula
-	sorts      []logic.Sort
 	scope      int
-	sig        smt.Signature
 	*grounding
 	enc *smt.Prefix
 }
@@ -144,16 +148,10 @@ func (g *groundings) session(s *spec.Spec, opts Options, w *worker) (*session, e
 // prefix returns the run's prefix for s, grounding it, and counting that
 // in work, if the run has none.
 func (g *groundings) prefix(s *spec.Spec, opts Options, work *workCount) (*prefix, error) {
-	sig, err := s.Signature()
-	if err != nil {
-		return nil, err
-	}
-	sorts := s.Sorts()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, q := range g.prefixes {
-		if slices.Equal(q.invariants, s.Invariants) && slices.Equal(q.sorts, sorts) && q.scope == opts.Scope &&
-			maps.EqualFunc(q.sig, sig, slices.Equal) {
+		if slices.Equal(q.invariants, s.Invariants) && q.scope == opts.Scope {
 			return q, nil
 		}
 	}
@@ -162,7 +160,7 @@ func (g *groundings) prefix(s *spec.Spec, opts Options, work *workCount) (*prefi
 		return nil, err
 	}
 	work.groundings++
-	p := &prefix{invariants: slices.Clone(s.Invariants), sorts: sorts, scope: opts.Scope, sig: sig,
+	p := &prefix{invariants: slices.Clone(s.Invariants), scope: opts.Scope,
 		grounding: ss.grounding, enc: ss.enc.Freeze(ss.pre)}
 	g.prefixes = append(g.prefixes, p)
 	return p, nil

@@ -6,9 +6,9 @@ import (
 	"ipa/internal/analysis"
 )
 
-// BenchmarkAnalysis times what `ipa serve -app tournament` pays before it
-// serves its first call: one uncached analysis.Run with the Fig. 3
-// choices (Analysis caches it; this does not).
+// BenchmarkAnalysis times the search tournament.patched.spec records: one
+// uncached analysis.Run with the Fig. 3 choices (Analysis caches it; this
+// does not).
 //
 //	go test ./internal/apps/tournament -run '^$' -bench BenchmarkAnalysis -benchtime 3x
 func BenchmarkAnalysis(b *testing.B) {
@@ -16,6 +16,21 @@ func BenchmarkAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := analysis.Run(s, analysis.Options{Chooser: fig3Chooser}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPatchedCheck times what `ipa serve -app tournament` pays before
+// it serves its first call: Alg. 1 run once over the checked-in patched
+// spec, which finds nothing to repair.
+//
+//	go test ./internal/apps/tournament -run '^$' -bench BenchmarkPatchedCheck
+func BenchmarkPatchedCheck(b *testing.B) {
+	s := PatchedSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := analysis.Run(s, analysis.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
