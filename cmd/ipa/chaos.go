@@ -1,8 +1,7 @@
 package main
 
 // The chaos subcommand: drive the deterministic chaos harness from the
-// command line — seeded campaigns, schedule replay, and the real-socket
-// netrepl soak.
+// command line — seeded campaigns and schedule replay.
 //
 //	ipa chaos -app tournament -schedules 1000       # seeded campaign
 //	ipa chaos -app tournament -variant causal       # watch the unrepaired app fail
@@ -12,7 +11,6 @@ package main
 //	ipa chaos -app tournament -seed 0xdeadbeef      # replay one schedule exactly
 //	ipa chaos -app ticket -backend netrepl          # same campaign on real TCP sockets
 //	ipa chaos -replay chaos-repro.json              # replay a shrunk repro file
-//	ipa chaos -soak -nodes 3 -txns 500              # netrepl kill/reconnect soak
 //
 // On violation the harness shrinks the failing schedule to a minimal
 // repro, writes it as JSON, and prints both replay commands (full seed
@@ -24,7 +22,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"ipa/internal/harness"
 	"ipa/internal/runtime"
@@ -55,34 +52,12 @@ func runChaos(args []string) error {
 		out       = fs.String("out", "", "path for the shrunk repro JSON (default chaos-repro-<seed>.json)")
 		noShrink  = fs.Bool("no-shrink", false, "skip shrinking on violation")
 		verbose   = fs.Bool("v", false, "print progress every 100 schedules")
-
-		soak     = fs.Bool("soak", false, "run the real-socket netrepl soak instead of simulated chaos")
-		nodes    = fs.Int("nodes", 3, "soak: ring size")
-		txns     = fs.Int("txns", 500, "soak: transactions per node")
-		killMs   = fs.Int("kill-every", 20, "soak: milliseconds between connection kills")
-		soakSeed = fs.Int64("soak-seed", 1, "soak: seed for the kill sequence")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errReported
 	}
 
 	switch {
-	case *soak:
-		res, err := harness.Soak(harness.SoakOptions{
-			Nodes:       *nodes,
-			TxnsPerNode: *txns,
-			KillEvery:   time.Duration(*killMs) * time.Millisecond,
-			Seed:        *soakSeed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		if !res.Converged {
-			return errViolation
-		}
-		return nil
-
 	case *replay != "":
 		s, err := harness.ReadScheduleFile(*replay)
 		if err != nil {

@@ -3,10 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ipa/internal/analysis"
+	"ipa/internal/spec"
 )
 
 func TestLoadSpecBundled(t *testing.T) {
@@ -24,6 +26,22 @@ func TestLoadSpecBundled(t *testing.T) {
 	}
 	if _, err := loadSpec("", ""); err == nil {
 		t.Fatal("missing flags must error")
+	}
+}
+
+// TestSpecStringKeepsTags pins that a bundled spec's text carries its
+// tags: Classify reads them, so a spec round-tripped through String (the
+// checked-in patched specs are) must not lose them.
+func TestSpecStringKeepsTags(t *testing.T) {
+	for name, mk := range bundled {
+		s := mk()
+		back, err := spec.Parse(s.String())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(s.Tags) == 0 || !slices.Equal(back.Tags, s.Tags) {
+			t.Errorf("%s: tags %q after a round trip through String, want %q", name, back.Tags, s.Tags)
+		}
 	}
 }
 

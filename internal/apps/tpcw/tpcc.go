@@ -14,7 +14,7 @@ import (
 // multi-item NewOrder (every line decrements a stock counter and records
 // an order line atomically — the highly-available-transaction guarantee
 // keeps the order internally consistent at every replica), Payment
-// (customer balance counter), and Delivery (order status register).
+// (customer balance counter), and Delivery (order status set).
 //
 // These exercise the paper's observation that standard benchmarks lack
 // listing management: NewOrder under IPA touches every ordered product so
@@ -29,6 +29,13 @@ const (
 func balanceKey(customer string) string { return "tpcw/balance/" + customer }
 func orderKey(order string) string      { return "tpcw/order/" + order }
 func statusKey(order string) string     { return "tpcw/status/" + order }
+
+// An order's status set holds the statuses it has reached; the furthest
+// one is its status.
+const (
+	statusNew       = "new"
+	statusDelivered = "delivered"
+)
 
 // OrderKey returns the order-lines set key of an order — exported so
 // checkers can read an order's index entries and its lines inside one
@@ -65,7 +72,7 @@ func (a *App) NewOrder(r runtime.Replica, customer, order string, lines []OrderL
 			store.AWSetAt(tx, KeyProducts).Touch(l.Item)
 		}
 	}
-	store.RegisterAt(tx, statusKey(order)).Set("new")
+	store.AWSetAt(tx, statusKey(order)).Add(statusNew, "")
 	tx.Commit()
 	return tx
 }
@@ -99,21 +106,32 @@ func (a *App) Balance(r runtime.Replica, customer string) int64 {
 	return store.CounterAt(tx, balanceKey(customer)).Value()
 }
 
-// Deliver marks the order delivered. Status is a last-writer-wins
-// register: concurrent deliveries converge to one value everywhere.
+// Deliver marks the order delivered. Status is an add-wins set that
+// nothing removes from, so it only moves forward: concurrent deliveries
+// converge, and a delivery wins over every NewOrder it has seen.
 func (a *App) Deliver(r runtime.Replica, order string) *store.Txn {
 	tx := r.Begin()
-	store.RegisterAt(tx, statusKey(order)).Set("delivered")
+	store.AWSetAt(tx, statusKey(order)).Add(statusDelivered, "")
 	tx.Commit()
 	return tx
 }
 
-// OrderStatus reads an order's status at replica r.
+// OrderStatus reads an order's status at replica r: the furthest status
+// present, or "" when the order has none.
 func (a *App) OrderStatus(r runtime.Replica, order string) string {
 	tx := r.Begin()
 	defer tx.Commit()
-	v, _ := store.RegisterAt(tx, statusKey(order)).Value()
-	return v
+	return orderStatus(store.AWSetAt(tx, statusKey(order)))
+}
+
+func orderStatus(set store.AWSetRef) string {
+	switch {
+	case set.Contains(statusDelivered):
+		return statusDelivered
+	case set.Contains(statusNew):
+		return statusNew
+	}
+	return ""
 }
 
 // OrderConsistent checks the atomicity guarantee at one replica: either
@@ -124,12 +142,13 @@ func (a *App) OrderConsistent(r runtime.Replica, order string, wantLines int) (b
 	defer tx.Commit()
 	entries := len(store.AWSetAt(tx, KeyOrders).ElemsWhere(crdt.MatchPattern(order, "")))
 	lines := store.AWSetAt(tx, orderKey(order)).Size()
-	status, hasStatus := store.RegisterAt(tx, statusKey(order)).Value()
+	statusSet := store.AWSetAt(tx, statusKey(order))
+	hasStatus := statusSet.Size() > 0
 	if entries == 0 && lines == 0 && !hasStatus {
 		return true, "" // entirely absent
 	}
-	if entries == wantLines && lines == wantLines && hasStatus && status != "" {
+	if entries == wantLines && lines == wantLines && hasStatus {
 		return true, ""
 	}
-	return false, fmt.Sprintf("partial order: entries=%d lines=%d/%d status=%q", entries, lines, wantLines, status)
+	return false, fmt.Sprintf("partial order: entries=%d lines=%d/%d status=%q", entries, lines, wantLines, orderStatus(statusSet))
 }

@@ -89,7 +89,8 @@ func TestConcurrentDeliveryConverges(t *testing.T) {
 	app.NewOrder(c.Replica(wan.USEast), "cust", "o1", []OrderLine{{Item: "a", Qty: 1}})
 	sim.Run()
 
-	// Two sites deliver concurrently; LWW picks one winner everywhere.
+	// Two sites deliver concurrently; both add the same status to the
+	// order's add-wins set, so every site reads delivered.
 	app.Deliver(c.Replica(wan.USEast), "o1")
 	app.Deliver(c.Replica(wan.USWest), "o1")
 	sim.Run()
@@ -102,6 +103,32 @@ func TestConcurrentDeliveryConverges(t *testing.T) {
 	}
 	if status[0] != status[1] || status[1] != status[2] {
 		t.Fatalf("status diverged: %v", status)
+	}
+}
+
+// TestCausallyLaterDeliverWins places an order at a site that has
+// committed many transactions, then delivers it at a site that has seen
+// the order but committed little: the delivery happens after the order,
+// so every site must end up reading "delivered", whatever either origin's
+// own sequence number is.
+func TestCausallyLaterDeliverWins(t *testing.T) {
+	sim, c := newCluster(15)
+	app := New(Causal)
+	app.AddCustomer(c.Replica(wan.USEast), "cust", 100)
+	for i := 0; i < 20; i++ {
+		app.Payment(c.Replica(wan.USEast), "cust", 1)
+	}
+	app.NewOrder(c.Replica(wan.USEast), "cust", "o1", []OrderLine{{Item: "a", Qty: 1}})
+	sim.Run()
+	if s := app.OrderStatus(c.Replica(wan.USWest), "o1"); s != "new" {
+		t.Fatalf("us-west before delivery: status = %q, want new", s)
+	}
+	app.Deliver(c.Replica(wan.USWest), "o1")
+	sim.Run()
+	for _, id := range c.Replicas() {
+		if s := app.OrderStatus(c.Replica(id), "o1"); s != "delivered" {
+			t.Fatalf("replica %s: status = %q, want delivered", id, s)
+		}
 	}
 }
 

@@ -155,50 +155,16 @@ func TestBoundedCounterEscrowInvariant(t *testing.T) {
 	}
 }
 
-func TestLWWRegister(t *testing.T) {
-	g := newTagger()
-	r := NewLWWRegister()
-	if _, ok := r.Value(); ok {
-		t.Fatal("fresh register must be unset")
-	}
-	r.Apply(r.PrepareSet("v1", 1, g.tag("a")))
-	r.Apply(r.PrepareSet("v2", 2, g.tag("a")))
-	if v, _ := r.Value(); v != "v2" {
-		t.Fatalf("value = %q", v)
-	}
-	// Older write loses regardless of arrival order.
-	r.Apply(LWWSetOp{Value: "stale", TS: 1, Tag: g.tag("b")})
-	if v, _ := r.Value(); v != "v2" {
-		t.Fatalf("stale write won: %q", v)
-	}
-	// Tie on TS: higher replica ID wins, on every replica.
-	x, y := NewLWWRegister(), NewLWWRegister()
-	opA := LWWSetOp{Value: "fromA", TS: 7, Tag: clock.EventID{Replica: "a", Seq: 1}}
-	opB := LWWSetOp{Value: "fromB", TS: 7, Tag: clock.EventID{Replica: "b", Seq: 1}}
-	x.Apply(opA)
-	x.Apply(opB)
-	y.Apply(opB)
-	y.Apply(opA)
-	vx, _ := x.Value()
-	vy, _ := y.Value()
-	if vx != vy {
-		t.Fatalf("LWW diverged: %q vs %q", vx, vy)
-	}
-	if vx != "fromB" {
-		t.Fatalf("tie-break should pick the larger replica: %q", vx)
-	}
-}
-
 func TestCountersIgnoreForeignOps(t *testing.T) {
 	g := newTagger()
 	c := NewPNCounter()
-	c.Apply(LWWSetOp{Value: "x", TS: 1, Tag: g.tag("a")})
+	c.Apply(AWAddOp{Elem: "x", Tag: g.tag("a")})
 	if c.Value() != 0 {
 		t.Fatal("foreign op must be ignored")
 	}
-	r := NewLWWRegister()
-	r.Apply(CounterOp{Delta: 1, Tag: g.tag("a")})
-	if _, ok := r.Value(); ok {
+	b := NewBoundedCounter(nil)
+	b.Apply(CounterOp{Delta: 1, Tag: g.tag("a")})
+	if b.Value() != 0 {
 		t.Fatal("foreign op must be ignored")
 	}
 }

@@ -2,8 +2,8 @@
 // data types the IPA runtime relies on (paper §4.2): add-wins and
 // remove-wins sets extended with touch operations, tuple-pattern
 // (wildcard) removes and payload preservation; PN- and bounded (escrow)
-// counters; a last-writer-wins register; and the Compensation Set, which
-// enforces an aggregation constraint lazily on every read.
+// counters; and the Compensation Set, which enforces an aggregation
+// constraint lazily on every read.
 //
 // All types assume the replication layer (package store) delivers each
 // operation exactly once per replica, in causal order. Under that contract

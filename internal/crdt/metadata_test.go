@@ -81,7 +81,7 @@ func TestSetsIgnoreForeignOps(t *testing.T) {
 		t.Fatal("foreign op mutated AWSet")
 	}
 	rw := NewRWSet()
-	rw.Apply(LWWSetOp{Value: "x", TS: 1, Tag: g.tag("a")})
+	rw.Apply(CounterOp{Delta: 1, Tag: g.tag("a")})
 	if rw.Size() != 0 {
 		t.Fatal("foreign op mutated RWSet")
 	}
@@ -119,7 +119,6 @@ func TestCRDTTypeNames(t *testing.T) {
 		"rw-set":          NewRWSet(),
 		"pn-counter":      NewPNCounter(),
 		"bounded-counter": NewBoundedCounter(nil),
-		"lww-register":    NewLWWRegister(),
 		"comp-set":        NewCompSet(1),
 	}
 	for want, c := range cases {

@@ -21,7 +21,6 @@ const (
 	KindRWSet          = "rw-set"
 	KindPNCounter      = "pn-counter"
 	KindBoundedCounter = "bounded-counter"
-	KindLWWRegister    = "lww-register"
 	// KindCompSet is registered for op routing only: a Compensation Set
 	// carries its bound in the object, so it cannot be constructed empty
 	// from a remote operation — it must be seeded at every replica (see
@@ -66,8 +65,6 @@ func init() {
 		CounterOp{})
 	register(KindBoundedCounter, func() CRDT { return NewBoundedCounter(nil) },
 		BCConsumeOp{}, BCGrantOp{}, BCTransferOp{})
-	register(KindLWWRegister, func() CRDT { return NewLWWRegister() },
-		LWWSetOp{})
 }
 
 // Ctor returns the constructor for a kind, for lazily creating an object

@@ -19,7 +19,6 @@ func TestRegistryNewForOp(t *testing.T) {
 		{NewRWSet().PrepareRemove("x", tag(4)), KindRWSet},
 		{NewRWSet().PrepareRemoveWhere(MatchPattern("", ""), tag(5)), KindRWSet},
 		{NewPNCounter().PrepareAdd(1, tag(6)), KindPNCounter},
-		{NewLWWRegister().PrepareSet("v", 1, tag(7)), KindLWWRegister},
 	}
 	for _, c := range cases {
 		kind, ok := KindForOp(c.op)
@@ -48,7 +47,7 @@ func TestRegistryCompSetOpsRouteToAWSet(t *testing.T) {
 }
 
 func TestRegistryCtor(t *testing.T) {
-	for _, kind := range []string{KindAWSet, KindRWSet, KindPNCounter, KindBoundedCounter, KindLWWRegister} {
+	for _, kind := range []string{KindAWSet, KindRWSet, KindPNCounter, KindBoundedCounter} {
 		obj := Ctor(kind)()
 		if obj.Type() != kind {
 			t.Errorf("Ctor(%q)().Type() = %q", kind, obj.Type())

@@ -25,6 +25,7 @@ import (
 // decodes as ErrMalformedWire and is never assigned again:
 //
 //	2  remove-wins set with per-add observation sets (later 8)
+//	5  last-writer-wins register (deleted)
 //	6  multi-value register (deleted)
 //	8  remove-wins set whose wildcard records carried a predicate-kind
 //	   byte (now 9)
@@ -32,7 +33,6 @@ const (
 	stateKindAWSet   byte = 1
 	stateKindPN      byte = 3
 	stateKindBounded byte = 4
-	stateKindLWW     byte = 5
 	stateKindCompSet byte = 7
 	stateKindRWSet   byte = 9
 )
@@ -140,8 +140,6 @@ func AppendCRDTState(b []byte, c CRDT) ([]byte, error) {
 		return o.appendState(append(b, stateKindPN)), nil
 	case *BoundedCounter:
 		return o.appendState(append(b, stateKindBounded)), nil
-	case *LWWRegister:
-		return o.appendState(append(b, stateKindLWW)), nil
 	case *CompSet:
 		return o.appendState(append(b, stateKindCompSet)), nil
 	default:
@@ -165,8 +163,6 @@ func DecodeCRDTState(r *WireReader) (CRDT, error) {
 		return decodePNState(r)
 	case stateKindBounded:
 		return decodeBoundedState(r)
-	case stateKindLWW:
-		return decodeLWWState(r)
 	case stateKindCompSet:
 		return decodeCompSetState(r)
 	default:
@@ -427,35 +423,6 @@ func decodeBoundedState(r *WireReader) (*BoundedCounter, error) {
 		return nil, err
 	}
 	return &BoundedCounter{rights: rights, consumed: consumed}, nil
-}
-
-// --- Registers --------------------------------------------------------------
-
-func (g *LWWRegister) appendState(b []byte) []byte {
-	b = AppendWireString(b, g.value)
-	b = binary.AppendUvarint(b, g.ts)
-	b = AppendWireString(b, string(g.by))
-	return appendBool(b, g.set)
-}
-
-func decodeLWWState(r *WireReader) (*LWWRegister, error) {
-	g := NewLWWRegister()
-	var err error
-	if g.value, err = r.ReadString(); err != nil {
-		return nil, err
-	}
-	if g.ts, err = r.ReadUvarint(); err != nil {
-		return nil, err
-	}
-	by, err := r.ReadString()
-	if err != nil {
-		return nil, err
-	}
-	g.by = clock.ReplicaID(by)
-	if g.set, err = r.readBool(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // --- CompSet ----------------------------------------------------------------

@@ -29,6 +29,7 @@ import (
 //	    (now 13)
 //	3   remove-wins add with enumerated observation lists (now 12)
 //	5   remove-wins remove-where with a predicate-kind byte (now 14)
+//	10  last-writer-wins register write (the register was deleted)
 //	11  multi-value register write (the register was deleted)
 const (
 	wireIDAWAdd         byte = 1
@@ -37,7 +38,6 @@ const (
 	wireIDBCConsume     byte = 7
 	wireIDBCGrant       byte = 8
 	wireIDBCTransfer    byte = 9
-	wireIDLWWSet        byte = 10
 	wireIDRWAdd         byte = 12
 	wireIDAWRemove      byte = 13
 	wireIDRWRemoveWhere byte = 14
@@ -280,8 +280,6 @@ func AppendOpWire(b []byte, op Op) ([]byte, error) {
 		return o.MarshalWire(append(b, wireIDBCGrant)), nil
 	case BCTransferOp:
 		return o.MarshalWire(append(b, wireIDBCTransfer)), nil
-	case LWWSetOp:
-		return o.MarshalWire(append(b, wireIDLWWSet)), nil
 	default:
 		return nil, fmt.Errorf("crdt: op %T has no wire codec", op)
 	}
@@ -317,7 +315,6 @@ var _ = func() bool {
 	registerWireOp(wireIDBCConsume, "crdt.BCConsumeOp", decodeBCConsume)
 	registerWireOp(wireIDBCGrant, "crdt.BCGrantOp", decodeBCGrant)
 	registerWireOp(wireIDBCTransfer, "crdt.BCTransferOp", decodeBCTransfer)
-	registerWireOp(wireIDLWWSet, "crdt.LWWSetOp", decodeLWWSet)
 	registerWireOp(wireIDRWAdd, "crdt.RWAddOp", decodeRWAdd)
 	registerWireOp(wireIDAWRemove, "crdt.AWRemoveOp", decodeAWRemove)
 	registerWireOp(wireIDRWRemoveWhere, "crdt.RWRemoveWhereOp", decodeRWRemoveWhere)
@@ -602,28 +599,6 @@ func decodeBCTransfer(r *WireReader) (Op, error) {
 	}
 	o.From, o.To = clock.ReplicaID(from), clock.ReplicaID(to)
 	if o.N, err = r.ReadVarint(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// MarshalWire appends the op payload.
-func (o LWWSetOp) MarshalWire(b []byte) []byte {
-	b = AppendEventID(b, o.Tag)
-	b = binary.AppendUvarint(b, o.TS)
-	return AppendWireString(b, o.Value)
-}
-
-func decodeLWWSet(r *WireReader) (Op, error) {
-	var o LWWSetOp
-	var err error
-	if o.Tag, err = r.ReadEventID(); err != nil {
-		return nil, err
-	}
-	if o.TS, err = r.ReadUvarint(); err != nil {
-		return nil, err
-	}
-	if o.Value, err = r.ReadString(); err != nil {
 		return nil, err
 	}
 	return o, nil

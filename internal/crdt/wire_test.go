@@ -27,7 +27,6 @@ func TestWireIDPinning(t *testing.T) {
 		"7=crdt.BCConsumeOp",
 		"8=crdt.BCGrantOp",
 		"9=crdt.BCTransferOp",
-		"10=crdt.LWWSetOp",
 		"12=crdt.RWAddOp",
 		"13=crdt.AWRemoveOp",
 		"14=crdt.RWRemoveWhereOp",
@@ -38,16 +37,18 @@ func TestWireIDPinning(t *testing.T) {
 	}
 	// Retired: 2 (add-wins remove with an element and a predicate), 3
 	// (remove-wins add with observation lists), 5 (remove-where with a
-	// predicate-kind byte) and 11 (the multi-value register's write). Each
-	// is fed with the payload it used to carry and must not decode.
+	// predicate-kind byte), 10 (the last-writer-wins register's write) and
+	// 11 (the multi-value register's write). Each is fed with the payload
+	// it used to carry and must not decode.
 	rwAdd := AppendWireString(AppendWireString(AppendEventID([]byte{3}, eid("r1", 2)), "e"), "p")
 	rwAdd = appendEventIDs(appendEventIDs(append(rwAdd, 0), nil), []clock.EventID{eid("r2", 1)})
+	lwwSet := AppendWireString(binary.AppendUvarint(AppendEventID([]byte{10}, eid("r1", 2)), 7), "v")
 	mvSet := appendEventIDs(AppendWireString(AppendEventID([]byte{11}, eid("r1", 2)), "v"), []clock.EventID{eid("r1", 1)})
 	awRemove := append(AppendWireString(AppendEventID([]byte{2}, eid("r1", 3)), "e"), 0, 1) // nil predicate, one element
 	awRemove = appendEventIDs(AppendWireString(awRemove, "e"), []clock.EventID{eid("r1", 2)})
 	removeWhere := append(AppendEventID([]byte{5}, eid("r1", 4)), 3, 2, 2) // MatchFields, arity 2, two fields
 	removeWhere = AppendWireString(AppendWireString(removeWhere, ""), "t1")
-	retired := map[byte][]byte{2: awRemove, 3: rwAdd, 5: removeWhere, 11: mvSet}
+	retired := map[byte][]byte{2: awRemove, 3: rwAdd, 5: removeWhere, 10: lwwSet, 11: mvSet}
 	for id, frame := range retired {
 		r := NewWireReader(frame)
 		if op, err := DecodeOpWire(&r); !errors.Is(err, ErrMalformedWire) {
@@ -84,7 +85,6 @@ func wireSampleOps() []Op {
 		BCConsumeOp{Replica: "siteA", N: 3, Tag: eid("r7", 77)},
 		BCGrantOp{Replica: "siteB", N: 1 << 40, Tag: eid("r7", 78)},
 		BCTransferOp{From: "siteA", To: "siteB", N: -9, Tag: eid("r7", 79)},
-		LWWSetOp{Value: "v", TS: 1 << 50, Tag: eid("r8", 88)},
 	}
 }
 

@@ -33,11 +33,13 @@ type tpcwChaos struct {
 	nextOrder int
 	orders    []string
 	// execution-side: multi-line orders actually placed, for atomicity
-	// checks (single-item purchases are single-update, trivially atomic).
-	// placedMu guards placed: with Concurrency > 1 several workers Apply
-	// (and the checker reads) concurrently.
-	placedMu sync.Mutex
-	placed   []placedOrder
+	// checks (single-item purchases are single-update, trivially atomic),
+	// and orders whose delivery committed, which every site must end up
+	// reading as delivered. placedMu guards both: with Concurrency > 1
+	// several workers Apply (and the checker reads) concurrently.
+	placedMu  sync.Mutex
+	placed    []placedOrder
+	delivered []string
 }
 
 type placedOrder struct {
@@ -48,9 +50,9 @@ type placedOrder struct {
 // orderAtomic checks the highly-available-transaction guarantee for one
 // multi-line order at a replica: the order-index entries and the order's
 // line set commit in one transaction, so either both are fully visible or
-// neither is. Status is written by separate transactions (NewOrder and
-// Deliver race freely under LWW) and is deliberately not part of the
-// check.
+// neither is. Status is not part of the check: Deliver writes it in a
+// transaction of its own, and a delivery may reach a site before the
+// order it delivers (FinalCheck checks every delivery at quiescence).
 func (a *tpcwChaos) orderAtomic(ctx *Ctx, site int, po placedOrder) (bool, string) {
 	r := ctx.Replica(site)
 	// Read both keys in one transaction: the index entries and the line
@@ -162,6 +164,9 @@ func (a *tpcwChaos) Apply(ctx *Ctx, op Op) {
 		app.Payment(r, op.Args[0], amt)
 	case "deliver":
 		app.Deliver(r, op.Args[0])
+		a.placedMu.Lock()
+		a.delivered = append(a.delivered, op.Args[0])
+		a.placedMu.Unlock()
 	case "read_stock":
 		app.ReadStock(r, op.Args[0])
 	case "rem_product":
@@ -183,8 +188,6 @@ func (a *tpcwChaos) Apply(ctx *Ctx, op Op) {
 	}
 }
 
-// MidCheck asserts the merge-repaired invariants: order atomicity and
-// referential integrity.
 // placedOrders snapshots the placed list under its lock.
 func (a *tpcwChaos) placedOrders() []placedOrder {
 	a.placedMu.Lock()
@@ -192,6 +195,8 @@ func (a *tpcwChaos) placedOrders() []placedOrder {
 	return append([]placedOrder(nil), a.placed...)
 }
 
+// MidCheck asserts the merge-repaired invariants: order atomicity and
+// referential integrity.
 func (a *tpcwChaos) MidCheck(ctx *Ctx, site int) []string {
 	r := ctx.Replica(site)
 	var out []string
@@ -222,7 +227,8 @@ func (a *tpcwChaos) Repair(ctx *Ctx, site int) {
 	}
 }
 
-// FinalCheck adds the read-repaired stock bound to the mid-flight checks.
+// FinalCheck adds the read-repaired stock bound and the delivered status
+// of every committed delivery to the mid-flight checks.
 func (a *tpcwChaos) FinalCheck(ctx *Ctx, site int) []string {
 	app := a.ipa
 	if a.cfg.Variant == "causal" {
@@ -232,6 +238,14 @@ func (a *tpcwChaos) FinalCheck(ctx *Ctx, site int) []string {
 	for _, po := range a.placedOrders() {
 		if ok, msg := a.orderAtomic(ctx, site, po); !ok {
 			out = append(out, fmt.Sprintf("order %s not atomic: %s", po.id, msg))
+		}
+	}
+	a.placedMu.Lock()
+	delivered := append([]string(nil), a.delivered...)
+	a.placedMu.Unlock()
+	for _, id := range delivered {
+		if s := app.OrderStatus(ctx.Replica(site), id); s != "delivered" {
+			out = append(out, fmt.Sprintf("order %s delivered but reads %q", id, s))
 		}
 	}
 	return out

@@ -17,8 +17,8 @@
 // can be serialized, shipped in a bug report, and replayed exactly.
 //
 // Entry points: Generate/Execute for one schedule, Run for a seeded
-// campaign with shrinking, Soak for the real-socket netrepl churn mode,
-// and the `ipa chaos` subcommand for all of it from the command line.
+// campaign with shrinking, and the `ipa chaos` subcommand for both from
+// the command line.
 package harness
 
 import (

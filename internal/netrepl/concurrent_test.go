@@ -191,23 +191,31 @@ func TestCrossShardAtomicityOnSockets(t *testing.T) {
 // with the fault hooks: clients commit from several goroutines per node
 // while one node is paused (apply pipeline frozen, frames still acked)
 // and inbound connections are repeatedly killed. Everything must still
-// converge exactly once per transaction after the faults lift.
+// converge exactly once per transaction after the faults lift, with no
+// transaction dropped by a sender and every node's own sent.
 func TestConcurrentClientsUnderChurnAndPause(t *testing.T) {
 	nodes := newTrio(t)
 	nodes[1].SetPaused(true)
 
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
+	var killed int
+	deadline := time.Now().Add(10 * time.Second)
 	chaos.Add(1)
 	go func() {
 		defer chaos.Done()
+		// Kill until stopped, and past that until one kill lands (or the
+		// deadline passes): churn is what is tested.
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
-				return
-			case <-time.After(3 * time.Millisecond):
-				nodes[i%len(nodes)].DropConnections()
+				if killed > 0 || time.Now().After(deadline) {
+					return
+				}
+			default:
 			}
+			time.Sleep(2 * time.Millisecond)
+			killed += nodes[i%len(nodes)].DropConnections()
 		}
 	}()
 
@@ -226,6 +234,9 @@ func TestConcurrentClientsUnderChurnAndPause(t *testing.T) {
 					store.CounterAt(tx, "churn/total").Add(1)
 					store.AWSetAt(tx, fmt.Sprintf("churn/%s", n.ID())).Add(fmt.Sprintf("%d-%d", g, i), "")
 					tx.Commit()
+					if i%10 == 9 {
+						time.Sleep(time.Millisecond) // let the kills land mid-stream
+					}
 				}
 			}(n, g)
 		}
@@ -233,6 +244,9 @@ func TestConcurrentClientsUnderChurnAndPause(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	chaos.Wait()
+	if killed == 0 {
+		t.Fatal("the chaos loop killed no connection: churn not exercised")
+	}
 	nodes[1].SetPaused(false)
 	waitQuiet(t, nodes)
 
@@ -244,7 +258,16 @@ func TestConcurrentClientsUnderChurnAndPause(t *testing.T) {
 		if v != want {
 			t.Fatalf("%s: total = %d, want %d (lost or duplicated transactions)", n.ID(), v, want)
 		}
+		m := n.Stats()
+		t.Logf("%s: %s", n.ID(), m)
+		if m.TxnsDropped != 0 {
+			t.Errorf("%s dropped %d transactions during churn", n.ID(), m.TxnsDropped)
+		}
+		if m.TxnsSent == 0 {
+			t.Errorf("%s sent no transactions", n.ID())
+		}
 	}
+	t.Logf("%d connections killed", killed)
 }
 
 // TestPauseFreezesDependencyWaiters pins the pause semantics: a

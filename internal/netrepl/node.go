@@ -22,8 +22,8 @@
 //   - acknowledged delivery: the receiver confirms each batch frame after
 //     handing its transactions to the replica, and the sender counts a
 //     frame sent only on ack. A write that succeeds into a socket the
-//     peer kills before reading would otherwise be silent loss — the
-//     chaos soak (internal/harness) surfaces exactly this under churn;
+//     peer kills before reading would otherwise be silent loss —
+//     TestConcurrentClientsUnderChurnAndPause surfaces exactly this;
 //   - graceful shutdown: Close stops accepting work and gives every
 //     sender Config.DrainTimeout to flush what its peer lacks before
 //     abandoning the remainder (counted in Metrics.TxnsDropped).

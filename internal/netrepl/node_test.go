@@ -137,7 +137,6 @@ func TestWireRoundTrip(t *testing.T) {
 	store.RWSetAt(tx, "rw").Add("y", "")
 	store.RWSetAt(tx, "rw").Remove("y")
 	store.CounterAt(tx, "c").Add(-7)
-	store.RegisterAt(tx, "reg").Set("v")
 	store.BoundedAt(tx, "bc").Grant(5)
 	tx.Commit()
 	tx = n.Begin()
@@ -159,9 +158,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if store.CounterAt(tx, "c").Value() != -7 {
 		t.Error("counter state wrong after wire round trip")
-	}
-	if v, _ := store.RegisterAt(tx, "reg").Value(); v != "v" {
-		t.Error("register state wrong after wire round trip")
 	}
 	if v := store.BoundedAt(tx, "bc").Value(); v != 3 {
 		t.Errorf("bounded counter = %d after wire round trip, want 3", v)

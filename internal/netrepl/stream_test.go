@@ -490,8 +490,8 @@ func TestCommitsContinueWhilePeerPartitioned(t *testing.T) {
 // frame written successfully to a peer that dies before confirming it is
 // NOT counted sent — the sender must treat the missing ack as a failure
 // and retry the batch on a fresh connection. (A write reaching a kernel
-// buffer proves nothing; the chaos soak hits this constantly under
-// connection churn.)
+// buffer proves nothing; TestConcurrentClientsUnderChurnAndPause hits
+// this under connection churn.)
 func TestUnackedFrameRetries(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

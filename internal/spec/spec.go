@@ -367,7 +367,11 @@ func (s *Spec) Validate() error {
 // String renders the specification in the parseable textual format.
 func (s *Spec) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "spec %s\n\n", s.Name)
+	fmt.Fprintf(&b, "spec %s\n", s.Name)
+	for _, t := range s.Tags {
+		fmt.Fprintf(&b, "tag %s\n", t)
+	}
+	b.WriteByte('\n')
 	consts := make([]string, 0, len(s.Consts))
 	for k := range s.Consts {
 		consts = append(consts, k)

@@ -76,7 +76,7 @@ func TestRandomWorkloadConvergence(t *testing.T) {
 			case 4:
 				CounterAt(tx, "cnt").Add(int64(rng.Intn(7)) - 3)
 			case 5:
-				RegisterAt(tx, "reg").Set(fmt.Sprintf("v%d", step))
+				RWSetAt(tx, "rw").RemoveWhere(crdt.MatchPattern("", "t"))
 			}
 			tx.Commit()
 			// Advance a random small amount so replication interleaves.
@@ -87,7 +87,6 @@ func TestRandomWorkloadConvergence(t *testing.T) {
 		type view struct {
 			aw, rw []string
 			cnt    int64
-			reg    string
 		}
 		var first view
 		for i, id := range ids {
@@ -97,7 +96,6 @@ func TestRandomWorkloadConvergence(t *testing.T) {
 				rw:  RWSetAt(tx, "rw").Elems(),
 				cnt: CounterAt(tx, "cnt").Value(),
 			}
-			v.reg, _ = RegisterAt(tx, "reg").Value()
 			tx.Commit()
 			if i == 0 {
 				first = v

@@ -313,32 +313,6 @@ func TestRWAddCostIndependentOfTombstones(t *testing.T) {
 	}
 }
 
-func TestLWWRegisterThroughStore(t *testing.T) {
-	sim, c := newTestCluster(8)
-	east := c.Replica(wan.USEast)
-	west := c.Replica(wan.USWest)
-	tx := east.Begin()
-	RegisterAt(tx, "name").Set("v-east")
-	tx.Commit()
-	tx2 := west.Begin()
-	RegisterAt(tx2, "name").Set("v-west")
-	tx2.Commit()
-	sim.Run()
-	var vals []string
-	for _, id := range c.Replicas() {
-		tx := c.Replica(id).Begin()
-		v, ok := RegisterAt(tx, "name").Value()
-		tx.Commit()
-		if !ok {
-			t.Fatalf("replica %s: register unset", id)
-		}
-		vals = append(vals, v)
-	}
-	if vals[0] != vals[1] || vals[1] != vals[2] {
-		t.Fatalf("LWW diverged: %v", vals)
-	}
-}
-
 func TestCompSetThroughStore(t *testing.T) {
 	sim, c := newTestCluster(9)
 	for _, id := range c.Replicas() {

@@ -440,34 +440,6 @@ func (r BoundedRef) Value() int64 { return r.c.Value() }
 // Local returns the rights locally available to the origin replica.
 func (r BoundedRef) Local() int64 { return r.c.Local(r.tx.r.id) }
 
-// RegisterRef is a transaction-scoped view of an LWW register.
-type RegisterRef struct {
-	tx  *Txn
-	key string
-	reg *crdt.LWWRegister
-}
-
-// RegisterAt binds the LWW register stored at key.
-func RegisterAt(tx *Txn, key string) RegisterRef {
-	obj, _ := tx.object(key, crdt.Ctor(crdt.KindLWWRegister))
-	reg, ok := obj.(*crdt.LWWRegister)
-	if !ok {
-		panic(fmt.Sprintf("store: %s holds %s, not lww-register", key, obj.Type()))
-	}
-	return RegisterRef{tx: tx, key: key, reg: reg}
-}
-
-// Set writes value; the logical timestamp is the op's sequence number, so
-// later local writes always supersede earlier ones.
-func (r RegisterRef) Set(value string) {
-	tag := r.tx.NewTag()
-	op := r.reg.PrepareSet(value, tag.Seq, tag)
-	r.tx.Apply(r.key, op, nil)
-}
-
-// Value returns the register content.
-func (r RegisterRef) Value() (string, bool) { return r.reg.Value() }
-
 // CompSetRef is a transaction-scoped view of a Compensation Set. The set
 // must have been seeded at every replica (see SeedCompSet) so each copy
 // knows the bound.

@@ -12,10 +12,11 @@ import (
 //     malformed, hostile counts);
 //   - every input that is not a v2 frame errors — in particular every
 //     frame of the retired gob formats v0 and v1, seeded below, and the
-//     seeded v2 frames carrying the retired op wire IDs 2, 3, 5 and 11,
-//     and remove-wheres whose pattern cannot be indexed;
+//     seeded v2 frames carrying the retired op wire IDs 2, 3, 5, 10 and
+//     11, and remove-wheres whose pattern cannot be indexed;
 //   - DecodeSnapshot, which shares the state codecs, never panics either
-//     (seeded with a snapshot of the retired remove-wins state kind 8);
+//     (seeded with snapshots of the retired remove-wins state kind 8 and
+//     register state kind 5);
 //   - any input that decodes successfully re-encodes to a decodable
 //     frame carrying the same transactions (encode→decode identity,
 //     checked bytewise through the deterministic encoder).
@@ -38,6 +39,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add(retiredRWSetSnapshot())
+	f.Add(retiredRegisterSnapshot())
 	if empty, err := EncodeBatchV2(nil); err == nil {
 		f.Add(empty)
 	}

@@ -64,8 +64,9 @@ func oneUpdateFrame(id byte, payload func([]byte) []byte) []byte {
 // the add-wins remove with an element and a (nil) predicate besides its
 // observed tags, op 3 the remove-wins add with its observation lists (one
 // exact remove, one wildcard), op 5 the remove-where with a predicate-kind
-// byte and an arity before its pattern, op 11 the multi-value register
-// write with its observed list.
+// byte and an arity before its pattern, op 10 the last-writer-wins
+// register write with its timestamp, op 11 the multi-value register write
+// with its observed list.
 func retiredOpFrames() map[string][]byte {
 	frame := oneUpdateFrame
 	tag := clock.EventID{Replica: "a", Seq: 1}
@@ -91,6 +92,11 @@ func retiredOpFrames() map[string][]byte {
 			b = crdt.AppendEventID(b, tag)
 			b = append(b, 3, 2, 2) // pattern predicate, arity 2, two fields
 			return crdt.AppendWireString(crdt.AppendWireString(b, ""), "t1")
+		}),
+		"op ID 10": frame(10, func(b []byte) []byte {
+			b = crdt.AppendEventID(b, tag)
+			b = binary.AppendUvarint(b, 1) // timestamp
+			return crdt.AppendWireString(b, "v")
 		}),
 		"op ID 11": frame(11, func(b []byte) []byte {
 			b = crdt.AppendEventID(b, tag)
@@ -122,15 +128,23 @@ func unindexableFrames() map[string][]byte {
 	}
 }
 
+// snapshotImage builds a snapshot image holding one object, key, whose
+// state record (kind byte and payload) is object.
+func snapshotImage(key string, object []byte) []byte {
+	body := crdt.AppendVectorWire(nil, clock.Vector{"a": 2})
+	body = crdt.AppendWireString(body, "a")
+	body = append(body, 1) // one object
+	body = append(crdt.AppendWireString(body, key), object...)
+	out := append([]byte(snapshotMagic), snapshotVersion)
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
 // retiredRWSetSnapshot builds a snapshot image holding one remove-wins
 // set in the retired state kind 8, whose wildcard records carried a
 // predicate-kind byte and an arity before their pattern.
 func retiredRWSetSnapshot() []byte {
-	body := crdt.AppendVectorWire(nil, clock.Vector{"a": 2})
-	body = crdt.AppendWireString(body, "a")
-	body = append(body, 1) // one object
-	body = crdt.AppendWireString(body, "rw")
-	body = append(body, 8, 1) // kind 8; one element with adds
+	body := []byte{8, 1} // kind 8; one element with adds
 	body = crdt.AppendWireString(crdt.AppendWireString(body, "x"+crdt.TupleSep+"t1"), "")
 	body = append(body, 1) // one add record
 	body = append(crdt.AppendEventID(body, clock.EventID{Replica: "a", Seq: 1}), 0)
@@ -138,16 +152,23 @@ func retiredRWSetSnapshot() []byte {
 	body = crdt.AppendEventID(body, clock.EventID{Replica: "a", Seq: 2})
 	body = append(body, 3, 2, 2) // pattern predicate, arity 2, two fields
 	body = crdt.AppendWireString(crdt.AppendWireString(body, ""), "t1")
-	body = append(body, 0) // no fence
-	out := append([]byte(snapshotMagic), snapshotVersion)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...)
+	return snapshotImage("rw", append(body, 0)) // no fence
+}
+
+// retiredRegisterSnapshot builds a snapshot image holding one
+// last-writer-wins register in the retired state kind 5: its value, the
+// winning write's timestamp and replica, and whether it was ever set.
+func retiredRegisterSnapshot() []byte {
+	reg := crdt.AppendWireString([]byte{5}, "v")
+	reg = crdt.AppendWireString(binary.AppendUvarint(reg, 1), "a")
+	return snapshotImage("reg", append(reg, 1))
 }
 
 // TestDecodeFrameRejectsRetiredFormats pins that the gob formats v0 and
 // v1, v2 frames carrying a retired op wire ID, remove-wheres whose
-// pattern cannot be indexed, and a snapshot holding the retired
-// remove-wins state kind 8 are rejected as malformed input, not decoded.
+// pattern cannot be indexed, and snapshots holding the retired
+// remove-wins state kind 8 or register state kind 5 are rejected as
+// malformed input, not decoded.
 func TestDecodeFrameRejectsRetiredFormats(t *testing.T) {
 	v0, v1 := retiredFrames(t)
 	frames := retiredOpFrames()
@@ -161,8 +182,10 @@ func TestDecodeFrameRejectsRetiredFormats(t *testing.T) {
 			t.Errorf("%s frame: DecodeFrame = %d txns, err %v; want an error wrapping ErrMalformedWire", name, len(txns), err)
 		}
 	}
-	if snap, err := DecodeSnapshot(retiredRWSetSnapshot()); !errors.Is(err, crdt.ErrMalformedWire) {
-		t.Errorf("state kind 8 snapshot decoded as %#v (err %v); want an error wrapping ErrMalformedWire", snap, err)
+	for kind, image := range map[int][]byte{8: retiredRWSetSnapshot(), 5: retiredRegisterSnapshot()} {
+		if snap, err := DecodeSnapshot(image); !errors.Is(err, crdt.ErrMalformedWire) {
+			t.Errorf("state kind %d snapshot decoded as %#v (err %v); want an error wrapping ErrMalformedWire", kind, snap, err)
+		}
 	}
 }
 
@@ -225,7 +248,6 @@ func richTxns() []WireTxn {
 				{Key: "bc", Op: crdt.BCConsumeOp{Replica: "c", N: 3, Tag: e("c", 2)}},
 				{Key: "bc", Op: crdt.BCGrantOp{Replica: "a", N: 10, Tag: e("c", 2)}},
 				{Key: "bc", Op: crdt.BCTransferOp{From: "c", To: "a", N: 1, Tag: e("c", 2)}},
-				{Key: "lww", Op: crdt.LWWSetOp{Value: "v", TS: 99, Tag: e("c", 2)}},
 			},
 		},
 		{Origin: "d", FirstSeq: 0, LastSeq: 0}, // empty txn record

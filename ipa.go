@@ -384,8 +384,6 @@ var (
 	CounterAt = store.CounterAt
 	// BoundedAt binds the bounded (escrow) counter at key.
 	BoundedAt = store.BoundedAt
-	// RegisterAt binds the LWW register at key.
-	RegisterAt = store.RegisterAt
 	// CompSetAt binds the Compensation Set at key (seed it first with
 	// SeedCompSet at every replica).
 	CompSetAt = store.CompSetAt
