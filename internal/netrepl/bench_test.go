@@ -45,10 +45,6 @@ func recoverOnce(b *testing.B, count int, snapshotEvery int64) uint64 {
 	cfg := Config{
 		DataDir:       b.TempDir(),
 		SnapshotEvery: snapshotEvery,
-		// Small segments so truncation has units to delete at this scale;
-		// otherwise the whole history lives in one active segment and
-		// recovery decodes all of it in both modes.
-		SegmentSize:   64 << 10,
 		FlushInterval: 100 * time.Microsecond,
 	}
 	id := clock.ReplicaID("bench")
@@ -56,6 +52,10 @@ func recoverOnce(b *testing.B, count int, snapshotEvery int64) uint64 {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Small segments so truncation has units to delete at this scale;
+	// otherwise the whole history lives in one active segment and
+	// recovery decodes all of it in both modes.
+	n.wal.SetSegmentSize(64 << 10)
 	// A fixed 64-key working set is the regime where snapshots pay: state
 	// stays bounded while the log grows with history. Every 64 commits the
 	// stability round runs, which on a durable node also triggers the

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"ipa/internal/clock"
 	"ipa/internal/store"
 )
 
@@ -214,11 +213,11 @@ func TestRecoverRefusesCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
 	cfg.SnapshotEvery = 1
-	cfg.SegmentSize = 1 // one sealed segment per record, so truncation has units
 	n, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.wal.SetSegmentSize(1) // one sealed segment per record, so truncation has units
 	for i := 0; i < 5; i++ {
 		tx := n.Begin()
 		store.AWSetAt(tx, "s").Add(fmt.Sprint(i), "")
@@ -277,13 +276,14 @@ func tearWALTail(t *testing.T, dataDir string) {
 // large for any frame (counted, announced once), and the receiver —
 // which previously stalled silently forever — must now detect the stall,
 // log it, and expose the origin in Metrics.StalledOrigins. Clearing the
-// gap (here: raising MaxFrame would be cheating, so the test only checks
-// detection) is the documented state-transfer path.
+// gap (here: raising maxFrame would be cheating, so the test only checks
+// detection) is the documented state-transfer path. The sender's frame cap
+// and the receiver's stall threshold are lowered through Config's test
+// hooks; a batch holding the big transaction is split down to it alone.
 func TestOversizedTxnStallDetection(t *testing.T) {
 	a, err := NewNodeWithConfig("a", "127.0.0.1:0", Config{
 		FlushInterval: 100 * time.Microsecond,
-		MaxFrame:      2048,
-		MaxBatchTxns:  1, // no batch splitting to blur the single-txn case
+		maxFrame:      2048,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestOversizedTxnStallDetection(t *testing.T) {
 	defer a.Close()
 	b, err := NewNodeWithConfig("b", "127.0.0.1:0", Config{
 		FlushInterval: 100 * time.Microsecond,
-		StallWarn:     30 * time.Millisecond,
+		stallWarn:     30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestOversizedTxnStallDetection(t *testing.T) {
 	waitUntil(t, "oversized txn dropped at sender", func() bool {
 		return a.Stats().TxnsDropped >= 1
 	})
-	// The receiver must declare the origin stalled once StallWarn
+	// The receiver must declare the origin stalled once stallWarn
 	// elapses — the later transactions sit on a FIFO gap that will
 	// never close.
 	waitUntil(t, "receiver detects the stall", func() bool {
@@ -329,22 +329,6 @@ func TestOversizedTxnStallDetection(t *testing.T) {
 	if v := counterValue(b, "after"); v != 0 {
 		t.Fatalf("receiver applied %d post-gap txns across a causal gap", v)
 	}
-}
-
-// restartAt recovers a killed durable node from dir at its old address,
-// retrying while the OS releases the port.
-func restartAt(t *testing.T, id, addr, dir string) *Node {
-	t.Helper()
-	var err error
-	for attempt := 0; attempt < 20; attempt++ {
-		var n *Node
-		if n, err = NewNodeWithConfig(clock.ReplicaID(id), addr, durableCfg(dir)); err == nil {
-			return n
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("restart %s at %s: %v", id, addr, err)
-	return nil
 }
 
 // TestRecoveredCommitsReachPeerThroughLog pins the offer of recovered
@@ -367,12 +351,14 @@ func TestRecoveredCommitsReachPeerThroughLog(t *testing.T) {
 	b.BlockOrigin("a", true)
 	a.AddPeer("b", b.Addr())
 	commitN(a, "c", 50) // each Commit returned after its fsync: acknowledged
-	addr := a.Addr()
 	if err := a.Kill(); err != nil {
 		t.Fatal(err)
 	}
 
-	rec := restartAt(t, "a", addr, dir)
+	rec, err := NewNodeWithConfig("a", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer rec.Close()
 	rec.AddPeer("b", b.Addr())
 	commitN(rec, "c", 10)
@@ -405,12 +391,14 @@ func TestRecoveredLogWaitsForEveryPeer(t *testing.T) {
 	}
 	defer c.Close()
 	commitN(a, "c", 20) // no peers: nothing leaves a before the crash
-	addr := a.Addr()
 	if err := a.Kill(); err != nil {
 		t.Fatal(err)
 	}
 
-	rec := restartAt(t, "a", addr, dir)
+	rec, err := NewNodeWithConfig("a", "127.0.0.1:0", durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer rec.Close()
 	rec.AddPeer("b", b.Addr())
 	waitUntil(t, "the first peer catches up", func() bool {

@@ -43,12 +43,10 @@ func ExampleNewNode() {
 }
 
 // ExampleNewNodeWithConfig tunes the streaming transport: a wide
-// coalescing window and large batches for bulk replication, and a
-// patient drain on Close.
+// coalescing window for bulk replication, and a patient drain on Close.
 func ExampleNewNodeWithConfig() {
 	cfg := netrepl.Config{
 		FlushInterval: 2 * time.Millisecond, // wait longer, batch more
-		MaxBatchTxns:  512,                  // up to 512 txns per frame
 		DrainTimeout:  5 * time.Second,      // flush patiently on Close
 	}
 	src, err := netrepl.NewNodeWithConfig("src", "127.0.0.1:0", cfg)

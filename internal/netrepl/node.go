@@ -15,7 +15,7 @@
 //   - one outbound log per node with a cursor per peer: a commit appends
 //     and returns, never waiting on a peer, and a sender goroutine per
 //     peer coalesces the entries past its cursor into batch frames
-//     (Config.FlushInterval and Config.MaxBatchTxns bound the window and
+//     (Config.FlushInterval and maxBatchTxns bound the window and
 //     the batch). An entry stays until every peer has acknowledged it, so
 //     an unreachable peer grows the log by one transaction per commit
 //     (Metrics.QueueDepth) — the simulator's partition buffer;
@@ -33,7 +33,7 @@
 // delivery buffer the simulator uses too, which applies whatever is next
 // in its origin's order with its dependencies delivered — and then acks.
 // The handler withholds the ack while its origin is over the receive-side
-// bound (Config.QueueCap). Local transactions (Begin) and delivery take
+// bound (QueueCap). Local transactions (Begin) and delivery take
 // turns on the store's replica lock.
 //
 // Delivery is at-least-once — a sender that loses its connection (or an
@@ -63,9 +63,33 @@ import (
 	"ipa/internal/store"
 )
 
-// defaultMaxFrame is the default cap on the size of one frame
-// (Config.MaxFrame).
-const defaultMaxFrame = 64 << 20
+// The transport's fixed values. Each is the one value the served path
+// runs with; only the knobs in Config differ between callers.
+const (
+	// maxBatchTxns caps the transactions per batch frame.
+	maxBatchTxns = 256
+	// QueueCap bounds, on the receive side only, each origin's backlog in
+	// the replica's delivery buffer, in transactions: a connection
+	// handler withholds the frame ack while its origin has QueueCap or
+	// more transactions buffered and its next transaction is one of them,
+	// that is, while it waits on another origin. A backlog behind a gap
+	// in the origin's own sequence is not bounded: the gap-filler arrives
+	// on the same stream. Every buffered transaction counts in Pending.
+	QueueCap = 8192
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// writeTimeout bounds one frame write and one ack wait: a peer that
+	// accepts the connection but stops reading fails the write instead
+	// of blocking the sender (and Close) forever.
+	writeTimeout = 10 * time.Second
+	// maxFrame caps the size of one frame, sent or accepted. A single
+	// transaction that encodes above it is undeliverable (see DESIGN.md,
+	// "Oversized transactions").
+	maxFrame = 64 << 20
+	// stallWarn is how long an origin's delivery may stand still with
+	// transactions buffered before it counts as stalled (stallTicker).
+	stallWarn = 10 * time.Second
+)
 
 // State-transfer request magics. Both protocols share the replication
 // listener: a frame whose payload starts with one of these words is a
@@ -96,23 +120,6 @@ type Config struct {
 	// Default 500µs: long enough to batch a commit burst, short enough
 	// to keep single-transaction latency in the sub-millisecond range.
 	FlushInterval time.Duration
-	// MaxBatchTxns caps the transactions per batch frame. Default 256.
-	MaxBatchTxns int
-	// QueueCap bounds, on the receive side only, each origin's backlog in
-	// the replica's delivery buffer, in transactions (default 8192): a
-	// connection handler withholds the frame ack while its origin has
-	// QueueCap or more transactions buffered and its next transaction is
-	// one of them, that is, while it waits on another origin. A backlog
-	// behind a gap in the origin's own sequence is not bounded: the
-	// gap-filler arrives on the same stream. Every buffered transaction
-	// counts in Pending.
-	QueueCap int
-	// DialTimeout bounds one connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write; a peer that accepts the
-	// connection but stops reading fails the write instead of blocking
-	// the sender (and Close) forever. Default 10s.
-	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
 	// (with jitter). Defaults 5ms and 1s; a BackoffMax below BackoffMin
 	// is raised to BackoffMin, so the backoff never shrinks.
@@ -127,44 +134,26 @@ type Config struct {
 	// and periodic snapshots bound replay. A node restarted with the
 	// same DataDir recovers its replica from snapshot + log.
 	DataDir string
-	// MaxFrame caps the size of one frame, sent or accepted. A single
-	// transaction that encodes above it is undeliverable (see
-	// DESIGN.md, "Oversized transactions"). Default 64 MiB.
-	MaxFrame int
 	// SnapshotEvery is how many WAL bytes accumulate between snapshots;
 	// each snapshot lets the log truncate below the stability horizon.
 	// Checked on CompactAll (the stability driver's cadence).
 	// Default 4 MiB.
 	SnapshotEvery int64
-	// SegmentSize is the WAL's segment rotation threshold in bytes
-	// (default 8 MiB). Truncation deletes whole sealed segments, so
-	// smaller segments bound recovery replay more tightly at the cost
-	// of more files. Zero takes the log's default.
-	SegmentSize int64
-	// StallWarn is how long an origin may have transactions buffered
-	// while its delivered entry does not move before it is declared
-	// stalled: logged once and counted in Metrics.StalledOrigins. A stall
-	// that never clears means the dependency will never arrive — an
-	// oversized transaction was dropped at the sender, or its origin's
-	// WAL is gone — and the unstick path is state transfer
-	// (decommission + rejoin from a donor snapshot). Default 10s.
-	StallWarn time.Duration
+
+	// Test hooks that reach the oversized-transaction drop and the stall
+	// detector in milliseconds; zero takes the constant of that name.
+	maxFrame  int
+	stallWarn time.Duration
 }
 
 // DefaultConfig returns the streaming transport defaults.
 func DefaultConfig() Config {
 	return Config{
 		FlushInterval: 500 * time.Microsecond,
-		MaxBatchTxns:  256,
-		QueueCap:      8192,
-		DialTimeout:   2 * time.Second,
-		WriteTimeout:  10 * time.Second,
 		BackoffMin:    5 * time.Millisecond,
 		BackoffMax:    time.Second,
 		DrainTimeout:  2 * time.Second,
-		MaxFrame:      defaultMaxFrame,
 		SnapshotEvery: 4 << 20,
-		StallWarn:     10 * time.Second,
 	}
 }
 
@@ -172,18 +161,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = d.FlushInterval
-	}
-	if c.MaxBatchTxns <= 0 {
-		c.MaxBatchTxns = d.MaxBatchTxns
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = d.QueueCap
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = d.DialTimeout
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = d.WriteTimeout
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = d.BackoffMin
@@ -197,14 +174,14 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = d.DrainTimeout
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = d.MaxFrame
-	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = d.SnapshotEvery
 	}
-	if c.StallWarn <= 0 {
-		c.StallWarn = d.StallWarn
+	if c.maxFrame <= 0 {
+		c.maxFrame = maxFrame
+	}
+	if c.stallWarn <= 0 {
+		c.stallWarn = stallWarn
 	}
 	return c
 }
@@ -245,8 +222,9 @@ type Metrics struct {
 	// the latest one).
 	Snapshots uint64
 	// StalledOrigins is the number of origins currently stalled on a
-	// causal gap older than Config.StallWarn — see Config.StallWarn for
-	// what a persistent stall means and the unstick path.
+	// causal gap older than 10s. A stall that never clears means the
+	// dependency will never arrive, and the unstick path is state
+	// transfer (DESIGN.md, "Oversized transactions").
 	StalledOrigins int
 }
 
@@ -350,7 +328,7 @@ type Node struct {
 	walFailOnce sync.Once
 
 	// stalledOrigins is how many origins the stall ticker last found
-	// stalled (Metrics.StalledOrigins; see Config.StallWarn).
+	// stalled (Metrics.StalledOrigins; see stallWarn).
 	stalledOrigins atomic.Int64
 
 	m counters
@@ -400,10 +378,8 @@ func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, erro
 	n.cluster.SetOnCommitSync(n.broadcast)
 	n.wg.Add(1)
 	go n.acceptLoop()
-	if n.cfg.StallWarn > 0 {
-		n.wg.Add(1)
-		go n.stallTicker()
-	}
+	n.wg.Add(1)
+	go n.stallTicker()
 	return n, nil
 }
 
@@ -450,7 +426,6 @@ func (n *Node) recover() error {
 	if err != nil {
 		return fmt.Errorf("netrepl: recover %s: %w", n.id, err)
 	}
-	wal.SetSegmentSize(n.cfg.SegmentSize)
 	n.wal = wal
 	n.out.hold = len(n.out.entries) > 0
 	n.replica.EnsureSeq(maxOwn)
@@ -464,8 +439,9 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 func (n *Node) ID() clock.ReplicaID { return n.id }
 
 // AddPeer registers a peer to replicate to and starts its sender at the
-// oldest entry the outbound log retains. Adding the same peer id again is
-// a no-op. On a recovered node the log starts with the own-origin records
+// oldest entry the outbound log retains. Adding a known peer id again
+// re-points its sender at addr and keeps its cursor: a peer recovered on
+// a new port is sent exactly what it still lacks. On a recovered node the log starts with the own-origin records
 // of the write-ahead log: a crash between fsync and send would otherwise
 // leave a permanent causal gap at every peer (peers that have them
 // deduplicate). They stay until the node's next commit, so add every peer
@@ -473,7 +449,8 @@ func (n *Node) ID() clock.ReplicaID { return n.id }
 func (n *Node) AddPeer(id clock.ReplicaID, addr string) {
 	n.out.mu.Lock()
 	defer n.out.mu.Unlock()
-	if _, ok := n.out.peers[id]; ok {
+	if p, ok := n.out.peers[id]; ok {
+		p.repoint(addr)
 		return
 	}
 	p := newPeerConn(n, id, addr)
@@ -769,7 +746,7 @@ func (n *Node) handle(conn net.Conn) {
 	bufp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bufp)
 	for {
-		data, err := readFrame(conn, bufp, n.cfg.MaxFrame)
+		data, err := readFrame(conn, bufp, n.cfg.maxFrame)
 		if err != nil {
 			return
 		}
@@ -830,7 +807,7 @@ func (n *Node) handle(conn net.Conn) {
 
 // stateTransferLimit is the frame cap on the state-transfer paths
 // (snapshot blobs and WAL-record tails). Deliberately far above
-// Config.MaxFrame: state transfer is the unstick path for transactions
+// maxFrame: state transfer is the unstick path for transactions
 // too large for live replication, so it must carry what the live path
 // cannot.
 const stateTransferLimit = 1 << 30
@@ -859,21 +836,21 @@ func (n *Node) serveTail(conn net.Conn, req []byte) {
 		if err != nil {
 			return false
 		}
-		if len(frame) > n.cfg.MaxFrame && len(batch) > 1 {
+		if len(frame) > n.cfg.maxFrame && len(batch) > 1 {
 			// Keep individual frames small where possible; a single
-			// record above MaxFrame still goes out whole — the requester
+			// record above maxFrame still goes out whole — the requester
 			// reads this stream with stateTransferLimit, and carrying
 			// oversized transactions is this path's reason to exist.
 			half := len(batch) / 2
 			return send(batch[:half]) && send(batch[half:])
 		}
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		return writeFrame(conn, frame) == nil
 	}
 	for len(recs) > 0 {
 		batch := recs
-		if len(batch) > n.cfg.MaxBatchTxns {
-			batch = recs[:n.cfg.MaxBatchTxns]
+		if len(batch) > maxBatchTxns {
+			batch = recs[:maxBatchTxns]
 		}
 		if !send(batch) {
 			return
@@ -889,7 +866,7 @@ func (n *Node) serveJoin(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_ = writeFrame(conn, data)
 }
 
@@ -897,18 +874,18 @@ func (n *Node) serveJoin(conn net.Conn) {
 // else writes this replica (a fresh joiner before peers stream to it):
 // the snapshot installs objects wholesale.
 func (n *Node) fetchSnapshot(addr string) error {
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := writeFrame(conn, []byte(joinMagic)); err != nil {
 		return err
 	}
 	bufp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bufp)
-	conn.SetReadDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetReadDeadline(time.Now().Add(writeTimeout))
 	data, err := readFrame(conn, bufp, stateTransferLimit)
 	if err != nil {
 		return err
@@ -926,20 +903,20 @@ func (n *Node) fetchSnapshot(addr string) error {
 // (the same log-before-apply order as live receive; no ack is involved,
 // so no fsync wait either).
 func (n *Node) fetchTail(addr string) error {
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	req := append([]byte(tailMagic), crdt.AppendVectorWire(nil, n.replica.Clock())...)
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := writeFrame(conn, req); err != nil {
 		return err
 	}
 	bufp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bufp)
 	for {
-		conn.SetReadDeadline(time.Now().Add(n.cfg.WriteTimeout))
+		conn.SetReadDeadline(time.Now().Add(writeTimeout))
 		data, err := readFrame(conn, bufp, stateTransferLimit)
 		if err == io.EOF {
 			return nil // clean end of stream
@@ -1006,7 +983,7 @@ func (n *Node) Bootstrap(donorAddr string, peerAddrs []string, mesh func()) erro
 // re-checks its origin's backlog.
 const backlogPoll = time.Millisecond
 
-// awaitBacklog is the receive-side bound (Config.QueueCap): it blocks
+// awaitBacklog is the receive-side bound (QueueCap): it blocks
 // while origin has QueueCap or more transactions buffered and its next
 // transaction is one of them, waiting on another origin. It never waits
 // behind a gap in the origin's own sequence: the gap-filler arrives on
@@ -1017,7 +994,7 @@ const backlogPoll = time.Millisecond
 func (n *Node) awaitBacklog(origin clock.ReplicaID) bool {
 	for {
 		buffered, headBuffered := n.replica.Backlog(origin)
-		if buffered < n.cfg.QueueCap || !headBuffered {
+		if buffered < QueueCap || !headBuffered {
 			return true
 		}
 		select {
@@ -1028,9 +1005,9 @@ func (n *Node) awaitBacklog(origin clock.ReplicaID) bool {
 	}
 }
 
-// stallTicker is stall detection (Config.StallWarn): an origin is stalled
+// stallTicker is stall detection (stallWarn): an origin is stalled
 // when it has buffered transactions and its delivered entry has not moved
-// for StallWarn. A FIFO gap, a missing dependency and a pause all look the
+// for stallWarn. A FIFO gap, a missing dependency and a pause all look the
 // same from here — what matters to a reader of the metric is how long the
 // origin has been stuck, not why. The first tick past the threshold logs,
 // naming the origin's lowest buffered transaction; the mark clears when
@@ -1042,11 +1019,7 @@ func (n *Node) awaitBacklog(origin clock.ReplicaID) bool {
 // describes the state-transfer unstick path.
 func (n *Node) stallTicker() {
 	defer n.wg.Done()
-	period := n.cfg.StallWarn / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(n.cfg.stallWarn / 4)
 	defer t.Stop()
 	type watch struct {
 		entry  uint64
@@ -1068,11 +1041,11 @@ func (n *Node) stallTicker() {
 				w, ok := watched[h.Origin]
 				if !ok || w.entry != entry {
 					w = watch{entry: entry, since: now}
-				} else if !w.warned && now.Sub(w.since) > n.cfg.StallWarn {
+				} else if !w.warned && now.Sub(w.since) > n.cfg.stallWarn {
 					w.warned = true
 					log.Printf("netrepl: node %s: delivery of origin %s stalled for over %v, lowest buffered seq %d..%d (deps %s); "+
 						"the dependency may have been dropped as oversized — if the stall persists, recover the site by state transfer",
-						n.id, h.Origin, n.cfg.StallWarn, h.FirstSeq, h.LastSeq, h.Deps)
+						n.id, h.Origin, n.cfg.stallWarn, h.FirstSeq, h.LastSeq, h.Deps)
 				}
 				if w.warned {
 					stalled++

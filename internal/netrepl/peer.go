@@ -98,9 +98,13 @@ func (l *outLog) ack(p *peerConn, k int) {
 // goroutine that reads the node's outbound log from its own cursor and
 // owns the (single, persistent) connection to the peer.
 type peerConn struct {
-	n    *Node
-	id   clock.ReplicaID
+	n  *Node
+	id clock.ReplicaID
+
+	// mu guards addr and conn between the sender and repoint.
+	mu   sync.Mutex
 	addr string
+	conn net.Conn // written only by the sender
 
 	next uint64        // first entry the peer has not acknowledged; log mutex
 	wake chan struct{} // capacity 1: the log has grown
@@ -111,7 +115,6 @@ type peerConn struct {
 	quit chan struct{}
 
 	// Sender-goroutine state; no lock needed.
-	conn      net.Conn
 	connected bool       // a dial has succeeded at least once
 	rng       *rand.Rand // backoff jitter; private so no global rand state
 	batch     []store.WireTxn
@@ -137,7 +140,7 @@ func newPeerConn(n *Node, id clock.ReplicaID, addr string) *peerConn {
 		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 		rng:   rand.New(rand.NewSource(int64(h.Sum64()))),
-		batch: make([]store.WireTxn, 0, n.cfg.MaxBatchTxns),
+		batch: make([]store.WireTxn, 0, maxBatchTxns),
 		enc:   store.NewFrameEncoder(store.WireVersionV2),
 	}
 }
@@ -162,14 +165,14 @@ func (p *peerConn) run() {
 }
 
 // collect waits for the first entry past the cursor, then keeps the batch
-// open for FlushInterval unless MaxBatchTxns are pending, so a commit
+// open for FlushInterval unless maxBatchTxns are pending, so a commit
 // burst coalesces into one frame. After Close or RemovePeer it returns
 // what is pending at once, and an empty batch once nothing is.
 func (p *peerConn) collect() []store.WireTxn {
 	var flush <-chan time.Time
 	for open := true; open; {
 		pending := p.n.out.pending(p)
-		if pending >= p.n.cfg.MaxBatchTxns {
+		if pending >= maxBatchTxns {
 			break
 		}
 		if pending > 0 && flush == nil {
@@ -185,7 +188,7 @@ func (p *peerConn) collect() []store.WireTxn {
 			open = false
 		}
 	}
-	p.batch = p.n.out.read(p, p.batch, p.n.cfg.MaxBatchTxns)
+	p.batch = p.n.out.read(p, p.batch, maxBatchTxns)
 	return p.batch
 }
 
@@ -228,7 +231,7 @@ func (p *peerConn) deliver(batch []store.WireTxn) bool {
 		// instead.
 		panic(fmt.Sprintf("netrepl: encode batch: %v (op type not registered with the crdt wire codec?)", err))
 	}
-	if len(frame) > p.n.cfg.MaxFrame {
+	if len(frame) > p.n.cfg.maxFrame {
 		// The receiver refuses frames this large; retrying the same
 		// frame would wedge replication forever. Split and retry.
 		if len(batch) > 1 {
@@ -239,14 +242,14 @@ func (p *peerConn) deliver(batch []store.WireTxn) bool {
 		// delivered (it is counted, and announced once per peer). Every
 		// receiver will stall on the causal gap this opens: the origin's
 		// later transactions wait in delivery buffers forever — until
-		// the receiver's stall detector fires (Config.StallWarn) and the
+		// the receiver's stall detector fires (stallWarn) and the
 		// site is recovered by state transfer. See DESIGN.md
 		// ("Oversized transactions").
 		if !p.oversizedLogged {
 			p.oversizedLogged = true
 			w := &batch[0]
-			log.Printf("netrepl: node %s dropping undeliverable transaction for peer %s: origin %s seq %d..%d encodes to %d bytes (MaxFrame %d); receivers will stall on the causal gap",
-				p.n.id, p.id, w.Origin, w.FirstSeq, w.LastSeq, len(frame), p.n.cfg.MaxFrame)
+			log.Printf("netrepl: node %s dropping undeliverable transaction for peer %s: origin %s seq %d..%d encodes to %d bytes (frame limit %d); receivers will stall on the causal gap",
+				p.n.id, p.id, w.Origin, w.FirstSeq, w.LastSeq, len(frame), p.n.cfg.maxFrame)
 		}
 		atomic.AddUint64(&p.n.m.sendErrors, 1)
 		atomic.AddUint64(&p.n.m.txnsDropped, 1)
@@ -261,11 +264,10 @@ func (p *peerConn) deliver(batch []store.WireTxn) bool {
 			}
 			continue
 		}
-		p.conn.SetWriteDeadline(time.Now().Add(p.n.cfg.WriteTimeout))
+		p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeFrame(p.conn, frame); err != nil {
 			atomic.AddUint64(&p.n.m.sendErrors, 1)
-			p.conn.Close()
-			p.conn = nil
+			p.drop()
 			if !p.pause(&backoff) {
 				return false
 			}
@@ -277,10 +279,9 @@ func (p *peerConn) deliver(batch []store.WireTxn) bool {
 		// counts only when the peer acknowledges the applied frame;
 		// anything else retries the batch on a fresh connection (the
 		// receiver deduplicates by origin sequence).
-		if err := readAck(p.conn, time.Now().Add(p.n.cfg.WriteTimeout)); err != nil {
+		if err := readAck(p.conn, time.Now().Add(writeTimeout)); err != nil {
 			atomic.AddUint64(&p.n.m.sendErrors, 1)
-			p.conn.Close()
-			p.conn = nil
+			p.drop()
 			if !p.pause(&backoff) {
 				return false
 			}
@@ -293,10 +294,19 @@ func (p *peerConn) deliver(batch []store.WireTxn) bool {
 	}
 }
 
-// dial attempts one connection to the peer.
+// dial attempts one connection to the peer's current address.
 func (p *peerConn) dial() bool {
-	conn, err := net.DialTimeout("tcp", p.addr, p.n.cfg.DialTimeout)
+	p.mu.Lock()
+	addr := p.addr
+	p.mu.Unlock()
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if addr != p.addr { // re-pointed while dialing: addr is the old site's
+		conn.Close()
 		return false
 	}
 	p.conn = conn
@@ -306,6 +316,26 @@ func (p *peerConn) dial() bool {
 	}
 	p.connected = true
 	return true
+}
+
+// drop closes the sender's connection after a failed write or ack.
+func (p *peerConn) drop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.conn.Close()
+	p.conn = nil
+}
+
+// repoint aims the peer's next dial at addr, for a peer back on a new
+// port, and closes a connection to the old one so a sender waiting there
+// for an ack retries at once rather than after writeTimeout.
+func (p *peerConn) repoint(addr string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn != nil && addr != p.addr {
+		p.conn.Close()
+	}
+	p.addr = addr
 }
 
 // pause sleeps the current backoff (with jitter) and doubles it up to

@@ -352,7 +352,8 @@ func TestCorruptFrameDropsConnectionOnly(t *testing.T) {
 func TestCleanShutdownFlushesQueue(t *testing.T) {
 	// A huge flush interval guarantees the log is non-empty at Close:
 	// the sender is still sitting in its coalescing window.
-	cfg := Config{FlushInterval: time.Minute, MaxBatchTxns: 4096}
+	// 200 commits stay below maxBatchTxns, so nothing fills a batch.
+	cfg := Config{FlushInterval: time.Minute}
 	a, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +434,7 @@ func TestCommitsContinueWhilePeerPartitioned(t *testing.T) {
 	b.BlockOrigin("a", true)
 	a.AddPeer("b", b.Addr())
 
-	total := 3 * DefaultConfig().QueueCap
+	total := 3 * QueueCap
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -514,7 +515,7 @@ func TestUnackedFrameRetries(t *testing.T) {
 				first = false
 				go func(c net.Conn) {
 					defer c.Close()
-					if _, err := readFrame(c, new([]byte), defaultMaxFrame); err == nil {
+					if _, err := readFrame(c, new([]byte), maxFrame); err == nil {
 						mu.Lock()
 						framesSwallowed++
 						mu.Unlock()
@@ -525,7 +526,7 @@ func TestUnackedFrameRetries(t *testing.T) {
 			go func(c net.Conn) {
 				defer c.Close()
 				for {
-					if _, err := readFrame(c, new([]byte), defaultMaxFrame); err != nil {
+					if _, err := readFrame(c, new([]byte), maxFrame); err != nil {
 						return
 					}
 					mu.Lock()
@@ -540,9 +541,8 @@ func TestUnackedFrameRetries(t *testing.T) {
 	}()
 
 	cfg := Config{
-		BackoffMin:   time.Millisecond,
-		BackoffMax:   10 * time.Millisecond,
-		WriteTimeout: 100 * time.Millisecond, // ack wait bound
+		BackoffMin: time.Millisecond,
+		BackoffMax: 10 * time.Millisecond,
 	}
 	a, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
 	if err != nil {
@@ -572,14 +572,14 @@ func TestUnackedFrameRetries(t *testing.T) {
 }
 
 // TestReceiveBoundWithholdsAck pins the receive-side bound. A stream
-// whose head waits on another origin's transaction may hold only about
-// Config.QueueCap transactions at the receiver: past that, the receiver
-// withholds the ack, so the sender stops sending until the dependency
-// arrives. Transactions behind a FIFO gap in their own origin's order are
-// exempt, because the gap-filler comes on the same stream and withholding
-// the ack could keep it out forever.
+// whose head waits on another origin's transaction may hold only QueueCap
+// transactions at the receiver: the frame that brings the backlog to
+// QueueCap goes unacknowledged, so the sender stops sending until the
+// dependency arrives. Transactions behind a FIFO gap in their own origin's
+// order are exempt, because the gap-filler comes on the same stream and
+// withholding the ack could keep it out forever. Frames carry
+// maxBatchTxns transactions each, as a sender's full batches do.
 func TestReceiveBoundWithholdsAck(t *testing.T) {
-	const queueCap = 2
 	dial := func(t *testing.T, n *Node) net.Conn {
 		t.Helper()
 		conn, err := net.Dial("tcp", n.Addr())
@@ -589,39 +589,42 @@ func TestReceiveBoundWithholdsAck(t *testing.T) {
 		t.Cleanup(func() { conn.Close() })
 		return conn
 	}
-	send := func(t *testing.T, conn net.Conn, w store.WireTxn) {
+	// sendAcked writes ws in full-batch frames, each acknowledged.
+	sendAcked := func(t *testing.T, conn net.Conn, ws []store.WireTxn) {
 		t.Helper()
-		if err := writeFrame(conn, encodeBatch(t, w)); err != nil {
-			t.Fatal(err)
+		for len(ws) > 0 {
+			k := min(len(ws), maxBatchTxns)
+			if err := writeFrame(conn, encodeBatch(t, ws[:k]...)); err != nil {
+				t.Fatal(err)
+			}
+			if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
+				t.Fatalf("frame of %d txns not acked: %v", k, err)
+			}
+			ws = ws[k:]
 		}
 	}
 
 	t.Run("dependency", func(t *testing.T) {
-		n, err := NewNodeWithConfig("n", "127.0.0.1:0", Config{QueueCap: queueCap})
+		n, err := NewNode("n", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer n.Close()
 		xs := captureTxns("x", "cx", 1)
-		ys := captureTxns("y", "cy", queueCap+2)
+		ys := captureTxns("y", "cy", QueueCap+2)
 		ys[0].Deps.Set("x", xs[0].LastSeq)
 
+		// Below the bound every frame is acked; the frame that reaches
+		// QueueCap is not.
 		conn := dial(t, n)
-		unacked := -1
-		for i, y := range ys {
-			send(t, conn, y)
-			err := readAck(conn, time.Now().Add(100*time.Millisecond))
-			if err == nil {
-				continue
-			}
-			if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-				t.Fatalf("frame %d: %v", i, err)
-			}
-			unacked = i
-			break
+		bound := QueueCap - maxBatchTxns
+		sendAcked(t, conn, ys[:bound])
+		if err := writeFrame(conn, encodeBatch(t, ys[bound:QueueCap]...)); err != nil {
+			t.Fatal(err)
 		}
-		if unacked < 0 {
-			t.Fatalf("all %d frames acked while their head waited on x", len(ys))
+		err = readAck(conn, time.Now().Add(100*time.Millisecond))
+		if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+			t.Fatalf("frame reaching QueueCap while its head waits on x: ack error %v, want a timeout", err)
 		}
 		if got := n.Clock().Get("y"); got != 0 {
 			t.Fatalf("applied ahead of the dependency: clock[y] = %d", got)
@@ -629,14 +632,9 @@ func TestReceiveBoundWithholdsAck(t *testing.T) {
 
 		rawSend(t, n.Addr(), encodeBatch(t, xs[0]))
 		if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
-			t.Fatalf("withheld ack of frame %d never came after x arrived: %v", unacked, err)
+			t.Fatalf("withheld ack never came after x arrived: %v", err)
 		}
-		for i := unacked + 1; i < len(ys); i++ {
-			send(t, conn, ys[i])
-			if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
-				t.Fatalf("frame %d: %v", i, err)
-			}
-		}
+		sendAcked(t, conn, ys[QueueCap:])
 		waitUntil(t, "everything applies", func() bool {
 			return n.Clock().Get("y") == ys[len(ys)-1].LastSeq && n.Pending() == 0
 		})
@@ -646,27 +644,19 @@ func TestReceiveBoundWithholdsAck(t *testing.T) {
 	})
 
 	t.Run("gap", func(t *testing.T) {
-		n, err := NewNodeWithConfig("n", "127.0.0.1:0", Config{QueueCap: queueCap})
+		n, err := NewNode("n", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer n.Close()
-		ys := captureTxns("y", "cy", queueCap+3)
+		ys := captureTxns("y", "cy", QueueCap+3)
 
 		conn := dial(t, n)
-		for i, y := range ys[1:] {
-			send(t, conn, y)
-			if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
-				t.Fatalf("frame %d behind a FIFO gap was not acked: %v", i+1, err)
-			}
-		}
+		sendAcked(t, conn, ys[1:]) // past QueueCap, all behind a FIFO gap
 		if got := n.Pending(); got != len(ys)-1 {
 			t.Fatalf("pending = %d behind the gap, want %d", got, len(ys)-1)
 		}
-		send(t, conn, ys[0])
-		if err := readAck(conn, time.Now().Add(5*time.Second)); err != nil {
-			t.Fatal(err)
-		}
+		sendAcked(t, conn, ys[:1])
 		waitUntil(t, "everything applies", func() bool {
 			return n.Clock().Get("y") == ys[len(ys)-1].LastSeq && n.Pending() == 0
 		})

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +118,7 @@ func TestSurvivorsServeWhileSiteDown(t *testing.T) {
 	if err := c.Crash(ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	per := 3 * netrepl.DefaultConfig().QueueCap
+	per := 3 * netrepl.QueueCap
 	start := time.Now()
 	var committed [2]atomic.Int64
 	done := make(chan struct{})
@@ -322,6 +323,74 @@ func TestNetClusterFaultsWhileDown(t *testing.T) {
 			t.Errorf("%s: blocked counter = %d, want 1", id, v)
 		}
 		tx.Commit()
+	}
+}
+
+// TestRecoverWhenOldPortTaken crashes a site and lets another socket
+// take its port before Recover, as any socket may on a busy host. The
+// site must come back on a new port; the survivors' senders, whose
+// frames sit unacknowledged on the squatter's accept backlog, must follow
+// it there; and the mesh must commit and converge well inside the
+// transport's 10 s ack timeout.
+func TestRecoverWhenOldPortTaken(t *testing.T) {
+	c := newDurableNetCluster(t, 3)
+	ids := c.Replicas()
+	if err := runOn(c, 5); err != nil {
+		t.Fatal(err)
+	}
+	old := c.Node(ids[0]).Addr()
+	if err := c.Crash(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if ln, err := net.Listen("tcp", old); err == nil {
+		defer ln.Close()
+	} else {
+		t.Logf("port of %s already taken: %v", old, err)
+	}
+	for _, id := range ids[1:] {
+		for k := 0; k < 5; k++ {
+			tx := c.Replica(id).Begin()
+			store.CounterAt(tx, "ops").Add(1)
+			tx.Commit()
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // let the senders reach the squatter
+
+	start := time.Now()
+	if err := c.Recover(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Node(ids[0]).Addr(); got == old {
+		t.Fatalf("recovered site listens on its old address %s", got)
+	}
+	if err := runOn(c, 5); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("mesh took %v to converge after Recover", d)
+	}
+	want := c.Node(ids[0]).Clock()
+	for _, id := range ids {
+		if got := c.Node(id).Clock(); !got.Equal(want) {
+			t.Errorf("%s clock %s, want %s", id, got, want)
+		}
+		tx := c.Replica(id).Begin()
+		if v := store.CounterAt(tx, "ops").Value(); v != 40 {
+			t.Errorf("%s: counter = %d, want 40", id, v)
+		}
+		tx.Commit()
+	}
+}
+
+// TestNetClusterRefusesTransportDataDir: a Transport.DataDir would give
+// every site the same directory, so every node would open one log while
+// Durable reported false. NetConfig.DataDir is the only way to make a
+// cluster durable.
+func TestNetClusterRefusesTransportDataDir(t *testing.T) {
+	c, err := NewNetCluster(testIDs(2), NetConfig{Transport: netrepl.Config{DataDir: t.TempDir()}})
+	if err == nil {
+		c.Close()
+		t.Fatal("NewNetCluster accepted a Transport.DataDir every site would share")
 	}
 }
 

@@ -17,14 +17,15 @@ import (
 type NetConfig struct {
 	// Transport configures every node's streaming transport. The zero
 	// value takes netrepl's defaults; harness-style callers lower the
-	// backoff ceiling so healed partitions resume quickly.
+	// backoff ceiling so healed partitions resume quickly. Its DataDir
+	// must be empty: it would put every site in one directory.
 	Transport netrepl.Config
 	// DataDir, when non-empty, makes every node durable: node id gives
 	// the per-site subdirectory (DataDir/<id>), each holding a
 	// write-ahead log and snapshots. Durability is what makes the
 	// Lifecycle surface real — Crash/Recover round-trips a site through
 	// its on-disk state, and a NetCluster recreated over the same
-	// directory recovers every site. Overrides Transport.DataDir.
+	// directory recovers every site.
 	DataDir string
 }
 
@@ -63,19 +64,19 @@ func mkLink(a, b clock.ReplicaID) link {
 //
 // With NetConfig.DataDir set the cluster also implements Lifecycle
 // against real state: Crash kills a node without flushing, Recover
-// restarts it from its write-ahead log and snapshots at the same
-// address, Join bootstraps a new site from a donor, Decommission retires
-// one. Membership mutates under an internal lock; Stabilize serialises
-// with Join so the stability horizon can never advance past a
-// bootstrapping site's cut (which is what keeps peers from truncating
-// log records the joiner still needs).
+// restarts it from its write-ahead log and snapshots on a fresh port
+// and re-points its peers there, Join bootstraps a new site from a
+// donor, Decommission retires one. Membership mutates under an internal
+// lock; Stabilize serialises with Join so the stability horizon can
+// never advance past a bootstrapping site's cut (which is what keeps
+// peers from truncating log records the joiner still needs).
 type NetCluster struct {
 	cfg NetConfig
 
 	mu    sync.RWMutex
 	order []clock.ReplicaID
 	nodes map[clock.ReplicaID]*netrepl.Node
-	addrs map[clock.ReplicaID]string // listen address, stable across Recover
+	addrs map[clock.ReplicaID]string // current listen address; Recover moves it
 	down  map[clock.ReplicaID]bool   // crashed, awaiting Recover
 	// Active fault state, so Recover can reapply it to the replacement
 	// node instance: a partition or pause taken while a site is down
@@ -89,7 +90,12 @@ type NetCluster struct {
 // meshes them. On error, nodes created so far are closed. With a DataDir
 // configured, sites that already have state under it recover it (a
 // cluster restarted over the same directory resumes where it crashed).
+// A Transport.DataDir is refused: NetConfig.DataDir is the only way to
+// make a cluster durable.
 func NewNetCluster(ids []clock.ReplicaID, cfg NetConfig) (*NetCluster, error) {
+	if cfg.Transport.DataDir != "" {
+		return nil, errors.New("runtime: net cluster: set NetConfig.DataDir, not Transport.DataDir, which would give every site the same log")
+	}
 	c := &NetCluster{
 		cfg:    cfg,
 		order:  append([]clock.ReplicaID(nil), ids...),
@@ -348,45 +354,39 @@ func (c *NetCluster) Crash(id clock.ReplicaID) error {
 }
 
 // Recover implements Lifecycle: restart a crashed site from its data
-// directory at its original address. The replacement node replays
-// snapshot + log before serving, offers its own-origin records to every
-// peer (peers that never received them converge; peers that did
-// deduplicate), and peer senders that kept retrying the dead address
-// reconnect on their own. Fault state taken while the site was down —
-// partitions, pauses — transfers to the new instance.
+// directory on a fresh port (its old one may be taken by now). The
+// replacement node replays snapshot + log before serving, offers its
+// own-origin records to every peer (peers that never received them
+// converge; peers that did deduplicate), and every live peer's sender is
+// re-pointed at the new address, keeping its cursor. Fault state taken
+// while the site was down — partitions, pauses — transfers to the new
+// instance.
 func (c *NetCluster) Recover(id clock.ReplicaID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.down[id] {
 		return fmt.Errorf("runtime: recover %q: site is not crashed", id)
 	}
-	var n *netrepl.Node
-	var err error
-	// The killed node's listener is closed, but give the OS a moment to
-	// release the port on slow days — the address must be stable so
-	// peers' retry loops find the recovered site without re-meshing.
-	for attempt := 0; attempt < 20; attempt++ {
-		n, err = netrepl.NewNodeWithConfig(id, c.addrs[id], c.transportFor(id))
-		if err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	n, err := netrepl.NewNodeWithConfig(id, "127.0.0.1:0", c.transportFor(id))
 	if err != nil {
 		return fmt.Errorf("runtime: recover %q: %w", id, err)
 	}
 	c.nodes[id] = n
+	c.addrs[id] = n.Addr()
 	delete(c.down, id)
 	// Peer with every member before the node commits (its recovered
-	// records stay in its log until then), including crashed ones: a down
-	// member's address is stable, so the sender retry-dials until it is
-	// back. Skipping it would leave the mesh wedged on a permanent causal
-	// gap. (Decommissioned sites leave c.order.)
+	// records stay in its log until then), including crashed ones: the
+	// sender retry-dials a down member until that member's Recover
+	// re-points it. Skipping it would leave the mesh wedged on a
+	// permanent causal gap. (Decommissioned sites leave c.order.)
 	for _, other := range c.order {
 		if other == id {
 			continue
 		}
 		n.AddPeer(other, c.addrs[other])
+		if !c.down[other] {
+			c.nodes[other].AddPeer(id, c.addrs[id])
+		}
 	}
 	for l := range c.parts {
 		switch id {
@@ -432,11 +432,11 @@ func (c *NetCluster) Join(id, donor clock.ReplicaID) error {
 	c.addrs[id] = n.Addr()
 	c.order = append(c.order, id)
 	delete(c.down, id)
-	// AddPeer to every member — even currently-crashed ones, whose stable
-	// addresses the sender retry-dials until they recover (see Recover for
-	// why skipping them wedges the mesh). Only live members double as
-	// tail-fetch donors for Bootstrap, though: a dead socket can't serve
-	// the joiner's catch-up reads.
+	// AddPeer to every member — even currently-crashed ones, whose old
+	// addresses the sender retry-dials until Recover re-points it (see
+	// Recover for why skipping them wedges the mesh). Only live members
+	// double as tail-fetch donors for Bootstrap, though: a dead socket
+	// can't serve the joiner's catch-up reads.
 	var peers []string
 	for _, other := range c.order {
 		if other == id {

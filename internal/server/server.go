@@ -22,31 +22,26 @@ import (
 	"ipa/internal/wan"
 )
 
-// Config tunes a Server. The zero value selects the defaults noted on
-// each field.
+// Config tunes a Server. The zero value selects the default noted on
+// its field.
 type Config struct {
-	// MaxWriteBuffer bounds the per-connection reply buffer. A pipelined
-	// burst whose replies exceed it flushes to the socket mid-batch, so a
-	// client that stops reading eventually blocks its own connection
-	// (backpressure) instead of growing server memory. Default 256 KiB.
-	MaxWriteBuffer int
 	// DrainTimeout bounds how long Shutdown waits for in-flight commands
 	// to finish before force-closing connections. Default 10s.
 	DrainTimeout time.Duration
-	// AnalysisOptions tunes the IPA analysis MOUNT runs on incoming
-	// specifications.
-	AnalysisOptions analysis.Options
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxWriteBuffer <= 0 {
-		c.MaxWriteBuffer = 256 << 10
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
 	return c
 }
+
+// maxWriteBuffer bounds the per-connection reply buffer. A pipelined
+// burst whose replies exceed it flushes to the socket mid-batch, so a
+// client that stops reading eventually blocks its own connection
+// (backpressure) instead of growing server memory.
+const maxWriteBuffer = 256 << 10
 
 // Stats is a point-in-time snapshot of the server's counters.
 type Stats struct {
@@ -119,7 +114,7 @@ func (s *Server) Mount(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := analysis.Run(sp, s.cfg.AnalysisOptions)
+	res, err := analysis.Run(sp, analysis.Options{})
 	if err != nil {
 		return "", err
 	}
@@ -358,7 +353,7 @@ func (s *Server) handle(conn net.Conn) {
 	out := (*bufp)[:0]
 	defer func() {
 		// Keep steady-size buffers warm; let one-off giants (a pipelined
-		// burst that grew toward MaxWriteBuffer) be collected instead of
+		// burst that grew toward maxWriteBuffer) be collected instead of
 		// pinning their memory in the pool.
 		if cap(out) <= maxPooledReply {
 			*bufp = out
@@ -407,7 +402,7 @@ func (s *Server) handle(conn net.Conn) {
 		// Pipelining: batch replies while more input is already buffered,
 		// flush at the batch boundary — but never hold more than the
 		// write-buffer bound (backpressure on the client).
-		if quit || r.Buffered() == 0 || len(out) >= s.cfg.MaxWriteBuffer {
+		if quit || r.Buffered() == 0 || len(out) >= maxWriteBuffer {
 			if !flush() || quit {
 				return
 			}

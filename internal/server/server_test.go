@@ -418,13 +418,15 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServeBackpressure floods one connection with far more pipelined
-// commands than the write buffer bounds: the server must neither grow
-// its reply buffer unboundedly nor stall — it flushes mid-batch and the
-// client eventually reads every reply.
+// TestServeBackpressure floods one connection with pipelined commands
+// whose replies add up to four times maxWriteBuffer: the server must
+// neither grow its reply buffer unboundedly nor stall — it flushes
+// mid-batch and the client eventually reads every reply. The commands go
+// out on their own goroutine while the replies are read, as a pipelining
+// client's must once replies outgrow the socket buffers.
 func TestServeBackpressure(t *testing.T) {
 	cluster := newTestCluster(t, runtime.BackendNet)
-	srv := New(cluster, Config{MaxWriteBuffer: 4 << 10})
+	srv := New(cluster, Config{})
 	if _, err := srv.MountAnalyzed(tournament.Spec(), tournament.Analysis()); err != nil {
 		t.Fatal(err)
 	}
@@ -433,22 +435,31 @@ func TestServeBackpressure(t *testing.T) {
 	}
 	defer srv.Shutdown()
 	c := dialT(t, srv.Addr())
+	c.conn.SetDeadline(time.Now().Add(30 * time.Second))
 
 	const n = 3000
-	for i := 0; i < n; i++ {
-		c.Send("PING", fmt.Sprintf("%06d", i))
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	pad := strings.Repeat("x", 4*maxWriteBuffer/n)
+	arg := func(i int) string { return fmt.Sprintf("%06d", i) + pad }
+	sent := make(chan error, 1)
+	go func() {
+		var cmds []byte
+		for i := 0; i < n; i++ {
+			cmds = AppendCommand(cmds, "PING", arg(i))
+		}
+		_, err := c.conn.Write(cmds)
+		sent <- err
+	}()
 	for i := 0; i < n; i++ {
 		rp, err := c.Recv()
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
-		if rp.Str != fmt.Sprintf("%06d", i) {
-			t.Fatalf("reply %d = %q: replies out of order", i, rp.Str)
+		if rp.Str != arg(i) {
+			t.Fatalf("reply %d = %.6q…: replies out of order", i, rp.Str)
 		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 }
 
