@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ipa/internal/analysis"
+	"ipa/internal/apps"
 	"ipa/internal/spec"
 )
 
@@ -30,17 +31,28 @@ func TestLoadSpecBundled(t *testing.T) {
 }
 
 // TestSpecStringKeepsTags pins that a bundled spec's text carries its
-// tags: Classify reads them, so a spec round-tripped through String (the
-// checked-in patched specs are) must not lose them.
+// tags and its injected marks: Classify reads the tags and mount the
+// marks, so a spec round-tripped through String (the checked-in patched
+// specs are) must lose neither. Each bundled original and each patched
+// spec prints as a fixed point of Parse.
 func TestSpecStringKeepsTags(t *testing.T) {
 	for name, mk := range bundled {
-		s := mk()
-		back, err := spec.Parse(s.String())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		src, ok := apps.Patched(name)
+		if !ok {
+			t.Fatalf("%s: no checked-in patched spec", name)
 		}
-		if len(s.Tags) == 0 || !slices.Equal(back.Tags, s.Tags) {
-			t.Errorf("%s: tags %q after a round trip through String, want %q", name, back.Tags, s.Tags)
+		for _, s := range []*spec.Spec{mk(), spec.MustParse(src)} {
+			printed := s.String()
+			back, err := spec.Parse(printed)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(s.Tags) == 0 || !slices.Equal(back.Tags, s.Tags) {
+				t.Errorf("%s: tags %q after a round trip through String, want %q", name, back.Tags, s.Tags)
+			}
+			if again := back.String(); again != printed {
+				t.Errorf("%s: Parse(s.String()).String() differs from s.String() (- s, + round trip):\n%s", name, lineDiff(printed, again))
+			}
 		}
 	}
 }

@@ -2,8 +2,9 @@ package main
 
 // The serve subcommand: put an ipa database on the network. It opens a
 // cluster on either backend, mounts the requested applications (bundled
-// ones from their checked-in analysis output, or any spec file, analyzed
-// in full), serves the RESP-style wire protocol, and drains gracefully on
+// ones from their checked-in analysed spec, which is re-checked, and any
+// spec file, analysed in full — both through Server.Mount, as MOUNT
+// does), serves the RESP-style wire protocol, and drains gracefully on
 // SIGINT/SIGTERM — stop accepting, finish in-flight calls, ack nothing
 // after close, then settle replication and close the cluster, so every
 // acknowledged CALL is durably applied at shutdown.
@@ -27,59 +28,17 @@ import (
 	"time"
 
 	"ipa"
-	"ipa/internal/analysis"
-	"ipa/internal/apps/tournament"
-	"ipa/internal/apps/twitter"
+	"ipa/internal/apps"
 	"ipa/internal/server"
-	"ipa/internal/spec"
 	"ipa/internal/wan"
 )
-
-// bundledAnalysis maps the bundled applications with recorded repair
-// choices (the paper's figures) to their checked-in analysis output: the
-// patched specification those choices derive. The rest analyze fresh
-// with default options.
-var bundledAnalysis = map[string]func() *spec.Spec{
-	"tournament": tournament.PatchedSpec,
-	"twitter":    twitter.PatchedSpec,
-}
-
-// bundledResult returns the bundled application name's original
-// specification and the analysis result serving mounts it with. The
-// analysis starts from the checked-in patched spec where there is one,
-// else from the original. A patched spec is the output of the full
-// repair search, so Alg. 1 run on it finds every pair repaired and
-// applies nothing: what it still does is derive the compensations and the
-// unsolved conflicts, and check the file. If it applies a repair, the
-// file is not the analysis's output, and serving refuses it.
-func bundledResult(name string) (*spec.Spec, *analysis.Result, error) {
-	mk, ok := bundled[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("serve: unknown application %q (try ipa -list)", name)
-	}
-	orig := mk()
-	start := orig
-	if patched, ok := bundledAnalysis[name]; ok {
-		start = patched()
-	}
-	res, err := analysis.Run(start, analysis.Options{})
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: analyze %s: %w", name, err)
-	}
-	if len(res.Applied) > 0 && start != orig {
-		a := res.Applied[0]
-		return nil, nil, fmt.Errorf("serve: %s: the checked-in patched spec is not a fixed point of the analysis (a run from it applied %d repair(s), the first for %s ∥ %s)",
-			name, len(res.Applied), a.Conflict.Op1.Name, a.Conflict.Op2.Name)
-	}
-	return orig, res, nil
-}
 
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:6390", "listen address")
 		backend  = fs.String("backend", ipa.BackendNet, "replication backend: sim or netrepl")
-		appsCSV  = fs.String("app", "", "bundled applications to mount, comma separated (those with recorded repair choices are served from their checked-in patched spec, re-checked at start)")
+		appsCSV  = fs.String("app", "", "bundled applications to mount, comma separated (each from its checked-in analysed spec, re-checked at start)")
 		specPath = fs.String("spec", "", "specification file to analyze and mount")
 		sites    = fs.Int("sites", 3, "replica sites in the cluster")
 		seed     = fs.Int64("seed", 42, "simulation seed (sim backend)")
@@ -107,13 +66,11 @@ func runServe(args []string) error {
 	if *appsCSV != "" {
 		for _, name := range strings.Split(*appsCSV, ",") {
 			name = strings.TrimSpace(name)
-			orig, res, err := bundledResult(name)
-			if err != nil {
-				return err
+			src, ok := apps.Patched(name)
+			if !ok {
+				return fmt.Errorf("serve: unknown application %q (try ipa -list)", name)
 			}
-			// The original spec tells mount which effects the analysis
-			// injected: those run as payload-preserving touches.
-			got, err := srv.MountAnalyzed(orig, res)
+			got, err := srv.Mount(src)
 			if err != nil {
 				return fmt.Errorf("serve: mount %s: %w", name, err)
 			}

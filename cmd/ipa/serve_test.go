@@ -9,14 +9,20 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ipa"
 	"ipa/internal/analysis"
+	"ipa/internal/apps"
+	"ipa/internal/apps/ticket"
 	"ipa/internal/apps/tournament"
+	"ipa/internal/apps/tpcw"
 	"ipa/internal/apps/twitter"
 	"ipa/internal/engine"
 	"ipa/internal/runtime"
+	"ipa/internal/server"
 	"ipa/internal/spec"
 	"ipa/internal/store"
 	"ipa/internal/wan"
@@ -24,25 +30,35 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the checked-in patched specs from the recorded analyses")
 
-// recorded is the full analysis, with the recorded repair choices, of
-// every bundled application that serving starts from a checked-in
-// patched spec.
+// recorded is the full analysis of every bundled application, with its
+// recorded repair choices where it has them (the paper's figures): the
+// search whose output internal/apps/<app>/<app>.patched.spec records.
 var recorded = map[string]func() *analysis.Result{
 	"tournament": tournament.Analysis,
 	"twitter":    twitter.Analysis,
+	"ticket":     sync.OnceValue(func() *analysis.Result { return mustAnalyze(ticket.Spec()) }),
+	"tpcw":       sync.OnceValue(func() *analysis.Result { return mustAnalyze(tpcw.Spec()) }),
 }
 
-// TestPatchedSpecsPinAnalysis holds each checked-in <app>.patched.spec to
-// the spec its recorded analysis derives, byte for byte, and the parsed
-// PatchedSpec serving starts from to the same text. After a change to
-// the analysis, the spec or a chooser, regenerate the files with
+func mustAnalyze(s *spec.Spec) *analysis.Result {
+	res, err := analysis.Run(s, analysis.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// TestPatchedSpecsPinAnalysis holds each checked-in <app>.patched.spec,
+// and the embedded copy `ipa serve -app` mounts, to the spec its
+// recorded analysis derives, byte for byte. After a change to the
+// analysis, a spec or a chooser, regenerate the files with
 //
 //	go test ./cmd/ipa -run TestPatchedSpecsPinAnalysis -update
 //
 // and review the diff.
 func TestPatchedSpecsPinAnalysis(t *testing.T) {
-	if got, want := slices.Sorted(maps.Keys(bundledAnalysis)), slices.Sorted(maps.Keys(recorded)); !slices.Equal(got, want) {
-		t.Fatalf("apps served from a patched spec %v, apps with a recorded analysis %v: every file needs its pin", got, want)
+	if got, want := slices.Sorted(maps.Keys(recorded)), slices.Sorted(maps.Keys(bundled)); !slices.Equal(got, want) {
+		t.Fatalf("apps with a recorded analysis %v, bundled apps %v: every app needs its pinned file", got, want)
 	}
 	for name, res := range recorded {
 		t.Run(name, func(t *testing.T) {
@@ -58,34 +74,41 @@ func TestPatchedSpecsPinAnalysis(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := string(data); got != want {
-				t.Fatalf("%s differs from %s.Analysis().Spec.String() (- file, + analysis):\n%s\nregenerate it with: go test ./cmd/ipa -run TestPatchedSpecsPinAnalysis -update",
-					path, name, lineDiff(got, want))
+				t.Fatalf("%s differs from the analysis's output (- file, + analysis):\n%s\nregenerate it with: go test ./cmd/ipa -run TestPatchedSpecsPinAnalysis -update",
+					path, lineDiff(got, want))
 			}
 			if *update {
 				return // this binary embeds the file as it was before the write
 			}
-			if got := bundledAnalysis[name]().String(); got != want {
-				t.Fatalf("%s.PatchedSpec() does not print as its file (- PatchedSpec, + file):\n%s", name, lineDiff(got, want))
+			if got, _ := apps.Patched(name); got != want {
+				t.Fatalf("the embedded %s differs from its file (- embedded, + file):\n%s", path, lineDiff(got, want))
 			}
 		})
 	}
 }
 
-// TestServedMountMatchesFullAnalysis holds the mount serving does (Alg. 1
-// re-run on the checked-in patched spec) to a mount of the full recorded
-// analysis: the same clause classes, and, on two simulated clusters
-// running the same seeded call sequence, the same verdict on every call
-// and the same digest after it at the calling site (at every site when
-// the clusters settle, every 50 calls).
+// TestServedMountMatchesFullAnalysis holds the mount serving does
+// (Server.Mount of the checked-in patched spec: Alg. 1 re-run on it) to
+// a mount of the full recorded analysis: the same clause classes, and,
+// on two simulated clusters running the same seeded call sequence, the
+// same verdict on every call and the same digest after it at the calling
+// site (at every site when the clusters settle, every 50 calls).
 func TestServedMountMatchesFullAnalysis(t *testing.T) {
 	for name, full := range recorded {
 		t.Run(name, func(t *testing.T) {
-			orig, res, err := bundledResult(name)
+			servedSim := newSim()
+			srv := server.New(servedSim, server.Config{})
+			src, _ := apps.Patched(name)
+			got, err := srv.Mount(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, servedSim := mountSim(t, orig, res)
-			want, wantSim := mountSim(t, bundled[name](), full())
+			served, _ := srv.App(got)
+			wantSim := newSim()
+			want, err := engine.Mount(nil, full(), wantSim)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if got, exp := clauseClasses(served), clauseClasses(want); !slices.Equal(got, exp) {
 				t.Fatalf("clause classes:\nserved %v\nfull   %v", got, exp)
@@ -129,30 +152,43 @@ func TestServedMountMatchesFullAnalysis(t *testing.T) {
 	}
 }
 
-// TestServeRefusesNonFixedPoint: a patched spec the analysis still
-// repairs is not the analysis's output, and serving refuses it, naming
-// the application.
+// TestServeRefusesNonFixedPoint: a spec that carries injected effects
+// claims to be the analysis's output; one the analysis still repairs is
+// not, and MOUNT refuses it, naming the pair. The text is the tournament
+// output with disenroll's two injected match wipes deleted.
 func TestServeRefusesNonFixedPoint(t *testing.T) {
-	saved := bundledAnalysis["tournament"]
-	t.Cleanup(func() { bundledAnalysis["tournament"] = saved })
-	bundledAnalysis["tournament"] = tournament.Spec // the unrepaired original
-	_, _, err := bundledResult("tournament")
-	if err == nil {
-		t.Fatal("serving accepted the unrepaired tournament spec as its patched spec")
+	src, _ := apps.Patched("tournament")
+	lines := strings.Split(src, "\n")
+	kept := slices.DeleteFunc(slices.Clone(lines), func(line string) bool {
+		return strings.HasPrefix(strings.TrimSpace(line), "injected inMatch(")
+	})
+	if deleted := len(lines) - len(kept); deleted != 2 {
+		t.Fatalf("deleted %d injected inMatch wipes from tournament.patched.spec, want disenroll's 2", deleted)
 	}
-	if !strings.Contains(err.Error(), "tournament") || !strings.Contains(err.Error(), "fixed point") {
-		t.Fatalf("refusal %q must name the app and say why", err)
+	srv := server.New(newSim(), server.Config{})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func mountSim(t *testing.T, orig *spec.Spec, res *analysis.Result) (*engine.App, *runtime.SimCluster) {
-	t.Helper()
-	cluster := runtime.NewSimCluster(store.NewCluster(wan.NewSim(7), wan.PaperTopology(), serveSites(3)))
-	app, err := engine.Mount(orig, res, cluster)
+	t.Cleanup(func() { srv.Shutdown() })
+	c, err := server.Dial(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return app, cluster
+	defer c.Close()
+	rp, err := c.Do("MOUNT", strings.Join(kept, "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.Kind != '-' {
+		t.Fatalf("MOUNT accepted a tournament spec without disenroll's injected wipes: %+v", rp)
+	}
+	if !strings.Contains(rp.Str, "fixed point") || !strings.Contains(rp.Str, "disenroll ∥ do_match") {
+		t.Fatalf("refusal %q must say why and name disenroll ∥ do_match", rp.Str)
+	}
+}
+
+func newSim() *runtime.SimCluster {
+	return runtime.NewSimCluster(store.NewCluster(wan.NewSim(7), wan.PaperTopology(), serveSites(3)))
 }
 
 func settle(t *testing.T, clusters ...*runtime.SimCluster) {

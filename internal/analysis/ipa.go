@@ -63,6 +63,33 @@ func Run(s *spec.Spec, opts Options) (*Result, error) {
 	return run(s, opts.withDefaults(), &groundings{})
 }
 
+// RunForMount is the analysis every mount path runs on the spec it is
+// handed: Run with default options. A spec that carries an injected mark
+// claims to be the analysis's output, and that output is a fixed point
+// (a run from it applies no repair), so one the run still repairs is
+// refused, naming the first pair. A spec without marks is analysed in
+// full.
+func RunForMount(s *spec.Spec) (*Result, error) {
+	res, err := Run(s, Options{})
+	if err != nil || len(res.Applied) == 0 || !hasInjected(s) {
+		return res, err
+	}
+	a := res.Applied[0]
+	return nil, fmt.Errorf("analysis: spec %s carries injected effects but is not a fixed point of the analysis (a run from it applied %d repair(s), the first for %s ∥ %s)",
+		s.Name, len(res.Applied), a.Conflict.Op1.Name, a.Conflict.Op2.Name)
+}
+
+func hasInjected(s *spec.Spec) bool {
+	for _, op := range s.Operations {
+		for _, e := range op.Effects {
+			if e.Injected {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // run is Run on the given groundings, which every query of the run shares.
 func run(s *spec.Spec, opts Options, g *groundings) (*Result, error) {
 	if err := s.Validate(); err != nil {

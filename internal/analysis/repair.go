@@ -552,8 +552,9 @@ func (ss *session) executableBindings(op1, op2 *spec.Operation) ([]bindingPair, 
 	return out, nil
 }
 
-// applyRepair mutates the spec: appends the extra effects to the target
-// operation and installs the repair's convergence rules.
+// applyRepair mutates the spec: appends the extra effects the target
+// operation lacks, marked injected, and installs the repair's
+// convergence rules.
 func applyRepair(s *spec.Spec, rep Repair) {
 	op, ok := s.Operation(rep.Target)
 	if !ok {
@@ -562,6 +563,7 @@ func applyRepair(s *spec.Spec, rep Repair) {
 	newOp := op.Clone()
 	for _, e := range rep.Extra {
 		if !newOp.HasEffect(e) {
+			e.Injected = true
 			newOp.Effects = append(newOp.Effects, e)
 		}
 	}

@@ -1,7 +1,6 @@
 package tournament
 
 import (
-	_ "embed"
 	"sync"
 
 	"ipa/internal/analysis"
@@ -12,7 +11,8 @@ import (
 // Analysis runs the full IPA loop on the tournament specification with
 // the paper's Fig. 3 repair choices and caches the result (the output is
 // immutable, and every mount from it would otherwise pay the search
-// again). PatchedSpec is its spec, checked in. The analysis proposes
+// again). Its spec is checked in as tournament.patched.spec, which
+// `ipa serve -app tournament` mounts. The analysis proposes
 // several valid resolutions per conflict and the paper's pickResolution
 // hook is the programmer — this function
 // records the programmer decision the hand-coded IPA variant implements:
@@ -36,20 +36,6 @@ var (
 	analysisOnce sync.Once
 	analysisRes  *analysis.Result
 )
-
-// patchedSource is tournament.patched.spec: Analysis().Spec.String(), byte
-// for byte, checked in. cmd/ipa's tests pin it to Analysis and
-// regenerate it.
-//
-//go:embed tournament.patched.spec
-var patchedSource string
-
-// PatchedSpec returns the specification Analysis derives, parsed from the
-// checked-in tournament.patched.spec: the paper's modified application,
-// with the Fig. 3 repair choices applied. It is a fixed point of the
-// analysis (a Run from it applies no repair), which is how `ipa serve`
-// checks it at start instead of searching for the repairs again.
-func PatchedSpec() *spec.Spec { return spec.MustParse(patchedSource) }
 
 // fig3Chooser picks, for the disenroll ∥ do_match conflict, the repair
 // that adds the two one-wildcard match wipes to disenroll.

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"ipa/internal/analysis"
+	"ipa/internal/apps"
+	"ipa/internal/spec"
 )
 
 // BenchmarkAnalysis times the search tournament.patched.spec records: one
@@ -23,11 +25,12 @@ func BenchmarkAnalysis(b *testing.B) {
 
 // BenchmarkPatchedCheck times what `ipa serve -app tournament` pays before
 // it serves its first call: Alg. 1 run once over the checked-in patched
-// spec, which finds nothing to repair.
+// spec (tournament.patched.spec), which finds nothing to repair.
 //
 //	go test ./internal/apps/tournament -run '^$' -bench BenchmarkPatchedCheck
 func BenchmarkPatchedCheck(b *testing.B) {
-	s := PatchedSpec()
+	src, _ := apps.Patched("tournament")
+	s := spec.MustParse(src)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := analysis.Run(s, analysis.Options{}); err != nil {

@@ -1,7 +1,6 @@
 package twitter
 
 import (
-	_ "embed"
 	"sync"
 
 	"ipa/internal/analysis"
@@ -12,7 +11,8 @@ import (
 // Analysis runs the full IPA loop on the Twitter specification with the
 // paper's Fig. 6 rem-wins repair choices and caches the result (the
 // output is immutable, and every mount from it would otherwise pay the
-// search again). PatchedSpec is its spec, checked in. The analysis
+// search again). Its spec is checked in as twitter.patched.spec, which
+// `ipa serve -app twitter` mounts. The analysis
 // proposes several valid resolutions per conflict and the paper's
 // pickResolution hook is the programmer — this function
 // records the programmer decision the hand-coded RemWins variant
@@ -37,20 +37,6 @@ var (
 	analysisOnce sync.Once
 	analysisRes  *analysis.Result
 )
-
-// patchedSource is twitter.patched.spec: Analysis().Spec.String(), byte
-// for byte, checked in. cmd/ipa's tests pin it to Analysis and
-// regenerate it.
-//
-//go:embed twitter.patched.spec
-var patchedSource string
-
-// PatchedSpec returns the specification Analysis derives, parsed from the
-// checked-in twitter.patched.spec: the paper's modified application, with
-// the Fig. 6 repair choices applied. It is a fixed point of the
-// analysis (a Run from it applies no repair), which is how `ipa serve`
-// checks it at start instead of searching for the repairs again.
-func PatchedSpec() *spec.Spec { return spec.MustParse(patchedSource) }
 
 // remWinsChooser picks, for every conflict, the repair that makes the
 // deleting operation win by falsifying the dependent atoms (fewest

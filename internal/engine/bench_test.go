@@ -15,7 +15,6 @@ import (
 	"ipa/internal/apps/twitter"
 	"ipa/internal/clock"
 	"ipa/internal/runtime"
-	"ipa/internal/spec"
 	"ipa/internal/store"
 	"ipa/internal/wan"
 )
@@ -30,7 +29,7 @@ func seededApp(tb testing.TB, players int, opts ...MountOption) (*App, runtime.R
 	sim := wan.NewSim(1)
 	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(),
 		[]clock.ReplicaID{"a", "b"}))
-	app, err := Mount(tournament.Spec(), tournament.Analysis(), cluster, opts...)
+	app, err := Mount(nil, tournament.Analysis(), cluster, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -208,7 +207,6 @@ func TestCallCostIndependentOfUntouchedState(t *testing.T) {
 // isolates plan execution.
 type bundledSpec struct {
 	name string
-	spec *spec.Spec
 	res  *analysis.Result
 }
 
@@ -224,10 +222,10 @@ var bundledSpecs = sync.OnceValues(func() ([]bundledSpec, error) {
 		return nil, err
 	}
 	return []bundledSpec{
-		{"tournament", tournament.Spec(), tournament.Analysis()},
-		{"ticket", ticket.Spec(), ticketRes},
-		{"twitter", twitter.Spec(), twitter.Analysis()},
-		{"tpcw", tpcw.Spec(), tpcwRes},
+		{"tournament", tournament.Analysis()},
+		{"ticket", ticketRes},
+		{"twitter", twitter.Analysis()},
+		{"tpcw", tpcwRes},
 	}, nil
 })
 
@@ -269,7 +267,7 @@ func newGenericLoop(tb testing.TB, s bundledSpec, seed int64, opts ...MountOptio
 	sim := wan.NewSim(seed)
 	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(),
 		[]clock.ReplicaID{wan.USEast, wan.USWest, wan.EUWest}))
-	app, err := Mount(s.spec, s.res, cluster, opts...)
+	app, err := Mount(nil, s.res, cluster, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}

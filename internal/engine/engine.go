@@ -228,10 +228,10 @@ func WithInterpreter() MountOption {
 }
 
 // Mount compiles an analyzed specification into an executable
-// application over the given cluster. orig is the pre-analysis spec
-// (used to tell an operation's own effects from the analysis-injected
-// ones, which execute as payload-preserving touches); nil means every
-// effect of res.Spec counts as base. res.Spec must validate.
+// application over the given cluster. res.Spec must validate; its
+// injected effects (spec.Effect.Injected) execute as the operation's
+// patches, payload-preserving touches, and the rest as its own effects.
+// orig is ignored; the benchmark ledger still passes it.
 func Mount(orig *spec.Spec, res *analysis.Result, cluster runtime.Cluster, opts ...MountOption) (*App, error) {
 	if res == nil || res.Spec == nil {
 		return nil, fmt.Errorf("engine: nil analysis result")
@@ -268,7 +268,7 @@ func Mount(orig *spec.Spec, res *analysis.Result, cluster runtime.Cluster, opts 
 	if err := a.extractBounds(); err != nil {
 		return nil, err
 	}
-	if err := a.compileOps(orig); err != nil {
+	if err := a.compileOps(); err != nil {
 		return nil, err
 	}
 	if err := a.deriveRemWins(); err != nil {
@@ -583,27 +583,23 @@ func hasDisjunctiveConsequent(body logic.Formula) bool {
 	return hasOr(imp.B)
 }
 
-// compileOps builds the executable form of every operation.
-func (a *App) compileOps(orig *spec.Spec) error {
+// compileOps builds the executable form of every operation: its own
+// effects are the base, the injected ones its patches, each in spec
+// order.
+func (a *App) compileOps() error {
 	for _, op := range a.spc.Operations {
 		co := &compiledOp{op: op}
-		base := op.Effects
-		if orig != nil {
-			if origOp, ok := orig.Operation(op.Name); ok {
-				var err error
-				base, co.patches, err = splitEffects(op, origOp)
-				if err != nil {
-					return err
-				}
-			}
-		}
-		co.base = base
-		for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
+		for _, e := range op.Effects {
 			if e.Kind == spec.BoolAssign && e.Val && hasWildcard(e.Args) {
 				return fmt.Errorf("engine: operation %s: wildcard in positive effect %s", op.Name, e)
 			}
 			if e.Kind == spec.NumDelta && hasWildcard(e.Args) {
 				return fmt.Errorf("engine: operation %s: wildcard in numeric effect %s", op.Name, e)
+			}
+			if e.Injected {
+				co.patches = append(co.patches, e)
+			} else {
+				co.base = append(co.base, e)
 			}
 		}
 		a.deriveEnsures(co)
@@ -614,31 +610,6 @@ func (a *App) compileOps(orig *spec.Spec) error {
 	}
 	sort.Strings(a.opNames)
 	return nil
-}
-
-// splitEffects separates an operation's own effects from the
-// analysis-injected ones by diffing against the original operation.
-func splitEffects(patched, orig *spec.Operation) (base, extras []spec.Effect, err error) {
-	remaining := append([]spec.Effect(nil), orig.Effects...)
-	for _, e := range patched.Effects {
-		found := -1
-		for i, o := range remaining {
-			if e.Equal(o) {
-				found = i
-				break
-			}
-		}
-		if found >= 0 {
-			base = append(base, e)
-			remaining = append(remaining[:found], remaining[found+1:]...)
-			continue
-		}
-		extras = append(extras, e)
-	}
-	if len(remaining) > 0 {
-		return nil, nil, fmt.Errorf("engine: operation %s: analysis dropped effect %s", patched.Name, remaining[0])
-	}
-	return base, extras, nil
 }
 
 func hasWildcard(args []logic.Term) bool {
@@ -757,7 +728,7 @@ func (a *App) deriveEnsures(co *compiledOp) {
 	}
 	var work []asserted
 	planned := map[string]bool{} // atoms the op already asserts
-	for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
+	for _, e := range co.op.Effects {
 		if e.Kind != spec.BoolAssign || !e.Val {
 			continue
 		}
@@ -815,7 +786,7 @@ func (a *App) deriveCascades(co *compiledOp) {
 		terms []logic.Term
 	}
 	var work []retracted
-	for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
+	for _, e := range co.op.Effects {
 		if e.Kind != spec.BoolAssign || e.Val {
 			continue
 		}
@@ -857,7 +828,7 @@ func (a *App) deriveCascades(co *compiledOp) {
 // sell/enroll through) touching a predicate the operation affects.
 func (a *App) deriveGuards(co *compiledOp) {
 	affected := map[string]bool{}
-	for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
+	for _, e := range co.op.Effects {
 		affected[e.Pred] = true
 	}
 	for _, t := range co.ensures {
@@ -907,7 +878,7 @@ func (a *App) deriveRemWins() error {
 	wipes := func(terms []logic.Term) bool { return hasWildcard(terms) }
 	var wiped []string
 	for _, co := range a.ops {
-		for _, e := range append(append([]spec.Effect(nil), co.base...), co.patches...) {
+		for _, e := range co.op.Effects {
 			if e.Kind == spec.BoolAssign && !e.Val && wipes(e.Args) {
 				wiped = append(wiped, e.Pred)
 			}

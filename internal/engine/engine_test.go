@@ -3,11 +3,17 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ipa/internal/analysis"
+	"ipa/internal/apps/ticket"
 	"ipa/internal/apps/tournament"
+	"ipa/internal/apps/tpcw"
+	"ipa/internal/apps/twitter"
 	"ipa/internal/clock"
 	"ipa/internal/runtime"
 	"ipa/internal/spec"
@@ -21,7 +27,7 @@ func mountTournament(t *testing.T, seed int64) (*App, *wan.Sim, runtime.Cluster)
 	t.Helper()
 	sim := wan.NewSim(seed)
 	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), sites()))
-	app, err := Mount(tournament.Spec(), tournament.Analysis(), cluster)
+	app, err := Mount(nil, tournament.Analysis(), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +129,81 @@ func TestMountTournamentShape(t *testing.T) {
 	}
 }
 
+// TestInjectedMarksAreTheAppliedRepairs holds the analysed spec's text to
+// the repair loop: per operation, the effects Parse(res.Spec.String())
+// marks injected are the Extra of every applied repair that targets it,
+// in order, minus the effects the operation already had; and they are
+// the patches Mount compiles from that text, with no original spec to
+// diff against. Cases: the five golden specs with default options and
+// the two bundled apps with recorded repair choices.
+func TestInjectedMarksAreTheAppliedRepairs(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "quickstart", "quickstart.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type analysed struct {
+		in  *spec.Spec
+		res *analysis.Result
+	}
+	cases := map[string]analysed{
+		"tournament (Fig. 3 choices)": {tournament.Spec(), tournament.Analysis()},
+		"twitter (Fig. 6 choices)":    {twitter.Spec(), twitter.Analysis()},
+	}
+	for name, s := range map[string]*spec.Spec{
+		"quickstart": spec.MustParse(string(src)), "ticket": ticket.Spec(),
+		"tournament": tournament.Spec(), "tpcw": tpcw.Spec(), "twitter": twitter.Spec(),
+	} {
+		res, err := analysis.Run(s, analysis.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = analysed{s, res}
+	}
+	marks := 0
+	for name, c := range cases {
+		printed, err := spec.Parse(c.res.Spec.String())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		app, err := Mount(nil, &analysis.Result{Spec: printed}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, op := range printed.Operations {
+			had, _ := c.in.Operation(op.Name)
+			had = had.Clone()
+			var want []string
+			for _, a := range c.res.Applied {
+				if a.Repair.Target != op.Name {
+					continue
+				}
+				for _, e := range a.Repair.Extra {
+					if !had.HasEffect(e) {
+						had.Effects = append(had.Effects, e)
+						want = append(want, e.String())
+					}
+				}
+			}
+			var got, patches []string
+			for _, e := range op.Effects {
+				if e.Injected {
+					got = append(got, e.String())
+				}
+			}
+			for _, e := range app.ops[op.Name].patches {
+				patches = append(patches, e.String())
+			}
+			if !slices.Equal(got, want) || !slices.Equal(patches, want) {
+				t.Errorf("%s: %s: marked %v, compiled patches %v, want the applied repairs' new effects %v", name, op.Name, got, patches, want)
+			}
+			marks += len(got)
+		}
+	}
+	if marks == 0 {
+		t.Fatal("no analysis output carries a mark: the check above is vacuous")
+	}
+}
+
 func contains(xs []string, want string) bool {
 	for _, x := range xs {
 		if x == want {
@@ -212,7 +293,7 @@ func TestCallErrors(t *testing.T) {
 	// A spec with no operations has nothing to execute: Mount refuses
 	// (otherwise the chaos generator would have nothing to draw from).
 	empty := spec.MustParse("spec empty\ninvariant forall (A: x) :- p(x)")
-	if _, err := Mount(empty, &analysis.Result{Spec: empty}, nil); err == nil ||
+	if _, err := Mount(nil, &analysis.Result{Spec: empty}, nil); err == nil ||
 		!strings.Contains(err.Error(), "no operations") {
 		t.Fatalf("zero-operation spec mounted: %v", err)
 	}
@@ -227,7 +308,7 @@ func TestCallErrors(t *testing.T) {
 			"operation add(A: x) {\n    w(%s) := true\n}\n"+
 			"operation wipe(A: x) {\n    w(%s) := false\n}\n", args, args, pattern)
 		wide := spec.MustParse(src)
-		_, err := Mount(wide, &analysis.Result{Spec: wide}, nil)
+		_, err := Mount(nil, &analysis.Result{Spec: wide}, nil)
 		if refused := err != nil && strings.Contains(err.Error(), "at most 64"); refused != (arity > 64) {
 			t.Fatalf("arity %d wiped remove-wins: Mount err = %v", arity, err)
 		}

@@ -48,7 +48,7 @@ func mountEscrow(t *testing.T) (*App, *wan.Sim, runtime.Cluster) {
 	}
 	sim := wan.NewSim(11)
 	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), sites()))
-	app, err := Mount(spec.MustParse(escrowSpec), res, cluster)
+	app, err := Mount(nil, res, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ operation buy(Item: i) {
 	}
 	sim := wan.NewSim(41)
 	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), sites()))
-	app, err := Mount(spec.MustParse(src), res, cluster)
+	app, err := Mount(nil, res, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ operation withdraw() {
 	// The bare-identifier trap is rejected at mount: `total >= 0` reads
 	// the always-zero constant, not the field.
 	bad := spec.MustParse(strings.Replace(src, "total()", "total", 1))
-	if _, err := Mount(bad, &analysis.Result{Spec: bad}, nil); err == nil ||
+	if _, err := Mount(nil, &analysis.Result{Spec: bad}, nil); err == nil ||
 		!strings.Contains(err.Error(), "also a numeric field") {
 		t.Fatalf("bare-constant invariant over a field accepted: %v", err)
 	}
@@ -252,7 +252,7 @@ operation withdraw() {
 	}
 	sim := wan.NewSim(21)
 	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), sites()))
-	app, err := Mount(spec.MustParse(src), res, cluster)
+	app, err := Mount(nil, res, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ operation buy(Ticket: k, Event: e) {
 	}
 	sim := wan.NewSim(31)
 	cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), sites()))
-	app, err := Mount(spec.MustParse(src), res, cluster)
+	app, err := Mount(nil, res, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ operation rm(A: x) {
 			sim := wan.NewSim(1)
 			cluster := runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(),
 				[]clock.ReplicaID{"a", "b"}))
-			app, err := Mount(s, res, cluster, opts...)
+			app, err := Mount(nil, res, cluster, opts...)
 			if err != nil {
 				return nil, nil, nil, err
 			}

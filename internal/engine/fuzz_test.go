@@ -53,7 +53,7 @@ operation rm(A: x) {
 				res = full
 			}
 		}
-		app, err := Mount(s, res, nil)
+		app, err := Mount(nil, res, nil)
 		if err != nil {
 			return
 		}

@@ -174,7 +174,7 @@ func TestJoinShapes(t *testing.T) {
 			mount := func(opts ...MountOption) (*App, runtime.Replica) {
 				cluster := runtime.NewSimCluster(store.NewCluster(wan.NewSim(1), wan.PaperTopology(),
 					[]clock.ReplicaID{"a"}))
-				app, err := Mount(s, &analysis.Result{Spec: s}, cluster, opts...)
+				app, err := Mount(nil, &analysis.Result{Spec: s}, cluster, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}

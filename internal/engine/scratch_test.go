@@ -122,7 +122,7 @@ func TestConcurrentCallsShareNoScratch(t *testing.T) {
 
 	alone := func(calls [][]string, opts ...MountOption) []string {
 		cluster := runtime.NewSimCluster(store.NewCluster(wan.NewSim(1), wan.PaperTopology(), ids))
-		app, err := Mount(tournament.Spec(), tournament.Analysis(), cluster, opts...)
+		app, err := Mount(nil, tournament.Analysis(), cluster, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestConcurrentCallsShareNoScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	app, err := Mount(tournament.Spec(), tournament.Analysis(), cluster)
+	app, err := Mount(nil, tournament.Analysis(), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestWipePatternSurvivesLaterCalls(t *testing.T) {
 		sim := wan.NewSim(1)
 		sc := store.NewCluster(sim, wan.PaperTopology(), []clock.ReplicaID{wan.USEast, wan.USWest, wan.EUWest})
 		cluster := runtime.NewSimCluster(sc)
-		app, err := Mount(tournament.Spec(), tournament.Analysis(), cluster, opts...)
+		app, err := Mount(nil, tournament.Analysis(), cluster, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -237,7 +237,7 @@ func equivDigest(in logic.Interp, skip map[string]bool) string {
 // the same read the hand app performs.
 func runTwitterHandVsEngine(t *testing.T, hand, eng equivCluster, seed int64, nops int) {
 	handApp := twitter.New(twitter.RemWins)
-	engApp, err := engine.Mount(twitter.Spec(), twitter.Analysis(), nil)
+	engApp, err := engine.Mount(nil, twitter.Analysis(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,11 +415,11 @@ func runTicketHandVsEngine(t *testing.T, hand, eng equivCluster, seed int64, nop
 	events := []string{"ev0", "ev1"}
 	handApp := ticket.New(ticket.IPA, capacity)
 	handApp.Setup(hand.cluster, events)
-	orig, res, err := analyzeSpec(ticket.SpecSourceWithCapacity(capacity))
+	res, err := analyzeSpec(ticket.SpecSourceWithCapacity(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
-	engApp, err := engine.Mount(orig, res, nil)
+	engApp, err := engine.Mount(nil, res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

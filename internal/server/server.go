@@ -108,28 +108,28 @@ func New(cluster runtime.Cluster, cfg Config) *Server {
 
 // Mount parses a specification, runs the IPA analysis, compiles the
 // result, and registers it under the spec's own name — the full loop of
-// the paper, server-side. It is what the MOUNT command executes.
+// the paper, server-side. It is what the MOUNT command executes, and
+// `ipa serve -app` and `-spec` too. A spec the analysis already patched
+// (its injected effects marked) is re-checked, not searched again, and
+// refused if the check applies a repair (analysis.RunForMount).
 func (s *Server) Mount(src string) (string, error) {
 	sp, err := spec.Parse(src)
 	if err != nil {
 		return "", err
 	}
-	res, err := analysis.Run(sp, analysis.Options{})
+	res, err := analysis.RunForMount(sp)
 	if err != nil {
 		return "", err
 	}
-	return s.MountAnalyzed(sp, res)
+	return s.MountAnalyzed(nil, res)
 }
 
 // MountAnalyzed registers an already-analyzed specification (callers
 // that record explicit repair choices, like the bundled applications).
+// orig is ignored, as in engine.Mount: res.Spec marks what the analysis
+// injected. The benchmark ledger still passes it.
 func (s *Server) MountAnalyzed(orig *spec.Spec, res *analysis.Result) (string, error) {
-	var eng *engine.App
-	err := s.exec(func() error { // engine.Mount touches the cluster: serialise on sim
-		var err error
-		eng, err = engine.Mount(orig, res, s.cluster)
-		return err
-	})
+	eng, err := engine.Mount(nil, res, s.cluster)
 	if err != nil {
 		return "", err
 	}

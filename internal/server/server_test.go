@@ -50,7 +50,7 @@ func startServer(t *testing.T, backend string) (*Server, string) {
 	t.Helper()
 	cluster := newTestCluster(t, backend)
 	srv := New(cluster, Config{DrainTimeout: 30 * time.Second})
-	if _, err := srv.MountAnalyzed(tournament.Spec(), tournament.Analysis()); err != nil {
+	if _, err := srv.MountAnalyzed(nil, tournament.Analysis()); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start("127.0.0.1:0"); err != nil {
@@ -427,7 +427,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 func TestServeBackpressure(t *testing.T) {
 	cluster := newTestCluster(t, runtime.BackendNet)
 	srv := New(cluster, Config{})
-	if _, err := srv.MountAnalyzed(tournament.Spec(), tournament.Analysis()); err != nil {
+	if _, err := srv.MountAnalyzed(nil, tournament.Analysis()); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start("127.0.0.1:0"); err != nil {
@@ -481,7 +481,7 @@ func TestServeDurablePipelinedCallsShareOneFsync(t *testing.T) {
 	}
 	t.Cleanup(func() { nc.Close() })
 	srv := New(nc, Config{})
-	if _, err := srv.MountAnalyzed(tournament.Spec(), tournament.Analysis()); err != nil {
+	if _, err := srv.MountAnalyzed(nil, tournament.Analysis()); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start("127.0.0.1:0"); err != nil {

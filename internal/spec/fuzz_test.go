@@ -9,6 +9,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("spec s\noperation f(Player: p) {\n player(p) := true\n}")
 	f.Add("spec s\nconst K = 3\ninvariant forall (A: x) :- p(x)\nrule p add-wins\noperation f(A: x) {\n p(x) := true\n}")
 	f.Add("spec s\noperation f(A: x) {\n c(x) += 2\n}")
+	f.Add("spec s\noperation f(A: x, B: y) {\n p(x) := false\n injected q(x) := true\n injected r(x, *, y) := false\n}")
 	f.Add("spec \x00")
 	f.Add("operation } {")
 	f.Fuzz(func(t *testing.T, src string) {

@@ -18,11 +18,13 @@ import (
 //	invariant FORMULA            (one line)
 //	operation NAME(Sort: a, ...) {
 //	    requires FORMULA
-//	    pred(a, *, ...) := true|false
-//	    fn(a) += INT | fn(a) -= INT
+//	    [injected] pred(a, *, ...) := true|false
+//	    [injected] fn(a) += INT | fn(a) -= INT
 //	}
 //
-// '//' starts a comment anywhere on a line.
+// '//' starts a comment anywhere on a line. "injected" marks an effect
+// the analysis added (Effect.Injected): the analysed spec prints it, so
+// its text alone tells an operation's own effects from the repairs.
 func Parse(src string) (*Spec, error) {
 	s := New("")
 	lines := strings.Split(src, "\n")
@@ -94,7 +96,8 @@ func Parse(src string) (*Spec, error) {
 				if body == "}" {
 					break
 				}
-				if kw, rest := splitWord(body); kw == "requires" {
+				kw, rest := splitWord(body)
+				if kw == "requires" {
 					if rest == "" {
 						return nil, fmt.Errorf("spec: line %d: requires needs a formula", i)
 					}
@@ -105,10 +108,15 @@ func Parse(src string) (*Spec, error) {
 					op.Pre = append(op.Pre, pre)
 					continue
 				}
+				injected := kw == "injected"
+				if injected {
+					body = rest
+				}
 				eff, err := parseEffect(body, i)
 				if err != nil {
 					return nil, err
 				}
+				eff.Injected = injected
 				op.Effects = append(op.Effects, eff)
 			}
 			s.Operations = append(s.Operations, op)

@@ -65,6 +65,11 @@ type Effect struct {
 	Args  []logic.Term
 	Val   bool // for BoolAssign
 	Delta int  // for NumDelta
+	// Injected marks an effect the analysis added to repair a conflict
+	// (printed as a leading "injected" keyword). It records where the
+	// effect came from, not what it does: Equal ignores it, and the
+	// engine runs an injected re-assertion as a payload-preserving touch.
+	Injected bool
 }
 
 func (e Effect) String() string {
@@ -82,7 +87,8 @@ func (e Effect) String() string {
 	return fmt.Sprintf("%s += %d", head, e.Delta)
 }
 
-// Equal reports structural equality of effects.
+// Equal reports structural equality of effects; the Injected mark does
+// not take part.
 func (e Effect) Equal(o Effect) bool {
 	if e.Kind != o.Kind || e.Pred != o.Pred || len(e.Args) != len(o.Args) {
 		return false
@@ -155,7 +161,11 @@ func (o *Operation) String() string {
 		fmt.Fprintf(&b, "    requires %s\n", p)
 	}
 	for _, e := range o.Effects {
-		fmt.Fprintf(&b, "    %s\n", e)
+		mark := ""
+		if e.Injected {
+			mark = "injected "
+		}
+		fmt.Fprintf(&b, "    %s%s\n", mark, e)
 	}
 	b.WriteString("}")
 	return b.String()

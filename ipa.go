@@ -29,7 +29,10 @@
 // materializes each predicate as the right CRDT, executes base effects
 // plus the analysis' repairs and compensations inside highly available
 // transactions, and checks the invariants by evaluating the spec's
-// logic against the running state (package internal/engine).
+// logic against the running state (package internal/engine). The
+// patched spec is itself a specification, the effects the analysis
+// injected marked `injected`: Mount takes it too, and re-checks it
+// instead of searching for the repairs again.
 //
 // The lower layers stay exported for direct use:
 //
@@ -259,26 +262,28 @@ func (db *DB) Close() error { return db.cluster.Close() }
 
 // Mount parses a specification, runs the IPA analysis on it, and
 // compiles the patched result into an executable application on this
-// database: the full loop of the paper behind one call. Use
-// MountAnalyzed to control analysis options or repair choices.
+// database: the full loop of the paper behind one call. A spec the
+// analysis already patched (the "---- patched specification ----" that
+// `ipa -spec` prints, its injected effects marked) is re-checked instead,
+// and refused if the check still applies a repair. Use MountAnalyzed to
+// control analysis options or repair choices.
 func (db *DB) Mount(src string) (*App, error) {
 	s, err := spec.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := analysis.Run(s, analysis.Options{})
+	res, err := analysis.RunForMount(s)
 	if err != nil {
 		return nil, err
 	}
-	return db.MountAnalyzed(s, res)
+	return db.MountAnalyzed(res)
 }
 
-// MountAnalyzed compiles an already-analyzed specification. orig is the
-// pre-analysis spec (it distinguishes an operation's own effects from
-// the analysis-injected repairs, which execute as payload-preserving
-// touches); pass nil to treat every effect as the operation's own.
-func (db *DB) MountAnalyzed(orig *Spec, res *AnalysisResult) (*App, error) {
-	eng, err := engine.Mount(orig, res, db.cluster)
+// MountAnalyzed compiles an already-analyzed specification. The
+// effects res.Spec marks injected execute as the analysis' repairs
+// (payload-preserving touches), the rest as the operations' own.
+func (db *DB) MountAnalyzed(res *AnalysisResult) (*App, error) {
+	eng, err := engine.Mount(nil, res, db.cluster)
 	if err != nil {
 		return nil, err
 	}

@@ -98,6 +98,26 @@ func TestOpenMountCall(t *testing.T) {
 			t.Fatalf("digest diverged at %s", id)
 		}
 	}
+
+	// The analysed spec's text mounts as it is: its marks say what the
+	// analysis injected, and the re-check applies nothing. A marked spec
+	// the re-check still repairs is not the analysis's output.
+	analysed := strings.Replace(app.Spec().String(), "spec demo", "spec demo2", 1)
+	if !strings.Contains(analysed, "injected ") {
+		t.Fatalf("analysed spec carries no mark:\n%s", analysed)
+	}
+	again, err := db.Mount(analysed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(again.Analysis().Applied); n != 0 {
+		t.Fatalf("re-check of the analysed spec applied %d repairs", n)
+	}
+	unrepaired := strings.Replace(demoSpec, "spec demo", "spec demo3", 1)
+	unrepaired = strings.Replace(unrepaired, "enrolled(p, t) := true", "enrolled(p, t) := true\n    injected player(p) := true", 1)
+	if _, err := db.Mount(unrepaired); err == nil || !strings.Contains(err.Error(), "fixed point") {
+		t.Fatalf("marked spec the analysis still repairs: Mount err = %v, want a refusal", err)
+	}
 }
 
 func TestPublicRuntime(t *testing.T) {
