@@ -5,11 +5,19 @@
 // A vector clock maps replica identifiers to the number of events the
 // replica has generated. Clocks are compared under the usual partial order:
 // a ≤ b iff every entry of a is ≤ the corresponding entry of b.
+//
+// A Vector is a sorted slice, so copies share their entries. One aliasing
+// rule keeps that safe: mutate (Set, Tick, Merge) only a vector you own,
+// and never mutate one after handing it off. A replica owns its delivered
+// cut and hands out clones (store.Replica.Clock); a committed
+// transaction's dependency vector is handed off at commit, after which
+// the wire codecs, every receiver's causal-delivery check and every
+// remove-wins add record read it, shared, and nobody writes it again.
 package clock
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -35,51 +43,139 @@ func (e EventID) Less(o EventID) bool {
 	return e.Seq < o.Seq
 }
 
-// Vector is a vector clock. The zero value (nil map) is a valid clock with
-// all entries zero. Vectors are not safe for concurrent mutation.
-type Vector map[ReplicaID]uint64
+// Entry is one replica's component of a vector clock: Replica has
+// generated (or the holder has seen) Seq events.
+type Entry struct {
+	Replica ReplicaID
+	Seq     uint64
+}
 
-// New returns an empty vector clock.
-func New() Vector { return make(Vector) }
+// Vector is a vector clock: its entries sorted by Replica, at most one
+// per replica. A replica without an entry reads zero. The zero value (a
+// nil slice) is a valid clock with all entries zero, and stays distinct
+// from an empty non-nil vector for the codecs that care (see
+// crdt.AppendVectorWire). Build a vector with New, Of, Set or Merge, or
+// decode one; a literal must list its entries in sorted replica order.
+// Vectors are not safe for concurrent mutation.
+type Vector []Entry
+
+// New returns an empty (non-nil) vector clock.
+func New() Vector { return Vector{} }
+
+// Of returns the vector holding m's entries, zero entries included.
+func Of(m map[ReplicaID]uint64) Vector {
+	v := make(Vector, 0, len(m))
+	for r, n := range m {
+		v = append(v, Entry{r, n})
+	}
+	slices.SortFunc(v, func(a, b Entry) int { return strings.Compare(string(a.Replica), string(b.Replica)) })
+	return v
+}
+
+// Normalize returns v in canonical form: entries sorted by replica, the
+// last of any duplicates kept. A vector whose entries are already
+// strictly ascending is returned as is; otherwise v is reordered in
+// place. Decoders use it on entries read off an untrusted wire.
+func Normalize(v Vector) Vector {
+	sorted := true
+	for i := 1; i < len(v); i++ {
+		if v[i-1].Replica >= v[i].Replica {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return v
+	}
+	slices.SortStableFunc(v, func(a, b Entry) int { return strings.Compare(string(a.Replica), string(b.Replica)) })
+	out := v[:0]
+	for i, e := range v {
+		if i+1 < len(v) && v[i+1].Replica == e.Replica {
+			continue // a later duplicate wins, as a map assignment would
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// find returns the index of r's entry, or where it would be inserted.
+// Vectors hold a handful of replicas, so a scan beats a binary search.
+func (v Vector) find(r ReplicaID) (int, bool) {
+	for i, e := range v {
+		if e.Replica >= r {
+			return i, e.Replica == r
+		}
+	}
+	return len(v), false
+}
 
 // Get returns the entry for r (zero when absent).
-func (v Vector) Get(r ReplicaID) uint64 { return v[r] }
+func (v Vector) Get(r ReplicaID) uint64 {
+	if i, ok := v.find(r); ok {
+		return v[i].Seq
+	}
+	return 0
+}
 
-// Set sets the entry for r.
-func (v Vector) Set(r ReplicaID, n uint64) { v[r] = n }
+// Set sets the entry for r, in place when r already has one.
+func (v *Vector) Set(r ReplicaID, n uint64) {
+	i, ok := v.find(r)
+	if ok {
+		(*v)[i].Seq = n
+		return
+	}
+	*v = slices.Insert(*v, i, Entry{r, n})
+}
 
 // Tick increments r's entry and returns the EventID of the new event.
-func (v Vector) Tick(r ReplicaID) EventID {
-	v[r]++
-	return EventID{Replica: r, Seq: v[r]}
+func (v *Vector) Tick(r ReplicaID) EventID {
+	n := v.Get(r) + 1
+	v.Set(r, n)
+	return EventID{Replica: r, Seq: n}
 }
 
 // Contains reports whether event e is in the causal past described by v,
 // i.e. v has seen at least e.Seq events from e.Replica.
-func (v Vector) Contains(e EventID) bool { return v[e.Replica] >= e.Seq }
+func (v Vector) Contains(e EventID) bool { return v.Get(e.Replica) >= e.Seq }
 
-// Clone returns an independent copy of v.
+// Clone returns an independent copy of v; the copy of a nil vector is
+// empty, not nil.
 func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	for r, n := range v {
-		c[r] = n
-	}
-	return c
+	return append(make(Vector, 0, len(v)), v...)
 }
 
-// Merge sets v to the pointwise maximum of v and o.
-func (v Vector) Merge(o Vector) {
-	for r, n := range o {
-		if n > v[r] {
-			v[r] = n
+// Merge sets v to the pointwise maximum of v and o. It works in place
+// unless o has a nonzero entry for a replica v lacks.
+func (v *Vector) Merge(o Vector) {
+	cur := *v
+	i := 0
+	for _, e := range o {
+		for i < len(cur) && cur[i].Replica < e.Replica {
+			i++
+		}
+		switch {
+		case i < len(cur) && cur[i].Replica == e.Replica:
+			if e.Seq > cur[i].Seq {
+				cur[i].Seq = e.Seq
+			}
+		case e.Seq > 0:
+			cur = slices.Insert(cur, i, e)
 		}
 	}
+	*v = cur
 }
 
 // LEq reports whether v ≤ o in the pointwise partial order.
 func (v Vector) LEq(o Vector) bool {
-	for r, n := range v {
-		if n > o[r] {
+	j := 0
+	for _, e := range v {
+		if e.Seq == 0 {
+			continue
+		}
+		for j < len(o) && o[j].Replica < e.Replica {
+			j++
+		}
+		if j == len(o) || o[j].Replica != e.Replica || o[j].Seq < e.Seq {
 			return false
 		}
 	}
@@ -99,26 +195,21 @@ func (v Vector) Concurrent(o Vector) bool { return !v.LEq(o) && !o.LEq(v) }
 // monotone measure of progress).
 func (v Vector) Sum() uint64 {
 	var s uint64
-	for _, n := range v {
-		s += n
+	for _, e := range v {
+		s += e.Seq
 	}
 	return s
 }
 
 // String renders the clock deterministically, e.g. "{eu-west:3 us-east:7}".
 func (v Vector) String() string {
-	ids := make([]string, 0, len(v))
-	for r := range v {
-		ids = append(ids, string(r))
-	}
-	sort.Strings(ids)
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, id := range ids {
+	for i, e := range v {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s:%d", id, v[ReplicaID(id)])
+		fmt.Fprintf(&b, "%s:%d", e.Replica, e.Seq)
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -133,18 +224,23 @@ func GLB(vs ...Vector) Vector {
 	if len(vs) == 0 {
 		return out
 	}
-	for r := range vs[0] {
-		min := vs[0][r]
+	for _, e := range vs[0] {
+		min := e.Seq
 		for _, v := range vs[1:] {
-			if v[r] < min {
-				min = v[r]
-			}
+			min = minU(min, v.Get(e.Replica))
 		}
 		if min > 0 {
-			out[r] = min
+			out = append(out, Entry{e.Replica, min})
 		}
 	}
 	return out
+}
+
+func minU(a, b uint64) uint64 {
+	if b < a {
+		return b
+	}
+	return a
 }
 
 // Stability tracks, for each replica, the vector clock of updates it has
@@ -168,9 +264,9 @@ func (s *Stability) Ack(r ReplicaID, v Vector) {
 	cur, ok := s.acks[r]
 	if !ok {
 		cur = New()
-		s.acks[r] = cur
 	}
 	cur.Merge(v)
+	s.acks[r] = cur
 }
 
 // Horizon returns the stable cut: events ≤ Horizon() are at every replica.

@@ -27,9 +27,9 @@ func TestTickAndContains(t *testing.T) {
 }
 
 func TestPartialOrder(t *testing.T) {
-	a := Vector{"r1": 2, "r2": 1}
-	b := Vector{"r1": 3, "r2": 1}
-	c := Vector{"r1": 1, "r2": 5}
+	a := Vector{{"r1", 2}, {"r2", 1}}
+	b := Vector{{"r1", 3}, {"r2", 1}}
+	c := Vector{{"r1", 1}, {"r2", 5}}
 
 	if !a.LEq(b) || b.LEq(a) {
 		t.Fatal("a < b expected")
@@ -50,7 +50,7 @@ func TestPartialOrder(t *testing.T) {
 
 func TestZeroValueIsBottom(t *testing.T) {
 	var zero Vector
-	a := Vector{"r1": 1}
+	a := Vector{{"r1", 1}}
 	if !zero.LEq(a) {
 		t.Fatal("zero clock must be below everything")
 	}
@@ -60,30 +60,30 @@ func TestZeroValueIsBottom(t *testing.T) {
 }
 
 func TestMergeIsLUB(t *testing.T) {
-	a := Vector{"r1": 2, "r2": 1}
-	b := Vector{"r1": 1, "r3": 4}
+	a := Vector{{"r1", 2}, {"r2", 1}}
+	b := Vector{{"r1", 1}, {"r3", 4}}
 	m := a.Clone()
 	m.Merge(b)
 	if !a.LEq(m) || !b.LEq(m) {
 		t.Fatal("merge must dominate both inputs")
 	}
-	want := Vector{"r1": 2, "r2": 1, "r3": 4}
+	want := Vector{{"r1", 2}, {"r2", 1}, {"r3", 4}}
 	if !m.Equal(want) {
 		t.Fatalf("merge = %v, want %v", m, want)
 	}
 }
 
 func TestGLB(t *testing.T) {
-	a := Vector{"r1": 5, "r2": 3}
-	b := Vector{"r1": 2, "r2": 7}
+	a := Vector{{"r1", 5}, {"r2", 3}}
+	b := Vector{{"r1", 2}, {"r2", 7}}
 	g := GLB(a, b)
-	if !g.Equal(Vector{"r1": 2, "r2": 3}) {
+	if !g.Equal(Vector{{"r1", 2}, {"r2", 3}}) {
 		t.Fatalf("GLB = %v", g)
 	}
 	// A replica absent from one vector clamps to zero.
-	c := Vector{"r1": 9}
+	c := Vector{{"r1", 9}}
 	g2 := GLB(a, c)
-	if g2["r2"] != 0 {
+	if g2.Get("r2") != 0 {
 		t.Fatalf("GLB with missing replica = %v, want r2 absent", g2)
 	}
 	if !GLB().Equal(Vector{}) {
@@ -93,18 +93,18 @@ func TestGLB(t *testing.T) {
 
 func TestStabilityHorizon(t *testing.T) {
 	s := NewStability([]ReplicaID{"a", "b"})
-	s.Ack("a", Vector{"a": 5, "b": 2})
-	s.Ack("b", Vector{"a": 3, "b": 4})
+	s.Ack("a", Vector{{"a", 5}, {"b", 2}})
+	s.Ack("b", Vector{{"a", 3}, {"b", 4}})
 	h := s.Horizon()
-	if !h.Equal(Vector{"a": 3, "b": 2}) {
+	if !h.Equal(Vector{{"a", 3}, {"b", 2}}) {
 		t.Fatalf("horizon = %v, want {a:3 b:2}", h)
 	}
 	// Acks are monotone: a stale ack cannot move the horizon backwards.
-	s.Ack("a", Vector{"a": 1})
+	s.Ack("a", Vector{{"a", 1}})
 	if !s.Horizon().Equal(h) {
 		t.Fatalf("horizon moved backwards: %v", s.Horizon())
 	}
-	s.Ack("b", Vector{"a": 9, "b": 9})
+	s.Ack("b", Vector{{"a", 9}, {"b", 9}})
 	h2 := s.Horizon()
 	if !h.LEq(h2) {
 		t.Fatalf("horizon must be monotone: %v -> %v", h, h2)
@@ -113,8 +113,8 @@ func TestStabilityHorizon(t *testing.T) {
 
 func TestStabilityUnknownReplica(t *testing.T) {
 	s := NewStability([]ReplicaID{"a"})
-	s.Ack("ghost", Vector{"a": 3})
-	if got := s.Horizon(); got["a"] != 0 {
+	s.Ack("ghost", Vector{{"a", 3}})
+	if got := s.Horizon(); got.Get("a") != 0 {
 		t.Fatalf("new member with empty history should pin horizon at 0, got %v", got)
 	}
 }
@@ -135,7 +135,7 @@ func TestEventIDOrdering(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	v := Vector{"b": 2, "a": 1}
+	v := Vector{{"a", 1}, {"b", 2}}
 	if got := v.String(); got != "{a:1 b:2}" {
 		t.Fatalf("String() = %q", got)
 	}
@@ -152,7 +152,7 @@ func TestQuickMergeSemilattice(t *testing.T) {
 		v := New()
 		for k, n := range m {
 			if len(k) > 0 {
-				v[ReplicaID(k[:1])] = uint64(n)
+				v.Set(ReplicaID(k[:1]), uint64(n))
 			}
 		}
 		return v
@@ -193,7 +193,7 @@ func TestQuickMergeIsLUB(t *testing.T) {
 		v := New()
 		for k, n := range m {
 			if len(k) > 0 {
-				v[ReplicaID(k[:1])] = uint64(n)
+				v.Set(ReplicaID(k[:1]), uint64(n))
 			}
 		}
 		return v

@@ -134,11 +134,11 @@ func TestAWSetCompactDropsStableGraveyard(t *testing.T) {
 		t.Fatal("payload should be in graveyard")
 	}
 	// Horizon below the remove: graveyard kept.
-	s.Compact(clock.Vector{"a": 1})
+	s.Compact(clock.Of(map[clock.ReplicaID]uint64{"a": 1}))
 	if len(s.graveyard) != 1 {
 		t.Fatal("graveyard dropped too early")
 	}
-	s.Compact(clock.Vector{"a": 2})
+	s.Compact(clock.Of(map[clock.ReplicaID]uint64{"a": 2}))
 	if len(s.graveyard) != 0 {
 		t.Fatal("stable graveyard entry should be dropped")
 	}
@@ -268,10 +268,10 @@ func TestAWSetCollapseMatchesFullTags(t *testing.T) {
 	elems := []string{JoinTuple("p1", "t1"), JoinTuple("p2", "t1"), JoinTuple("p1", "t2")}
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, want, vc := map[clock.ReplicaID]*AWSet{}, map[clock.ReplicaID]*fullTagSet{}, map[clock.ReplicaID]clock.Vector{}
+		got, want, vc := map[clock.ReplicaID]*AWSet{}, map[clock.ReplicaID]*fullTagSet{}, map[clock.ReplicaID]*clock.Vector{}
 		inbox := map[clock.ReplicaID][]msg{}
 		for _, r := range sites {
-			got[r], want[r], vc[r] = NewAWSet(), newFullTagSet(), clock.New()
+			got[r], want[r], vc[r] = NewAWSet(), newFullTagSet(), &clock.Vector{}
 		}
 		compare := func(step int, r clock.ReplicaID) {
 			t.Helper()
@@ -291,7 +291,7 @@ func TestAWSetCollapseMatchesFullTags(t *testing.T) {
 			if vc[r].Get(m.tag.Replica) != m.tag.Seq-1 {
 				return false
 			}
-			return m.deps.LEq(vc[r])
+			return m.deps.LEq(*vc[r])
 		}
 		for step := 0; step < 120; step++ {
 			r := sites[rng.Intn(len(sites))]

@@ -23,7 +23,7 @@ func TestAWSetMetadataSize(t *testing.T) {
 	if s.MetadataSize() != 1 {
 		t.Fatalf("metadata = %d, want 1 graveyard entry", s.MetadataSize())
 	}
-	s.Compact(clock.Vector{"a": 99, "b": 99})
+	s.Compact(clock.Of(map[clock.ReplicaID]uint64{"a": 99, "b": 99}))
 	if s.MetadataSize() != 0 {
 		t.Fatalf("metadata = %d after compaction", s.MetadataSize())
 	}

@@ -198,13 +198,13 @@ func checkRWSetScript(t *testing.T, label string, steps int, choose func(n int) 
 		}
 		return ""
 	}
-	got, want, vc := map[clock.ReplicaID]*RWSet{}, map[clock.ReplicaID]*listRWSet{}, map[clock.ReplicaID]clock.Vector{}
+	got, want, vc := map[clock.ReplicaID]*RWSet{}, map[clock.ReplicaID]*listRWSet{}, map[clock.ReplicaID]*clock.Vector{}
 	inbox := map[clock.ReplicaID][]txn{}
 	// applied lists the ops each replica applied since it last
 	// compacted, as applied (adds with their cuts).
 	applied := map[clock.ReplicaID][]Op{}
 	for _, r := range sites {
-		got[r], want[r], vc[r] = NewRWSet(), newListRWSet(), clock.New()
+		got[r], want[r], vc[r] = NewRWSet(), newListRWSet(), &clock.Vector{}
 	}
 	compare := func(step int, what string, r clock.ReplicaID) {
 		t.Helper()
@@ -257,7 +257,7 @@ func checkRWSetScript(t *testing.T, label string, steps int, choose func(n int) 
 		case k < 4:
 			// Deliver one pending transaction at r, if causality allows.
 			for i, m := range inbox[r] {
-				if vc[r].Get(m.origin) != m.first || !m.deps.LEq(vc[r]) {
+				if vc[r].Get(m.origin) != m.first || !m.deps.LEq(*vc[r]) {
 					continue
 				}
 				for j := range m.got {
@@ -278,7 +278,7 @@ func checkRWSetScript(t *testing.T, label string, steps int, choose func(n int) 
 		case k < 5:
 			// A stability round: the horizon every replica has
 			// delivered, fenced by each origin's commit count.
-			horizon := clock.GLB(vc["a"], vc["b"], vc["c"])
+			horizon := clock.GLB(*vc["a"], *vc["b"], *vc["c"])
 			frontier := clock.New()
 			for _, o := range sites {
 				frontier.Set(o, vc[o].Get(o))
@@ -377,12 +377,12 @@ func TestRWSetReappliedTombstoneAfterCompaction(t *testing.T) {
 	elem := JoinTuple("p1", "t1")
 	rm := RWRemoveOp{Elem: elem, Tag: eid("b", 1)}
 	wipe := RWRemoveWhereOp{Pred: MatchPattern("", "t1"), Tag: eid("b", 2)}
-	add := RWAddOp{Elem: elem, Tag: eid("a", 1), Deps: clock.Vector{"b": 2}}
+	add := RWAddOp{Elem: elem, Tag: eid("a", 1), Deps: clock.Of(map[clock.ReplicaID]uint64{"b": 2})}
 	s := NewRWSet()
 	s.Apply(rm)
 	s.Apply(wipe)
 	s.Apply(add)
-	all := clock.Vector{"a": 1, "b": 2}
+	all := clock.Of(map[clock.ReplicaID]uint64{"a": 1, "b": 2})
 	s.CompactWithFrontier(all, all) // fences and, the fence passed, discards both tombstones
 	if n := s.MetadataSize(); n != 1 {
 		t.Fatalf("metadata = %d after compaction, want the one add record", n)

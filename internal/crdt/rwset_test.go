@@ -132,7 +132,7 @@ func TestRWSetCompact(t *testing.T) {
 		t.Fatal("remove wins pre-compaction")
 	}
 	// Everything delivered everywhere: compact.
-	horizon := clock.Vector{"a": 2, "b": 1}
+	horizon := clock.Of(map[clock.ReplicaID]uint64{"a": 2, "b": 1})
 	a.Compact(horizon)
 	if a.Contains("x") {
 		t.Fatal("presence must be preserved by compaction")
@@ -147,7 +147,7 @@ func TestRWSetCompact(t *testing.T) {
 	rm2 := s.PrepareRemove("y", g.tag("a"))
 	s.Apply(rm2)
 	s.Apply(s.PrepareAdd("y", "pay", g.tag("a"))) // observes rm2
-	s.Compact(clock.Vector{"a": 99})
+	s.Compact(clock.Of(map[clock.ReplicaID]uint64{"a": 99}))
 	if !s.Contains("y") {
 		t.Fatal("survivor lost by compaction")
 	}
@@ -161,7 +161,7 @@ func TestRWSetWildcardCompact(t *testing.T) {
 	s := NewRWSet()
 	s.Apply(s.PrepareAdd(JoinTuple("p1", "t1"), "", g.tag("a")))
 	s.Apply(s.PrepareRemoveWhere(MatchPattern("", "t1"), g.tag("a")))
-	s.Compact(clock.Vector{"a": 99})
+	s.Compact(clock.Of(map[clock.ReplicaID]uint64{"a": 99}))
 	if len(s.wild) != 0 {
 		t.Fatal("stable wildcard tombstone should be dropped")
 	}
@@ -250,8 +250,8 @@ func TestRWSetCompactionHoldsTombstoneForInFlightAdd(t *testing.T) {
 	// add exists and can be concurrent, so the tombstone must survive.
 	q := NewRWSet()
 	q.Apply(wild)
-	horizon := clock.Vector{"b": 1}
-	frontier := clock.Vector{"b": 1, "x": 1}
+	horizon := clock.Of(map[clock.ReplicaID]uint64{"b": 1})
+	frontier := clock.Of(map[clock.ReplicaID]uint64{"b": 1, "x": 1})
 	q.CompactWithFrontier(horizon, frontier)
 
 	// The late add arrives: remove-wins must still defeat it.
@@ -265,7 +265,7 @@ func TestRWSetCompactionHoldsTombstoneForInFlightAdd(t *testing.T) {
 
 	// Once the horizon dominates the fence, the tombstone (and the dead
 	// add) compact away for good — and presence stays identical.
-	final := clock.Vector{"b": 1, "x": 1}
+	final := clock.Of(map[clock.ReplicaID]uint64{"b": 1, "x": 1})
 	p.CompactWithFrontier(final, final)
 	q.CompactWithFrontier(final, final)
 	if p.Contains(elem) || q.Contains(elem) {
@@ -284,12 +284,12 @@ func TestRWSetExactRemoveFencing(t *testing.T) {
 
 	q := NewRWSet()
 	q.Apply(rm)
-	q.CompactWithFrontier(clock.Vector{"b": 1}, clock.Vector{"b": 1, "a": 1})
+	q.CompactWithFrontier(clock.Of(map[clock.ReplicaID]uint64{"b": 1}), clock.Of(map[clock.ReplicaID]uint64{"b": 1, "a": 1}))
 	q.Apply(add)
 	if q.Contains("x") {
 		t.Fatal("exact tombstone discarded while a concurrent add was in flight")
 	}
-	final := clock.Vector{"a": 1, "b": 1}
+	final := clock.Of(map[clock.ReplicaID]uint64{"a": 1, "b": 1})
 	q.CompactWithFrontier(final, final)
 	if q.Contains("x") || q.MetadataSize() != 0 {
 		t.Fatalf("final compaction wrong: contains=%v meta=%d", q.Contains("x"), q.MetadataSize())

@@ -39,24 +39,26 @@ const (
 
 // --- Vector / event-set helpers ------------------------------------------
 
-// AppendVectorWire appends a version vector in sorted replica order. A nil
-// vector is encoded distinctly from an empty one: remove-wins discard
-// fences use nil for "not yet fenced", and compaction behaves differently
-// across that boundary.
+// AppendVectorWire appends a version vector in sorted replica order (the
+// vector's own order). A nil vector is encoded distinctly from an empty
+// one: remove-wins discard fences use nil for "not yet fenced", and
+// compaction behaves differently across that boundary.
 func AppendVectorWire(b []byte, v clock.Vector) []byte {
 	if v == nil {
 		return append(b, 0)
 	}
 	b = append(b, 1)
-	keys := make([]string, 0, len(v))
-	for r := range v {
-		keys = append(keys, string(r))
-	}
-	sort.Strings(keys)
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = AppendWireString(b, k)
-		b = binary.AppendUvarint(b, v[clock.ReplicaID(k)])
+	return AppendVectorEntries(b, v)
+}
+
+// AppendVectorEntries appends v's entry count and then each (replica,
+// seq) pair — the body AppendVectorWire writes after its presence byte,
+// and the dependency vector of a replication frame.
+func AppendVectorEntries(b []byte, v clock.Vector) []byte {
+	b = binary.AppendUvarint(b, uint64(len(v)))
+	for _, e := range v {
+		b = AppendWireString(b, string(e.Replica))
+		b = binary.AppendUvarint(b, e.Seq)
 	}
 	return b
 }
@@ -70,11 +72,23 @@ func DecodeVectorWire(r *WireReader) (clock.Vector, error) {
 	if !present {
 		return nil, nil
 	}
+	v, err := r.ReadVectorEntries()
+	if v == nil && err == nil {
+		v = clock.New()
+	}
+	return v, err
+}
+
+// ReadVectorEntries consumes what AppendVectorEntries wrote: nil for a
+// count of zero, else one slice sized from the count. Entries out of
+// order are sorted and a repeated replica keeps its last value, so any
+// input decodes to a canonical vector.
+func (r *WireReader) ReadVectorEntries() (clock.Vector, error) {
 	n, err := r.ReadCount()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	v := make(clock.Vector, n)
+	v := make(clock.Vector, 0, n)
 	for i := 0; i < n; i++ {
 		rep, err := r.ReadString()
 		if err != nil {
@@ -84,9 +98,9 @@ func DecodeVectorWire(r *WireReader) (clock.Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		v[clock.ReplicaID(rep)] = seq
+		v = append(v, clock.Entry{Replica: clock.ReplicaID(rep), Seq: seq})
 	}
-	return v, nil
+	return clock.Normalize(v), nil
 }
 
 func appendEventSet(b []byte, s eventSet) []byte {

@@ -585,8 +585,10 @@ func hasDisjunctiveConsequent(body logic.Formula) bool {
 
 // compileOps builds the executable form of every operation: its own
 // effects are the base, the injected ones its patches, each in spec
-// order.
+// order. Cascades come first, for every operation: the ensure closures
+// touch only what some operation or compensation can falsify.
 func (a *App) compileOps() error {
+	cos := make([]*compiledOp, 0, len(a.spc.Operations))
 	for _, op := range a.spc.Operations {
 		co := &compiledOp{op: op}
 		for _, e := range op.Effects {
@@ -602,14 +604,55 @@ func (a *App) compileOps() error {
 				co.base = append(co.base, e)
 			}
 		}
-		a.deriveEnsures(co)
 		a.deriveCascades(co)
+		cos = append(cos, co)
+	}
+	falsifiable := a.falsifiable(cos)
+	for _, co := range cos {
+		a.deriveEnsures(co, falsifiable)
 		a.deriveGuards(co)
-		a.ops[op.Name] = co
-		a.opNames = append(a.opNames, op.Name)
+		a.ops[co.op.Name] = co
+		a.opNames = append(a.opNames, co.op.Name)
 	}
 	sort.Strings(a.opNames)
 	return nil
+}
+
+// falsifiable returns the predicates something in the mounted spec can
+// remove from: a `:= false` effect (ground or wildcard, base or
+// injected), a derived cascade, or a trim-excess compensation. A touch
+// of any other predicate protects nothing — no concurrent remove exists
+// for it to beat, so a clause requiring such an atom is I-confluent
+// (foreign keys into a never-deleted table) — and the ensure closure
+// leaves it out.
+func (a *App) falsifiable(cos []*compiledOp) map[string]bool {
+	f := map[string]bool{}
+	for _, co := range cos {
+		for _, e := range co.op.Effects {
+			if e.Kind == spec.BoolAssign && !e.Val {
+				f[e.Pred] = true
+			}
+		}
+		for _, c := range co.cascades {
+			f[c.pred] = true
+		}
+	}
+	for _, cl := range a.clauses {
+		if cl.Class != ReadRepaired {
+			continue
+		}
+		// What Repair trims: the counted collection of a count bound,
+		// which is the trim-excess compensation's predicate.
+		if cl.Comp.Kind == analysis.TrimExcess {
+			f[cl.Comp.Pred] = true
+		}
+		if cmp, ok := cl.body.(*logic.Cmp); ok {
+			if pred, _, _, isCount := countBound(cmp, a.consts); isCount {
+				f[pred] = true
+			}
+		}
+	}
+	return f
 }
 
 func hasWildcard(args []logic.Term) bool {
@@ -720,8 +763,10 @@ func termsKey(pred string, terms []logic.Term) string {
 // deriveEnsures computes the operation's ensure closure: for every atom
 // the (patched) operation asserts, every implication clause demanding
 // other atoms for it yields touches of those atoms, transitively — the
-// generic form of the paper's ensure helpers.
-func (a *App) deriveEnsures(co *compiledOp) {
+// generic form of the paper's ensure helpers. Only atoms of falsifiable
+// predicates are touched; the closure still walks through the others,
+// whose own requirements may be falsifiable.
+func (a *App) deriveEnsures(co *compiledOp, falsifiable map[string]bool) {
 	type asserted struct {
 		pred  string
 		terms []logic.Term
@@ -761,7 +806,9 @@ func (a *App) deriveEnsures(co *compiledOp) {
 					continue
 				}
 				seen[key] = true
-				co.ensures = append(co.ensures, ensureTmpl{pred: atom.Pred, terms: terms})
+				if falsifiable[atom.Pred] {
+					co.ensures = append(co.ensures, ensureTmpl{pred: atom.Pred, terms: terms})
+				}
 				work = append(work, asserted{atom.Pred, terms})
 			}
 		}

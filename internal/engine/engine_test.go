@@ -88,24 +88,17 @@ func TestMountTournamentShape(t *testing.T) {
 	}
 
 	// do_match's ensure closure restores both enrolments and,
-	// transitively, the players and the tournament (Fig. 3 ensureEnroll).
+	// transitively, the tournament (Fig. 3 ensureEnroll). It walks
+	// through player(p) and player(q) but touches neither: this spec has
+	// no rem_player (unlike the paper's Fig. 1), so nothing can remove a
+	// player and a touch of one would beat no concurrent remove.
 	match := app.ops["do_match"]
 	var ensured []string
 	for _, e := range match.ensures {
 		ensured = append(ensured, termsKey(e.pred, e.terms))
 	}
-	for _, wantEns := range []string{
-		"enrolled(p,t)", "enrolled(q,t)", "player(p)", "player(q)", "tournament(t)",
-	} {
-		found := false
-		for _, got := range ensured {
-			if got == wantEns {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("do_match ensures missing %s (have %v)", wantEns, ensured)
-		}
+	if want := []string{"enrolled(p,t)", "enrolled(q,t)", "tournament(t)"}; !slices.Equal(ensured, want) {
+		t.Errorf("do_match ensures = %v, want %v", ensured, want)
 	}
 
 	// rem_tourn cascades exactly the tournament's own flags.
@@ -121,11 +114,14 @@ func TestMountTournamentShape(t *testing.T) {
 		t.Fatalf("rem_tourn patches = %v, want none", rem.patches)
 	}
 
-	// enroll ensures player and tournament; its analysis patch is the
-	// tournament re-assertion.
+	// enroll's analysis patch is the tournament re-assertion; its ensure
+	// closure adds nothing (player cannot be falsified).
 	enroll := app.ops["enroll"]
 	if len(enroll.patches) != 1 || enroll.patches[0].Pred != "tournament" {
 		t.Fatalf("enroll patches = %v, want tournament(t) := true", enroll.patches)
+	}
+	if len(enroll.ensures) != 0 {
+		t.Fatalf("enroll ensures = %v, want none", enroll.ensures)
 	}
 }
 

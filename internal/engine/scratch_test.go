@@ -23,13 +23,15 @@ var raceEnabled bool
 
 // TestCallAllocs gates the compiled call path's allocations per call on
 // the generic workload of every bundled spec (replication and periodic
-// stabilization included), at half of what calls made before they took
-// their working memory from a pool.
+// stabilization included): half of what calls made before they took
+// their working memory from a pool, less the two a tournament, ticket
+// or twitter call saved when a transaction came to share one dependency
+// vector and stopped touching predicates nothing can falsify.
 func TestCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race")
 	}
-	bound := map[string]float64{"tournament": 29, "ticket": 20, "twitter": 33, "tpcw": 24}
+	bound := map[string]float64{"tournament": 27, "ticket": 18, "twitter": 31, "tpcw": 24}
 	specs, err := bundledSpecs()
 	if err != nil {
 		t.Fatal(err)

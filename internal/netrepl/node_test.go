@@ -171,7 +171,7 @@ func TestWireRoundTrip(t *testing.T) {
 func TestEncodeDecodeDirect(t *testing.T) {
 	w := store.WireTxn{
 		Origin:   "n1",
-		Deps:     clock.Vector{"n1": 3, "n2": 1},
+		Deps:     clock.Of(map[clock.ReplicaID]uint64{"n1": 3, "n2": 1}),
 		FirstSeq: 3,
 		LastSeq:  5,
 	}

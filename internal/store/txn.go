@@ -31,7 +31,8 @@ type Txn struct {
 	done     bool
 	locked   bool // the replica lock is held; firstSeq is set
 	finish   []func()
-	waits    *[]func() // DeferDurability's sink; nil: Commit waits itself
+	waits    *[]func()    // DeferDurability's sink; nil: Commit waits itself
+	deps     clock.Vector // the delivered cut, copied on first need (see cut)
 }
 
 // Replica returns the origin replica.
@@ -98,7 +99,7 @@ func (t *Txn) Apply(key string, op crdt.Op, mk func() crdt.CRDT) {
 		// is inside it, and the add's own earlier events are covered by
 		// per-origin order (crdt.RWAddOp.Deps). Only the local apply carries
 		// it; receivers stamp the transaction's deps.
-		a.Deps = t.r.Clock()
+		a.Deps = t.cut()
 		obj.Apply(a)
 	} else {
 		obj.Apply(op)
@@ -129,6 +130,17 @@ func (t *Txn) DeferDurability(sink *[]func()) {
 		panic("store: transaction already committed")
 	}
 	t.waits = sink
+}
+
+// cut returns the replica's delivered cut, copied once per transaction:
+// no remote group applies and no commit advances the cut while the
+// transaction holds the replica lock, so its remove-wins adds and its
+// commit share one vector. Replica lock held.
+func (t *Txn) cut() clock.Vector {
+	if t.deps == nil {
+		t.deps = t.r.Clock()
+	}
+	return t.deps
 }
 
 func (t *Txn) runFinish() {
@@ -186,13 +198,17 @@ func (t *Txn) commitUpdates() {
 	// the replica lock: it is the delivered cut at commit, before our own
 	// entry advances — the "origin's cut at commit" the causal-delivery
 	// protocol assumes. Every writer of the cut only raises it, so this
-	// one copy covers whatever a snapshot at Begin would have.
-	deps := t.r.vc.Clone()
+	// one copy covers whatever a snapshot at Begin would have. A
+	// remove-wins add may have taken it already (cut): every writer of
+	// the cut holds the replica lock, so it has not moved since.
+	if t.deps == nil {
+		t.deps = t.r.vc.Clone()
+	}
 	t.r.vc.Set(t.r.id, last)
 	t.r.clockMu.Unlock()
 	w := WireTxn{
 		Origin:   t.r.id,
-		Deps:     deps,
+		Deps:     t.deps,
 		FirstSeq: t.firstSeq,
 		LastSeq:  last,
 		Updates:  t.updates,

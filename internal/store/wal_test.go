@@ -327,7 +327,7 @@ func TestWALTruncateBelow(t *testing.T) {
 	}
 
 	// Cut covers the first three records only.
-	if err := w.TruncateBelow(clock.Vector{"a": 3}); err != nil {
+	if err := w.TruncateBelow(clock.Of(map[clock.ReplicaID]uint64{"a": 3})); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Stats()
@@ -335,7 +335,7 @@ func TestWALTruncateBelow(t *testing.T) {
 		t.Fatal("no segments truncated below a covering cut")
 	}
 	// Everything above the cut must still be served.
-	tail, err := w.RecordsAbove(clock.Vector{"a": 3})
+	tail, err := w.RecordsAbove(clock.Of(map[clock.ReplicaID]uint64{"a": 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestWALRecordsAboveFiltersPerOrigin(t *testing.T) {
 	appendSynced(t, w, sampleTxn("a", 1, 2))
 	appendSynced(t, w, sampleTxn("b", 1, 2))
 
-	tail, err := w.RecordsAbove(clock.Vector{"a": 2, "b": 1})
+	tail, err := w.RecordsAbove(clock.Of(map[clock.ReplicaID]uint64{"a": 2, "b": 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

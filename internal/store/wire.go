@@ -52,7 +52,8 @@ func (w *WireTxn) WALSeq() uint64 { return w.walSeq }
 //	per txn:
 //	  origin    string
 //	  deps      uvarint count, then (replica string, seq uvarint) pairs
-//	            in sorted replica order (deterministic bytes)
+//	            in sorted replica order, the vector's own (deterministic
+//	            bytes; crdt.AppendVectorEntries)
 //	  firstSeq  uvarint
 //	  lastSeq   uvarint
 //	  updates   uvarint count, then (key string, op) pairs
@@ -87,8 +88,7 @@ func DecodeFrame(data []byte) ([]WireTxn, error) {
 // replication stream encodes with zero per-frame allocations. Not safe
 // for concurrent use; netrepl gives each peer sender its own.
 type FrameEncoder struct {
-	buf  []byte
-	deps []clock.ReplicaID // scratch for sorting dep vectors
+	buf []byte
 }
 
 // NewFrameEncoder returns an encoder producing WireVersionV2 frames.
@@ -121,26 +121,7 @@ func (e *FrameEncoder) Encode(txns []WireTxn) ([]byte, error) {
 
 func (e *FrameEncoder) appendTxn(b []byte, w *WireTxn) ([]byte, error) {
 	b = crdt.AppendWireString(b, string(w.Origin))
-	b = binary.AppendUvarint(b, uint64(len(w.Deps)))
-	if len(w.Deps) > 0 {
-		keys := e.deps[:0]
-		for rep := range w.Deps {
-			keys = append(keys, rep)
-		}
-		// Insertion sort: dep vectors hold a handful of replicas, and
-		// sort.Slice would allocate (closure + interface header) on every
-		// txn — the exact per-frame garbage this encoder exists to avoid.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		for _, rep := range keys {
-			b = crdt.AppendWireString(b, string(rep))
-			b = binary.AppendUvarint(b, w.Deps[rep])
-		}
-		e.deps = keys[:0]
-	}
+	b = crdt.AppendVectorEntries(b, w.Deps)
 	b = binary.AppendUvarint(b, w.FirstSeq)
 	b = binary.AppendUvarint(b, w.LastSeq)
 	b = binary.AppendUvarint(b, uint64(len(w.Updates)))
@@ -205,23 +186,8 @@ func decodeTxnV2(r *crdt.WireReader, w *WireTxn) error {
 		return err
 	}
 	w.Origin = clock.ReplicaID(origin)
-	nd, err := r.ReadCount()
-	if err != nil {
+	if w.Deps, err = r.ReadVectorEntries(); err != nil {
 		return err
-	}
-	if nd > 0 {
-		w.Deps = make(clock.Vector, nd)
-		for i := 0; i < nd; i++ {
-			rep, err := r.ReadString()
-			if err != nil {
-				return err
-			}
-			seq, err := r.ReadUvarint()
-			if err != nil {
-				return err
-			}
-			w.Deps[clock.ReplicaID(rep)] = seq
-		}
 	}
 	if w.FirstSeq, err = r.ReadUvarint(); err != nil {
 		return err

@@ -17,7 +17,7 @@ func benchTxns(n int) []WireTxn {
 		tag := clock.EventID{Replica: "r1", Seq: seq}
 		txns[i] = WireTxn{
 			Origin:   "r1",
-			Deps:     clock.Vector{"r1": seq - 1, "r2": 17, "r3": 9},
+			Deps:     clock.Of(map[clock.ReplicaID]uint64{"r1": seq - 1, "r2": 17, "r3": 9}),
 			FirstSeq: seq, LastSeq: seq,
 			Updates: []Update{
 				{Key: "t/enrolled", Op: crdt.AWAddOp{Elem: "p\x1fq", Tag: tag, Pay: "payload"}},

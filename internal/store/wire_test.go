@@ -17,7 +17,7 @@ import (
 func sampleTxn(origin clock.ReplicaID, first, last uint64) WireTxn {
 	return WireTxn{
 		Origin:   origin,
-		Deps:     clock.Vector{origin: first},
+		Deps:     clock.Of(map[clock.ReplicaID]uint64{origin: first}),
 		FirstSeq: first,
 		LastSeq:  last,
 		Updates: []Update{
@@ -131,7 +131,7 @@ func unindexableFrames() map[string][]byte {
 // snapshotImage builds a snapshot image holding one object, key, whose
 // state record (kind byte and payload) is object.
 func snapshotImage(key string, object []byte) []byte {
-	body := crdt.AppendVectorWire(nil, clock.Vector{"a": 2})
+	body := crdt.AppendVectorWire(nil, clock.Of(map[clock.ReplicaID]uint64{"a": 2}))
 	body = crdt.AppendWireString(body, "a")
 	body = append(body, 1) // one object
 	body = append(crdt.AppendWireString(body, key), object...)
@@ -221,7 +221,7 @@ func richTxns() []WireTxn {
 	return []WireTxn{
 		{
 			Origin:   "a",
-			Deps:     clock.Vector{"a": 4, "b": 9, "c": 2},
+			Deps:     clock.Of(map[clock.ReplicaID]uint64{"a": 4, "b": 9, "c": 2}),
 			FirstSeq: 5, LastSeq: 7,
 			Updates: []Update{
 				{Key: "aw", Op: crdt.AWAddOp{Elem: "x", Tag: e("a", 5), Pay: "p", Touch: true}},
@@ -241,7 +241,7 @@ func richTxns() []WireTxn {
 			},
 		},
 		{
-			Origin: "c", Deps: clock.Vector{"a": 7},
+			Origin: "c", Deps: clock.Of(map[clock.ReplicaID]uint64{"a": 7}),
 			FirstSeq: 2, LastSeq: 2,
 			Updates: []Update{
 				{Key: "pn", Op: crdt.CounterOp{Delta: -42, Tag: e("c", 2)}},
