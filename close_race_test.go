@@ -31,7 +31,7 @@ func TestDBCloseWithInflightServerCalls(t *testing.T) {
 			}
 			srv := server.New(db.Cluster(), server.Config{DrainTimeout: 10 * time.Second})
 			src := "spec closerace\noperation add(Item: x) {\n    p(x) := true\n}\n"
-			if _, err := srv.Mount(src); err != nil {
+			if _, err := srv.Mount(src, false); err != nil {
 				db.Close()
 				t.Fatal(err)
 			}

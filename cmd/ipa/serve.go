@@ -33,6 +33,18 @@ import (
 	"ipa/internal/wan"
 )
 
+// mountApp mounts the bundled application name from src, its embedded
+// analysed spec. That text is the analysis's output by construction,
+// marked or not, so the re-check at start must apply no repair: an edit
+// that introduced a conflict is refused, not silently repaired.
+func mountApp(srv *server.Server, name, src string) (string, error) {
+	got, err := srv.Mount(src, true)
+	if err != nil {
+		return "", fmt.Errorf("serve: mount %s: %w", name, err)
+	}
+	return got, nil
+}
+
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
@@ -70,9 +82,9 @@ func runServe(args []string) error {
 			if !ok {
 				return fmt.Errorf("serve: unknown application %q (try ipa -list)", name)
 			}
-			got, err := srv.Mount(src)
+			got, err := mountApp(srv, name, src)
 			if err != nil {
-				return fmt.Errorf("serve: mount %s: %w", name, err)
+				return err
 			}
 			mounted = append(mounted, got)
 		}
@@ -82,7 +94,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		got, err := srv.Mount(string(data))
+		got, err := srv.Mount(string(data), false)
 		if err != nil {
 			return fmt.Errorf("serve: mount %s: %w", *specPath, err)
 		}

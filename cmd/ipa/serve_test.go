@@ -99,7 +99,7 @@ func TestServedMountMatchesFullAnalysis(t *testing.T) {
 			servedSim := newSim()
 			srv := server.New(servedSim, server.Config{})
 			src, _ := apps.Patched(name)
-			got, err := srv.Mount(src)
+			got, err := srv.Mount(src, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,6 +184,30 @@ func TestServeRefusesNonFixedPoint(t *testing.T) {
 	}
 	if !strings.Contains(rp.Str, "fixed point") || !strings.Contains(rp.Str, "disenroll ∥ do_match") {
 		t.Fatalf("refusal %q must say why and name disenroll ∥ do_match", rp.Str)
+	}
+}
+
+// TestServeAppRefusesRepairedText: ticket's patched spec carries no
+// injected mark (its analysis applies no repair), yet it is the
+// analysis's output, so the -app path holds it to being a fixed point.
+// With rem_event added, buy ∥ rem_event conflicts on sold(k, e) =>
+// event(e): the -app path refuses the text, while MOUNT, which cannot
+// know where a text without marks came from, analyses and repairs it.
+func TestServeAppRefusesRepairedText(t *testing.T) {
+	src, _ := apps.Patched("ticket")
+	if strings.Contains(src, "injected") {
+		t.Fatal("ticket.patched.spec carries an injected mark; this test needs one without")
+	}
+	conflicted := src + "\noperation rem_event(Event: e) {\n    event(e) := false\n}\n"
+	_, err := mountApp(server.New(newSim(), server.Config{}), "ticket", conflicted)
+	if err == nil || !strings.Contains(err.Error(), "fixed point") || !strings.Contains(err.Error(), "rem_event") {
+		t.Fatalf("-app mounted ticket with rem_event added, or refused it without saying why: %v", err)
+	}
+	if _, err := server.New(newSim(), server.Config{}).Mount(conflicted, false); err != nil {
+		t.Fatalf("MOUNT of the unmarked text must analyse and repair it: %v", err)
+	}
+	if _, err := mountApp(server.New(newSim(), server.Config{}), "ticket", src); err != nil {
+		t.Fatalf("-app refused ticket's own patched spec: %v", err)
 	}
 }
 

@@ -64,18 +64,20 @@ func Run(s *spec.Spec, opts Options) (*Result, error) {
 }
 
 // RunForMount is the analysis every mount path runs on the spec it is
-// handed: Run with default options. A spec that carries an injected mark
-// claims to be the analysis's output, and that output is a fixed point
-// (a run from it applies no repair), so one the run still repairs is
-// refused, naming the first pair. A spec without marks is analysed in
-// full.
-func RunForMount(s *spec.Spec) (*Result, error) {
+// handed: Run with default options. The analysis's output is a fixed
+// point (a run from it applies no repair), so a spec that is that output
+// and still gets repaired is refused, naming the first pair. A spec is
+// held to this when the caller knows it to be the output (output: a
+// bundled application's checked-in patched spec, whatever its marks say)
+// or when it carries an injected mark, which claims as much. Any other
+// spec is analysed in full.
+func RunForMount(s *spec.Spec, output bool) (*Result, error) {
 	res, err := Run(s, Options{})
-	if err != nil || len(res.Applied) == 0 || !hasInjected(s) {
+	if err != nil || len(res.Applied) == 0 || !output && !hasInjected(s) {
 		return res, err
 	}
 	a := res.Applied[0]
-	return nil, fmt.Errorf("analysis: spec %s carries injected effects but is not a fixed point of the analysis (a run from it applied %d repair(s), the first for %s ∥ %s)",
+	return nil, fmt.Errorf("analysis: spec %s is the analysis's output but not a fixed point of it (a run from it applied %d repair(s), the first for %s ∥ %s)",
 		s.Name, len(res.Applied), a.Conflict.Op1.Name, a.Conflict.Op2.Name)
 }
 

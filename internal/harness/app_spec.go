@@ -60,7 +60,7 @@ func analyzeSpec(src string) (*analysis.Result, error) {
 			entry.err = err
 			return
 		}
-		entry.res, entry.err = analysis.RunForMount(s)
+		entry.res, entry.err = analysis.RunForMount(s, false)
 	})
 	return entry.res, entry.err
 }

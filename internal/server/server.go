@@ -110,14 +110,16 @@ func New(cluster runtime.Cluster, cfg Config) *Server {
 // result, and registers it under the spec's own name — the full loop of
 // the paper, server-side. It is what the MOUNT command executes, and
 // `ipa serve -app` and `-spec` too. A spec the analysis already patched
-// (its injected effects marked) is re-checked, not searched again, and
-// refused if the check applies a repair (analysis.RunForMount).
-func (s *Server) Mount(src string) (string, error) {
+// — output, as a bundled application's embedded text is by construction,
+// or a spec whose injected effects are marked — is re-checked, not
+// searched again, and refused if the check applies a repair
+// (analysis.RunForMount).
+func (s *Server) Mount(src string, output bool) (string, error) {
 	sp, err := spec.Parse(src)
 	if err != nil {
 		return "", err
 	}
-	res, err := analysis.RunForMount(sp)
+	res, err := analysis.RunForMount(sp, output)
 	if err != nil {
 		return "", err
 	}
@@ -462,7 +464,7 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 		if len(args) != 2 {
 			return appendError(out, "ERR usage: MOUNT <spec-source>"), false
 		}
-		name, err := s.Mount(args[1])
+		name, err := s.Mount(args[1], false)
 		if err != nil {
 			return appendError(out, "ERR mount: "+err.Error()), false
 		}

@@ -324,7 +324,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	// A two-op probe spec: add(x) asserts p(x); probe(x) requires p(x).
 	// An acked add that probe refuses afterwards was acked-but-lost.
 	src := "spec acks\noperation add(Item: x) {\n    p(x) := true\n}\noperation probe(Item: x) {\n    requires p(x)\n    q(x) := true\n}\n"
-	if _, err := srv.Mount(src); err != nil {
+	if _, err := srv.Mount(src, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start("127.0.0.1:0"); err != nil {

@@ -272,7 +272,7 @@ func (db *DB) Mount(src string) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := analysis.RunForMount(s)
+	res, err := analysis.RunForMount(s, false)
 	if err != nil {
 		return nil, err
 	}
