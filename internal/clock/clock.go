@@ -16,6 +16,7 @@
 package clock
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -68,9 +69,11 @@ func Of(m map[ReplicaID]uint64) Vector {
 	for r, n := range m {
 		v = append(v, Entry{r, n})
 	}
-	slices.SortFunc(v, func(a, b Entry) int { return strings.Compare(string(a.Replica), string(b.Replica)) })
+	slices.SortFunc(v, byReplica)
 	return v
 }
+
+func byReplica(a, b Entry) int { return cmp.Compare(a.Replica, b.Replica) }
 
 // Normalize returns v in canonical form: entries sorted by replica, the
 // last of any duplicates kept. A vector whose entries are already
@@ -87,7 +90,7 @@ func Normalize(v Vector) Vector {
 	if sorted {
 		return v
 	}
-	slices.SortStableFunc(v, func(a, b Entry) int { return strings.Compare(string(a.Replica), string(b.Replica)) })
+	slices.SortStableFunc(v, byReplica)
 	out := v[:0]
 	for i, e := range v {
 		if i+1 < len(v) && v[i+1].Replica == e.Replica {
@@ -225,22 +228,15 @@ func GLB(vs ...Vector) Vector {
 		return out
 	}
 	for _, e := range vs[0] {
-		min := e.Seq
+		lo := e.Seq
 		for _, v := range vs[1:] {
-			min = minU(min, v.Get(e.Replica))
+			lo = min(lo, v.Get(e.Replica))
 		}
-		if min > 0 {
-			out = append(out, Entry{e.Replica, min})
+		if lo > 0 {
+			out = append(out, Entry{e.Replica, lo})
 		}
 	}
 	return out
-}
-
-func minU(a, b uint64) uint64 {
-	if b < a {
-		return b
-	}
-	return a
 }
 
 // Stability tracks, for each replica, the vector clock of updates it has
