@@ -25,7 +25,8 @@
 // payload-preserving touches), the ensure closure (touches restoring
 // every atom an implication clause demands for an atom the operation
 // asserts, transitively — the paper's Fig. 3 ensure helpers, derived
-// instead of handwritten), and the cascade effects (conditional
+// instead of handwritten, and only for predicates something in the spec
+// can falsify), and the cascade effects (conditional
 // falsifications of the parameter-bound atoms whose invariant clauses
 // depend on an atom the operation retracts; dependents involving other
 // entities instead make the guard refuse). Invariants are checked

@@ -191,7 +191,6 @@ func (t *Txn) commitUpdates() {
 	atomic.AddUint64(&c.TxnsCommitted, 1)
 	last := t.r.seq
 	t.lastSeq = last
-	t.r.clockMu.Lock()
 	// The replicated dependency vector must cover everything this
 	// transaction could have read, including remote transactions the
 	// apply path installed after Begin but before the transaction took
@@ -199,16 +198,15 @@ func (t *Txn) commitUpdates() {
 	// entry advances — the "origin's cut at commit" the causal-delivery
 	// protocol assumes. Every writer of the cut only raises it, so this
 	// one copy covers whatever a snapshot at Begin would have. A
-	// remove-wins add may have taken it already (cut): every writer of
-	// the cut holds the replica lock, so it has not moved since.
-	if t.deps == nil {
-		t.deps = t.r.vc.Clone()
-	}
+	// remove-wins add may have taken it already: every writer of the cut
+	// holds the replica lock, so it has not moved since.
+	deps := t.cut()
+	t.r.clockMu.Lock()
 	t.r.vc.Set(t.r.id, last)
 	t.r.clockMu.Unlock()
 	w := WireTxn{
 		Origin:   t.r.id,
-		Deps:     t.deps,
+		Deps:     deps,
 		FirstSeq: t.firstSeq,
 		LastSeq:  last,
 		Updates:  t.updates,
