@@ -135,8 +135,8 @@ func TestEventIDOrdering(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	v := Vector{{"a", 1}, {"b", 2}}
-	if got := v.String(); got != "{a:1 b:2}" {
+	v := Of(map[ReplicaID]uint64{"b": 2, "ab": 0, "a": 1})
+	if got := v.String(); got != "{a:1 ab:0 b:2}" {
 		t.Fatalf("String() = %q", got)
 	}
 	e := EventID{"x", 7}

@@ -639,18 +639,8 @@ func (a *App) falsifiable(cos []*compiledOp) map[string]bool {
 		}
 	}
 	for _, cl := range a.clauses {
-		if cl.Class != ReadRepaired {
-			continue
-		}
-		// What Repair trims: the counted collection of a count bound,
-		// which is the trim-excess compensation's predicate.
-		if cl.Comp.Kind == analysis.TrimExcess {
-			f[cl.Comp.Pred] = true
-		}
-		if cmp, ok := cl.body.(*logic.Cmp); ok {
-			if pred, _, _, isCount := countBound(cmp, a.consts); isCount {
-				f[pred] = true
-			}
+		if cl.Class == ReadRepaired && cl.Comp.Kind == analysis.TrimExcess {
+			f[cl.Comp.Pred] = true // the counted collection Repair trims
 		}
 	}
 	return f
