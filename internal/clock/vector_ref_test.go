@@ -56,14 +56,14 @@ func refGLB(vs ...refVector) refVector {
 	if len(vs) == 0 {
 		return out
 	}
-	for r, min := range vs[0] {
+	for r, lo := range vs[0] {
 		for _, v := range vs[1:] {
-			if v[r] < min {
-				min = v[r]
+			if v[r] < lo {
+				lo = v[r]
 			}
 		}
-		if min > 0 {
-			out[r] = min
+		if lo > 0 {
+			out[r] = lo
 		}
 	}
 	return out
