@@ -67,7 +67,7 @@ func runServe(args []string) error {
 		return fmt.Errorf("serve: -sites must be at least 1")
 	}
 
-	db, err := ipa.Open(ipa.ClusterOptions{Backend: *backend, Sites: serveSites(*sites), Seed: *seed, DataDir: *dataDir})
+	db, err := ipa.Open(ipa.ClusterOptions{Backend: *backend, Sites: wan.SiteIDs(*sites), Seed: *seed, DataDir: *dataDir})
 	if err != nil {
 		return err
 	}
@@ -129,19 +129,4 @@ func runServe(args []string) error {
 	fmt.Fprintf(os.Stderr, "ipa serve: drained clean (%d conns served, %d commands, %d calls, %d refusals)\n",
 		st.ConnsAccepted, st.Commands, st.Calls, st.Refusals)
 	return nil
-}
-
-// serveSites names n replica sites: the paper's three WAN sites first,
-// then synthetic ones (the harness's naming).
-func serveSites(n int) []ipa.ReplicaID {
-	base := wan.Sites()
-	ids := make([]ipa.ReplicaID, 0, n)
-	for i := 0; i < n; i++ {
-		if i < len(base) {
-			ids = append(ids, ipa.ReplicaID(base[i]))
-		} else {
-			ids = append(ids, ipa.ReplicaID(fmt.Sprintf("site-%d", i)))
-		}
-	}
-	return ids
 }

@@ -212,7 +212,7 @@ func TestServeAppRefusesRepairedText(t *testing.T) {
 }
 
 func newSim() *runtime.SimCluster {
-	return runtime.NewSimCluster(store.NewCluster(wan.NewSim(7), wan.PaperTopology(), serveSites(3)))
+	return runtime.NewSimCluster(store.NewCluster(wan.NewSim(7), wan.PaperTopology(), wan.SiteIDs(3)))
 }
 
 func settle(t *testing.T, clusters ...*runtime.SimCluster) {

@@ -121,8 +121,8 @@ func run(patched bool) {
 	sim.Run()
 
 	// Partition eu-west away: it keeps serving its clients regardless.
-	cluster.(ipa.Faults).SetPartitioned(sites[0], sites[2], true)
-	cluster.(ipa.Faults).SetPartitioned(sites[1], sites[2], true)
+	cluster.SetPartitioned(sites[0], sites[2], true)
+	cluster.SetPartitioned(sites[1], sites[2], true)
 
 	// Conflict-heavy concurrent workload from all three sites.
 	rng := rand.New(rand.NewSource(7))
@@ -145,8 +145,8 @@ func run(patched bool) {
 	}
 
 	// Heal the partition and let everything converge.
-	cluster.(ipa.Faults).SetPartitioned(sites[0], sites[2], false)
-	cluster.(ipa.Faults).SetPartitioned(sites[1], sites[2], false)
+	cluster.SetPartitioned(sites[0], sites[2], false)
+	cluster.SetPartitioned(sites[1], sites[2], false)
 	sim.Run()
 
 	name := "causal (unmodified)"

@@ -1,6 +1,6 @@
 // Package clock provides logical time for the replicated store: vector
-// clocks, globally unique event identifiers, and stability (low-watermark)
-// tracking used for tombstone garbage collection.
+// clocks, globally unique event identifiers, and the stability round
+// (low-watermark) used for tombstone garbage collection.
 //
 // A vector clock maps replica identifiers to the number of events the
 // replica has generated. Clocks are compared under the usual partial order:
@@ -239,37 +239,20 @@ func GLB(vs ...Vector) Vector {
 	return out
 }
 
-// Stability tracks, for each replica, the vector clock of updates it has
-// acknowledged, and exposes the greatest lower bound: the set of events
-// known to be replicated everywhere. CRDTs compact metadata below this cut.
-type Stability struct {
-	acks map[ReplicaID]Vector
-}
-
-// NewStability creates a tracker over the given replica membership.
-func NewStability(members []ReplicaID) *Stability {
-	s := &Stability{acks: make(map[ReplicaID]Vector, len(members))}
-	for _, m := range members {
-		s.acks[m] = New()
+// Horizon computes one stability round over a membership, given each
+// member's delivered cut (cuts[i] is members[i]'s). The horizon is the
+// GLB of the cuts: every event at or below it has been delivered at every
+// member, so CRDTs may compact metadata below it. The frontier holds each
+// member's own entry — its commit count, which upper-bounds every event
+// concurrent with a newly stable one.
+//
+// A member whose cut is frozen (a crashed site) holds the horizon at what
+// it had delivered; a member the others' cuts do not know yet (a joining
+// site) holds its own entry at zero until they do.
+func Horizon(members []ReplicaID, cuts []Vector) (horizon, frontier Vector) {
+	frontier = make(Vector, 0, len(members))
+	for i, m := range members {
+		frontier.Set(m, cuts[i].Get(m))
 	}
-	return s
-}
-
-// Ack records that replica r has delivered everything at or below v.
-func (s *Stability) Ack(r ReplicaID, v Vector) {
-	cur, ok := s.acks[r]
-	if !ok {
-		cur = New()
-	}
-	cur.Merge(v)
-	s.acks[r] = cur
-}
-
-// Horizon returns the stable cut: events ≤ Horizon() are at every replica.
-func (s *Stability) Horizon() Vector {
-	vs := make([]Vector, 0, len(s.acks))
-	for _, v := range s.acks {
-		vs = append(vs, v)
-	}
-	return GLB(vs...)
+	return GLB(cuts...), frontier
 }

@@ -91,31 +91,47 @@ func TestGLB(t *testing.T) {
 	}
 }
 
+// TestStabilityHorizon checks the stability round: the horizon is the
+// GLB of the members' cuts, and the frontier holds each member's own
+// entry and nothing else.
 func TestStabilityHorizon(t *testing.T) {
-	s := NewStability([]ReplicaID{"a", "b"})
-	s.Ack("a", Vector{{"a", 5}, {"b", 2}})
-	s.Ack("b", Vector{{"a", 3}, {"b", 4}})
-	h := s.Horizon()
+	members := []ReplicaID{"b", "a"}
+	cuts := []Vector{{{"a", 3}, {"b", 4}}, {{"a", 5}, {"b", 2}}}
+	h, frontier := Horizon(members, cuts)
 	if !h.Equal(Vector{{"a", 3}, {"b", 2}}) {
 		t.Fatalf("horizon = %v, want {a:3 b:2}", h)
 	}
-	// Acks are monotone: a stale ack cannot move the horizon backwards.
-	s.Ack("a", Vector{{"a", 1}})
-	if !s.Horizon().Equal(h) {
-		t.Fatalf("horizon moved backwards: %v", s.Horizon())
+	if !frontier.Equal(Vector{{"a", 5}, {"b", 4}}) {
+		t.Fatalf("frontier = %v, want {a:5 b:4}", frontier)
 	}
-	s.Ack("b", Vector{{"a", 9}, {"b", 9}})
-	h2 := s.Horizon()
-	if !h.LEq(h2) {
-		t.Fatalf("horizon must be monotone: %v -> %v", h, h2)
+	// A member whose cut is frozen (crashed at b:2) holds the horizon
+	// there however far the others advance; its frontier entry is its own
+	// frozen entry, whatever the others have seen of it.
+	frozen := Vector{{"a", 5}, {"b", 2}, {"c", 1}}
+	h, frontier = Horizon([]ReplicaID{"a", "b", "c"},
+		[]Vector{{{"a", 9}, {"b", 9}, {"c", 9}}, frozen, {{"a", 9}, {"b", 9}, {"c", 9}}})
+	if !h.Equal(frozen) {
+		t.Fatalf("horizon with a frozen member = %v, want %v", h, frozen)
+	}
+	if !frontier.Equal(Vector{{"a", 9}, {"b", 2}, {"c", 9}}) {
+		t.Fatalf("frontier with a frozen member = %v, want {a:9 b:2 c:9}", frontier)
 	}
 }
 
+// TestStabilityUnknownReplica: a member that another member's cut does
+// not know yet (a site that just joined) pins its own horizon entry at
+// zero; its frontier entry is its own commit count.
 func TestStabilityUnknownReplica(t *testing.T) {
-	s := NewStability([]ReplicaID{"a"})
-	s.Ack("ghost", Vector{{"a", 3}})
-	if got := s.Horizon(); got.Get("a") != 0 {
-		t.Fatalf("new member with empty history should pin horizon at 0, got %v", got)
+	h, frontier := Horizon([]ReplicaID{"a", "j"}, []Vector{{{"a", 3}}, {{"a", 3}, {"j", 2}}})
+	if !h.Equal(Vector{{"a", 3}}) || h.Get("j") != 0 {
+		t.Fatalf("horizon = %v, want {a:3} with the joiner at 0", h)
+	}
+	if !frontier.Equal(Vector{{"a", 3}, {"j", 2}}) {
+		t.Fatalf("frontier = %v, want {a:3 j:2}", frontier)
+	}
+	// A member with no history at all pins every entry at zero.
+	if h, _ := Horizon([]ReplicaID{"a", "j"}, []Vector{{{"a", 3}}, New()}); h.Get("a") != 0 {
+		t.Fatalf("new member with empty history should pin horizon at 0, got %v", h)
 	}
 }
 

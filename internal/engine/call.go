@@ -338,6 +338,13 @@ func (a *App) Call(r runtime.Replica, opName string, args ...string) error {
 	if err != nil {
 		return err
 	}
+	n := len(sc.acts) // a delta applies two updates, every other action one
+	for _, act := range sc.acts {
+		if act.kind == actDelta {
+			n++
+		}
+	}
+	tx.Grow(n)
 	for _, act := range sc.acts {
 		a.execute(tx, act)
 	}

@@ -101,10 +101,9 @@ func TestPartitionedOverdraftCompensation(t *testing.T) {
 	}
 	sim.Run()
 
-	faults := cluster.(runtime.Faults)
-	faults.SetPartitioned(wan.USEast, wan.USWest, true)
-	faults.SetPartitioned(wan.USEast, wan.EUWest, true)
-	faults.SetPartitioned(wan.USWest, wan.EUWest, true)
+	cluster.SetPartitioned(wan.USEast, wan.USWest, true)
+	cluster.SetPartitioned(wan.USEast, wan.EUWest, true)
+	cluster.SetPartitioned(wan.USWest, wan.EUWest, true)
 
 	// East holds the 5 granted rights: escrow consumes. West holds none
 	// but still sees value 5: optimistic overdraft consumes.
@@ -117,9 +116,9 @@ func TestPartitionedOverdraftCompensation(t *testing.T) {
 		}
 	}
 
-	faults.SetPartitioned(wan.USEast, wan.USWest, false)
-	faults.SetPartitioned(wan.USEast, wan.EUWest, false)
-	faults.SetPartitioned(wan.USWest, wan.EUWest, false)
+	cluster.SetPartitioned(wan.USEast, wan.USWest, false)
+	cluster.SetPartitioned(wan.USEast, wan.EUWest, false)
+	cluster.SetPartitioned(wan.USWest, wan.EUWest, false)
 	sim.Run()
 
 	// Merged: 5 - 8 = -3. The continuous checks stay silent (the clause
@@ -381,8 +380,7 @@ func TestReplenishIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.Run()
-		faults := cluster.(runtime.Faults)
-		faults.SetPartitioned(wan.USEast, wan.USWest, true)
+		cluster.SetPartitioned(wan.USEast, wan.USWest, true)
 		for i := 0; i < 3; i++ {
 			must := func(err error) {
 				if err != nil {
@@ -392,7 +390,7 @@ func TestReplenishIsDeterministic(t *testing.T) {
 			must(app.Call(east, "buy", "w"))
 			must(app.Call(west, "buy", "w"))
 		}
-		faults.SetPartitioned(wan.USEast, wan.USWest, false)
+		cluster.SetPartitioned(wan.USEast, wan.USWest, false)
 		sim.Run()
 		for round := 0; round < 2; round++ {
 			for _, id := range cluster.Replicas() {

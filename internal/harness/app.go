@@ -138,26 +138,12 @@ func NewCtx(cfg Config, cluster runtime.Cluster, sites []clock.ReplicaID) *Ctx {
 	}
 }
 
-// siteIDs names the replica sites: the first three use the paper's
-// topology; larger clusters add generic names.
-func siteIDs(replicas int) []clock.ReplicaID {
-	sites := make([]clock.ReplicaID, replicas)
-	for i := range sites {
-		if i < 3 {
-			sites[i] = clock.ReplicaID(wan.Sites()[i])
-		} else {
-			sites[i] = clock.ReplicaID(fmt.Sprintf("site-%d", i))
-		}
-	}
-	return sites
-}
-
 // newCtx builds the simulated deployment for a schedule.
 func newCtx(s *Schedule) *Ctx {
 	rng := rand.New(rand.NewSource(int64(s.Seed) ^ 0x5DEECE66D))
 	sim := wan.NewSimFromRand(rng)
 	lat := wan.PaperTopology()
-	sites := siteIDs(s.Cfg.Replicas)
+	sites := wan.SiteIDs(s.Cfg.Replicas)
 	ctx := NewCtx(s.Cfg, runtime.NewSimCluster(store.NewCluster(sim, lat, sites)), sites)
 	ctx.Sim = sim
 	ctx.Lat = lat
@@ -172,20 +158,6 @@ func newCtx(s *Schedule) *Ctx {
 
 // Replica returns the backend replica of a site index.
 func (c *Ctx) Replica(site int) runtime.Replica { return c.Cluster.Replica(c.Sites[site]) }
-
-// faults returns the cluster's fault-injection surface, nil when the
-// backend does not support one.
-func (c *Ctx) faults() runtime.Faults {
-	f, _ := c.Cluster.(runtime.Faults)
-	return f
-}
-
-// lifecycle returns the cluster's elastic-membership surface, nil when
-// the backend does not support one.
-func (c *Ctx) lifecycle() runtime.Lifecycle {
-	l, _ := c.Cluster.(runtime.Lifecycle)
-	return l
-}
 
 // noteLifeErr records the first lifecycle-operation failure. Fault
 // injection has no error channel (faults are fire-and-forget timeline
@@ -242,9 +214,7 @@ func (c *Ctx) inject(f Fault) {
 		k := link(f.A, f.B)
 		c.part[k]++
 		if c.part[k] == 1 {
-			if fl := c.faults(); fl != nil {
-				fl.SetPartitioned(c.Sites[f.A], c.Sites[f.B], true)
-			}
+			c.Cluster.SetPartitioned(c.Sites[f.A], c.Sites[f.B], true)
 		}
 	case FaultDelay:
 		if c.Lat == nil {
@@ -259,28 +229,24 @@ func (c *Ctx) inject(f Fault) {
 	case FaultPause:
 		c.paused[f.A]++
 		if c.paused[f.A] == 1 {
-			if fl := c.faults(); fl != nil {
-				fl.SetPaused(c.Sites[f.A], true)
-			}
+			c.Cluster.SetPaused(c.Sites[f.A], true)
 		}
 	case FaultStall:
 		c.stalls++
 	case FaultCrash:
 		c.crashed[f.A]++
-		if c.crashed[f.A] == 1 {
-			if lc := c.lifecycle(); lc != nil && lc.Durable() {
-				if err := lc.Crash(c.Sites[f.A]); err != nil {
-					c.noteLifeErr(err)
-				}
+		if c.crashed[f.A] == 1 && c.Cluster.Durable() {
+			if err := c.Cluster.Crash(c.Sites[f.A]); err != nil {
+				c.noteLifeErr(err)
 			}
-			// Without a durable lifecycle the window still suppresses the
-			// site's operations — shaping degrades, checks stay valid.
 		}
+		// On a cluster that could not recover the site (not Durable) the
+		// window still suppresses its operations — shaping degrades,
+		// checks stay valid.
 	case FaultJoin:
 		// Elastic membership is a netrepl capability; elsewhere the window
 		// is a no-op (like delay spikes on real sockets).
-		lc := c.lifecycle()
-		if lc == nil || !lc.Durable() || c.Cluster.Backend() != runtime.BackendNet {
+		if !c.Cluster.Durable() || c.Cluster.Backend() != runtime.BackendNet {
 			return
 		}
 		id := joinerID(f)
@@ -293,7 +259,7 @@ func (c *Ctx) inject(f Fault) {
 			return
 		}
 		c.joinIDs = append(c.joinIDs, id)
-		if err := lc.Join(clock.ReplicaID(id), c.Sites[donor]); err != nil {
+		if err := c.Cluster.Join(clock.ReplicaID(id), c.Sites[donor]); err != nil {
 			c.noteLifeErr(err)
 		}
 	}
@@ -324,9 +290,7 @@ func (c *Ctx) heal(f Fault) {
 		k := link(f.A, f.B)
 		c.part[k]--
 		if c.part[k] == 0 {
-			if fl := c.faults(); fl != nil {
-				fl.SetPartitioned(c.Sites[f.A], c.Sites[f.B], false)
-			}
+			c.Cluster.SetPartitioned(c.Sites[f.A], c.Sites[f.B], false)
 		}
 	case FaultDelay:
 		if c.Lat == nil {
@@ -343,24 +307,19 @@ func (c *Ctx) heal(f Fault) {
 	case FaultPause:
 		c.paused[f.A]--
 		if c.paused[f.A] == 0 {
-			if fl := c.faults(); fl != nil {
-				fl.SetPaused(c.Sites[f.A], false)
-			}
+			c.Cluster.SetPaused(c.Sites[f.A], false)
 		}
 	case FaultStall:
 		c.stalls--
 	case FaultCrash:
 		c.crashed[f.A]--
-		if c.crashed[f.A] == 0 {
-			if lc := c.lifecycle(); lc != nil && lc.Durable() {
-				if err := lc.Recover(c.Sites[f.A]); err != nil {
-					c.noteLifeErr(err)
-				}
+		if c.crashed[f.A] == 0 && c.Cluster.Durable() {
+			if err := c.Cluster.Recover(c.Sites[f.A]); err != nil {
+				c.noteLifeErr(err)
 			}
 		}
 	case FaultJoin:
-		lc := c.lifecycle()
-		if lc == nil || !lc.Durable() || c.Cluster.Backend() != runtime.BackendNet {
+		if !c.Cluster.Durable() || c.Cluster.Backend() != runtime.BackendNet {
 			return
 		}
 		id := joinerID(f)
@@ -372,7 +331,7 @@ func (c *Ctx) heal(f Fault) {
 		}
 		delete(c.joins, id)
 		c.joinIDs = removeString(c.joinIDs, id)
-		if err := lc.Decommission(clock.ReplicaID(id)); err != nil {
+		if err := c.Cluster.Decommission(clock.ReplicaID(id)); err != nil {
 			c.noteLifeErr(err)
 		}
 	}
@@ -394,28 +353,26 @@ func removeString(list []string, s string) []string {
 // first: a dead member never converges, so Settle would time out, and
 // link heals tracked while it was down take effect on the new instance.
 func (c *Ctx) healAll() {
-	lc := c.lifecycle()
 	for i := range c.crashed {
-		if c.crashed[i] > 0 && lc != nil && lc.Durable() {
-			if err := lc.Recover(c.Sites[i]); err != nil {
+		if c.crashed[i] > 0 && c.Cluster.Durable() {
+			if err := c.Cluster.Recover(c.Sites[i]); err != nil {
 				c.noteLifeErr(err)
 			}
 		}
 		c.crashed[i] = 0
 	}
 	for _, id := range c.joinIDs {
-		if c.joins[id] > 0 && lc != nil {
-			if err := lc.Decommission(clock.ReplicaID(id)); err != nil {
+		if c.joins[id] > 0 {
+			if err := c.Cluster.Decommission(clock.ReplicaID(id)); err != nil {
 				c.noteLifeErr(err)
 			}
 		}
 		delete(c.joins, id)
 	}
 	c.joinIDs = nil
-	fl := c.faults()
 	for _, k := range sortedLinks(c.part) {
-		if c.part[k] > 0 && fl != nil {
-			fl.SetPartitioned(c.Sites[k[0]], c.Sites[k[1]], false)
+		if c.part[k] > 0 {
+			c.Cluster.SetPartitioned(c.Sites[k[0]], c.Sites[k[1]], false)
 		}
 		delete(c.part, k)
 	}
@@ -426,8 +383,8 @@ func (c *Ctx) healAll() {
 		delete(c.delay, k)
 	}
 	for i := range c.paused {
-		if c.paused[i] > 0 && fl != nil {
-			fl.SetPaused(c.Sites[i], false)
+		if c.paused[i] > 0 {
+			c.Cluster.SetPaused(c.Sites[i], false)
 		}
 		c.paused[i] = 0
 	}

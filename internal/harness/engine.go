@@ -48,6 +48,62 @@ func (v *Violation) Equal(o *Violation) bool {
 // stability runs) one schedule gets.
 const midChecks = 16
 
+// step is one entry of a schedule's timeline. run returns the violation
+// a check point found, nil otherwise.
+type step struct {
+	at wan.Time
+	// lifecycle marks a crash or join fault's step; netrepl quiesces its
+	// client pool around it.
+	lifecycle bool
+	run       func() *Violation
+}
+
+// timeline lists a schedule's steps in one order for both executors: the
+// ops (each dropped if its site is paused — the site's clients are down
+// with it), each fault's inject at At and heal at At+Dur, then the
+// midChecks check points — a stability round unless a stall is live
+// (compaction falls behind, the checks never do), then MidCheck at every
+// live site. The sim registers the steps with Sim.At in list order, so
+// its FIFO tie-break runs steps at equal instants in list order; netrepl
+// stable-sorts the list and sleeps between steps. dispatch executes one
+// op.
+func timeline(s *Schedule, ctx *Ctx, app App, dispatch func(Op)) []step {
+	steps := make([]step, 0, len(s.Ops)+2*len(s.Faults)+midChecks)
+	for _, op := range s.Ops {
+		steps = append(steps, step{at: op.At, run: func() *Violation {
+			if !ctx.Paused(op.Site) {
+				dispatch(op)
+			}
+			return nil
+		}})
+	}
+	for _, f := range s.Faults {
+		life := f.Kind == FaultCrash || f.Kind == FaultJoin
+		steps = append(steps,
+			step{f.At, life, func() *Violation { ctx.inject(f); return nil }},
+			step{f.At + f.Dur, life, func() *Violation { ctx.heal(f); return nil }})
+	}
+	stride := max(s.Cfg.Horizon/midChecks, 1)
+	for t := stride; t <= s.Cfg.Horizon; t += stride {
+		steps = append(steps, step{at: t, run: func() *Violation {
+			if ctx.stalls == 0 {
+				ctx.Cluster.Stabilize()
+			}
+			for site := range ctx.Sites {
+				if ctx.Crashed(site) {
+					continue // the site is down; nothing to read
+				}
+				if msgs := app.MidCheck(ctx, site); len(msgs) > 0 {
+					return &Violation{At: t, Phase: "mid-flight",
+						Site: string(ctx.Sites[site]), Check: "invariant", Msgs: msgs}
+				}
+			}
+			return nil
+		}})
+	}
+	return steps
+}
+
 // Execute runs one schedule to completion and returns the first detected
 // violation, or nil for a clean pass.
 //
@@ -91,67 +147,29 @@ func runSim(s *Schedule, app App) (string, *Violation, error) {
 	app.Setup(ctx)
 	ctx.Sim.Run()
 
+	// Steps past the first violation are skipped; heals scheduled past
+	// the horizon run when Quiesce drains the event loop.
 	var found *Violation
-	report := func(v *Violation) {
-		if found == nil {
-			found = v
-		}
-	}
-
-	// Workload: ops at paused sites are dropped (the site's clients are
-	// frozen with it) — deterministically, since pause windows are data.
-	for _, op := range s.Ops {
-		op := op
-		ctx.Sim.At(op.At, func() {
-			if found != nil || ctx.Paused(op.Site) {
-				return
-			}
-			app.Apply(ctx, op)
-		})
-	}
-
-	// Faults: inject at At, heal at At+Dur (quiescence force-heals any
-	// window still open at the horizon).
-	for _, f := range s.Faults {
-		f := f
-		ctx.Sim.At(f.At, func() { ctx.inject(f) })
-		ctx.Sim.At(f.At+f.Dur, func() { ctx.heal(f) })
-	}
-
-	// Periodic stability runs and mid-flight invariant checks. Stability
-	// stalls suppress the Stabilize call (metadata compaction falls
-	// behind) but never the checks.
-	step := s.Cfg.Horizon / midChecks
-	if step <= 0 {
-		step = 1
-	}
-	for t := step; t <= s.Cfg.Horizon; t += step {
-		ctx.Sim.At(t, func() {
-			if found != nil {
-				return
-			}
-			if ctx.stalls == 0 {
-				ctx.Cluster.Stabilize()
-			}
-			for site := range ctx.Sites {
-				if ctx.Crashed(site) {
-					continue // the site is down; nothing to read
-				}
-				if msgs := app.MidCheck(ctx, site); len(msgs) > 0 {
-					report(&Violation{At: ctx.Sim.Now(), Phase: "mid-flight",
-						Site: string(ctx.Sites[site]), Check: "invariant", Msgs: msgs})
-					return
-				}
+	for _, st := range timeline(s, ctx, app, func(op Op) { app.Apply(ctx, op) }) {
+		ctx.Sim.At(st.at, func() {
+			if found == nil {
+				found = st.run()
 			}
 		})
 	}
 
 	ctx.Sim.RunUntil(s.Cfg.Horizon)
+	return finish(ctx, app, found)
+}
+
+// finish ends a schedule run for both executors: the mid-flight
+// violation if the timeline found one, else Quiesce's verdict, else the
+// site-0 digest.
+func finish(ctx *Ctx, app App, found *Violation) (string, *Violation, error) {
 	if found != nil {
 		return "", found, nil
 	}
-	v, err := Quiesce(ctx, app)
-	if v != nil || err != nil {
+	if v, err := Quiesce(ctx, app); v != nil || err != nil {
 		return "", v, err
 	}
 	return app.Digest(ctx, 0), nil, nil

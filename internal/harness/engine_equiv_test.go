@@ -180,13 +180,13 @@ type equivCluster struct {
 func (c equivCluster) replica(site int) runtime.Replica { return c.cluster.Replica(c.sites[site]) }
 
 func newSimEquivCluster(seed int64) equivCluster {
-	sites := siteIDs(3)
+	sites := wan.SiteIDs(3)
 	sim := wan.NewSim(seed)
 	return equivCluster{runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), sites)), sites}
 }
 
 func newNetEquivCluster(t *testing.T) equivCluster {
-	sites := siteIDs(3)
+	sites := wan.SiteIDs(3)
 	cluster, err := runtime.NewNetCluster(sites, chaosNetConfig(""))
 	if err != nil {
 		t.Fatal(err)

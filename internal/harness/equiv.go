@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ipa/internal/runtime"
+	"ipa/internal/wan"
 )
 
 // BackendDigest runs one seeded, fault-free workload sequentially on the
@@ -44,7 +45,7 @@ func BackendDigest(cfg Config, seed uint64, backend string) (string, error) {
 		ctx = newCtx(s)
 		cluster = ctx.Cluster
 	case runtime.BackendNet:
-		sites := siteIDs(cfg.Replicas)
+		sites := wan.SiteIDs(cfg.Replicas)
 		cluster, err = runtime.NewNetCluster(sites, chaosNetConfig(""))
 		if err != nil {
 			return "", err

@@ -55,12 +55,6 @@ func hasLifecycleFaults(s *Schedule) bool {
 	return false
 }
 
-// netEvent is one timeline entry of a netrepl schedule execution.
-type netEvent struct {
-	at wan.Time
-	fn func()
-}
-
 // executeNet runs one schedule on the netrepl backend: the same workload
 // ops, fault windows, and check points as the simulator, executed in
 // virtual-time order against real TCP nodes with the gaps compressed by
@@ -84,7 +78,7 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	sites := siteIDs(s.Cfg.Replicas)
+	sites := wan.SiteIDs(s.Cfg.Replicas)
 	// Durable nodes only when the schedule exercises lifecycle faults:
 	// every commit then fsyncs (group commit), which is the contract
 	// crash/recover is checked against, and dead weight otherwise.
@@ -114,13 +108,6 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 	if dataDir != "" {
 		if err := cluster.SnapshotAll(); err != nil {
 			return "", nil, err
-		}
-	}
-
-	var found *Violation
-	report := func(v *Violation) {
-		if found == nil {
-			found = v
 		}
 	}
 
@@ -163,89 +150,36 @@ func executeNet(s *Schedule) (string, *Violation, error) {
 	}
 	defer join()
 
-	// Build the timeline: ops, fault injections and heals, and the
-	// periodic stability-run/mid-check points, exactly as the simulator
-	// schedules them. The stable sort preserves insertion order at equal
-	// instants, mirroring the sim's event heap.
-	var events []netEvent
-	for _, op := range s.Ops {
-		op := op
-		events = append(events, netEvent{at: op.At, fn: func() {
-			if found != nil || ctx.Paused(op.Site) {
-				return
-			}
-			dispatch(op)
-		}})
-	}
-	for _, f := range s.Faults {
-		f := f
-		// Lifecycle faults quiesce the client pool first: a kill -9 must
-		// not race a worker mid-Apply — an operation acknowledged by a
-		// node whose WAL was just abandoned would be acked-but-lost,
-		// which is precisely what the durability contract forbids. The
-		// write lock waits for in-flight ops and holds new ones off.
-		guard := func(fn func()) func() { return fn }
-		if f.Kind == FaultCrash || f.Kind == FaultJoin {
-			guard = func(fn func()) func() {
-				return func() {
-					lifecycleGate.Lock()
-					defer lifecycleGate.Unlock()
-					fn()
-				}
-			}
-		}
-		events = append(events, netEvent{at: f.At, fn: guard(func() { ctx.inject(f) })})
-		events = append(events, netEvent{at: f.At + f.Dur, fn: guard(func() { ctx.heal(f) })})
-	}
-	step := s.Cfg.Horizon / midChecks
-	if step <= 0 {
-		step = 1
-	}
-	for t := step; t <= s.Cfg.Horizon; t += step {
-		t := t
-		events = append(events, netEvent{at: t, fn: func() {
-			if found != nil {
-				return
-			}
-			if ctx.stalls == 0 {
-				cluster.Stabilize()
-			}
-			for site := range ctx.Sites {
-				if ctx.Crashed(site) {
-					continue // the site is down; nothing to read
-				}
-				if msgs := app.MidCheck(ctx, site); len(msgs) > 0 {
-					report(&Violation{At: t, Phase: "mid-flight",
-						Site: string(ctx.Sites[site]), Check: "invariant", Msgs: msgs})
-					return
-				}
-			}
-		}})
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
-
-	// Heals scheduled past the horizon still run (the simulator's
-	// quiescence force-heals them; here they sort after the horizon's
-	// events and execute before healAll — same net effect).
+	// The timeline runs in virtual-time order, ties in list order (the
+	// sim's FIFO tie-break). Heals scheduled past the horizon still run
+	// (the simulator's quiescence force-heals them; here they sort after
+	// the horizon's steps and execute before healAll — same net effect).
+	steps := timeline(s, ctx, app, dispatch)
+	sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
+	var found *Violation
 	prev := wan.Time(0)
-	for _, ev := range events {
-		if found != nil {
-			break
-		}
-		if dt := ev.at - prev; dt > 0 {
+	for _, st := range steps {
+		if dt := st.at - prev; dt > 0 {
 			// wan.Time is microseconds; convert before scaling.
 			time.Sleep(time.Duration(float64(dt) * netPace * float64(time.Microsecond)))
 		}
-		prev = ev.at
-		ev.fn()
+		prev = st.at
+		if st.lifecycle {
+			// A kill -9 must not race a worker mid-Apply: an operation
+			// acknowledged by a node whose WAL was just abandoned would be
+			// acked-but-lost, which is precisely what the durability
+			// contract forbids. The write lock waits for in-flight ops
+			// and holds new ones off.
+			lifecycleGate.Lock()
+			found = st.run()
+			lifecycleGate.Unlock()
+		} else {
+			found = st.run()
+		}
+		if found != nil {
+			break
+		}
 	}
 	join()
-	if found != nil {
-		return "", found, nil
-	}
-	v, err := Quiesce(ctx, app)
-	if v != nil || err != nil {
-		return "", v, err
-	}
-	return app.Digest(ctx, 0), nil, nil
+	return finish(ctx, app, found)
 }

@@ -160,10 +160,10 @@ func (c *NetCluster) Replica(id clock.ReplicaID) Replica {
 	return n
 }
 
-// Stabilize implements Cluster: it gathers every node's causal cut,
-// computes the stability horizon
-// and the commit frontier, and lets every node's CRDTs compact below it —
-// the same pass store.Cluster.Stabilize runs inside the simulator.
+// Stabilize implements Cluster: it gathers every node's causal cut, runs
+// the stability round (clock.Horizon, the same function
+// store.Cluster.Stabilize calls inside the simulator), and lets every
+// live node's CRDTs compact below the horizon.
 //
 // The non-atomic collection is safe: the horizon is the pointwise minimum
 // of delivered cuts, so every event at or below it had been delivered at
@@ -179,18 +179,11 @@ func (c *NetCluster) Replica(id clock.ReplicaID) Replica {
 func (c *NetCluster) Stabilize() clock.Vector {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stabilizeLocked()
-}
-
-func (c *NetCluster) stabilizeLocked() clock.Vector {
-	stab := clock.NewStability(c.order)
-	frontier := clock.New()
-	for _, id := range c.order {
-		vc := c.nodes[id].Clock()
-		stab.Ack(id, vc)
-		frontier.Set(id, vc.Get(id))
+	cuts := make([]clock.Vector, len(c.order))
+	for i, id := range c.order {
+		cuts[i] = c.nodes[id].Clock()
 	}
-	h := stab.Horizon()
+	h, frontier := clock.Horizon(c.order, cuts)
 	for _, id := range c.order {
 		if c.down[id] {
 			// A dead node must not compact — and above all must not
@@ -498,15 +491,11 @@ func (c *NetCluster) Decommission(id clock.ReplicaID) error {
 	return err
 }
 
-// Compile-time checks: both backends implement the full surface, and both
-// replica types satisfy Replica.
+// Compile-time checks: both backends implement Cluster, and both replica
+// types satisfy Replica.
 var (
-	_ Cluster   = (*SimCluster)(nil)
-	_ Faults    = (*SimCluster)(nil)
-	_ Lifecycle = (*SimCluster)(nil)
-	_ Cluster   = (*NetCluster)(nil)
-	_ Faults    = (*NetCluster)(nil)
-	_ Lifecycle = (*NetCluster)(nil)
-	_ Replica   = (*store.Replica)(nil)
-	_ Replica   = (*netrepl.Node)(nil)
+	_ Cluster = (*SimCluster)(nil)
+	_ Cluster = (*NetCluster)(nil)
+	_ Replica = (*store.Replica)(nil)
+	_ Replica = (*netrepl.Node)(nil)
 )

@@ -63,7 +63,8 @@ type Replica interface {
 	Clock() clock.Vector
 }
 
-// Cluster is a set of replicas of one logical database.
+// Cluster is a set of replicas of one logical database. Both backends
+// implement all of it, Faults and Lifecycle included.
 type Cluster interface {
 	// Backend names the substrate: BackendSim or BackendNet.
 	Backend() string
@@ -71,9 +72,9 @@ type Cluster interface {
 	Replicas() []clock.ReplicaID
 	// Replica returns the replica with the given id.
 	Replica(id clock.ReplicaID) Replica
-	// Stabilize computes the stability horizon (the causal cut every
-	// replica has delivered) and lets every CRDT compact metadata below
-	// it, exactly as store.Cluster.Stabilize does on the simulator.
+	// Stabilize runs the stability round (clock.Horizon) over the
+	// members' delivered cuts and lets every CRDT compact metadata below
+	// the horizon — the causal cut every member has delivered.
 	Stabilize() clock.Vector
 	// Settle blocks until replication has quiesced: every commit issued so
 	// far is delivered everywhere. The sim backend drains its event loop
@@ -84,12 +85,14 @@ type Cluster interface {
 	// Close releases backend resources (listeners, sender goroutines).
 	// The sim backend has none; Close is then a no-op.
 	Close() error
+
+	Faults
+	Lifecycle
 }
 
-// Faults is the optional fault-injection surface of a Cluster. Both
-// built-in backends support it; callers must type-assert and degrade
-// gracefully when a backend does not. (Latency scaling, the third sim
-// fault, stays sim-specific: real sockets have no latency dial.)
+// Faults is the fault-injection part of every Cluster. (Latency scaling,
+// the third sim fault, stays sim-specific: real sockets have no latency
+// dial.)
 type Faults interface {
 	// SetPartitioned blocks (or unblocks) the link between two replicas in
 	// both directions. No update is lost: the sim buffers messages and
@@ -102,9 +105,8 @@ type Faults interface {
 	SetPaused(id clock.ReplicaID, paused bool)
 }
 
-// Lifecycle is the optional elastic-membership surface of a Cluster:
-// whole-site failure and repair, beyond the link- and pipeline-level
-// Faults. Callers type-assert, like Faults.
+// Lifecycle is the elastic-membership part of every Cluster: whole-site
+// failure and repair, beyond the link- and pipeline-level Faults.
 //
 // The net backend implements all four operations against real state
 // (per-node write-ahead logs and snapshots; see netrepl's durability

@@ -45,13 +45,6 @@ func toLit(l int) lit {
 	return lit(-2*l + 1)
 }
 
-func (l lit) fromLit() int {
-	if l&1 == 0 {
-		return int(l / 2)
-	}
-	return -int(l / 2)
-}
-
 func (l lit) variable() int { return int(l >> 1) }
 func (l lit) neg() lit      { return l ^ 1 }
 func (l lit) sign() bool    { return l&1 == 1 } // true when negative

@@ -68,7 +68,6 @@ type Cluster struct {
 	latency  *wan.Latency
 	replicas map[clock.ReplicaID]*Replica
 	order    []clock.ReplicaID
-	stab     *clock.Stability
 
 	// partitioned links: messages are buffered and flushed on heal.
 	partitioned map[[2]clock.ReplicaID]bool
@@ -97,7 +96,6 @@ func NewCluster(sim *wan.Sim, latency *wan.Latency, ids []clock.ReplicaID) *Clus
 		latency:     latency,
 		replicas:    make(map[clock.ReplicaID]*Replica, len(ids)),
 		order:       append([]clock.ReplicaID(nil), ids...),
-		stab:        clock.NewStability(ids),
 		partitioned: map[[2]clock.ReplicaID]bool{},
 		blocked:     map[[2]clock.ReplicaID][]WireTxn{},
 	}
@@ -163,24 +161,22 @@ func (c *Cluster) send(from, to clock.ReplicaID, w WireTxn) {
 	c.sim.After(d, func() { dst.Deliver(w) })
 }
 
-// Stabilize computes the stability horizon (the causal cut every replica
-// has delivered) and lets every CRDT compact metadata below it. Call it
-// periodically from the harness, or once after a run.
+// Stabilize runs the stability round (clock.Horizon) over every
+// replica's delivered cut and lets every CRDT compact metadata below the
+// horizon. Call it periodically from the harness, or once after a run.
 //
-// Alongside the horizon it hands compaction the frontier — each origin's
+// Compaction also gets the frontier — each origin's
 // current commit count, which upper-bounds every event concurrent with a
 // newly stable one. Remove-wins tombstones need it to decide when they
 // can finally be discarded (crdt.FrontierCompacter): stability of the
 // tombstone alone does not rule out a concurrent add still in flight.
 func (c *Cluster) Stabilize() clock.Vector {
 	atomic.AddUint64(&c.StabilityRuns, 1)
-	frontier := clock.New()
-	for _, id := range c.order {
-		vc := c.replicas[id].Clock()
-		c.stab.Ack(id, vc)
-		frontier.Set(id, vc.Get(id))
+	cuts := make([]clock.Vector, len(c.order))
+	for i, id := range c.order {
+		cuts[i] = c.replicas[id].Clock()
 	}
-	h := c.stab.Horizon()
+	h, frontier := clock.Horizon(c.order, cuts)
 	for _, id := range c.order {
 		c.replicas[id].CompactAll(h, frontier)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ipa/internal/clock"
@@ -106,6 +107,10 @@ func (t *Txn) Apply(key string, op crdt.Op, mk func() crdt.CRDT) {
 	}
 	t.updates = append(t.updates, Update{Key: key, Op: op})
 }
+
+// Grow makes room for n more updates, so a caller that knows how many it
+// will apply (the engine, from its plan) allocates the slice once.
+func (t *Txn) Grow(n int) { t.updates = slices.Grow(t.updates, n) }
 
 // OnFinish registers fn to run when the transaction commits, after its
 // effects have applied locally, been handed to replication, and the

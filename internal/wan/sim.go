@@ -10,6 +10,9 @@ package wan
 import (
 	"container/heap"
 	"math/rand"
+	"strconv"
+
+	"ipa/internal/clock"
 )
 
 // Time is virtual time in microseconds.
@@ -227,3 +230,18 @@ func PaperTopology() *Latency {
 
 // Sites returns the paper's replica site names.
 func Sites() []string { return []string{USEast, USWest, EUWest} }
+
+// SiteIDs names n replica sites: the paper's three first, then site-3,
+// site-4, … for larger clusters.
+func SiteIDs(n int) []clock.ReplicaID {
+	base := Sites()
+	ids := make([]clock.ReplicaID, n)
+	for i := range ids {
+		if i < len(base) {
+			ids[i] = clock.ReplicaID(base[i])
+		} else {
+			ids[i] = clock.ReplicaID("site-" + strconv.Itoa(i))
+		}
+	}
+	return ids
+}

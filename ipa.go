@@ -41,10 +41,12 @@
 //   - the analysis (Analyze, FindConflicts, ProposeRepairs) — conflict
 //     detection and repair synthesis, decided by a built-in small-scope
 //     SAT/bit-vector solver standing in for Z3;
-//   - the runtime substrate (Open, NewSim, NewCluster, PaperTopology) —
-//     a causally consistent geo-replicated key-value store with highly
+//   - the runtime substrate (Open, NewCluster, NewPaperCluster) — a
+//     causally consistent geo-replicated key-value store with highly
 //     available transactions and the paper's CRDT toolkit, behind the
-//     backend-agnostic Cluster/Replica interfaces.
+//     backend-agnostic Cluster/Replica interfaces. Every Cluster, on
+//     either backend, also injects faults (SetPartitioned, SetPaused)
+//     and runs the site lifecycle (Crash, Recover, Join, Decommission).
 //
 // The example applications (Tournament, Twitter, Ticket, TPC-W) live in
 // internal/apps; the chaos harness drives them — and any mounted spec,
@@ -143,9 +145,6 @@ type (
 	Txn = store.Txn
 	// ReplicaID identifies a replica.
 	ReplicaID = clock.ReplicaID
-	// Faults is the optional fault-injection surface of a Cluster
-	// (type-assert: both built-in backends implement it).
-	Faults = runtime.Faults
 )
 
 // Backend names for ClusterOptions.Backend.
@@ -156,18 +155,9 @@ const (
 	BackendNet = runtime.BackendNet
 )
 
-// NewSim creates a deterministic simulation with the given seed.
-func NewSim(seed int64) *Sim { return wan.NewSim(seed) }
-
-// PaperTopology returns the paper's three-region latency model
-// (us-east/us-west/eu-west, 80/80/160 ms RTTs).
-func PaperTopology() *Latency { return wan.PaperTopology() }
-
 // PaperSites returns the three replica identifiers of the paper's
 // deployment.
-func PaperSites() []ReplicaID {
-	return []ReplicaID{wan.USEast, wan.USWest, wan.EUWest}
-}
+func PaperSites() []ReplicaID { return wan.SiteIDs(3) }
 
 // NewCluster creates a simulator-backed replicated database over the
 // given sites, behind the backend-agnostic interface.
@@ -180,13 +170,6 @@ func NewCluster(sim *Sim, lat *Latency, sites []ReplicaID) Cluster {
 func NewPaperCluster(seed int64) (*Sim, Cluster) {
 	sim := wan.NewSim(seed)
 	return sim, NewCluster(sim, wan.PaperTopology(), PaperSites())
-}
-
-// NewNetCluster creates a real-socket replication cluster (one netrepl
-// node per site on loopback TCP, fully meshed) behind the same
-// interface. Close it when done.
-func NewNetCluster(sites []ReplicaID) (Cluster, error) {
-	return runtime.NewNetCluster(sites, runtime.NetConfig{})
 }
 
 // --- The client API: Open → Mount → Session.Call ---------------------
