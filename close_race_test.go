@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ipa"
+	"ipa/internal/runtime"
 	"ipa/internal/server"
 )
 
@@ -29,7 +30,7 @@ func TestDBCloseWithInflightServerCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := server.New(db.Cluster(), server.Config{DrainTimeout: 10 * time.Second})
+			srv := server.New(db.Cluster().(*runtime.NetCluster), server.Config{DrainTimeout: 10 * time.Second})
 			src := "spec closerace\noperation add(Item: x) {\n    p(x) := true\n}\n"
 			if _, err := srv.Mount(src, false); err != nil {
 				db.Close()

@@ -1,10 +1,10 @@
 package main
 
 // The serve subcommand: put an ipa database on the network. It opens a
-// cluster on either backend, mounts the requested applications (bundled
-// ones from their checked-in analysed spec, which is re-checked, and any
-// spec file, analysed in full — both through Server.Mount, as MOUNT
-// does), serves the RESP-style wire protocol, and drains gracefully on
+// socket cluster (runtime.NetCluster), mounts the requested applications
+// (bundled ones from their checked-in analysed spec, which is re-checked,
+// and any spec file, analysed in full — both through Server.Mount, as
+// MOUNT does), serves the RESP-style wire protocol, and drains gracefully on
 // SIGINT/SIGTERM — stop accepting, finish in-flight calls, ack nothing
 // after close, then settle replication and close the cluster, so every
 // acknowledged CALL is durably applied at shutdown.
@@ -12,7 +12,6 @@ package main
 //	ipa serve -app tournament                       # netrepl cluster on :6390
 //	ipa serve -addr :7000 -app tournament,twitter   # several bundled apps
 //	ipa serve -spec path/to/app.spec                # analyze + serve any spec
-//	ipa serve -backend sim -seed 7                  # deterministic sim backend
 //	ipa serve -app tournament -data-dir /var/ipa    # durable sites; restart recovers
 //	redis-cli -p 6390 PING                          # inline commands round-trip
 //
@@ -27,8 +26,8 @@ import (
 	"syscall"
 	"time"
 
-	"ipa"
 	"ipa/internal/apps"
+	"ipa/internal/runtime"
 	"ipa/internal/server"
 	"ipa/internal/wan"
 )
@@ -49,16 +48,18 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:6390", "listen address")
-		backend  = fs.String("backend", ipa.BackendNet, "replication backend: sim or netrepl")
+		backend  = fs.String("backend", runtime.BackendNet, "replication backend: netrepl, the only one ipa serve runs on")
 		appsCSV  = fs.String("app", "", "bundled applications to mount, comma separated (each from its checked-in analysed spec, re-checked at start)")
 		specPath = fs.String("spec", "", "specification file to analyze and mount")
 		sites    = fs.Int("sites", 3, "replica sites in the cluster")
-		seed     = fs.Int64("seed", 42, "simulation seed (sim backend)")
-		dataDir  = fs.String("data-dir", "", "durability root (netrepl backend): per-site WAL + snapshots under <dir>/<site>; restart recovers")
+		dataDir  = fs.String("data-dir", "", "durability root: per-site WAL + snapshots under <dir>/<site>; restart recovers")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful drain timeout on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errReported
+	}
+	if *backend != runtime.BackendNet {
+		return fmt.Errorf("serve: -backend %q: ipa serve runs on the %s backend only", *backend, runtime.BackendNet)
 	}
 	if *appsCSV == "" && *specPath == "" {
 		return fmt.Errorf("serve: nothing to serve — pass -app and/or -spec (clients can also MOUNT over the wire)")
@@ -67,13 +68,13 @@ func runServe(args []string) error {
 		return fmt.Errorf("serve: -sites must be at least 1")
 	}
 
-	db, err := ipa.Open(ipa.ClusterOptions{Backend: *backend, Sites: wan.SiteIDs(*sites), Seed: *seed, DataDir: *dataDir})
+	cluster, err := runtime.NewNetCluster(wan.SiteIDs(*sites), runtime.NetConfig{DataDir: *dataDir})
 	if err != nil {
 		return err
 	}
-	defer db.Close()
+	defer cluster.Close()
 
-	srv := server.New(db.Cluster(), server.Config{DrainTimeout: *drain})
+	srv := server.New(cluster, server.Config{DrainTimeout: *drain})
 	var mounted []string
 	if *appsCSV != "" {
 		for _, name := range strings.Split(*appsCSV, ",") {
@@ -109,7 +110,7 @@ func runServe(args []string) error {
 		return err
 	}
 	fmt.Printf("ipa serve: listening on %s (%s backend, %d sites, apps: %s)\n",
-		srv.Addr(), db.Cluster().Backend(), *sites, strings.Join(mounted, ", "))
+		srv.Addr(), runtime.BackendNet, *sites, strings.Join(mounted, ", "))
 
 	got := <-sig
 	signal.Stop(sig)
@@ -122,7 +123,7 @@ func runServe(args []string) error {
 	if err := srv.Shutdown(); err != nil {
 		return err
 	}
-	if err := db.Settle(); err != nil {
+	if err := cluster.Settle(); err != nil {
 		return err
 	}
 	st := srv.Stats()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"maps"
@@ -90,20 +91,25 @@ func TestPatchedSpecsPinAnalysis(t *testing.T) {
 // TestServedMountMatchesFullAnalysis holds the mount serving does
 // (Server.Mount of the checked-in patched spec: Alg. 1 re-run on it) to
 // a mount of the full recorded analysis: the same clause classes, and,
-// on two simulated clusters running the same seeded call sequence, the
-// same verdict on every call and the same digest after it at the calling
-// site (at every site when the clusters settle, every 50 calls).
+// with each analysis mounted on a simulated cluster running the same
+// seeded call sequence, the same verdict on every call and the same
+// digest after it at the calling site (at every site when the clusters
+// settle, every 50 calls).
 func TestServedMountMatchesFullAnalysis(t *testing.T) {
 	for name, full := range recorded {
 		t.Run(name, func(t *testing.T) {
-			servedSim := newSim()
-			srv := server.New(servedSim, server.Config{})
+			srv := newServer(t)
 			src, _ := apps.Patched(name)
 			got, err := srv.Mount(src, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, _ := srv.App(got)
+			mounted, _ := srv.App(got)
+			servedSim := newSim()
+			served, err := engine.Mount(nil, mounted.Result(), servedSim)
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantSim := newSim()
 			want, err := engine.Mount(nil, full(), wantSim)
 			if err != nil {
@@ -165,7 +171,7 @@ func TestServeRefusesNonFixedPoint(t *testing.T) {
 	if deleted := len(lines) - len(kept); deleted != 2 {
 		t.Fatalf("deleted %d injected inMatch wipes from tournament.patched.spec, want disenroll's 2", deleted)
 	}
-	srv := server.New(newSim(), server.Config{})
+	srv := newServer(t)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -199,16 +205,43 @@ func TestServeAppRefusesRepairedText(t *testing.T) {
 		t.Fatal("ticket.patched.spec carries an injected mark; this test needs one without")
 	}
 	conflicted := src + "\noperation rem_event(Event: e) {\n    event(e) := false\n}\n"
-	_, err := mountApp(server.New(newSim(), server.Config{}), "ticket", conflicted)
+	_, err := mountApp(newServer(t), "ticket", conflicted)
 	if err == nil || !strings.Contains(err.Error(), "fixed point") || !strings.Contains(err.Error(), "rem_event") {
 		t.Fatalf("-app mounted ticket with rem_event added, or refused it without saying why: %v", err)
 	}
-	if _, err := server.New(newSim(), server.Config{}).Mount(conflicted, false); err != nil {
+	if _, err := newServer(t).Mount(conflicted, false); err != nil {
 		t.Fatalf("MOUNT of the unmarked text must analyse and repair it: %v", err)
 	}
-	if _, err := mountApp(server.New(newSim(), server.Config{}), "ticket", src); err != nil {
+	if _, err := mountApp(newServer(t), "ticket", src); err != nil {
 		t.Fatalf("-app refused ticket's own patched spec: %v", err)
 	}
+}
+
+// TestServeBackendFlag: ipa serve runs on sockets only. -backend sim is
+// refused with an error that names netrepl, -backend netrepl parses and
+// reaches the next check, and -seed, which only the simulator read, is
+// no flag at all.
+func TestServeBackendFlag(t *testing.T) {
+	if err := runServe([]string{"-backend", "sim", "-app", "tournament"}); err == nil || !strings.Contains(err.Error(), "netrepl") {
+		t.Fatalf("-backend sim: %v, want an error naming netrepl", err)
+	}
+	if err := runServe([]string{"-backend", "netrepl"}); err == nil || !strings.Contains(err.Error(), "nothing to serve") {
+		t.Fatalf("-backend netrepl: %v, want it accepted and the missing -app reported", err)
+	}
+	if err := runServe([]string{"-seed", "7", "-app", "tournament"}); !errors.Is(err, errReported) {
+		t.Fatalf("-seed 7: %v, want a flag error", err)
+	}
+}
+
+// newServer builds a server over a one-site socket cluster.
+func newServer(t *testing.T) *server.Server {
+	t.Helper()
+	c, err := runtime.NewNetCluster(wan.SiteIDs(1), runtime.NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return server.New(c, server.Config{})
 }
 
 func newSim() *runtime.SimCluster {

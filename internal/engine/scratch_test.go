@@ -227,7 +227,7 @@ func TestWipePatternSurvivesLaterCalls(t *testing.T) {
 		sim.Run()
 		sc.SetOnCommit(func(w store.WireTxn) { txns = append(txns, w) })
 		call("disenroll", "p0", "t0")
-		sc.SetOnCommitSync(nil)
+		sc.SetOnCommit(nil)
 		for _, w := range txns {
 			for i := range w.Updates {
 				if op, ok := w.Updates[i].Op.(crdt.RWRemoveWhereOp); ok {

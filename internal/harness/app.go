@@ -120,6 +120,7 @@ type Ctx struct {
 	delay   map[[2]int]float64 // delay factor product per link
 	joins   map[string]int     // join depth per joiner id (windows may collide)
 	joinIDs []string           // joiner ids in injection order (healAll determinism)
+	healed  bool               // healAll closed every window; later heals are no-ops
 	lifeErr error              // first lifecycle-operation failure
 }
 
@@ -235,18 +236,16 @@ func (c *Ctx) inject(f Fault) {
 		c.stalls++
 	case FaultCrash:
 		c.crashed[f.A]++
-		if c.crashed[f.A] == 1 && c.Cluster.Durable() {
+		if c.crashed[f.A] == 1 {
 			if err := c.Cluster.Crash(c.Sites[f.A]); err != nil {
 				c.noteLifeErr(err)
 			}
 		}
-		// On a cluster that could not recover the site (not Durable) the
-		// window still suppresses its operations — shaping degrades,
-		// checks stay valid.
 	case FaultJoin:
-		// Elastic membership is a netrepl capability; elsewhere the window
-		// is a no-op (like delay spikes on real sockets).
-		if !c.Cluster.Durable() || c.Cluster.Backend() != runtime.BackendNet {
+		// Elastic membership is a netrepl capability; on the sim's fixed
+		// membership the window is a no-op (like delay spikes on real
+		// sockets).
+		if c.Sim != nil {
 			return
 		}
 		id := joinerID(f)
@@ -283,8 +282,13 @@ func (c *Ctx) liveDonor(a int) int {
 	return -1
 }
 
-// heal undoes one fault window's start.
+// heal undoes one fault window's start. After healAll it is a no-op: the
+// sim runs the heals of windows that end past the horizon while Quiesce
+// drains its event loop, and healAll has closed those windows already.
 func (c *Ctx) heal(f Fault) {
+	if c.healed {
+		return
+	}
 	switch f.Kind {
 	case FaultPartition:
 		k := link(f.A, f.B)
@@ -313,13 +317,13 @@ func (c *Ctx) heal(f Fault) {
 		c.stalls--
 	case FaultCrash:
 		c.crashed[f.A]--
-		if c.crashed[f.A] == 0 && c.Cluster.Durable() {
+		if c.crashed[f.A] == 0 {
 			if err := c.Cluster.Recover(c.Sites[f.A]); err != nil {
 				c.noteLifeErr(err)
 			}
 		}
 	case FaultJoin:
-		if !c.Cluster.Durable() || c.Cluster.Backend() != runtime.BackendNet {
+		if c.Sim != nil {
 			return
 		}
 		id := joinerID(f)
@@ -353,8 +357,9 @@ func removeString(list []string, s string) []string {
 // first: a dead member never converges, so Settle would time out, and
 // link heals tracked while it was down take effect on the new instance.
 func (c *Ctx) healAll() {
+	c.healed = true
 	for i := range c.crashed {
-		if c.crashed[i] > 0 && c.Cluster.Durable() {
+		if c.crashed[i] > 0 {
 			if err := c.Cluster.Recover(c.Sites[i]); err != nil {
 				c.noteLifeErr(err)
 			}

@@ -253,3 +253,40 @@ func TestChaosNightly(t *testing.T) {
 		}
 	}
 }
+
+// TestHealAfterHealAllIsNoop: the sim runs the heals of windows that end
+// past the horizon while Quiesce drains its event loop, after healAll has
+// closed every window. Those heals must leave every fault depth at 0.
+func TestHealAfterHealAllIsNoop(t *testing.T) {
+	ctx := newCtx(&Schedule{Seed: 1, Cfg: Defaults("tournament")})
+	faults := []Fault{
+		{Kind: FaultPartition, A: 0, B: 1},
+		{Kind: FaultDelay, A: 0, B: 2, Factor: 4},
+		{Kind: FaultPause, A: 1},
+		{Kind: FaultStall},
+		{Kind: FaultCrash, A: 2},
+	}
+	for _, f := range faults {
+		ctx.inject(f)
+	}
+	ctx.healAll()
+	for _, f := range faults {
+		ctx.heal(f)
+	}
+	for k, d := range ctx.part {
+		if d != 0 {
+			t.Errorf("partition depth of link %v = %d, want 0", k, d)
+		}
+	}
+	for k, d := range ctx.delay {
+		t.Errorf("delay factor of link %v = %v, want none", k, d)
+	}
+	for i := range ctx.Sites {
+		if ctx.paused[i] != 0 || ctx.crashed[i] != 0 {
+			t.Errorf("site %d: pause depth %d, crash depth %d, want 0 and 0", i, ctx.paused[i], ctx.crashed[i])
+		}
+	}
+	if ctx.stalls != 0 {
+		t.Errorf("stall depth = %d, want 0", ctx.stalls)
+	}
+}

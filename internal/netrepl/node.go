@@ -288,7 +288,6 @@ type counters struct {
 type Node struct {
 	id      clock.ReplicaID
 	cfg     Config
-	cluster *store.Cluster
 	replica *store.Replica
 
 	// out is the outbound log; it also holds the peer set.
@@ -341,8 +340,8 @@ func NewNode(id clock.ReplicaID, addr string) (*Node, error) {
 }
 
 // NewNodeWithConfig creates a node with an explicit transport
-// configuration. The node's replica lives in a single-member cluster; all
-// replication flows through the TCP transport.
+// configuration. The node's replica hands every commit to broadcast (its
+// commit hook); all replication flows through the TCP transport.
 //
 // With Config.DataDir set the node is durable, and a restart with the
 // same directory RECOVERS the site: the latest snapshot restores the
@@ -361,21 +360,20 @@ func NewNodeWithConfig(id clock.ReplicaID, addr string, cfg Config) (*Node, erro
 	n := &Node{
 		id:      id,
 		cfg:     cfg,
-		cluster: store.NewSocketCluster(id),
+		replica: store.NewReplica(id),
 		out:     outLog{peers: map[clock.ReplicaID]*peerConn{}},
 		ln:      ln,
 		closed:  make(chan struct{}),
 		conns:   map[net.Conn]struct{}{},
 		blocked: map[clock.ReplicaID]bool{},
 	}
-	n.replica = n.cluster.Replica(id)
 	if cfg.DataDir != "" {
 		if err := n.recover(); err != nil {
 			ln.Close()
 			return nil, err
 		}
 	}
-	n.cluster.SetOnCommitSync(n.broadcast)
+	n.replica.SetOnCommit(n.broadcast)
 	n.wg.Add(1)
 	go n.acceptLoop()
 	n.wg.Add(1)

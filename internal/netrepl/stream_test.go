@@ -205,13 +205,12 @@ func TestReconnectMidStream(t *testing.T) {
 	}
 }
 
-// captureTxns commits count transactions on a scratch single-member
-// cluster and returns their wire forms (with correct seqs and deps).
+// captureTxns commits count transactions on a scratch replica and
+// returns their wire forms (with correct seqs and deps).
 func captureTxns(origin clock.ReplicaID, key string, count int) []store.WireTxn {
-	c := store.NewSocketCluster(origin)
+	r := store.NewReplica(origin)
 	var out []store.WireTxn
-	c.SetOnCommit(func(w store.WireTxn) { out = append(out, w) })
-	r := c.Replica(origin)
+	r.SetOnCommit(func(w store.WireTxn) func() { out = append(out, w); return nil })
 	for i := 0; i < count; i++ {
 		tx := r.Begin()
 		store.CounterAt(tx, key).Add(1)

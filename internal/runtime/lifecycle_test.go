@@ -39,9 +39,6 @@ func newDurableNetCluster(t *testing.T, n int) *NetCluster {
 func TestNetClusterCrashRecover(t *testing.T) {
 	c := newDurableNetCluster(t, 3)
 	ids := c.Replicas()
-	if !c.Durable() {
-		t.Fatal("cluster with DataDir reports not durable")
-	}
 
 	// Commits that return are fsynced (the commit hook's wait): all of
 	// them must survive the crash.
@@ -400,9 +397,6 @@ func TestSimClusterLifecycle(t *testing.T) {
 	ids := testIDs(2)
 	sim := NewSimCluster(store.NewCluster(wan.NewSim(1), wan.NewLatency(wan.Ms(20)), ids))
 	var lc Lifecycle = sim
-	if !lc.Durable() {
-		t.Fatal("sim must be durable by construction")
-	}
 	if err := lc.Crash(ids[1]); err != nil {
 		t.Fatal(err)
 	}

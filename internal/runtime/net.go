@@ -133,9 +133,6 @@ func (c *NetCluster) Node(id clock.ReplicaID) *netrepl.Node {
 	return c.nodes[id]
 }
 
-// Backend implements Cluster.
-func (c *NetCluster) Backend() string { return BackendNet }
-
 // Replicas implements Cluster. Decommissioned sites are absent; crashed
 // ones remain members (their data is recoverable, and the stability
 // horizon must keep waiting on them).
@@ -295,9 +292,6 @@ func (c *NetCluster) SetPaused(id clock.ReplicaID, paused bool) {
 	}
 }
 
-// Durable implements Lifecycle.
-func (c *NetCluster) Durable() bool { return c.cfg.DataDir != "" }
-
 // SnapshotAll forces an immediate snapshot at every live site. Callers
 // that seed state out-of-band (Replica.Object constructors like the
 // comp-set's bound, which no replicated operation re-creates) run it
@@ -305,7 +299,7 @@ func (c *NetCluster) Durable() bool { return c.cfg.DataDir != "" }
 // the site without the seeded objects. No-op per site on a non-durable
 // cluster.
 func (c *NetCluster) SnapshotAll() error {
-	if !c.Durable() {
+	if c.cfg.DataDir == "" {
 		return nil
 	}
 	c.mu.RLock()
@@ -327,7 +321,7 @@ func (c *NetCluster) SnapshotAll() error {
 // unsynced tail — operations no client and no peer was told about — dies
 // with the process, which is the loss model Recover is tested against.
 func (c *NetCluster) Crash(id clock.ReplicaID) error {
-	if !c.Durable() {
+	if c.cfg.DataDir == "" {
 		return fmt.Errorf("runtime: crash %q: cluster has no DataDir, the site could never recover", id)
 	}
 	c.mu.Lock()

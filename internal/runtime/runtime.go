@@ -10,9 +10,11 @@
 //
 // The split mirrors how Indigo/Antidote separate application logic from
 // the replication substrate: application code sees replicas that hand out
-// highly available transactions, and nothing else. Everything above this
-// package — internal/apps, internal/harness, internal/bench, the CLIs —
-// runs unchanged on either backend.
+// highly available transactions, and nothing else. The applications, the
+// engine, the chaos harness and the paper-figure drivers program against
+// Cluster and run on either backend; the serving layer (package server,
+// `ipa serve`) runs on NetCluster only. Whoever builds a cluster knows
+// which backend it is, so Cluster does not say.
 package runtime
 
 import (
@@ -66,8 +68,6 @@ type Replica interface {
 // Cluster is a set of replicas of one logical database. Both backends
 // implement all of it, Faults and Lifecycle included.
 type Cluster interface {
-	// Backend names the substrate: BackendSim or BackendNet.
-	Backend() string
 	// Replicas returns the replica ids in creation order.
 	Replicas() []clock.ReplicaID
 	// Replica returns the replica with the given id.
@@ -136,7 +136,4 @@ type Lifecycle interface {
 	// mesh and the stability membership permanently; its replica is
 	// invalidated. The remaining sites' horizon no longer waits on it.
 	Decommission(id clock.ReplicaID) error
-	// Durable reports whether crashed sites can actually recover their
-	// state (the net backend: a configured DataDir).
-	Durable() bool
 }

@@ -58,10 +58,10 @@ func checkConverged(t *testing.T, c Cluster, perReplica int) {
 		rep := c.Replica(id)
 		tx := rep.Begin()
 		if v := store.CounterAt(tx, "ops").Value(); v != total {
-			t.Errorf("%s [%s]: counter = %d, want %d", id, c.Backend(), v, total)
+			t.Errorf("%s [%T]: counter = %d, want %d", id, c, v, total)
 		}
 		if sz := store.AWSetAt(tx, "live").Size(); int64(sz) != total {
-			t.Errorf("%s [%s]: live set = %d, want %d", id, c.Backend(), sz, total)
+			t.Errorf("%s [%T]: live set = %d, want %d", id, c, sz, total)
 		}
 		tx.Commit()
 	}
@@ -78,18 +78,12 @@ func TestBackendParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkConverged(t, sim, perReplica)
-	if sim.Backend() != BackendSim {
-		t.Fatalf("sim backend name = %q", sim.Backend())
-	}
 
 	net := newTestNetCluster(t, 3)
 	if err := runOn(net, perReplica); err != nil {
 		t.Fatal(err)
 	}
 	checkConverged(t, net, perReplica)
-	if net.Backend() != BackendNet {
-		t.Fatalf("net backend name = %q", net.Backend())
-	}
 }
 
 // TestNetClusterPartitionFault checks the partition hook: while the link

@@ -10,13 +10,12 @@ import (
 
 // SimCluster adapts the deterministic simulator-backed store.Cluster to
 // the backend-agnostic Cluster interface. It adds almost no behaviour —
-// replicas are the store's own, faults delegate to the store's hooks — so
-// code that still needs the concrete cluster (the chaos engine's event
-// scheduling, the latency model) can reach it through Store. The one
-// piece of state it does keep is the crash/pause overlay: the store has a
-// single boolean pause per site, while the Lifecycle surface models
-// Crash as a pause-shaped fault that can overlap an ordinary SetPaused
-// window — Recover during a live pause must leave the site paused.
+// replicas are the store's own, faults delegate to the store's hooks.
+// The one piece of state it does keep is the crash/pause overlay: the
+// store has a single boolean pause per site, while the Lifecycle surface
+// models Crash as a pause-shaped fault that can overlap an ordinary
+// SetPaused window — Recover during a live pause must leave the site
+// paused.
 type SimCluster struct {
 	c *store.Cluster
 
@@ -39,12 +38,6 @@ func NewSimCluster(c *store.Cluster) *SimCluster {
 func (s *SimCluster) applyPause(id clock.ReplicaID) {
 	s.c.SetPaused(id, s.crashed[id] || s.paused[id])
 }
-
-// Store returns the underlying store cluster.
-func (s *SimCluster) Store() *store.Cluster { return s.c }
-
-// Backend implements Cluster.
-func (s *SimCluster) Backend() string { return BackendSim }
 
 // Replicas implements Cluster.
 func (s *SimCluster) Replicas() []clock.ReplicaID { return s.c.Replicas() }
@@ -118,7 +111,3 @@ func (s *SimCluster) Join(id, donor clock.ReplicaID) error {
 func (s *SimCluster) Decommission(id clock.ReplicaID) error {
 	return fmt.Errorf("runtime: sim backend has fixed membership, cannot decommission %q", id)
 }
-
-// Durable implements Lifecycle: a simulated crash loses nothing by
-// construction.
-func (s *SimCluster) Durable() bool { return true }

@@ -19,7 +19,6 @@ import (
 	"ipa/internal/runtime"
 	"ipa/internal/spec"
 	"ipa/internal/store"
-	"ipa/internal/wan"
 )
 
 // Config tunes a Server. The zero value selects the default noted on
@@ -52,23 +51,17 @@ type Stats struct {
 	Commands, Calls, Refusals int64
 }
 
-// Server exposes a runtime.Cluster (either backend) over TCP with the
+// Server exposes a socket cluster (runtime.NetCluster) over TCP with the
 // RESP-style protocol. Mount applications, Start the listener, Shutdown
 // to drain.
 //
-// Concurrency: on the netrepl backend connections execute commands
-// concurrently; each replica runs their transactions one at a time under
-// its lock, while parsing, replies and replication overlap. The
-// sim backend's discrete-event loop is single-threaded by design, so
-// there the server serialises command execution (and pumps the event
-// loop after each command so replication interleaves); sim serving is
-// for tests and demos, netrepl is the deployable path.
+// Concurrency: connections execute commands concurrently; each replica
+// runs their transactions one at a time under its lock, while parsing,
+// replies and replication overlap.
 type Server struct {
 	cfg     Config
-	cluster runtime.Cluster
+	cluster *runtime.NetCluster
 	sites   []clock.ReplicaID
-	sim     *wan.Sim   // non-nil on the sim backend
-	execMu  sync.Mutex // serialises execution on the sim backend
 
 	appsMu sync.RWMutex
 	apps   map[string]*engine.App
@@ -91,8 +84,8 @@ type Server struct {
 // durable cluster a CALL's reply is its acknowledgement: the connection
 // fsyncs the CALL's log record at its origin before the flush that
 // carries the reply, and all the CALLs of one flush share that fsync.
-func New(cluster runtime.Cluster, cfg Config) *Server {
-	s := &Server{
+func New(cluster *runtime.NetCluster, cfg Config) *Server {
+	return &Server{
 		cfg:      cfg.withDefaults(),
 		cluster:  cluster,
 		sites:    cluster.Replicas(),
@@ -100,10 +93,6 @@ func New(cluster runtime.Cluster, cfg Config) *Server {
 		draining: make(chan struct{}),
 		conns:    map[net.Conn]struct{}{},
 	}
-	if sc, ok := cluster.(*runtime.SimCluster); ok {
-		s.sim = sc.Store().Sim()
-	}
-	return s
 }
 
 // Mount parses a specification, runs the IPA analysis, compiles the
@@ -313,7 +302,7 @@ func (d *deferringReplica) Begin() *store.Txn {
 // replica returns the session's site with durability deferred to the
 // session. The site is resolved per call: a recovered site is a new
 // replica instance.
-func (sess *session) replica(c runtime.Cluster) runtime.Replica {
+func (sess *session) replica(c *runtime.NetCluster) runtime.Replica {
 	sess.rep = deferringReplica{Replica: c.Replica(sess.site), waits: &sess.waits}
 	return &sess.rep
 }
@@ -479,9 +468,7 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 			return appendError(out, fmt.Sprintf("ERR app %q not mounted", args[1])), false
 		}
 		s.calls.Add(1)
-		err := s.exec(func() error {
-			return app.Call(sess.replica(s.cluster), args[2], args[3:]...)
-		})
+		err := app.Call(sess.replica(s.cluster), args[2], args[3:]...)
 		switch {
 		case err == nil:
 			return appendSimple(out, "OK"), false
@@ -506,14 +493,11 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 			if !ok {
 				return appendError(out, fmt.Sprintf("ERR app %q not mounted", name)), false
 			}
-			s.exec(func() error {
-				for _, id := range s.sites {
-					for _, v := range app.CheckInvariants(s.cluster.Replica(id)) {
-						violations = append(violations, fmt.Sprintf("%s: %s: %s", name, id, v))
-					}
+			for _, id := range s.sites {
+				for _, v := range app.CheckInvariants(s.cluster.Replica(id)) {
+					violations = append(violations, fmt.Sprintf("%s: %s: %s", name, id, v))
 				}
-				return nil
-			})
+			}
 		}
 		return appendBulkArray(out, violations), false
 
@@ -526,12 +510,9 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 			return appendError(out, fmt.Sprintf("ERR app %q not mounted", args[1])), false
 		}
 		var digests []string
-		s.exec(func() error {
-			for _, id := range s.sites {
-				digests = append(digests, fmt.Sprintf("%s %s", id, app.Digest(s.cluster.Replica(id))))
-			}
-			return nil
-		})
+		for _, id := range s.sites {
+			digests = append(digests, fmt.Sprintf("%s %s", id, app.Digest(s.cluster.Replica(id))))
+		}
 		return appendBulkArray(out, digests), false
 
 	case "REPAIR":
@@ -544,30 +525,27 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 			if !ok {
 				return appendError(out, fmt.Sprintf("ERR app %q not mounted", name)), false
 			}
-			s.exec(func() error {
-				for _, id := range s.sites {
-					app.Repair(s.cluster.Replica(id))
-				}
-				return nil
-			})
+			for _, id := range s.sites {
+				app.Repair(s.cluster.Replica(id))
+			}
 		}
 		return appendSimple(out, "OK"), false
 
 	case "SETTLE":
-		if err := s.exec(s.cluster.Settle); err != nil {
+		if err := s.cluster.Settle(); err != nil {
 			return appendError(out, "ERR settle: "+err.Error()), false
 		}
 		return appendSimple(out, "OK"), false
 
 	case "STABILIZE":
-		s.exec(func() error { s.cluster.Stabilize(); return nil })
+		s.cluster.Stabilize()
 		return appendSimple(out, "OK"), false
 
 	case "INFO":
 		st := s.Stats()
 		info := fmt.Sprintf(
 			"backend:%s\r\nsites:%s\r\napps:%s\r\nconns_accepted:%d\r\nconns_active:%d\r\ncommands:%d\r\ncalls:%d\r\nrefusals:%d\r\n",
-			s.cluster.Backend(), joinSites(s.sites), strings.Join(s.AppNames(), ","),
+			runtime.BackendNet, joinSites(s.sites), strings.Join(s.AppNames(), ","),
 			st.ConnsAccepted, st.ConnsActive, st.Commands, st.Calls, st.Refusals)
 		// The engine's slow paths, summed over the mounted apps: calls an
 		// operation's plan handed to the whole-state reference executor,
@@ -583,52 +561,35 @@ func (s *Server) dispatch(sess *session, out []byte, args []string) ([]byte, boo
 		}
 		info += fmt.Sprintf("engine_fallback_calls:%d\r\nengine_domain_enum_calls:%d\r\n",
 			slow.FallbackCalls, slow.DomainEnumCalls)
-		// On the netrepl backend, surface the replication transport's
-		// health counters — repl_txns_dropped in particular: a dropped
-		// transaction opens a permanent causal gap that stalls receivers
-		// (see DESIGN.md), and an operator should see it here rather
-		// than in a node's process log. repl_retained_txns is what outbound
-		// logs keep for a peer that is behind (0 once all caught up).
-		if nc, ok := s.cluster.(*runtime.NetCluster); ok {
-			var agg netrepl.Metrics
-			for _, id := range s.sites {
-				agg = agg.Add(nc.Node(id).Stats())
-			}
-			info += fmt.Sprintf(
-				"repl_frames_sent:%d\r\nrepl_txns_sent:%d\r\nrepl_bytes_sent:%d\r\nrepl_frames_recv:%d\r\nrepl_txns_recv:%d\r\nrepl_bytes_recv:%d\r\nrepl_send_errors:%d\r\nrepl_txns_dropped:%d\r\nrepl_retained_txns:%d\r\nrepl_reconnects:%d\r\n",
-				agg.FramesSent, agg.TxnsSent, agg.BytesSent,
-				agg.FramesRecv, agg.TxnsRecv, agg.BytesRecv,
-				agg.SendErrors, agg.TxnsDropped, agg.QueueDepth, agg.Reconnects)
-			// Durability counters: repl_stalled_origins is the one to
-			// alert on — a persistent stall means a causal gap that only
-			// crash-recovery (state transfer from the WAL of a peer that
-			// still has the record) will close. The WAL counters show
-			// group commit working: appends well above syncs.
-			info += fmt.Sprintf(
-				"repl_wal_appends:%d\r\nrepl_wal_syncs:%d\r\nrepl_wal_bytes:%d\r\nrepl_wal_segments:%d\r\nrepl_snapshots:%d\r\nrepl_stalled_origins:%d\r\n",
-				agg.WALAppends, agg.WALSyncs, agg.WALBytes,
-				agg.WALSegments, agg.Snapshots, agg.StalledOrigins)
+		// The replication transport's health counters —
+		// repl_txns_dropped in particular: a dropped transaction opens a
+		// permanent causal gap that stalls receivers (see DESIGN.md), and
+		// an operator should see it here rather than in a node's process
+		// log. repl_retained_txns is what outbound logs keep for a peer
+		// that is behind (0 once all caught up).
+		var agg netrepl.Metrics
+		for _, id := range s.sites {
+			agg = agg.Add(s.cluster.Node(id).Stats())
 		}
+		info += fmt.Sprintf(
+			"repl_frames_sent:%d\r\nrepl_txns_sent:%d\r\nrepl_bytes_sent:%d\r\nrepl_frames_recv:%d\r\nrepl_txns_recv:%d\r\nrepl_bytes_recv:%d\r\nrepl_send_errors:%d\r\nrepl_txns_dropped:%d\r\nrepl_retained_txns:%d\r\nrepl_reconnects:%d\r\n",
+			agg.FramesSent, agg.TxnsSent, agg.BytesSent,
+			agg.FramesRecv, agg.TxnsRecv, agg.BytesRecv,
+			agg.SendErrors, agg.TxnsDropped, agg.QueueDepth, agg.Reconnects)
+		// Durability counters: repl_stalled_origins is the one to alert
+		// on — a persistent stall means a causal gap that only
+		// crash-recovery (state transfer from the WAL of a peer that
+		// still has the record) will close. The WAL counters show group
+		// commit working: appends well above syncs.
+		info += fmt.Sprintf(
+			"repl_wal_appends:%d\r\nrepl_wal_syncs:%d\r\nrepl_wal_bytes:%d\r\nrepl_wal_segments:%d\r\nrepl_snapshots:%d\r\nrepl_stalled_origins:%d\r\n",
+			agg.WALAppends, agg.WALSyncs, agg.WALBytes,
+			agg.WALSegments, agg.Snapshots, agg.StalledOrigins)
 		return appendBulk(out, info), false
 
 	default:
 		return appendError(out, fmt.Sprintf("ERR unknown command %q", args[0])), false
 	}
-}
-
-// exec runs one backend-touching unit. The netrepl backend executes
-// concurrently; the sim backend is single-threaded, so execution
-// serialises and the event loop pumps after each unit (that is what
-// delivers replication in virtual time).
-func (s *Server) exec(fn func() error) error {
-	if s.sim == nil {
-		return fn()
-	}
-	s.execMu.Lock()
-	defer s.execMu.Unlock()
-	err := fn()
-	s.sim.Run()
-	return err
 }
 
 func joinSites(ids []clock.ReplicaID) string {

@@ -13,7 +13,6 @@ import (
 	"ipa/internal/clock"
 	"ipa/internal/netrepl"
 	"ipa/internal/runtime"
-	"ipa/internal/store"
 	"ipa/internal/wan"
 )
 
@@ -25,30 +24,21 @@ func siteIDs() []clock.ReplicaID {
 	return ids
 }
 
-// newTestCluster builds a 3-site cluster on the requested backend.
-func newTestCluster(t *testing.T, backend string) runtime.Cluster {
+// newTestCluster builds a 3-site socket cluster.
+func newTestCluster(t *testing.T) *runtime.NetCluster {
 	t.Helper()
-	switch backend {
-	case runtime.BackendSim:
-		sim := wan.NewSim(1)
-		return runtime.NewSimCluster(store.NewCluster(sim, wan.PaperTopology(), siteIDs()))
-	case runtime.BackendNet:
-		c, err := runtime.NewNetCluster(siteIDs(), runtime.NetConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	default:
-		t.Fatalf("unknown backend %q", backend)
-		return nil
+	c, err := runtime.NewNetCluster(siteIDs(), runtime.NetConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // startServer boots a server with the tournament app mounted.
-func startServer(t *testing.T, backend string) (*Server, string) {
+func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	cluster := newTestCluster(t, backend)
+	cluster := newTestCluster(t)
 	srv := New(cluster, Config{DrainTimeout: 30 * time.Second})
 	if _, err := srv.MountAnalyzed(nil, tournament.Analysis()); err != nil {
 		t.Fatal(err)
@@ -130,138 +120,134 @@ func callOK(t *testing.T, c *Client, args ...string) {
 }
 
 func TestServeEndToEnd(t *testing.T) {
-	for _, backend := range []string{runtime.BackendSim, runtime.BackendNet} {
-		t.Run(backend, func(t *testing.T) {
-			_, addr := startServer(t, backend)
-			ctl := dialT(t, addr)
+	_, addr := startServer(t)
+	ctl := dialT(t, addr)
 
-			// Basic command surface.
-			if rp, err := ctl.Do("PING"); err != nil || rp.Str != "PONG" {
-				t.Fatalf("PING = %+v, %v", rp, err)
-			}
-			if rp, err := ctl.Do("APPS"); err != nil || strings.Join(rp.Strings(), ",") != "tournament" {
-				t.Fatalf("APPS = %+v, %v", rp, err)
-			}
-			rp, err := ctl.Do("OPS", "tournament")
-			if err != nil || len(rp.Strings()) == 0 {
-				t.Fatalf("OPS = %+v, %v", rp, err)
-			}
-			if rp, _ := ctl.Do("CALL", "tournament", "nosuch"); rp.Kind != '-' {
-				t.Fatalf("unknown op must error, got %+v", rp)
-			}
-			if rp, _ := ctl.Do("NOSUCHCMD"); rp.Kind != '-' {
-				t.Fatalf("unknown command must error, got %+v", rp)
-			}
-
-			// Site affinity: default is deterministic, SITE pins.
-			rp, err = ctl.Do("SITE")
-			if err != nil || rp.Str == "" {
-				t.Fatalf("SITE = %+v, %v", rp, err)
-			}
-			if err := ctl.DoOK("SITE", wan.Sites()[1]); err != nil {
-				t.Fatal(err)
-			}
-			if rp, _ := ctl.Do("SITE", "mars"); rp.Kind != '-' {
-				t.Fatalf("bad site must error, got %+v", rp)
-			}
-
-			// Seed the domain.
-			for i := 0; i < 6; i++ {
-				callOK(t, ctl, "CALL", "tournament", "add_player", fmt.Sprintf("p%d", i))
-			}
-			callOK(t, ctl, "CALL", "tournament", "add_tourn", "t0")
-			callOK(t, ctl, "CALL", "tournament", "begin_tourn", "t0")
-			if err := ctl.DoOK("SETTLE"); err != nil {
-				t.Fatal(err)
-			}
-
-			// Concurrent pipelined clients, each pinned to a site.
-			var wg sync.WaitGroup
-			errs := make([]error, 3)
-			for w := 0; w < 3; w++ {
-				c := dialT(t, addr)
-				if err := c.DoOK("SITE", wan.Sites()[w%3]); err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func(w int, c *Client) {
-					defer wg.Done()
-					const depth = 8
-					for batch := 0; batch < 10; batch++ {
-						for i := 0; i < depth; i++ {
-							p := fmt.Sprintf("p%d", (batch+i)%6)
-							switch i % 3 {
-							case 0:
-								c.Send("CALL", "tournament", "enroll", p, "t0")
-							case 1:
-								c.Send("CALL", "tournament", "do_match", p, fmt.Sprintf("p%d", (batch+i+1)%6), "t0")
-							default:
-								c.Send("CALL", "tournament", "disenroll", p, "t0")
-							}
-						}
-						if err := c.Flush(); err != nil {
-							errs[w] = err
-							return
-						}
-						for i := 0; i < depth; i++ {
-							rp, err := c.Recv()
-							if err != nil {
-								errs[w] = err
-								return
-							}
-							if rp.Kind == '-' && !strings.HasPrefix(rp.Str, "PRECONDITION") {
-								errs[w] = errors.New(rp.Str)
-								return
-							}
-						}
-					}
-				}(w, c)
-			}
-			wg.Wait()
-			for w, err := range errs {
-				if err != nil {
-					t.Fatalf("client %d: %v", w, err)
-				}
-			}
-
-			// Kill a client mid-stream: write half a command and vanish.
-			raw, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := raw.Write([]byte("*3\r\n$4\r\nCALL\r\n$10\r\ntourn")); err != nil {
-				t.Fatal(err)
-			}
-			raw.Close()
-			// A malformed frame gets an error reply, then a hangup.
-			raw2, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := raw2.Write([]byte("*abc\r\n")); err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]byte, 256)
-			raw2.SetReadDeadline(time.Now().Add(5 * time.Second))
-			n, _ := raw2.Read(buf)
-			if n == 0 || buf[0] != '-' {
-				t.Fatalf("malformed frame reply = %q", buf[:n])
-			}
-			raw2.Close()
-
-			// Reconnect and keep working: the server survived both.
-			c2 := dialT(t, addr)
-			callOK(t, c2, "CALL", "tournament", "enroll", "p0", "t0")
-
-			quiesceRemote(t, ctl, "tournament")
-		})
+	// Basic command surface.
+	if rp, err := ctl.Do("PING"); err != nil || rp.Str != "PONG" {
+		t.Fatalf("PING = %+v, %v", rp, err)
 	}
+	if rp, err := ctl.Do("APPS"); err != nil || strings.Join(rp.Strings(), ",") != "tournament" {
+		t.Fatalf("APPS = %+v, %v", rp, err)
+	}
+	rp, err := ctl.Do("OPS", "tournament")
+	if err != nil || len(rp.Strings()) == 0 {
+		t.Fatalf("OPS = %+v, %v", rp, err)
+	}
+	if rp, _ := ctl.Do("CALL", "tournament", "nosuch"); rp.Kind != '-' {
+		t.Fatalf("unknown op must error, got %+v", rp)
+	}
+	if rp, _ := ctl.Do("NOSUCHCMD"); rp.Kind != '-' {
+		t.Fatalf("unknown command must error, got %+v", rp)
+	}
+
+	// Site affinity: default is deterministic, SITE pins.
+	rp, err = ctl.Do("SITE")
+	if err != nil || rp.Str == "" {
+		t.Fatalf("SITE = %+v, %v", rp, err)
+	}
+	if err := ctl.DoOK("SITE", wan.Sites()[1]); err != nil {
+		t.Fatal(err)
+	}
+	if rp, _ := ctl.Do("SITE", "mars"); rp.Kind != '-' {
+		t.Fatalf("bad site must error, got %+v", rp)
+	}
+
+	// Seed the domain.
+	for i := 0; i < 6; i++ {
+		callOK(t, ctl, "CALL", "tournament", "add_player", fmt.Sprintf("p%d", i))
+	}
+	callOK(t, ctl, "CALL", "tournament", "add_tourn", "t0")
+	callOK(t, ctl, "CALL", "tournament", "begin_tourn", "t0")
+	if err := ctl.DoOK("SETTLE"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Concurrent pipelined clients, each pinned to a site.
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for w := 0; w < 3; w++ {
+		c := dialT(t, addr)
+		if err := c.DoOK("SITE", wan.Sites()[w%3]); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(w int, c *Client) {
+			defer wg.Done()
+			const depth = 8
+			for batch := 0; batch < 10; batch++ {
+				for i := 0; i < depth; i++ {
+					p := fmt.Sprintf("p%d", (batch+i)%6)
+					switch i % 3 {
+					case 0:
+						c.Send("CALL", "tournament", "enroll", p, "t0")
+					case 1:
+						c.Send("CALL", "tournament", "do_match", p, fmt.Sprintf("p%d", (batch+i+1)%6), "t0")
+					default:
+						c.Send("CALL", "tournament", "disenroll", p, "t0")
+					}
+				}
+				if err := c.Flush(); err != nil {
+					errs[w] = err
+					return
+				}
+				for i := 0; i < depth; i++ {
+					rp, err := c.Recv()
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					if rp.Kind == '-' && !strings.HasPrefix(rp.Str, "PRECONDITION") {
+						errs[w] = errors.New(rp.Str)
+						return
+					}
+				}
+			}
+		}(w, c)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", w, err)
+		}
+	}
+
+	// Kill a client mid-stream: write half a command and vanish.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write([]byte("*3\r\n$4\r\nCALL\r\n$10\r\ntourn")); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+	// A malformed frame gets an error reply, then a hangup.
+	raw2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw2.Write([]byte("*abc\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 256)
+	raw2.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, _ := raw2.Read(buf)
+	if n == 0 || buf[0] != '-' {
+		t.Fatalf("malformed frame reply = %q", buf[:n])
+	}
+	raw2.Close()
+
+	// Reconnect and keep working: the server survived both.
+	c2 := dialT(t, addr)
+	callOK(t, c2, "CALL", "tournament", "enroll", "p0", "t0")
+
+	quiesceRemote(t, ctl, "tournament")
 }
 
 // TestServeInline drives the server exactly like a redis-cli-style tool:
 // inline space-separated commands, one per line.
 func TestServeInline(t *testing.T) {
-	_, addr := startServer(t, runtime.BackendNet)
+	_, addr := startServer(t)
 	c := dialT(t, addr)
 	c.SendInline("PING")
 	c.SendInline("CALL tournament add_player alice")
@@ -285,7 +271,7 @@ func TestServeInline(t *testing.T) {
 // TestServeMountOverWire mounts a fresh spec through the MOUNT command
 // and calls it.
 func TestServeMountOverWire(t *testing.T) {
-	cluster := newTestCluster(t, runtime.BackendNet)
+	cluster := newTestCluster(t)
 	srv := New(cluster, Config{})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -319,7 +305,7 @@ func TestServeMountOverWire(t *testing.T) {
 // every replica. Un-acked in-flight commands may be dropped — but
 // nothing acked may be lost.
 func TestServeGracefulShutdown(t *testing.T) {
-	cluster := newTestCluster(t, runtime.BackendNet)
+	cluster := newTestCluster(t)
 	srv := New(cluster, Config{DrainTimeout: 30 * time.Second})
 	// A two-op probe spec: add(x) asserts p(x); probe(x) requires p(x).
 	// An acked add that probe refuses afterwards was acked-but-lost.
@@ -425,7 +411,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 // out on their own goroutine while the replies are read, as a pipelining
 // client's must once replies outgrow the socket buffers.
 func TestServeBackpressure(t *testing.T) {
-	cluster := newTestCluster(t, runtime.BackendNet)
+	cluster := newTestCluster(t)
 	srv := New(cluster, Config{})
 	if _, err := srv.MountAnalyzed(nil, tournament.Analysis()); err != nil {
 		t.Fatal(err)
@@ -559,7 +545,7 @@ func siteDigest(t *testing.T, lines []string, site clock.ReplicaID) string {
 // TestDefaultSiteDeterministic pins the consistent-hash site choice:
 // same client host, same site.
 func TestDefaultSiteDeterministic(t *testing.T) {
-	cluster := newTestCluster(t, runtime.BackendSim)
+	cluster := newTestCluster(t)
 	srv := New(cluster, Config{})
 	a := srv.defaultSite("10.1.2.3:5555")
 	b := srv.defaultSite("10.1.2.3:6666")
@@ -577,14 +563,15 @@ func TestDefaultSiteDeterministic(t *testing.T) {
 	}
 }
 
-// TestInfoReplicationCounters pins the INFO surface for the replication
-// transport on the netrepl backend: after real replicated traffic the
-// aggregate counters must show frames on the wire, no dropped
+// TestInfoReplicationCounters pins the INFO surface on a 3-site socket
+// cluster: the reply's keys, in order (the serving benchmark parses
+// them), and the replication transport's counters. After real replicated
+// traffic the aggregate counters must show frames on the wire, no dropped
 // transactions (a nonzero repl_txns_dropped is an operator alarm — it
 // means a permanent causal gap) and, once settled, nothing retained for
 // a peer.
 func TestInfoReplicationCounters(t *testing.T) {
-	_, addr := startServer(t, runtime.BackendNet)
+	_, addr := startServer(t)
 	ctl := dialT(t, addr)
 	for i := 0; i < 5; i++ {
 		callOK(t, ctl, "CALL", "tournament", "add_player", fmt.Sprintf("p%d", i))
@@ -597,10 +584,28 @@ func TestInfoReplicationCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := map[string]string{}
+	var keys []string
 	for _, line := range strings.Split(rp.Str, "\r\n") {
 		if k, v, ok := strings.Cut(line, ":"); ok {
 			info[k] = v
+			keys = append(keys, k)
 		}
+	}
+	want := []string{
+		"backend", "sites", "apps",
+		"conns_accepted", "conns_active", "commands", "calls", "refusals",
+		"engine_fallback_calls", "engine_domain_enum_calls",
+		"repl_frames_sent", "repl_txns_sent", "repl_bytes_sent",
+		"repl_frames_recv", "repl_txns_recv", "repl_bytes_recv",
+		"repl_send_errors", "repl_txns_dropped", "repl_retained_txns", "repl_reconnects",
+		"repl_wal_appends", "repl_wal_syncs", "repl_wal_bytes", "repl_wal_segments",
+		"repl_snapshots", "repl_stalled_origins",
+	}
+	if strings.Join(keys, " ") != strings.Join(want, " ") {
+		t.Fatalf("INFO keys:\n got %v\nwant %v", keys, want)
+	}
+	if info["backend"] != "netrepl" || info["sites"] != joinSites(siteIDs()) || info["apps"] != "tournament" {
+		t.Fatalf("INFO backend/sites/apps = %q/%q/%q", info["backend"], info["sites"], info["apps"])
 	}
 	for _, key := range []string{"repl_frames_sent", "repl_txns_sent", "repl_txns_recv", "repl_bytes_sent"} {
 		if info[key] == "" || info[key] == "0" {
@@ -620,7 +625,7 @@ func TestInfoReplicationCounters(t *testing.T) {
 // (nothing must be true for a disjunction to be false) shows up in
 // engine_domain_enum_calls the first time that guard runs.
 func TestInfoEngineSlowPaths(t *testing.T) {
-	_, addr := startServer(t, runtime.BackendSim)
+	_, addr := startServer(t)
 	c := dialT(t, addr)
 	info := func() map[string]string {
 		t.Helper()
@@ -670,7 +675,7 @@ operation rmq(B: y) {
 // TestClientName pins the CLIENT SETNAME/GETNAME round-trip that standard
 // RESP clients send on connect.
 func TestClientName(t *testing.T) {
-	_, addr := startServer(t, runtime.BackendSim)
+	_, addr := startServer(t)
 	c := dialT(t, addr)
 
 	rp, err := c.Do("CLIENT", "GETNAME")

@@ -17,8 +17,8 @@ import (
 // seeing the write. Run it under -race too: a vector the replica still
 // writes that a reader holds is a data race.
 func TestClockReadsDuringCommitAndDeliver(t *testing.T) {
-	a := NewSocketCluster("a").Replica("a")
-	b := NewSocketCluster("b").Replica("b")
+	a := NewReplica("a")
+	b := NewReplica("b")
 	drain := pipeReplicas(t, a, b)
 
 	const (

@@ -214,7 +214,7 @@ func TestPartitionedWritesSurviveHeal(t *testing.T) {
 // are the property suite for the locking discipline (the replica lock
 // held to commit, the causal delivery buffer).
 
-// pipeReplicas wires two socket-cluster replicas together: every commit
+// pipeReplicas wires two standalone replicas together: every commit
 // at one side is delivered at the other by two goroutines, each of which
 // gets every transaction and delivers what it has queued in shuffled
 // batches — so each stream arrives concurrently, out of order and
@@ -227,9 +227,10 @@ func pipeReplicas(t *testing.T, a, b *Replica) (drain func()) {
 	wire := func(src, dst *Replica, seed int64) {
 		pair := [2]chan WireTxn{make(chan WireTxn, 1<<16), make(chan WireTxn, 1<<16)}
 		chans = append(chans, pair[:]...)
-		src.cluster.SetOnCommit(func(w WireTxn) {
+		src.SetOnCommit(func(w WireTxn) func() {
 			pair[0] <- w
 			pair[1] <- w
+			return nil
 		})
 		for i, ch := range pair {
 			rng := rand.New(rand.NewSource(seed + int64(i)))
@@ -270,8 +271,8 @@ func pipeReplicas(t *testing.T, a, b *Replica) (drain func()) {
 // concurrent remote apply path, asserting per-key linearizable
 // read-your-writes throughout and cross-replica convergence at the end.
 func TestConcurrentLocalVsExternalApply(t *testing.T) {
-	a := NewSocketCluster("a").Replica("a")
-	b := NewSocketCluster("b").Replica("b")
+	a := NewReplica("a")
+	b := NewReplica("b")
 	drain := pipeReplicas(t, a, b)
 
 	const (
@@ -348,8 +349,8 @@ func TestConcurrentLocalVsExternalApply(t *testing.T) {
 // lock striping, writers touching keys out of order released written
 // keys early, which this test catches.)
 func TestCrossShardAtomicityConcurrent(t *testing.T) {
-	a := NewSocketCluster("a").Replica("a")
-	b := NewSocketCluster("b").Replica("b")
+	a := NewReplica("a")
+	b := NewReplica("b")
 	drain := pipeReplicas(t, a, b)
 
 	keys := make([]string, 6)
@@ -450,11 +451,11 @@ func TestCrossShardAtomicityConcurrent(t *testing.T) {
 // commit's dependency cut, which by then covers the remove, makes the
 // add win everywhere else.
 func TestConcurrentRemoteRemoveInsideLocalAdd(t *testing.T) {
-	a := NewSocketCluster("a").Replica("a")
-	b := NewSocketCluster("b").Replica("b")
+	a := NewReplica("a")
+	b := NewReplica("b")
 	var fromA, fromB []WireTxn
-	a.cluster.SetOnCommit(func(w WireTxn) { fromA = append(fromA, w) })
-	b.cluster.SetOnCommit(func(w WireTxn) { fromB = append(fromB, w) })
+	a.SetOnCommit(func(w WireTxn) func() { fromA = append(fromA, w); return nil })
+	b.SetOnCommit(func(w WireTxn) func() { fromB = append(fromB, w); return nil })
 
 	tx := b.Begin()
 	RWSetAt(tx, "set").RemoveWhere(crdt.MatchPattern(""))
@@ -518,8 +519,8 @@ func TestConcurrentRemoteRemoveInsideLocalAdd(t *testing.T) {
 // against one replica pair: session guarantees (read your writes,
 // monotonic reads) must hold even while the apply path races the client.
 func TestConcurrentSessionsStayCausal(t *testing.T) {
-	a := NewSocketCluster("a").Replica("a")
-	b := NewSocketCluster("b").Replica("b")
+	a := NewReplica("a")
+	b := NewReplica("b")
 	drain := pipeReplicas(t, a, b)
 
 	var wg sync.WaitGroup
@@ -566,9 +567,9 @@ func TestConcurrentSessionsStayCausal(t *testing.T) {
 // reads" would break).
 func TestCommitDepsCoverMidTransactionReads(t *testing.T) {
 	// Produce a wire transaction from origin "b".
-	b := NewSocketCluster("b").Replica("b")
+	b := NewReplica("b")
 	var fromB []WireTxn
-	b.cluster.SetOnCommit(func(w WireTxn) { fromB = append(fromB, w) })
+	b.SetOnCommit(func(w WireTxn) func() { fromB = append(fromB, w); return nil })
 	btx := b.Begin()
 	CounterAt(btx, "k").Add(5)
 	btx.Commit()
@@ -576,9 +577,9 @@ func TestCommitDepsCoverMidTransactionReads(t *testing.T) {
 		t.Fatalf("captured %d transactions from b", len(fromB))
 	}
 
-	a := NewSocketCluster("a").Replica("a")
+	a := NewReplica("a")
 	var fromA []WireTxn
-	a.cluster.SetOnCommit(func(w WireTxn) { fromA = append(fromA, w) })
+	a.SetOnCommit(func(w WireTxn) func() { fromA = append(fromA, w); return nil })
 
 	tx := a.Begin() // snapshot taken before b's transaction arrives
 	a.Deliver(fromB[0])

@@ -12,20 +12,22 @@
 //   - stability tracking — a causal cut delivered at every replica, used
 //     to garbage-collect CRDT metadata (tombstones, touch graveyards).
 //
-// Two execution regimes share the same replica core:
+// A Replica is one site's copy and knows nothing of how its commits
+// travel: each committed update transaction goes to the replica's commit
+// hook (Replica.SetOnCommit), and remote transactions come back in
+// through one causal delivery buffer, Replica.Deliver, which applies them
+// one at a time in causal order (see Deliver). Two owners install the
+// hook:
 //
-//   - inside a wan.Sim discrete-event simulation (Cluster), execution is
-//     single-threaded and deterministic — replication messages are
-//     simulator events;
-//   - under a real transport (package netrepl), one replica serves many
-//     client goroutines while remote transactions arrive on many
-//     connections at once. One lock per replica serialises them: a
-//     transaction holds it from its first object access to Commit, and a
-//     remote effect group holds it while it applies.
-//
-// Both regimes deliver remote transactions through one causal delivery
-// buffer, Replica.Deliver, which applies them one at a time in causal
-// order (see Deliver).
+//   - Cluster, the wan.Sim discrete-event simulation: the hook sends to
+//     every other member as simulator events, so execution is
+//     single-threaded and deterministic;
+//   - a real transport (package netrepl) appends to its outbound log.
+//     One replica then serves many client goroutines while remote
+//     transactions arrive on many connections at once. One lock per
+//     replica serialises them: a transaction holds it from its first
+//     object access to Commit, and a remote effect group holds it while
+//     it applies.
 //
 // Replica locking discipline (the order below is the global acquisition
 // order; taking locks in this order only is what makes the core
@@ -47,9 +49,9 @@
 //	    takes deliverMu.
 //	  - clockMu guards the delivered cut (vc) and is never held while
 //	    waiting for any other lock.
-//	  - An external transport's commit hook runs under mu and takes its
-//	    own lock (netrepl's outbound log: mu ≺ log mutex), whose holders
-//	    never wait for a replica lock or a peer.
+//	  - The commit hook runs under mu. A transport's hook takes its own
+//	    lock (netrepl's outbound log: mu ≺ log mutex), whose holders never
+//	    wait for a replica lock or a peer.
 package store
 
 import (
@@ -62,7 +64,8 @@ import (
 	"ipa/internal/wan"
 )
 
-// Cluster is a set of replicas of one logical database.
+// Cluster is a set of replicas of one logical database, replicating to
+// each other as events of one discrete-event simulation.
 type Cluster struct {
 	sim      *wan.Sim
 	latency  *wan.Latency
@@ -73,23 +76,20 @@ type Cluster struct {
 	partitioned map[[2]clock.ReplicaID]bool
 	blocked     map[[2]clock.ReplicaID][]WireTxn
 
-	// onCommit, when set, receives the wire form of every committed
-	// update transaction (see SetOnCommit). It may return a wait
-	// function, which the commit path invokes after releasing the replica
-	// lock — the hook durable transports use to hold Commit until the
-	// transaction is fsynced without stalling other committers (see
-	// SetOnCommitSync).
-	onCommit func(WireTxn) func()
+	// onCommit, when set, observes the wire form of every committed
+	// update transaction (see SetOnCommit).
+	onCommit func(WireTxn)
 
-	// Stats. Updated atomically: on a socket-backed cluster commits run
-	// on arbitrary client goroutines. Read them only from a quiescent
-	// cluster or via atomic loads.
+	// Stats. Updated atomically; read them from a quiescent cluster or
+	// via atomic loads.
 	MessagesSent  uint64
 	TxnsCommitted uint64
 	StabilityRuns uint64
 }
 
-// NewCluster creates one replica per id, connected by the latency model.
+// NewCluster creates one replica per id, connected by the latency model:
+// each replica's commit hook sends the transaction to every other member
+// in member order.
 func NewCluster(sim *wan.Sim, latency *wan.Latency, ids []clock.ReplicaID) *Cluster {
 	c := &Cluster{
 		sim:         sim,
@@ -100,16 +100,33 @@ func NewCluster(sim *wan.Sim, latency *wan.Latency, ids []clock.ReplicaID) *Clus
 		blocked:     map[[2]clock.ReplicaID][]WireTxn{},
 	}
 	for _, id := range ids {
-		c.replicas[id] = &Replica{
-			id:       id,
-			cluster:  c,
-			objects:  map[string]crdt.CRDT{},
-			vc:       clock.New(),
-			byOrigin: map[clock.ReplicaID]map[uint64]WireTxn{},
-		}
+		r := NewReplica(id)
+		r.SetOnCommit(c.replicate)
+		c.replicas[id] = r
 	}
 	return c
 }
+
+// replicate is every member's commit hook: it sends w to the other
+// members, then hands it to the observer. The sim never waits on a disk,
+// so it returns no wait.
+func (c *Cluster) replicate(w WireTxn) func() {
+	atomic.AddUint64(&c.TxnsCommitted, 1)
+	for _, id := range c.order {
+		if id != w.Origin {
+			c.send(w.Origin, id, w)
+		}
+	}
+	if c.onCommit != nil {
+		c.onCommit(w)
+	}
+	return nil
+}
+
+// SetOnCommit installs an observer of every committed update
+// transaction's wire form (nil removes it). It runs under the origin
+// replica's lock, after the sends to the other members.
+func (c *Cluster) SetOnCommit(fn func(WireTxn)) { c.onCommit = fn }
 
 // Sim returns the simulation driving this cluster.
 func (c *Cluster) Sim() *wan.Sim { return c.sim }
@@ -195,8 +212,11 @@ type Update struct {
 // transactions and concurrent Deliver callers, synchronised by the
 // locking discipline described in the package comment.
 type Replica struct {
-	id      clock.ReplicaID
-	cluster *Cluster
+	id clock.ReplicaID
+
+	// onCommit receives the wire form of every committed update
+	// transaction (see SetOnCommit); nil sends nowhere.
+	onCommit func(WireTxn) func()
 
 	// mu is the replica lock (see the package comment). It guards
 	// objects and seq, the event-tag counter.
@@ -235,6 +255,28 @@ type Replica struct {
 	TxnsDuplicate uint64
 	QueuedMax     int
 }
+
+// NewReplica creates an empty replica whose commits go nowhere until
+// SetOnCommit installs a hook.
+func NewReplica(id clock.ReplicaID) *Replica {
+	return &Replica{
+		id:       id,
+		objects:  map[string]crdt.CRDT{},
+		vc:       clock.New(),
+		byOrigin: map[clock.ReplicaID]map[uint64]WireTxn{},
+	}
+}
+
+// SetOnCommit installs the replica's commit hook, which receives the wire
+// form of every committed update transaction. The hook runs under the
+// replica lock, so the order it sees matches sequence order; it must
+// hand the transaction on and return, never wait on a peer. It may
+// return a wait function (nil for none) — a durable transport's fsync —
+// which runs after the transaction has released the lock, blocking
+// Commit but nothing else; a transaction given a sink by
+// Txn.DeferDurability appends the wait there instead. Install it before
+// the replica commits.
+func (r *Replica) SetOnCommit(fn func(WireTxn) func()) { r.onCommit = fn }
 
 // Invalidate marks this replica instance as no longer representing its
 // site (crash or decommission). Idempotent; never unset — a recovered
@@ -358,7 +400,7 @@ func (r *Replica) DeliveryStats() (delivered, duplicate uint64) {
 // commit counts of the stability round (see Cluster.Stabilize). It holds
 // the replica lock, so compaction is safe concurrent with live
 // transactions and deliveries. Exposed so replication backends without a
-// shared Cluster — one store per node, as in netrepl — can run the same
+// shared Cluster — one replica per node, as in netrepl — can run the same
 // compaction from a gathered global view.
 func (r *Replica) CompactAll(horizon, frontier clock.Vector) {
 	r.mu.Lock()

@@ -283,10 +283,9 @@ func TestRWSetOrderWithinTransaction(t *testing.T) {
 func TestRWAddCostIndependentOfTombstones(t *testing.T) {
 	const tombstones = 1000
 	addFrame := func(wipedKey string) (frame []byte, before, after int) {
-		c := NewSocketCluster("a")
+		r := NewReplica("a")
 		var last WireTxn
-		c.SetOnCommit(func(w WireTxn) { last = w })
-		r := c.Replica("a")
+		r.SetOnCommit(func(w WireTxn) func() { last = w; return nil })
 		for i := 0; i < tombstones; i++ {
 			tx := r.Begin()
 			RWSetAt(tx, wipedKey).RemoveWhere(crdt.MatchPattern("", fmt.Sprint("t", i)))

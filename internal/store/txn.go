@@ -190,10 +190,9 @@ func (t *Txn) Commit() {
 }
 
 // commitUpdates runs the update-transaction commit path under the
-// replica lock: advance the local cut, fan out the wire message, release.
+// replica lock: advance the local cut, hand the wire form to the commit
+// hook, release.
 func (t *Txn) commitUpdates() {
-	c := t.r.cluster
-	atomic.AddUint64(&c.TxnsCommitted, 1)
 	last := t.r.seq
 	t.lastSeq = last
 	// The replicated dependency vector must cover everything this
@@ -209,30 +208,23 @@ func (t *Txn) commitUpdates() {
 	t.r.clockMu.Lock()
 	t.r.vc.Set(t.r.id, last)
 	t.r.clockMu.Unlock()
-	w := WireTxn{
-		Origin:   t.r.id,
-		Deps:     deps,
-		FirstSeq: t.firstSeq,
-		LastSeq:  last,
-		Updates:  t.updates,
-	}
-	for _, id := range c.order {
-		if id != t.r.id {
-			c.send(t.r.id, id, w)
-		}
-	}
-	// The onCommit hook (an external transport's broadcast) runs under the
-	// replica lock so the transport's log order matches sequence order; it
-	// appends and returns, never waiting on a peer. A durable transport
-	// returns a wait (fsync) function, which runs only after release so
-	// the disk never stalls the replica: here, or at the caller's
-	// acknowledgement point when DeferDurability gave a sink.
-	// The in-process sends above and the hook share deps: no receiver
-	// writes a WireTxn's Deps (Deliver compares it, remove-wins sets keep
-	// it as an add's read-only cut, the codecs read it).
+	// The commit hook (Replica.SetOnCommit) runs under the replica lock
+	// so what it hands on is in sequence order; it returns without
+	// waiting on a peer. A durable transport returns a wait (fsync)
+	// function, which runs only after release so the disk never stalls
+	// the replica: here, or at the caller's acknowledgement point when
+	// DeferDurability gave a sink. Every receiver of the wire form shares
+	// deps: none writes a WireTxn's Deps (Deliver compares it, remove-wins
+	// sets keep it as an add's read-only cut, the codecs read it).
 	var wait func()
-	if c.onCommit != nil {
-		wait = c.onCommit(w)
+	if t.r.onCommit != nil {
+		wait = t.r.onCommit(WireTxn{
+			Origin:   t.r.id,
+			Deps:     deps,
+			FirstSeq: t.firstSeq,
+			LastSeq:  last,
+			Updates:  t.updates,
+		})
 	}
 	t.release()
 	switch {

@@ -365,9 +365,9 @@ func TestWALRotatesUnderDeferredWaits(t *testing.T) {
 	defer w.Close()
 	w.SetSegmentSize(512)
 
-	c := NewSocketCluster("a")
+	r := NewReplica("a")
 	enc := NewFrameEncoder(WireVersionV2)
-	c.SetOnCommitSync(func(txn WireTxn) func() {
+	r.SetOnCommit(func(txn WireTxn) func() {
 		// Runs under the replica lock, which serialises enc.
 		frame, err := enc.Encode([]WireTxn{txn})
 		if err != nil {
@@ -383,7 +383,6 @@ func TestWALRotatesUnderDeferredWaits(t *testing.T) {
 			}
 		}
 	})
-	r := c.Replica("a")
 	commit := func(key string, sink *[]func()) {
 		tx := r.Begin()
 		if sink != nil {

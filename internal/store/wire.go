@@ -7,7 +7,6 @@ import (
 
 	"ipa/internal/clock"
 	"ipa/internal/crdt"
-	"ipa/internal/wan"
 )
 
 // WireTxn is the serialisable form of a committed transaction — the
@@ -212,26 +211,3 @@ func decodeTxnV2(r *crdt.WireReader, w *WireTxn) error {
 	}
 	return nil
 }
-
-// NewSocketCluster creates the single-member cluster an external
-// transport (package netrepl) wraps around one replica: the simulator
-// inside never carries messages, it only provides the clock the store API
-// needs; all replication flows through SetOnCommit and Replica.Deliver.
-func NewSocketCluster(id clock.ReplicaID) *Cluster {
-	return NewCluster(wan.NewSim(0), wan.NewLatency(0), []clock.ReplicaID{id})
-}
-
-// OnCommit, when set, is invoked for every committed update transaction
-// with its wire form — the hook external transports use to ship
-// transactions to remote nodes.
-func (c *Cluster) SetOnCommit(fn func(WireTxn)) {
-	c.onCommit = func(w WireTxn) func() { fn(w); return nil }
-}
-
-// SetOnCommitSync is SetOnCommit for transports that gate commit on
-// durability: the hook runs under the replica lock like SetOnCommit's,
-// and the wait function it returns (nil for none) runs after the
-// transaction has released the lock, blocking Commit — but nothing else — until the
-// transport reports the transaction durable. A transaction given a sink by
-// Txn.DeferDurability appends the wait there instead.
-func (c *Cluster) SetOnCommitSync(fn func(WireTxn) func()) { c.onCommit = fn }
