@@ -119,7 +119,13 @@ func callOK(t *testing.T, c *Client, args ...string) {
 	}
 }
 
+// TestServeEndToEnd names the backend it serves in its subtest, as it did
+// when the server also served the simulator.
 func TestServeEndToEnd(t *testing.T) {
+	t.Run("netrepl", serveEndToEnd)
+}
+
+func serveEndToEnd(t *testing.T) {
 	_, addr := startServer(t)
 	ctl := dialT(t, addr)
 
